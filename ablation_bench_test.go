@@ -28,22 +28,19 @@ func BenchmarkAblationCascadeVsOneRound(b *testing.B) {
 	g := bld.Graph()
 
 	b.Run("cascade-two-rounds", func(b *testing.B) {
+		plan := mustPlan(b, g, Triangle(), WithStrategy(StrategyTwoRound))
 		var total int64
 		for i := 0; i < b.N; i++ {
-			res := TwoRoundTriangles(g)
-			total = res.TotalComm()
+			total = mustRun(b, plan).TotalComm()
 		}
 		b.ReportMetric(float64(total)/float64(g.NumEdges()), "comm/edge")
 		b.ReportMetric(float64(WedgeCount(g)), "wedges")
 	})
 	b.Run("one-round-bucketordered", func(b *testing.B) {
+		plan := mustPlan(b, g, Triangle(), WithStrategy(StrategyTriangleBucketOrdered), WithBuckets(10), WithSeed(7))
 		var total int64
 		for i := 0; i < b.N; i++ {
-			res, err := TriangleBucketOrdered(g, 10, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total = res.Metrics.KeyValuePairs
+			total = mustRun(b, plan).TotalComm()
 		}
 		b.ReportMetric(float64(total)/float64(g.NumEdges()), "comm/edge")
 	})
@@ -61,18 +58,14 @@ func BenchmarkAblationCycleCQs(b *testing.B) {
 				name = fmt.Sprintf("C%d/run-sequence", p)
 			}
 			b.Run(name, func(b *testing.B) {
+				opts := []Option{WithStrategy(StrategyBucketOriented), WithBuckets(4), WithSeed(2)}
+				if useCycle {
+					opts = append(opts, WithCycleCQs())
+				}
+				plan := mustPlan(b, g, CycleSample(p), opts...)
 				var res *Result
 				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = Enumerate(g, CycleSample(p), Options{
-						Strategy:    BucketOriented,
-						Buckets:     4,
-						UseCycleCQs: useCycle,
-						Seed:        2,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
+					res = mustRun(b, plan)
 				}
 				b.ReportMetric(float64(res.NumCQs), "CQs")
 				b.ReportMetric(float64(res.TotalReducerWork()), "reducer_work")
@@ -133,14 +126,10 @@ func BenchmarkAblationShareRounding(b *testing.B) {
 	g := Gnm(300, 1200, 5)
 	for _, k := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("lollipop-k=%d", k), func(b *testing.B) {
+			plan := mustPlan(b, g, Lollipop(), WithStrategy(StrategyVariableOriented), WithTargetReducers(k), WithSeed(3))
 			var res *Result
 			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = Enumerate(g, Lollipop(), Options{
-					Strategy: VariableOriented, TargetReducers: k, Seed: 3})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = mustRun(b, plan)
 			}
 			job := res.Jobs[0]
 			b.ReportMetric(job.PredictedCommPerEdge, "integer_cost")
@@ -160,11 +149,9 @@ func BenchmarkAblationEnginePartitioning(b *testing.B) {
 			name = "workers=max"
 		}
 		b.Run(name, func(b *testing.B) {
+			plan := mustPlan(b, g, Triangle(), WithStrategy(StrategyBucketOriented), WithBuckets(8), WithParallelism(par), WithSeed(1))
 			for i := 0; i < b.N; i++ {
-				if _, err := Enumerate(g, Triangle(), Options{
-					Buckets: 8, Parallelism: par, Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
+				mustRun(b, plan)
 			}
 		})
 	}

@@ -4,11 +4,8 @@ import (
 	"math"
 	"sort"
 
-	"subgraphmr/internal/core"
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/shares"
-	"subgraphmr/internal/triangle"
-	"subgraphmr/internal/tworound"
 )
 
 // This file implements WithAdaptive's pre-run probing: before committing
@@ -88,50 +85,103 @@ func probeLadder(b0 int, repl func(int) float64) []int {
 	return ladder
 }
 
+// prober is the state of one Plan call's probing pass: the query, the
+// resolved budget and engine configuration, and the probe table so far.
+type prober struct {
+	*planQuery
+	k      int64
+	cfg    mapreduce.Config
+	probes []LoadProbe
+	// coreBuckets is the winning rung of the Section 4.5 mapper's ladder,
+	// once probed: bucket-oriented and decomposed ship edges through the
+	// identical mapper, so one ladder serves both.
+	coreBuckets *LoadProbe
+}
+
+func (pr *prober) row(st PlanStrategy, buckets int, sh []int, ls mapreduce.LoadStats) LoadProbe {
+	return LoadProbe{
+		Strategy:     st,
+		Buckets:      buckets,
+		Shares:       sh,
+		Comm:         ls.Pairs,
+		Keys:         ls.Keys,
+		MaxLoad:      ls.MaxLoad,
+		MeanLoad:     ls.MeanLoad(),
+		Skew:         ls.Skew(),
+		AdjustedCost: adjustedCost(ls.Pairs, ls.MaxLoad, pr.k),
+	}
+}
+
+// observe folds an applied probe row into its candidate: the estimates
+// become the observed values (EstComm is now exact) while CommPerEdge stays
+// the closed form of the applied configuration, matching what the executed
+// job will report as its prediction.
+func observe(c *Candidate, row LoadProbe) {
+	c.ObservedComm = row.Comm
+	c.ObservedMaxLoad = row.MaxLoad
+	c.ObservedMeanLoad = row.MeanLoad
+	c.ObservedSkew = row.Skew
+	c.AdjustedCost = row.AdjustedCost
+	c.Probed = true
+	c.EstComm = row.Comm
+	c.EstShuffleBytes = row.Comm * planPairOverhead
+}
+
+// applyOnly records the single probe row of a candidate with one
+// configuration and folds it in.
+func (pr *prober) applyOnly(c *Candidate, row LoadProbe) {
+	row.Applied = true
+	pr.probes = append(pr.probes, row)
+	observe(c, row)
+}
+
+// applyRung moves a bucket-style candidate to a probed rung's bucket count,
+// re-deriving its closed forms there, and folds the observation in.
+func applyRung(c *Candidate, row LoadProbe, comm func(int) float64, reducers func(int) int64) {
+	c.Buckets = row.Buckets
+	c.Shares = uniformIntShares(len(c.Shares), row.Buckets)
+	c.CommPerEdge = comm(row.Buckets)
+	c.Reducers = reducers(row.Buckets)
+	observe(c, row)
+}
+
+// climb probes a bucket-style candidate at its planned b and, when ladder is
+// set and no explicit WithBuckets pins b, along the b/2b/4b ladder; the rung
+// with the lowest adjusted cost is applied to the candidate and returned.
+func (pr *prober) climb(c *Candidate, ladder bool, comm func(int) float64, reducers func(int) int64,
+	loads func(b int) (mapreduce.LoadStats, error)) (LoadProbe, bool) {
+	rungs := []int{c.Buckets}
+	if ladder && pr.o.buckets == 0 {
+		rungs = probeLadder(c.Buckets, comm)
+	}
+	best := -1
+	for _, b := range rungs {
+		ls, err := loads(b)
+		if err != nil {
+			continue
+		}
+		pr.probes = append(pr.probes, pr.row(c.Strategy, b, uniformIntShares(len(c.Shares), b), ls))
+		if i := len(pr.probes) - 1; best < 0 || pr.probes[i].AdjustedCost < pr.probes[best].AdjustedCost {
+			best = i
+		}
+	}
+	if best < 0 {
+		return LoadProbe{}, false
+	}
+	pr.probes[best].Applied = true
+	applyRung(c, pr.probes[best], comm, reducers)
+	return pr.probes[best], true
+}
+
 // probeCandidates measures every viable candidate's reducer loads and
 // folds the observations back in: Observed*/AdjustedCost are set, and
 // bucket-style candidates may move to a raised b when the probes show a
-// raised configuration wins the adjusted ranking. Candidates are mutated
-// in place; the returned rows are the full probe table in planner order.
-func probeCandidates(g *Graph, s *Sample, qs []*CQ, cands []Candidate, o planOpts) []LoadProbe {
-	p := s.P()
-	k := int64(o.targetReducers)
-	cfg := o.engineConfig()
-	var probes []LoadProbe
-
-	row := func(st PlanStrategy, buckets int, sh []int, ls mapreduce.LoadStats) LoadProbe {
-		return LoadProbe{
-			Strategy:     st,
-			Buckets:      buckets,
-			Shares:       sh,
-			Comm:         ls.Pairs,
-			Keys:         ls.Keys,
-			MaxLoad:      ls.MaxLoad,
-			MeanLoad:     ls.MeanLoad(),
-			Skew:         ls.Skew(),
-			AdjustedCost: adjustedCost(ls.Pairs, ls.MaxLoad, k),
-		}
-	}
-	// observe folds an applied probe row into its candidate: the estimates
-	// become the observed values (EstComm is now exact) while CommPerEdge
-	// stays the closed form of the applied configuration, matching what the
-	// executed job will report as its prediction.
-	observe := func(c *Candidate, pr LoadProbe) {
-		c.ObservedComm = pr.Comm
-		c.ObservedMaxLoad = pr.MaxLoad
-		c.ObservedMeanLoad = pr.MeanLoad
-		c.ObservedSkew = pr.Skew
-		c.AdjustedCost = pr.AdjustedCost
-		c.Probed = true
-		c.EstComm = pr.Comm
-		c.EstShuffleBytes = pr.Comm * planPairOverhead
-	}
-
-	// The bucket-oriented and decomposed candidates ship edges through the
-	// identical mapper, so one ladder serves both; remember the result (by
-	// value — probes' backing array moves as rows are appended).
-	var bucketProbe LoadProbe
-	bucketIdx := -1
+// raised configuration wins the adjusted ranking. cands is in table order
+// and mutated in place; the returned rows are the full probe table in
+// probing order.
+func probeCandidates(q *planQuery, cands []Candidate) []LoadProbe {
+	o := q.o
+	pr := &prober{planQuery: q, k: int64(o.targetReducers), cfg: o.engineConfig()}
 
 	// With a forced strategy only that candidate's probe can change the
 	// plan, so the others' map passes would be pure waste — except the
@@ -142,40 +192,6 @@ func probeCandidates(g *Graph, s *Sample, qs []*CQ, cands []Candidate, o planOpt
 			return true
 		}
 		return o.strategy == StrategyTwoRound && st == StrategyTriangleBucketOrdered
-	}
-
-	// probeCoreBucketLadder probes a core bucket-style candidate along its
-	// b/2b/4b ladder (an explicit WithBuckets pins b) and folds the winning
-	// rung in — shared by bucket-oriented and, when it cannot inherit, the
-	// decomposed conversion.
-	probeCoreBucketLadder := func(c *Candidate) (LoadProbe, bool) {
-		ladder := []int{c.Buckets}
-		if o.buckets == 0 {
-			ladder = probeLadder(c.Buckets, func(b int) float64 { return shares.BucketEdgeReplication(b, p) })
-		}
-		best := -1
-		for _, b := range ladder {
-			ls, err := core.ProbeBucketLoads(g, p, b, o.seed, cfg)
-			if err != nil {
-				continue
-			}
-			pr := row(c.Strategy, b, uniformIntShares(p, b), ls)
-			probes = append(probes, pr)
-			if best < 0 || pr.AdjustedCost < probes[best].AdjustedCost {
-				best = len(probes) - 1
-			}
-		}
-		if best < 0 {
-			return LoadProbe{}, false
-		}
-		probes[best].Applied = true
-		pr := probes[best]
-		c.Buckets = pr.Buckets
-		c.Shares = uniformIntShares(p, pr.Buckets)
-		c.CommPerEdge = shares.BucketEdgeReplication(pr.Buckets, p)
-		c.Reducers = int64(shares.UsefulReducers(pr.Buckets, p))
-		observe(c, pr)
-		return pr, true
 	}
 
 	// Probe cheapest-first and prune candidates that cannot win: a probed
@@ -198,118 +214,10 @@ func probeCandidates(g *Graph, s *Sample, qs []*CQ, cands []Candidate, o planOpt
 		if o.strategy == StrategyAuto && c.EstComm > bestAdjusted {
 			continue
 		}
-		switch c.Strategy {
-		case StrategyBucketOriented:
-			if pr, ok := probeCoreBucketLadder(c); ok {
-				bucketProbe, bucketIdx = pr, i
-			}
-
-		case StrategyDecomposed:
-			if bucketIdx >= 0 {
-				// Same mapper, same loads: inherit the bucket ladder's
-				// winning configuration without another map pass.
-				bc := cands[bucketIdx]
-				c.Buckets, c.Shares = bc.Buckets, uniformIntShares(p, bc.Buckets)
-				c.CommPerEdge, c.Reducers = bc.CommPerEdge, bc.Reducers
-				observe(c, bucketProbe)
-			} else {
-				probeCoreBucketLadder(c)
-			}
-
-		case StrategyVariableOriented:
-			ls, err := core.ProbeVariableLoads(g, p, qs, c.Shares, o.seed, cfg)
-			if err != nil {
-				continue
-			}
-			pr := row(c.Strategy, 0, c.Shares, ls)
-			pr.Applied = true
-			probes = append(probes, pr)
-			observe(c, pr)
-
-		case StrategyCQOriented:
-			var merged mapreduce.LoadStats
-			probed := true
-			for j, q := range qs {
-				if j >= len(c.JobShares) {
-					break
-				}
-				ls, err := core.ProbeCQLoads(g, q, c.JobShares[j], o.seed, cfg)
-				if err != nil {
-					probed = false
-					break
-				}
-				merged = merged.Merge(ls)
-			}
-			if !probed {
-				continue
-			}
-			pr := row(c.Strategy, 0, nil, merged)
-			pr.Applied = true
-			probes = append(probes, pr)
-			observe(c, pr)
-
-		case StrategyTriangleBucketOrdered, StrategyTrianglePartition, StrategyTriangleMultiway:
-			algo, commFn, reducersFn := triangleForms(c.Strategy)
-			ladder := []int{c.Buckets}
-			if o.buckets == 0 && c.Strategy == StrategyTriangleBucketOrdered {
-				// Only the linear-communication Section 2.3 algorithm gets a
-				// ladder; raising b for Partition/Multiway grows shipping
-				// superlinearly for the same straggler relief.
-				ladder = probeLadder(c.Buckets, commFn)
-			}
-			best := -1
-			for _, b := range ladder {
-				ls, err := triangle.ProbeLoads(g, algo, b, o.seed, cfg)
-				if err != nil {
-					continue
-				}
-				pr := row(c.Strategy, b, uniformIntShares(3, b), ls)
-				probes = append(probes, pr)
-				if best < 0 || pr.AdjustedCost < probes[best].AdjustedCost {
-					best = len(probes) - 1
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			probes[best].Applied = true
-			pr := probes[best]
-			c.Buckets = pr.Buckets
-			c.Shares = uniformIntShares(3, pr.Buckets)
-			c.CommPerEdge = commFn(pr.Buckets)
-			c.Reducers = reducersFn(pr.Buckets)
-			observe(c, pr)
-
-		case StrategyTwoRound:
-			// Round 1's loads are the degree distribution — computed in
-			// O(n + m) without a map pass. Comm keeps the exact two-round
-			// total (3m + W); the straggler is round 1's hottest node (round
-			// 2's loads are unknowable before the wedges exist, which is
-			// what mid-query re-planning is for).
-			r1 := tworound.Round1LoadStats(g)
-			pr := row(c.Strategy, 0, nil, r1)
-			pr.Comm = c.EstComm // the exact 3m + W total, not just round 1's pairs
-			pr.AdjustedCost = adjustedCost(pr.Comm, r1.MaxLoad, k)
-			pr.Applied = true
-			probes = append(probes, pr)
-			observe(c, pr)
-		}
+		strategies[i].probe(pr, c)
 		if c.Probed && c.AdjustedCost < bestAdjusted {
 			bestAdjusted = c.AdjustedCost
 		}
 	}
-	return probes
-}
-
-// triangleForms returns the probe name and closed forms of a Section 2
-// triangle strategy.
-func triangleForms(st PlanStrategy) (algo string, comm func(int) float64, reducers func(int) int64) {
-	switch st {
-	case StrategyTrianglePartition:
-		return "partition", triangle.PartitionCommPerEdge, triangle.PartitionReducers
-	case StrategyTriangleMultiway:
-		return "multiway", triangle.MultiwayCommPerEdge, triangle.MultiwayReducers
-	default:
-		return "bucket", triangle.BucketOrderedCommPerEdge, triangle.BucketOrderedReducers
-	}
+	return pr.probes
 }

@@ -8,10 +8,10 @@ import (
 // BenchmarkAdaptiveSkewedGraph measures planning + execution on the
 // planted-hub skew fixture, static versus WithAdaptive, reporting the
 // hottest reducer's input (maxload — the straggler the adaptive planner
-// optimizes) and the shipped pairs alongside ns/op. scripts/bench.sh folds
-// it into BENCH_PR5.json so the static-vs-adaptive gap is tracked across
-// PRs: adaptive pays probe passes and more communication at a raised b to
-// cut maxload on graphs like this one.
+// optimizes) and the shipped pairs alongside ns/op: adaptive pays probe
+// passes and more communication at a raised b to cut maxload on graphs like
+// this one. (bench/ tracks the planning cost across PRs as
+// planner.plan_adaptive_s.)
 func BenchmarkAdaptiveSkewedGraph(b *testing.B) {
 	g := hubGraph(2000, 600)
 	modes := []struct {

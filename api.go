@@ -1,7 +1,6 @@
 package subgraphmr
 
 import (
-	"fmt"
 	"time"
 
 	"subgraphmr/internal/core"
@@ -44,42 +43,12 @@ const (
 	StrategyTriangleBucketOrdered
 )
 
-func (st PlanStrategy) String() string {
-	switch st {
-	case StrategyAuto:
-		return "auto"
-	case StrategyBucketOriented:
-		return "bucket-oriented"
-	case StrategyVariableOriented:
-		return "variable-oriented"
-	case StrategyCQOriented:
-		return "cq-oriented"
-	case StrategyDecomposed:
-		return "decomposed"
-	case StrategyTwoRound:
-		return "two-round-cascade"
-	case StrategyTrianglePartition:
-		return "triangle-partition"
-	case StrategyTriangleMultiway:
-		return "triangle-multiway"
-	case StrategyTriangleBucketOrdered:
-		return "triangle-bucket-ordered"
-	}
-	return fmt.Sprintf("strategy(%d)", int(st))
-}
-
-// MarshalText renders the strategy name, so plans and results are readable
-// when marshalled to JSON (cmd/sgmr -json).
-func (st PlanStrategy) MarshalText() ([]byte, error) { return []byte(st.String()), nil }
-
 // Option configures Plan. The one option set covers every execution path —
 // all strategies honor the engine knobs (parallelism, partitions, memory
 // budget, spill dir) and the planning knobs they support.
 type Option func(*planOpts)
 
-// planOpts is the unified configuration behind the functional options —
-// the single replacement for the former core.Options / directed.Options /
-// TwoRoundTrianglesConfig / raw mapreduce.Config split.
+// planOpts is the unified configuration behind the functional options.
 type planOpts struct {
 	strategy PlanStrategy
 	// targetReducers is the resolved reducer budget k: Plan normalizes any
@@ -144,8 +113,9 @@ func WithBuckets(b int) Option { return func(o *planOpts) { o.buckets = b } }
 func WithCycleCQs() Option { return func(o *planOpts) { o.cycleCQs = true } }
 
 // WithCountOnly makes Run count instances without materializing them
-// (Result.Instances stays nil; Result.Count is exact). Ignored by
-// Instances/Stream, which never materialize.
+// (Result.Instances stays nil; Result.Count is exact): Run executes the
+// plan with no sink, so the CQ strategies' reducers count matches without
+// constructing them. Ignored by Instances/Stream, which always deliver.
 func WithCountOnly() Option { return func(o *planOpts) { o.countOnly = true } }
 
 // WithSeed seeds the bucket hashes; runs are deterministic given a seed.
@@ -199,16 +169,16 @@ func (o planOpts) engineConfig() mapreduce.Config {
 	}
 }
 
-// coreOptions translates the unified options into the legacy core.Options
-// for the CQ-based strategies. buckets carries the planner's resolved
-// bucket count so execution matches the plan exactly.
+// coreOptions translates the unified options into core.Options for the
+// CQ-based strategies. buckets carries the planner's resolved bucket count
+// so execution matches the plan exactly. (WithCountOnly has no field here:
+// counting is "no sink".)
 func (o planOpts) coreOptions(strategy core.Strategy, buckets int) core.Options {
 	return core.Options{
 		Strategy:       strategy,
 		TargetReducers: o.targetReducers,
 		Buckets:        buckets,
 		UseCycleCQs:    o.cycleCQs,
-		CountOnly:      o.countOnly,
 		Seed:           o.seed,
 		Parallelism:    o.parallelism,
 		Partitions:     o.partitions,

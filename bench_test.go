@@ -11,7 +11,6 @@ import (
 
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/shares"
-	"subgraphmr/internal/triangle"
 )
 
 // benchGraph is the shared data graph for the communication benchmarks.
@@ -22,32 +21,26 @@ var benchGraph = Gnm(2000, 12000, 42)
 // the reported comm/edge metrics should order Partition ≈ 1.5× and
 // Multiway ≈ 1.65× BucketOrdered.
 func BenchmarkFig1TriangleCommunication(b *testing.B) {
-	k := int64(220)
+	k := 220
 	cases := []struct {
-		name    string
-		buckets int
-		run     func(g *Graph, buckets int) (TriangleResult, error)
+		name     string
+		strategy PlanStrategy
 	}{
-		{"Partition", triangle.BucketsForReducers(k, triangle.PartitionReducers),
-			func(g *Graph, buckets int) (TriangleResult, error) { return TrianglePartition(g, buckets, 7) }},
-		{"Multiway", triangle.BucketsForReducers(k, triangle.MultiwayReducers),
-			func(g *Graph, buckets int) (TriangleResult, error) { return TriangleMultiway(g, buckets, 7) }},
-		{"BucketOrdered", triangle.BucketsForReducers(k, triangle.BucketOrderedReducers),
-			func(g *Graph, buckets int) (TriangleResult, error) { return TriangleBucketOrdered(g, buckets, 7) }},
+		{"Partition", StrategyTrianglePartition},
+		{"Multiway", StrategyTriangleMultiway},
+		{"BucketOrdered", StrategyTriangleBucketOrdered},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			var res TriangleResult
-			var err error
+			// The planner derives each algorithm's Fig. 1 bucket count from k.
+			plan := mustPlan(b, benchGraph, Triangle(), WithStrategy(c.strategy), WithTargetReducers(k), WithSeed(7))
+			var m Metrics
 			for i := 0; i < b.N; i++ {
-				res, err = c.run(benchGraph, c.buckets)
-				if err != nil {
-					b.Fatal(err)
-				}
+				m = mustRun(b, plan).Jobs[0].Metrics
 			}
-			b.ReportMetric(float64(res.Metrics.KeyValuePairs)/float64(benchGraph.NumEdges()), "comm/edge")
-			b.ReportMetric(float64(res.Metrics.DistinctKeys), "reducers")
-			b.ReportMetric(float64(c.buckets), "buckets")
+			b.ReportMetric(float64(m.KeyValuePairs)/float64(benchGraph.NumEdges()), "comm/edge")
+			b.ReportMetric(float64(m.DistinctKeys), "reducers")
+			b.ReportMetric(float64(plan.Chosen.Buckets), "buckets")
 		})
 	}
 }
@@ -56,29 +49,23 @@ func BenchmarkFig1TriangleCommunication(b *testing.B) {
 // (13.75m), Multiway at b=6 (16m), BucketOrdered at b=10 (10m).
 func BenchmarkFig2TriangleConcrete(b *testing.B) {
 	cases := []struct {
-		name    string
-		buckets int
-		paper   float64
-		run     func(g *Graph, buckets int) (TriangleResult, error)
+		name     string
+		strategy PlanStrategy
+		buckets  int
+		paper    float64
 	}{
-		{"Partition_b12", 12, 13.75,
-			func(g *Graph, buckets int) (TriangleResult, error) { return TrianglePartition(g, buckets, 7) }},
-		{"Multiway_b6", 6, 16,
-			func(g *Graph, buckets int) (TriangleResult, error) { return TriangleMultiway(g, buckets, 7) }},
-		{"BucketOrdered_b10", 10, 10,
-			func(g *Graph, buckets int) (TriangleResult, error) { return TriangleBucketOrdered(g, buckets, 7) }},
+		{"Partition_b12", StrategyTrianglePartition, 12, 13.75},
+		{"Multiway_b6", StrategyTriangleMultiway, 6, 16},
+		{"BucketOrdered_b10", StrategyTriangleBucketOrdered, 10, 10},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			var res TriangleResult
-			var err error
+			plan := mustPlan(b, benchGraph, Triangle(), WithStrategy(c.strategy), WithBuckets(c.buckets), WithSeed(7))
+			var res *Result
 			for i := 0; i < b.N; i++ {
-				res, err = c.run(benchGraph, c.buckets)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = mustRun(b, plan)
 			}
-			measured := float64(res.Metrics.KeyValuePairs) / float64(benchGraph.NumEdges())
+			measured := float64(res.TotalComm()) / float64(benchGraph.NumEdges())
 			b.ReportMetric(measured, "comm/edge")
 			b.ReportMetric(c.paper, "paper_comm/edge")
 		})
@@ -188,15 +175,12 @@ func BenchmarkConvertibility(b *testing.B) {
 	serialWork := SerialTriangles(g, func(_, _, _ Node) {})
 	for _, buckets := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("b=%d", buckets), func(b *testing.B) {
-			var res TriangleResult
+			plan := mustPlan(b, g, Triangle(), WithStrategy(StrategyTriangleBucketOrdered), WithBuckets(buckets), WithSeed(7))
+			var res *Result
 			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = TriangleBucketOrdered(g, buckets, 7)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = mustRun(b, plan)
 			}
-			b.ReportMetric(float64(res.Metrics.ReducerWork)/float64(serialWork), "work_ratio")
+			b.ReportMetric(float64(res.TotalReducerWork())/float64(serialWork), "work_ratio")
 		})
 	}
 }
@@ -211,15 +195,12 @@ func BenchmarkEnumerateStrategies(b *testing.B) {
 		s    *Sample
 	}{{"square", Square()}, {"lollipop", Lollipop()}} {
 		s := tc.s
-		for _, strat := range []Strategy{BucketOriented, VariableOriented, CQOriented} {
+		for _, strat := range []PlanStrategy{StrategyBucketOriented, StrategyVariableOriented, StrategyCQOriented} {
 			b.Run(fmt.Sprintf("%s/%v", tc.name, strat), func(b *testing.B) {
+				plan := mustPlan(b, g, s, WithStrategy(strat), WithTargetReducers(256), WithSeed(7))
 				var res *Result
 				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = Enumerate(g, s, Options{Strategy: strat, TargetReducers: 256, Seed: 7})
-					if err != nil {
-						b.Fatal(err)
-					}
+					res = mustRun(b, plan)
 				}
 				b.ReportMetric(float64(res.TotalComm())/float64(g.NumEdges()), "comm/edge")
 				b.ReportMetric(float64(len(res.Instances)), "instances")

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -15,13 +16,11 @@ import (
 	"subgraphmr/internal/cycles"
 	"subgraphmr/internal/directed"
 	"subgraphmr/internal/graph"
-	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/multijoin"
 	"subgraphmr/internal/sample"
 	"subgraphmr/internal/serial"
 	"subgraphmr/internal/shares"
 	"subgraphmr/internal/triangle"
-	"subgraphmr/internal/tworound"
 )
 
 var sections = map[string]func(){
@@ -74,6 +73,26 @@ func main() {
 
 func header(s string) { fmt.Printf("==== %s ====\n", s) }
 
+// run plans one query through the public API and runs it to a materialized
+// result.
+func run(g *subgraphmr.Graph, s *subgraphmr.Sample, opts ...subgraphmr.Option) (*subgraphmr.QueryPlan, *subgraphmr.Result) {
+	plan, err := subgraphmr.Plan(g, s, opts...)
+	if err != nil {
+		panic(err)
+	}
+	res, err := subgraphmr.Run(context.Background(), plan)
+	if err != nil {
+		panic(err)
+	}
+	return plan, res
+}
+
+// runTriangle runs one Section 2 triangle strategy at b buckets, hash seed 7.
+func runTriangle(g *subgraphmr.Graph, st subgraphmr.PlanStrategy, b int) subgraphmr.Metrics {
+	_, res := run(g, subgraphmr.Triangle(), subgraphmr.WithStrategy(st), subgraphmr.WithBuckets(b), subgraphmr.WithSeed(7))
+	return res.Jobs[0].Metrics
+}
+
 func intro() {
 	header("Section 1 — one-round multiway join vs cascade of two-way joins")
 	// Random graph plus a mid-id hub so the ordered wedge relation is large.
@@ -88,18 +107,15 @@ func intro() {
 		}
 	}
 	g := b.Graph()
-	cascade := tworound.Triangles(g, mapreduce.Config{})
-	oneRound, err := subgraphmr.TriangleBucketOrdered(g, 10, 7)
-	if err != nil {
-		panic(err)
-	}
+	_, cascade := run(g, subgraphmr.Triangle(), subgraphmr.WithStrategy(subgraphmr.StrategyTwoRound))
+	oneRound := runTriangle(g, subgraphmr.StrategyTriangleBucketOrdered, 10)
 	fmt.Printf("hub graph n=%d m=%d: both find %d triangles\n",
-		g.NumNodes(), g.NumEdges(), cascade.Count())
+		g.NumNodes(), g.NumEdges(), cascade.Count)
 	fmt.Printf("  cascade (2 rounds): comm=%d (%.1f/edge), wedges materialized=%d\n",
-		cascade.TotalComm(), float64(cascade.TotalComm())/float64(g.NumEdges()), cascade.Wedges)
+		cascade.TotalComm(), float64(cascade.TotalComm())/float64(g.NumEdges()), subgraphmr.WedgeCount(g))
 	fmt.Printf("  one round (§2.3, b=10): comm=%d (%.1f/edge)\n",
-		oneRound.Metrics.KeyValuePairs,
-		float64(oneRound.Metrics.KeyValuePairs)/float64(g.NumEdges()))
+		oneRound.KeyValuePairs,
+		float64(oneRound.KeyValuePairs)/float64(g.NumEdges()))
 }
 
 func sec8() {
@@ -154,45 +170,43 @@ func fig1() {
 			"(ratios vs bucketordered: %.3f, %.3f)\n", k, p, mw, bo, p/bo, mw/bo)
 	}
 	g := subgraphmr.Gnm(2000, 12000, 42)
-	k := int64(220)
-	type row struct {
-		name string
-		b    int
-		run  func(b int) (subgraphmr.TriangleResult, error)
-	}
-	rows := []row{
-		{"Partition", triangle.BucketsForReducers(k, triangle.PartitionReducers),
-			func(b int) (subgraphmr.TriangleResult, error) { return subgraphmr.TrianglePartition(g, b, 7) }},
-		{"Section 2.2", triangle.BucketsForReducers(k, triangle.MultiwayReducers),
-			func(b int) (subgraphmr.TriangleResult, error) { return subgraphmr.TriangleMultiway(g, b, 7) }},
-		{"Section 2.3", triangle.BucketsForReducers(k, triangle.BucketOrderedReducers),
-			func(b int) (subgraphmr.TriangleResult, error) { return subgraphmr.TriangleBucketOrdered(g, b, 7) }},
-	}
+	k := 220
 	fmt.Printf("measured on G(n=%d, m=%d), budget k=%d:\n", g.NumNodes(), g.NumEdges(), k)
-	for _, r := range rows {
-		res, err := r.run(r.b)
-		if err != nil {
-			panic(err)
-		}
+	for _, r := range []struct {
+		name string
+		st   subgraphmr.PlanStrategy
+	}{
+		{"Partition", subgraphmr.StrategyTrianglePartition},
+		{"Section 2.2", subgraphmr.StrategyTriangleMultiway},
+		{"Section 2.3", subgraphmr.StrategyTriangleBucketOrdered},
+	} {
+		// The planner derives each algorithm's bucket count from the budget.
+		plan, res := run(g, subgraphmr.Triangle(), subgraphmr.WithStrategy(r.st), subgraphmr.WithTargetReducers(k), subgraphmr.WithSeed(7))
+		m := res.Jobs[0].Metrics
 		fmt.Printf("  %-12s b=%-3d comm/edge=%.2f reducers=%d triangles=%d\n",
-			r.name, r.b, float64(res.Metrics.KeyValuePairs)/float64(g.NumEdges()),
-			res.Metrics.DistinctKeys, res.Count())
+			r.name, plan.Chosen.Buckets, float64(m.KeyValuePairs)/float64(g.NumEdges()),
+			m.DistinctKeys, res.Count)
 	}
 }
 
 func fig2() {
 	header("Fig. 2 — concrete comparison (paper: 13.75m / 16m / 10m at ~2^20, 2^16, 2^20 reducers)")
 	g := subgraphmr.Gnm(2000, 12000, 42)
-	res1, _ := subgraphmr.TrianglePartition(g, 12, 7)
-	res2, _ := subgraphmr.TriangleMultiway(g, 6, 7)
-	res3, _ := subgraphmr.TriangleBucketOrdered(g, 10, 7)
 	fmt.Printf("%-14s %-8s %-10s %-18s %-18s\n", "algorithm", "buckets", "reducers", "paper comm/edge", "measured comm/edge")
-	fmt.Printf("%-14s %-8d %-10d %-18.2f %-18.2f\n", "Partition", 12, res1.Metrics.DistinctKeys,
-		triangle.PartitionCommPerEdge(12), float64(res1.Metrics.KeyValuePairs)/float64(g.NumEdges()))
-	fmt.Printf("%-14s %-8d %-10d %-18.2f %-18.2f\n", "Section 2.2", 6, res2.Metrics.DistinctKeys,
-		triangle.MultiwayCommPerEdge(6), float64(res2.Metrics.KeyValuePairs)/float64(g.NumEdges()))
-	fmt.Printf("%-14s %-8d %-10d %-18.2f %-18.2f\n", "Section 2.3", 10, res3.Metrics.DistinctKeys,
-		triangle.BucketOrderedCommPerEdge(10), float64(res3.Metrics.KeyValuePairs)/float64(g.NumEdges()))
+	for _, r := range []struct {
+		name string
+		st   subgraphmr.PlanStrategy
+		algo triangle.Algo
+		b    int
+	}{
+		{"Partition", subgraphmr.StrategyTrianglePartition, triangle.Partition, 12},
+		{"Section 2.2", subgraphmr.StrategyTriangleMultiway, triangle.Multiway, 6},
+		{"Section 2.3", subgraphmr.StrategyTriangleBucketOrdered, triangle.BucketOrdered, 10},
+	} {
+		m := runTriangle(g, r.st, r.b)
+		fmt.Printf("%-14s %-8d %-10d %-18.2f %-18.2f\n", r.name, r.b, m.DistinctKeys,
+			r.algo.CommPerEdge(r.b), float64(m.KeyValuePairs)/float64(g.NumEdges()))
+	}
 	fmt.Println("(formula reducer counts: C(12,3)=220, 6^3=216, C(12,3)=220; paper's 2^20/2^16 scale the same shapes)")
 }
 
@@ -336,11 +350,8 @@ func thm42() {
 		s *sample.Sample
 		b int
 	}{{sample.Triangle(), 8}, {sample.Square(), 6}, {sample.Cycle(5), 4}} {
-		res, err := subgraphmr.Enumerate(g, tc.s, subgraphmr.Options{
-			Strategy: subgraphmr.BucketOriented, Buckets: tc.b, Seed: 9})
-		if err != nil {
-			panic(err)
-		}
+		_, res := run(g, tc.s, subgraphmr.WithStrategy(subgraphmr.StrategyBucketOriented),
+			subgraphmr.WithBuckets(tc.b), subgraphmr.WithSeed(9))
 		p := tc.s.P()
 		m := res.Jobs[0].Metrics
 		fmt.Printf("p=%d b=%d: reducers=%d (formula %0.f), comm/edge=%.0f (formula %.0f)\n",
@@ -382,13 +393,10 @@ func thm61() {
 	serialWork := subgraphmr.SerialTriangles(g, func(_, _, _ subgraphmr.Node) {})
 	fmt.Printf("serial triangle work: %d\n", serialWork)
 	for _, b := range []int{2, 4, 8, 16} {
-		res, err := subgraphmr.TriangleBucketOrdered(g, b, 7)
-		if err != nil {
-			panic(err)
-		}
+		m := runTriangle(g, subgraphmr.StrategyTriangleBucketOrdered, b)
 		fmt.Printf("b=%-3d reducers=%-5d total reducer work=%-9d ratio=%.2f\n",
-			b, res.Metrics.DistinctKeys, res.Metrics.ReducerWork,
-			float64(res.Metrics.ReducerWork)/float64(serialWork))
+			b, m.DistinctKeys, m.ReducerWork,
+			float64(m.ReducerWork)/float64(serialWork))
 	}
 }
 
@@ -475,5 +483,3 @@ func sec74() {
 	fmt.Printf("  case-B plan reproduces it with %d rows at work %d ≈ n1·n3·n5 = %d\n",
 		len(rowsPlan), work, 5*4*6)
 }
-
-var _ = mapreduce.Config{}

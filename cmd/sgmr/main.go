@@ -93,19 +93,10 @@ func main() {
 	}
 }
 
-// planStrategies maps the -strategy flag values that run through the
-// unified Plan/Run API.
-var planStrategies = map[string]subgraphmr.PlanStrategy{
-	"auto":          subgraphmr.StrategyAuto,
-	"bucket":        subgraphmr.StrategyBucketOriented,
-	"variable":      subgraphmr.StrategyVariableOriented,
-	"cq":            subgraphmr.StrategyCQOriented,
-	"mr-decompose":  subgraphmr.StrategyDecomposed,
-	"cascade":       subgraphmr.StrategyTwoRound,
-	"tri-partition": subgraphmr.StrategyTrianglePartition,
-	"tri-multiway":  subgraphmr.StrategyTriangleMultiway,
-	"tri-bucket":    subgraphmr.StrategyTriangleBucketOrdered,
-}
+// strategyNames is the -strategy vocabulary: the map-reduce strategies that
+// run through the unified Plan/Run API (the library's strategy table), then
+// the serial and probabilistic baselines this command adds.
+var strategyNames = strings.Join(subgraphmr.StrategyNames(), ", ") + ", serial, serial-decompose, serial-degree, doulion (triangles)"
 
 // run executes one sgmr invocation, writing all reporting to out. It is
 // main minus the process plumbing, so tests can drive every strategy flag
@@ -130,7 +121,7 @@ func run(args []string, out io.Writer) error {
 		rows       = fs.Int("rows", 20, "rows for grid generator")
 		cols       = fs.Int("cols", 20, "cols for grid generator")
 		genSeed    = fs.Int64("seed", 1, "generator seed")
-		strategy   = fs.String("strategy", "bucket", "strategy: auto, bucket, variable, cq, mr-decompose, cascade, tri-partition, tri-multiway, tri-bucket, serial, serial-decompose, serial-degree, doulion (triangles)")
+		strategy   = fs.String("strategy", "bucket", "strategy: "+strategyNames)
 		k          = fs.Int("k", 1024, "target reducers (share-based strategies) / bucket budget")
 		buckets    = fs.Int("b", 0, "bucket count override for the bucket strategies")
 		cyclesCQ   = fs.Bool("cyclecqs", false, "use the Section 5 cycle CQ generator (cycle samples only)")
@@ -196,7 +187,7 @@ func run(args []string, out io.Writer) error {
 	if *distAddrs != "" {
 		distWorkers = strings.Split(*distAddrs, ",")
 	}
-	if planStrategy, ok := planStrategies[*strategy]; ok {
+	if planStrategy, err := subgraphmr.ParseStrategy(*strategy); err == nil {
 		return runPlanned(out, g, s, planStrategy, plannedOptions{
 			k: *k, buckets: *buckets, cycleCQs: *cyclesCQ, countOnly: *countOnly,
 			seed: *hashSeed, workers: *workers, partitions: *partitions,
@@ -241,7 +232,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "estimated triangles: %.0f\n", est)
 		return nil
 	default:
-		return fmt.Errorf("unknown strategy %q", *strategy)
+		return fmt.Errorf("unknown strategy %q (want %s)", *strategy, strategyNames)
 	}
 
 	if *countOnly {

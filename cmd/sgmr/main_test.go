@@ -2,13 +2,18 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"subgraphmr"
 )
 
 var foundRe = regexp.MustCompile(`instances (?:found|counted): (\d+)`)
@@ -259,6 +264,63 @@ func TestAdaptiveFlag(t *testing.T) {
 	if strings.Contains(out, "instances found") {
 		t.Errorf("-adaptive -explain executed the job:\n%s", out)
 	}
+}
+
+// TestStrategyFlagIsTheTable: -strategy accepts exactly the library's
+// strategy table (plus this command's serial baselines), and both the help
+// text and the rejection of anything else are generated from it.
+func TestStrategyFlagIsTheTable(t *testing.T) {
+	for _, name := range subgraphmr.StrategyNames() {
+		out := runSGMR(t, append([]string{"-strategy", name, "-k", "64", "-explain"}, graphArgs...)...)
+		want, err := subgraphmr.ParseStrategy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want != subgraphmr.StrategyAuto && !strings.Contains(out, "plan: "+want.String()+"\n") {
+			t.Errorf("-strategy %s planned something else:\n%s", name, out)
+		}
+	}
+	var out strings.Builder
+	err := run(append([]string{"-strategy", "bucket-oriented"}, graphArgs...), &out)
+	if err == nil {
+		t.Fatal("-strategy accepted a display name")
+	}
+	usage := flagUsage(t, "strategy")
+	for _, name := range subgraphmr.StrategyNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("rejection %q does not list %q", err, name)
+		}
+		if !strings.Contains(usage, name) {
+			t.Errorf("-strategy help %q does not list %q", usage, name)
+		}
+	}
+}
+
+// flagUsage returns the help text `sgmr -h` prints for one flag.
+func flagUsage(t *testing.T, name string) string {
+	t.Helper()
+	stderr := os.Stderr
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = w
+	runErr := run([]string{"-h"}, io.Discard)
+	os.Stderr = stderr
+	w.Close()
+	help, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(runErr, flag.ErrHelp) {
+		t.Fatalf("sgmr -h: %v", runErr)
+	}
+	_, rest, ok := strings.Cut(string(help), "  -"+name+" ")
+	if !ok {
+		t.Fatalf("no -%s in the help text:\n%s", name, help)
+	}
+	usage, _, _ := strings.Cut(rest, "\n  -")
+	return usage
 }
 
 // TestBadFlags checks error paths exit through run's error return.

@@ -128,7 +128,7 @@ func MaybeWorkerProcess() bool {
 
 // executeWorkerJob is the Executor the root package injects into distrib:
 // it reconstructs the plan a coordinator shipped and runs it through the
-// same local dispatch Run/Stream use, with the ownership filter installed
+// same runLocal that Run and Stream use, with the ownership filter installed
 // so only the owned key-space slices are computed and shipped. Adaptive
 // re-planning stays off — a worker that re-planned mid-run would change
 // its reducer keys and desynchronize the cluster's ownership filter.
@@ -157,7 +157,7 @@ func executeWorkerJob(ctx context.Context, g *graph.Graph, req *distrib.JobReque
 		sample:   s,
 		opts:     o,
 	}
-	res, err := runLocalStream(ctx, p, func(phi []Node) bool { return emit(phi) })
+	res, err := runLocal(ctx, p, emit)
 	if err != nil {
 		return nil, err
 	}
@@ -196,19 +196,19 @@ func connectCluster(ctx context.Context, o planOpts) (*distrib.Cluster, error) {
 }
 
 // runDistributed is the coordinator: it assigns key-space slices to
-// workers, streams their committed instances into yield (or materializes
-// them), merges the per-worker job statistics, retries a failed worker's
-// slices on survivors (bounded, with backoff), and degrades whatever
-// cannot finish remotely to filtered local execution. A nil yield
-// materializes (honoring WithCountOnly); a non-nil yield streams with the
-// usual Stream contract.
+// workers, streams their committed instances into yield, merges the
+// per-worker job statistics, retries a failed worker's slices on survivors
+// (bounded, with backoff), and degrades whatever cannot finish remotely to
+// filtered local execution. yield has runLocal's sink contract: nil counts
+// the committed instances without delivering them.
 func runDistributed(ctx context.Context, p *QueryPlan, yield func([]Node) bool) (*Result, error) {
 	cl, err := connectCluster(ctx, p.opts)
 	if err != nil {
 		// Graceful degradation: with no cluster at all the whole plan runs
 		// locally, recorded in the summary entry so the fallback is
-		// auditable.
-		res, lerr := runLocalFallback(ctx, p, yield)
+		// auditable. (runLocal never reads the worker options, so p runs
+		// as it is.)
+		res, lerr := runLocal(ctx, p, yield)
 		if lerr != nil {
 			return nil, lerr
 		}
@@ -239,15 +239,10 @@ func runDistributed(ctx context.Context, p *QueryPlan, yield func([]Node) bool) 
 	payload := p.distGraphPayload()
 
 	res := &Result{}
-	materialize := yield == nil && !p.opts.countOnly
 	var jobs []JobStats
 	accept := func(phi []Node) bool {
-		if yield != nil {
-			if !yield(phi) {
-				return false
-			}
-		} else if materialize {
-			res.Instances = append(res.Instances, phi)
+		if yield != nil && !yield(phi) {
+			return false
 		}
 		res.Count++
 		return true
@@ -291,10 +286,9 @@ func runDistributed(ctx context.Context, p *QueryPlan, yield func([]Node) bool) 
 		// written to a copy, never to p.opts in place.
 		retried += len(unfinished)
 		lp := *p
-		lp.opts.workers, lp.opts.spawnWorkers = nil, 0
 		lp.opts.adaptive = false
 		lp.opts.dist = mapreduce.NewDistFilter(d, unfinished)
-		lres, lerr := runLocalStream(ctx, &lp, accept)
+		lres, lerr := runLocal(ctx, &lp, accept)
 		if lerr != nil {
 			return nil, lerr
 		}
@@ -305,19 +299,6 @@ func runDistributed(ctx context.Context, p *QueryPlan, yield func([]Node) bool) 
 	}
 	res.Jobs = append(jobs, summary(retried))
 	return res, nil
-}
-
-// runLocalFallback runs the whole plan in-process when no worker could be
-// reached, honoring whichever mode (materializing or streaming) the caller
-// was in.
-func runLocalFallback(ctx context.Context, p *QueryPlan, yield func([]Node) bool) (*Result, error) {
-	// Copy-before-mutate, as above: never write p.opts in place.
-	lp := *p
-	lp.opts.workers, lp.opts.spawnWorkers = nil, 0
-	if yield == nil {
-		return runLocalRun(ctx, &lp)
-	}
-	return runLocalStream(ctx, &lp, yield)
 }
 
 // mergeJobStats folds one worker-job's per-round statistics into the

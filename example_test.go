@@ -1,20 +1,25 @@
 package subgraphmr_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"subgraphmr"
 )
 
-// ExampleEnumerate finds every triangle of the complete graph K5 in one
-// map-reduce round with the default bucket-oriented strategy.
-func ExampleEnumerate() {
+// ExampleRun finds every triangle of the complete graph K5 in one
+// map-reduce round with the bucket-oriented strategy.
+func ExampleRun() {
 	g := subgraphmr.CompleteGraph(5)
-	res, err := subgraphmr.Enumerate(g, subgraphmr.Triangle(), subgraphmr.Options{
-		Buckets: 2,
-		Seed:    1,
-	})
+	plan, err := subgraphmr.Plan(g, subgraphmr.Triangle(),
+		subgraphmr.WithStrategy(subgraphmr.StrategyBucketOriented),
+		subgraphmr.WithBuckets(2),
+		subgraphmr.WithSeed(1))
+	if err != nil {
+		panic(err)
+	}
+	res, err := subgraphmr.Run(context.Background(), plan)
 	if err != nil {
 		panic(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"subgraphmr/internal/approx"
 	"subgraphmr/internal/cycles"
 	"subgraphmr/internal/directed"
-	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/multijoin"
 	"subgraphmr/internal/tworound"
 )
@@ -31,8 +30,6 @@ type (
 	DirectedOptions = directed.Options
 	// DirectedResult is the outcome of EnumerateDirected.
 	DirectedResult = directed.Result
-	// TwoRoundResult is the outcome of the cascade triangle baseline.
-	TwoRoundResult = tworound.Result
 )
 
 // Arc labels for the threat-detection patterns of Section 1.1.
@@ -94,26 +91,6 @@ func EnumerateDirectedContext(ctx context.Context, g *DiGraph, pt *DiPattern, op
 // DirectedBruteForce is the exhaustive oracle for directed patterns.
 func DirectedBruteForce(g *DiGraph, pt *DiPattern) [][]Node {
 	return directed.BruteForce(g, pt)
-}
-
-// TwoRoundTriangles runs the conventional cascade of two-way joins (two
-// map-reduce rounds, materialized wedge relation) — the baseline the
-// paper's one-round algorithms beat.
-//
-// Deprecated: use Plan with WithStrategy(StrategyTwoRound) and Run; the
-// unified Result reports one JobStats per round.
-func TwoRoundTriangles(g *Graph) TwoRoundResult {
-	return tworound.Triangles(g, mapreduce.Config{})
-}
-
-// TwoRoundTrianglesConfig is TwoRoundTriangles under an explicit engine
-// configuration — e.g. a MemoryBudget that spills the materialized wedge
-// relation instead of holding it in the reduce workers.
-//
-// Deprecated: use Plan with WithStrategy(StrategyTwoRound) plus the engine
-// options (WithMemoryBudget, WithSpillDir, …) and Run.
-func TwoRoundTrianglesConfig(g *Graph, cfg EngineConfig) TwoRoundResult {
-	return tworound.Triangles(g, cfg)
 }
 
 // WedgeCount returns the size of the intermediate relation the cascade

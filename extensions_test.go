@@ -52,15 +52,15 @@ func TestFacadeDirectedBuilder(t *testing.T) {
 
 func TestFacadeTwoRound(t *testing.T) {
 	g := Gnm(40, 170, 2)
-	res := TwoRoundTriangles(g)
-	if res.Count() != CountTriangles(g) {
-		t.Errorf("cascade count %d, serial %d", res.Count(), CountTriangles(g))
+	res := planRun(t, g, Triangle(), WithStrategy(StrategyTwoRound))
+	if res.Count != CountTriangles(g) {
+		t.Errorf("cascade count %d, serial %d", res.Count, CountTriangles(g))
 	}
-	if res.TotalComm() != 3*int64(g.NumEdges())+res.Wedges {
-		t.Error("cascade communication accounting off")
-	}
-	if res.Wedges != WedgeCount(g) {
-		t.Error("wedge count mismatch")
+	// Round 1 ships each edge twice; round 2 ships every wedge plus each
+	// edge once.
+	if len(res.Jobs) != 2 || res.TotalComm() != 3*int64(g.NumEdges())+WedgeCount(g) {
+		t.Errorf("cascade communication accounting off: %d jobs, %d pairs, want 3m+W = %d",
+			len(res.Jobs), res.TotalComm(), 3*int64(g.NumEdges())+WedgeCount(g))
 	}
 }
 

@@ -16,9 +16,13 @@ func TestIntegrationAllPathsAgree(t *testing.T) {
 		name string
 		run  func(g *Graph, s *Sample) ([][]Node, error)
 	}
-	mr := func(strat Strategy) func(g *Graph, s *Sample) ([][]Node, error) {
+	mr := func(st PlanStrategy) func(g *Graph, s *Sample) ([][]Node, error) {
 		return func(g *Graph, s *Sample) ([][]Node, error) {
-			res, err := Enumerate(g, s, Options{Strategy: strat, TargetReducers: 150, Seed: 9})
+			plan, err := Plan(g, s, WithStrategy(st), WithTargetReducers(150), WithSeed(9))
+			if err != nil {
+				return nil, err
+			}
+			res, err := Run(t.Context(), plan)
 			if err != nil {
 				return nil, err
 			}
@@ -26,9 +30,9 @@ func TestIntegrationAllPathsAgree(t *testing.T) {
 		}
 	}
 	paths := []path{
-		{"bucket-oriented", mr(BucketOriented)},
-		{"variable-oriented", mr(VariableOriented)},
-		{"cq-oriented", mr(CQOriented)},
+		{"bucket-oriented", mr(StrategyBucketOriented)},
+		{"variable-oriented", mr(StrategyVariableOriented)},
+		{"cq-oriented", mr(StrategyCQOriented)},
 		{"serial-decomposition", func(g *Graph, s *Sample) ([][]Node, error) {
 			out, _, err := EnumerateByDecomposition(g, s, nil)
 			return out, err
@@ -82,11 +86,11 @@ func TestIntegrationCycleCQsAgree(t *testing.T) {
 		s := CycleSample(p)
 		var counts []int
 		for _, useCycle := range []bool{false, true} {
-			res, err := Enumerate(g, s, Options{Buckets: 3, UseCycleCQs: useCycle, Seed: 2})
-			if err != nil {
-				t.Fatal(err)
+			opts := []Option{WithStrategy(StrategyBucketOriented), WithBuckets(3), WithSeed(2)}
+			if useCycle {
+				opts = append(opts, WithCycleCQs())
 			}
-			counts = append(counts, len(res.Instances))
+			counts = append(counts, len(planRun(t, g, s, opts...).Instances))
 		}
 		if counts[0] != counts[1] {
 			t.Errorf("p=%d: general %d vs cycle CQs %d", p, counts[0], counts[1])
@@ -97,35 +101,17 @@ func TestIntegrationCycleCQsAgree(t *testing.T) {
 	}
 }
 
-// TestIntegrationTriangleSixWays: every triangle path in the repository
-// (three Section 2 algorithms, the generic core engine, the cascade, and
-// the serial baseline) agrees.
-func TestIntegrationTriangleSixWays(t *testing.T) {
+// TestIntegrationTriangleEveryWay: every triangle path in the repository —
+// each row of the strategy table (the three Section 2 algorithms, the
+// generic core engine four ways, the cascade) at b = 5 on a skewed graph —
+// agrees with the serial baseline.
+func TestIntegrationTriangleEveryWay(t *testing.T) {
 	g := PowerLaw(300, 8, 2.2, 6)
 	want := CountTriangles(g)
-
-	p1, err := TrianglePartition(g, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := TriangleMultiway(g, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p3, err := TriangleBucketOrdered(g, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4, err := Enumerate(g, Triangle(), Options{Buckets: 5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p5 := TwoRoundTriangles(g)
-
-	got := []int64{p1.Count(), p2.Count(), p3.Count(), int64(len(p4.Instances)), p5.Count()}
-	for i, c := range got {
-		if c != want {
-			t.Errorf("path %d: %d triangles, want %d", i, c, want)
+	for _, def := range strategies {
+		res := planRun(t, g, Triangle(), WithStrategy(def.id), WithTargetReducers(64), WithBuckets(5), WithSeed(3))
+		if res.Count != want || int64(len(res.Instances)) != want {
+			t.Errorf("%v: count %d, %d instances, want %d", def.id, res.Count, len(res.Instances), want)
 		}
 	}
 }
@@ -135,10 +121,7 @@ func TestIntegrationTriangleSixWays(t *testing.T) {
 func TestIntegrationDeterministicAcrossRuns(t *testing.T) {
 	g := Gnm(25, 70, 12)
 	run := func() (string, int64) {
-		res, err := Enumerate(g, Lollipop(), Options{Strategy: VariableOriented, TargetReducers: 64, Seed: 77})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := planRun(t, g, Lollipop(), WithStrategy(StrategyVariableOriented), WithTargetReducers(64), WithSeed(77))
 		keys := make([]string, 0, len(res.Instances))
 		for _, phi := range res.Instances {
 			keys = append(keys, fmt.Sprint(phi))
@@ -151,6 +134,32 @@ func TestIntegrationDeterministicAcrossRuns(t *testing.T) {
 	if k1 != k2 || c1 != c2 {
 		t.Error("repeated runs with the same seed differ")
 	}
+}
+
+// mustPlan plans s in g under opts.
+func mustPlan(t testing.TB, g *Graph, s *Sample, opts ...Option) *QueryPlan {
+	t.Helper()
+	plan, err := Plan(g, s, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// mustRun runs plan to a materialized Result.
+func mustRun(t testing.TB, plan *QueryPlan) *Result {
+	t.Helper()
+	res, err := Run(t.Context(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// planRun is mustRun of mustPlan.
+func planRun(t testing.TB, g *Graph, s *Sample, opts ...Option) *Result {
+	t.Helper()
+	return mustRun(t, mustPlan(t, g, s, opts...))
 }
 
 func keySetOf(s *Sample, assignments [][]Node) map[string]bool {

@@ -71,9 +71,6 @@ type Options struct {
 	// UseCycleCQs selects the Section 5 run-sequence CQ generator when the
 	// sample graph is a cycle (fewer CQs than the general method).
 	UseCycleCQs bool
-	// CountOnly skips materializing instances; Result.Count still reports
-	// the exact total (useful when the output would dwarf memory).
-	CountOnly bool
 	// Seed seeds the bucket hashes (jobs are deterministic given a seed).
 	Seed uint64
 	// Parallelism bounds map worker goroutines (0 = GOMAXPROCS).
@@ -175,13 +172,17 @@ type JobStats struct {
 	RetriedPartitions int `json:",omitempty"`
 }
 
-// Result is the outcome of Enumerate.
+// Result is the outcome of an enumeration — the one result type every
+// strategy reports through.
 type Result struct {
 	// Instances holds one assignment (node per sample variable) for every
-	// instance of the sample graph, each instance exactly once. Nil when
-	// Options.CountOnly is set.
+	// instance of the sample graph, each instance exactly once. Strategies
+	// deliver instances to a sink and leave it nil; the root package's Run
+	// fills it from its collecting sink (nil under WithCountOnly).
 	Instances [][]graph.Node
-	// Count is the exact number of instances (always populated).
+	// Count is the exact number of instances (always populated): the
+	// deliveries the sink accepted, or the matches counted when there was
+	// no sink.
 	Count int64
 	// Jobs lists per-job statistics (one entry except for CQOriented).
 	Jobs []JobStats
@@ -208,34 +209,16 @@ func (r *Result) TotalReducerWork() int64 {
 }
 
 // Enumerate finds every instance of s in g exactly once using a single
-// map-reduce round per job. The sample graph must be connected (reducers
-// only see edges, so an isolated sample node could bind to nodes the
-// reducer never receives).
-func Enumerate(g *graph.Graph, s *sample.Sample, opt Options) (*Result, error) {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use EnumerateContext
-	return EnumerateContext(context.Background(), g, s, opt)
-}
-
-// EnumerateContext is Enumerate under a context: cancelling ctx aborts the
-// running job (engine workers wind down, spill runs are removed) and
-// returns ctx.Err().
-func EnumerateContext(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Options) (*Result, error) {
-	return enumerate(ctx, g, s, opt, nil)
-}
-
-// EnumerateStream enumerates like EnumerateContext but delivers instances
-// one at a time to yield instead of materializing Result.Instances. Calls
-// to yield are serialized and block the engine (backpressure); returning
-// false stops the enumeration early with a nil error. The returned Result
-// has nil Instances; Count is the number of instances yield accepted.
-func EnumerateStream(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Options, yield func([]graph.Node) bool) (*Result, error) {
-	if yield == nil {
-		return nil, fmt.Errorf("core: EnumerateStream requires a non-nil yield")
-	}
-	return enumerate(ctx, g, s, opt, yield)
-}
-
-func enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Options, sink func([]graph.Node) bool) (*Result, error) {
+// map-reduce round per job, delivering each to sink: calls are serialized
+// and block the engine (backpressure); returning false stops the
+// enumeration early with a nil error. A nil sink counts instead — the
+// reducers tally their owned matches without ever constructing an instance.
+// Result.Count is exact either way. Cancelling ctx aborts the running job
+// (engine workers wind down, spill runs are removed) and returns ctx.Err().
+//
+// The sample graph must be connected (reducers only see edges, so an
+// isolated sample node could bind to nodes the reducer never receives).
+func Enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	if !s.IsConnected() {
 		return nil, fmt.Errorf("core: map-reduce enumeration requires a connected sample graph")
 	}
@@ -256,14 +239,33 @@ func enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Option
 	}
 }
 
-// runEnumJob executes one enumeration job, either materializing its
-// instances (sink nil) or streaming them into sink.
-func runEnumJob(ctx context.Context, job mapreduce.Job[graph.Edge, string, graph.Edge, []graph.Node], cfg mapreduce.Config, edges []graph.Edge, sink func([]graph.Node) bool) ([][]graph.Node, mapreduce.Metrics, error) {
-	if sink == nil {
-		return job.RunContext(ctx, cfg, edges)
+// enumJob is one enumeration round: edges in, instances out, byte-string
+// reducer keys.
+type enumJob = mapreduce.Job[graph.Edge, string, graph.Edge, []graph.Node]
+
+// matchSink is where a job's reducers send the matches they own: on to sink
+// when there is one, into a counter when there is none — so a count-only
+// run never constructs an instance.
+type matchSink struct {
+	sink    func([]graph.Node) bool
+	counted atomic.Int64
+}
+
+// counting reports that there is no sink: reducers call count, not emit.
+func (ms *matchSink) counting() bool { return ms.sink == nil }
+
+func (ms *matchSink) count() { ms.counted.Add(1) }
+
+// run executes job over g's edges and returns the exact instance count —
+// the deliveries the sink accepted or the matches counted; one of the two
+// is always zero.
+func (ms *matchSink) run(ctx context.Context, job enumJob, cfg mapreduce.Config, g *graph.Graph) (int64, mapreduce.Metrics, error) {
+	yield := ms.sink
+	if yield == nil {
+		yield = func([]graph.Node) bool { return true } // never reached: counting reducers emit nothing
 	}
-	m, err := job.RunStream(ctx, cfg, edges, sink)
-	return nil, m, err
+	metrics, err := job.RunStream(ctx, cfg, g.Edges(), yield)
+	return metrics.Outputs + ms.counted.Load(), metrics, err
 }
 
 // buildCQs compiles the sample to its CQ set: the Section 5 generator for
@@ -311,7 +313,7 @@ func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []
 
 	mapper := bucketEdgeMapper(h, p, b)
 	evals := cq.NewEvaluatorSet(qs) // compiled once per job, shared by all reducers
-	var counted atomic.Int64
+	ms := &matchSink{sink: sink}
 	reducer := func(ctx *mapreduce.Context, key string, edges []graph.Edge, emit func([]graph.Node)) {
 		local := graph.SparseFromEdges(edges)
 		instBuckets := make([]int, p)
@@ -323,8 +325,8 @@ func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []
 			if !bucketsEqualKey(instBuckets, key) {
 				return
 			}
-			if opt.CountOnly {
-				counted.Add(1)
+			if ms.counting() {
+				ms.count()
 			} else {
 				// phi is the evaluator's scratch: copy only the owned
 				// matches that actually leave the reducer.
@@ -332,12 +334,12 @@ func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []
 			}
 		}))
 	}
-	instances, metrics, err := runEnumJob(ctx, mapreduce.Job[graph.Edge, string, graph.Edge, []graph.Node]{
+	count, metrics, err := ms.run(ctx, enumJob{
 		Name:   fmt.Sprintf("bucket-oriented b=%d", b),
 		Map:    mapper,
 		Reduce: reducer,
 		Codec:  edgeCodec{},
-	}, cfg, g.Edges(), sink)
+	}, cfg, g)
 	if err != nil {
 		return nil, err
 	}
@@ -350,22 +352,7 @@ func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []
 		Metrics:              metrics,
 		ObservedSkew:         metrics.Skew(),
 	}
-	count := resultCount(opt, sink, counted.Load(), instances, metrics)
-	return &Result{Instances: instances, Count: count, Jobs: []JobStats{job}, NumCQs: len(qs)}, nil
-}
-
-// resultCount picks the exact-count source for a finished job: the
-// reducer-side counter under CountOnly, the number of instances yielded in
-// streaming mode, or the materialized slice length.
-func resultCount(opt Options, sink func([]graph.Node) bool, counted int64, instances [][]graph.Node, metrics mapreduce.Metrics) int64 {
-	switch {
-	case opt.CountOnly:
-		return counted
-	case sink != nil:
-		return metrics.Outputs
-	default:
-		return int64(len(instances))
-	}
+	return &Result{Count: count, Jobs: []JobStats{job}, NumCQs: len(qs)}, nil
 }
 
 // bucketHash is the node hash every bucket-style job derives from the job
@@ -477,9 +464,8 @@ func variableOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs 
 	return res, nil
 }
 
-// cqOriented implements the Section 4.1 strategy: one job per CQ. In
-// streaming mode an early stop (yield returning false) skips the remaining
-// jobs. Under Options.AdaptiveReplan, the sequence is resumable at a new
+// cqOriented implements the Section 4.1 strategy: one job per CQ. An early
+// stop (the sink returning false) skips the remaining jobs. Under Options.AdaptiveReplan, the sequence is resumable at a new
 // configuration: a job whose observed skew exceeds the threshold raises the
 // reducer budget for the remaining jobs (hot reducers split into more,
 // smaller groups), which is sound because each job owns its CQ's instances
@@ -523,7 +509,6 @@ func cqOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.
 		for j := range res.Jobs {
 			res.Jobs[j].Replanned = replanned
 		}
-		out.Instances = append(out.Instances, res.Instances...)
 		out.Count += res.Count
 		out.Jobs = append(out.Jobs, res.Jobs...)
 
@@ -642,7 +627,7 @@ func runShareJob(ctx context.Context, g *graph.Graph, p int, qs []*cq.CQ, model 
 	hashes := shareHashes(opt.Seed, intShares)
 	mapper := shareEdgeMapper(p, binds, hashes, intShares)
 	evals := cq.NewEvaluatorSet(qs) // compiled once per job, shared by all reducers
-	var counted atomic.Int64
+	ms := &matchSink{sink: sink}
 	reducer := func(ctx *mapreduce.Context, key string, edges []graph.Edge, emit func([]graph.Node)) {
 		local := graph.SparseFromEdges(edges)
 		ctx.AddWork(evals.EvaluateAll(local, graph.NaturalLess, func(phi []graph.Node) {
@@ -651,8 +636,8 @@ func runShareJob(ctx context.Context, g *graph.Graph, p int, qs []*cq.CQ, model 
 					return
 				}
 			}
-			if opt.CountOnly {
-				counted.Add(1)
+			if ms.counting() {
+				ms.count()
 			} else {
 				// phi is the evaluator's scratch: copy only the owned
 				// matches that actually leave the reducer.
@@ -660,12 +645,12 @@ func runShareJob(ctx context.Context, g *graph.Graph, p int, qs []*cq.CQ, model 
 			}
 		}))
 	}
-	instances, metrics, err := runEnumJob(ctx, mapreduce.Job[graph.Edge, string, graph.Edge, []graph.Node]{
+	count, metrics, err := ms.run(ctx, enumJob{
 		Name:   label,
 		Map:    mapper,
 		Reduce: reducer,
 		Codec:  edgeCodec{},
-	}, cfg, g.Edges(), sink)
+	}, cfg, g)
 	if err != nil {
 		return nil, err
 	}
@@ -683,8 +668,7 @@ func runShareJob(ctx context.Context, g *graph.Graph, p int, qs []*cq.CQ, model 
 		ObservedSkew:         metrics.Skew(),
 		TargetReducers:       opt.reducers(),
 	}
-	count := resultCount(opt, sink, counted.Load(), instances, metrics)
-	return &Result{Instances: instances, Count: count, Jobs: []JobStats{job}}, nil
+	return &Result{Count: count, Jobs: []JobStats{job}}, nil
 }
 
 func cqStrings(qs []*cq.CQ) []string {

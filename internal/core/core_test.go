@@ -9,6 +9,21 @@ import (
 	"subgraphmr/internal/shares"
 )
 
+// collect runs Enumerate into a collecting sink and hands the instances
+// back on the Result, the way the root package's Run does.
+func collect(t *testing.T, g *graph.Graph, s *sample.Sample, opt Options) (*Result, error) {
+	t.Helper()
+	var instances [][]graph.Node
+	res, err := Enumerate(t.Context(), g, s, opt, func(phi []graph.Node) bool {
+		instances = append(instances, phi)
+		return true
+	})
+	if err == nil {
+		res.Instances = instances
+	}
+	return res, err
+}
+
 func oracleKeys(g *graph.Graph, s *sample.Sample) map[string]bool {
 	want := map[string]bool{}
 	for _, phi := range serial.BruteForce(g, s) {
@@ -61,7 +76,7 @@ func TestAllStrategiesMatchOracle(t *testing.T) {
 	for _, strat := range []Strategy{BucketOriented, VariableOriented, CQOriented} {
 		for _, g := range graphs {
 			for _, s := range samples {
-				res, err := Enumerate(g, s, Options{Strategy: strat, TargetReducers: 200, Seed: 5})
+				res, err := collect(t, g, s, Options{Strategy: strat, TargetReducers: 200, Seed: 5})
 				if err != nil {
 					t.Fatalf("%v %v: %v", strat, s, err)
 				}
@@ -75,11 +90,11 @@ func TestCycleCQStrategy(t *testing.T) {
 	g := graph.Gnm(16, 40, 3)
 	for _, p := range []int{5, 6} {
 		s := sample.Cycle(p)
-		general, err := Enumerate(g, s, Options{Strategy: BucketOriented, Buckets: 4})
+		general, err := collect(t, g, s, Options{Strategy: BucketOriented, Buckets: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		specialized, err := Enumerate(g, s, Options{Strategy: BucketOriented, Buckets: 4, UseCycleCQs: true})
+		specialized, err := collect(t, g, s, Options{Strategy: BucketOriented, Buckets: 4, UseCycleCQs: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +106,7 @@ func TestCycleCQStrategy(t *testing.T) {
 		}
 	}
 	// UseCycleCQs on a non-cycle fails.
-	if _, err := Enumerate(g, sample.Lollipop(), Options{UseCycleCQs: true}); err == nil {
+	if _, err := collect(t, g, sample.Lollipop(), Options{UseCycleCQs: true}); err == nil {
 		t.Error("UseCycleCQs on the lollipop should fail")
 	}
 }
@@ -99,7 +114,7 @@ func TestCycleCQStrategy(t *testing.T) {
 func TestDisconnectedSampleRejected(t *testing.T) {
 	g := graph.CompleteGraph(5)
 	s := sample.MustNew(3, [][2]int{{0, 1}}) // isolated third node
-	if _, err := Enumerate(g, s, Options{}); err == nil {
+	if _, err := collect(t, g, s, Options{}); err == nil {
 		t.Error("disconnected sample should be rejected")
 	}
 }
@@ -117,7 +132,7 @@ func TestBucketOrientedCommMatchesTheorem42(t *testing.T) {
 		{sample.Lollipop(), 5},
 		{sample.Cycle(5), 3},
 	} {
-		res, err := Enumerate(g, tc.s, Options{Strategy: BucketOriented, Buckets: tc.b, Seed: 9})
+		res, err := collect(t, g, tc.s, Options{Strategy: BucketOriented, Buckets: tc.b, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +153,7 @@ func TestBucketOrientedCommMatchesTheorem42(t *testing.T) {
 func TestVariableOrientedCommMatchesModel(t *testing.T) {
 	g := graph.Gnm(25, 90, 6)
 	for _, s := range []*sample.Sample{sample.Triangle(), sample.Square(), sample.Lollipop()} {
-		res, err := Enumerate(g, s, Options{Strategy: VariableOriented, TargetReducers: 500, Seed: 3})
+		res, err := collect(t, g, s, Options{Strategy: VariableOriented, TargetReducers: 500, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,14 +183,14 @@ func TestCQOrientedPerJobStats(t *testing.T) {
 	g := graph.Gnm(25, 90, 8)
 	s := sample.Lollipop()
 	k := 300
-	cqRes, err := Enumerate(g, s, Options{Strategy: CQOriented, TargetReducers: k, Seed: 3})
+	cqRes, err := collect(t, g, s, Options{Strategy: CQOriented, TargetReducers: k, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cqRes.Jobs) != 6 {
 		t.Fatalf("lollipop should run 6 CQ jobs, got %d", len(cqRes.Jobs))
 	}
-	varRes, err := Enumerate(g, s, Options{Strategy: VariableOriented, TargetReducers: k, Seed: 3})
+	varRes, err := collect(t, g, s, Options{Strategy: VariableOriented, TargetReducers: k, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +207,7 @@ func TestConvertibilityGeneral(t *testing.T) {
 	s := sample.Triangle()
 	serialWork := serial.Triangles(g, func(_, _, _ graph.Node) {})
 	for _, b := range []int{2, 4, 6} {
-		res, err := Enumerate(g, s, Options{Strategy: BucketOriented, Buckets: b, Seed: 2})
+		res, err := collect(t, g, s, Options{Strategy: BucketOriented, Buckets: b, Seed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +231,7 @@ func TestDefaultBucketSelection(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	g := graph.Gnm(15, 40, 1)
-	res, err := Enumerate(g, sample.Square(), Options{Strategy: BucketOriented, Buckets: 4})
+	res, err := collect(t, g, sample.Square(), Options{Strategy: BucketOriented, Buckets: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,25 +247,25 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestCountOnly: count-only mode reports the exact total without
-// materializing instances, across all three strategies.
+// TestCountOnly: without a sink the reducers count — the exact total, no
+// instance delivered, same communication — across all three strategies.
 func TestCountOnly(t *testing.T) {
 	g := graph.Gnm(20, 60, 3)
 	for _, strat := range []Strategy{BucketOriented, VariableOriented, CQOriented} {
 		for _, s := range []*sample.Sample{sample.Triangle(), sample.Lollipop()} {
-			full, err := Enumerate(g, s, Options{Strategy: strat, TargetReducers: 100, Seed: 4})
+			full, err := collect(t, g, s, Options{Strategy: strat, TargetReducers: 100, Seed: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			counted, err := Enumerate(g, s, Options{Strategy: strat, TargetReducers: 100, Seed: 4, CountOnly: true})
+			counted, err := Enumerate(t.Context(), g, s, Options{Strategy: strat, TargetReducers: 100, Seed: 4}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if counted.Count != full.Count || counted.Count != int64(len(full.Instances)) {
 				t.Errorf("%v %v: count-only %d vs full %d", strat, s, counted.Count, full.Count)
 			}
-			if len(counted.Instances) != 0 {
-				t.Errorf("%v: count-only materialized %d instances", strat, len(counted.Instances))
+			if n := counted.Jobs[0].Metrics.Outputs; n != 0 {
+				t.Errorf("%v: count-only run emitted %d instances from its reducers", strat, n)
 			}
 			if counted.TotalComm() != full.TotalComm() {
 				t.Errorf("%v: count-only changed communication", strat)
@@ -264,12 +279,12 @@ func TestCountOnly(t *testing.T) {
 func TestShareOverflowRejected(t *testing.T) {
 	g := graph.Gnm(10, 20, 1)
 	// Single-edge sample: one variable absorbs the whole budget.
-	if _, err := Enumerate(g, sample.SingleEdge(), Options{
+	if _, err := collect(t, g, sample.SingleEdge(), Options{
 		Strategy: VariableOriented, TargetReducers: 100000,
 	}); err == nil {
 		t.Error("share > 255 should be rejected")
 	}
-	if _, err := Enumerate(g, sample.Triangle(), Options{
+	if _, err := collect(t, g, sample.Triangle(), Options{
 		Strategy: BucketOriented, Buckets: 300,
 	}); err == nil {
 		t.Error("buckets > 255 should be rejected")
@@ -280,7 +295,7 @@ func TestShareOverflowRejected(t *testing.T) {
 func TestEmptyDataGraph(t *testing.T) {
 	g := graph.FromEdges(6, nil)
 	for _, strat := range []Strategy{BucketOriented, VariableOriented, CQOriented} {
-		res, err := Enumerate(g, sample.Triangle(), Options{Strategy: strat, TargetReducers: 16})
+		res, err := collect(t, g, sample.Triangle(), Options{Strategy: strat, TargetReducers: 16})
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -293,7 +308,7 @@ func TestEmptyDataGraph(t *testing.T) {
 // TestEdgeSampleP2: the p = 2 mapper special case (no completion buckets).
 func TestEdgeSampleP2(t *testing.T) {
 	g := graph.Gnm(12, 30, 2)
-	res, err := Enumerate(g, sample.SingleEdge(), Options{Strategy: BucketOriented, Buckets: 4})
+	res, err := collect(t, g, sample.SingleEdge(), Options{Strategy: BucketOriented, Buckets: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +324,7 @@ func TestEdgeSampleP2(t *testing.T) {
 // TestUnknownStrategyRejected covers the default switch branch.
 func TestUnknownStrategyRejected(t *testing.T) {
 	g := graph.Gnm(5, 8, 1)
-	if _, err := Enumerate(g, sample.Triangle(), Options{Strategy: Strategy(99)}); err == nil {
+	if _, err := collect(t, g, sample.Triangle(), Options{Strategy: Strategy(99)}); err == nil {
 		t.Error("unknown strategy should be rejected")
 	}
 	if Strategy(99).String() == "" {

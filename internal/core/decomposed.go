@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
@@ -22,28 +21,9 @@ import (
 // decomposition.
 //
 // The sample must be connected: every node of an instance is then incident
-// to an instance edge, all of which reach the owning reducer.
-func EnumerateDecomposed(g *graph.Graph, s *sample.Sample, parts []sample.Part, opt Options) (*Result, error) {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use EnumerateDecomposedContext
-	return EnumerateDecomposedContext(context.Background(), g, s, parts, opt)
-}
-
-// EnumerateDecomposedContext is EnumerateDecomposed under a context; see
-// EnumerateContext for the cancellation contract.
-func EnumerateDecomposedContext(ctx context.Context, g *graph.Graph, s *sample.Sample, parts []sample.Part, opt Options) (*Result, error) {
-	return enumerateDecomposed(ctx, g, s, parts, opt, nil)
-}
-
-// EnumerateDecomposedStream streams instances into yield instead of
-// materializing them; see EnumerateStream for the yield contract.
-func EnumerateDecomposedStream(ctx context.Context, g *graph.Graph, s *sample.Sample, parts []sample.Part, opt Options, yield func([]graph.Node) bool) (*Result, error) {
-	if yield == nil {
-		return nil, fmt.Errorf("core: EnumerateDecomposedStream requires a non-nil yield")
-	}
-	return enumerateDecomposed(ctx, g, s, parts, opt, yield)
-}
-
-func enumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, parts []sample.Part, opt Options, sink func([]graph.Node) bool) (*Result, error) {
+// to an instance edge, all of which reach the owning reducer. See Enumerate
+// for the sink (nil counts) and cancellation contract.
+func EnumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, parts []sample.Part, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	if !s.IsConnected() {
 		return nil, fmt.Errorf("core: map-reduce enumeration requires a connected sample graph")
 	}
@@ -64,7 +44,7 @@ func enumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, 
 	h := bucketHash(opt.Seed, b)
 	cfg := opt.engineConfig()
 
-	var counted atomic.Int64
+	ms := &matchSink{sink: sink}
 	reducer := func(ctx *mapreduce.Context, key string, edges []graph.Edge, emit func([]graph.Node)) {
 		maxID := graph.Node(0)
 		for _, e := range edges {
@@ -91,20 +71,20 @@ func enumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, 
 			if !bucketsEqualKey(instBuckets, key) {
 				continue
 			}
-			if opt.CountOnly {
-				counted.Add(1)
+			if ms.counting() {
+				ms.count()
 			} else {
 				emit(phi)
 			}
 		}
 	}
 
-	instances, metrics, err := runEnumJob(ctx, mapreduce.Job[graph.Edge, string, graph.Edge, []graph.Node]{
+	count, metrics, err := ms.run(ctx, enumJob{
 		Name:   fmt.Sprintf("decomposed (Theorem 6.1) b=%d", b),
 		Map:    bucketEdgeMapper(h, p, b),
 		Reduce: reducer,
 		Codec:  edgeCodec{},
-	}, cfg, g.Edges(), sink)
+	}, cfg, g)
 	if err != nil {
 		return nil, err
 	}
@@ -117,6 +97,5 @@ func enumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, 
 		Metrics:              metrics,
 		ObservedSkew:         metrics.Skew(),
 	}
-	count := resultCount(opt, sink, counted.Load(), instances, metrics)
-	return &Result{Instances: instances, Count: count, Jobs: []JobStats{job}}, nil
+	return &Result{Count: count, Jobs: []JobStats{job}}, nil
 }

@@ -40,11 +40,14 @@ func TestEnumerateDecomposedMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s serial: %v", gname, sname, err)
 			}
-			res, err := EnumerateDecomposed(g, s, nil, Options{Buckets: 3, Seed: 11, Parallelism: 4})
+			var got [][]graph.Node
+			res, err := EnumerateDecomposed(t.Context(), g, s, nil, Options{Buckets: 3, Seed: 11, Parallelism: 4}, func(phi []graph.Node) bool {
+				got = append(got, phi)
+				return true
+			})
 			if err != nil {
 				t.Fatalf("%s/%s mr: %v", gname, sname, err)
 			}
-			got := res.Instances
 			sortInstances(got)
 			sortInstances(want)
 			if len(got) != len(want) {
@@ -71,19 +74,23 @@ func TestEnumerateDecomposedMatchesSerial(t *testing.T) {
 func TestEnumerateDecomposedCountOnly(t *testing.T) {
 	g := graph.Gnm(80, 400, 9)
 	s := sample.Triangle()
-	full, err := EnumerateDecomposed(g, s, nil, Options{Buckets: 4, Seed: 2})
+	var delivered int64
+	full, err := EnumerateDecomposed(t.Context(), g, s, nil, Options{Buckets: 4, Seed: 2}, func([]graph.Node) bool {
+		delivered++
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	counted, err := EnumerateDecomposed(g, s, nil, Options{Buckets: 4, Seed: 2, CountOnly: true})
+	counted, err := EnumerateDecomposed(t.Context(), g, s, nil, Options{Buckets: 4, Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counted.Instances != nil {
-		t.Errorf("count-only materialized %d instances", len(counted.Instances))
+	if n := counted.Jobs[0].Metrics.Outputs; n != 0 {
+		t.Errorf("count-only run emitted %d instances from its reducers", n)
 	}
-	if counted.Count != full.Count {
-		t.Errorf("count-only = %d, full = %d", counted.Count, full.Count)
+	if counted.Count != full.Count || full.Count != delivered {
+		t.Errorf("count-only = %d, full = %d, delivered %d", counted.Count, full.Count, delivered)
 	}
 }
 
@@ -91,16 +98,16 @@ func TestEnumerateDecomposedCountOnly(t *testing.T) {
 func TestEnumerateDecomposedRejectsBadParts(t *testing.T) {
 	g := graph.Gnm(20, 40, 1)
 	s := sample.Triangle()
-	if _, err := EnumerateDecomposed(g, s, []sample.Part{
+	if _, err := EnumerateDecomposed(t.Context(), g, s, []sample.Part{
 		{Kind: sample.IsolatedNode, Vars: []int{0}},
-	}, Options{Buckets: 2}); err == nil {
+	}, Options{Buckets: 2}, nil); err == nil {
 		t.Error("incomplete decomposition accepted")
 	}
 	disc, err := sample.New(4, [][2]int{{0, 1}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EnumerateDecomposed(g, disc, nil, Options{Buckets: 2}); err == nil {
+	if _, err := EnumerateDecomposed(t.Context(), g, disc, nil, Options{Buckets: 2}, nil); err == nil {
 		t.Error("disconnected sample accepted")
 	}
 }

@@ -27,7 +27,7 @@ func HubGraph(n, ringNodes int) *graph.Graph {
 // threshold, …) apply to both runs. It returns each run's summed engine
 // metrics so callers can additionally assert how the jobs executed (e.g.
 // that a tiny budget really spilled, or that the adaptive run replanned).
-func CheckAdaptiveParity(g *graph.Graph, s *sample.Sample, st subgraphmr.PlanStrategy, extra ...subgraphmr.Option) (staticM, adaptiveM mapreduce.Metrics, err error) {
+func CheckAdaptiveParity(ctx context.Context, g *graph.Graph, s *sample.Sample, st subgraphmr.PlanStrategy, extra ...subgraphmr.Option) (staticM, adaptiveM mapreduce.Metrics, err error) {
 	label := fmt.Sprintf("adaptive-parity/%v/%v", st, s)
 	run := func(adaptive bool) ([]string, mapreduce.Metrics, *subgraphmr.Result, error) {
 		opts := append([]subgraphmr.Option{subgraphmr.WithStrategy(st), subgraphmr.WithSeed(11)}, extra...)
@@ -38,8 +38,7 @@ func CheckAdaptiveParity(g *graph.Graph, s *sample.Sample, st subgraphmr.PlanStr
 		if err != nil {
 			return nil, mapreduce.Metrics{}, nil, err
 		}
-		//lint:allow ctxhygiene difftest harness drives complete runs; there is no caller cancellation to thread
-		res, err := subgraphmr.Run(context.Background(), plan)
+		res, err := subgraphmr.Run(ctx, plan)
 		if err != nil {
 			return nil, mapreduce.Metrics{}, nil, err
 		}

@@ -34,7 +34,7 @@ func TestAdaptiveParityOnSkewedGraphs(t *testing.T) {
 			for _, st := range adaptiveStrategies {
 				for _, mode := range modes {
 					t.Run(fmt.Sprintf("%s/%v/%v/%s", gname, s, st, mode.name), func(t *testing.T) {
-						_, am, err := CheckAdaptiveParity(g, s, st,
+						_, am, err := CheckAdaptiveParity(t.Context(), g, s, st,
 							subgraphmr.WithTargetReducers(64),
 							subgraphmr.WithParallelism(2),
 							subgraphmr.WithPartitions(2),
@@ -59,7 +59,7 @@ func TestAdaptiveParityMidQueryReplan(t *testing.T) {
 	g := HubGraph(80, 40)
 	for _, mode := range modes {
 		t.Run("cq/"+mode.name, func(t *testing.T) {
-			_, am, err := CheckAdaptiveParity(g, sample.Square(), subgraphmr.StrategyCQOriented,
+			_, am, err := CheckAdaptiveParity(t.Context(), g, sample.Square(), subgraphmr.StrategyCQOriented,
 				subgraphmr.WithTargetReducers(64),
 				subgraphmr.WithSkewThreshold(1.01),
 				subgraphmr.WithParallelism(2),
@@ -72,7 +72,7 @@ func TestAdaptiveParityMidQueryReplan(t *testing.T) {
 			wantSpill(t, mode.budget, am)
 		})
 		t.Run("cascade/"+mode.name, func(t *testing.T) {
-			_, _, err := CheckAdaptiveParity(g, sample.Triangle(), subgraphmr.StrategyTwoRound,
+			_, _, err := CheckAdaptiveParity(t.Context(), g, sample.Triangle(), subgraphmr.StrategyTwoRound,
 				subgraphmr.WithTargetReducers(64),
 				subgraphmr.WithParallelism(2),
 				subgraphmr.WithPartitions(2),

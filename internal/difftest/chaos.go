@@ -144,11 +144,8 @@ func ChaosCases() []ChaosCase {
 // injected run spills into; CheckChaos asserts it is empty afterwards, and
 // that spawned worker processes are reaped. (Goroutine-baseline assertions
 // belong to the caller, around this call.)
-func CheckChaos(g *graph.Graph, c ChaosCase, seed uint64, workerAddrs []string, spillDir string) error {
+func CheckChaos(ctx context.Context, g *graph.Graph, c ChaosCase, seed uint64, workerAddrs []string, spillDir string) error {
 	label := "chaos/" + c.Name
-	//lint:allow ctxhygiene difftest harness drives complete runs; there is no caller cancellation to thread
-	ctx := context.Background()
-
 	base := []subgraphmr.Option{
 		subgraphmr.WithStrategy(c.Strategy),
 		subgraphmr.WithSeed(seed),

@@ -56,7 +56,7 @@ func TestChaosMatrix(t *testing.T) {
 		t.Run(c.Name, func(t *testing.T) {
 			defer subgraphmr.ResetFailpoints() // belt and braces on test failure
 			baseline := runtime.NumGoroutine()
-			if err := CheckChaos(g, c, 42, addrs, t.TempDir()); err != nil {
+			if err := CheckChaos(t.Context(), g, c, 42, addrs, t.TempDir()); err != nil {
 				t.Fatal(err)
 			}
 			waitForGoroutineBaseline(t, baseline)
@@ -80,14 +80,14 @@ func TestChaosRecoveryBetweenCases(t *testing.T) {
 		MemoryBudget: 2048,
 		Expect:       ExpectTypedError,
 	}
-	if err := CheckChaos(g, c, 42, nil, t.TempDir()); err != nil {
+	if err := CheckChaos(t.Context(), g, c, 42, nil, t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	// Disarmed rerun of the identical injected case must now reach parity.
 	c.Failpoints = ""
 	c.Name = "recovery-probe-clean"
 	c.Expect = ExpectParity
-	if err := CheckChaos(g, c, 42, nil, t.TempDir()); err != nil {
+	if err := CheckChaos(t.Context(), g, c, 42, nil, t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 }

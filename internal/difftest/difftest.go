@@ -11,6 +11,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -55,80 +56,79 @@ func sampleOracle(g *graph.Graph, s *sample.Sample) map[string]bool {
 
 // CheckEnumerate runs core.Enumerate under opt and compares the instance
 // set against the brute-force oracle.
-func CheckEnumerate(g *graph.Graph, s *sample.Sample, opt core.Options) (mapreduce.Metrics, error) {
-	res, err := core.Enumerate(g, s, opt)
-	if err != nil {
-		return mapreduce.Metrics{}, err
-	}
-	return checkResult(fmt.Sprintf("enumerate/%v/%v", opt.Strategy, s), g, s, res)
+func CheckEnumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, opt core.Options) (mapreduce.Metrics, error) {
+	return checkCore(fmt.Sprintf("enumerate/%v/%v", opt.Strategy, s), g, s, func(sink func([]graph.Node) bool) (*core.Result, error) {
+		return core.Enumerate(ctx, g, s, opt, sink)
+	})
 }
 
 // CheckDecomposed runs the Theorem 6.1 decomposition conversion and
 // compares the instance set against the brute-force oracle.
-func CheckDecomposed(g *graph.Graph, s *sample.Sample, opt core.Options) (mapreduce.Metrics, error) {
-	res, err := core.EnumerateDecomposed(g, s, nil, opt)
+func CheckDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, opt core.Options) (mapreduce.Metrics, error) {
+	return checkCore(fmt.Sprintf("mr-decompose/%v", s), g, s, func(sink func([]graph.Node) bool) (*core.Result, error) {
+		return core.EnumerateDecomposed(ctx, g, s, nil, opt, sink)
+	})
+}
+
+// checkCore collects what run delivers and holds it against the oracle.
+func checkCore(label string, g *graph.Graph, s *sample.Sample, run func(sink func([]graph.Node) bool) (*core.Result, error)) (mapreduce.Metrics, error) {
+	var keys []string
+	var bad []graph.Node
+	res, err := run(func(phi []graph.Node) bool {
+		if !s.IsInstance(g, phi) {
+			bad = phi
+			return false
+		}
+		keys = append(keys, s.Key(phi))
+		return true
+	})
 	if err != nil {
 		return mapreduce.Metrics{}, err
 	}
-	return checkResult(fmt.Sprintf("mr-decompose/%v", s), g, s, res)
-}
-
-func checkResult(label string, g *graph.Graph, s *sample.Sample, res *core.Result) (mapreduce.Metrics, error) {
 	var m mapreduce.Metrics
 	for _, j := range res.Jobs {
 		m.Add(j.Metrics)
 	}
-	keys := make([]string, 0, len(res.Instances))
-	for _, phi := range res.Instances {
-		if !s.IsInstance(g, phi) {
-			return m, fmt.Errorf("%s: emitted non-instance %v", label, phi)
-		}
-		keys = append(keys, s.Key(phi))
+	if bad != nil {
+		return m, fmt.Errorf("%s: emitted non-instance %v", label, bad)
 	}
 	if err := compareInstances(label, sampleOracle(g, s), keys); err != nil {
 		return m, err
 	}
-	if res.Count != int64(len(res.Instances)) {
-		return m, fmt.Errorf("%s: Count %d but %d instances", label, res.Count, len(res.Instances))
+	if res.Count != int64(len(keys)) {
+		return m, fmt.Errorf("%s: Count %d but %d instances", label, res.Count, len(keys))
 	}
 	return m, nil
 }
 
+// tripleKeys returns a sink collecting triangles under their oracle keys.
+func tripleKeys(got *[]string) func([3]graph.Node) bool {
+	return func(tr [3]graph.Node) bool {
+		*got = append(*got, fmt.Sprint(tr))
+		return true
+	}
+}
+
 // CheckTwoRound runs the two-round cascade baseline and compares its
 // triangle set against the serial enumerator.
-func CheckTwoRound(g *graph.Graph, cfg mapreduce.Config) (mapreduce.Metrics, error) {
-	res := tworound.Triangles(g, cfg)
-	got := make([]string, 0, len(res.Triangles))
-	for _, tr := range res.Triangles {
-		got = append(got, fmt.Sprint(tr))
+func CheckTwoRound(ctx context.Context, g *graph.Graph, cfg mapreduce.Config) (mapreduce.Metrics, error) {
+	var got []string
+	res, err := tworound.Triangles(ctx, g, cfg, tripleKeys(&got), nil)
+	if err != nil {
+		return mapreduce.Metrics{}, err
 	}
 	return res.Chain.Total(), compareInstances("tworound", triangleOracle(g), got)
 }
 
-// CheckTriangle runs one of the Section 2 triangle algorithms ("partition",
-// "multiway" or "bucket") and compares its triangle set against the serial
-// enumerator.
-func CheckTriangle(g *graph.Graph, algo string, b int, seed uint64, cfg mapreduce.Config) (mapreduce.Metrics, error) {
-	var res triangle.Result
-	var err error
-	switch algo {
-	case "partition":
-		res, err = triangle.Partition(g, b, seed, cfg)
-	case "multiway":
-		res, err = triangle.Multiway(g, b, seed, cfg)
-	case "bucket":
-		res, err = triangle.BucketOrdered(g, b, seed, cfg)
-	default:
-		return mapreduce.Metrics{}, fmt.Errorf("difftest: unknown triangle algorithm %q", algo)
-	}
+// CheckTriangle runs one of the Section 2 triangle algorithms and compares
+// its triangle set against the serial enumerator.
+func CheckTriangle(ctx context.Context, g *graph.Graph, algo triangle.Algo, b int, seed uint64, cfg mapreduce.Config) (mapreduce.Metrics, error) {
+	var got []string
+	m, err := algo.Run(ctx, g, b, seed, cfg, tripleKeys(&got))
 	if err != nil {
 		return mapreduce.Metrics{}, err
 	}
-	got := make([]string, 0, len(res.Triangles))
-	for _, tr := range res.Triangles {
-		got = append(got, fmt.Sprint(tr))
-	}
-	return res.Metrics, compareInstances("triangle/"+algo, triangleOracle(g), got)
+	return m, compareInstances("triangle/"+algo.Name, triangleOracle(g), got)
 }
 
 func triangleOracle(g *graph.Graph) map[string]bool {

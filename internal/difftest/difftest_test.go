@@ -10,6 +10,7 @@ import (
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/multijoin"
 	"subgraphmr/internal/sample"
+	"subgraphmr/internal/triangle"
 )
 
 // modes runs every check twice: fully in memory, and under a memory budget
@@ -41,7 +42,7 @@ func TestEnumerateAllStrategies(t *testing.T) {
 				for _, mode := range modes {
 					name := fmt.Sprintf("%s/%v/%v/%s", gname, s, strat, mode.name)
 					t.Run(name, func(t *testing.T) {
-						m, err := CheckEnumerate(g, s, core.Options{
+						m, err := CheckEnumerate(t.Context(), g, s, core.Options{
 							Strategy:       strat,
 							TargetReducers: 64,
 							Seed:           11,
@@ -63,7 +64,7 @@ func TestEnumerateAllStrategies(t *testing.T) {
 func TestEnumerateCycleCQs(t *testing.T) {
 	g := Graphs(3)["gnm"]
 	for _, mode := range modes {
-		m, err := CheckEnumerate(g, sample.Named("c5"), core.Options{
+		m, err := CheckEnumerate(t.Context(), g, sample.Named("c5"), core.Options{
 			UseCycleCQs:    true,
 			TargetReducers: 64,
 			Parallelism:    2,
@@ -85,7 +86,7 @@ func TestDecomposed(t *testing.T) {
 			}
 			for _, mode := range modes {
 				t.Run(fmt.Sprintf("%s/%v/%s", gname, s, mode.name), func(t *testing.T) {
-					m, err := CheckDecomposed(g, s, core.Options{
+					m, err := CheckDecomposed(t.Context(), g, s, core.Options{
 						TargetReducers: 64,
 						Seed:           5,
 						Parallelism:    2,
@@ -106,7 +107,7 @@ func TestTwoRoundCascade(t *testing.T) {
 	for gname, g := range Graphs(13) {
 		for _, mode := range modes {
 			t.Run(gname+"/"+mode.name, func(t *testing.T) {
-				m, err := CheckTwoRound(g, mapreduce.Config{
+				m, err := CheckTwoRound(t.Context(), g, mapreduce.Config{
 					Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget,
 				})
 				if err != nil {
@@ -120,10 +121,10 @@ func TestTwoRoundCascade(t *testing.T) {
 
 func TestTriangleAlgorithms(t *testing.T) {
 	for gname, g := range Graphs(17) {
-		for _, algo := range []string{"partition", "multiway", "bucket"} {
+		for _, algo := range triangle.Algos {
 			for _, mode := range modes {
-				t.Run(fmt.Sprintf("%s/%s/%s", gname, algo, mode.name), func(t *testing.T) {
-					m, err := CheckTriangle(g, algo, 4, 3, mapreduce.Config{
+				t.Run(fmt.Sprintf("%s/%s/%s", gname, algo.Name, mode.name), func(t *testing.T) {
+					m, err := CheckTriangle(t.Context(), g, algo, 4, 3, mapreduce.Config{
 						Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget,
 					})
 					if err != nil {
@@ -188,7 +189,7 @@ func TestDirectedPatterns(t *testing.T) {
 // compaction, and must still agree with the oracle.
 func TestOneByteBudget(t *testing.T) {
 	g := Graphs(29)["gnm"]
-	m, err := CheckEnumerate(g, sample.Named("triangle"), core.Options{
+	m, err := CheckEnumerate(t.Context(), g, sample.Named("triangle"), core.Options{
 		TargetReducers: 64,
 		Parallelism:    2,
 		Partitions:     2,

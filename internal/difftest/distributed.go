@@ -47,11 +47,8 @@ type DistributedConfig struct {
 // coordinator's retry accounting matches expectations. It returns the
 // distributed run's summed metrics so callers can assert execution detail
 // (e.g. that a tiny memory budget really spilled on the workers).
-func CheckDistributedParity(g *graph.Graph, s *sample.Sample, st subgraphmr.PlanStrategy, seed uint64, cfg DistributedConfig) (mapreduce.Metrics, error) {
+func CheckDistributedParity(ctx context.Context, g *graph.Graph, s *sample.Sample, st subgraphmr.PlanStrategy, seed uint64, cfg DistributedConfig) (mapreduce.Metrics, error) {
 	label := fmt.Sprintf("distparity/%v/%v", st, s)
-	//lint:allow ctxhygiene difftest harness drives complete runs; there is no caller cancellation to thread
-	ctx := context.Background()
-
 	// TargetReducers 64 matches the rest of the harness (the default 1024
 	// pushes share-based strategies past the engine's share limit on
 	// 3-variable samples).
@@ -148,19 +145,23 @@ type DistributedCase struct {
 	CommParity bool
 }
 
-// DistributedCases lists all 8 strategies with suitable samples: the four
-// general strategies on the two-path sample (plentiful instances, so
-// faults reliably fire mid-stream) and the four triangle-only ones on the
-// triangle sample.
+// DistributedCases pairs every strategy of the root package's table with a
+// suitable sample: the general strategies run on the two-path sample
+// (plentiful instances, so faults reliably fire mid-stream), the ones whose
+// planner rejects it — the triangle-only algorithms — on the triangle.
 func DistributedCases() []DistributedCase {
-	return []DistributedCase{
-		{subgraphmr.StrategyBucketOriented, sample.TwoPath(), true},
-		{subgraphmr.StrategyVariableOriented, sample.TwoPath(), true},
-		{subgraphmr.StrategyCQOriented, sample.TwoPath(), true},
-		{subgraphmr.StrategyDecomposed, sample.TwoPath(), true},
-		{subgraphmr.StrategyTwoRound, sample.Triangle(), false},
-		{subgraphmr.StrategyTrianglePartition, sample.Triangle(), true},
-		{subgraphmr.StrategyTriangleMultiway, sample.Triangle(), true},
-		{subgraphmr.StrategyTriangleBucketOrdered, sample.Triangle(), true},
+	probe := graph.PathGraph(3)
+	var cases []DistributedCase
+	for _, name := range subgraphmr.StrategyNames() {
+		st, err := subgraphmr.ParseStrategy(name)
+		if err != nil || st == subgraphmr.StrategyAuto {
+			continue
+		}
+		s := sample.TwoPath()
+		if _, err := subgraphmr.Plan(probe, s, subgraphmr.WithStrategy(st)); err != nil {
+			s = sample.Triangle()
+		}
+		cases = append(cases, DistributedCase{Strategy: st, Sample: s, CommParity: st != subgraphmr.StrategyTwoRound})
 	}
+	return cases
 }

@@ -53,7 +53,7 @@ func TestDistributedParity(t *testing.T) {
 			for _, mode := range modes {
 				name := fmt.Sprintf("%s/%v/%v/%s", gname, tc.Strategy, tc.Sample, mode.name)
 				t.Run(name, func(t *testing.T) {
-					m, err := CheckDistributedParity(g, tc.Sample, tc.Strategy, 42, DistributedConfig{
+					m, err := CheckDistributedParity(t.Context(), g, tc.Sample, tc.Strategy, 42, DistributedConfig{
 						Workers:          addrs,
 						MemoryBudget:     mode.budget,
 						ExpectCommParity: tc.CommParity,
@@ -84,7 +84,7 @@ func TestDistributedParityWorkerKill(t *testing.T) {
 			budget = 2048
 		}
 		t.Run(fmt.Sprintf("%v/%v", tc.Strategy, tc.Sample), func(t *testing.T) {
-			_, err := CheckDistributedParity(g, tc.Sample, tc.Strategy, 42, DistributedConfig{
+			_, err := CheckDistributedParity(t.Context(), g, tc.Sample, tc.Strategy, 42, DistributedConfig{
 				Spawn:            3,
 				MemoryBudget:     budget,
 				Fault:            subgraphmr.FaultSpec{Mode: subgraphmr.FaultKill, Worker: -1, AfterInstances: 1},
@@ -109,7 +109,7 @@ func TestDistributedParityWorkerDrop(t *testing.T) {
 		{subgraphmr.StrategyTriangleBucketOrdered, sample.Triangle(), true},
 	} {
 		t.Run(fmt.Sprintf("%v/%v", tc.Strategy, tc.Sample), func(t *testing.T) {
-			_, err := CheckDistributedParity(g, tc.Sample, tc.Strategy, 42, DistributedConfig{
+			_, err := CheckDistributedParity(t.Context(), g, tc.Sample, tc.Strategy, 42, DistributedConfig{
 				Workers:          addrs,
 				Fault:            subgraphmr.FaultSpec{Mode: subgraphmr.FaultDrop, Worker: -1, AfterInstances: 1},
 				ExpectRetry:      true,
@@ -128,7 +128,7 @@ func TestDistributedParityWorkerDrop(t *testing.T) {
 func TestDistributedParityWorkerStall(t *testing.T) {
 	addrs := startWorkers(t, 3)
 	g := Graphs(7)["gnm"]
-	_, err := CheckDistributedParity(g, sample.TwoPath(), subgraphmr.StrategyBucketOriented, 42, DistributedConfig{
+	_, err := CheckDistributedParity(t.Context(), g, sample.TwoPath(), subgraphmr.StrategyBucketOriented, 42, DistributedConfig{
 		Workers:          addrs,
 		Fault:            subgraphmr.FaultSpec{Mode: subgraphmr.FaultStall, Worker: 0, AfterInstances: 1},
 		Timeout:          2 * time.Second,

@@ -2,15 +2,16 @@ package mapreduce
 
 import "sync"
 
-// RunBarrier executes one map-reduce round with the engine's original
+// runBarrier executes one map-reduce round with the engine's original
 // global-barrier shuffle: every mapper builds a private key→values map, all
 // partial maps are merged into one global grouping after the last mapper
 // finishes, and only then does the reduce phase start. It reports the same
-// metrics as the pipelined Run for any combiner-less job and exists as the
-// baseline for the pipelined-vs-barrier benchmarks: its peak memory scales
-// with the total communication cost and its reducers idle until the map
-// phase fully completes.
-func RunBarrier[I any, K comparable, V any, O any](
+// metrics as the pipelined Run for any combiner-less job, which makes it
+// the reference TestPipelinedMatchesBarrier compares the engine against
+// and the baseline arm of BenchmarkPipelinedVsBarrier: its peak memory
+// scales with the total communication cost and its reducers idle until the
+// map phase fully completes.
+func runBarrier[I any, K comparable, V any, O any](
 	cfg Config,
 	inputs []I,
 	mapFn Mapper[I, K, V],
@@ -41,7 +42,6 @@ func RunBarrier[I any, K comparable, V any, O any](
 			continue
 		}
 		wg.Add(1)
-		//lint:allow ctxhygiene map workers are call-scoped and joined by wg.Wait before RunBarrier returns
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			local := make(map[K][]V)
@@ -99,7 +99,6 @@ func RunBarrier[I any, K comparable, V any, O any](
 			continue
 		}
 		wg.Add(1)
-		//lint:allow ctxhygiene reduce workers are call-scoped and joined by wg.Wait before RunBarrier returns
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			var out []O

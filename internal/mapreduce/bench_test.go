@@ -45,7 +45,7 @@ func BenchmarkPipelinedVsBarrier(b *testing.B) {
 					if engine == "pipelined" {
 						_, m = Run(Config{}, edges, wedgeMap, wedgeReduce)
 					} else {
-						_, m = RunBarrier(Config{}, edges, wedgeMap, wedgeReduce)
+						_, m = runBarrier(Config{}, edges, wedgeMap, wedgeReduce)
 					}
 					if m.KeyValuePairs != want {
 						b.Fatalf("engine dropped pairs: %d != %d", m.KeyValuePairs, want)

@@ -184,7 +184,7 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 		}
 		emit(sum)
 	}
-	wantOut, wantM := RunBarrier(Config{Parallelism: 2}, inputs, mapFn, reduceFn)
+	wantOut, wantM := runBarrier(Config{Parallelism: 2}, inputs, mapFn, reduceFn)
 	sort.Ints(wantOut)
 	for _, cfg := range []Config{
 		{},

@@ -21,9 +21,7 @@
 // the total communication cost. For combiner-less jobs the reported metrics
 // are fully deterministic (they do not depend on worker count or partition
 // assignment); with a combiner, KeyValuePairs and MaxReducerInput depend on
-// the mapper shard boundaries — see the Combiner doc. The previous
-// global-barrier implementation is preserved as RunBarrier for comparison
-// benchmarks.
+// the mapper shard boundaries — see the Combiner doc.
 package mapreduce
 
 import (

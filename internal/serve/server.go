@@ -156,9 +156,9 @@ func parseQueryOptions(r *http.Request) ([]subgraphmr.Option, error) {
 	if strategyName == "" {
 		strategyName = "auto"
 	}
-	st, ok := strategyNames[strategyName]
-	if !ok {
-		return nil, fmt.Errorf("unknown strategy %q", strategyName)
+	st, err := subgraphmr.ParseStrategy(strategyName)
+	if err != nil {
+		return nil, err
 	}
 	opts = append(opts, subgraphmr.WithStrategy(st))
 
@@ -206,19 +206,6 @@ func parseQueryOptions(r *http.Request) ([]subgraphmr.Option, error) {
 		opts = append(opts, subgraphmr.WithSkewThreshold(t))
 	}
 	return opts, nil
-}
-
-// strategyNames mirrors cmd/sgmr's -strategy vocabulary.
-var strategyNames = map[string]subgraphmr.PlanStrategy{
-	"auto":          subgraphmr.StrategyAuto,
-	"bucket":        subgraphmr.StrategyBucketOriented,
-	"variable":      subgraphmr.StrategyVariableOriented,
-	"cq":            subgraphmr.StrategyCQOriented,
-	"mr-decompose":  subgraphmr.StrategyDecomposed,
-	"cascade":       subgraphmr.StrategyTwoRound,
-	"tri-partition": subgraphmr.StrategyTrianglePartition,
-	"tri-multiway":  subgraphmr.StrategyTriangleMultiway,
-	"tri-bucket":    subgraphmr.StrategyTriangleBucketOrdered,
 }
 
 // handleQuery answers one enumeration query:

@@ -157,6 +157,35 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestStrategyParamIsTheTable: strategy= accepts exactly the names of the
+// library's strategy table, and the 400 for anything else spells them out.
+func TestStrategyParamIsTheTable(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	for _, name := range subgraphmr.StrategyNames() {
+		var resp queryResponse
+		if r := getJSON(t, ts.URL+"/query?graph=gnm&sample=triangle&k=64&strategy="+name, &resp); r.StatusCode != http.StatusOK {
+			t.Errorf("strategy=%s: status %d", name, r.StatusCode)
+		}
+		want, err := subgraphmr.ParseStrategy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want != subgraphmr.StrategyAuto && resp.Strategy != want.String() {
+			t.Errorf("strategy=%s ran %q, want %q", name, resp.Strategy, want)
+		}
+	}
+	// A display name is not a parameter value.
+	var qe queryError
+	if r := getJSON(t, ts.URL+"/query?graph=gnm&sample=triangle&strategy=bucket-oriented", &qe); r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("strategy=bucket-oriented: status %d, want 400", r.StatusCode)
+	}
+	for _, name := range subgraphmr.StrategyNames() {
+		if !strings.Contains(qe.Error, name) {
+			t.Errorf("400 body %q does not list %q", qe.Error, name)
+		}
+	}
+}
+
 // TestStreamNDJSON checks the streaming shape: one instance per line,
 // then a summary line whose count matches the number of lines.
 func TestStreamNDJSON(t *testing.T) {

@@ -24,68 +24,136 @@ import (
 	"subgraphmr/internal/mapreduce"
 )
 
-// Result is the outcome of one triangle job.
-type Result struct {
-	// Triangles lists every triangle once, as id-sorted node triples.
-	Triangles [][3]graph.Node
-	// Metrics carries the communication cost, reducer count, skew, and
-	// reducer work of the job.
-	Metrics mapreduce.Metrics
-	// Buckets is the b used.
-	Buckets int
+// Algo is one of the three Section 2 algorithms: its closed forms and, behind
+// Run and ProbeLoads, the one job both execution and the planner's load
+// probes are built from — so a probe observes exactly the loads a run ships
+// and both reject the same bucket counts. The three values Partition,
+// Multiway and BucketOrdered are the whole set (see Algos).
+type Algo struct {
+	// Name is the algorithm's short name: "partition", "multiway", "bucket".
+	Name string
+	// MinB is the smallest bucket count the algorithm is defined for.
+	MinB int
+	// CommPerEdge is the exact (Partition: expected) communication per data
+	// edge at b buckets.
+	CommPerEdge func(b int) float64
+	// Reducers is the reducer count at b buckets.
+	Reducers func(b int) int64
+
+	probe func(g *graph.Graph, h graph.NodeHash, cfg mapreduce.Config) mapreduce.LoadStats
+	run   func(ctx context.Context, g *graph.Graph, h graph.NodeHash, cfg mapreduce.Config, sink func([3]graph.Node) bool) (mapreduce.Metrics, error)
 }
 
-// Count returns the number of triangles found.
-func (r Result) Count() int64 { return int64(len(r.Triangles)) }
+// The Section 2 algorithms.
+var (
+	// Partition is the Suri–Vassilvitskii algorithm (Section 2.1): C(b,3)
+	// reducers, expected communication 3(b−1)(b−2)/(2b) per edge.
+	Partition = newAlgo("partition", 3, partitionCommPerEdge, partitionReducers, partitionJob)
+	// Multiway is the plain multiway join (Section 2.2): b³ reducers,
+	// communication 3b−2 per edge.
+	Multiway = newAlgo("multiway", 1, multiwayCommPerEdge, multiwayReducers, multiwayJob)
+	// BucketOrdered is the paper's improvement (Section 2.3): C(b+2,3)
+	// useful reducers (Theorem 4.2 with p = 3), communication b per edge.
+	BucketOrdered = newAlgo("bucket", 1, bucketOrderedCommPerEdge, bucketOrderedReducers, bucketOrderedJob)
+
+	// Algos lists the three algorithms.
+	Algos = []Algo{Partition, Multiway, BucketOrdered}
+)
 
 type triple struct{ A, B, C int }
 
-// runTriangleJob executes one triangle job, materializing the triangles
-// (sink nil) or streaming each into sink; see mapreduce.Job.RunStream for
-// the sink and cancellation contract.
-func runTriangleJob[V any](ctx context.Context, j mapreduce.Job[graph.Edge, triple, V, [3]graph.Node], cfg mapreduce.Config, edges []graph.Edge, b int, sink func([3]graph.Node) bool) (Result, error) {
+// newAlgo builds an Algo from its closed forms and the job it runs under the
+// seeded node hash h (h.B is the bucket count).
+func newAlgo[V any](name string, minB int, comm func(int) float64, reducers func(int) int64,
+	job func(h graph.NodeHash) mapreduce.Job[graph.Edge, triple, V, [3]graph.Node]) Algo {
+	return Algo{
+		Name: name, MinB: minB, CommPerEdge: comm, Reducers: reducers,
+		probe: func(g *graph.Graph, h graph.NodeHash, cfg mapreduce.Config) mapreduce.LoadStats {
+			return mapreduce.ReducerLoadStats(cfg, g.Edges(), job(h).Map)
+		},
+		run: func(ctx context.Context, g *graph.Graph, h graph.NodeHash, cfg mapreduce.Config, sink func([3]graph.Node) bool) (mapreduce.Metrics, error) {
+			return job(h).RunStream(ctx, cfg, g.Edges(), sink)
+		},
+	}
+}
+
+// hash validates b and returns the seeded node hash of a job at b buckets.
+func (a Algo) hash(b int, seed uint64) (graph.NodeHash, error) {
+	if b < a.MinB {
+		return graph.NodeHash{}, fmt.Errorf("triangle: %s needs b >= %d, got %d", a.Name, a.MinB, b)
+	}
+	return graph.NodeHash{Seed: seed, B: b}, nil
+}
+
+// Run enumerates every triangle of g exactly once (as id-sorted triples)
+// with b buckets, delivering each to sink — serialized, with backpressure;
+// returning false stops the job early with a nil error. A nil sink counts
+// without delivering. Either way Metrics.Outputs is the number of triangles
+// accepted. Cancelling ctx aborts the job with ctx.Err(); see
+// mapreduce.Job.RunStream for the full contract.
+func (a Algo) Run(ctx context.Context, g *graph.Graph, b int, seed uint64, cfg mapreduce.Config, sink func([3]graph.Node) bool) (mapreduce.Metrics, error) {
+	h, err := a.hash(b, seed)
+	if err != nil {
+		return mapreduce.Metrics{}, err
+	}
 	if sink == nil {
-		tris, metrics, err := j.RunContext(ctx, cfg, edges)
-		return Result{Triangles: tris, Metrics: metrics, Buckets: b}, err
+		sink = func([3]graph.Node) bool { return true }
 	}
-	metrics, err := j.RunStream(ctx, cfg, edges, sink)
-	return Result{Metrics: metrics, Buckets: b}, err
+	return a.run(ctx, g, h, cfg, sink)
 }
 
-// Partition runs the Suri–Vassilvitskii Partition algorithm with b ≥ 3 node
-// groups. Each reducer R_{ijk} (i<j<k) receives the edges with both
-// endpoints in S_i ∪ S_j ∪ S_k; a triangle is emitted only by the reducer
-// whose triple is the canonical completion of the triangle's group set, so
-// the over-counting the paper describes is compensated exactly.
-func Partition(g *graph.Graph, b int, seed uint64, cfg mapreduce.Config) (Result, error) {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use PartitionContext
-	return PartitionContext(context.Background(), g, b, seed, cfg, nil)
+// ProbeLoads measures, map-only, the reducer loads Run would ship at bucket
+// count b under the same seed.
+func (a Algo) ProbeLoads(g *graph.Graph, b int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
+	h, err := a.hash(b, seed)
+	if err != nil {
+		return mapreduce.LoadStats{}, err
+	}
+	return a.probe(g, h, cfg), nil
 }
 
-// PartitionContext is Partition under a context and an optional streaming
-// sink: a nil sink materializes Result.Triangles; a non-nil sink receives
-// each triangle instead (serialized, with backpressure; returning false
-// stops the job early). Cancelling ctx aborts the job with ctx.Err().
-func PartitionContext(ctx context.Context, g *graph.Graph, b int, seed uint64, cfg mapreduce.Config, sink func([3]graph.Node) bool) (Result, error) {
-	if b < 3 {
-		return Result{}, fmt.Errorf("triangle: Partition needs b >= 3, got %d", b)
+// BucketsFor returns the largest b whose reducer count does not exceed k (at
+// least MinB) — the Fig. 1 bucket choices b = ∛(6k) for Partition and
+// BucketOrdered, b = ∛k for Multiway.
+func (a Algo) BucketsFor(k int64) int {
+	b := a.MinB
+	for a.Reducers(b+1) <= k {
+		b++
 	}
-	h := graph.NodeHash{Seed: seed, B: b}
-	mapper := partitionMapper(h, b)
-	reducer := func(ctx *mapreduce.Context, key triple, edges []graph.Edge, emit func([3]graph.Node)) {
-		local := graph.SparseFromEdges(edges)
-		ctx.AddWork(trianglesInSparse(local, func(a, bb, c graph.Node) {
-			if canonicalGroupTriple(h, b, a, bb, c) == key {
-				emit([3]graph.Node{a, bb, c})
-			}
-		}))
+	return b
+}
+
+// ProbeLoads is Algo.ProbeLoads by algorithm name ("partition", "multiway"
+// or "bucket").
+func ProbeLoads(g *graph.Graph, algo string, b int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
+	for _, a := range Algos {
+		if a.Name == algo {
+			return a.ProbeLoads(g, b, seed, cfg)
+		}
 	}
-	return runTriangleJob(ctx, mapreduce.Job[graph.Edge, triple, graph.Edge, [3]graph.Node]{
-		Name:   fmt.Sprintf("partition b=%d", b),
-		Map:    mapper,
-		Reduce: reducer,
-		Codec:  edgeTripleCodec{},
-	}, cfg, g.Edges(), b, sink)
+	return mapreduce.LoadStats{}, fmt.Errorf("triangle: unknown algorithm %q", algo)
+}
+
+// partitionJob is the Partition algorithm with h.B ≥ 3 node groups. Each
+// reducer R_{ijk} (i<j<k) receives the edges with both endpoints in
+// S_i ∪ S_j ∪ S_k; a triangle is emitted only by the reducer whose triple is
+// the canonical completion of the triangle's group set, so the over-counting
+// the paper describes is compensated exactly.
+func partitionJob(h graph.NodeHash) mapreduce.Job[graph.Edge, triple, graph.Edge, [3]graph.Node] {
+	b := h.B
+	return mapreduce.Job[graph.Edge, triple, graph.Edge, [3]graph.Node]{
+		Name: fmt.Sprintf("partition b=%d", b),
+		Map:  partitionMapper(h, b),
+		Reduce: func(ctx *mapreduce.Context, key triple, edges []graph.Edge, emit func([3]graph.Node)) {
+			local := graph.SparseFromEdges(edges)
+			ctx.AddWork(trianglesInSparse(local, func(a, bb, c graph.Node) {
+				if canonicalGroupTriple(h, b, a, bb, c) == key {
+					emit([3]graph.Node{a, bb, c})
+				}
+			}))
+		},
+		Codec: edgeTripleCodec{},
+	}
 }
 
 // partitionMapper returns the Partition edge mapper: an edge whose
@@ -172,55 +240,43 @@ type taggedEdge struct {
 	Roles roleMask
 }
 
-// Multiway runs the Section 2.2 algorithm: the cyclic join
+// multiwayJob is the Section 2.2 algorithm: the cyclic join
 // E(X,Y) ⋈ E(Y,Z) ⋈ E(X,Z) over the id-ordered edge relation, with shares
 // (b, b, b). Each edge reaches exactly 3b−2 distinct reducers (the paper's
 // footnote-1 dedup is performed, merging the coinciding role copies).
-func Multiway(g *graph.Graph, b int, seed uint64, cfg mapreduce.Config) (Result, error) {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use MultiwayContext
-	return MultiwayContext(context.Background(), g, b, seed, cfg, nil)
-}
-
-// MultiwayContext is Multiway under a context and an optional streaming
-// sink; see PartitionContext for the contract.
-func MultiwayContext(ctx context.Context, g *graph.Graph, b int, seed uint64, cfg mapreduce.Config, sink func([3]graph.Node) bool) (Result, error) {
-	if b < 1 {
-		return Result{}, fmt.Errorf("triangle: Multiway needs b >= 1, got %d", b)
-	}
-	h := graph.NodeHash{Seed: seed, B: b}
-	mapper := multiwayMapper(h, b)
-	reducer := func(ctx *mapreduce.Context, key triple, edges []taggedEdge, emit func([3]graph.Node)) {
-		// Role-structured join: X=u, Y=v, Z=w with E(u,v) as XY, E(v,w) as
-		// YZ, E(u,w) as XZ (each pair id-ordered).
-		yzByFirst := make(map[graph.Node][]graph.Node)
-		xz := make(map[uint64]bool)
-		for _, te := range edges {
-			if te.Roles&roleYZ != 0 {
-				yzByFirst[te.E.U] = append(yzByFirst[te.E.U], te.E.V)
-			}
-			if te.Roles&roleXZ != 0 {
-				xz[te.E.Key()] = true
-			}
-		}
-		for _, te := range edges {
-			if te.Roles&roleXY == 0 {
-				continue
-			}
-			u, v := te.E.U, te.E.V
-			for _, w := range yzByFirst[v] {
-				ctx.AddWork(1)
-				if xz[(graph.Edge{U: u, V: w}).Key()] {
-					emit([3]graph.Node{u, v, w})
+func multiwayJob(h graph.NodeHash) mapreduce.Job[graph.Edge, triple, taggedEdge, [3]graph.Node] {
+	b := h.B
+	return mapreduce.Job[graph.Edge, triple, taggedEdge, [3]graph.Node]{
+		Name: fmt.Sprintf("multiway shares=(%d,%d,%d)", b, b, b),
+		Map:  multiwayMapper(h, b),
+		Reduce: func(ctx *mapreduce.Context, key triple, edges []taggedEdge, emit func([3]graph.Node)) {
+			// Role-structured join: X=u, Y=v, Z=w with E(u,v) as XY, E(v,w) as
+			// YZ, E(u,w) as XZ (each pair id-ordered).
+			yzByFirst := make(map[graph.Node][]graph.Node)
+			xz := make(map[uint64]bool)
+			for _, te := range edges {
+				if te.Roles&roleYZ != 0 {
+					yzByFirst[te.E.U] = append(yzByFirst[te.E.U], te.E.V)
+				}
+				if te.Roles&roleXZ != 0 {
+					xz[te.E.Key()] = true
 				}
 			}
-		}
+			for _, te := range edges {
+				if te.Roles&roleXY == 0 {
+					continue
+				}
+				u, v := te.E.U, te.E.V
+				for _, w := range yzByFirst[v] {
+					ctx.AddWork(1)
+					if xz[(graph.Edge{U: u, V: w}).Key()] {
+						emit([3]graph.Node{u, v, w})
+					}
+				}
+			}
+		},
+		Codec: taggedTripleCodec{},
 	}
-	return runTriangleJob(ctx, mapreduce.Job[graph.Edge, triple, taggedEdge, [3]graph.Node]{
-		Name:   fmt.Sprintf("multiway shares=(%d,%d,%d)", b, b, b),
-		Map:    mapper,
-		Reduce: reducer,
-		Codec:  taggedTripleCodec{},
-	}, cfg, g.Edges(), b, sink)
 }
 
 // multiwayMapper returns the Section 2.2 mapper: the edge plays each of its
@@ -262,37 +318,24 @@ func multiwayMapper(h graph.NodeHash, b int) mapreduce.Mapper[graph.Edge, triple
 	}
 }
 
-// BucketOrdered runs the Section 2.3 algorithm: nodes are ordered by
+// bucketOrderedJob is the Section 2.3 algorithm: nodes are ordered by
 // (bucket, id); reducers are the nondecreasing bucket triples; each edge is
 // shipped to exactly b reducers; the triangle (u ≺ v ≺ w) is owned by the
 // reducer of its sorted bucket triple.
-func BucketOrdered(g *graph.Graph, b int, seed uint64, cfg mapreduce.Config) (Result, error) {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use BucketOrderedContext
-	return BucketOrderedContext(context.Background(), g, b, seed, cfg, nil)
-}
-
-// BucketOrderedContext is BucketOrdered under a context and an optional
-// streaming sink; see PartitionContext for the contract.
-func BucketOrderedContext(ctx context.Context, g *graph.Graph, b int, seed uint64, cfg mapreduce.Config, sink func([3]graph.Node) bool) (Result, error) {
-	if b < 1 {
-		return Result{}, fmt.Errorf("triangle: BucketOrdered needs b >= 1, got %d", b)
+func bucketOrderedJob(h graph.NodeHash) mapreduce.Job[graph.Edge, triple, graph.Edge, [3]graph.Node] {
+	return mapreduce.Job[graph.Edge, triple, graph.Edge, [3]graph.Node]{
+		Name: fmt.Sprintf("bucket-ordered b=%d", h.B),
+		Map:  bucketOrderedMapper(h, h.B),
+		Reduce: func(ctx *mapreduce.Context, key triple, edges []graph.Edge, emit func([3]graph.Node)) {
+			local := graph.SparseFromEdges(edges)
+			ctx.AddWork(trianglesInSparse(local, func(a, bb, c graph.Node) {
+				if sortedTriple(h.Bucket(a), h.Bucket(bb), h.Bucket(c)) == key {
+					emit([3]graph.Node{a, bb, c})
+				}
+			}))
+		},
+		Codec: edgeTripleCodec{},
 	}
-	h := graph.NodeHash{Seed: seed, B: b}
-	mapper := bucketOrderedMapper(h, b)
-	reducer := func(ctx *mapreduce.Context, key triple, edges []graph.Edge, emit func([3]graph.Node)) {
-		local := graph.SparseFromEdges(edges)
-		ctx.AddWork(trianglesInSparse(local, func(a, bb, c graph.Node) {
-			if sortedTriple(h.Bucket(a), h.Bucket(bb), h.Bucket(c)) == key {
-				emit([3]graph.Node{a, bb, c})
-			}
-		}))
-	}
-	return runTriangleJob(ctx, mapreduce.Job[graph.Edge, triple, graph.Edge, [3]graph.Node]{
-		Name:   fmt.Sprintf("bucket-ordered b=%d", b),
-		Map:    mapper,
-		Reduce: reducer,
-		Codec:  edgeTripleCodec{},
-	}, cfg, g.Edges(), b, sink)
 }
 
 // bucketOrderedMapper returns the Section 2.3 mapper: each edge reaches the
@@ -306,26 +349,6 @@ func bucketOrderedMapper(h graph.NodeHash, b int) mapreduce.Mapper[graph.Edge, t
 			emit(sortedTriple(i, j, w), e)
 		}
 	}
-}
-
-// ProbeLoads measures, map-only, the reducer loads one of the Section 2
-// algorithms ("partition", "multiway" or "bucket") would ship at bucket
-// count b — the exact mapper the job executes, so the planner's adaptive
-// probes observe precisely the loads a run would produce.
-func ProbeLoads(g *graph.Graph, algo string, b int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
-	h := graph.NodeHash{Seed: seed, B: b}
-	switch algo {
-	case "partition":
-		if b < 3 {
-			return mapreduce.LoadStats{}, fmt.Errorf("triangle: Partition needs b >= 3, got %d", b)
-		}
-		return mapreduce.ReducerLoadStats(cfg, g.Edges(), partitionMapper(h, b)), nil
-	case "multiway":
-		return mapreduce.ReducerLoadStats(cfg, g.Edges(), multiwayMapper(h, b)), nil
-	case "bucket":
-		return mapreduce.ReducerLoadStats(cfg, g.Edges(), bucketOrderedMapper(h, b)), nil
-	}
-	return mapreduce.LoadStats{}, fmt.Errorf("triangle: unknown algorithm %q", algo)
 }
 
 // trianglesInSparse enumerates each triangle of the local graph once
@@ -402,44 +425,25 @@ func sortedTriple(a, b, c int) triple {
 	return triple{a, b, c}
 }
 
-// PartitionCommPerEdge is the exact expected per-edge communication of
+// partitionCommPerEdge is the exact expected per-edge communication of
 // Partition: (1/b)·C(b-1,2) + ((b-1)/b)·(b-2) = 3(b-1)(b-2)/(2b).
-func PartitionCommPerEdge(b int) float64 {
+func partitionCommPerEdge(b int) float64 {
 	fb := float64(b)
 	return 3 * (fb - 1) * (fb - 2) / (2 * fb)
 }
 
-// MultiwayCommPerEdge is the exact per-edge communication of the Section 2.2
-// algorithm: 3b − 2.
-func MultiwayCommPerEdge(b int) float64 { return float64(3*b - 2) }
+func multiwayCommPerEdge(b int) float64 { return float64(3*b - 2) }
 
-// BucketOrderedCommPerEdge is the exact per-edge communication of the
-// Section 2.3 algorithm: b.
-func BucketOrderedCommPerEdge(b int) float64 { return float64(b) }
+func bucketOrderedCommPerEdge(b int) float64 { return float64(b) }
 
-// PartitionReducers is C(b,3), the reducer count of Partition.
-func PartitionReducers(b int) int64 {
+func partitionReducers(b int) int64 {
 	return int64(b) * int64(b-1) * int64(b-2) / 6
 }
 
-// MultiwayReducers is b³.
-func MultiwayReducers(b int) int64 { return int64(b) * int64(b) * int64(b) }
+func multiwayReducers(b int) int64 { return int64(b) * int64(b) * int64(b) }
 
-// BucketOrderedReducers is C(b+2,3), the useful-reducer count of
-// Section 2.3 (Theorem 4.2 with p = 3).
-func BucketOrderedReducers(b int) int64 {
+func bucketOrderedReducers(b int) int64 {
 	return int64(b+2) * int64(b+1) * int64(b) / 6
-}
-
-// BucketsForReducers returns the largest b whose reducer count (per the
-// given formula) does not exceed k — the Fig. 1 bucket choices b = ∛(6k)
-// for Partition and BucketOrdered, b = ∛k for Multiway.
-func BucketsForReducers(k int64, reducers func(int) int64) int {
-	b := 1
-	for reducers(b+1) <= k {
-		b++
-	}
-	return b
 }
 
 // Fig1CommPerEdge returns the asymptotic Fig. 1 communication costs per

@@ -10,19 +10,28 @@ import (
 	"subgraphmr/internal/serial"
 )
 
-type algo struct {
-	name string
-	run  func(g *graph.Graph, b int) (Result, error)
-	minB int
+// collect runs a at b buckets (seed 7) and materializes the triangles.
+func collect(t *testing.T, a Algo, g *graph.Graph, b int) ([][3]graph.Node, mapreduce.Metrics) {
+	t.Helper()
+	var tris [][3]graph.Node
+	m, err := a.Run(t.Context(), g, b, 7, mapreduce.Config{}, func(tr [3]graph.Node) bool {
+		tris = append(tris, tr)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tris, m
 }
 
-func algos() []algo {
-	cfg := mapreduce.Config{}
-	return []algo{
-		{"partition", func(g *graph.Graph, b int) (Result, error) { return Partition(g, b, 7, cfg) }, 3},
-		{"multiway", func(g *graph.Graph, b int) (Result, error) { return Multiway(g, b, 7, cfg) }, 1},
-		{"bucketordered", func(g *graph.Graph, b int) (Result, error) { return BucketOrdered(g, b, 7, cfg) }, 1},
+// count runs a at b buckets (seed 7) without a sink.
+func count(t *testing.T, a Algo, g *graph.Graph, b int) mapreduce.Metrics {
+	t.Helper()
+	m, err := a.Run(t.Context(), g, b, 7, mapreduce.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return m
 }
 
 // TestAllAlgorithmsExactlyOnce: every algorithm finds exactly the serial
@@ -41,31 +50,33 @@ func TestAllAlgorithmsExactlyOnce(t *testing.T) {
 		serial.Triangles(g, func(a, b, c graph.Node) {
 			want[tri.Key([]graph.Node{a, b, c})] = true
 		})
-		for _, al := range algos() {
-			for _, b := range []int{al.minB, 4, 7} {
-				if b < al.minB {
+		for _, al := range Algos {
+			for _, b := range []int{al.MinB, 4, 7} {
+				if b < al.MinB {
 					continue
 				}
-				res, err := al.run(g, b)
-				if err != nil {
-					t.Fatal(err)
-				}
+				tris, m := collect(t, al, g, b)
 				got := map[string]bool{}
-				for _, tr := range res.Triangles {
+				for _, tr := range tris {
 					k := tri.Key([]graph.Node{tr[0], tr[1], tr[2]})
 					if got[k] {
-						t.Fatalf("%s b=%d: duplicate triangle %v", al.name, b, tr)
+						t.Fatalf("%s b=%d: duplicate triangle %v", al.Name, b, tr)
 					}
 					got[k] = true
 				}
 				if len(got) != len(want) {
 					t.Fatalf("%s b=%d: %d triangles, serial %d (n=%d m=%d)",
-						al.name, b, len(got), len(want), g.NumNodes(), g.NumEdges())
+						al.Name, b, len(got), len(want), g.NumNodes(), g.NumEdges())
 				}
 				for k := range want {
 					if !got[k] {
-						t.Fatalf("%s b=%d: missing %s", al.name, b, k)
+						t.Fatalf("%s b=%d: missing %s", al.Name, b, k)
 					}
+				}
+				// No sink: same count, nothing delivered.
+				if n := count(t, al, g, b).Outputs; m.Outputs != int64(len(tris)) || n != m.Outputs {
+					t.Fatalf("%s b=%d: Outputs %d with a sink, %d without, %d triangles delivered",
+						al.Name, b, m.Outputs, n, len(tris))
 				}
 			}
 		}
@@ -79,25 +90,14 @@ func TestCommunicationExact(t *testing.T) {
 	g := graph.Gnm(60, 400, 5)
 	m := int64(g.NumEdges())
 	for _, b := range []int{3, 5, 10} {
-		res, err := Multiway(g, b, 7, mapreduce.Config{})
-		if err != nil {
-			t.Fatal(err)
+		if got, want := count(t, Multiway, g, b).KeyValuePairs, m*int64(3*b-2); got != want {
+			t.Errorf("multiway b=%d: comm %d, want %d", b, got, want)
 		}
-		if want := m * int64(3*b-2); res.Metrics.KeyValuePairs != want {
-			t.Errorf("multiway b=%d: comm %d, want %d", b, res.Metrics.KeyValuePairs, want)
-		}
-		res, err = BucketOrdered(g, b, 7, mapreduce.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := m * int64(b); res.Metrics.KeyValuePairs != want {
-			t.Errorf("bucketordered b=%d: comm %d, want %d", b, res.Metrics.KeyValuePairs, want)
+		if got, want := count(t, BucketOrdered, g, b).KeyValuePairs, m*int64(b); got != want {
+			t.Errorf("bucketordered b=%d: comm %d, want %d", b, got, want)
 		}
 
-		res, err = Partition(g, b, 7, mapreduce.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pm := count(t, Partition, g, b)
 		h := graph.NodeHash{Seed: 7, B: b}
 		var want int64
 		for _, e := range g.Edges() {
@@ -107,12 +107,12 @@ func TestCommunicationExact(t *testing.T) {
 				want += int64(b - 2)
 			}
 		}
-		if res.Metrics.KeyValuePairs != want {
-			t.Errorf("partition b=%d: comm %d, want %d", b, res.Metrics.KeyValuePairs, want)
+		if pm.KeyValuePairs != want {
+			t.Errorf("partition b=%d: comm %d, want %d", b, pm.KeyValuePairs, want)
 		}
 		// The expectation formula approximates the hash-dependent exact count.
-		expect := PartitionCommPerEdge(b) * float64(m)
-		if got := float64(res.Metrics.KeyValuePairs); math.Abs(got-expect) > 0.25*expect+float64(b*b) {
+		expect := Partition.CommPerEdge(b) * float64(m)
+		if got := float64(pm.KeyValuePairs); math.Abs(got-expect) > 0.25*expect+float64(b*b) {
 			t.Errorf("partition b=%d: comm %v far from expected %v", b, got, expect)
 		}
 	}
@@ -123,17 +123,14 @@ func TestCommunicationExact(t *testing.T) {
 func TestReducerCounts(t *testing.T) {
 	dense := graph.CompleteGraph(40)
 	b := 4
-	res, _ := Partition(dense, b, 7, mapreduce.Config{})
-	if res.Metrics.DistinctKeys != PartitionReducers(b) {
-		t.Errorf("partition reducers = %d, want %d", res.Metrics.DistinctKeys, PartitionReducers(b))
+	if got := count(t, Partition, dense, b).DistinctKeys; got != Partition.Reducers(b) {
+		t.Errorf("partition reducers = %d, want %d", got, Partition.Reducers(b))
 	}
-	res, _ = Multiway(dense, b, 7, mapreduce.Config{})
-	if res.Metrics.DistinctKeys > MultiwayReducers(b) {
-		t.Errorf("multiway reducers = %d > %d", res.Metrics.DistinctKeys, MultiwayReducers(b))
+	if got := count(t, Multiway, dense, b).DistinctKeys; got > Multiway.Reducers(b) {
+		t.Errorf("multiway reducers = %d > %d", got, Multiway.Reducers(b))
 	}
-	res, _ = BucketOrdered(dense, b, 7, mapreduce.Config{})
-	if res.Metrics.DistinctKeys != BucketOrderedReducers(b) {
-		t.Errorf("bucketordered reducers = %d, want %d", res.Metrics.DistinctKeys, BucketOrderedReducers(b))
+	if got := count(t, BucketOrdered, dense, b).DistinctKeys; got != BucketOrdered.Reducers(b) {
+		t.Errorf("bucketordered reducers = %d, want %d", got, BucketOrdered.Reducers(b))
 	}
 }
 
@@ -141,23 +138,23 @@ func TestReducerCounts(t *testing.T) {
 // b=12 at 13.75 per edge, Section 2.2 uses b=6 (2^16 reducers) at 16 per
 // edge, Section 2.3 uses b=10 at 10 per edge.
 func TestFig2(t *testing.T) {
-	if got := PartitionCommPerEdge(12); got != 13.75 {
+	if got := Partition.CommPerEdge(12); got != 13.75 {
 		t.Errorf("Partition b=12: %v per edge, want 13.75", got)
 	}
-	if got := MultiwayCommPerEdge(6); got != 16 {
+	if got := Multiway.CommPerEdge(6); got != 16 {
 		t.Errorf("Multiway b=6: %v per edge, want 16", got)
 	}
-	if got := BucketOrderedCommPerEdge(10); got != 10 {
+	if got := BucketOrdered.CommPerEdge(10); got != 10 {
 		t.Errorf("BucketOrdered b=10: %v per edge, want 10", got)
 	}
-	if PartitionReducers(12) != 220 {
-		t.Errorf("C(12,3) = %d", PartitionReducers(12))
+	if Partition.Reducers(12) != 220 {
+		t.Errorf("C(12,3) = %d", Partition.Reducers(12))
 	}
-	if MultiwayReducers(6) != 216 {
-		t.Errorf("6^3 = %d", MultiwayReducers(6))
+	if Multiway.Reducers(6) != 216 {
+		t.Errorf("6^3 = %d", Multiway.Reducers(6))
 	}
-	if BucketOrderedReducers(10) != 220 {
-		t.Errorf("C(12,3) = %d", BucketOrderedReducers(10))
+	if BucketOrdered.Reducers(10) != 220 {
+		t.Errorf("C(12,3) = %d", BucketOrdered.Reducers(10))
 	}
 }
 
@@ -174,14 +171,14 @@ func TestFig1Asymptotics(t *testing.T) {
 	}
 }
 
-func TestBucketsForReducers(t *testing.T) {
-	if b := BucketsForReducers(1<<20, PartitionReducers); b < 12 {
+func TestBucketsFor(t *testing.T) {
+	if b := Partition.BucketsFor(1 << 20); b < 12 {
 		t.Errorf("partition buckets for 2^20 = %d, want >= 12", b)
 	}
-	if b := BucketsForReducers(1<<16, MultiwayReducers); b != 40 {
+	if b := Multiway.BucketsFor(1 << 16); b != 40 {
 		t.Errorf("multiway buckets for 2^16 = %d, want 40 (40^3 = 64000 <= 65536)", b)
 	}
-	if b := BucketsForReducers(220, BucketOrderedReducers); b != 10 {
+	if b := BucketOrdered.BucketsFor(220); b != 10 {
 		t.Errorf("bucketordered buckets for 220 = %d, want 10", b)
 	}
 }
@@ -193,14 +190,10 @@ func TestConvertibility(t *testing.T) {
 	g := graph.Gnm(300, 2500, 11)
 	serialWork := serial.Triangles(g, func(_, _, _ graph.Node) {})
 	for _, b := range []int{2, 4, 8} {
-		res, err := BucketOrdered(g, b, 7, mapreduce.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ratio := float64(res.Metrics.ReducerWork) / float64(serialWork)
-		if ratio > 30 {
+		work := count(t, BucketOrdered, g, b).ReducerWork
+		if ratio := float64(work) / float64(serialWork); ratio > 30 {
 			t.Errorf("b=%d: reducer work %d is %.1fx serial %d — not convertible",
-				b, res.Metrics.ReducerWork, ratio, serialWork)
+				b, work, ratio, serialWork)
 		}
 	}
 }
@@ -209,29 +202,44 @@ func TestConvertibility(t *testing.T) {
 // input (the "curse of the last reducer" metric).
 func TestSkewReporting(t *testing.T) {
 	g := graph.PowerLaw(300, 10, 2.1, 9)
-	res, err := BucketOrdered(g, 6, 7, mapreduce.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.MaxReducerInput <= 0 {
+	m := count(t, BucketOrdered, g, 6)
+	if m.MaxReducerInput <= 0 {
 		t.Error("max reducer input not reported")
 	}
-	avg := float64(res.Metrics.KeyValuePairs) / float64(res.Metrics.DistinctKeys)
-	if float64(res.Metrics.MaxReducerInput) < avg {
+	avg := float64(m.KeyValuePairs) / float64(m.DistinctKeys)
+	if float64(m.MaxReducerInput) < avg {
 		t.Error("max reducer input below average — impossible")
 	}
 }
 
+// TestValidation: a bucket count below an algorithm's minimum is an error
+// from both Run and the load probes — the probes used to skip the check for
+// Multiway and BucketOrdered and divide by zero inside a probe goroutine.
 func TestValidation(t *testing.T) {
 	g := graph.CompleteGraph(4)
-	if _, err := Partition(g, 2, 7, mapreduce.Config{}); err == nil {
-		t.Error("Partition with b=2 should fail")
+	for _, a := range Algos {
+		for b := a.MinB - 3; b < a.MinB; b++ {
+			if _, err := a.Run(t.Context(), g, b, 7, mapreduce.Config{}, nil); err == nil {
+				t.Errorf("%s.Run with b=%d should fail", a.Name, b)
+			}
+			if _, err := a.ProbeLoads(g, b, 7, mapreduce.Config{}); err == nil {
+				t.Errorf("%s.ProbeLoads with b=%d should fail", a.Name, b)
+			}
+			if _, err := ProbeLoads(g, a.Name, b, 7, mapreduce.Config{}); err == nil {
+				t.Errorf("ProbeLoads(%q) with b=%d should fail", a.Name, b)
+			}
+		}
+		// At the minimum, the probe sees exactly the pairs the run ships.
+		ls, err := ProbeLoads(g, a.Name, a.MinB, 7, mapreduce.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := count(t, a, g, a.MinB); ls.Pairs != m.KeyValuePairs || ls.Keys != m.DistinctKeys || ls.MaxLoad != m.MaxReducerInput {
+			t.Errorf("%s b=%d: probe %+v, run %+v", a.Name, a.MinB, ls, m)
+		}
 	}
-	if _, err := Multiway(g, 0, 7, mapreduce.Config{}); err == nil {
-		t.Error("Multiway with b=0 should fail")
-	}
-	if _, err := BucketOrdered(g, 0, 7, mapreduce.Config{}); err == nil {
-		t.Error("BucketOrdered with b=0 should fail")
+	if _, err := ProbeLoads(g, "no-such-algorithm", 4, 7, mapreduce.Config{}); err == nil {
+		t.Error("ProbeLoads with an unknown algorithm should fail")
 	}
 }
 
@@ -240,18 +248,16 @@ func TestValidation(t *testing.T) {
 func TestBucketOrderedBeatsOthersMeasured(t *testing.T) {
 	g := graph.Gnm(80, 600, 13)
 	k := int64(220)
-	bPart := BucketsForReducers(k, PartitionReducers)       // 12
-	bMulti := BucketsForReducers(k, MultiwayReducers)       // 6
-	bBucket := BucketsForReducers(k, BucketOrderedReducers) // 10
-	rp, _ := Partition(g, bPart, 7, mapreduce.Config{})
-	rm, _ := Multiway(g, bMulti, 7, mapreduce.Config{})
-	rb, _ := BucketOrdered(g, bBucket, 7, mapreduce.Config{})
-	if !(rb.Metrics.KeyValuePairs < rp.Metrics.KeyValuePairs) {
-		t.Errorf("bucketordered %d should beat partition %d",
-			rb.Metrics.KeyValuePairs, rp.Metrics.KeyValuePairs)
+	bPart := Partition.BucketsFor(k)       // 12
+	bMulti := Multiway.BucketsFor(k)       // 6
+	bBucket := BucketOrdered.BucketsFor(k) // 10
+	rp := count(t, Partition, g, bPart).KeyValuePairs
+	rm := count(t, Multiway, g, bMulti).KeyValuePairs
+	rb := count(t, BucketOrdered, g, bBucket).KeyValuePairs
+	if !(rb < rp) {
+		t.Errorf("bucketordered %d should beat partition %d", rb, rp)
 	}
-	if !(rb.Metrics.KeyValuePairs < rm.Metrics.KeyValuePairs) {
-		t.Errorf("bucketordered %d should beat multiway %d",
-			rb.Metrics.KeyValuePairs, rm.Metrics.KeyValuePairs)
+	if !(rb < rm) {
+		t.Errorf("bucketordered %d should beat multiway %d", rb, rm)
 	}
 }

@@ -15,12 +15,13 @@ import (
 	"subgraphmr/internal/mapreduce"
 )
 
-// Result carries the triangles and the per-round metrics.
+// Result carries the per-round metrics of one cascade run; the triangles
+// themselves go to the sink.
 type Result struct {
-	Triangles [][3]graph.Node
 	// Round1 is the wedge-building join E(X,Y) ⋈ E(Y,Z) keyed by Y.
 	Round1 mapreduce.Metrics
-	// Round2 joins the wedges with E(X,Z) keyed by the (X, Z) pair.
+	// Round2 joins the wedges with E(X,Z) keyed by the (X, Z) pair; its
+	// Outputs is the number of triangles the sink accepted.
 	Round2 mapreduce.Metrics
 	// Wedges is the size of the intermediate relation shipped to round 2.
 	Wedges int64
@@ -28,14 +29,11 @@ type Result struct {
 	// the engine's multi-round form).
 	Chain *mapreduce.Chain
 	// Abandoned reports that the after-round-1 hook stopped the cascade:
-	// round 2 never ran, Triangles is nil, and the caller is expected to
-	// finish the query another way (adaptive re-planning switches to a
+	// round 2 never ran, nothing was delivered, and the caller is expected
+	// to finish the query another way (adaptive re-planning switches to a
 	// one-round algorithm).
 	Abandoned bool
 }
-
-// Count returns the number of triangles found.
-func (r Result) Count() int64 { return int64(len(r.Triangles)) }
 
 // TotalComm is the communication summed over both rounds.
 func (r Result) TotalComm() int64 {
@@ -52,33 +50,23 @@ type edgeOrWedge struct {
 }
 
 // Triangles enumerates every triangle exactly once (as X < Y < Z with the
-// natural node order) as an explicit two-round chain.
-func Triangles(g *graph.Graph, cfg mapreduce.Config) Result {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use TrianglesContext
-	res, _ := TrianglesContext(context.Background(), g, cfg, nil)
-	return res
-}
-
-// TrianglesContext is Triangles under a context and an optional streaming
-// sink. Round 1 (the wedge join) always materializes — its output is round
-// 2's input — but a non-nil sink streams round 2's triangles instead of
-// collecting them (serialized, consumer-paced; returning false stops the
-// round early). Cancelling ctx aborts whichever round is running and
-// returns ctx.Err(); the Result then carries the metrics of the rounds
-// that ran, with nil Triangles.
-func TrianglesContext(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink func([3]graph.Node) bool) (Result, error) {
-	return TrianglesHookContext(ctx, g, cfg, sink, nil)
-}
-
-// TrianglesHookContext is TrianglesContext with a between-rounds hook: after
-// round 1 (the wedge join) completes, afterRound1 — if non-nil — receives
-// the round's measured metrics and the materialized wedge count. Returning
-// false abandons the cascade before round 2: the Result carries the round-1
-// chain with Abandoned set and nil Triangles, and the caller re-plans the
-// rest of the query (this is the mid-query re-planning seam — the cascade's
-// round-1 skew is exactly Metrics.MaxReducerInput vs the mean, observed at
-// the cheapest possible point).
-func TrianglesHookContext(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink func([3]graph.Node) bool, afterRound1 func(round1 mapreduce.Metrics, wedges int64) bool) (Result, error) {
+// natural node order) as an explicit two-round chain. Round 1 (the wedge
+// join) always materializes — its output is round 2's input — and round 2
+// delivers each triangle to sink (serialized, consumer-paced; returning
+// false stops the round early with a nil error). A nil sink counts without
+// delivering. Cancelling ctx aborts whichever round is running and returns
+// ctx.Err(); the Result then carries the metrics of the rounds that ran.
+//
+// afterRound1, if non-nil, is the mid-query re-planning seam: once round 1
+// completes it receives the round's measured metrics and the materialized
+// wedge count — the cascade's skew, observed at the cheapest possible point,
+// is exactly Metrics.MaxReducerInput vs the mean. Returning false abandons
+// the cascade before round 2: the Result carries the round-1 chain with
+// Abandoned set, and the caller re-plans the rest of the query.
+func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink func([3]graph.Node) bool, afterRound1 func(round1 mapreduce.Metrics, wedges int64) bool) (Result, error) {
+	if sink == nil {
+		sink = func([3]graph.Node) bool { return true }
+	}
 	c := mapreduce.NewChain(cfg)
 
 	// Round 1: key by the shared variable Y. An edge (a, b) with a < b
@@ -111,10 +99,10 @@ func TrianglesHookContext(ctx context.Context, g *graph.Graph, cfg mapreduce.Con
 		},
 	}, g.Edges())
 	if err != nil {
-		return resultFromChain(nil, int64(len(wedges)), c), err
+		return resultFromChain(int64(len(wedges)), c), err
 	}
 	if afterRound1 != nil && !afterRound1(c.Rounds[0].Metrics, int64(len(wedges))) {
-		res := resultFromChain(nil, int64(len(wedges)), c)
+		res := resultFromChain(int64(len(wedges)), c)
 		res.Abandoned = true
 		return res, nil
 	}
@@ -169,19 +157,14 @@ func TrianglesHookContext(ctx context.Context, g *graph.Graph, cfg mapreduce.Con
 		},
 	}
 
-	var tris [][3]graph.Node
-	if sink == nil {
-		tris, err = mapreduce.RunRoundContext(ctx, c, round2, inputs)
-	} else {
-		err = mapreduce.RunRoundStream(ctx, c, round2, inputs, sink)
-	}
-	return resultFromChain(tris, int64(len(wedges)), c), err
+	err = mapreduce.RunRoundStream(ctx, c, round2, inputs, sink)
+	return resultFromChain(int64(len(wedges)), c), err
 }
 
 // resultFromChain assembles a Result from however many rounds actually ran
 // (a cancelled chain may have fewer than two).
-func resultFromChain(tris [][3]graph.Node, wedges int64, c *mapreduce.Chain) Result {
-	r := Result{Triangles: tris, Wedges: wedges, Chain: c}
+func resultFromChain(wedges int64, c *mapreduce.Chain) Result {
+	r := Result{Wedges: wedges, Chain: c}
 	if len(c.Rounds) > 0 {
 		r.Round1 = c.Rounds[0].Metrics
 	}

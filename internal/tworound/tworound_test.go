@@ -10,6 +10,16 @@ import (
 	"subgraphmr/internal/triangle"
 )
 
+// cascade runs the two-round chain without a sink.
+func cascade(t *testing.T, g *graph.Graph) Result {
+	t.Helper()
+	res, err := Triangles(t.Context(), g, mapreduce.Config{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestCascadeMatchesSerial(t *testing.T) {
 	tri := sample.Triangle()
 	for seed := int64(0); seed < 3; seed++ {
@@ -18,24 +28,31 @@ func TestCascadeMatchesSerial(t *testing.T) {
 		serial.Triangles(g, func(a, b, c graph.Node) {
 			want[tri.Key([]graph.Node{a, b, c})] = true
 		})
-		res := Triangles(g, mapreduce.Config{})
 		got := map[string]bool{}
-		for _, tr := range res.Triangles {
+		res, err := Triangles(t.Context(), g, mapreduce.Config{}, func(tr [3]graph.Node) bool {
 			k := tri.Key([]graph.Node{tr[0], tr[1], tr[2]})
 			if got[k] {
-				t.Fatalf("seed %d: duplicate triangle %v", seed, tr)
+				t.Errorf("seed %d: duplicate triangle %v", seed, tr)
 			}
 			got[k] = true
+			return true
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: cascade found %d, serial %d", seed, len(got), len(want))
+		}
+		// Count is the accepted deliveries, with a sink or without one.
+		if n := cascade(t, g).Round2.Outputs; res.Round2.Outputs != int64(len(want)) || n != int64(len(want)) {
+			t.Fatalf("seed %d: Outputs %d with a sink, %d without, serial %d", seed, res.Round2.Outputs, n, len(want))
 		}
 	}
 }
 
 func TestCascadeCommunicationAccounting(t *testing.T) {
 	g := graph.Gnm(50, 220, 4)
-	res := Triangles(g, mapreduce.Config{})
+	res := cascade(t, g)
 	m := int64(g.NumEdges())
 	// Round 1 ships every edge twice.
 	if res.Round1.KeyValuePairs != 2*m {
@@ -71,20 +88,20 @@ func TestCascadeLosesOnSkew(t *testing.T) {
 		}
 	}
 	g := b.Graph()
-	cascade := Triangles(g, mapreduce.Config{})
-	oneRound, err := triangle.BucketOrdered(g, 10, 7, mapreduce.Config{})
+	two := cascade(t, g)
+	oneRound, err := triangle.BucketOrdered.Run(t.Context(), g, 10, 7, mapreduce.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cascade.Count() != oneRound.Count() {
-		t.Fatalf("counts differ: cascade %d, one-round %d", cascade.Count(), oneRound.Count())
+	if two.Round2.Outputs != oneRound.Outputs {
+		t.Fatalf("counts differ: cascade %d, one-round %d", two.Round2.Outputs, oneRound.Outputs)
 	}
-	if cascade.TotalComm() <= oneRound.Metrics.KeyValuePairs {
+	if two.TotalComm() <= oneRound.KeyValuePairs {
 		t.Errorf("expected cascade comm %d to exceed one-round comm %d on a skewed graph",
-			cascade.TotalComm(), oneRound.Metrics.KeyValuePairs)
+			two.TotalComm(), oneRound.KeyValuePairs)
 	}
 	t.Logf("cascade comm=%d (wedges %d) vs one-round b=10 comm=%d",
-		cascade.TotalComm(), cascade.Wedges, oneRound.Metrics.KeyValuePairs)
+		two.TotalComm(), two.Wedges, oneRound.KeyValuePairs)
 }
 
 func TestWedgeCountStar(t *testing.T) {
@@ -102,8 +119,8 @@ func TestWedgeCountStar(t *testing.T) {
 
 func TestCascadeEmptyGraph(t *testing.T) {
 	g := graph.FromEdges(5, nil)
-	res := Triangles(g, mapreduce.Config{})
-	if res.Count() != 0 || res.TotalComm() != 0 {
+	res := cascade(t, g)
+	if res.Round2.Outputs != 0 || res.TotalComm() != 0 {
 		t.Errorf("empty graph: %+v", res)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"subgraphmr/internal/cq"
 	"subgraphmr/internal/cycles"
 	"subgraphmr/internal/shares"
-	"subgraphmr/internal/triangle"
-	"subgraphmr/internal/tworound"
 )
 
 // Candidate is one strategy the planner evaluated, with its estimated
@@ -83,7 +81,8 @@ type QueryPlan struct {
 	Strategy PlanStrategy
 	// Chosen is the chosen candidate's full estimate.
 	Chosen Candidate
-	// Candidates lists every evaluated candidate in planner order.
+	// Candidates lists every evaluated candidate in planner (strategy
+	// table) order.
 	Candidates []Candidate
 	// NumCQs is the number of conjunctive queries the CQ-based strategies
 	// evaluate for this sample.
@@ -152,27 +151,21 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 	if o.buckets > shares.MaxIntShare {
 		return nil, fmt.Errorf("subgraphmr: bucket count %d exceeds %d", o.buckets, shares.MaxIntShare)
 	}
-	p := s.P()
 	qs, err := planCQs(s, o)
 	if err != nil {
 		return nil, err
 	}
-	m := int64(g.NumEdges())
+	q := &planQuery{g: g, s: s, p: s.P(), m: int64(g.NumEdges()), qs: qs, o: o}
 
-	cands := []Candidate{
-		bucketCandidate(StrategyBucketOriented, p, m, o),
-		variableCandidate(p, m, qs, o),
-		cqCandidate(p, m, qs, o),
-		bucketCandidate(StrategyDecomposed, p, m, o),
-		triangleCandidate(StrategyTriangleBucketOrdered, s, m, o),
-		triangleCandidate(StrategyTrianglePartition, s, m, o),
-		triangleCandidate(StrategyTriangleMultiway, s, m, o),
-		twoRoundCandidate(g, s, m),
+	cands := make([]Candidate, len(strategies))
+	for i, def := range strategies {
+		cands[i] = def.price(q)
+		cands[i].Strategy = def.id
 	}
 
 	var probes []LoadProbe
 	if o.adaptive {
-		probes = probeCandidates(g, s, qs, cands, o)
+		probes = probeCandidates(q, cands)
 	}
 
 	cost := func(c Candidate) int64 {
@@ -253,219 +246,6 @@ func planCQs(s *Sample, o planOpts) ([]*CQ, error) {
 		return qs, nil
 	}
 	return cq.MergeByOrientation(cq.GenerateForSample(s)), nil
-}
-
-// resolveBuckets picks the bucket count for bucket-style strategies: the
-// explicit override, or the shared Theorem 4.2 derivation — the same
-// helper execution uses, so plan and job cannot diverge. (Plan resolves
-// the targetReducers default before any candidate is built.)
-func resolveBuckets(p int, o planOpts) int {
-	if o.buckets > 0 {
-		return o.buckets
-	}
-	return shares.BucketsForReducers(o.targetReducers, p)
-}
-
-func finishCandidate(c Candidate, m int64) Candidate {
-	c.EstComm = int64(c.CommPerEdge * float64(m))
-	c.EstShuffleBytes = c.EstComm * planPairOverhead
-	return c
-}
-
-// bucketCandidate costs the Section 4.5 bucket-oriented strategy (and the
-// Theorem 6.1 decomposed conversion, which ships edges identically — it
-// differs only in reducer-side algorithm, so it never beats bucket on
-// communication and Auto prefers bucket by order).
-func bucketCandidate(st PlanStrategy, p int, m int64, o planOpts) Candidate {
-	b := resolveBuckets(p, o)
-	return finishCandidate(Candidate{
-		Strategy:    st,
-		Viable:      true,
-		Buckets:     b,
-		Shares:      uniformIntShares(p, b),
-		Jobs:        1,
-		Rounds:      1,
-		Reducers:    int64(shares.UsefulReducers(b, p)),
-		CommPerEdge: shares.BucketEdgeReplication(b, p),
-	}, m)
-}
-
-// variableCandidate costs the Section 4.3 variable-oriented strategy at
-// the integer shares execution will actually use. Shares the engine cannot
-// encode (over shares.MaxIntShare) make the candidate non-viable here, at
-// plan time — Run would otherwise reject the same shares mid-execution.
-func variableCandidate(p int, m int64, qs []*CQ, o planOpts) Candidate {
-	k := float64(o.targetReducers)
-	model := shares.VariableOrientedModel(p, qs)
-	sol, err := model.Solve(k)
-	if err != nil {
-		return Candidate{Strategy: StrategyVariableOriented, Reason: err.Error()}
-	}
-	intShares := model.RoundShares(sol.Shares, k)
-	if mx := shares.MaxShare(intShares); mx > shares.MaxIntShare {
-		return Candidate{
-			Strategy: StrategyVariableOriented,
-			Reason:   fmt.Sprintf("share %d exceeds the engine limit %d (lower TargetReducers)", mx, shares.MaxIntShare),
-		}
-	}
-	fs := make([]float64, p)
-	var reducers int64 = 1
-	for v, sh := range intShares {
-		fs[v] = float64(sh)
-		reducers *= int64(sh)
-	}
-	return finishCandidate(Candidate{
-		Strategy:    StrategyVariableOriented,
-		Viable:      true,
-		Shares:      intShares,
-		Jobs:        1,
-		Rounds:      1,
-		Reducers:    reducers,
-		CommPerEdge: model.CostPerEdge(fs),
-	}, m)
-}
-
-// cqCandidate costs the Section 4.1 strategy: one job per merged CQ, each
-// with its own optimized shares; the total cost is the sum over jobs. Any
-// job whose shares exceed the engine limit rules the candidate out at plan
-// time (Run would reject those shares mid-sequence otherwise).
-func cqCandidate(p int, m int64, qs []*CQ, o planOpts) Candidate {
-	k := float64(o.targetReducers)
-	var (
-		jobShares [][]int
-		reducers  int64
-		comm      float64
-	)
-	for _, q := range qs {
-		model := shares.ModelFromCQ(q)
-		sol, err := model.Solve(k)
-		if err != nil {
-			return Candidate{Strategy: StrategyCQOriented, Reason: err.Error()}
-		}
-		intShares := model.RoundShares(sol.Shares, k)
-		if mx := shares.MaxShare(intShares); mx > shares.MaxIntShare {
-			return Candidate{
-				Strategy: StrategyCQOriented,
-				Reason:   fmt.Sprintf("share %d exceeds the engine limit %d (lower TargetReducers)", mx, shares.MaxIntShare),
-			}
-		}
-		fs := make([]float64, p)
-		var r int64 = 1
-		for v, sh := range intShares {
-			fs[v] = float64(sh)
-			r *= int64(sh)
-		}
-		jobShares = append(jobShares, intShares)
-		reducers += r
-		comm += model.CostPerEdge(fs)
-	}
-	return finishCandidate(Candidate{
-		Strategy:    StrategyCQOriented,
-		Viable:      true,
-		JobShares:   jobShares,
-		Jobs:        len(qs),
-		Rounds:      1,
-		Reducers:    reducers,
-		CommPerEdge: comm,
-	}, m)
-}
-
-// triangleCandidate costs the three Section 2 triangle algorithms using
-// their exact closed forms; non-triangle samples rule them out.
-func triangleCandidate(st PlanStrategy, s *Sample, m int64, o planOpts) Candidate {
-	if !isTriangleSample(s) {
-		return Candidate{Strategy: st, Reason: "triangle algorithms require the triangle sample"}
-	}
-	k := int64(o.targetReducers)
-	var (
-		b        int
-		comm     float64
-		reducers int64
-	)
-	switch st {
-	case StrategyTrianglePartition:
-		b = triangle.BucketsForReducers(k, triangle.PartitionReducers)
-		if b < 3 {
-			b = 3
-		}
-		comm = triangle.PartitionCommPerEdge(b)
-		reducers = triangle.PartitionReducers(b)
-	case StrategyTriangleMultiway:
-		b = triangle.BucketsForReducers(k, triangle.MultiwayReducers)
-		comm = triangle.MultiwayCommPerEdge(b)
-		reducers = triangle.MultiwayReducers(b)
-	case StrategyTriangleBucketOrdered:
-		b = triangle.BucketsForReducers(k, triangle.BucketOrderedReducers)
-		comm = triangle.BucketOrderedCommPerEdge(b)
-		reducers = triangle.BucketOrderedReducers(b)
-	}
-	if o.buckets > 0 {
-		b = o.buckets
-		switch st {
-		case StrategyTrianglePartition:
-			if b < 3 {
-				return Candidate{Strategy: st, Reason: fmt.Sprintf("Partition needs b >= 3, got %d", b)}
-			}
-			comm, reducers = triangle.PartitionCommPerEdge(b), triangle.PartitionReducers(b)
-		case StrategyTriangleMultiway:
-			comm, reducers = triangle.MultiwayCommPerEdge(b), triangle.MultiwayReducers(b)
-		case StrategyTriangleBucketOrdered:
-			comm, reducers = triangle.BucketOrderedCommPerEdge(b), triangle.BucketOrderedReducers(b)
-		}
-	}
-	return finishCandidate(Candidate{
-		Strategy:    st,
-		Viable:      true,
-		Buckets:     b,
-		Shares:      uniformIntShares(3, b),
-		Jobs:        1,
-		Rounds:      1,
-		Reducers:    reducers,
-		CommPerEdge: comm,
-	}, m)
-}
-
-// twoRoundCandidate costs the cascade baseline from the data graph itself:
-// round 1 ships 2 pairs per edge, round 2 ships every materialized wedge
-// plus each edge once, so the total is 3m + W with W the exact wedge count
-// (an O(n + m) scan — the planner pays it to expose how badly the cascade
-// loses on skewed graphs). The exact integer 3m + W is EstComm directly —
-// round-tripping it through the per-edge float (as finishCandidate does for
-// the model-priced candidates) loses ulps on large graphs and could flip
-// Auto tie-breaks; CommPerEdge is derived for display instead.
-func twoRoundCandidate(g *Graph, s *Sample, m int64) Candidate {
-	if !isTriangleSample(s) {
-		return Candidate{Strategy: StrategyTwoRound, Reason: "the two-round cascade supports the triangle sample only"}
-	}
-	w := tworound.WedgeCount(g)
-	c := Candidate{
-		Strategy: StrategyTwoRound,
-		Viable:   true,
-		Jobs:     2,
-		Rounds:   2,
-		Reducers: int64(g.NumNodes()) + m + w, // upper bound on distinct keys
-		EstComm:  3*m + w,
-	}
-	c.EstShuffleBytes = c.EstComm * planPairOverhead
-	if m > 0 {
-		c.CommPerEdge = float64(c.EstComm) / float64(m)
-	}
-	return c
-}
-
-// isTriangleSample reports whether s is the triangle (the connected
-// 2-regular sample on three nodes).
-func isTriangleSample(s *Sample) bool {
-	d, reg := s.IsRegular()
-	return s.P() == 3 && reg && d == 2
-}
-
-func uniformIntShares(p, b int) []int {
-	out := make([]int, p)
-	for i := range out {
-		out[i] = b
-	}
-	return out
 }
 
 // Explain renders the plan: the chosen strategy with its predicted shape

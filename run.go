@@ -4,12 +4,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-
-	"subgraphmr/internal/core"
-	"subgraphmr/internal/graph"
-	"subgraphmr/internal/mapreduce"
-	"subgraphmr/internal/triangle"
-	"subgraphmr/internal/tworound"
 )
 
 // Run executes a plan and materializes its result: every instance of the
@@ -23,34 +17,25 @@ func Run(ctx context.Context, p *QueryPlan) (*Result, error) {
 	if err := checkRunnable(ctx, p); err != nil {
 		return nil, err
 	}
-	if p.opts.isDistributed() {
-		return runDistributed(ctx, p, nil)
-	}
-	return runLocalRun(ctx, p)
-}
-
-// runLocalRun is Run's in-process execution path (also the coordinator's
-// full-plan fallback when no worker is reachable).
-func runLocalRun(ctx context.Context, p *QueryPlan) (*Result, error) {
-	// The triangle algorithms and the cascade have no reducer-side counter:
-	// WithCountOnly runs them with a counting sink instead (Result.Count is
-	// Metrics.Outputs — the accepted deliveries — either way).
-	countingSink := func([3]Node) bool { return true }
-	switch p.Strategy {
-	case StrategyBucketOriented, StrategyVariableOriented, StrategyCQOriented, StrategyDecomposed:
-		return runCore(ctx, p, nil)
-	case StrategyTrianglePartition, StrategyTriangleMultiway, StrategyTriangleBucketOrdered:
-		if p.opts.countOnly {
-			return runTriangle(ctx, p, countingSink)
+	// Materializing is this function's business alone: every strategy
+	// delivers into a sink, and Run's sink collects. WithCountOnly is
+	// simply no sink.
+	var (
+		instances [][]Node
+		sink      func([]Node) bool
+	)
+	if !p.opts.countOnly {
+		sink = func(phi []Node) bool {
+			instances = append(instances, phi)
+			return true
 		}
-		return runTriangle(ctx, p, nil)
-	case StrategyTwoRound:
-		if p.opts.countOnly {
-			return runTwoRound(ctx, p, countingSink)
-		}
-		return runTwoRound(ctx, p, nil)
 	}
-	return nil, fmt.Errorf("subgraphmr: cannot run strategy %v", p.Strategy)
+	res, err := execute(ctx, p, sink)
+	if err != nil {
+		return nil, err
+	}
+	res.Instances = instances
+	return res, nil
 }
 
 // Stream executes a plan, delivering each instance to yield instead of
@@ -71,27 +56,16 @@ func Stream(ctx context.Context, p *QueryPlan, yield func([]Node) bool) (*Result
 	if yield == nil {
 		return nil, fmt.Errorf("subgraphmr: Stream requires a non-nil yield")
 	}
-	if p.opts.isDistributed() {
-		return runDistributed(ctx, p, yield)
-	}
-	return runLocalStream(ctx, p, yield)
+	return execute(ctx, p, yield)
 }
 
-// runLocalStream is Stream's in-process execution path. It is also how a
-// distributed worker executes its job (with planOpts.dist set, so every
-// strategy's engine rounds filter to the owned key-space slices) and how
-// the coordinator degrades unfinished partitions to local execution.
-func runLocalStream(ctx context.Context, p *QueryPlan, yield func([]Node) bool) (*Result, error) {
-	adapter := func(t [3]Node) bool { return yield([]Node{t[0], t[1], t[2]}) }
-	switch p.Strategy {
-	case StrategyBucketOriented, StrategyVariableOriented, StrategyCQOriented, StrategyDecomposed:
-		return runCore(ctx, p, yield)
-	case StrategyTrianglePartition, StrategyTriangleMultiway, StrategyTriangleBucketOrdered:
-		return runTriangle(ctx, p, adapter)
-	case StrategyTwoRound:
-		return runTwoRound(ctx, p, adapter)
+// execute runs a plan into sink (nil counts) wherever its options say:
+// across worker processes, or in this one.
+func execute(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
+	if p.opts.isDistributed() {
+		return runDistributed(ctx, p, sink)
 	}
-	return nil, fmt.Errorf("subgraphmr: cannot run strategy %v", p.Strategy)
+	return runLocal(ctx, p, sink)
 }
 
 // Instances executes a plan as a streaming iterator: instances are
@@ -153,173 +127,4 @@ func checkRunnable(ctx context.Context, p *QueryPlan) error {
 		return fmt.Errorf("subgraphmr: nil context")
 	}
 	return nil
-}
-
-// runCore executes the CQ-based strategies and the decomposed conversion
-// through internal/core, at exactly the bucket/share configuration the
-// plan predicts.
-func runCore(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
-	var (
-		res *core.Result
-		err error
-	)
-	switch p.Strategy {
-	case StrategyDecomposed:
-		opt := p.opts.coreOptions(core.BucketOriented, p.Chosen.Buckets)
-		if sink == nil {
-			res, err = core.EnumerateDecomposedContext(ctx, p.graph, p.sample, nil, opt)
-		} else {
-			// Streaming always delivers: CountOnly would route matches to
-			// the reducer-side counter instead of the sink.
-			opt.CountOnly = false
-			res, err = core.EnumerateDecomposedStream(ctx, p.graph, p.sample, nil, opt, sink)
-		}
-	default:
-		var st core.Strategy
-		buckets := 0
-		switch p.Strategy {
-		case StrategyBucketOriented:
-			st, buckets = core.BucketOriented, p.Chosen.Buckets
-		case StrategyVariableOriented:
-			st = core.VariableOriented
-		case StrategyCQOriented:
-			st = core.CQOriented
-		}
-		opt := p.opts.coreOptions(st, buckets)
-		if sink == nil {
-			res, err = core.EnumerateContext(ctx, p.graph, p.sample, opt)
-		} else {
-			opt.CountOnly = false
-			res, err = core.EnumerateStream(ctx, p.graph, p.sample, opt, sink)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// runTriangle executes one of the Section 2 triangle algorithms and adapts
-// its result into the unified Result shape.
-func runTriangle(ctx context.Context, p *QueryPlan, sink func([3]Node) bool) (*Result, error) {
-	b := p.Chosen.Buckets
-	cfg := p.opts.engineConfig()
-	var (
-		tr  triangle.Result
-		err error
-	)
-	switch p.Strategy {
-	case StrategyTrianglePartition:
-		tr, err = triangle.PartitionContext(ctx, p.graph, b, p.opts.seed, cfg, sink)
-	case StrategyTriangleMultiway:
-		tr, err = triangle.MultiwayContext(ctx, p.graph, b, p.opts.seed, cfg, sink)
-	case StrategyTriangleBucketOrdered:
-		tr, err = triangle.BucketOrderedContext(ctx, p.graph, b, p.opts.seed, cfg, sink)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Metrics.Outputs counts accepted deliveries in both modes (the
-	// materializing path accepts every triangle), so it is Count either way.
-	return &Result{
-		Instances: triplesToInstances(tr.Triangles),
-		Count:     tr.Metrics.Outputs,
-		Jobs: []JobStats{{
-			Label:                fmt.Sprintf("%v b=%d", p.Strategy, tr.Buckets),
-			Shares:               uniformIntShares(3, tr.Buckets),
-			PredictedCommPerEdge: p.Chosen.CommPerEdge,
-			OptimalCommPerEdge:   p.Chosen.CommPerEdge,
-			Metrics:              tr.Metrics,
-			ObservedSkew:         tr.Metrics.Skew(),
-		}},
-	}, nil
-}
-
-// runTwoRound executes the cascade baseline and adapts its per-round
-// metrics into one JobStats entry per round. Under WithAdaptive the cascade
-// is resumable mid-query: after round 1 (the wedge join), the observed
-// reducer skew is compared against the threshold, and a breach abandons
-// round 2 in favor of the one-round bucket-ordered algorithm at the plan's
-// probed configuration — the remaining work re-planned at the cheapest
-// observable point, before the wedge relation is shipped again.
-func runTwoRound(ctx context.Context, p *QueryPlan, sink func([3]Node) bool) (*Result, error) {
-	cfg := p.opts.engineConfig()
-	var afterRound1 func(mapreduce.Metrics, int64) bool
-	if p.opts.adaptive {
-		threshold := p.opts.resolvedSkewThreshold()
-		afterRound1 = func(round1 mapreduce.Metrics, _ int64) bool {
-			return round1.Skew() <= threshold
-		}
-	}
-	tr, err := tworound.TrianglesHookContext(ctx, p.graph, cfg, sink, afterRound1)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Instances: triplesToInstances(tr.Triangles),
-		Count:     tr.Round2.Outputs, // accepted deliveries in both modes
-	}
-	m := float64(p.graph.NumEdges())
-	for i, round := range tr.Chain.Rounds {
-		predicted := 2.0 // round 1: each edge plays two roles
-		if i == 1 && m > 0 {
-			predicted = float64(tr.Wedges)/m + 1 // wedges + the edge relation
-		}
-		res.Jobs = append(res.Jobs, JobStats{
-			Label:                round.Name,
-			PredictedCommPerEdge: predicted,
-			OptimalCommPerEdge:   predicted,
-			Metrics:              round.Metrics,
-			ObservedSkew:         round.Metrics.Skew(),
-		})
-	}
-	if !tr.Abandoned {
-		return res, nil
-	}
-
-	// Mid-query re-plan: round 1's loads proved skewed, so the wedges are
-	// discarded and the whole query runs as the one-round Section 2.3
-	// algorithm instead (identical triangle set; only the configuration
-	// changed). The round-1 stats stay in Jobs so the switch is auditable.
-	b := p.fallbackTriangleBuckets()
-	tb, err := triangle.BucketOrderedContext(ctx, p.graph, b, p.opts.seed, cfg, sink)
-	if err != nil {
-		return nil, err
-	}
-	res.Instances = triplesToInstances(tb.Triangles)
-	res.Count = tb.Metrics.Outputs
-	res.Jobs = append(res.Jobs, JobStats{
-		Label:                fmt.Sprintf("replanned from skew %.2f → %v b=%d", res.Jobs[0].ObservedSkew, StrategyTriangleBucketOrdered, tb.Buckets),
-		Shares:               uniformIntShares(3, tb.Buckets),
-		PredictedCommPerEdge: triangle.BucketOrderedCommPerEdge(tb.Buckets),
-		OptimalCommPerEdge:   triangle.BucketOrderedCommPerEdge(tb.Buckets),
-		Metrics:              tb.Metrics,
-		ObservedSkew:         tb.Metrics.Skew(),
-		Replanned:            true,
-	})
-	return res, nil
-}
-
-// fallbackTriangleBuckets picks the bucket count the cascade's mid-query
-// re-plan switches to: the plan's triangle-bucket-ordered candidate (probe-
-// informed under WithAdaptive), or the Theorem 4.2 derivation if the
-// candidate is somehow absent.
-func (p *QueryPlan) fallbackTriangleBuckets() int {
-	for _, c := range p.Candidates {
-		if c.Strategy == StrategyTriangleBucketOrdered && c.Viable && c.Buckets > 0 {
-			return c.Buckets
-		}
-	}
-	return triangle.BucketsForReducers(int64(p.opts.targetReducers), triangle.BucketOrderedReducers)
-}
-
-func triplesToInstances(tris [][3]graph.Node) [][]Node {
-	if tris == nil {
-		return nil
-	}
-	out := make([][]Node, len(tris))
-	for i, t := range tris {
-		out[i] = []Node{t[0], t[1], t[2]}
-	}
-	return out
 }

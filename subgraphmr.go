@@ -41,8 +41,8 @@
 //     the engine spills sorted runs to disk and merge-streams them into
 //     the reducers; see docs/ARCHITECTURE.md and docs/API.md.
 //
-// The pre-Plan entry points (Enumerate, TrianglePartition, …) survive as
-// deprecated wrappers; docs/API.md has the migration table.
+// The pre-Plan entry points (Enumerate, TrianglePartition, …) are gone;
+// docs/API.md has the migration table.
 //
 // Every enumeration method produces each instance exactly once; instances
 // are reported as assignments of data nodes to sample variables.
@@ -59,7 +59,6 @@ import (
 	"subgraphmr/internal/sample"
 	"subgraphmr/internal/serial"
 	"subgraphmr/internal/shares"
-	"subgraphmr/internal/triangle"
 )
 
 // Core graph types.
@@ -91,11 +90,8 @@ type (
 	Chain = mapreduce.Chain
 	// RoundStats records one executed round of a Chain.
 	RoundStats = mapreduce.RoundStats
-	// Options configures Enumerate.
-	Options = core.Options
-	// Strategy selects the Section 4 processing strategy.
-	Strategy = core.Strategy
-	// Result is the outcome of Enumerate.
+	// Result is the outcome of Run and Stream — one shape for every
+	// strategy.
 	Result = core.Result
 	// JobStats describes one map-reduce job of an enumeration.
 	JobStats = core.JobStats
@@ -105,22 +101,10 @@ type (
 	ShareSubgoal = shares.Subgoal
 	// ShareSolution is an optimized share assignment.
 	ShareSolution = shares.Solution
-	// TriangleResult is the outcome of a Section 2 triangle job.
-	TriangleResult = triangle.Result
 	// TwoPath is a properly ordered 2-path (Lemma 7.1).
 	TwoPath = serial.TwoPath
 	// DecompositionPart is one part of a Theorem 7.2 decomposition.
 	DecompositionPart = sample.Part
-)
-
-// Processing strategies (Section 4).
-const (
-	// BucketOriented is the Section 4.5 strategy (the default).
-	BucketOriented = core.BucketOriented
-	// CQOriented runs one job per conjunctive query (Section 4.1).
-	CQOriented = core.CQOriented
-	// VariableOriented runs one combined job for all CQs (Section 4.3).
-	VariableOriented = core.VariableOriented
 )
 
 // MapReduceJob is one round of the pipelined engine: Map and Reduce are
@@ -147,28 +131,6 @@ func NewChain(cfg EngineConfig) *Chain { return mapreduce.NewChain(cfg) }
 // RunRound executes j as the chain's next round and returns its outputs.
 func RunRound[I any, K comparable, V any, O any](c *Chain, j MapReduceJob[I, K, V, O], inputs []I) []O {
 	return mapreduce.RunRound(c, j, inputs)
-}
-
-// Enumerate finds every instance of s in g exactly once using single-round
-// map-reduce jobs (see Options for strategy, reducer budget and seeds).
-//
-// Deprecated: use Plan with WithStrategy and Run (or Instances for
-// streaming delivery); the unified API adds context cancellation,
-// automatic strategy selection and explainable cost estimates.
-func Enumerate(g *Graph, s *Sample, opt Options) (*Result, error) {
-	return core.Enumerate(g, s, opt)
-}
-
-// EnumerateDecomposed runs the Theorem 6.1 conversion of the serial
-// decomposition algorithm as one map-reduce round: every reducer runs the
-// Theorem 7.2 algorithm on its bucket-local fragment and keeps only the
-// instances whose bucket multiset it owns. Pass nil parts to use the
-// optimal decomposition.
-//
-// Deprecated: use Plan with WithStrategy(StrategyDecomposed) and Run.
-// (Custom decomposition parts remain available through this wrapper.)
-func EnumerateDecomposed(g *Graph, s *Sample, parts []DecompositionPart, opt Options) (*Result, error) {
-	return core.EnumerateDecomposed(g, s, parts, opt)
 }
 
 // NewGraphBuilder returns a builder for a data graph with n nodes.
@@ -284,34 +246,6 @@ func EnumerateByDecomposition(g *Graph, s *Sample, parts []DecompositionPart) ([
 // data graphs of maximum degree Δ takes O(m·Δ^{p-2}).
 func EnumerateBoundedDegree(g *Graph, s *Sample) ([][]Node, int64, error) {
 	return serial.EnumerateBoundedDegree(g, s)
-}
-
-// TrianglePartition runs the Suri–Vassilvitskii Partition algorithm
-// (Section 2.1) with b node groups.
-//
-// Deprecated: use Plan with WithStrategy(StrategyTrianglePartition),
-// WithBuckets(b) and WithSeed(seed), then Run — the unified Result adds
-// context cancellation and engine configuration.
-func TrianglePartition(g *Graph, b int, seed uint64) (TriangleResult, error) {
-	return triangle.Partition(g, b, seed, mapreduce.Config{})
-}
-
-// TriangleMultiway runs the plain multiway-join algorithm (Section 2.2)
-// with shares (b, b, b).
-//
-// Deprecated: use Plan with WithStrategy(StrategyTriangleMultiway),
-// WithBuckets(b) and WithSeed(seed), then Run.
-func TriangleMultiway(g *Graph, b int, seed uint64) (TriangleResult, error) {
-	return triangle.Multiway(g, b, seed, mapreduce.Config{})
-}
-
-// TriangleBucketOrdered runs the paper's improved algorithm (Section 2.3)
-// with b buckets.
-//
-// Deprecated: use Plan with WithStrategy(StrategyTriangleBucketOrdered),
-// WithBuckets(b) and WithSeed(seed), then Run.
-func TriangleBucketOrdered(g *Graph, b int, seed uint64) (TriangleResult, error) {
-	return triangle.BucketOrdered(g, b, seed, mapreduce.Config{})
 }
 
 // BarabasiAlbert returns a preferential-attachment random graph (heavy

@@ -8,10 +8,7 @@ import (
 // TestFacadeQuickstart exercises the README quickstart path end to end.
 func TestFacadeQuickstart(t *testing.T) {
 	g := Gnm(30, 120, 1)
-	res, err := Enumerate(g, Triangle(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := planRun(t, g, Triangle())
 	if got, want := int64(len(res.Instances)), CountTriangles(g); got != want {
 		t.Fatalf("facade triangles = %d, serial = %d", got, want)
 	}
@@ -75,23 +72,6 @@ func TestFacadeSerialAlgorithms(t *testing.T) {
 	}
 }
 
-func TestFacadeTriangleAlgorithms(t *testing.T) {
-	g := Gnm(30, 130, 3)
-	want := CountTriangles(g)
-	p, err := TrianglePartition(g, 4, 1)
-	if err != nil || p.Count() != want {
-		t.Errorf("partition: %v count %d want %d", err, p.Count(), want)
-	}
-	mw, err := TriangleMultiway(g, 4, 1)
-	if err != nil || mw.Count() != want {
-		t.Errorf("multiway: %v count %d want %d", err, mw.Count(), want)
-	}
-	bo, err := TriangleBucketOrdered(g, 4, 1)
-	if err != nil || bo.Count() != want {
-		t.Errorf("bucketordered: %v count %d want %d", err, bo.Count(), want)
-	}
-}
-
 func TestFacadeGraphIO(t *testing.T) {
 	g := GridGraph(3, 3)
 	var buf bytes.Buffer
@@ -139,10 +119,7 @@ func TestFacadeBarabasiAlbert(t *testing.T) {
 	if g.NumEdges() != 3+(300-3)*2 {
 		t.Errorf("BA edges = %d", g.NumEdges())
 	}
-	res, err := Enumerate(g, Triangle(), Options{Buckets: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := planRun(t, g, Triangle(), WithStrategy(StrategyBucketOriented), WithBuckets(4))
 	if int64(len(res.Instances)) != CountTriangles(g) {
 		t.Error("BA graph enumeration mismatch")
 	}
