@@ -309,35 +309,15 @@ func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []
 		return nil, fmt.Errorf("core: bucket count %d exceeds %d", b, shares.MaxIntShare)
 	}
 	h := bucketHash(opt.Seed, b)
-	less := graph.HashLess(h)
-
 	mapper := bucketEdgeMapper(h, p, b)
-	evals := cq.NewEvaluatorSet(qs) // compiled once per job, shared by all reducers
 	ms := &matchSink{sink: sink}
-	reducer := func(ctx *mapreduce.Context, key string, edges []graph.Edge, emit func([]graph.Node)) {
-		local := graph.SparseFromEdges(edges)
-		instBuckets := make([]int, p)
-		ctx.AddWork(evals.EvaluateAll(local, less, func(phi []graph.Node) {
-			for i, u := range phi {
-				instBuckets[i] = h.Bucket(u)
-			}
-			sortSmallInts(instBuckets)
-			if !bucketsEqualKey(instBuckets, key) {
-				return
-			}
-			if ms.counting() {
-				ms.count()
-			} else {
-				// phi is the evaluator's scratch: copy only the owned
-				// matches that actually leave the reducer.
-				emit(append([]graph.Node(nil), phi...))
-			}
-		}))
-	}
+	// Nodes are ordered by (bucket, id) as in Section 2.3; the fragment keeps
+	// each rank's bucket, which is all the ownership test reads.
+	reducer := &enumReducer{evals: cq.NewEvaluatorSet(qs), order: h.Key, ms: ms}
 	count, metrics, err := ms.run(ctx, enumJob{
 		Name:   fmt.Sprintf("bucket-oriented b=%d", b),
 		Map:    mapper,
-		Reduce: reducer,
+		Reduce: reducer.reduce,
 		Codec:  edgeCodec{},
 	}, cfg, g)
 	if err != nil {
@@ -465,10 +445,12 @@ func variableOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs 
 }
 
 // cqOriented implements the Section 4.1 strategy: one job per CQ. An early
-// stop (the sink returning false) skips the remaining jobs. Under Options.AdaptiveReplan, the sequence is resumable at a new
+// stop (the sink returning false) skips the remaining jobs.
+//
+// Under Options.AdaptiveReplan the sequence is resumable at a new
 // configuration: a job whose observed skew exceeds the threshold raises the
-// reducer budget for the remaining jobs (hot reducers split into more,
-// smaller groups), which is sound because each job owns its CQ's instances
+// reducer budget for the remaining jobs, so hot reducers split into more,
+// smaller groups. That is sound because each job owns its CQ's instances
 // outright — the share configuration decides where an instance is emitted,
 // never whether.
 func cqOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.CQ, opt Options, cfg mapreduce.Config, sink func([]graph.Node) bool) (*Result, error) {
@@ -626,29 +608,12 @@ func runShareJob(ctx context.Context, g *graph.Graph, p int, qs []*cq.CQ, model 
 	}
 	hashes := shareHashes(opt.Seed, intShares)
 	mapper := shareEdgeMapper(p, binds, hashes, intShares)
-	evals := cq.NewEvaluatorSet(qs) // compiled once per job, shared by all reducers
 	ms := &matchSink{sink: sink}
-	reducer := func(ctx *mapreduce.Context, key string, edges []graph.Edge, emit func([]graph.Node)) {
-		local := graph.SparseFromEdges(edges)
-		ctx.AddWork(evals.EvaluateAll(local, graph.NaturalLess, func(phi []graph.Node) {
-			for v, u := range phi {
-				if hashes[v].Bucket(u) != int(key[v]) {
-					return
-				}
-			}
-			if ms.counting() {
-				ms.count()
-			} else {
-				// phi is the evaluator's scratch: copy only the owned
-				// matches that actually leave the reducer.
-				emit(append([]graph.Node(nil), phi...))
-			}
-		}))
-	}
+	reducer := &enumReducer{evals: cq.NewEvaluatorSet(qs), order: graph.NaturalKey, hashes: hashes, ms: ms}
 	count, metrics, err := ms.run(ctx, enumJob{
 		Name:   label,
 		Map:    mapper,
-		Reduce: reducer,
+		Reduce: reducer.reduce,
 		Codec:  edgeCodec{},
 	}, cfg, g)
 	if err != nil {

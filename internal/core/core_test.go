@@ -200,20 +200,46 @@ func TestCQOrientedPerJobStats(t *testing.T) {
 	}
 }
 
-// TestConvertibilityGeneral: bucket-oriented reducer work stays within a
-// constant factor of serial work as b varies (Theorem 6.1 in action).
+// TestConvertibilityGeneral is Section 6 as an assertion: for every core
+// strategy, total reducer work (candidates the kernel examined) stays within
+// a constant of the serial algorithm's work as the reducer budget grows.
+// Each bound is the ratio measured at k = 200 — the largest of the three
+// budgets, where replication is highest — plus about a third, so a kernel
+// change that re-inflates candidate generation (the comparator-driven
+// evaluator this replaced sat at 3–5× these ratios) fails here rather than
+// showing up as a slow benchmark.
 func TestConvertibilityGeneral(t *testing.T) {
 	g := graph.Gnm(120, 700, 10)
-	s := sample.Triangle()
-	serialWork := serial.Triangles(g, func(_, _, _ graph.Node) {})
-	for _, b := range []int{2, 4, 6} {
-		res, err := collect(t, g, s, Options{Strategy: BucketOriented, Buckets: b, Seed: 2})
+	serialWork := func(s *sample.Sample) int64 {
+		if s.P() == 3 {
+			return serial.Triangles(g, func(_, _, _ graph.Node) {})
+		}
+		_, work, err := serial.EnumerateBoundedDegree(g, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ratio := float64(res.TotalReducerWork()) / float64(serialWork)
-		if ratio > 40 {
-			t.Errorf("b=%d: reducer work ratio %.1f too large", b, ratio)
+		return work
+	}
+	for _, tc := range []struct {
+		s      *sample.Sample
+		bounds map[Strategy]float64
+	}{
+		{sample.Triangle(), map[Strategy]float64{BucketOriented: 8, VariableOriented: 13, CQOriented: 13}},
+		{sample.Square(), map[Strategy]float64{BucketOriented: 1, VariableOriented: 3.5, CQOriented: 2}},
+		{sample.Lollipop(), map[Strategy]float64{BucketOriented: 8, VariableOriented: 22, CQOriented: 9.5}},
+	} {
+		base := serialWork(tc.s)
+		for strat, bound := range tc.bounds {
+			for _, k := range []int{20, 60, 200} {
+				res, err := Enumerate(t.Context(), g, tc.s, Options{Strategy: strat, TargetReducers: k, Seed: 2}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ratio := float64(res.TotalReducerWork()) / float64(base); ratio > bound {
+					t.Errorf("%v %v k=%d: reducer work %d is %.2f× serial work %d, bound %.1f",
+						tc.s, strat, k, res.TotalReducerWork(), ratio, base, bound)
+				}
+			}
 		}
 	}
 }

@@ -1,0 +1,144 @@
+package core
+
+import (
+	"slices"
+	"testing"
+
+	"subgraphmr/internal/cq"
+	"subgraphmr/internal/graph"
+	"subgraphmr/internal/mapreduce"
+	"subgraphmr/internal/sample"
+)
+
+// reducerBed is one job's mapper and reducer taken out of the engine, so a
+// test can call the reducer key by key on a worker Context of its own.
+type reducerBed struct {
+	name    string
+	groups  map[string][]graph.Edge // the shuffle's output: edges by reducer key
+	reducer *enumReducer
+	// owner reports whether the reducer of key owns phi, recomputed from
+	// the node ids with the job's hashes.
+	owner func(key string, phi []graph.Node) bool
+}
+
+// reducerBeds builds the bucket-oriented and the variable-oriented job of
+// s over g, delivering owned matches to sink (nil counts).
+func reducerBeds(g *graph.Graph, s *sample.Sample, sink func([]graph.Node) bool) []reducerBed {
+	p := s.P()
+	qs := cq.MergeByOrientation(cq.GenerateForSample(s))
+	group := func(mapper mapreduce.Mapper[graph.Edge, string, graph.Edge]) map[string][]graph.Edge {
+		groups := map[string][]graph.Edge{}
+		for _, e := range g.Edges() {
+			mapper(e, func(k string, e graph.Edge) { groups[k] = append(groups[k], e) })
+		}
+		return groups
+	}
+
+	h := bucketHash(3, 3)
+	bucket := reducerBed{
+		name:    "bucket-oriented",
+		groups:  group(bucketEdgeMapper(h, p, h.B)),
+		reducer: &enumReducer{evals: cq.NewEvaluatorSet(qs), order: h.Key, ms: &matchSink{sink: sink}},
+		owner: func(key string, phi []graph.Node) bool {
+			buckets := make([]byte, len(phi))
+			for i, u := range phi {
+				buckets[i] = byte(h.Bucket(u))
+			}
+			slices.Sort(buckets)
+			return string(buckets) == key
+		},
+	}
+
+	intShares := make([]int, p)
+	for v := range intShares {
+		intShares[v] = 2 + v%2
+	}
+	hashes := shareHashes(3, intShares)
+	share := reducerBed{
+		name:    "variable-oriented",
+		groups:  group(shareEdgeMapper(p, bindingsFromUses(cq.EdgeUses(qs)), hashes, intShares)),
+		reducer: &enumReducer{evals: cq.NewEvaluatorSet(qs), order: graph.NaturalKey, hashes: hashes, ms: &matchSink{sink: sink}},
+		owner: func(key string, phi []graph.Node) bool {
+			for v, u := range phi {
+				if hashes[v].Bucket(u) != int(key[v]) {
+					return false
+				}
+			}
+			return true
+		},
+	}
+	return []reducerBed{bucket, share}
+}
+
+// TestReducerOwnership: one worker Context carried through every key of a
+// job — fragments growing and shrinking under it — emits each instance at
+// exactly the reducer that owns it; in particular the bucket the
+// bucket-oriented reducer reads off its fragment is the hash of the node it
+// emits.
+func TestReducerOwnership(t *testing.T) {
+	g := graph.Gnm(40, 160, 5)
+	for _, s := range []*sample.Sample{sample.Triangle(), sample.Lollipop()} {
+		for _, bed := range reducerBeds(g, s, func([]graph.Node) bool { return true }) {
+			ctx := &mapreduce.Context{}
+			res := &Result{}
+			for key, edges := range bed.groups {
+				bed.reducer.reduce(ctx, key, edges, func(phi []graph.Node) {
+					if !bed.owner(key, phi) {
+						t.Fatalf("%s %v: reducer %q emitted %v, which it does not own", bed.name, s, key, phi)
+					}
+					res.Instances = append(res.Instances, phi)
+				})
+			}
+			checkExactlyOnce(t, g, s, res)
+		}
+	}
+}
+
+// TestReducerAllocations pins the allocation win: against a warmed worker
+// slot a reducer call allocates nothing when counting and exactly one
+// object — the instance — per match it emits, whether the group is smaller
+// or larger than the call before it.
+func TestReducerAllocations(t *testing.T) {
+	g := graph.Gnm(60, 400, 9)
+	for _, counting := range []bool{true, false} {
+		var sink func([]graph.Node) bool
+		if !counting {
+			sink = func([]graph.Node) bool { return true }
+		}
+		for _, bed := range reducerBeds(g, sample.Triangle(), sink) {
+			var small, large string
+			for key, edges := range bed.groups {
+				if small == "" || len(edges) < len(bed.groups[small]) {
+					small = key
+				}
+				if large == "" || len(edges) > len(bed.groups[large]) {
+					large = key
+				}
+			}
+			if len(bed.groups[small]) == len(bed.groups[large]) {
+				t.Fatalf("%s: every group has %d edges", bed.name, len(bed.groups[small]))
+			}
+			ctx := &mapreduce.Context{}
+			emitted := 0
+			emit := func([]graph.Node) { emitted++ }
+			call := func() {
+				bed.reducer.reduce(ctx, small, bed.groups[small], emit)
+				bed.reducer.reduce(ctx, large, bed.groups[large], emit)
+			}
+			call() // growth happens here, once
+			perCall := emitted
+			if counting {
+				perCall = 0
+				if bed.reducer.ms.counted.Load() == 0 {
+					t.Fatalf("%s: the two groups own no triangle; the test measures nothing", bed.name)
+				}
+			} else if emitted == 0 {
+				t.Fatalf("%s: the two groups own no triangle; the test measures nothing", bed.name)
+			}
+			if allocs := testing.AllocsPerRun(20, call); allocs != float64(perCall) {
+				t.Errorf("%s counting=%v: %v allocs per pair of reducer calls, want %d (one per emitted instance)",
+					bed.name, counting, allocs, perCall)
+			}
+		}
+	}
+}

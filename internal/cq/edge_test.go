@@ -94,7 +94,7 @@ func TestReducedLessRemovesTransitive(t *testing.T) {
 func TestEvaluatorEmptyLocalGraph(t *testing.T) {
 	q := GenerateForSample(sample.Triangle())[0]
 	count := 0
-	NewEvaluator(q).Run(graph.NewSparse(), graph.NaturalLess, func([]graph.Node) { count++ })
+	NewEvaluator(q).Run(graph.SparseFromEdges(nil), graph.NaturalLess, func([]graph.Node) { count++ })
 	if count != 0 {
 		t.Errorf("empty fragment produced %d matches", count)
 	}

@@ -2,53 +2,47 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 
 	"subgraphmr/internal/graph"
 )
 
-// Evaluator runs one CQ over (fragments of) a data graph, as the reducers
-// of Section 4 do. The evaluation is a backtracking multiway join:
-// variables are bound in an order where each new variable is adjacent in
-// the sample graph to an already-bound one, candidates come from adjacency
-// lists, and the arithmetic condition prunes partial assignments and
-// filters complete ones.
+// Evaluator runs one CQ over a fragment of a data graph, as the reducers of
+// Section 4 do. The evaluation is a backtracking multiway join in rank
+// space: the fragment numbers its nodes by their position in the job's node
+// order (graph.Fragment), so "φ(X) precedes φ(Y)" is an integer comparison
+// and every constraint on the variable being bound turns into a property of
+// a sorted adjacency list. Variables are bound in an order where each new
+// variable is adjacent in the sample graph to an already-bound one; its
+// candidates are the shortest bound neighbor's list cut down by binary
+// search to the rank interval the order constraints leave open, probed
+// against the other bound neighbors' lists.
 //
 // An Evaluator holds only the compiled join plan and is safe for concurrent
-// use; all per-run mutable state lives in a scratch frame allocated once
-// per Run (or once per EvaluatorSet.EvaluateAll call and shared across the
-// set's CQs).
+// use; all per-run mutable state lives in a Scratch.
 type Evaluator struct {
-	q        *CQ
-	plan     []int       // variable binding order
-	planPos  []int       // position of each variable in plan
-	anchor   []int       // for each plan step, an earlier-bound sample-neighbor (-1 if none)
-	anchorSG []Subgoal   // the subgoal between plan[i] and anchor[i] (valid when anchor[i] >= 0)
-	checks   [][]Subgoal // remaining subgoals to verify when binding plan[i]
-	lessCons [][]Pair    // LessCons to verify when binding plan[i]
+	q     *CQ
+	steps []step // one per variable, in binding order
+	// exact: the constraints compiled into the steps are the whole condition,
+	// so a complete assignment needs no final check.
+	exact bool
 }
 
-// scratch is the reusable per-run state of an evaluation: the assignment
-// under construction and the final-check ordering buffers. One scratch
-// serves any number of sequential Run calls over CQs of the same arity.
-type scratch struct {
-	phi      []graph.Node
-	order    []int
-	orderKey []byte
-}
-
-func newScratch(p int) *scratch {
-	return &scratch{
-		phi:      make([]graph.Node, p),
-		order:    make([]int, p),
-		orderKey: make([]byte, p),
-	}
+// step is the compiled form of binding one variable v, given the variables
+// bound before it. Subgoal orientations and LessCons both fold into below
+// and above; adjacency and strict order each imply distinctness, so only
+// the bound variables in none of the first three lists need an explicit ≠.
+type step struct {
+	v        int
+	adjacent []int // bound variables whose image must be adjacent to v's
+	below    []int // bound variables whose image must precede v's
+	above    []int // bound variables whose image must follow v's
+	apart    []int // bound variables otherwise unrelated to v
 }
 
 // NewEvaluator builds the join plan for q.
 func NewEvaluator(q *CQ) *Evaluator {
 	p := q.P
-	ev := &Evaluator{q: q, planPos: make([]int, p)}
-
 	adj := make([][]int, p)
 	for _, sg := range q.Subgoals {
 		adj[sg.Lo] = append(adj[sg.Lo], sg.Hi)
@@ -58,8 +52,9 @@ func NewEvaluator(q *CQ) *Evaluator {
 	// pick the unbound variable with the most bound neighbors (ties: more
 	// sample edges, then lower index). Falls back to any variable for
 	// disconnected samples.
+	var plan []int
 	bound := make([]bool, p)
-	for len(ev.plan) < p {
+	for len(plan) < p {
 		best, bestScore := -1, -1
 		for v := 0; v < p; v++ {
 			if bound[v] {
@@ -77,143 +72,165 @@ func NewEvaluator(q *CQ) *Evaluator {
 			}
 		}
 		bound[best] = true
-		ev.plan = append(ev.plan, best)
+		plan = append(plan, best)
 	}
-	for i, v := range ev.plan {
-		ev.planPos[v] = i
-	}
-	ev.anchor = make([]int, p)
-	ev.anchorSG = make([]Subgoal, p)
-	ev.checks = make([][]Subgoal, p)
-	ev.lessCons = make([][]Pair, p)
-	for i, v := range ev.plan {
-		ev.anchor[i] = -1
-		for _, sg := range q.Subgoals {
-			var other int
-			switch v {
-			case sg.Lo:
-				other = sg.Hi
-			case sg.Hi:
-				other = sg.Lo
-			default:
-				continue
+
+	ev := &Evaluator{q: q, steps: make([]step, p), exact: q.Orderings == nil || q.ExactSimplified}
+	for i, v := range plan {
+		st := &ev.steps[i]
+		st.v = v
+		for _, w := range plan[:i] {
+			var adjacent, below, above bool
+			for _, sg := range q.Subgoals {
+				adjacent = adjacent || sg == Subgoal{w, v} || sg == Subgoal{v, w}
+				below = below || sg == Subgoal{w, v}
+				above = above || sg == Subgoal{v, w}
 			}
-			if ev.planPos[other] < i {
-				if ev.anchor[i] == -1 {
-					// Candidates for plan[i] are drawn from the anchor's
-					// adjacency list, so this subgoal's edge is present by
-					// construction — only its orientation needs checking
-					// at runtime.
-					ev.anchor[i] = other
-					ev.anchorSG[i] = sg
-				} else {
-					ev.checks[i] = append(ev.checks[i], sg)
-				}
+			for _, c := range q.LessCons {
+				below = below || c == Pair{w, v}
+				above = above || c == Pair{v, w}
 			}
-		}
-		for _, c := range q.LessCons {
-			if c.A == v && ev.planPos[c.B] < i || c.B == v && ev.planPos[c.A] < i {
-				ev.lessCons[i] = append(ev.lessCons[i], c)
+			if adjacent {
+				st.adjacent = append(st.adjacent, w)
+			}
+			if below {
+				st.below = append(st.below, w)
+			}
+			if above {
+				st.above = append(st.above, w)
+			}
+			if !adjacent && !below && !above {
+				st.apart = append(st.apart, w)
 			}
 		}
 	}
 	return ev
 }
 
-// Run enumerates every assignment φ (one data node per variable) satisfying
-// the CQ over the local edge set, under the node order less. It calls emit
-// once per match with the internal scratch assignment — valid only for the
-// duration of the call, so emit must copy phi if it retains it — and
-// returns the number of candidate extensions examined (the evaluator's
-// work, for convertibility metering). For best probe performance freeze the
-// local fragment first (graph.Sparse.Freeze; SparseFromEdges arrives
-// frozen).
-func (ev *Evaluator) Run(local *graph.Sparse, less graph.Less, emit func(phi []graph.Node)) int64 {
-	return ev.run(local, less, newScratch(ev.q.P), emit)
+// Scratch is the mutable state of evaluations over fragments: the
+// assignment under construction and the kernel's work buffers. One Scratch
+// serves any number of sequential Eval calls (it sizes itself to each), so
+// a reduce worker that keeps one evaluates without allocating. The zero
+// value is ready to use.
+type Scratch struct {
+	// Stop, when set, is polled once per candidate of the first plan step —
+	// never inside the deeper loops. Once it returns true the evaluation
+	// abandons the candidates not yet started and returns the work done so
+	// far.
+	Stop func() bool
+
+	phi      []int32   // the assignment, as ranks
+	lists    [][]int32 // p narrowed adjacency lists per recursion level
+	all      []int32   // 0, 1, 2, …: the candidate list of a step with no bound neighbor
+	order    []int     // finalCheck: variables sorted by image
+	orderKey []byte    // finalCheck: order as an orderSet key
+	halted   bool      // Stop returned true during the current Eval
 }
 
-func (ev *Evaluator) run(local *graph.Sparse, less graph.Less, sc *scratch, emit func([]graph.Node)) int64 {
-	return ev.extend(local, less, sc, 0, emit)
+// prepare sizes the buffers for CQs of p variables over n nodes.
+func (sc *Scratch) prepare(p, n int) {
+	if len(sc.phi) != p {
+		sc.phi = make([]int32, p)
+		sc.lists = make([][]int32, p*p)
+		sc.order = make([]int, p)
+		sc.orderKey = make([]byte, p)
+	}
+	for len(sc.all) < n {
+		sc.all = append(sc.all, int32(len(sc.all)))
+	}
+	sc.halted = false
 }
 
-func (ev *Evaluator) extend(local *graph.Sparse, less graph.Less, sc *scratch, step int, emit func([]graph.Node)) int64 {
+// extend binds the variable of step i to each of its candidates in turn and
+// recurses. The candidates are ranks in [lo, hi) — above every image that
+// must precede, below every image that must follow — taken from the
+// shortest of the bound neighbors' lists; the other lists are probed by a
+// cursor that only moves forward, since candidates ascend.
+//
+//lint:hotpath
+func (ev *Evaluator) extend(f *graph.Fragment, sc *Scratch, i int, emit func(ranks []int32)) int64 {
+	st := &ev.steps[i]
 	phi := sc.phi
-	if step == len(ev.plan) {
-		if ev.finalCheck(sc, less) {
-			emit(phi)
+	lo, hi := int32(0), int32(f.NumNodes())
+	for _, w := range st.below {
+		if x := phi[w] + 1; x > lo {
+			lo = x
 		}
-		return 1
 	}
-	v := ev.plan[step]
-	var candidates []graph.Node
-	if a := ev.anchor[step]; a >= 0 {
-		candidates = local.Neighbors(phi[a])
+	for _, w := range st.above {
+		if x := phi[w]; x < hi {
+			hi = x
+		}
+	}
+	if lo >= hi {
+		return 0
+	}
+
+	var cand []int32
+	var others [][]int32
+	if len(st.adjacent) == 0 {
+		cand = sc.all[lo:hi]
 	} else {
-		candidates = local.Nodes()
+		lists := sc.lists[i*len(phi):][:len(st.adjacent)]
+		shortest := 0
+		for k, w := range st.adjacent {
+			l := f.Neighbors(phi[w])
+			from, _ := slices.BinarySearch(l, lo)
+			to, _ := slices.BinarySearch(l, hi)
+			l = l[from:to]
+			if len(l) == 0 {
+				return 0
+			}
+			lists[k] = l
+			if len(l) < len(lists[shortest]) {
+				shortest = k
+			}
+		}
+		lists[0], lists[shortest] = lists[shortest], lists[0]
+		cand, others = lists[0], lists[1:]
 	}
-	// Bound-set bitmask: one bit per already-bound node (hashed into a
-	// word), computed once per step. A candidate whose bit is clear is
-	// certainly not a duplicate of a bound node; only hash collisions pay
-	// the O(step) confirmation scan.
-	var mask uint64
-	for s := 0; s < step; s++ {
-		mask |= 1 << (uint32(phi[ev.plan[s]]) & 63)
-	}
+
+	last := i == len(ev.steps)-1
 	var work int64
-	for _, c := range candidates {
+next:
+	for _, c := range cand {
+		if i == 0 && sc.Stop != nil && sc.Stop() {
+			sc.halted = true
+			break
+		}
 		work++
-		ok := true
-		if mask&(1<<(uint32(c)&63)) != 0 {
-			for s := 0; s < step && ok; s++ {
-				if phi[ev.plan[s]] == c {
-					ok = false
-				}
+		for k, l := range others {
+			j, found := slices.BinarySearch(l, c)
+			if j == len(l) {
+				return work // no later candidate can be in l either
 			}
-			if !ok {
-				continue
-			}
-		}
-		phi[v] = c
-		if ev.anchor[step] >= 0 {
-			// The anchor edge exists by construction (c came from the
-			// anchor's adjacency list); only the orientation is open.
-			sg := ev.anchorSG[step]
-			if !less(phi[sg.Lo], phi[sg.Hi]) {
-				continue
+			others[k] = l[j:]
+			if !found {
+				continue next
 			}
 		}
-		for _, sg := range ev.checks[step] {
-			lo, hi := phi[sg.Lo], phi[sg.Hi]
-			if !less(lo, hi) || !local.HasEdge(lo, hi) {
-				ok = false
-				break
+		for _, w := range st.apart {
+			if phi[w] == c {
+				continue next
 			}
 		}
-		if ok {
-			for _, lc := range ev.lessCons[step] {
-				if !less(phi[lc.A], phi[lc.B]) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			work += ev.extend(local, less, sc, step+1, emit)
+		phi[st.v] = c
+		if !last {
+			work += ev.extend(f, sc, i+1, emit)
+		} else if ev.exact || ev.finalCheck(sc) {
+			emit(phi)
 		}
 	}
 	return work
 }
 
-// finalCheck verifies the ordering-mode condition against the complete
-// assignment, using the scratch buffers: the variables are insertion-sorted
-// by their images under less and the resulting order is looked up in the
+// finalCheck verifies the ordering-mode condition of a CQ whose simplified
+// constraints are not exact against the complete assignment: the variables
+// are insertion-sorted by rank and the resulting order is looked up in the
 // CQ's accepted-order set without allocating.
 //
 //lint:hotpath
-func (ev *Evaluator) finalCheck(sc *scratch, less graph.Less) bool {
-	if ev.q.Orderings == nil {
-		return true // constraint mode: everything verified incrementally
-	}
+func (ev *Evaluator) finalCheck(sc *Scratch) bool {
 	p := ev.q.P
 	order := sc.order[:p]
 	for i := 0; i < p; i++ {
@@ -224,7 +241,7 @@ func (ev *Evaluator) finalCheck(sc *scratch, less graph.Less) bool {
 	for i := 1; i < p; i++ {
 		v := order[i]
 		j := i - 1
-		for j >= 0 && less(sc.phi[v], sc.phi[order[j]]) {
+		for j >= 0 && sc.phi[v] < sc.phi[order[j]] {
 			order[j+1] = order[j]
 			j--
 		}
@@ -236,6 +253,17 @@ func (ev *Evaluator) finalCheck(sc *scratch, less graph.Less) bool {
 	}
 	_, ok := ev.q.orderSet[string(key)] // no-alloc map probe
 	return ok
+}
+
+// Run enumerates every assignment φ (one data node per variable) satisfying
+// the CQ over the local edge set, under the node order less. It calls emit
+// once per match with a scratch assignment — valid only for the duration of
+// the call, so emit must copy phi if it retains it — and returns the number
+// of candidate extensions examined (the evaluator's work, for
+// convertibility metering). See EvaluatorSet.EvaluateAll.
+func (ev *Evaluator) Run(local *graph.Sparse, less graph.Less, emit func(phi []graph.Node)) int64 {
+	one := EvaluatorSet{p: ev.q.P, evals: []*Evaluator{ev}}
+	return one.EvaluateAll(local, less, emit)
 }
 
 // EvaluatorSet is a set of CQ evaluators compiled once and shared by every
@@ -266,18 +294,66 @@ func NewEvaluatorSet(cqs []*CQ) *EvaluatorSet {
 // Len returns the number of compiled CQs.
 func (s *EvaluatorSet) Len() int { return len(s.evals) }
 
-// EvaluateAll runs every compiled CQ over the local edge set and emits each
-// satisfying assignment once (distinct CQs of a well-formed set never
-// produce the same assignment). The phi passed to emit is a scratch buffer
-// shared across the whole call — copy it to retain it. Returns total
-// evaluator work.
-func (s *EvaluatorSet) EvaluateAll(local *graph.Sparse, less graph.Less, emit func(phi []graph.Node)) int64 {
-	sc := newScratch(s.p)
+// Eval runs every compiled CQ over the fragment, whose rank order is the
+// node order the CQs' conditions refer to, and calls emit once per
+// satisfying assignment (distinct CQs of a well-formed set never produce
+// the same one). The assignment holds ranks — f.ID translates — in a buffer
+// of sc that the next match overwrites. Returns the total number of
+// candidates examined; it allocates nothing once sc has seen the arity and
+// the fragment size.
+func (s *EvaluatorSet) Eval(f *graph.Fragment, sc *Scratch, emit func(ranks []int32)) int64 {
+	sc.prepare(s.p, f.NumNodes())
 	var work int64
 	for _, ev := range s.evals {
-		work += ev.run(local, less, sc, emit)
+		if sc.halted {
+			break
+		}
+		work += ev.extend(f, sc, 0, emit)
 	}
 	return work
+}
+
+// EvaluateAll is Eval for callers holding a Sparse and a comparator rather
+// than a Fragment: it ranks local's nodes by less, lays the fragment out in
+// that order and runs the same kernel, translating each match back to node
+// ids. The phi passed to emit is a scratch buffer shared across the whole
+// call — copy it to retain it. Returns total evaluator work.
+func (s *EvaluatorSet) EvaluateAll(local *graph.Sparse, less graph.Less, emit func(phi []graph.Node)) int64 {
+	var f graph.Fragment
+	f.Build(local.Edges(), rankKey(local, less))
+	phi := make([]graph.Node, s.p)
+	return s.Eval(&f, new(Scratch), func(ranks []int32) {
+		for v, r := range ranks {
+			phi[v] = f.ID(r)
+		}
+		emit(phi)
+	})
+}
+
+// rankKey returns the Fragment key of an arbitrary node order: the node's
+// position under less in the high word. Nodes already ascending under less
+// (the natural order) cost n-1 comparisons; any other order one sort.
+func rankKey(local *graph.Sparse, less graph.Less) func(graph.Node) uint64 {
+	nodes := local.Nodes()
+	order := make([]int32, len(nodes)) // rank → index into nodes
+	sorted := true
+	for i := range order {
+		order[i] = int32(i)
+		sorted = sorted && (i == 0 || less(nodes[i-1], nodes[i]))
+	}
+	if !sorted {
+		slices.SortFunc(order, func(a, b int32) int {
+			if less(nodes[a], nodes[b]) {
+				return -1
+			}
+			return 1 // distinct nodes under a strict total order
+		})
+	}
+	pos := make([]uint64, len(nodes)) // index into nodes → rank
+	for r, i := range order {
+		pos[i] = uint64(r)
+	}
+	return func(u graph.Node) uint64 { return pos[local.IndexOf(u)]<<32 | graph.NaturalKey(u) }
 }
 
 // EvaluateAll compiles the CQ set and runs it over the local edge set; see

@@ -58,7 +58,7 @@ func TestHasEdgeZeroAlloc(t *testing.T) {
 }
 
 // TestCommonNeighbors: the sorted merge agrees with pairwise HasEdge, for
-// both Graph and a frozen Sparse, across both IntersectSorted regimes
+// both Graph and Sparse, across both IntersectSorted regimes
 // (merge and binary-search).
 func TestCommonNeighbors(t *testing.T) {
 	g := PowerLaw(300, 10, 2.2, 4) // skew exercises the galloping path
@@ -117,30 +117,20 @@ func TestIntersectSortedAdaptive(t *testing.T) {
 	}
 }
 
-// TestSparseFreeze: freezing keeps HasEdge/Neighbors/Edges semantics;
-// AddEdge after Freeze thaws, and re-freezing restores the sorted CSR form.
-func TestSparseFreeze(t *testing.T) {
-	s := NewSparse()
-	s.AddEdge(10, 3)
-	s.AddEdge(10, 20)
-	s.AddEdge(3, 20)
-	s.Freeze()
-	if !s.HasEdge(3, 10) || !s.HasEdge(20, 10) || s.HasEdge(3, 4) {
-		t.Fatal("frozen HasEdge broken")
+// TestSparseIndexed: the bulk constructor keeps HasEdge/Neighbors/Edges
+// semantics over non-dense ids, every list sorted, and the index-driven
+// accessors agree with the id-driven ones.
+func TestSparseIndexed(t *testing.T) {
+	s := SparseFromEdges([]Edge{{10, 3}, {10, 20}, {3, 20}, {3, 10}, {10, 7}})
+	if !s.HasEdge(3, 10) || !s.HasEdge(20, 10) || !s.HasEdge(7, 10) || s.HasEdge(3, 4) {
+		t.Fatal("HasEdge broken")
 	}
-	if s.AddEdge(3, 10) {
-		t.Fatal("frozen dup not detected")
-	}
-	if !s.AddEdge(10, 7) {
-		t.Fatal("insert after freeze rejected")
-	}
-	s.Freeze()
 	ns := s.Neighbors(10)
 	if len(ns) != 3 || ns[0] != 3 || ns[1] != 7 || ns[2] != 20 {
-		t.Fatalf("re-frozen adjacency not sorted: %v", ns)
+		t.Fatalf("adjacency not sorted: %v", ns)
 	}
-	if s.NumEdges() != 4 || !s.HasEdge(7, 10) {
-		t.Fatal("insert after freeze lost the edge")
+	if s.NumEdges() != 4 {
+		t.Fatalf("NumEdges = %d, want 4", s.NumEdges())
 	}
 	if s.IndexOf(7) != 1 || s.IndexOf(8) != -1 {
 		t.Fatalf("IndexOf broken: %d %d", s.IndexOf(7), s.IndexOf(8))
@@ -149,11 +139,14 @@ func TestSparseFreeze(t *testing.T) {
 	if len(at) != 3 || at[0] != 3 {
 		t.Fatalf("NeighborsAt broken: %v", at)
 	}
+	if empty := SparseFromEdges(nil); empty.NumEdges() != 0 || len(empty.Nodes()) != 0 || empty.HasEdge(1, 2) || empty.Neighbors(1) != nil {
+		t.Fatal("empty Sparse broken")
+	}
 }
 
-// TestSparseFromEdgesFrozen: the bulk constructor dedups, self-loop-skips
-// and arrives frozen with zero-alloc probes.
-func TestSparseFromEdgesFrozen(t *testing.T) {
+// TestSparseFromEdges: the bulk constructor dedups, skips self-loops and
+// probes without allocating.
+func TestSparseFromEdges(t *testing.T) {
 	s := SparseFromEdges([]Edge{{1, 2}, {2, 1}, {1, 2}, {3, 3}, {2, 5}})
 	if s.NumEdges() != 2 {
 		t.Fatalf("NumEdges = %d, want 2", s.NumEdges())
@@ -169,6 +162,6 @@ func TestSparseFromEdgesFrozen(t *testing.T) {
 		s.HasEdge(1, 2)
 		s.HasEdge(1, 5)
 	}); allocs != 0 {
-		t.Fatalf("frozen Sparse.HasEdge allocates: %v allocs/run", allocs)
+		t.Fatalf("Sparse.HasEdge allocates: %v allocs/run", allocs)
 	}
 }

@@ -211,12 +211,8 @@ func TestHashLessIsStrictTotalOrder(t *testing.T) {
 }
 
 func TestSparse(t *testing.T) {
-	s := NewSparse()
-	if !s.AddEdge(10, 3) || s.AddEdge(3, 10) || s.AddEdge(4, 4) {
-		t.Fatal("sparse add/dedup broken")
-	}
-	s.AddEdge(10, 20)
-	if !s.HasEdge(3, 10) || s.HasEdge(3, 20) {
+	s := SparseFromEdges([]Edge{{10, 3}, {3, 10}, {4, 4}, {10, 20}})
+	if !s.HasEdge(3, 10) || s.HasEdge(3, 20) || s.HasEdge(4, 4) {
 		t.Fatal("sparse HasEdge broken")
 	}
 	if got := s.Nodes(); len(got) != 3 || got[0] != 3 || got[1] != 10 || got[2] != 20 {

@@ -1,51 +1,29 @@
 package graph
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
-// Sparse is a small adjacency structure over an arbitrary (non-dense) node
-// id set. Reducers use it for the fragment of the data graph they receive:
-// node identifiers keep their global meaning but only a few appear.
-//
-// A Sparse has two phases. While building, AddEdge appends into a map of
-// adjacency lists with a hash set for duplicate detection. Freeze compacts
-// the fragment into CSR form — a sorted distinct-node index, one neighbor
-// slab, per-node offsets, every list ascending — and drops both maps; from
-// then on every lookup is a binary search over flat arrays: no hashing, no
-// per-probe allocation. That is the build-once/probe-many shape of the
-// reducer inner loops, and SparseFromEdges (the reducer constructor)
-// arrives frozen without ever building the maps.
+// Sparse is a small immutable adjacency structure over an arbitrary
+// (non-dense) node id set, built by SparseFromEdges: a sorted distinct-node
+// index, one neighbor slab, per-node offsets, every list ascending, plus an
+// open-addressing id→index table. Node identifiers keep their global
+// meaning but only a few appear. Every lookup runs over flat arrays: no Go
+// map, no per-probe allocation. The triangle reducers enumerate over it;
+// the CQ reducers use a Fragment, which additionally renumbers the nodes.
 type Sparse struct {
-	// Frozen CSR form.
 	nodes []Node  // sorted distinct nodes with at least one incident edge
 	off   []int32 // len(nodes)+1; neighbors of nodes[i] are nbr[off[i]:off[i+1]]
 	nbr   []Node  // neighbor slab (global ids), each list ascending
-	htab  []int32 // open-addressing id→index table (power-of-2, -1 = empty)
-	hmask uint32
-
-	// Build form (nil once frozen).
-	adj map[Node][]Node
-	set map[uint64]struct{}
-
-	m      int
-	frozen bool
-}
-
-// NewSparse returns an empty Sparse graph in building phase.
-func NewSparse() *Sparse {
-	return &Sparse{adj: make(map[Node][]Node), set: make(map[uint64]struct{})}
+	index nodeIndex
 }
 
 // pack encodes a directed adjacency entry for sorting: primary key u,
 // secondary key v, both as unsigned words so slices.Sort orders them.
 func pack(u, v Node) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
-// SparseFromEdges builds a frozen Sparse graph from the given edges,
-// ignoring duplicates and self-loops. The build is map-free: both
-// directions of every edge are packed into one word slice, sorted and
-// deduped, and the CSR arrays are carved out in a single scan.
+// SparseFromEdges builds a Sparse graph from the given edges, ignoring
+// duplicates and self-loops: both directions of every edge are packed into
+// one word slice, sorted and deduped, and the CSR arrays are carved out in
+// a single scan.
 func SparseFromEdges(edges []Edge) *Sparse {
 	pairs := make([]uint64, 0, 2*len(edges))
 	for _, e := range edges {
@@ -54,27 +32,10 @@ func SparseFromEdges(edges []Edge) *Sparse {
 		}
 		pairs = append(pairs, pack(e.U, e.V), pack(e.V, e.U))
 	}
-	s := &Sparse{}
-	s.buildCSR(pairs)
-	return s
-}
-
-// buildCSR sorts and dedups the packed adjacency entries and lays out the
-// frozen form.
-func (s *Sparse) buildCSR(pairs []uint64) {
 	slices.Sort(pairs)
-	w := 0
-	for i, p := range pairs {
-		if i == 0 || p != pairs[i-1] {
-			pairs[w] = p
-			w++
-		}
-	}
-	pairs = pairs[:w]
+	pairs = slices.Compact(pairs)
 
-	s.nbr = make([]Node, w)
-	s.nodes = s.nodes[:0]
-	s.off = s.off[:0]
+	s := &Sparse{nbr: make([]Node, len(pairs))}
 	var prev Node
 	for i, p := range pairs {
 		u, v := Node(uint32(p>>32)), Node(uint32(p))
@@ -85,37 +46,51 @@ func (s *Sparse) buildCSR(pairs []uint64) {
 		}
 		s.nbr[i] = v
 	}
-	s.off = append(s.off, int32(w))
-	s.m = w / 2
-	s.buildIndex()
-	s.adj, s.set = nil, nil
-	s.frozen = true
+	s.off = append(s.off, int32(len(pairs)))
+	s.index.reset(len(s.nodes))
+	for i, u := range s.nodes {
+		s.index.slot[s.index.find(s.nodes, u)] = int32(i)
+	}
+	return s
 }
 
-// buildIndex fills the open-addressing id→index table: power-of-2 sized at
-// ≥2× load, linear probing, so the hot-path index lookup is one multiply
-// and (almost always) one slot probe instead of a branchy binary search.
-func (s *Sparse) buildIndex() {
-	size := uint32(4)
-	for size < 2*uint32(len(s.nodes)) {
+// nodeIndex is an open-addressing table from node id to a position in a
+// node list kept beside it (Sparse.nodes, the Fragment's discovery list):
+// power-of-2 sized at ≥ 2× load, linear probing, so a lookup is one
+// multiply and (almost always) one slot probe. The table stores positions
+// only; the ids live in the list, which every call takes.
+type nodeIndex struct {
+	slot []int32 // position in the node list, -1 = empty
+	mask uint32
+}
+
+// reset empties the table and sizes it for up to n nodes, reusing its
+// storage when it is large enough.
+func (x *nodeIndex) reset(n int) {
+	size := 4
+	for size < 2*n {
 		size *= 2
 	}
-	if cap(s.htab) >= int(size) {
-		s.htab = s.htab[:size]
-	} else {
-		s.htab = make([]int32, size)
+	if cap(x.slot) < size {
+		x.slot = make([]int32, size)
 	}
-	for i := range s.htab {
-		s.htab[i] = -1
+	x.slot = x.slot[:size]
+	for i := range x.slot {
+		x.slot[i] = -1
 	}
-	s.hmask = size - 1
-	for i, u := range s.nodes {
-		h := idHash(u) & s.hmask
-		for s.htab[h] >= 0 {
-			h = (h + 1) & s.hmask
-		}
-		s.htab[h] = int32(i)
+	x.mask = uint32(size - 1)
+}
+
+// find returns the slot of u: the one holding its position in nodes, or
+// the empty one where that position belongs.
+//
+//lint:hotpath
+func (x *nodeIndex) find(nodes []Node, u Node) uint32 {
+	h := idHash(u) & x.mask
+	for j := x.slot[h]; j >= 0 && nodes[j] != u; j = x.slot[h] {
+		h = (h + 1) & x.mask
 	}
+	return h
 }
 
 // idHash mixes a node id for the open-addressing table (splitmix32-style
@@ -130,173 +105,59 @@ func idHash(u Node) uint32 {
 	return x
 }
 
-// Freeze compacts the fragment into its CSR form and switches every lookup
-// to binary search over flat arrays, releasing the build-time maps.
-// Reducers call it once per fragment before the probe-heavy enumeration
-// loop. Freezing an already-frozen Sparse is a no-op.
-func (s *Sparse) Freeze() {
-	if s.frozen {
-		return
-	}
-	pairs := make([]uint64, 0, 2*s.m)
-	for u, list := range s.adj {
-		for _, v := range list {
-			pairs = append(pairs, pack(u, v))
-		}
-	}
-	s.buildCSR(pairs)
+// IndexOf returns the position of u in Nodes(), or -1 if u has no incident
+// edge.
+func (s *Sparse) IndexOf(u Node) int {
+	return int(s.index.slot[s.index.find(s.nodes, u)])
 }
 
-// thaw converts a frozen Sparse back to building form (the cold path for
-// AddEdge after Freeze).
-func (s *Sparse) thaw() {
-	s.adj = make(map[Node][]Node, len(s.nodes))
-	s.set = make(map[uint64]struct{}, s.m)
-	for i, u := range s.nodes {
-		list := s.nbr[s.off[i]:s.off[i+1]]
-		s.adj[u] = append([]Node(nil), list...)
-		for _, v := range list {
-			if u < v {
-				s.set[Edge{u, v}.Key()] = struct{}{}
-			}
-		}
-	}
-	s.nodes, s.off, s.nbr = nil, nil, nil
-	s.frozen = false
-}
-
-// AddEdge inserts the undirected edge {u, v}; duplicates and self-loops are
-// ignored. It reports whether the edge was new. On a frozen Sparse it thaws
-// back to building form first — callers interleaving AddEdge with heavy
-// probing should re-Freeze afterwards.
-func (s *Sparse) AddEdge(u, v Node) bool {
-	if u == v {
-		return false
-	}
-	if s.frozen {
-		if s.HasEdge(u, v) {
-			return false
-		}
-		s.thaw()
-	}
-	k := Edge{u, v}.Key()
-	if _, dup := s.set[k]; dup {
-		return false
-	}
-	s.set[k] = struct{}{}
-	s.adj[u] = append(s.adj[u], v)
-	s.adj[v] = append(s.adj[v], u)
-	s.m++
-	return true
-}
-
-// index returns the position of u in the frozen node index, or -1.
-func (s *Sparse) index(u Node) int {
-	for h := idHash(u) & s.hmask; ; h = (h + 1) & s.hmask {
-		j := s.htab[h]
-		if j < 0 {
-			return -1
-		}
-		if s.nodes[j] == u {
-			return int(j)
-		}
-	}
-}
-
-// HasEdge reports whether {u, v} is present. On a frozen Sparse this is two
-// binary searches over flat arrays and never allocates.
+// HasEdge reports whether {u, v} is present: one table probe and one binary
+// search over flat arrays; it never allocates.
 func (s *Sparse) HasEdge(u, v Node) bool {
-	if u == v {
-		return false
-	}
-	if !s.frozen {
-		_, ok := s.set[Edge{u, v}.Key()]
-		return ok
-	}
-	i := s.index(u)
-	if i < 0 {
-		return false
-	}
-	return containsSorted(s.nbr[s.off[i]:s.off[i+1]], v)
+	return u != v && containsSorted(s.Neighbors(u), v)
 }
 
 // CommonNeighbors appends the common neighborhood N(u) ∩ N(v) to dst and
-// returns it, as a sorted merge over the frozen adjacency lists (it freezes
-// the Sparse if needed).
+// returns it, as a sorted merge over the adjacency lists.
 func (s *Sparse) CommonNeighbors(u, v Node, dst []Node) []Node {
-	s.Freeze()
 	return IntersectSorted(s.Neighbors(u), s.Neighbors(v), dst)
 }
 
-// Neighbors returns the neighbors of u (sorted ascending once frozen).
+// Neighbors returns the neighbors of u, sorted ascending.
 func (s *Sparse) Neighbors(u Node) []Node {
-	if !s.frozen {
-		return s.adj[u]
-	}
-	i := s.index(u)
+	i := s.IndexOf(u)
 	if i < 0 {
 		return nil
 	}
 	return s.nbr[s.off[i]:s.off[i+1]]
 }
 
-// NeighborsAt returns the neighbors of Nodes()[i] on a frozen Sparse,
-// letting index-driven loops (the triangle reducers) skip the per-node
-// binary search.
+// NeighborsAt returns the neighbors of Nodes()[i], letting index-driven
+// loops (the triangle reducers) skip the per-node table probe.
 func (s *Sparse) NeighborsAt(i int) []Node {
-	s.Freeze()
 	return s.nbr[s.off[i]:s.off[i+1]]
-}
-
-// IndexOf returns the position of u in Nodes() on a frozen Sparse, or -1 if
-// u has no incident edge.
-func (s *Sparse) IndexOf(u Node) int {
-	s.Freeze()
-	return s.index(u)
 }
 
 // Degree returns the degree of u.
 func (s *Sparse) Degree(u Node) int { return len(s.Neighbors(u)) }
 
 // NumEdges returns the number of distinct edges.
-func (s *Sparse) NumEdges() int { return s.m }
+func (s *Sparse) NumEdges() int { return len(s.nbr) / 2 }
 
 // Nodes returns the sorted list of nodes with at least one incident edge.
 // The returned slice is shared with the graph and must not be modified.
-func (s *Sparse) Nodes() []Node {
-	if s.frozen {
-		return s.nodes
-	}
-	nodes := make([]Node, 0, len(s.adj))
-	for u := range s.adj {
-		nodes = append(nodes, u)
-	}
-	slices.Sort(nodes)
-	return nodes
-}
+func (s *Sparse) Nodes() []Node { return s.nodes }
 
 // Edges returns all edges in canonical orientation, sorted.
 func (s *Sparse) Edges() []Edge {
-	out := make([]Edge, 0, s.m)
-	if s.frozen {
-		// Nodes ascending × sorted lists ⇒ canonical edges in sorted order.
-		for i, u := range s.nodes {
-			for _, v := range s.nbr[s.off[i]:s.off[i+1]] {
-				if v > u {
-					out = append(out, Edge{u, v})
-				}
+	out := make([]Edge, 0, s.NumEdges())
+	// Nodes ascending × sorted lists ⇒ canonical edges in sorted order.
+	for i, u := range s.nodes {
+		for _, v := range s.NeighborsAt(i) {
+			if v > u {
+				out = append(out, Edge{u, v})
 			}
 		}
-		return out
 	}
-	for k := range s.set {
-		out = append(out, Edge{Node(k >> 32), Node(uint32(k))})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
 	return out
 }

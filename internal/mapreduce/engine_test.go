@@ -268,3 +268,52 @@ func TestChain(t *testing.T) {
 		t.Errorf("chain MaxReducerInput should be the per-round max")
 	}
 }
+
+// TestContextLocalAndStopped: a reduce worker hands one Context to every
+// reducer call it makes, so Local carries state from key to key; Stopped is
+// false while the job wants output and true from the moment yield refuses
+// one — inside the very reducer call that emitted it — after which no
+// further group is reduced. Both hold on the in-memory and the spill-merge
+// path.
+func TestContextLocalAndStopped(t *testing.T) {
+	inputs := make([]int, 40)
+	for i := range inputs {
+		inputs[i] = i
+	}
+	for _, cfg := range []Config{
+		{Parallelism: 2, Partitions: 1},
+		{Parallelism: 2, Partitions: 1, MemoryBudget: 256, SpillDir: t.TempDir()},
+	} {
+		for _, accept := range []bool{true, false} {
+			calls := 0
+			job := Job[int, int, int, int]{
+				Map: func(i int, emit func(int, int)) { emit(i, i) },
+				Reduce: func(ctx *Context, k int, _ []int, emit func(int)) {
+					n, _ := ctx.Local.(*int)
+					if n == nil {
+						n = new(int)
+						ctx.Local = n
+					}
+					*n++
+					calls = *n
+					if ctx.Stopped() {
+						t.Errorf("key %d: Stopped before any output was refused", k)
+					}
+					emit(k)
+					if ctx.Stopped() == accept {
+						t.Errorf("key %d: Stopped = %v after yield returned %v", k, ctx.Stopped(), accept)
+					}
+				},
+			}
+			if _, err := job.RunStream(t.Context(), cfg, inputs, func(int) bool { return accept }); err != nil {
+				t.Fatal(err)
+			}
+			if want := map[bool]int{true: len(inputs), false: 1}[accept]; calls != want {
+				t.Errorf("budget %d, accept %v: the worker's Local counted %d reducer calls, want %d", cfg.MemoryBudget, accept, calls, want)
+			}
+		}
+	}
+	if (&Context{}).Stopped() {
+		t.Error("a Context outside a job reports Stopped")
+	}
+}

@@ -93,11 +93,31 @@ func (m *Metrics) Add(other Metrics) {
 }
 
 // Context is handed to each reducer invocation so it can report abstract
-// computation work (e.g. candidate assignments examined).
-type Context struct{ work int64 }
+// computation work (e.g. candidate assignments examined). A job creates one
+// Context per reduce worker and passes it to every reducer call that worker
+// makes, so it is also where a reducer keeps storage across its calls.
+type Context struct {
+	// Local is the reducer's own slot: whatever a reducer call stores here,
+	// the same worker's later calls find again (a reusable fragment, scratch
+	// buffers). The engine never reads it. It is reachable only through the
+	// job's Contexts and so dies with the job — unlike a sync.Pool or a
+	// package variable it cannot ratchet a long-lived process's memory up
+	// across queries.
+	Local any
+
+	work int64
+	stop *atomic.Bool // the job's cooperative stop flag; nil outside a job
+}
 
 // AddWork records n units of reducer computation.
 func (c *Context) AddWork(n int64) { c.work += n }
+
+// Stopped reports whether the job no longer wants output: the consumer's
+// yield returned false, ctx was cancelled, or a worker failed. Outputs
+// emitted after that are dropped, so a reducer in the middle of a large
+// group should poll it — per outer-loop iteration, not per pair — and
+// return early.
+func (c *Context) Stopped() bool { return c.stop != nil && c.stop.Load() }
 
 // Mapper transforms one input element into key-value pairs via emit.
 type Mapper[I any, K comparable, V any] func(input I, emit func(K, V))
@@ -279,7 +299,8 @@ func (j Job[I, K, V, O]) RunContext(ctx context.Context, cfg Config, inputs []I)
 // grouped in the reduce workers' tables — bound that state with
 // Config.MemoryBudget, not with a slow consumer. Returning false from
 // yield stops the job early: no further outputs are delivered, remaining
-// groups are never reduced, spill files are removed, and RunStream returns
+// groups are never reduced, a reducer in the middle of its group can see it
+// through Context.Stopped, spill files are removed, and RunStream returns
 // the partial metrics with a nil error. Cancelling ctx has the same
 // teardown — and can additionally interrupt the map phase — but returns
 // ctx.Err(). Metrics.Outputs counts only the values yield accepted.
@@ -338,7 +359,8 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 	}
 
 	// deliver serializes reducer outputs into yield. After a stop it drops
-	// outputs, so reducers mid-group can finish without further delivery.
+	// outputs; a reducer mid-group finishes without further delivery, or
+	// sooner if it polls Context.Stopped.
 	var (
 		ymu     sync.Mutex
 		yielded int64
@@ -479,7 +501,7 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 				// deferred cleanup removes any spill runs.
 				return
 			}
-			rctx := &Context{}
+			rctx := &Context{stop: &stop}
 			emit := deliver
 			if sp != nil && len(sp.paths) > 0 {
 				if len(groups) > 0 {

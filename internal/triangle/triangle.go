@@ -355,9 +355,8 @@ func bucketOrderedMapper(h graph.NodeHash, b int) mapreduce.Mapper[graph.Edge, t
 // (emitted id-sorted) using the degree-ordered successor method — the same
 // O(m^{3/2}) serial algorithm, so reducer work stays convertible. Returns
 // the number of candidate pairs examined (the pairwise count, although the
-// verification itself runs as a sorted merge over the frozen fragment).
+// verification itself runs as a sorted merge over the fragment).
 func trianglesInSparse(s *graph.Sparse, emit func(a, b, c graph.Node)) int64 {
-	s.Freeze()
 	nodes := s.Nodes()
 	n := len(nodes)
 	deg := make([]int32, n)

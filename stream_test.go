@@ -98,6 +98,34 @@ func TestInstancesEarlyBreak(t *testing.T) {
 	waitForGoroutines(t, baseline)
 }
 
+// TestEarlyBreakStopsReducersMidGroup: on a skewed graph with few, fat
+// reducers, most of the work sits in the hub groups, and a reducer used to
+// finish its whole group for nobody after the consumer had broken off.
+// Breaking at the first instance must now leave the bulk of the full run's
+// reducer work undone — measured in work units, not wall-clock.
+func TestEarlyBreakStopsReducersMidGroup(t *testing.T) {
+	ctx := context.Background()
+	g := PowerLaw(1500, 10, 2.2, 3)
+	plan, err := Plan(g, Square(), WithStrategy(StrategyBucketOriented), WithTargetReducers(5), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Stream(ctx, plan, func([]Node) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := Stream(ctx, plan, func([]Node) bool { return false })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partial.Count != 0 || full.Count == 0 {
+		t.Fatalf("refused the first of %d instances, yet %d were delivered", full.Count, partial.Count)
+	}
+	if partialWork, fullWork := partial.TotalReducerWork(), full.TotalReducerWork(); 2*partialWork >= fullWork {
+		t.Errorf("break at the first instance still did %d of the full run's %d work units", partialWork, fullWork)
+	}
+}
+
 // TestInstancesCancelledContext checks a pre-cancelled and an expired
 // context both surface context errors promptly and leak nothing.
 func TestInstancesCancelledContext(t *testing.T) {
