@@ -45,7 +45,7 @@ import (
 // or an ops spec fails loudly instead of silently injecting nothing.
 const (
 	// SpillCreate fires where the external shuffle creates a spill run
-	// file (mapreduce.spiller.spill / compact).
+	// file (mapreduce.spiller.writeRun, for spill and compact alike).
 	SpillCreate = "mr.spill.create"
 	// SpillWrite fires where a spill run's buffered bytes are flushed to
 	// disk — the classic mid-shuffle ENOSPC.

@@ -69,7 +69,9 @@ func buildCallGraph(pass *Pass) *callGraph {
 			if !ok {
 				return true
 			}
-			callee, ok := g.byObj[fn]
+			// A method of a generic type is used through its instantiation;
+			// the declaration is its origin.
+			callee, ok := g.byObj[fn.Origin()]
 			if !ok || callee == n || seen[callee] {
 				return true
 			}

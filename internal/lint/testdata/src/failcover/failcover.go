@@ -42,6 +42,20 @@ func writeRun(f *os.File) error {
 	return f.Close()
 }
 
+// runs is a generic type whose methods call one another: the call graph
+// must see through the instantiated method to its declaration, or remove
+// would count as an uncalled entry point.
+type runs[K comparable] struct{ paths map[K]string }
+
+func (r *runs[K]) drop(k K) error {
+	if err := failpoint.Eval(failpoint.SpillMerge); err != nil {
+		return err
+	}
+	return r.remove(k)
+}
+
+func (r *runs[K]) remove(k K) error { return os.Remove(r.paths[k]) }
+
 // SpillComputed evaluates a non-constant site name: the chaos matrix and
 // the dead-site check only see named sites, so this is flagged even
 // though the function technically guards.

@@ -8,21 +8,22 @@ import (
 	"reflect"
 )
 
-// Codec serializes keys and values for spill runs (see Config.MemoryBudget).
-// Key encodings must be deterministic and injective: equal keys always
-// produce equal bytes and distinct keys distinct bytes, because the external
-// merge groups spilled pairs by comparing encoded keys. Value encodings only
-// need to round-trip. DefaultCodec satisfies both for gob-encodable value
-// types, with key-type exclusions: keys compared by identity (pointers, or
-// interfaces holding them) encode their pointees, so two distinct pointer
-// keys with equal pointees collide; float keys containing NaN (distinct
-// under ==, but encoding equal bytes) collapse into one group; and +0.0 and
-// -0.0 float keys (equal under ==, but encoding distinct bytes) can split
-// one group in two. Any of these would make a spilled run group differently
-// than the in-memory map, so give such jobs a Codec with an
-// identity-faithful key encoding, or avoid spilling them. Supply a custom
-// Codec on Job.Codec likewise when the default is too slow for a hot value
-// type or the type is not gob-encodable.
+// Codec serializes keys and values for the external shuffle (see
+// Config.MemoryBudget). Key encodings must be deterministic and injective:
+// equal keys always produce equal bytes and distinct keys distinct bytes,
+// because a budgeted reduce worker groups pairs by sorting and comparing
+// encoded keys — in its buffer as well as across spilled runs. Value
+// encodings only need to round-trip. DefaultCodec satisfies both for
+// gob-encodable value types, with key-type exclusions: keys compared by
+// identity (pointers, or interfaces holding them) encode their pointees, so
+// two distinct pointer keys with equal pointees collide; float keys
+// containing NaN (distinct under ==, but encoding equal bytes) collapse into
+// one group; and +0.0 and -0.0 float keys (equal under ==, but encoding
+// distinct bytes) can split one group in two. Any of these would make a
+// budgeted run group differently than the in-memory hash table, so give such
+// jobs a Codec with an identity-faithful key encoding, or run them without a
+// budget. Supply a custom Codec on Job.Codec likewise when the default is too
+// slow for a hot value type or the type is not gob-encodable.
 type Codec[K comparable, V any] interface {
 	// AppendKey appends the encoding of k to dst and returns the result.
 	AppendKey(dst []byte, k K) []byte
@@ -144,23 +145,20 @@ func codecFor[T any]() (func([]byte, T) []byte, func([]byte) (T, error)) {
 	return enc, dec
 }
 
-// sizerFor returns a per-item memory estimator for the reduce workers'
-// budget accounting. Only the order of magnitude matters — the estimate
-// decides when to spill, never correctness. Fixed-size types cost a
-// constant computed once; types with pointer-chased data (strings, slices,
-// maps, pointers, and structs containing them) pay a per-value reflective
-// walk so the backing arrays count against the budget too.
+// sizerFor returns the estimator of the heap bytes a T references beyond
+// its own unsafe.Sizeof — string bytes, slice backing arrays, pointees — for
+// the spiller's budget accounting, or nil when T is a fixed-size type that
+// references none. The estimate decides when to spill, never correctness.
+// It pays a reflective walk per value.
 func sizerFor[T any]() func(T) int {
 	rt := reflect.TypeFor[T]()
 	if rt.Kind() == reflect.String {
-		return func(v T) int { return reflect.ValueOf(v).Len() + 16 }
+		return func(v T) int { return reflect.ValueOf(v).Len() }
 	}
 	if !hasDynamicData(rt) {
-		sz := int(rt.Size())
-		return func(T) int { return sz }
+		return nil
 	}
-	base := int(rt.Size())
-	return func(v T) int { return base + dynamicSize(reflect.ValueOf(v), 4) }
+	return func(v T) int { return dynamicSize(reflect.ValueOf(v), 4) }
 }
 
 // hasDynamicData reports whether values of t can reference heap data not
@@ -190,9 +188,9 @@ func dynamicSize(v reflect.Value, depth int) int {
 	}
 	switch v.Kind() {
 	case reflect.String:
-		return v.Len() + 16
+		return v.Len()
 	case reflect.Slice:
-		n := v.Len()*int(v.Type().Elem().Size()) + 24
+		n := v.Cap() * int(v.Type().Elem().Size())
 		if hasDynamicData(v.Type().Elem()) {
 			for i := 0; i < v.Len(); i++ {
 				n += dynamicSize(v.Index(i), depth-1)

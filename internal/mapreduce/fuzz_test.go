@@ -2,6 +2,8 @@ package mapreduce
 
 import (
 	"hash/maphash"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -50,6 +52,47 @@ func FuzzSpillCodec(f *testing.F) {
 		vv, err := c.DecodeValue(c.AppendValue(nil, v))
 		if err != nil || vv != v {
 			t.Fatalf("value %d round-tripped to %d, %v", v, vv, err)
+		}
+	})
+}
+
+// FuzzRunReader feeds arbitrary bytes to the run reader as a run file and
+// reads it to the end: a clean end or a read error, never a panic, and never
+// a buffer larger than the file that asked for it.
+func FuzzRunReader(f *testing.F) {
+	s := wordSpiller(f, 1<<20, 1, 6)
+	valid, err := os.ReadFile(s.paths[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{1, 'k', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "sgmr-spill-fuzz.run")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		m, err := newMerger([]string{path}, 1<<20)
+		if err != nil {
+			return
+		}
+		defer m.close()
+		c := m.all[0]
+		for {
+			_, ok, err := m.nextGroup(func(vb []byte) error {
+				if cap(c.val) > len(data) {
+					t.Fatalf("a %d-byte run grew the value buffer to %d", len(data), cap(c.val))
+				}
+				return nil
+			})
+			if cap(c.key) > len(data) {
+				t.Fatalf("a %d-byte run grew the key buffer to %d", len(data), cap(c.key))
+			}
+			if err != nil || !ok {
+				return
+			}
 		}
 	})
 }

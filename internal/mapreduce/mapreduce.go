@@ -173,21 +173,30 @@ type Config struct {
 	// combining before it must combine-and-ship; 0 means 1<<15. Only used
 	// when the job has a combiner.
 	CombinerBuffer int
-	// MemoryBudget bounds, in estimated heap bytes, the grouped
-	// intermediate pairs the reduce workers hold in memory, summed across
-	// all partitions; 0 means unlimited (no spilling). A worker whose
-	// group table exceeds its share of the budget serializes it as a
-	// sorted run to a temp file and finishes the round with a k-way merge
-	// that streams each key's values into the reducer, so shuffle-state
-	// memory is bounded by the budget plus the largest single key group.
-	// The bound covers the shuffle only: values emitted by reducers still
-	// accumulate in memory until Run returns, so jobs whose output is
-	// itself huge should aggregate or count in the reducer instead of
-	// materializing (cf. core's CountOnly). Outputs and the core metrics
-	// are identical to the in-memory path; the Spill* metrics record the
-	// extra I/O. Spill I/O failures surface as a typed *EngineError from
-	// RunContext/RunStream (the ctx-less Run, having no error return,
-	// panics on them — see its doc).
+	// MemoryBudget bounds, in heap bytes, the shuffle state the reduce
+	// workers hold, summed across all partitions; 0 means unlimited (no
+	// spilling; pairs are hash-grouped in memory). Each worker gets an
+	// equal share. With a budget a worker appends arriving pairs to one
+	// flat buffer; when what the buffer costs crosses the share it is
+	// sorted by encoded key and written as a run to a temp file, and the
+	// round finishes with a k-way merge that streams each key's values
+	// into the reducer (a worker that never crosses reduces from its
+	// sorted buffer, no file written). Inside the share: the buffered
+	// pairs and the heap bytes their keys and values reference, the sort
+	// scratch (16 bytes a pair, plus the encodings of keys longer than 8
+	// bytes), the run write buffer (a sixteenth of the share) and, once
+	// merging, the run read buffers (the share split between the open
+	// runs) — each I/O buffer between 4 and 64 KiB, so a share below
+	// 4 KiB a run is exceeded by that floor. Outside it: the largest
+	// single key group (a reducer receives it as one []V) and reducer
+	// output — emitted values still accumulate in memory until Run
+	// returns, so jobs whose output is itself huge should aggregate or
+	// count in the reducer instead of materializing (cf. core's
+	// CountOnly). Outputs and the core metrics are identical to the
+	// in-memory path; the Spill* metrics record the extra I/O. Spill I/O
+	// failures surface as a typed *EngineError from RunContext/RunStream
+	// (the ctx-less Run, having no error return, panics on them — see its
+	// doc).
 	MemoryBudget int64
 	// SpillDir is the directory for spill run files; "" means the system
 	// temp dir. Only used when MemoryBudget is set.
@@ -229,8 +238,8 @@ func (c Config) combinerBuffer() int {
 
 // Job is one map-reduce round. Map and Reduce are required; Combine and
 // Partition are optional (no combining, hash partitioning), as is Codec
-// (spill serialization when Config.MemoryBudget is set; nil means
-// DefaultCodec). Name labels the round in Chain statistics.
+// (key order and spill serialization when Config.MemoryBudget is set; nil
+// means DefaultCodec). Name labels the round in Chain statistics.
 type Job[I any, K comparable, V any, O any] struct {
 	Name      string
 	Map       Mapper[I, K, V]
@@ -382,25 +391,18 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 	}
 
 	// External shuffle: with a memory budget, every reduce worker gets an
-	// equal share and spills its group table to sorted runs when estimated
-	// heap use crosses it.
+	// equal share and buffers its pairs in a spiller, which sorts them out
+	// to a run file whenever their footprint crosses it.
 	var (
-		budget int64
-		codec  Codec[K, V]
-		ksize  func(K) int
-		vsize  func(V) int
+		share int64
+		codec Codec[K, V]
 	)
 	if cfg.MemoryBudget > 0 {
-		budget = cfg.MemoryBudget / int64(np)
-		if budget < 1 {
-			budget = 1
-		}
+		share = max(cfg.MemoryBudget/int64(np), 1)
 		codec = j.Codec
 		if codec == nil {
 			codec = DefaultCodec[K, V]()
 		}
-		ksize = sizerFor[K]()
-		vsize = sizerFor[V]()
 	}
 
 	chans := make([]chan []pair[K, V], np)
@@ -412,12 +414,12 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 	// its pairs are folded into the group table (see recycle.go).
 	flist := freeListFor[K, V]()
 
-	// Reduce workers: each owns one partition, grouping batches as they
+	// Reduce workers: each owns one partition, taking in batches as they
 	// arrive (concurrently with mapping) and reducing once its channel
-	// closes — from the slab group table, or via the run merge when it
-	// spilled (the budgeted path keeps the map form its spiller
-	// serializes). On stop they keep draining their channel (so mappers
-	// never block forever) but skip grouping and reducing.
+	// closes — from the slab group table, or with a budget from the
+	// spiller's sorted buffer or run merge. On stop they keep draining their
+	// channel (so mappers never block forever) but skip grouping and
+	// reducing.
 	var (
 		rwg      sync.WaitGroup
 		distinct = make([]int64, np)
@@ -454,44 +456,28 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 				return
 			}
 			var (
-				sp     *spiller[K, V]
-				groups map[K][]V         // budgeted (spillable) path
-				table  *groupTable[K, V] // in-memory path, O(keys) allocations
+				sp    *spiller[K, V]    // budgeted path
+				table *groupTable[K, V] // in-memory path, O(keys) allocations
 			)
-			if budget > 0 {
-				sp = newSpiller(codec, cfg.SpillDir)
+			if share > 0 {
+				sp = newSpiller(codec, cfg.SpillDir, share)
 				defer sp.cleanup()
-				groups = make(map[K][]V)
 			} else {
 				table = newGroupTable[K, V]()
 			}
-			var est int64
 			for batch := range chans[p] {
 				if stop.Load() {
 					flist.put(batch)
 					continue // drain without grouping
 				}
-				if budget == 0 {
+				if sp != nil {
+					if err := sp.add(batch); err != nil {
+						fail(StageSpill, err)
+						return
+					}
+				} else {
 					for _, kv := range batch {
 						table.add(kv.key, kv.val)
-					}
-					flist.put(batch)
-					continue
-				}
-				for _, kv := range batch {
-					vs, ok := groups[kv.key]
-					groups[kv.key] = append(vs, kv.val)
-					if !ok {
-						est += spillKeyOverhead + int64(ksize(kv.key))
-					}
-					est += spillPairOverhead + int64(vsize(kv.val))
-					if est > budget {
-						if err := sp.spill(groups); err != nil {
-							fail(StageSpill, err)
-							return
-						}
-						groups = make(map[K][]V)
-						est = 0
 					}
 				}
 				flist.put(batch)
@@ -502,50 +488,24 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 				return
 			}
 			rctx := &Context{stop: &stop}
-			emit := deliver
-			if sp != nil && len(sp.paths) > 0 {
-				if len(groups) > 0 {
-					if err := sp.spill(groups); err != nil {
-						fail(StageSpill, err)
-						return
-					}
-					groups = nil
+			reduce := func(k K, vs []V) bool {
+				if stop.Load() {
+					return false
 				}
-				d, mi, err := sp.mergeReduce(func(k K, vs []V) bool {
-					if stop.Load() {
-						return false
-					}
-					j.Reduce(rctx, k, vs, emit)
-					return true
-				})
+				j.Reduce(rctx, k, vs, deliver)
+				return true
+			}
+			if sp != nil {
+				d, mi, err := sp.reduce(reduce)
 				if err != nil {
 					fail(StageSpill, err)
 					return
 				}
 				distinct[p], maxIn[p] = d, mi
-			} else if sp != nil {
-				distinct[p] = int64(len(groups))
-				for k, vs := range groups {
-					if stop.Load() {
-						break
-					}
-					if n := int64(len(vs)); n > maxIn[p] {
-						maxIn[p] = n
-					}
-					j.Reduce(rctx, k, vs, emit)
-				}
+				spills[p] = Metrics{SpilledPairs: sp.pairs, SpillBytes: sp.bytes, SpillFiles: sp.runs}
 			} else {
 				distinct[p] = int64(table.numKeys())
-				maxIn[p] = table.forEach(func(k K, vs []V) bool {
-					if stop.Load() {
-						return false
-					}
-					j.Reduce(rctx, k, vs, emit)
-					return true
-				})
-			}
-			if sp != nil {
-				spills[p] = Metrics{SpilledPairs: sp.pairs, SpillBytes: sp.bytes, SpillFiles: sp.runs}
+				maxIn[p] = table.forEach(reduce)
 			}
 			works[p] = rctx.work
 		}(p)

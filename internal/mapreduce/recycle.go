@@ -10,7 +10,7 @@ import (
 // (KeyValuePairs / BatchSize) batches, so the allocator churn scaled with
 // the communication cost. Batches now cycle through a per-pair-type free
 // list: mappers take recycled buffers, reduce workers return each batch
-// after folding it into their group table. The lists are keyed by the
+// after folding it into their group table or spill buffer. The lists are keyed by the
 // (K, V) instantiation and shared process-wide, so multi-round Chain jobs
 // (and repeated jobs, e.g. the CQ-oriented strategy's one-job-per-CQ loop)
 // reuse the previous round's buffers instead of re-allocating.
@@ -78,8 +78,8 @@ func (l *batchFreeList[K, V]) put(b []pair[K, V]) {
 // placement into a second slab sliced by offsets. The previous
 // map[K][]V grouping paid a slice-growth allocation chain for every key.
 //
-// Used by the in-memory reduce path only; the external shuffle keeps the
-// map form its spiller serializes.
+// Used by the in-memory reduce path only; with a memory budget the worker
+// buffers flat and sorts instead (see spill.go).
 type groupTable[K comparable, V any] struct {
 	idx    map[K]int32 // key → group index
 	keys   []K         // group index → key, in first-arrival order

@@ -3,25 +3,29 @@ package mapreduce
 import (
 	"bufio"
 	"bytes"
-	"container/heap"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
+	"slices"
+	"unsafe"
 
 	"subgraphmr/internal/failpoint"
 )
 
-// The external shuffle. When Config.MemoryBudget is set, each reduce worker
-// tracks an estimate of its group table's heap footprint; crossing its share
-// of the budget serializes the table as one sorted run (records ordered by
-// encoded key) to a temp file and clears it. After the map phase the worker
-// merges its runs with a k-way heap merge — intermediate merge passes keep
-// the fan-in at most mergeFanIn open files — and streams each key's
-// concatenated values into the reducer, so peak memory is bounded by the
-// budget plus the largest single key group, regardless of how many pairs
-// the round shuffles.
+// The external shuffle. When Config.MemoryBudget is set, a reduce worker
+// keeps no hash table: arriving pairs are appended to one flat buffer and
+// charged their exact footprint (see spiller.admit). Crossing the worker's
+// share of the budget sorts the buffer once by encoded key and writes it as
+// one run file, each key once with its values behind it. After the map
+// phase the worker merges its runs with a k-way heap merge — intermediate
+// passes keep the fan-in at most mergeFanIn open files — and streams each
+// key's concatenated values into the reducer. A worker that never crossed
+// its share sorts the buffer and reduces from it through the same group
+// walk that writes a run, so the budgeted path has one grouping routine.
 
 // mergeFanIn caps how many run files one merge pass reads at once. Runs
 // are closed after writing and reopened by the merge, so the engine never
@@ -29,67 +33,275 @@ import (
 // matter how many runs a tiny budget produces.
 const mergeFanIn = 32
 
-// Per-entry overheads added to the codec size estimates: a map bucket plus
-// value-slice header per distinct key, and a slice slot plus growth slack
-// per buffered value.
+// Run I/O buffers are part of the worker's share: the one write buffer is
+// a sixteenth of it and a merge's read buffers split all of it, each clamped
+// to these bounds (so shares under minRunBuf × runs are exceeded by the
+// floor, and nothing is gained past maxRunBuf). The pair buffer always
+// keeps at least half the share, or a share near the floor would spill
+// every pair on its own.
 const (
-	spillKeyOverhead  = 64
-	spillPairOverhead = 16
+	minRunBuf = 4 << 10
+	maxRunBuf = 64 << 10
 )
 
-// spiller owns one reduce worker's run files and spill accounting. Run
+// keyPrefixLen is how many leading bytes of an encoded key a runEntry
+// carries inline. Keys no longer than this never touch the arena.
+const keyPrefixLen = 8
+
+// runEntry is the sort record of one buffered pair: enough of the encoded
+// key to decide almost every comparison without a memory indirection.
+type runEntry struct {
+	prefix uint64 // first keyPrefixLen key bytes, big-endian, zero-padded
+	idx    uint32 // arrival index: the pair is buf[idx], the long key arena[offs[idx]:][:klen]
+	klen   uint32 // encoded key length
+}
+
+// spiller owns one budgeted reduce worker's shuffle state: the flat pair
+// buffer, the sort scratch, the run files and the spill accounting. Run
 // files are closed as soon as they are written and reopened by the merge,
-// so only one descriptor is open while spilling.
+// so only one descriptor is open while spilling. Every scratch slice lives
+// here and is reused, so a warmed spill allocates nothing but the file.
 type spiller[K comparable, V any] struct {
 	codec Codec[K, V]
 	dir   string
 	paths []string // written run files, in creation order
 
+	// Budget accounting. A buffered pair costs fixed bytes — its slot in
+	// buf, its runEntry, and for fixed-size key types whose encoding
+	// exceeds the inline prefix its arena bytes and offset slot — plus the
+	// heap bytes its key and value reference (ksize/vsize, nil for types
+	// that reference none; a dynamic key is charged those bytes twice, once
+	// more for its arena copy). est is the sum over buf; crossing room
+	// (the share less the write buffer, at least half of it) spills.
+	share, room, fixed, est int64
+	ksize                   func(K) int
+	vsize                   func(V) int
+
+	buf   []pair[K, V]
+	ents  []runEntry // sort scratch, one per buffered pair
+	arena []byte     // encodings of keys longer than the prefix; raw values of one group while compacting
+	offs  []int      // arrival index → arena offset of a long key; value ends while compacting
+	val   []byte     // one encoded value
+	vs    []V        // one group's values, handed to the reducer
+	w     runWriter
+
 	// Spill metrics, folded into the job Metrics by the worker.
 	pairs, bytes, runs int64
 }
 
-func newSpiller[K comparable, V any](codec Codec[K, V], dir string) *spiller[K, V] {
-	return &spiller[K, V]{codec: codec, dir: dir}
+func newSpiller[K comparable, V any](codec Codec[K, V], dir string, share int64) *spiller[K, V] {
+	s := &spiller[K, V]{codec: codec, dir: dir, share: share, ksize: sizerFor[K](), vsize: sizerFor[V]()}
+	s.room = share - min(int64(s.writeBufSize()), share/2)
+	s.fixed = int64(unsafe.Sizeof(pair[K, V]{}) + unsafe.Sizeof(runEntry{}))
+	if s.ksize == nil {
+		var zero K
+		if n := len(codec.AppendKey(nil, zero)); n > keyPrefixLen {
+			s.fixed += int64(n) + int64(unsafe.Sizeof(int(0)))
+		}
+	} else {
+		s.fixed += int64(unsafe.Sizeof(int(0)))
+	}
+	// runEntry.idx is 32 bits wide.
+	s.room = min(s.room, s.fixed*(math.MaxUint32-1))
+	return s
+}
+
+// writeBufSize is the size of the worker's one run write buffer.
+func (s *spiller[K, V]) writeBufSize() int { return runBufSize(s.share / 16) }
+
+// runBufSize clamps a run I/O buffer size to [minRunBuf, maxRunBuf].
+func runBufSize(n int64) int {
+	return int(min(max(n, minRunBuf), maxRunBuf))
 }
 
 // cleanup removes every remaining run file. Safe to call twice; the worker
 // defers it so files never outlive the job, even on errors.
 func (s *spiller[K, V]) cleanup() {
 	for _, p := range s.paths {
-		//lint:allow failcover best-effort teardown: the error is ignored by design, so injecting a failure here cannot change any observable behavior
-		os.Remove(p)
+		os.Remove(p) // best-effort teardown: nothing to do about a failure
 	}
 	s.paths = nil
 }
 
-// spill writes groups as one sorted run file. Record layout, repeated until
-// EOF, with every length a uvarint:
+// add buffers a batch of arrived pairs, spilling a run each time the
+// estimate crosses the worker's room.
+func (s *spiller[K, V]) add(batch []pair[K, V]) error {
+	for len(batch) > 0 {
+		n := s.admit(batch)
+		if need := len(s.buf) + n; need > cap(s.buf) {
+			// Doubling, but never past the most pairs the room can hold:
+			// append's own growth would overshoot the share by up to 2×.
+			c := min(max(2*cap(s.buf), need), int(s.room/s.fixed)+1)
+			s.buf = append(make([]pair[K, V], 0, c), s.buf...)
+		}
+		s.buf = append(s.buf, batch[:n]...)
+		batch = batch[n:]
+		if s.est > s.room {
+			if err := s.spill(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// admit charges as many leading pairs of batch as it takes to cross the
+// room — the crossing pair included, so a run holds at least one — and
+// returns their number.
+func (s *spiller[K, V]) admit(batch []pair[K, V]) int {
+	if s.ksize == nil && s.vsize == nil {
+		n := min(int64(len(batch)), (s.room-s.est)/s.fixed+1)
+		s.est += n * s.fixed
+		return int(n)
+	}
+	for i := range batch {
+		s.est += s.fixed
+		if s.ksize != nil {
+			s.est += 2 * int64(s.ksize(batch[i].key))
+		}
+		if s.vsize != nil {
+			s.est += int64(s.vsize(batch[i].val))
+		}
+		if s.est > s.room {
+			return i + 1
+		}
+	}
+	return len(batch)
+}
+
+// sortBuf encodes every buffered key once and sorts the entries by encoded
+// key bytes, arrival order within a key.
+func (s *spiller[K, V]) sortBuf() error {
+	s.ents, s.arena = s.ents[:0], s.arena[:0]
+	for i := range s.buf {
+		start := len(s.arena)
+		s.arena = s.codec.AppendKey(s.arena, s.buf[i].key)
+		kb := s.arena[start:]
+		if len(kb) > math.MaxUint32 {
+			return fmt.Errorf("mapreduce: spill key encodes to %d bytes", len(kb))
+		}
+		var p [keyPrefixLen]byte
+		copy(p[:], kb)
+		s.ents = append(s.ents, runEntry{prefix: binary.BigEndian.Uint64(p[:]), idx: uint32(i), klen: uint32(len(kb))})
+		if len(kb) <= keyPrefixLen {
+			s.arena = s.arena[:start] // the entry holds all of it
+			continue
+		}
+		if len(s.offs) < len(s.buf) { // first long key of this sort: older offsets are stale
+			s.offs = slices.Grow(s.offs[:0], len(s.buf))[:len(s.buf)]
+		}
+		s.offs[i] = start
+	}
+	slices.SortFunc(s.ents, s.compare)
+	return nil
+}
+
+// tail returns the bytes of a long key past the inline prefix.
+func (s *spiller[K, V]) tail(e runEntry) []byte {
+	off := s.offs[e.idx]
+	return s.arena[off+keyPrefixLen : off+int(e.klen)]
+}
+
+// compareKeys orders entries by encoded key bytes. The prefix decides
+// almost every comparison. On a prefix tie a key that fits the prefix is a
+// byte-wise prefix of the other ("ab" and "ab\x00" tie, being zero-padded),
+// so the shorter sorts first; only two long keys need their arena bytes.
+//
+//lint:hotpath
+func (s *spiller[K, V]) compareKeys(a, b runEntry) int {
+	if a.prefix != b.prefix {
+		if a.prefix < b.prefix {
+			return -1
+		}
+		return 1
+	}
+	if a.klen > keyPrefixLen && b.klen > keyPrefixLen {
+		return bytes.Compare(s.tail(a), s.tail(b))
+	}
+	return cmp.Compare(a.klen, b.klen)
+}
+
+// compare is the sort order: by key, arrival order within a key (which
+// keeps a group's value order deterministic given the same arrivals).
+//
+//lint:hotpath
+func (s *spiller[K, V]) compare(a, b runEntry) int {
+	if c := s.compareKeys(a, b); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// walk calls group once per distinct key of the sorted entries, in key
+// order, with the key's entries in arrival order; a false return stops it.
+// It returns the number of groups visited and the largest of them.
+//
+//lint:hotpath
+func (s *spiller[K, V]) walk(group func(g []runEntry) bool) (distinct, maxIn int64) {
+	for lo := 0; lo < len(s.ents); {
+		hi := lo + 1
+		for hi < len(s.ents) && s.compareKeys(s.ents[lo], s.ents[hi]) == 0 {
+			hi++
+		}
+		distinct++
+		maxIn = max(maxIn, int64(hi-lo))
+		if !group(s.ents[lo:hi]) {
+			break
+		}
+		lo = hi
+	}
+	return distinct, maxIn
+}
+
+// spill sorts the buffer and writes it as one run file, then empties it.
+// Record layout, repeated until EOF, with every length a uvarint:
 //
 //	klen | key bytes | nvals | nvals × (vlen | value bytes)
 //
 // Keys appear once per run, ordered by their encoded bytes.
-func (s *spiller[K, V]) spill(groups map[K][]V) error {
-	type entry struct {
-		kb []byte
-		vs []V
+func (s *spiller[K, V]) spill() error {
+	if err := s.sortBuf(); err != nil {
+		return err
 	}
-	entries := make([]entry, 0, len(groups))
-	//lint:allow detenc iteration order is erased by the sort.Slice below; runs are written key-sorted
-	for k, vs := range groups {
-		entries = append(entries, entry{s.codec.AppendKey(nil, k), vs})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		return bytes.Compare(entries[i].kb, entries[j].kb) < 0
+	path, err := s.writeRun(func() error {
+		s.walk(func(g []runEntry) bool {
+			e := g[0]
+			s.w.writeUvarint(uint64(e.klen))
+			s.w.writePrefix(e.prefix, min(e.klen, keyPrefixLen))
+			if e.klen > keyPrefixLen {
+				s.w.write(s.tail(e))
+			}
+			s.w.writeUvarint(uint64(len(g)))
+			for _, e := range g {
+				s.val = s.codec.AppendValue(s.val[:0], s.buf[e.idx].val)
+				s.w.writeBytes(s.val)
+			}
+			return true
+		})
+		if err := failpoint.Eval(failpoint.SpillWrite); err != nil {
+			return fmt.Errorf("mapreduce: writing spill file: %w", err)
+		}
+		return nil
 	})
+	if err != nil {
+		return err
+	}
+	s.paths = append(s.paths, path)
+	s.pairs += int64(len(s.buf))
+	clear(s.buf) // the emptied buffer must not pin the run's keys and values
+	s.buf, s.est = s.buf[:0], 0
+	return nil
+}
 
+// writeRun creates a run file, has fill write its records through s.w, and
+// returns the committed file's path. Until then a defer owns the file: an
+// error return or a panic mid-encode (the gob fallback on an unencodable
+// value, an injected fault) must not orphan it.
+func (s *spiller[K, V]) writeRun(fill func() error) (string, error) {
 	f, err := os.CreateTemp(s.dir, "sgmr-spill-*.run")
 	if err != nil {
-		return fmt.Errorf("mapreduce: creating spill file: %w", err)
+		return "", fmt.Errorf("mapreduce: creating spill file: %w", err)
 	}
-	// Until the run is committed to s.paths, this defer owns the file: an
-	// error return or a panic mid-encode (the gob fallback on an
-	// unencodable value, an injected fault) must not orphan it.
 	committed := false
 	defer func() {
 		if !committed {
@@ -98,63 +310,86 @@ func (s *spiller[K, V]) spill(groups map[K][]V) error {
 		}
 	}()
 	if err := failpoint.Eval(failpoint.SpillCreate); err != nil {
-		return fmt.Errorf("mapreduce: creating spill file: %w", err)
+		return "", fmt.Errorf("mapreduce: creating spill file: %w", err)
 	}
-	w := &runWriter{bw: bufio.NewWriterSize(f, 1<<16)}
-	var scratch []byte
-	for _, e := range entries {
-		w.writeBytes(e.kb)
-		w.writeUvarint(uint64(len(e.vs)))
-		for _, v := range e.vs {
-			scratch = s.codec.AppendValue(scratch[:0], v)
-			w.writeBytes(scratch)
-		}
-		s.pairs += int64(len(e.vs))
+	if s.w.bw == nil {
+		s.w.bw = bufio.NewWriterSize(f, s.writeBufSize())
 	}
-	err = failpoint.Eval(failpoint.SpillWrite)
-	if err == nil {
-		err = w.flush()
+	s.w.bw.Reset(f)
+	s.w.n = 0
+	if err := fill(); err != nil {
+		return "", err
 	}
+	err = s.w.bw.Flush()
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return fmt.Errorf("mapreduce: writing spill file: %w", err)
+		return "", fmt.Errorf("mapreduce: writing spill file: %w", err)
 	}
-	s.paths = append(s.paths, f.Name())
 	committed = true
-	s.bytes += w.n
+	s.bytes += s.w.n
 	s.runs++
-	return nil
+	return f.Name(), nil
 }
 
-// mergeReduce merges every run and streams each key's values into reduce in
-// ascending encoded-key order. It returns the number of distinct keys and
-// the largest group, matching what the in-memory path would have reported.
-// A false return from reduce aborts the merge early (the group counted
-// against distinct/maxIn is the one the callback declined).
-func (s *spiller[K, V]) mergeReduce(reduce func(k K, vs []V) bool) (distinct, maxIn int64, err error) {
+// reduce streams every key's values into fn and returns the number of
+// distinct keys and the largest group, matching what the in-memory path
+// would have reported. A false return from fn stops early (the group it
+// declined is counted). A worker that never spilled reduces straight from
+// its sorted buffer with the original keys and values; one that did spills
+// the rest and merges its runs, in ascending encoded-key order either way.
+func (s *spiller[K, V]) reduce(fn func(k K, vs []V) bool) (distinct, maxIn int64, err error) {
+	if len(s.paths) == 0 {
+		if err := s.sortBuf(); err != nil {
+			return 0, 0, err
+		}
+		distinct, maxIn = s.walk(func(g []runEntry) bool {
+			s.vs = s.vs[:0]
+			for _, e := range g {
+				s.vs = append(s.vs, s.buf[e.idx].val)
+			}
+			return fn(s.buf[g[0].idx].key, s.vs)
+		})
+		return distinct, maxIn, nil
+	}
+	if len(s.buf) > 0 {
+		if err := s.spill(); err != nil {
+			return 0, 0, err
+		}
+	}
+	// The merge's read buffers take over the share the buffer held.
+	s.buf, s.ents, s.arena, s.offs = nil, nil, nil, nil
+	return s.mergeReduce(fn)
+}
+
+// mergeReduce merges every run and streams each key's decoded values into
+// fn in ascending encoded-key order.
+func (s *spiller[K, V]) mergeReduce(fn func(k K, vs []V) bool) (distinct, maxIn int64, err error) {
 	if err := failpoint.Eval(failpoint.SpillMerge); err != nil {
 		return 0, 0, fmt.Errorf("mapreduce: merging spill runs: %w", err)
 	}
-	// Intermediate passes: fold the oldest mergeFanIn runs into one until
-	// the final merge fits the fan-in cap.
+	// Intermediate passes: fold the oldest runs into one until the final
+	// merge fits the fan-in cap — no more of them than that takes, so one
+	// run over the cap rewrites two runs, not thirty-two.
 	for len(s.paths) > mergeFanIn {
-		np, err := s.compact(s.paths[:mergeFanIn])
+		n := min(mergeFanIn, len(s.paths)-mergeFanIn+1)
+		np, err := s.compact(s.paths[:n])
 		if err != nil {
 			return 0, 0, err
 		}
-		s.paths = append(s.paths[mergeFanIn:], np)
+		s.paths = append(s.paths[n:], np)
 	}
-	m, err := newMerger(s.paths)
+	m, err := newMerger(s.paths, s.share)
 	if err != nil {
 		return 0, 0, err
 	}
 	s.paths = nil // merger owns and removes them
 	defer m.close()
-	var vs []V
+	decode := s.decodeValue
 	for {
-		kb, vals, ok, err := m.nextGroup()
+		s.vs = s.vs[:0]
+		kb, ok, err := m.nextGroup(decode)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -165,79 +400,66 @@ func (s *spiller[K, V]) mergeReduce(reduce func(k K, vs []V) bool) (distinct, ma
 		if err != nil {
 			return 0, 0, fmt.Errorf("mapreduce: decoding spilled key: %w", err)
 		}
-		vs = vs[:0]
-		for _, vb := range vals {
-			v, err := s.codec.DecodeValue(vb)
-			if err != nil {
-				return 0, 0, fmt.Errorf("mapreduce: decoding spilled value: %w", err)
-			}
-			vs = append(vs, v)
-		}
 		distinct++
-		if n := int64(len(vs)); n > maxIn {
-			maxIn = n
-		}
-		if !reduce(k, vs) {
+		maxIn = max(maxIn, int64(len(s.vs)))
+		if !fn(k, s.vs) {
 			return distinct, maxIn, nil
 		}
 	}
 }
 
+// decodeValue is mergeReduce's per-value callback: it decodes one raw value
+// straight into the reducer's reused slice.
+//
+//lint:hotpath
+func (s *spiller[K, V]) decodeValue(vb []byte) error {
+	v, err := s.codec.DecodeValue(vb)
+	if err != nil {
+		return decodeValueErr(err)
+	}
+	s.vs = append(s.vs, v)
+	return nil
+}
+
+func decodeValueErr(err error) error {
+	return fmt.Errorf("mapreduce: decoding spilled value: %w", err)
+}
+
 // compact merges the given runs into one new run file, whose path it
-// returns. No decoding happens: groups are re-emitted with their raw value
-// bytes, values of equal keys concatenated. The input files are consumed.
+// returns. No decoding happens: each group's raw values are gathered into
+// the arena (their count precedes them in the record) and re-emitted under
+// the key once. The input files are consumed.
 func (s *spiller[K, V]) compact(paths []string) (string, error) {
-	m, err := newMerger(paths)
+	m, err := newMerger(paths, s.share)
 	if err != nil {
 		return "", err
 	}
 	defer m.close()
-	f, err := os.CreateTemp(s.dir, "sgmr-spill-*.run")
-	if err != nil {
-		return "", fmt.Errorf("mapreduce: creating spill file: %w", err)
+	gather := func(vb []byte) error {
+		s.arena = append(s.arena, vb...)
+		s.offs = append(s.offs, len(s.arena))
+		return nil
 	}
-	// As in spill: the defer owns the file until the caller can, so error
-	// returns and panics never orphan a half-compacted run.
-	committed := false
-	defer func() {
-		if !committed {
-			f.Close()
-			os.Remove(f.Name())
+	return s.writeRun(func() error {
+		for {
+			s.arena, s.offs = s.arena[:0], s.offs[:0]
+			kb, ok, err := m.nextGroup(gather)
+			if err != nil || !ok {
+				return err
+			}
+			s.w.writeBytes(kb)
+			s.w.writeUvarint(uint64(len(s.offs)))
+			start := 0
+			for _, end := range s.offs {
+				s.w.writeBytes(s.arena[start:end])
+				start = end
+			}
 		}
-	}()
-	if err := failpoint.Eval(failpoint.SpillCreate); err != nil {
-		return "", fmt.Errorf("mapreduce: creating spill file: %w", err)
-	}
-	w := &runWriter{bw: bufio.NewWriterSize(f, 1<<16)}
-	for {
-		kb, vals, ok, err := m.nextGroup()
-		if err != nil {
-			return "", err
-		}
-		if !ok {
-			break
-		}
-		w.writeBytes(kb)
-		w.writeUvarint(uint64(len(vals)))
-		for _, vb := range vals {
-			w.writeBytes(vb)
-		}
-	}
-	err = w.flush()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return "", fmt.Errorf("mapreduce: writing spill file: %w", err)
-	}
-	committed = true
-	s.bytes += w.n
-	s.runs++
-	return f.Name(), nil
+	})
 }
 
 // runWriter writes length-prefixed records, counting bytes and deferring
-// error checks to flush (bufio.Writer remembers the first error).
+// error checks to the flush (bufio.Writer remembers the first error).
 type runWriter struct {
 	bw  *bufio.Writer
 	n   int64
@@ -245,109 +467,154 @@ type runWriter struct {
 }
 
 func (w *runWriter) writeUvarint(x uint64) {
-	n := binary.PutUvarint(w.hdr[:], x)
-	w.bw.Write(w.hdr[:n])
-	w.n += int64(n)
+	w.write(w.hdr[:binary.PutUvarint(w.hdr[:], x)])
 }
 
-func (w *runWriter) writeBytes(b []byte) {
-	w.writeUvarint(uint64(len(b)))
+// writePrefix writes the first n bytes of a runEntry's inline key prefix.
+func (w *runWriter) writePrefix(prefix uint64, n uint32) {
+	binary.BigEndian.PutUint64(w.hdr[:], prefix)
+	w.write(w.hdr[:n])
+}
+
+func (w *runWriter) write(b []byte) {
 	w.bw.Write(b)
 	w.n += int64(len(b))
 }
 
-func (w *runWriter) flush() error { return w.bw.Flush() }
+func (w *runWriter) writeBytes(b []byte) {
+	w.writeUvarint(uint64(len(b)))
+	w.write(b)
+}
 
-// runCursor reads one run file record by record.
+// runCursor reads one run file record by record. Every length it reads is
+// checked against the bytes the file still holds before a buffer grows to
+// it, so a torn or bit-flipped run is a read error, never an allocation
+// larger than the file.
 type runCursor struct {
-	f   *os.File
-	br  *bufio.Reader
-	key []byte // current record's key
-	nv  int    // values of the current record not yet read
-	ord int    // heap tie-break: run creation order
+	f    *os.File
+	br   *bufio.Reader
+	left int64  // bytes of the file not yet consumed
+	key  []byte // current record's key
+	val  []byte // value buffer, reused: valid until the next value call
+	nv   uint64 // values of the current record not yet read
+	ord  int    // heap tie-break: run creation order
+}
+
+var errRunVarint = errors.New("length varint overflows 64 bits")
+
+func readRunErr(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("mapreduce: reading spill run: %w", err)
+}
+
+// length reads one uvarint that must not exceed the bytes left after it —
+// true of a key or value length and, every value taking at least a byte,
+// of a value count. It returns io.EOF untouched only when the file ends
+// before the first byte.
+func (c *runCursor) length() (uint64, error) {
+	var x uint64
+	for shift := uint(0); shift < 64; shift += 7 {
+		b, err := c.br.ReadByte()
+		if err != nil {
+			if err == io.EOF && shift > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		c.left--
+		if b < 0x80 {
+			if shift == 63 && b > 1 {
+				break
+			}
+			x |= uint64(b) << shift
+			if x > uint64(max(c.left, 0)) {
+				return 0, io.ErrUnexpectedEOF
+			}
+			return x, nil
+		}
+		x |= uint64(b&0x7f) << shift
+	}
+	return 0, errRunVarint
+}
+
+// fill reads the next n bytes of the run into buf, growing it if needed.
+func (c *runCursor) fill(buf []byte, n uint64) ([]byte, error) {
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	_, err := io.ReadFull(c.br, buf)
+	c.left -= int64(n)
+	return buf, err
 }
 
 // next loads the following record header; false means clean EOF.
 func (c *runCursor) next() (bool, error) {
-	klen, err := binary.ReadUvarint(c.br)
+	klen, err := c.length()
 	if err == io.EOF {
 		return false, nil
 	}
+	if err == nil {
+		c.key, err = c.fill(c.key, klen)
+	}
+	if err == nil {
+		c.nv, err = c.length()
+	}
 	if err != nil {
-		return false, fmt.Errorf("mapreduce: reading spill run: %w", err)
+		return false, readRunErr(err)
 	}
-	if uint64(cap(c.key)) < klen {
-		c.key = make([]byte, klen)
-	} else {
-		c.key = c.key[:klen]
-	}
-	if _, err := io.ReadFull(c.br, c.key); err != nil {
-		return false, fmt.Errorf("mapreduce: reading spill run: %w", err)
-	}
-	nv, err := binary.ReadUvarint(c.br)
-	if err != nil {
-		return false, fmt.Errorf("mapreduce: reading spill run: %w", err)
-	}
-	c.nv = int(nv)
 	return true, nil
 }
 
-// value reads the next raw value of the current record.
+// value reads the next raw value of the current record into the cursor's
+// reusable buffer.
+//
+//lint:hotpath
 func (c *runCursor) value() ([]byte, error) {
-	vlen, err := binary.ReadUvarint(c.br)
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: reading spill run: %w", err)
+	vlen, err := c.length()
+	if err == nil {
+		c.val, err = c.fill(c.val, vlen)
 	}
-	vb := make([]byte, vlen)
-	if _, err := io.ReadFull(c.br, vb); err != nil {
-		return nil, fmt.Errorf("mapreduce: reading spill run: %w", err)
+	if err != nil {
+		return nil, readRunErr(err)
 	}
 	c.nv--
-	return vb, nil
-}
-
-// cursorHeap orders cursors by encoded key bytes (run order as tie-break,
-// which keeps value order deterministic given the same runs).
-type cursorHeap []*runCursor
-
-func (h cursorHeap) Len() int { return len(h) }
-func (h cursorHeap) Less(i, j int) bool {
-	if c := bytes.Compare(h[i].key, h[j].key); c != 0 {
-		return c < 0
-	}
-	return h[i].ord < h[j].ord
-}
-func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(*runCursor)) }
-func (h *cursorHeap) Pop() any {
-	old := *h
-	c := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return c
+	return c.val, nil
 }
 
 // merger streams merged key groups out of a set of run files. It takes
 // ownership of the files: it opens each, and closes and removes all of
 // them in close.
 type merger struct {
-	h   cursorHeap
+	h   []*runCursor // min-heap by (key bytes, run order)
 	kb  []byte
 	all []*runCursor
 }
 
-func newMerger(paths []string) (*merger, error) {
+// newMerger opens the runs for one merge pass, splitting share between
+// their read buffers.
+func newMerger(paths []string, share int64) (*merger, error) {
 	// On error the spiller's deferred cleanup still owns every path (the
 	// caller only drops them from its list on success), so close() here
 	// only needs to release descriptors; double-removal is harmless.
 	m := &merger{}
+	size := runBufSize(share / int64(max(len(paths), 1)))
 	for i, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
 			m.close()
 			return nil, fmt.Errorf("mapreduce: reopening spill run: %w", err)
 		}
-		c := &runCursor{f: f, br: bufio.NewReaderSize(f, 1<<16), ord: i}
+		c := &runCursor{f: f, br: bufio.NewReaderSize(f, size), ord: i}
 		m.all = append(m.all, c)
+		st, err := f.Stat()
+		if err != nil {
+			m.close()
+			return nil, fmt.Errorf("mapreduce: reopening spill run: %w", err)
+		}
+		c.left = st.Size()
 		more, err := c.next()
 		if err != nil {
 			m.close()
@@ -357,7 +624,9 @@ func newMerger(paths []string) (*merger, error) {
 			m.h = append(m.h, c)
 		}
 	}
-	heap.Init(&m.h)
+	for i := len(m.h)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
 	return m, nil
 }
 
@@ -370,34 +639,65 @@ func (m *merger) close() {
 	m.h = nil
 }
 
-// nextGroup returns the smallest remaining key (by encoded bytes) and the
-// raw encodings of all its values across every run. ok is false once the
-// merge is exhausted — the key cannot double as the sentinel because a
+// less orders cursors by encoded key bytes, run order as tie-break (which
+// keeps value order deterministic given the same runs).
+func (m *merger) less(i, j int) bool {
+	if c := bytes.Compare(m.h[i].key, m.h[j].key); c != 0 {
+		return c < 0
+	}
+	return m.h[i].ord < m.h[j].ord
+}
+
+// down restores the heap below position i.
+func (m *merger) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(m.h) {
+			return
+		}
+		if r := l + 1; r < len(m.h) && m.less(r, l) {
+			l = r
+		}
+		if !m.less(l, i) {
+			return
+		}
+		m.h[i], m.h[l] = m.h[l], m.h[i]
+		i = l
+	}
+}
+
+// nextGroup hands each to every raw value, across all runs, of the smallest
+// remaining key (by encoded bytes) and returns that key. ok is false once
+// the merge is exhausted — the key cannot double as the sentinel because a
 // legitimate key may encode to zero bytes (e.g. the empty string under
-// DefaultCodec). The returned slices are valid until the next call.
-func (m *merger) nextGroup() (kb []byte, vals [][]byte, ok bool, err error) {
-	if m.h.Len() == 0 {
-		return nil, nil, false, nil
+// DefaultCodec). The key is valid until the next call, a value only during
+// its each call.
+func (m *merger) nextGroup(each func(vb []byte) error) (kb []byte, ok bool, err error) {
+	if len(m.h) == 0 {
+		return nil, false, nil
 	}
 	m.kb = append(m.kb[:0], m.h[0].key...)
-	for m.h.Len() > 0 && bytes.Equal(m.h[0].key, m.kb) {
+	for len(m.h) > 0 && bytes.Equal(m.h[0].key, m.kb) {
 		c := m.h[0]
 		for c.nv > 0 {
 			vb, err := c.value()
-			if err != nil {
-				return nil, nil, false, err
+			if err == nil {
+				err = each(vb)
 			}
-			vals = append(vals, vb)
+			if err != nil {
+				return nil, false, err
+			}
 		}
 		more, err := c.next()
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
-		if more {
-			heap.Fix(&m.h, 0)
-		} else {
-			heap.Pop(&m.h)
+		if !more {
+			last := len(m.h) - 1
+			m.h[0] = m.h[last]
+			m.h = m.h[:last]
 		}
+		m.down(0)
 	}
-	return m.kb, vals, true, nil
+	return m.kb, true, nil
 }

@@ -40,8 +40,18 @@ func (r Result) TotalComm() int64 {
 	return r.Round1.KeyValuePairs + r.Round2.KeyValuePairs
 }
 
+// role is a round-1 value: an edge's far endpoint, and which side of the
+// wedge it supplies at the key node.
+type role struct {
+	Other graph.Node
+	Left  bool // true: contributes X to E(X,Y); false: contributes Z
+}
+
+// wedge is one round-2 input: a wedge (X, Y, Z) out of round 1, or — the
+// two relations share one input slice — the edge marker (X, Z).
 type wedge struct {
 	X, Y, Z graph.Node
+	IsEdge  bool
 }
 
 type edgeOrWedge struct {
@@ -71,12 +81,20 @@ func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink f
 
 	// Round 1: key by the shared variable Y. An edge (a, b) with a < b
 	// plays role E(X,Y) under key b and role E(Y,Z) under key a.
-	type role struct {
-		Other graph.Node
-		Left  bool // true: contributes X to E(X,Y); false: contributes Z
+	//
+	// Its output and one marker per edge are round 2's input, collected in
+	// one slice allocated at its final size — appending a round's worth of
+	// outputs would copy them several times over on the way up. (Under a
+	// distributed ownership filter the run keeps an unknown share of the
+	// wedges, so there the slice grows.)
+	hint := g.NumEdges()
+	if cfg.Dist == nil {
+		hint += int(WedgeCount(g))
 	}
-	wedges, err := mapreduce.RunRoundContext(ctx, c, mapreduce.Job[graph.Edge, graph.Node, role, wedge]{
-		Name: "wedge join E(X,Y) ⋈ E(Y,Z)",
+	inputs := make([]wedge, 0, hint)
+	err := mapreduce.RunRoundStream(ctx, c, mapreduce.Job[graph.Edge, graph.Node, role, wedge]{
+		Name:  "wedge join E(X,Y) ⋈ E(Y,Z)",
+		Codec: wedgeJoinCodec{},
 		Map: func(e graph.Edge, emit func(graph.Node, role)) {
 			emit(e.V, role{Other: e.U, Left: true})  // X = U, Y = V
 			emit(e.U, role{Other: e.V, Left: false}) // Y = U, Z = V
@@ -93,16 +111,20 @@ func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink f
 			ctx.AddWork(int64(len(lefts)) * int64(len(rights)))
 			for _, x := range lefts {
 				for _, z := range rights {
-					emit(wedge{x, y, z})
+					emit(wedge{X: x, Y: y, Z: z})
 				}
 			}
 		},
-	}, g.Edges())
+	}, g.Edges(), func(w wedge) bool {
+		inputs = append(inputs, w)
+		return true
+	})
+	wedges := int64(len(inputs))
 	if err != nil {
-		return resultFromChain(int64(len(wedges)), c), err
+		return resultFromChain(wedges, c), err
 	}
-	if afterRound1 != nil && !afterRound1(c.Rounds[0].Metrics, int64(len(wedges))) {
-		res := resultFromChain(int64(len(wedges)), c)
+	if afterRound1 != nil && !afterRound1(c.Rounds[0].Metrics, wedges) {
+		res := resultFromChain(wedges, c)
 		res.Abandoned = true
 		return res, nil
 	}
@@ -117,25 +139,16 @@ func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink f
 	// edge markers alone emit nothing — filtering round 2's (X,Z) keys too
 	// would instead drop wedges whose closing edge hashes to another worker.
 	c.Cfg.Dist = nil
-	type kv = uint64
-	inputs := make([]any, 0, len(wedges)+g.NumEdges())
-	for _, w := range wedges {
-		inputs = append(inputs, w)
-	}
 	for _, e := range g.Edges() {
-		inputs = append(inputs, e)
+		inputs = append(inputs, wedge{X: e.U, Z: e.V, IsEdge: true})
 	}
-	round2 := mapreduce.Job[any, kv, edgeOrWedge, [3]graph.Node]{
-		Name: "close wedges against E(X,Z)",
-		Map: func(in any, emit func(kv, edgeOrWedge)) {
-			switch v := in.(type) {
-			case wedge:
-				emit((graph.Edge{U: v.X, V: v.Z}).Key(), edgeOrWedge{Y: v.Y})
-			case graph.Edge:
-				emit(v.Key(), edgeOrWedge{IsEdge: true})
-			}
+	round2 := mapreduce.Job[wedge, uint64, edgeOrWedge, [3]graph.Node]{
+		Name:  "close wedges against E(X,Z)",
+		Codec: closeCodec{},
+		Map: func(in wedge, emit func(uint64, edgeOrWedge)) {
+			emit((graph.Edge{U: in.X, V: in.Z}).Key(), edgeOrWedge{Y: in.Y, IsEdge: in.IsEdge})
 		},
-		Reduce: func(ctx *mapreduce.Context, key kv, values []edgeOrWedge, emit func([3]graph.Node)) {
+		Reduce: func(ctx *mapreduce.Context, key uint64, values []edgeOrWedge, emit func([3]graph.Node)) {
 			hasEdge := false
 			for _, v := range values {
 				if v.IsEdge {
@@ -158,7 +171,7 @@ func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink f
 	}
 
 	err = mapreduce.RunRoundStream(ctx, c, round2, inputs, sink)
-	return resultFromChain(int64(len(wedges)), c), err
+	return resultFromChain(wedges, c), err
 }
 
 // resultFromChain assembles a Result from however many rounds actually ran
