@@ -109,7 +109,7 @@ func BenchmarkAblationDirected(b *testing.B) {
 			var res *DirectedResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = EnumerateDirected(g, DirectedCyclePattern(p, 0), DirectedOptions{Buckets: 5, Seed: 3})
+				res, err = EnumerateDirectedContext(b.Context(), g, DirectedCyclePattern(p, 0), DirectedOptions{Buckets: 5, Seed: 3}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

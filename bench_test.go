@@ -297,11 +297,13 @@ func BenchmarkMapReduceEngine(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, m := mapreduce.Run(mapreduce.Config{},
-			inputs,
-			func(x int, emit func(int, int)) { emit(x%1024, x) },
-			func(_ *mapreduce.Context, k int, vs []int, emit func(int)) { emit(len(vs)) },
-		)
+		_, m, err := mapreduce.Job[int, int, int, int]{
+			Map:    func(x int, emit func(int, int)) { emit(x%1024, x) },
+			Reduce: func(_ *mapreduce.Context, k int, vs []int, emit func(int)) { emit(len(vs)) },
+		}.RunContext(b.Context(), mapreduce.Config{}, inputs)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if m.KeyValuePairs != int64(len(inputs)) {
 			b.Fatal("engine dropped pairs")
 		}

@@ -131,7 +131,7 @@ func sec8() {
 			{From: 0, To: 1, Label: directed.LabelKnows},
 			{From: 1, To: 2, Label: directed.LabelBuysFrom}})},
 	} {
-		res, err := directed.Enumerate(g, tc.pt, directed.Options{Buckets: 5, Seed: 2})
+		res, err := directed.EnumerateContext(context.Background(), g, tc.pt, directed.Options{Buckets: 5, Seed: 2}, nil)
 		if err != nil {
 			panic(err)
 		}

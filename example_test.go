@@ -64,8 +64,9 @@ func ExampleRunRound() {
 		"the quick dog",
 	}
 	chain := subgraphmr.NewChain(subgraphmr.EngineConfig{Parallelism: 2})
+	ctx := context.Background()
 
-	counts := subgraphmr.RunRound(chain, subgraphmr.MapReduceJob[string, string, int64, wordCount]{
+	counts, err := subgraphmr.RunRound(ctx, chain, subgraphmr.MapReduceJob[string, string, int64, wordCount]{
 		Name: "word count",
 		Map: func(line string, emit func(string, int64)) {
 			for _, w := range strings.Fields(line) {
@@ -87,8 +88,11 @@ func ExampleRunRound() {
 			emit(wordCount{word, sum})
 		},
 	}, lines)
+	if err != nil {
+		panic(err)
+	}
 
-	byFreq := subgraphmr.RunRound(chain, subgraphmr.MapReduceJob[wordCount, int64, string, string]{
+	byFreq, err := subgraphmr.RunRound(ctx, chain, subgraphmr.MapReduceJob[wordCount, int64, string, string]{
 		Name: "group by frequency",
 		Map: func(wc wordCount, emit func(int64, string)) {
 			emit(wc.Count, wc.Word)
@@ -97,6 +101,9 @@ func ExampleRunRound() {
 			emit(fmt.Sprintf("%d× %d word(s)", count, len(words)))
 		},
 	}, counts)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("distinct words: %d\n", len(counts))
 	fmt.Printf("frequency groups: %d\n", len(byFreq))

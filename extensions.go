@@ -71,19 +71,14 @@ func FanInPattern(p int, label ArcLabel) *DiPattern { return directed.FanIn(p, l
 // on the same flight who form a buys-from ring.
 func ThreatRingPattern(k int) *DiPattern { return directed.ThreatRing(k) }
 
-// EnumerateDirected finds every instance of a directed labeled pattern in
-// a single map-reduce round, each exactly once.
-func EnumerateDirected(g *DiGraph, pt *DiPattern, opt DirectedOptions) (*DirectedResult, error) {
-	return directed.Enumerate(g, pt, opt)
-}
-
-// EnumerateDirectedContext is EnumerateDirected under a context and an
-// optional streaming sink: a nil sink materializes Result.Instances; a
-// non-nil sink receives each instance instead (serialized, with
-// backpressure; returning false stops the job early). Cancelling ctx
-// aborts the job, removes spill runs and returns ctx.Err(). The directed
-// Options honor the same execution knobs as the undirected planner
-// (TargetReducers, Parallelism, Partitions, MemoryBudget, SpillDir, Seed).
+// EnumerateDirectedContext finds every instance of a directed labeled
+// pattern (at most 16 nodes) in a single map-reduce round, each exactly
+// once. A nil sink materializes Result.Instances; a non-nil sink receives
+// each instance instead (serialized, with backpressure; returning false
+// stops the job early). Cancelling ctx aborts the job, removes spill runs
+// and returns ctx.Err(). The directed Options honor the same execution
+// knobs as the undirected planner (TargetReducers, Parallelism, Partitions,
+// MemoryBudget, SpillDir, Seed).
 func EnumerateDirectedContext(ctx context.Context, g *DiGraph, pt *DiPattern, opt DirectedOptions, sink func([]Node) bool) (*DirectedResult, error) {
 	return directed.EnumerateContext(ctx, g, pt, opt, sink)
 }
@@ -131,13 +126,15 @@ func CycleJoin(rels []*JoinRelation) ([][]int64, int64) { return multijoin.Cycle
 // two-way joins — one map-reduce round per relation after the first — and
 // returns the rows plus the chain with per-round metrics, so the
 // intermediate-relation blowup the paper argues against is measurable.
-func CycleJoinChain(rels []*JoinRelation, cfg EngineConfig) ([][]int64, *Chain) {
-	return multijoin.CycleJoinChain(rels, cfg)
+// Cancelling ctx aborts the round in flight and returns ctx.Err().
+func CycleJoinChain(ctx context.Context, rels []*JoinRelation, cfg EngineConfig) ([][]int64, *Chain, error) {
+	return multijoin.CycleJoinChain(ctx, rels, cfg)
 }
 
 // CycleClassCountsMR computes the Section 5 orientation classes of C_p and
 // their sizes on the map-reduce engine, using a counting combiner to cut
-// the shuffled pairs down to classes × shards.
-func CycleClassCountsMR(p int, cfg EngineConfig) ([]OrientationClassCount, Metrics) {
-	return cycles.ClassCountsMR(p, cfg)
+// the shuffled pairs down to classes × shards. Cancelling ctx aborts the job
+// and returns ctx.Err().
+func CycleClassCountsMR(ctx context.Context, p int, cfg EngineConfig) ([]OrientationClassCount, Metrics, error) {
+	return cycles.ClassCountsMR(ctx, p, cfg)
 }

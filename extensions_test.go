@@ -8,7 +8,7 @@ import (
 func TestFacadeDirected(t *testing.T) {
 	g := RandomDiGraph(20, 100, 2, 1)
 	pt := DirectedCyclePattern(3, 0)
-	res, err := EnumerateDirected(g, pt, DirectedOptions{Buckets: 3, Seed: 2})
+	res, err := EnumerateDirectedContext(t.Context(), g, pt, DirectedOptions{Buckets: 3, Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestFacadeDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := EnumerateDirected(g, custom, DirectedOptions{Buckets: 4})
+	res2, err := EnumerateDirectedContext(t.Context(), g, custom, DirectedOptions{Buckets: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestFacadeDirectedBuilder(t *testing.T) {
 	b.AddArc(1, 2, LabelKnows)
 	b.AddArc(2, 0, LabelKnows)
 	g := b.Graph()
-	res, err := EnumerateDirected(g, DirectedCyclePattern(3, LabelKnows), DirectedOptions{Buckets: 2})
+	res, err := EnumerateDirectedContext(t.Context(), g, DirectedCyclePattern(3, LabelKnows), DirectedOptions{Buckets: 2}, nil)
 	if err != nil || len(res.Instances) != 1 {
 		t.Errorf("directed triangle ring: %v, %d instances", err, len(res.Instances))
 	}
@@ -87,7 +87,7 @@ func TestFacadeThreatRing(t *testing.T) {
 		b.AddArc(i, (i+2)%4+4, LabelKnows)  // noise
 	}
 	g := b.Graph()
-	res, err := EnumerateDirected(g, ThreatRingPattern(4), DirectedOptions{Buckets: 3})
+	res, err := EnumerateDirectedContext(t.Context(), g, ThreatRingPattern(4), DirectedOptions{Buckets: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,22 +226,24 @@ func Enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Option
 	if err != nil {
 		return nil, err
 	}
-	cfg := opt.engineConfig()
 	switch opt.Strategy {
 	case BucketOriented:
-		return bucketOriented(ctx, g, s, qs, opt, cfg, sink)
+		return bucketOriented(ctx, g, s, qs, opt, sink)
 	case VariableOriented:
-		return variableOriented(ctx, g, s, qs, opt, cfg, sink)
+		return variableOriented(ctx, g, s, qs, opt, sink)
 	case CQOriented:
-		return cqOriented(ctx, g, s, qs, opt, cfg, sink)
+		return cqOriented(ctx, g, qs, opt, sink)
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %v", opt.Strategy)
 	}
 }
 
-// enumJob is one enumeration round: edges in, instances out, byte-string
-// reducer keys.
-type enumJob = mapreduce.Job[graph.Edge, string, graph.Edge, []graph.Node]
+// enumJob is one enumeration round: edges in, instances out, reducers named
+// by bucket keys.
+type enumJob = mapreduce.Job[graph.Edge, graph.BucketKey, graph.Edge, []graph.Node]
+
+// enumReduce is the reduce function of an enumJob.
+type enumReduce = mapreduce.Reducer[graph.BucketKey, graph.Edge, []graph.Node]
 
 // matchSink is where a job's reducers send the matches they own: on to sink
 // when there is one, into a counter when there is none — so a count-only
@@ -285,158 +287,87 @@ func buildCQs(s *sample.Sample, opt Options) ([]*cq.CQ, error) {
 	return cq.MergeByOrientation(cq.GenerateForSample(s)), nil
 }
 
-// bucketKey encodes a sorted bucket multiset (or a bucket tuple) as a
-// comparable string.
-func bucketKey(buckets []int) string {
-	b := make([]byte, len(buckets))
-	for i, v := range buckets {
-		if v > 255 {
-			panic("core: bucket exceeds 255")
-		}
-		b[i] = byte(v)
+// bucketOriented implements the Section 4.5 strategy.
+func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.CQ, opt Options, sink func([]graph.Node) bool) (*Result, error) {
+	const name = "bucket-oriented"
+	res, err := runBucketJob(ctx, g, s.P(), opt, name, name, sink, func(h graph.NodeHash, ms *matchSink) enumReduce {
+		// Nodes are ordered by (bucket, id) as in Section 2.3; the fragment keeps
+		// each rank's bucket, which is all the ownership test reads.
+		r := &enumReducer{evals: cq.NewEvaluatorSet(qs), order: h.Key, ms: ms}
+		return r.reduce
+	})
+	if err != nil {
+		return nil, err
 	}
-	return string(b)
+	res.Jobs[0].CQs = cqStrings(qs)
+	res.NumCQs = len(qs)
+	return res, nil
 }
 
-// bucketOriented implements the Section 4.5 strategy.
-func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.CQ, opt Options, cfg mapreduce.Config, sink func([]graph.Node) bool) (*Result, error) {
-	p := s.P()
+// runBucketJob runs one job shipped by the Section 4.5 mapper — the
+// bucket-oriented strategy and the Theorem 6.1 conversion differ only in
+// what their reducers do with a key's edges: it resolves b, builds the
+// mapper, runs the job under the reducer that reduce returns for the job's
+// hash and match sink, and reports the one JobStats entry.
+func runBucketJob(ctx context.Context, g *graph.Graph, p int, opt Options, name, label string,
+	sink func([]graph.Node) bool, reduce func(graph.NodeHash, *matchSink) enumReduce) (*Result, error) {
 	b := opt.Buckets
 	if b <= 0 {
-		b = bucketsForReducers(opt.reducers(), p)
+		b = shares.BucketsForReducers(opt.reducers(), p)
 	}
-	if b > shares.MaxIntShare {
-		return nil, fmt.Errorf("core: bucket count %d exceeds %d", b, shares.MaxIntShare)
+	mapper, err := newBucketMapper(opt.Seed, p, b)
+	if err != nil {
+		return nil, err
 	}
-	h := bucketHash(opt.Seed, b)
-	mapper := bucketEdgeMapper(h, p, b)
 	ms := &matchSink{sink: sink}
-	// Nodes are ordered by (bucket, id) as in Section 2.3; the fragment keeps
-	// each rank's bucket, which is all the ownership test reads.
-	reducer := &enumReducer{evals: cq.NewEvaluatorSet(qs), order: h.Key, ms: ms}
 	count, metrics, err := ms.run(ctx, enumJob{
-		Name:   fmt.Sprintf("bucket-oriented b=%d", b),
-		Map:    mapper,
-		Reduce: reducer.reduce,
-		Codec:  edgeCodec{},
-	}, cfg, g)
+		Name:   fmt.Sprintf("%s b=%d", name, b),
+		Map:    mapper.Map,
+		Reduce: reduce(mapper.h, ms),
+		Codec:  graph.EdgeKeyCodec{P: p},
+	}, opt.engineConfig(), g)
 	if err != nil {
 		return nil, err
 	}
 	job := JobStats{
-		Label:                fmt.Sprintf("bucket-oriented b=%d", b),
-		CQs:                  cqStrings(qs),
+		Label:                fmt.Sprintf("%s b=%d", label, b),
 		Shares:               uniformShares(p, b),
 		PredictedCommPerEdge: shares.BucketEdgeReplication(b, p),
 		OptimalCommPerEdge:   shares.BucketEdgeReplication(b, p),
 		Metrics:              metrics,
 		ObservedSkew:         metrics.Skew(),
 	}
-	return &Result{Count: count, Jobs: []JobStats{job}, NumCQs: len(qs)}, nil
+	return &Result{Count: count, Jobs: []JobStats{job}}, nil
 }
 
-// bucketHash is the node hash every bucket-style job derives from the job
-// seed — shared by execution and the planner's load probes, so the probed
-// loads are exactly what the job will ship.
-func bucketHash(seed uint64, b int) graph.NodeHash {
-	return graph.NodeHash{Seed: seed + 0x9e3779b97f4a7c15, B: b}
+// bucketMapper is the Section 4.5 mapper: each edge is shipped to the
+// C(b+p-3, p-2) reducers whose bucket multiset contains the buckets of both
+// its endpoints. Execution (bucket-oriented and the Theorem 6.1 conversion)
+// and the planner's load probes build it through newBucketMapper from the
+// job seed alone, so the probed loads are exactly what the job will ship.
+type bucketMapper struct {
+	h graph.NodeHash // h.B is the bucket count b
+	p int
 }
 
-// bucketEdgeMapper returns the Section 4.5 mapper: each edge is shipped to
-// the C(b+p-3, p-2) reducers whose bucket multiset contains the buckets of
-// both its endpoints. Shared by the bucket-oriented CQ strategy and the
-// Theorem 6.1 decomposition conversion. Distinct nondecreasing completions
-// yield distinct multiset keys once the two fixed edge buckets are merged
-// in, so no per-edge dedup structure is needed; the only allocation per
-// emitted key is the key string itself.
-func bucketEdgeMapper(h graph.NodeHash, p, b int) mapreduce.Mapper[graph.Edge, string, graph.Edge] {
-	return func(e graph.Edge, emit func(string, graph.Edge)) {
-		hu, hv := h.Bucket(e.U), h.Bucket(e.V)
-		if p == 2 {
-			emit(ownedKey(nil, nil, hu, hv), e)
-			return
-		}
-		completion := make([]int, p-2)
-		scratch := make([]byte, 0, p)
-		var fill func(idx, min int)
-		fill = func(idx, min int) {
-			if idx == p-2 {
-				emit(ownedKey(scratch, completion, hu, hv), e)
-				return
-			}
-			for w := min; w < b; w++ {
-				completion[idx] = w
-				fill(idx+1, w)
-			}
-		}
-		fill(0, 0)
+// newBucketMapper rejects a (p, b) the reducer key cannot express.
+func newBucketMapper(seed uint64, p, b int) (bucketMapper, error) {
+	if err := graph.CheckKey(p, b); err != nil {
+		return bucketMapper{}, fmt.Errorf("core: %w", err)
 	}
+	return bucketMapper{h: graph.NodeHash{Seed: seed + 0x9e3779b97f4a7c15, B: b}, p: p}, nil
 }
 
-// ownedKey builds the sorted multiset key from the p-2 completion buckets
-// (already nondecreasing) merged with the two edge buckets, assembling the
-// bytes in scratch so only the returned string allocates.
-func ownedKey(scratch []byte, completion []int, hu, hv int) string {
-	k := scratch[:0]
-	for _, w := range completion {
-		k = append(k, byte(w))
-	}
-	k = insertByteSorted(k, byte(hu))
-	k = insertByteSorted(k, byte(hv))
-	return string(k)
-}
-
-// insertByteSorted inserts x into the nondecreasing byte slice in place.
-func insertByteSorted(k []byte, x byte) []byte {
-	i := len(k)
-	k = append(k, 0)
-	for i > 0 && k[i-1] > x {
-		k[i] = k[i-1]
-		i--
-	}
-	k[i] = x
-	return k
-}
-
-// sortSmallInts insertion-sorts a tiny bucket vector in place (p is the
-// sample arity, so the per-match sort.Ints machinery is not worth it).
-func sortSmallInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		x := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > x {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = x
-	}
-}
-
-// bucketsEqualKey reports whether the sorted bucket vector encodes to the
-// reducer key, without materializing the encoding.
-func bucketsEqualKey(buckets []int, key string) bool {
-	if len(buckets) != len(key) {
-		return false
-	}
-	for i, v := range buckets {
-		if byte(v) != key[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// bucketsForReducers returns the largest b with C(b+p-1, p) ≤ k (at least 1).
-func bucketsForReducers(k, p int) int {
-	return shares.BucketsForReducers(k, p)
+//lint:hotpath
+func (m bucketMapper) Map(e graph.Edge, emit func(graph.BucketKey, graph.Edge)) {
+	graph.Completions(m.p, m.h.B, m.h.Bucket(e.U), m.h.Bucket(e.V), func(k graph.BucketKey) { emit(k, e) })
 }
 
 // variableOriented implements the Section 4.3 strategy.
-func variableOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.CQ, opt Options, cfg mapreduce.Config, sink func([]graph.Node) bool) (*Result, error) {
-	p := s.P()
+func variableOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.CQ, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	uses := cq.EdgeUses(qs)
-	model := shares.ModelFromEdgeUses(p, uses)
-	res, err := runShareJob(ctx, g, p, qs, model, bindingsFromUses(uses), opt, cfg, "variable-oriented", sink)
+	model := shares.ModelFromEdgeUses(s.P(), uses)
+	res, err := runShareJob(ctx, g, qs, model, bindingsFromUses(uses), opt, "variable-oriented", sink)
 	if err != nil {
 		return nil, err
 	}
@@ -453,8 +384,7 @@ func variableOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs 
 // smaller groups. That is sound because each job owns its CQ's instances
 // outright — the share configuration decides where an instance is emitted,
 // never whether.
-func cqOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.CQ, opt Options, cfg mapreduce.Config, sink func([]graph.Node) bool) (*Result, error) {
-	p := s.P()
+func cqOriented(ctx context.Context, g *graph.Graph, qs []*cq.CQ, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	out := &Result{NumCQs: len(qs)}
 	stopped := false
 	wrapped := sink
@@ -474,17 +404,13 @@ func cqOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.
 			break
 		}
 		model := shares.ModelFromCQ(q)
-		var binds []edgeBinding
-		for _, sg := range q.Subgoals {
-			binds = append(binds, edgeBinding{lo: sg.Lo, hi: sg.Hi})
-		}
 		jobOpt := opt
 		jobOpt.TargetReducers = k
 		label := fmt.Sprintf("cq-oriented job %d/%d", i+1, len(qs))
 		if replanned {
 			label += fmt.Sprintf(" (replanned k=%d)", k)
 		}
-		res, err := runShareJob(ctx, g, p, []*cq.CQ{q}, model, binds, jobOpt, cfg, label, wrapped)
+		res, err := runShareJob(ctx, g, []*cq.CQ{q}, model, bindingsFromCQ(q), jobOpt, label, wrapped)
 		if err != nil {
 			return nil, err
 		}
@@ -553,41 +479,58 @@ func bindingsFromUses(uses []cq.EdgeUse) []edgeBinding {
 	return binds
 }
 
-// shareHashes builds the per-variable node hashes of a share-based job —
-// shared by execution and the planner's load probes, so the probed loads
-// are exactly what the job will ship.
-func shareHashes(seed uint64, intShares []int) []graph.NodeHash {
+// bindingsFromCQ binds each subgoal of a single CQ in its one orientation.
+func bindingsFromCQ(q *cq.CQ) []edgeBinding {
+	binds := make([]edgeBinding, len(q.Subgoals))
+	for i, sg := range q.Subgoals {
+		binds[i] = edgeBinding{lo: sg.Lo, hi: sg.Hi}
+	}
+	return binds
+}
+
+// shareMapper is the share-based mapper: per binding, the edge is shipped to
+// the reducers of every bucket tuple extending the bound pair. Execution and
+// the planner's load probes build it through newShareMapper from the job
+// seed and the integer shares alone, so the probed loads are exactly what
+// the job will ship.
+type shareMapper struct {
+	binds  []edgeBinding
+	hashes []graph.NodeHash // hashes[v].B is variable v's integer share
+}
+
+// newShareMapper rejects a share vector the reducer key cannot express.
+func newShareMapper(seed uint64, binds []edgeBinding, intShares []int) (*shareMapper, error) {
+	if err := graph.CheckKey(len(intShares), shares.MaxShare(intShares)); err != nil {
+		return nil, fmt.Errorf("core: shares %v: %w", intShares, err)
+	}
 	hashes := make([]graph.NodeHash, len(intShares))
 	for v := range intShares {
 		hashes[v] = graph.NodeHash{Seed: seed + uint64(v)*0x9e3779b97f4a7c15 + 1, B: intShares[v]}
 	}
-	return hashes
+	return &shareMapper{binds: binds, hashes: hashes}, nil
 }
 
-// shareEdgeMapper returns the share-based mapper: per binding, the edge is
-// shipped to the reducers of every bucket tuple extending the bound pair.
-func shareEdgeMapper(p int, binds []edgeBinding, hashes []graph.NodeHash, intShares []int) mapreduce.Mapper[graph.Edge, string, graph.Edge] {
-	return func(e graph.Edge, emit func(string, graph.Edge)) {
-		scratch := make([]byte, p)
-		for _, bind := range binds {
-			scratch[bind.lo] = byte(hashes[bind.lo].Bucket(e.U))
-			scratch[bind.hi] = byte(hashes[bind.hi].Bucket(e.V))
-			var fill func(v int)
-			fill = func(v int) {
-				if v == p {
-					emit(string(scratch), e) // the key string is the only per-key allocation
-					return
-				}
+//lint:hotpath
+func (m *shareMapper) Map(e graph.Edge, emit func(graph.BucketKey, graph.Edge)) {
+	for _, bind := range m.binds {
+		var key graph.BucketKey
+		key.Set(bind.lo, m.hashes[bind.lo].Bucket(e.U))
+		key.Set(bind.hi, m.hashes[bind.hi].Bucket(e.V))
+		// The free lanes count through every tuple, last variable fastest.
+	tuples:
+		for {
+			emit(key, e)
+			for v := len(m.hashes) - 1; v >= 0; v-- {
 				if v == bind.lo || v == bind.hi {
-					fill(v + 1)
-					return
+					continue
 				}
-				for w := 0; w < intShares[v]; w++ {
-					scratch[v] = byte(w)
-					fill(v + 1)
+				if next := int(key[v]) + 1; next < m.hashes[v].B {
+					key.Set(v, next)
+					continue tuples
 				}
+				key.Set(v, 0)
 			}
-			fill(0)
+			break
 		}
 	}
 }
@@ -597,29 +540,28 @@ func shareEdgeMapper(p int, binds []edgeBinding, hashes []graph.NodeHash, intSha
 // reducers of every bucket tuple extending the bound pair, and evaluate the
 // CQs at each reducer with the natural node order. An instance is emitted
 // only at the reducer matching the hashes of all its nodes.
-func runShareJob(ctx context.Context, g *graph.Graph, p int, qs []*cq.CQ, model shares.Model, binds []edgeBinding, opt Options, cfg mapreduce.Config, label string, sink func([]graph.Node) bool) (*Result, error) {
+func runShareJob(ctx context.Context, g *graph.Graph, qs []*cq.CQ, model shares.Model, binds []edgeBinding, opt Options, label string, sink func([]graph.Node) bool) (*Result, error) {
 	sol, err := model.Solve(float64(opt.reducers()))
 	if err != nil {
 		return nil, err
 	}
 	intShares := model.RoundShares(sol.Shares, float64(opt.reducers()))
-	if mx := shares.MaxShare(intShares); mx > shares.MaxIntShare {
-		return nil, fmt.Errorf("core: share %d exceeds %d", mx, shares.MaxIntShare)
-	}
-	hashes := shareHashes(opt.Seed, intShares)
-	mapper := shareEdgeMapper(p, binds, hashes, intShares)
-	ms := &matchSink{sink: sink}
-	reducer := &enumReducer{evals: cq.NewEvaluatorSet(qs), order: graph.NaturalKey, hashes: hashes, ms: ms}
-	count, metrics, err := ms.run(ctx, enumJob{
-		Name:   label,
-		Map:    mapper,
-		Reduce: reducer.reduce,
-		Codec:  edgeCodec{},
-	}, cfg, g)
+	mapper, err := newShareMapper(opt.Seed, binds, intShares)
 	if err != nil {
 		return nil, err
 	}
-	fs := make([]float64, p)
+	ms := &matchSink{sink: sink}
+	reducer := &enumReducer{evals: cq.NewEvaluatorSet(qs), order: graph.NaturalKey, hashes: mapper.hashes, ms: ms}
+	count, metrics, err := ms.run(ctx, enumJob{
+		Name:   label,
+		Map:    mapper.Map,
+		Reduce: reducer.reduce,
+		Codec:  graph.EdgeKeyCodec{P: len(intShares)},
+	}, opt.engineConfig(), g)
+	if err != nil {
+		return nil, err
+	}
+	fs := make([]float64, len(intShares))
 	for v, sh := range intShares {
 		fs[v] = float64(sh)
 	}

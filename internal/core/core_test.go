@@ -246,12 +246,20 @@ func TestConvertibilityGeneral(t *testing.T) {
 
 func TestDefaultBucketSelection(t *testing.T) {
 	// With TargetReducers = 220 and p = 3, the largest b with
-	// C(b+2,3) ≤ 220 is 10 (Fig. 2's Section 2.3 row).
-	if b := bucketsForReducers(220, 3); b != 10 {
-		t.Errorf("bucketsForReducers(220, 3) = %d, want 10", b)
-	}
-	if b := bucketsForReducers(1, 4); b != 1 {
-		t.Errorf("bucketsForReducers(1, 4) = %d, want 1", b)
+	// C(b+2,3) ≤ 220 is 10 (Fig. 2's Section 2.3 row); a budget of one
+	// reducer leaves one bucket.
+	g := graph.Gnm(12, 30, 1)
+	for _, tc := range []struct {
+		s    *sample.Sample
+		k, b int
+	}{{sample.Triangle(), 220, 10}, {sample.Square(), 1, 1}} {
+		res, err := collect(t, g, tc.s, Options{Strategy: BucketOriented, TargetReducers: tc.k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Jobs[0].Shares[0]; got != tc.b {
+			t.Errorf("%v at k=%d ran with b=%d, want %d", tc.s, tc.k, got, tc.b)
+		}
 	}
 }
 

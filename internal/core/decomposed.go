@@ -8,7 +8,6 @@ import (
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/sample"
 	"subgraphmr/internal/serial"
-	"subgraphmr/internal/shares"
 )
 
 // EnumerateDecomposed runs the Theorem 6.1 conversion of the serial
@@ -33,69 +32,34 @@ func EnumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, 
 	if err := s.ValidateParts(parts); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	p := s.P()
-	b := opt.Buckets
-	if b <= 0 {
-		b = bucketsForReducers(opt.reducers(), p)
-	}
-	if b > shares.MaxIntShare {
-		return nil, fmt.Errorf("core: bucket count %d exceeds %d", b, shares.MaxIntShare)
-	}
-	h := bucketHash(opt.Seed, b)
-	cfg := opt.engineConfig()
-
-	ms := &matchSink{sink: sink}
-	reducer := func(ctx *mapreduce.Context, key string, edges []graph.Edge, emit func([]graph.Node)) {
-		maxID := graph.Node(0)
-		for _, e := range edges {
-			if e.U > maxID {
-				maxID = e.U
+	return runBucketJob(ctx, g, s.P(), opt, "decomposed (Theorem 6.1)", "decomposed (Theorem 6.1 conversion)", sink,
+		func(h graph.NodeHash, ms *matchSink) enumReduce {
+			return func(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([]graph.Node)) {
+				maxID := graph.Node(0)
+				for _, e := range edges {
+					maxID = max(maxID, e.U, e.V)
+				}
+				local := graph.FromEdges(int(maxID)+1, edges)
+				found, work, err := serial.EnumerateByDecomposition(local, s, parts)
+				if err != nil {
+					// Parts were validated up front; a failure here is a bug.
+					panic(fmt.Sprintf("core: decomposition rejected after validation: %v", err))
+				}
+				ctx.AddWork(work)
+				buckets := make([]int, s.P())
+				for _, phi := range found {
+					for i, u := range phi {
+						buckets[i] = h.Bucket(u)
+					}
+					if graph.MultisetKey(buckets...) != key {
+						continue
+					}
+					if ms.counting() {
+						ms.count()
+					} else {
+						emit(phi)
+					}
+				}
 			}
-			if e.V > maxID {
-				maxID = e.V
-			}
-		}
-		local := graph.FromEdges(int(maxID)+1, edges)
-		found, work, err := serial.EnumerateByDecomposition(local, s, parts)
-		if err != nil {
-			// Parts were validated up front; a failure here is a bug.
-			panic(fmt.Sprintf("core: decomposition rejected after validation: %v", err))
-		}
-		ctx.AddWork(work)
-		instBuckets := make([]int, p)
-		for _, phi := range found {
-			for i, u := range phi {
-				instBuckets[i] = h.Bucket(u)
-			}
-			sortSmallInts(instBuckets)
-			if !bucketsEqualKey(instBuckets, key) {
-				continue
-			}
-			if ms.counting() {
-				ms.count()
-			} else {
-				emit(phi)
-			}
-		}
-	}
-
-	count, metrics, err := ms.run(ctx, enumJob{
-		Name:   fmt.Sprintf("decomposed (Theorem 6.1) b=%d", b),
-		Map:    bucketEdgeMapper(h, p, b),
-		Reduce: reducer,
-		Codec:  edgeCodec{},
-	}, cfg, g)
-	if err != nil {
-		return nil, err
-	}
-
-	job := JobStats{
-		Label:                fmt.Sprintf("decomposed (Theorem 6.1 conversion) b=%d", b),
-		Shares:               uniformShares(p, b),
-		PredictedCommPerEdge: shares.BucketEdgeReplication(b, p),
-		OptimalCommPerEdge:   shares.BucketEdgeReplication(b, p),
-		Metrics:              metrics,
-		ObservedSkew:         metrics.Skew(),
-	}
-	return &Result{Count: count, Jobs: []JobStats{job}}, nil
+		})
 }

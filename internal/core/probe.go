@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"subgraphmr/internal/cq"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
-	"subgraphmr/internal/shares"
 )
 
 // This file exposes map-only load probes over the exact mappers the
@@ -17,41 +14,34 @@ import (
 
 // ProbeBucketLoads measures the reducer loads of the Section 4.5 bucket
 // mapper for a p-node sample at bucket count b, under the same seeded hash
-// a bucket-oriented (or decomposed) job at that seed would use. Bucket
-// counts the byte-encoded keys cannot express are an error, never a silent
-// zero-load result (which would rank as a free plan).
+// a bucket-oriented (or decomposed) job at that seed would use. A (p, b) the
+// reducer key cannot express is an error, never a silent zero-load result
+// (which would rank as a free plan).
 func ProbeBucketLoads(g *graph.Graph, p, b int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
-	if b < 1 || b > shares.MaxIntShare {
-		return mapreduce.LoadStats{}, fmt.Errorf("core: cannot probe bucket count %d (limit %d)", b, shares.MaxIntShare)
+	mapper, err := newBucketMapper(seed, p, b)
+	if err != nil {
+		return mapreduce.LoadStats{}, err
 	}
-	h := bucketHash(seed, b)
-	return mapreduce.ReducerLoadStats(cfg, g.Edges(), bucketEdgeMapper(h, p, b)), nil
+	return mapreduce.ReducerLoadStats(cfg, g.Edges(), mapper.Map), nil
 }
 
 // ProbeVariableLoads measures the reducer loads of the Section 4.3
 // variable-oriented job over the merged CQ set qs at the given integer
 // shares.
-func ProbeVariableLoads(g *graph.Graph, p int, qs []*cq.CQ, intShares []int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
-	binds := bindingsFromUses(cq.EdgeUses(qs))
-	return probeShareLoads(g, p, binds, intShares, seed, cfg)
+func ProbeVariableLoads(g *graph.Graph, qs []*cq.CQ, intShares []int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
+	return probeShareLoads(g, bindingsFromUses(cq.EdgeUses(qs)), intShares, seed, cfg)
 }
 
 // ProbeCQLoads measures the reducer loads of one Section 4.1 cq-oriented
 // job (a single CQ at its own integer shares).
 func ProbeCQLoads(g *graph.Graph, q *cq.CQ, intShares []int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
-	var binds []edgeBinding
-	for _, sg := range q.Subgoals {
-		binds = append(binds, edgeBinding{lo: sg.Lo, hi: sg.Hi})
-	}
-	return probeShareLoads(g, q.P, binds, intShares, seed, cfg)
+	return probeShareLoads(g, bindingsFromCQ(q), intShares, seed, cfg)
 }
 
-func probeShareLoads(g *graph.Graph, p int, binds []edgeBinding, intShares []int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
-	if mx := shares.MaxShare(intShares); mx > shares.MaxIntShare {
-		// Byte-encoded keys would collide above the limit; such candidates
-		// are non-viable and must not be probed.
-		return mapreduce.LoadStats{}, fmt.Errorf("core: cannot probe share %d (limit %d)", mx, shares.MaxIntShare)
+func probeShareLoads(g *graph.Graph, binds []edgeBinding, intShares []int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
+	mapper, err := newShareMapper(seed, binds, intShares)
+	if err != nil {
+		return mapreduce.LoadStats{}, err
 	}
-	mapper := shareEdgeMapper(p, binds, shareHashes(seed, intShares), intShares)
-	return mapreduce.ReducerLoadStats(cfg, g.Edges(), mapper), nil
+	return mapreduce.ReducerLoadStats(cfg, g.Edges(), mapper.Map), nil
 }

@@ -10,9 +10,9 @@ import (
 // its reduce workers: the compiled CQ set, the node order the job's
 // fragments are laid out in, and the rule by which exactly one reducer owns
 // each match. A bucket-oriented job (hashes nil) orders nodes by
-// (bucket, id) and owns a match whose sorted bucket multiset is the reducer
-// key; a share job orders them by id and owns a match whose node for
-// variable v hashes, under hashes[v], to the key's v-th byte.
+// (bucket, id) and owns a match whose bucket multiset is the reducer key; a
+// share job orders them by id and owns a match whose node for variable v
+// hashes, under hashes[v], to the key's lane v.
 type enumReducer struct {
 	evals  *cq.EvaluatorSet
 	order  func(graph.Node) uint64 // graph.Fragment key of the node order
@@ -21,27 +21,26 @@ type enumReducer struct {
 }
 
 // reduceWorker is what one reduce worker keeps, in its Context's Local slot,
-// across all the reducer calls it makes: the fragment, the evaluator
-// scratch and the ownership buffer are sized by the largest group seen and
-// reused, so a call allocates nothing but the instances it emits.
+// across all the reducer calls it makes: the fragment and the evaluator
+// scratch are sized by the largest group seen and reused, so a call
+// allocates nothing but the instances it emits.
 type reduceWorker struct {
 	job     *enumReducer
 	frag    graph.Fragment
 	scratch cq.Scratch
-	buckets []int // bucket-oriented: the match's bucket multiset
 
 	// The call in progress.
-	key  string
+	key  graph.BucketKey
 	emit func([]graph.Node)
 }
 
 // reduce evaluates the job's CQs over one key's edges: the fragment is
 // built once in the job's node order, the kernel runs on ranks, and owns
 // filters the raw matches.
-func (r *enumReducer) reduce(ctx *mapreduce.Context, key string, edges []graph.Edge, emit func([]graph.Node)) {
+func (r *enumReducer) reduce(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([]graph.Node)) {
 	w, _ := ctx.Local.(*reduceWorker)
 	if w == nil {
-		w = &reduceWorker{job: r, buckets: make([]int, len(key))}
+		w = &reduceWorker{job: r}
 		// A reducer in the middle of a hub's group gives up once nobody
 		// wants its output.
 		w.scratch.Stop = ctx.Stopped
@@ -65,11 +64,11 @@ func (w *reduceWorker) owns(ranks []int32) {
 			}
 		}
 	} else {
+		var buckets [graph.MaxKeyVars]int
 		for v, r := range ranks {
-			w.buckets[v] = w.frag.Major(r)
+			buckets[v] = w.frag.Major(r)
 		}
-		sortSmallInts(w.buckets)
-		if !bucketsEqualKey(w.buckets, w.key) {
+		if graph.MultisetKey(buckets[:len(ranks)]...) != w.key {
 			return
 		}
 	}

@@ -14,11 +14,11 @@ import (
 // test can call the reducer key by key on a worker Context of its own.
 type reducerBed struct {
 	name    string
-	groups  map[string][]graph.Edge // the shuffle's output: edges by reducer key
+	groups  map[graph.BucketKey][]graph.Edge // the shuffle's output: edges by reducer key
 	reducer *enumReducer
 	// owner reports whether the reducer of key owns phi, recomputed from
 	// the node ids with the job's hashes.
-	owner func(key string, phi []graph.Node) bool
+	owner func(key graph.BucketKey, phi []graph.Node) bool
 }
 
 // reducerBeds builds the bucket-oriented and the variable-oriented job of
@@ -26,26 +26,30 @@ type reducerBed struct {
 func reducerBeds(g *graph.Graph, s *sample.Sample, sink func([]graph.Node) bool) []reducerBed {
 	p := s.P()
 	qs := cq.MergeByOrientation(cq.GenerateForSample(s))
-	group := func(mapper mapreduce.Mapper[graph.Edge, string, graph.Edge]) map[string][]graph.Edge {
-		groups := map[string][]graph.Edge{}
+	group := func(mapper mapreduce.Mapper[graph.Edge, graph.BucketKey, graph.Edge]) map[graph.BucketKey][]graph.Edge {
+		groups := map[graph.BucketKey][]graph.Edge{}
 		for _, e := range g.Edges() {
-			mapper(e, func(k string, e graph.Edge) { groups[k] = append(groups[k], e) })
+			mapper(e, func(k graph.BucketKey, e graph.Edge) { groups[k] = append(groups[k], e) })
 		}
 		return groups
 	}
 
-	h := bucketHash(3, 3)
+	bm, err := newBucketMapper(3, p, 3)
+	if err != nil {
+		panic(err)
+	}
+	h := bm.h
 	bucket := reducerBed{
 		name:    "bucket-oriented",
-		groups:  group(bucketEdgeMapper(h, p, h.B)),
+		groups:  group(bm.Map),
 		reducer: &enumReducer{evals: cq.NewEvaluatorSet(qs), order: h.Key, ms: &matchSink{sink: sink}},
-		owner: func(key string, phi []graph.Node) bool {
+		owner: func(key graph.BucketKey, phi []graph.Node) bool {
 			buckets := make([]byte, len(phi))
 			for i, u := range phi {
 				buckets[i] = byte(h.Bucket(u))
 			}
 			slices.Sort(buckets)
-			return string(buckets) == key
+			return string(buckets) == string(key[:len(phi)])
 		},
 	}
 
@@ -53,12 +57,16 @@ func reducerBeds(g *graph.Graph, s *sample.Sample, sink func([]graph.Node) bool)
 	for v := range intShares {
 		intShares[v] = 2 + v%2
 	}
-	hashes := shareHashes(3, intShares)
+	sm, err := newShareMapper(3, bindingsFromUses(cq.EdgeUses(qs)), intShares)
+	if err != nil {
+		panic(err)
+	}
+	hashes := sm.hashes
 	share := reducerBed{
 		name:    "variable-oriented",
-		groups:  group(shareEdgeMapper(p, bindingsFromUses(cq.EdgeUses(qs)), hashes, intShares)),
+		groups:  group(sm.Map),
 		reducer: &enumReducer{evals: cq.NewEvaluatorSet(qs), order: graph.NaturalKey, hashes: hashes, ms: &matchSink{sink: sink}},
-		owner: func(key string, phi []graph.Node) bool {
+		owner: func(key graph.BucketKey, phi []graph.Node) bool {
 			for v, u := range phi {
 				if hashes[v].Bucket(u) != int(key[v]) {
 					return false
@@ -84,7 +92,7 @@ func TestReducerOwnership(t *testing.T) {
 			for key, edges := range bed.groups {
 				bed.reducer.reduce(ctx, key, edges, func(phi []graph.Node) {
 					if !bed.owner(key, phi) {
-						t.Fatalf("%s %v: reducer %q emitted %v, which it does not own", bed.name, s, key, phi)
+						t.Fatalf("%s %v: reducer %v emitted %v, which it does not own", bed.name, s, key, phi)
 					}
 					res.Instances = append(res.Instances, phi)
 				})
@@ -106,14 +114,16 @@ func TestReducerAllocations(t *testing.T) {
 			sink = func([]graph.Node) bool { return true }
 		}
 		for _, bed := range reducerBeds(g, sample.Triangle(), sink) {
-			var small, large string
+			var small, large graph.BucketKey
+			first := true
 			for key, edges := range bed.groups {
-				if small == "" || len(edges) < len(bed.groups[small]) {
+				if first || len(edges) < len(bed.groups[small]) {
 					small = key
 				}
-				if large == "" || len(edges) > len(bed.groups[large]) {
+				if first || len(edges) > len(bed.groups[large]) {
 					large = key
 				}
+				first = false
 			}
 			if len(bed.groups[small]) == len(bed.groups[large]) {
 				t.Fatalf("%s: every group has %d edges", bed.name, len(bed.groups[small]))
@@ -140,5 +150,32 @@ func TestReducerAllocations(t *testing.T) {
 					bed.name, counting, allocs, perCall)
 			}
 		}
+	}
+}
+
+// TestMapperAllocations: neither mapper allocates per input edge — keys are
+// built in place on the stack, whatever the number of reducers an edge
+// reaches.
+func TestMapperAllocations(t *testing.T) {
+	qs := cq.MergeByOrientation(cq.GenerateForSample(sample.Lollipop()))
+	bm, err := newBucketMapper(3, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := newShareMapper(3, bindingsFromUses(cq.EdgeUses(qs)), []int{2, 3, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	emit := func(graph.BucketKey, graph.Edge) { pairs++ }
+	for name, mapper := range map[string]mapreduce.Mapper[graph.Edge, graph.BucketKey, graph.Edge]{
+		"bucket": bm.Map, "share": sm.Map,
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { mapper(graph.Edge{U: 17, V: 4242}, emit) }); allocs != 0 {
+			t.Errorf("%s mapper: %v allocs per edge, want 0", name, allocs)
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("the mappers emitted nothing; the test measures nothing")
 	}
 }

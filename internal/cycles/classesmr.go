@@ -1,6 +1,7 @@
 package cycles
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -23,8 +24,8 @@ type ClassCount struct {
 // the communication cost is bounded by classes × shards rather than by the
 // number of valid strings. Classes come back sorted by orientation,
 // matching CanonicalOrientations(p); the metrics expose the combiner's
-// savings.
-func ClassCountsMR(p int, cfg mapreduce.Config) ([]ClassCount, mapreduce.Metrics) {
+// savings. Cancelling ctx aborts the job and returns ctx.Err().
+func ClassCountsMR(ctx context.Context, p int, cfg mapreduce.Config) ([]ClassCount, mapreduce.Metrics, error) {
 	if p < 3 {
 		panic(fmt.Sprintf("cycles: need p >= 3, got %d", p))
 	}
@@ -49,7 +50,7 @@ func ClassCountsMR(p int, cfg mapreduce.Config) ([]ClassCount, mapreduce.Metrics
 		spans = append(spans, span{lo, hi})
 	}
 
-	classes, m := mapreduce.Job[span, string, int64, ClassCount]{
+	classes, m, err := mapreduce.Job[span, string, int64, ClassCount]{
 		Name: fmt.Sprintf("orientation classes of C%d", p),
 		Map: func(s span, emit func(string, int64)) {
 			b := make([]byte, p)
@@ -76,10 +77,13 @@ func ClassCountsMR(p int, cfg mapreduce.Config) ([]ClassCount, mapreduce.Metrics
 			ctx.AddWork(int64(len(counts)))
 			emit(ClassCount{Orientation: canon, Members: int(sum)})
 		},
-	}.Run(cfg, spans)
+	}.RunContext(ctx, cfg, spans)
+	if err != nil {
+		return nil, m, err
+	}
 
 	sort.Slice(classes, func(i, j int) bool {
 		return classes[i].Orientation < classes[j].Orientation
 	})
-	return classes, m
+	return classes, m, nil
 }

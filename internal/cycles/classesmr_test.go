@@ -11,7 +11,10 @@ import (
 // 2^(p-2) valid strings, and class sizes matching Class().
 func TestClassCountsMRMatchesSerial(t *testing.T) {
 	for _, p := range []int{3, 4, 5, 6, 8, 10} {
-		classes, m := ClassCountsMR(p, mapreduce.Config{Parallelism: 4})
+		classes, m, err := ClassCountsMR(t.Context(), p, mapreduce.Config{Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := CanonicalOrientations(p)
 		if len(classes) != len(want) {
 			t.Fatalf("p=%d: %d classes, want %d", p, len(classes), len(want))
@@ -40,7 +43,10 @@ func TestClassCountsMRMatchesSerial(t *testing.T) {
 func TestClassCountsMRCombinerCutsPairs(t *testing.T) {
 	p := 12
 	cfg := mapreduce.Config{Parallelism: 4}
-	classes, m := ClassCountsMR(p, cfg)
+	classes, m, err := ClassCountsMR(t.Context(), p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	valid := int64(1 << (p - 2)) // 1024 strings
 	shards := int64(4 * cfg.Parallelism)
 	bound := int64(len(classes)) * shards

@@ -141,10 +141,13 @@ func triangleOracle(g *graph.Graph) map[string]bool {
 
 // CheckCycleChain evaluates the p-cycle join as a cascade of map-reduce
 // rounds and compares the rows against the serial backtracking join.
-func CheckCycleChain(rels []*multijoin.Relation, cfg mapreduce.Config) (mapreduce.Metrics, error) {
+func CheckCycleChain(ctx context.Context, rels []*multijoin.Relation, cfg mapreduce.Config) (mapreduce.Metrics, error) {
 	want, _ := multijoin.CycleJoin(rels)
-	got, chain := multijoin.CycleJoinChain(rels, cfg)
+	got, chain, err := multijoin.CycleJoinChain(ctx, rels, cfg)
 	m := chain.Total()
+	if err != nil {
+		return m, err
+	}
 	multijoin.SortRows(want)
 	multijoin.SortRows(got)
 	if len(got) != len(want) {
@@ -160,8 +163,8 @@ func CheckCycleChain(rels []*multijoin.Relation, cfg mapreduce.Config) (mapreduc
 
 // CheckDirected runs the directed labeled enumeration and compares the
 // instance set against the directed brute-force oracle.
-func CheckDirected(g *directed.DiGraph, pt *directed.DiPattern, opt directed.Options) (mapreduce.Metrics, error) {
-	res, err := directed.Enumerate(g, pt, opt)
+func CheckDirected(ctx context.Context, g *directed.DiGraph, pt *directed.DiPattern, opt directed.Options) (mapreduce.Metrics, error) {
+	res, err := directed.EnumerateContext(ctx, g, pt, opt, nil)
 	if err != nil {
 		return mapreduce.Metrics{}, err
 	}

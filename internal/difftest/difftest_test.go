@@ -6,10 +6,13 @@ import (
 	"testing"
 
 	"subgraphmr/internal/core"
+	"subgraphmr/internal/cq"
 	"subgraphmr/internal/directed"
+	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/multijoin"
 	"subgraphmr/internal/sample"
+	"subgraphmr/internal/shares"
 	"subgraphmr/internal/triangle"
 )
 
@@ -150,7 +153,7 @@ func TestMultijoinCycleChain(t *testing.T) {
 		}
 		for _, mode := range modes {
 			t.Run(fmt.Sprintf("p%d/%s", p, mode.name), func(t *testing.T) {
-				m, err := CheckCycleChain(rels, mapreduce.Config{
+				m, err := CheckCycleChain(t.Context(), rels, mapreduce.Config{
 					Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget,
 				})
 				if err != nil {
@@ -172,7 +175,7 @@ func TestDirectedPatterns(t *testing.T) {
 	for pname, pt := range patterns {
 		for _, mode := range modes {
 			t.Run(pname+"/"+mode.name, func(t *testing.T) {
-				m, err := CheckDirected(g, pt, directed.Options{
+				m, err := CheckDirected(t.Context(), g, pt, directed.Options{
 					Buckets: 4, Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget,
 				})
 				if err != nil {
@@ -200,5 +203,89 @@ func TestOneByteBudget(t *testing.T) {
 	}
 	if m.SpilledPairs == 0 || m.SpillFiles < 4 {
 		t.Errorf("one-byte budget should spill per pair, metrics %+v", m)
+	}
+}
+
+// TestProbeMatchesRun pins "same loads" for the seven single-round
+// strategies: the load probe the adaptive planner would consult and the job
+// itself are built from one mapper, so the probe's pairs, keys and hottest
+// reducer are the run's to the last pair — and for the strategies whose
+// communication is a closed form in b, that form times m.
+func TestProbeMatchesRun(t *testing.T) {
+	const (
+		seed = 11
+		b    = 4
+		k    = 64
+	)
+	cfg := mapreduce.Config{Parallelism: 2, Partitions: 2}
+	same := func(t *testing.T, ls mapreduce.LoadStats, err error, m mapreduce.Metrics) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ls.Pairs != m.KeyValuePairs || ls.Keys != m.DistinctKeys || ls.MaxLoad != m.MaxReducerInput {
+			t.Errorf("probe saw %+v, the run shipped pairs=%d keys=%d maxload=%d",
+				ls, m.KeyValuePairs, m.DistinctKeys, m.MaxReducerInput)
+		}
+	}
+	closed := func(t *testing.T, perEdge float64, g *graph.Graph, m mapreduce.Metrics) {
+		t.Helper()
+		if want := int64(perEdge) * int64(g.NumEdges()); m.KeyValuePairs != want {
+			t.Errorf("shipped %d pairs, closed form %v × m = %d", m.KeyValuePairs, perEdge, want)
+		}
+	}
+	for gname, g := range Graphs(7) {
+		for _, s := range []*sample.Sample{sample.Triangle(), sample.Square(), sample.Lollipop()} {
+			p := s.P()
+			opt := core.Options{Buckets: b, TargetReducers: k, Seed: seed, Parallelism: 2, Partitions: 2}
+			qs := cq.MergeByOrientation(cq.GenerateForSample(s))
+			run := func(t *testing.T, st core.Strategy) *core.Result {
+				opt.Strategy = st
+				res, err := core.Enumerate(t.Context(), g, s, opt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			t.Run(fmt.Sprintf("%s/%v/bucket-oriented", gname, s), func(t *testing.T) {
+				m := run(t, core.BucketOriented).Jobs[0].Metrics
+				ls, err := core.ProbeBucketLoads(g, p, b, seed, cfg)
+				same(t, ls, err, m)
+				closed(t, shares.BucketEdgeReplication(b, p), g, m)
+			})
+			t.Run(fmt.Sprintf("%s/%v/decomposed", gname, s), func(t *testing.T) {
+				res, err := core.EnumerateDecomposed(t.Context(), g, s, nil, opt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ls, err := core.ProbeBucketLoads(g, p, b, seed, cfg)
+				same(t, ls, err, res.Jobs[0].Metrics)
+				closed(t, shares.BucketEdgeReplication(b, p), g, res.Jobs[0].Metrics)
+			})
+			t.Run(fmt.Sprintf("%s/%v/variable-oriented", gname, s), func(t *testing.T) {
+				job := run(t, core.VariableOriented).Jobs[0]
+				ls, err := core.ProbeVariableLoads(g, qs, job.Shares, seed, cfg)
+				same(t, ls, err, job.Metrics)
+			})
+			t.Run(fmt.Sprintf("%s/%v/cq-oriented", gname, s), func(t *testing.T) {
+				for j, job := range run(t, core.CQOriented).Jobs {
+					ls, err := core.ProbeCQLoads(g, qs[j], job.Shares, seed, cfg)
+					same(t, ls, err, job.Metrics)
+				}
+			})
+		}
+		for _, algo := range triangle.Algos {
+			t.Run(fmt.Sprintf("%s/tri-%s", gname, algo.Name), func(t *testing.T) {
+				m, err := algo.Run(t.Context(), g, b, seed, cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ls, err := algo.ProbeLoads(g, b, seed, cfg)
+				same(t, ls, err, m)
+				if algo.Name != triangle.Partition.Name { // Partition's form is an expectation
+					closed(t, algo.CommPerEdge(b), g, m)
+				}
+			})
+		}
 	}
 }

@@ -32,10 +32,6 @@ type Arc struct {
 	Label    Label
 }
 
-func (a Arc) key() uint64 {
-	return uint64(uint32(a.From))<<34 | uint64(uint32(a.To))<<2 | uint64(a.Label)&3 ^ uint64(a.Label)<<50
-}
-
 // DiGraph is an immutable directed, edge-labeled data graph. Parallel arcs
 // with distinct labels are allowed; duplicate (from, to, label) triples are
 // not.

@@ -95,7 +95,7 @@ func TestDirectedEnumerateMatchesOracle(t *testing.T) {
 				want[pt.Key(phi)] = true
 			}
 			for _, b := range []int{1, 3, 5} {
-				res, err := Enumerate(g, pt, Options{Buckets: b, Seed: 11})
+				res, err := EnumerateContext(t.Context(), g, pt, Options{Buckets: b, Seed: 11}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +129,7 @@ func TestDirectedCommMatchesFormula(t *testing.T) {
 		{DirectedCycle(4, 1), 4},
 		{FanIn(4, 0), 5},
 	} {
-		res, err := Enumerate(g, tc.pt, Options{Buckets: tc.b, Seed: 2})
+		res, err := EnumerateContext(t.Context(), g, tc.pt, Options{Buckets: tc.b, Seed: 2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestThreatRingPlanted(t *testing.T) {
 	}
 	g := b.Graph()
 	pt := ThreatRing(3)
-	res, err := Enumerate(g, pt, Options{Buckets: 4, Seed: 1})
+	res, err := EnumerateContext(t.Context(), g, pt, Options{Buckets: 4, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestThreatRingPlanted(t *testing.T) {
 func TestDisconnectedPatternRejected(t *testing.T) {
 	pt := MustPattern(4, []PatternArc{{0, 1, 0}, {2, 3, 0}})
 	g := RandomDiGraph(10, 30, 1, 1)
-	if _, err := Enumerate(g, pt, Options{}); err == nil {
+	if _, err := EnumerateContext(t.Context(), g, pt, Options{}, nil); err == nil {
 		t.Error("weakly disconnected pattern should be rejected")
 	}
 }
@@ -206,5 +206,33 @@ func TestDirectedCanonical(t *testing.T) {
 	// The reversed cycle is a different instance (direction matters).
 	if pt.Key([]graph.Node{5, 9, 7}) == key {
 		t.Error("reversed directed cycle should be a distinct instance")
+	}
+}
+
+// TestArcMapperAllocations: the mapper builds its keys on the stack — no
+// allocation per input arc, and no per-arc dedup table.
+func TestArcMapperAllocations(t *testing.T) {
+	m := arcMapper{h: graph.NodeHash{Seed: 5, B: 4}, p: 4}
+	pairs := 0
+	emit := func(graph.BucketKey, Arc) { pairs++ }
+	if allocs := testing.AllocsPerRun(100, func() { m.Map(Arc{From: 17, To: 4242, Label: 2}, emit) }); allocs != 0 {
+		t.Errorf("%v allocs per arc, want 0", allocs)
+	}
+	if pairs == 0 {
+		t.Fatal("the mapper emitted nothing; the test measures nothing")
+	}
+}
+
+// TestArcCodec: the 10-byte arc value round-trips on top of the shared key
+// half and refuses a torn value.
+func TestArcCodec(t *testing.T) {
+	c := arcCodec{graph.EdgeKeyCodec{P: 3}}
+	a := Arc{From: 1 << 20, To: 3, Label: 0xBEEF}
+	vb := c.AppendValue(nil, a)
+	if got, err := c.DecodeValue(vb); err != nil || got != a || len(vb) != 10 {
+		t.Fatalf("arc round trip: %v %v (%d bytes)", got, err, len(vb))
+	}
+	if _, err := c.DecodeValue(vb[:8]); err == nil {
+		t.Error("an 8-byte arc should fail to decode")
 	}
 }

@@ -2,6 +2,7 @@ package directed
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -52,80 +53,47 @@ type Result struct {
 	Buckets   int
 }
 
-// Enumerate finds every instance of the pattern in g exactly once with one
-// round of map-reduce, using the bucket-oriented scheme of Section 4.5
-// adapted to directed labeled relations: each arc is shipped to the
-// C(b+p-3, p-2) reducers whose bucket multiset contains its endpoint
+// EnumerateContext finds every instance of the pattern in g exactly once
+// with one round of map-reduce, using the bucket-oriented scheme of
+// Section 4.5 adapted to directed labeled relations: each arc is shipped to
+// the C(b+p-3, p-2) reducers whose bucket multiset contains its endpoint
 // buckets; each reducer searches its fragment; an instance is emitted only
 // by the reducer owning its bucket multiset, in canonical (automorphism-
 // least) form.
-func Enumerate(g *DiGraph, pt *DiPattern, opt Options) (*Result, error) {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use EnumerateContext
-	return EnumerateContext(context.Background(), g, pt, opt, nil)
-}
-
-// EnumerateContext is Enumerate under a context and an optional streaming
-// sink: a nil sink materializes Result.Instances; a non-nil sink receives
-// each instance instead (serialized, with backpressure; returning false
-// stops the job early with a nil error). Cancelling ctx aborts the job and
+//
+// A nil sink materializes Result.Instances; a non-nil sink receives each
+// instance instead (serialized, with backpressure; returning false stops
+// the job early with a nil error). Cancelling ctx aborts the job and
 // returns ctx.Err().
 func EnumerateContext(ctx context.Context, g *DiGraph, pt *DiPattern, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	if !pt.IsWeaklyConnected() {
 		return nil, fmt.Errorf("directed: pattern must be weakly connected")
 	}
-	b := opt.buckets(pt.P())
-	if b > 255 {
-		return nil, fmt.Errorf("directed: bucket count %d exceeds 255", b)
-	}
 	p := pt.P()
+	b := opt.buckets(p)
+	if err := graph.CheckKey(p, b); err != nil {
+		return nil, fmt.Errorf("directed: %w", err)
+	}
 	h := graph.NodeHash{Seed: opt.Seed + 0x6a09e667f3bcc909, B: b}
 
-	mapper := func(a Arc, emit func(string, Arc)) {
-		hu, hv := h.Bucket(a.From), h.Bucket(a.To)
-		if p == 2 {
-			emit(multisetKey(nil, hu, hv), a)
-			return
-		}
-		buckets := make([]int, p-2)
-		seen := make(map[string]bool)
-		var fill func(idx, min int)
-		fill = func(idx, min int) {
-			if idx == p-2 {
-				key := multisetKey(buckets, hu, hv)
-				if !seen[key] {
-					seen[key] = true
-					emit(key, a)
-				}
-				return
-			}
-			for w := min; w < b; w++ {
-				buckets[idx] = w
-				fill(idx+1, w)
-			}
-		}
-		fill(0, 0)
-	}
 	plan := searchPlan(pt)
-	reducer := func(ctx *mapreduce.Context, key string, arcs []Arc, emit func([]graph.Node)) {
+	reducer := func(ctx *mapreduce.Context, key graph.BucketKey, arcs []Arc, emit func([]graph.Node)) {
 		frag := buildFragment(arcs)
+		buckets := make([]int, p)
 		ctx.AddWork(enumerateFragment(frag, pt, plan, func(phi []graph.Node) {
-			instBuckets := make([]int, p)
 			for i, u := range phi {
-				instBuckets[i] = h.Bucket(u)
+				buckets[i] = h.Bucket(u)
 			}
-			sort.Ints(instBuckets)
-			if bucketString(instBuckets) != key {
-				return
-			}
-			if pt.IsCanonical(phi) {
+			if graph.MultisetKey(buckets...) == key && pt.IsCanonical(phi) {
 				emit(append([]graph.Node(nil), phi...))
 			}
 		}))
 	}
-	job := mapreduce.Job[Arc, string, Arc, []graph.Node]{
+	job := mapreduce.Job[Arc, graph.BucketKey, Arc, []graph.Node]{
 		Name:   fmt.Sprintf("directed bucket-oriented b=%d", b),
-		Map:    mapper,
+		Map:    arcMapper{h: h, p: p}.Map,
 		Reduce: reducer,
+		Codec:  arcCodec{graph.EdgeKeyCodec{P: p}},
 	}
 	cfg := mapreduce.Config{
 		Parallelism:  opt.Parallelism,
@@ -133,18 +101,47 @@ func EnumerateContext(ctx context.Context, g *DiGraph, pt *DiPattern, opt Option
 		MemoryBudget: opt.MemoryBudget,
 		SpillDir:     opt.SpillDir,
 	}
-	if sink != nil {
-		metrics, err := job.RunStream(ctx, cfg, g.Arcs(), sink)
-		if err != nil {
-			return nil, err
+	res := &Result{Buckets: b}
+	if sink == nil {
+		sink = func(phi []graph.Node) bool {
+			res.Instances = append(res.Instances, phi)
+			return true
 		}
-		return &Result{Metrics: metrics, Buckets: b}, nil
 	}
-	instances, metrics, err := job.RunContext(ctx, cfg, g.Arcs())
+	metrics, err := job.RunStream(ctx, cfg, g.Arcs(), sink)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Instances: instances, Metrics: metrics, Buckets: b}, nil
+	res.Metrics = metrics
+	return res, nil
+}
+
+// arcMapper is the Section 4.5 mapper over arcs.
+type arcMapper struct {
+	h graph.NodeHash
+	p int
+}
+
+//lint:hotpath
+func (m arcMapper) Map(a Arc, emit func(graph.BucketKey, Arc)) {
+	graph.Completions(m.p, m.h.B, m.h.Bucket(a.From), m.h.Bucket(a.To), func(k graph.BucketKey) { emit(k, a) })
+}
+
+// arcCodec serializes the job's pairs: the shared key half, and a 10-byte
+// value — the arc's endpoints in the shared edge encoding, then its label.
+type arcCodec struct{ graph.EdgeKeyCodec }
+
+func (c arcCodec) AppendValue(dst []byte, a Arc) []byte {
+	dst = c.EdgeKeyCodec.AppendValue(dst, graph.Edge{U: a.From, V: a.To})
+	return binary.BigEndian.AppendUint16(dst, uint16(a.Label))
+}
+
+func (c arcCodec) DecodeValue(src []byte) (Arc, error) {
+	if len(src) != 10 {
+		return Arc{}, fmt.Errorf("directed: arc encoding is %d bytes, want 10", len(src))
+	}
+	e, err := c.EdgeKeyCodec.DecodeValue(src[:8])
+	return Arc{From: e.U, To: e.V, Label: Label(binary.BigEndian.Uint16(src[8:]))}, err
 }
 
 // PredictedCommPerArc is the per-arc replication of the scheme:
@@ -327,20 +324,4 @@ func BruteForce(g *DiGraph, pt *DiPattern) [][]graph.Node {
 		return false
 	})
 	return out
-}
-
-func multisetKey(completion []int, hu, hv int) string {
-	all := make([]int, 0, len(completion)+2)
-	all = append(all, completion...)
-	all = append(all, hu, hv)
-	sort.Ints(all)
-	return bucketString(all)
-}
-
-func bucketString(buckets []int) string {
-	b := make([]byte, len(buckets))
-	for i, v := range buckets {
-		b[i] = byte(v)
-	}
-	return string(b)
 }

@@ -1,0 +1,157 @@
+package graph
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+)
+
+// This file is the one place that knows what a reducer key looks like.
+// Every share-hashed job — the three Section 4 strategies and the
+// Theorem 6.1 conversion in package core, the three Section 2 triangle
+// algorithms, the directed extension — hashes nodes to buckets with a
+// NodeHash, keys its reducers by a BucketKey, and ships Edges (or a value
+// that starts with one) under an EdgeKeyCodec. The format, its two limits,
+// the Section 4.5 replication loop and the wire encoding live here and
+// nowhere else.
+
+const (
+	// MaxBuckets is the largest bucket count (or per-variable share) a job
+	// may hash into: a bucket number must fit one byte of a BucketKey.
+	MaxBuckets = 255
+	// MaxKeyVars is the number of lanes in a BucketKey, hence the largest
+	// sample or pattern (in nodes) a share-hashed job can enumerate.
+	MaxKeyVars = 16
+)
+
+// BucketKey names one reducer: a fixed-width tuple of bucket numbers, one
+// byte per lane. In a share job (and Multiway) lane v is the bucket of
+// variable v; in a multiset job (bucket-oriented, decomposed,
+// BucketOrdered, Partition, directed) lane v is the v-th smallest bucket.
+// Lanes beyond the job's arity are zero, so == on two keys of one job is
+// equality of their tuples.
+type BucketKey [MaxKeyVars]byte
+
+// CheckKey reports whether a job with vars key lanes hashing into at most
+// buckets buckets per lane fits a BucketKey. Every job and load probe
+// validates through it before it builds a mapper, so nothing downstream
+// ever sees a bucket that would wrap or a lane that does not exist.
+func CheckKey(vars, buckets int) error {
+	if vars > MaxKeyVars {
+		return fmt.Errorf("%d nodes exceed the reducer key's %d-node limit", vars, MaxKeyVars)
+	}
+	if buckets < 1 || buckets > MaxBuckets {
+		return fmt.Errorf("bucket count %d outside [1, %d]", buckets, MaxBuckets)
+	}
+	return nil
+}
+
+// errBucketRange is what a key constructor panics with (a ready-made value,
+// so the hot paths that can raise it box nothing).
+var errBucketRange = errors.New("graph: bucket does not fit a reducer-key lane")
+
+// Set stores bucket in lane v. CheckKey admits no bucket over MaxBuckets,
+// so one here is a programming error: it panics rather than wrap.
+//
+//lint:hotpath
+func (k *BucketKey) Set(v, bucket int) {
+	if uint(bucket) > MaxBuckets {
+		panic(errBucketRange)
+	}
+	k[v] = byte(bucket)
+}
+
+// insert places bucket among the first n lanes, which are nondecreasing,
+// keeping them so.
+//
+//lint:hotpath
+func (k *BucketKey) insert(n, bucket int) {
+	for n > 0 && int(k[n-1]) > bucket {
+		k[n] = k[n-1]
+		n--
+	}
+	k.Set(n, bucket)
+}
+
+// MultisetKey returns the key of a bucket multiset: the buckets in
+// nondecreasing order. It is how a multiset job's reducer recognises the
+// matches it owns — the key of the match's node buckets equals its own.
+//
+//lint:hotpath
+func MultisetKey(buckets ...int) BucketKey {
+	var k BucketKey
+	for n, b := range buckets {
+		k.insert(n, b)
+	}
+	return k
+}
+
+// Completions is the Section 4.5 replication loop: it calls emit with the
+// key of every bucket multiset of size p over b buckets that contains hu
+// and hv — the reducers an edge with endpoint buckets hu, hv must reach so
+// that the owner of every instance through it sees it. The p-2 free
+// buckets run over the nondecreasing tuples in lexicographic order;
+// distinct tuples stay distinct multisets once the fixed pair is merged in,
+// so the C(b+p-3, p-2) keys need no dedup. The caller has passed (p, b)
+// through CheckKey.
+//
+//lint:hotpath
+func Completions(p, b, hu, hv int, emit func(BucketKey)) {
+	n := p - 2
+	var free BucketKey // lanes 0..n-1: the current nondecreasing completion
+	for {
+		k := free
+		k.insert(n, hu)
+		k.insert(n+1, hv)
+		emit(k)
+		// Advance the rightmost lane that can still grow; the lanes after
+		// it restart at its new value.
+		i := n - 1
+		for i >= 0 && int(free[i]) == b-1 {
+			i--
+		}
+		if i < 0 {
+			return
+		}
+		for w := free[i] + 1; i < n; i++ {
+			free[i] = w
+		}
+	}
+}
+
+// EdgeKeyCodec is the shuffle codec of a job keyed by P-lane BucketKeys
+// and shipping Edges. A key encodes as exactly its P meaningful bytes —
+// injective because the other lanes are zero, and as short as the format
+// allows, so the external shuffle's sort prefix holds all of it for
+// P ≤ 8; an edge as two big-endian uint32s. Jobs whose value only starts
+// with an edge embed the codec and replace the value half.
+type EdgeKeyCodec struct{ P int }
+
+//lint:hotpath
+func (c EdgeKeyCodec) AppendKey(dst []byte, k BucketKey) []byte { return append(dst, k[:c.P]...) }
+
+// DecodeKey rejects any length but P: a torn spill run is a read error.
+func (c EdgeKeyCodec) DecodeKey(src []byte) (BucketKey, error) {
+	var k BucketKey
+	if len(src) != c.P {
+		return k, fmt.Errorf("graph: reducer-key encoding is %d bytes, want %d", len(src), c.P)
+	}
+	copy(k[:], src)
+	return k, nil
+}
+
+//lint:hotpath
+func (EdgeKeyCodec) AppendValue(dst []byte, e Edge) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(e.U))
+	return binary.BigEndian.AppendUint32(dst, uint32(e.V))
+}
+
+func (EdgeKeyCodec) DecodeValue(src []byte) (Edge, error) {
+	if len(src) != 8 {
+		return Edge{}, fmt.Errorf("graph: edge encoding is %d bytes, want 8", len(src))
+	}
+	return Edge{
+		U: Node(binary.BigEndian.Uint32(src)),
+		V: Node(binary.BigEndian.Uint32(src[4:])),
+	}, nil
+}

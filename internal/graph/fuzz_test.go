@@ -39,3 +39,32 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBucketKey: any byte string is a bucket multiset (every byte is a
+// bucket below 256, so nothing may panic); its key survives the codec at
+// its own arity and is refused at any other.
+func FuzzBucketKey(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{255, 0, 255})
+	f.Add(bytes.Repeat([]byte{9}, MaxKeyVars))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		raw = raw[:min(len(raw), MaxKeyVars)]
+		buckets := make([]int, len(raw))
+		for i, b := range raw {
+			buckets[i] = int(b)
+		}
+		key := MultisetKey(buckets...)
+		c := EdgeKeyCodec{P: len(raw)}
+		enc := c.AppendKey(nil, key)
+		if len(enc) != len(raw) {
+			t.Fatalf("%d buckets encoded as %d bytes", len(raw), len(enc))
+		}
+		if got, err := c.DecodeKey(enc); err != nil || got != key {
+			t.Fatalf("round trip of %v: %v %v", key, got, err)
+		}
+		if _, err := (EdgeKeyCodec{P: len(raw) + 1}).DecodeKey(enc); err == nil {
+			t.Fatalf("a %d-byte key decoded at P=%d", len(enc), len(raw)+1)
+		}
+	})
+}

@@ -20,8 +20,8 @@ type RoundStats struct {
 // ad-hoc serial glue:
 //
 //	c := mapreduce.NewChain(cfg)
-//	mid := mapreduce.RunRound(c, round1Job, inputs)
-//	out := mapreduce.RunRound(c, round2Job, mid)
+//	mid, err := mapreduce.RunRound(ctx, c, round1Job, inputs)
+//	out, err := mapreduce.RunRound(ctx, c, round2Job, mid)
 //	total := c.Total()
 //
 // RunRound is a free function rather than a method because Go methods
@@ -41,23 +41,11 @@ type Chain struct {
 // NewChain returns a Chain whose rounds run under cfg.
 func NewChain(cfg Config) *Chain { return &Chain{Cfg: cfg} }
 
-// RunRound executes j as the chain's next round and returns its outputs.
-// Like Job.Run, it has no error return, so an engine failure panics here
-// instead of yielding a silent partial result; cancellable callers that
-// want the typed error use RunRoundContext.
-func RunRound[I any, K comparable, V any, O any](c *Chain, j Job[I, K, V, O], inputs []I) []O {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use RunRoundContext
-	outs, err := RunRoundContext(context.Background(), c, j, inputs)
-	if err != nil {
-		panic(fmt.Sprintf("mapreduce: %v (use RunRoundContext to receive the error)", err))
-	}
-	return outs
-}
-
-// RunRoundContext is RunRound under a context: a cancelled ctx aborts the
-// round and returns ctx.Err() with nil outputs. The round's (possibly
-// partial) metrics are recorded on the chain either way.
-func RunRoundContext[I any, K comparable, V any, O any](ctx context.Context, c *Chain, j Job[I, K, V, O], inputs []I) ([]O, error) {
+// RunRound executes j as the chain's next round and returns its outputs. A
+// cancelled ctx aborts the round and returns ctx.Err() with nil outputs.
+// The round's (possibly partial) metrics are recorded on the chain either
+// way.
+func RunRound[I any, K comparable, V any, O any](ctx context.Context, c *Chain, j Job[I, K, V, O], inputs []I) ([]O, error) {
 	name := c.roundName(j.Name)
 	outs, m, err := j.RunContext(ctx, c.Cfg, inputs)
 	c.Rounds = append(c.Rounds, RoundStats{Name: name, Metrics: m})

@@ -222,7 +222,7 @@ func TestChain(t *testing.T) {
 		inputs[i] = i
 	}
 	c := NewChain(Config{Parallelism: 2})
-	sums := RunRound(c, Job[int, int, int, int]{
+	sums := mustRound(c, Job[int, int, int, int]{
 		Name: "per-residue sums",
 		Map:  func(x int, emit func(int, int)) { emit(x%10, x) },
 		Reduce: func(_ *Context, _ int, vs []int, emit func(int)) {
@@ -234,7 +234,7 @@ func TestChain(t *testing.T) {
 		},
 	}, inputs)
 	// Round-1 sums are 10r+450 for r = 0..9; s/500 splits them 5/5.
-	totals := RunRound(c, Job[int, bool, int, int]{
+	totals := mustRound(c, Job[int, bool, int, int]{
 		Map: func(s int, emit func(bool, int)) { emit(s < 500, s) },
 		Reduce: func(_ *Context, _ bool, vs []int, emit func(int)) {
 			s := 0

@@ -246,23 +246,3 @@ func TestWorkerErrorOutranksCancellation(t *testing.T) {
 		t.Fatalf("got %v, want the injected worker error to outrank ctx.Err()", err)
 	}
 }
-
-// TestRunPanicContract pins the ctx-less wrappers' documented behavior:
-// Job.Run cannot return an error, so a failed run panics loudly rather
-// than returning a silent partial result.
-func TestRunPanicContract(t *testing.T) {
-	t.Cleanup(failpoint.Reset)
-	if err := failpoint.Enable(failpoint.SpillWrite, "error"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("ctx-less Run swallowed the engine error")
-		}
-		if !strings.Contains(r.(string), "use RunContext") {
-			t.Fatalf("panic %v does not point at RunContext", r)
-		}
-	}()
-	spillJob().Run(Config{Parallelism: 1, MemoryBudget: 64, SpillDir: t.TempDir()}, corpus(100))
-}

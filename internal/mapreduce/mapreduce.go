@@ -189,14 +189,12 @@ type Config struct {
 	// runs) — each I/O buffer between 4 and 64 KiB, so a share below
 	// 4 KiB a run is exceeded by that floor. Outside it: the largest
 	// single key group (a reducer receives it as one []V) and reducer
-	// output — emitted values still accumulate in memory until Run
+	// output — emitted values still accumulate in memory until RunContext
 	// returns, so jobs whose output is itself huge should aggregate or
 	// count in the reducer instead of materializing (cf. core's
 	// CountOnly). Outputs and the core metrics are identical to the
 	// in-memory path; the Spill* metrics record the extra I/O. Spill I/O
-	// failures surface as a typed *EngineError from RunContext/RunStream
-	// (the ctx-less Run, having no error return, panics on them — see its
-	// doc).
+	// failures surface as a typed *EngineError from RunContext/RunStream.
 	MemoryBudget int64
 	// SpillDir is the directory for spill run files; "" means the system
 	// temp dir. Only used when MemoryBudget is set.
@@ -266,27 +264,13 @@ func partitionIndex[K comparable](partition Partitioner[K], k K, p int) int {
 	return i
 }
 
-// Run executes the job: Map is applied to every input, emitted pairs are
-// hash-partitioned and streamed to the reduce workers (combined first when
-// a Combiner is set), and Reduce is applied to each key group. It returns
-// the reducer outputs (in no particular order) and the job metrics.
-//
-// Run has no error return, so an engine failure (spill I/O, a recovered
-// worker panic) panics here rather than yielding a silent partial result;
-// callers that want the typed *EngineError use RunContext.
-func (j Job[I, K, V, O]) Run(cfg Config, inputs []I) ([]O, Metrics) {
-	//lint:allow ctxhygiene ctx-less convenience wrapper; cancellable callers use RunContext
-	out, m, err := j.RunContext(context.Background(), cfg, inputs)
-	if err != nil {
-		panic(fmt.Sprintf("mapreduce: %v (use RunContext to receive the error)", err))
-	}
-	return out, m
-}
-
-// RunContext is Run under a context: cancelling ctx aborts the job — map
-// workers stop consuming inputs, reduce workers stop reducing, spill runs
-// are removed — and the partial metrics plus ctx.Err() are returned. A nil
-// error means the job ran to completion.
+// RunContext executes the job: Map is applied to every input, emitted pairs
+// are hash-partitioned and streamed to the reduce workers (combined first
+// when a Combiner is set), and Reduce is applied to each key group. It
+// returns the reducer outputs (in no particular order) and the job metrics.
+// Cancelling ctx aborts the job — map workers stop consuming inputs, reduce
+// workers stop reducing, spill runs are removed — and the partial metrics
+// plus ctx.Err() are returned. A nil error means the job ran to completion.
 func (j Job[I, K, V, O]) RunContext(ctx context.Context, cfg Config, inputs []I) ([]O, Metrics, error) {
 	var out []O
 	m, err := j.RunStream(ctx, cfg, inputs, func(o O) bool {
@@ -683,23 +667,10 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 	return metrics, nil
 }
 
-// Run executes one combiner-less map-reduce round on the pipelined engine:
-// mapFn is applied to every input, the emitted pairs are shuffled (grouped
-// by key), and reduceFn is applied to each group. It returns the reducer
-// outputs (in no particular order) and the job metrics.
-func Run[I any, K comparable, V any, O any](
-	cfg Config,
-	inputs []I,
-	mapFn Mapper[I, K, V],
-	reduceFn Reducer[K, V, O],
-) ([]O, Metrics) {
-	return Job[I, K, V, O]{Map: mapFn, Reduce: reduceFn}.Run(cfg, inputs)
-}
-
 // ReducerLoads runs only the map phase and returns the sorted list of
 // per-reducer input sizes, for skew studies without paying for the reduce
-// computation. The map phase is sharded across cfg-many workers (as Run
-// shards it), each counting into a private table; the result is the merged,
+// computation. The map phase is sharded across cfg-many workers (as
+// RunStream shards it), each counting into a private table; the result is the merged,
 // sorted load vector and is deterministic regardless of parallelism.
 func ReducerLoads[I any, K comparable, V any](
 	cfg Config,

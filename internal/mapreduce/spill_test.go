@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -233,7 +232,7 @@ func TestSpillChain(t *testing.T) {
 		inputs[i] = i
 	}
 	c := NewChain(Config{Parallelism: 2, MemoryBudget: 256})
-	sums := RunRound(c, Job[int, int, int, int]{
+	sums := mustRound(c, Job[int, int, int, int]{
 		Map: func(x int, emit func(int, int)) { emit(x%50, x) },
 		Reduce: func(_ *Context, _ int, vs []int, emit func(int)) {
 			s := 0
@@ -243,7 +242,7 @@ func TestSpillChain(t *testing.T) {
 			emit(s)
 		},
 	}, inputs)
-	RunRound(c, Job[int, bool, int, int]{
+	mustRound(c, Job[int, bool, int, int]{
 		Map: func(s int, emit func(bool, int)) { emit(s%2 == 0, s) },
 		Reduce: func(_ *Context, _ bool, vs []int, emit func(int)) {
 			emit(len(vs))
@@ -256,8 +255,7 @@ func TestSpillChain(t *testing.T) {
 }
 
 // TestSpillBadDir checks the documented failure mode: an unusable spill
-// directory surfaces as a typed *EngineError at the spill stage from
-// RunContext, and panics the ctx-less Run wrapper with a pointer to it.
+// directory surfaces as a typed *EngineError at the spill stage.
 func TestSpillBadDir(t *testing.T) {
 	badCfg := Config{
 		Parallelism:  1,
@@ -272,15 +270,4 @@ func TestSpillBadDir(t *testing.T) {
 	if ee.Stage != StageSpill {
 		t.Fatalf("Stage = %q, want %q", ee.Stage, StageSpill)
 	}
-
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected ctx-less Run to panic on an unusable spill dir")
-		}
-		if !strings.Contains(fmt.Sprint(r), "use RunContext") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	spillJob().Run(badCfg, corpus(100))
 }

@@ -1,6 +1,7 @@
 package multijoin
 
 import (
+	"context"
 	"fmt"
 
 	"subgraphmr/internal/mapreduce"
@@ -23,8 +24,9 @@ type joinItem struct {
 // keys completed paths by the closing pair (X_{p-1}, X0) and checks them
 // against R_{p-1}. Result rows match CycleJoin (one value per attribute);
 // the returned chain carries the per-round metrics, making the
-// intermediate-relation blowup measurable.
-func CycleJoinChain(rels []*Relation, cfg mapreduce.Config) ([][]int64, *mapreduce.Chain) {
+// intermediate-relation blowup measurable. Cancelling ctx aborts the round
+// in flight and returns ctx.Err() with the chain so far.
+func CycleJoinChain(ctx context.Context, rels []*Relation, cfg mapreduce.Config) ([][]int64, *mapreduce.Chain, error) {
 	p := len(rels)
 	if p < 3 {
 		panic("multijoin: cascade needs at least three relations")
@@ -45,7 +47,8 @@ func CycleJoinChain(rels []*Relation, cfg mapreduce.Config) ([][]int64, *mapredu
 		for _, t := range rels[i].Tuples {
 			items = append(items, joinItem{Tuple: t, IsTuple: true})
 		}
-		paths = mapreduce.RunRound(c, mapreduce.Job[joinItem, int64, joinItem, []int64]{
+		var err error
+		paths, err = mapreduce.RunRound(ctx, c, mapreduce.Job[joinItem, int64, joinItem, []int64]{
 			Name: fmt.Sprintf("extend ⋈ R%d on X%d", i, i),
 			Map: func(it joinItem, emit func(int64, joinItem)) {
 				if it.IsTuple {
@@ -75,6 +78,9 @@ func CycleJoinChain(rels []*Relation, cfg mapreduce.Config) ([][]int64, *mapredu
 				}
 			},
 		}, items)
+		if err != nil {
+			return nil, c, err
+		}
 	}
 
 	// Closing round: a completed path binds every attribute; R_{p-1} must
@@ -86,7 +92,7 @@ func CycleJoinChain(rels []*Relation, cfg mapreduce.Config) ([][]int64, *mapredu
 	for _, t := range rels[p-1].Tuples {
 		items = append(items, joinItem{Tuple: t, IsTuple: true})
 	}
-	rows := mapreduce.RunRound(c, mapreduce.Job[joinItem, [2]int64, joinItem, []int64]{
+	rows, err := mapreduce.RunRound(ctx, c, mapreduce.Job[joinItem, [2]int64, joinItem, []int64]{
 		Name: fmt.Sprintf("close against R%d on (X%d, X0)", p-1, p-1),
 		Map: func(it joinItem, emit func([2]int64, joinItem)) {
 			if it.IsTuple {
@@ -111,5 +117,5 @@ func CycleJoinChain(rels []*Relation, cfg mapreduce.Config) ([][]int64, *mapredu
 			}
 		},
 	}, items)
-	return rows, c
+	return rows, c, err
 }

@@ -40,7 +40,10 @@ func TestCycleJoinChainMatchesSerial(t *testing.T) {
 	for _, p := range []int{3, 4, 5, 6} {
 		rels := randomRelations(p, 120, 15, int64(p))
 		want, _ := CycleJoin(rels)
-		got, chain := CycleJoinChain(rels, mapreduce.Config{Parallelism: 4})
+		got, chain, err := CycleJoinChain(t.Context(), rels, mapreduce.Config{Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
 		sameRows(t, got, want)
 		if chain.NumRounds() != p-1 {
 			t.Errorf("p=%d: %d rounds, want %d", p, chain.NumRounds(), p-1)
@@ -56,7 +59,10 @@ func TestCycleJoinChainMatchesSerial(t *testing.T) {
 func TestCycleJoinChainWorstCases(t *testing.T) {
 	relsA := WorstCaseA(3)
 	wantA, _ := CycleJoin(relsA)
-	gotA, _ := CycleJoinChain(relsA, mapreduce.Config{})
+	gotA, _, err := CycleJoinChain(t.Context(), relsA, mapreduce.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sameRows(t, gotA, wantA)
 	if len(gotA) != 3*3*3*3*3 {
 		t.Errorf("case A output = %d, want d^5 = 243", len(gotA))
@@ -64,7 +70,10 @@ func TestCycleJoinChainWorstCases(t *testing.T) {
 
 	relsB := WorstCaseB(4, 3, 5, 7)
 	wantB, _ := CycleJoin(relsB)
-	gotB, _ := CycleJoinChain(relsB, mapreduce.Config{})
+	gotB, _, err := CycleJoinChain(t.Context(), relsB, mapreduce.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sameRows(t, gotB, wantB)
 }
 
@@ -73,7 +82,10 @@ func TestCycleJoinChainWorstCases(t *testing.T) {
 // include the partial paths, not just the base relations.
 func TestCycleJoinChainMaterializesIntermediates(t *testing.T) {
 	rels := WorstCaseA(3) // every round's join is a full d×d grid
-	_, chain := CycleJoinChain(rels, mapreduce.Config{})
+	_, chain, err := CycleJoinChain(t.Context(), rels, mapreduce.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	r0 := chain.Rounds[0].Metrics
 	// Round 1 ships the 9 R1-paths plus the 9 R2-tuples.
 	if r0.KeyValuePairs != 18 {

@@ -42,13 +42,12 @@ func RegularCostPerEdge(p, d int, k float64) float64 {
 func UsefulReducers(b, p int) float64 { return Binomial(b+p-1, p) }
 
 // BucketsForReducers returns the largest bucket count b (at least 1,
-// capped at 255 — the engine's limit, since bucket values 0..254 must fit
-// a key byte) whose useful-reducer count C(b+p-1, p) does not exceed the
-// budget k — the Theorem 4.2 derivation shared by the planner and every
-// bucket-style execution path.
+// capped at MaxIntShare) whose useful-reducer count C(b+p-1, p) does not
+// exceed the budget k — the Theorem 4.2 derivation shared by the planner
+// and every bucket-style execution path.
 func BucketsForReducers(k, p int) int {
 	b := 1
-	for b < 255 && UsefulReducers(b+1, p) <= float64(k) {
+	for b < MaxIntShare && UsefulReducers(b+1, p) <= float64(k) {
 		b++
 	}
 	return b

@@ -1,10 +1,12 @@
 package shares
 
-// MaxIntShare is the engine's per-variable share ceiling: bucket numbers
-// must fit one byte of a reducer key, so shares (and bucket counts) are
-// capped at 255. The planner marks candidates whose integer shares exceed
-// it non-viable, so Plan and Run agree on what can execute.
-const MaxIntShare = 255
+import "subgraphmr/internal/graph"
+
+// MaxIntShare is the engine's per-variable share ceiling: a share is a
+// bucket count, and bucket numbers must fit one lane of a reducer key. The
+// planner marks candidates whose integer shares exceed it non-viable, so
+// Plan and Run agree on what can execute.
+const MaxIntShare = graph.MaxBuckets
 
 // MaxShare returns the largest entry of an integer share vector (0 for an
 // empty vector).

@@ -1,77 +1,23 @@
 package triangle
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"subgraphmr/internal/graph"
 )
 
-// The triangle jobs key by bucket triples, which DefaultCodec would push
-// through its per-item gob path (triple's int fields have no fixed binary
-// size). That encoding is deterministic, but it is the hottest per-pair
-// work both the spill writer and the distributed ownership filter do, so
-// the jobs carry these fixed-width big-endian codecs instead: 24-byte
-// injective keys, 8-byte edges (the same two-uint32 layout as core's edge
-// codec), 9-byte tagged edges.
+// taggedEdgeCodec serializes the Multiway job pairs: the shared key half,
+// and a 9-byte value — the shared edge encoding followed by the role mask.
+type taggedEdgeCodec struct{ graph.EdgeKeyCodec }
 
-func appendTriple(dst []byte, t triple) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, uint64(t.A))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(t.B))
-	return binary.BigEndian.AppendUint64(dst, uint64(t.C))
+func (c taggedEdgeCodec) AppendValue(dst []byte, te taggedEdge) []byte {
+	return append(c.EdgeKeyCodec.AppendValue(dst, te.E), byte(te.Roles))
 }
 
-func decodeTriple(src []byte) (triple, error) {
-	if len(src) != 24 {
-		return triple{}, fmt.Errorf("triangle: triple encoding is %d bytes, want 24", len(src))
-	}
-	return triple{
-		A: int(binary.BigEndian.Uint64(src[0:8])),
-		B: int(binary.BigEndian.Uint64(src[8:16])),
-		C: int(binary.BigEndian.Uint64(src[16:24])),
-	}, nil
-}
-
-func appendEdge(dst []byte, e graph.Edge) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(e.U))
-	return binary.BigEndian.AppendUint32(dst, uint32(e.V))
-}
-
-func decodeEdge(src []byte) (graph.Edge, error) {
-	if len(src) != 8 {
-		return graph.Edge{}, fmt.Errorf("triangle: edge encoding is %d bytes, want 8", len(src))
-	}
-	return graph.Edge{
-		U: graph.Node(binary.BigEndian.Uint32(src[0:4])),
-		V: graph.Node(binary.BigEndian.Uint32(src[4:8])),
-	}, nil
-}
-
-// edgeTripleCodec serializes the Partition / BucketOrdered job pairs.
-type edgeTripleCodec struct{}
-
-func (edgeTripleCodec) AppendKey(dst []byte, k triple) []byte       { return appendTriple(dst, k) }
-func (edgeTripleCodec) DecodeKey(src []byte) (triple, error)        { return decodeTriple(src) }
-func (edgeTripleCodec) AppendValue(dst []byte, e graph.Edge) []byte { return appendEdge(dst, e) }
-func (edgeTripleCodec) DecodeValue(src []byte) (graph.Edge, error)  { return decodeEdge(src) }
-
-// taggedTripleCodec serializes the Multiway job pairs (edge + role mask).
-type taggedTripleCodec struct{}
-
-func (taggedTripleCodec) AppendKey(dst []byte, k triple) []byte { return appendTriple(dst, k) }
-func (taggedTripleCodec) DecodeKey(src []byte) (triple, error)  { return decodeTriple(src) }
-
-func (taggedTripleCodec) AppendValue(dst []byte, te taggedEdge) []byte {
-	return append(appendEdge(dst, te.E), byte(te.Roles))
-}
-
-func (taggedTripleCodec) DecodeValue(src []byte) (taggedEdge, error) {
+func (c taggedEdgeCodec) DecodeValue(src []byte) (taggedEdge, error) {
 	if len(src) != 9 {
 		return taggedEdge{}, fmt.Errorf("triangle: tagged-edge encoding is %d bytes, want 9", len(src))
 	}
-	e, err := decodeEdge(src[:8])
-	if err != nil {
-		return taggedEdge{}, err
-	}
-	return taggedEdge{E: e, Roles: roleMask(src[8])}, nil
+	e, err := c.EdgeKeyCodec.DecodeValue(src[:8])
+	return taggedEdge{E: e, Roles: roleMask(src[8])}, err
 }

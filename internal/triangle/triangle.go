@@ -60,12 +60,10 @@ var (
 	Algos = []Algo{Partition, Multiway, BucketOrdered}
 )
 
-type triple struct{ A, B, C int }
-
 // newAlgo builds an Algo from its closed forms and the job it runs under the
 // seeded node hash h (h.B is the bucket count).
 func newAlgo[V any](name string, minB int, comm func(int) float64, reducers func(int) int64,
-	job func(h graph.NodeHash) mapreduce.Job[graph.Edge, triple, V, [3]graph.Node]) Algo {
+	job func(h graph.NodeHash) mapreduce.Job[graph.Edge, graph.BucketKey, V, [3]graph.Node]) Algo {
 	return Algo{
 		Name: name, MinB: minB, CommPerEdge: comm, Reducers: reducers,
 		probe: func(g *graph.Graph, h graph.NodeHash, cfg mapreduce.Config) mapreduce.LoadStats {
@@ -81,6 +79,9 @@ func newAlgo[V any](name string, minB int, comm func(int) float64, reducers func
 func (a Algo) hash(b int, seed uint64) (graph.NodeHash, error) {
 	if b < a.MinB {
 		return graph.NodeHash{}, fmt.Errorf("triangle: %s needs b >= %d, got %d", a.Name, a.MinB, b)
+	}
+	if err := graph.CheckKey(3, b); err != nil {
+		return graph.NodeHash{}, fmt.Errorf("triangle: %s: %w", a.Name, err)
 	}
 	return graph.NodeHash{Seed: seed, B: b}, nil
 }
@@ -134,17 +135,21 @@ func ProbeLoads(g *graph.Graph, algo string, b int, seed uint64, cfg mapreduce.C
 	return mapreduce.LoadStats{}, fmt.Errorf("triangle: unknown algorithm %q", algo)
 }
 
+// edgeJob is a triangle job that ships plain edges (Partition,
+// BucketOrdered).
+type edgeJob = mapreduce.Job[graph.Edge, graph.BucketKey, graph.Edge, [3]graph.Node]
+
 // partitionJob is the Partition algorithm with h.B ≥ 3 node groups. Each
 // reducer R_{ijk} (i<j<k) receives the edges with both endpoints in
 // S_i ∪ S_j ∪ S_k; a triangle is emitted only by the reducer whose triple is
 // the canonical completion of the triangle's group set, so the over-counting
 // the paper describes is compensated exactly.
-func partitionJob(h graph.NodeHash) mapreduce.Job[graph.Edge, triple, graph.Edge, [3]graph.Node] {
+func partitionJob(h graph.NodeHash) edgeJob {
 	b := h.B
-	return mapreduce.Job[graph.Edge, triple, graph.Edge, [3]graph.Node]{
+	return edgeJob{
 		Name: fmt.Sprintf("partition b=%d", b),
-		Map:  partitionMapper(h, b),
-		Reduce: func(ctx *mapreduce.Context, key triple, edges []graph.Edge, emit func([3]graph.Node)) {
+		Map:  partitionMapper{h}.Map,
+		Reduce: func(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) {
 			local := graph.SparseFromEdges(edges)
 			ctx.AddWork(trianglesInSparse(local, func(a, bb, c graph.Node) {
 				if canonicalGroupTriple(h, b, a, bb, c) == key {
@@ -152,45 +157,47 @@ func partitionJob(h graph.NodeHash) mapreduce.Job[graph.Edge, triple, graph.Edge
 				}
 			}))
 		},
-		Codec: edgeTripleCodec{},
+		Codec: graph.EdgeKeyCodec{P: 3},
 	}
 }
 
-// partitionMapper returns the Partition edge mapper: an edge whose
-// endpoints fall in groups gu, gv reaches every 3-subset of groups
-// containing both (C(b-1,2) subsets when gu = gv, b-2 otherwise).
-func partitionMapper(h graph.NodeHash, b int) mapreduce.Mapper[graph.Edge, triple, graph.Edge] {
-	return func(e graph.Edge, emit func(triple, graph.Edge)) {
-		gu, gv := h.Bucket(e.U), h.Bucket(e.V)
-		if gu == gv {
-			// C(b-1, 2) reducers: every triple containing gu.
-			for x := 0; x < b; x++ {
-				if x == gu {
-					continue
-				}
-				for y := x + 1; y < b; y++ {
-					if y == gu {
-						continue
-					}
-					emit(sortedTriple(gu, x, y), e)
-				}
-			}
-			return
-		}
-		// b-2 reducers: every triple containing both gu and gv.
+// partitionMapper is the Partition edge mapper: an edge whose endpoints
+// fall in groups gu, gv reaches every 3-subset of groups containing both
+// (C(b-1,2) subsets when gu = gv, b-2 otherwise).
+type partitionMapper struct{ h graph.NodeHash }
+
+//lint:hotpath
+func (m partitionMapper) Map(e graph.Edge, emit func(graph.BucketKey, graph.Edge)) {
+	b := m.h.B
+	gu, gv := m.h.Bucket(e.U), m.h.Bucket(e.V)
+	if gu == gv {
+		// C(b-1, 2) reducers: every triple containing gu.
 		for x := 0; x < b; x++ {
-			if x == gu || x == gv {
+			if x == gu {
 				continue
 			}
-			emit(sortedTriple(gu, gv, x), e)
+			for y := x + 1; y < b; y++ {
+				if y == gu {
+					continue
+				}
+				emit(graph.MultisetKey(gu, x, y), e)
+			}
 		}
+		return
+	}
+	// b-2 reducers: every triple containing both gu and gv.
+	for x := 0; x < b; x++ {
+		if x == gu || x == gv {
+			continue
+		}
+		emit(graph.MultisetKey(gu, gv, x), e)
 	}
 }
 
 // canonicalGroupTriple maps a triangle to the unique reducer that owns it:
 // the sorted distinct groups of its nodes, completed to three distinct
 // values with the smallest unused group numbers.
-func canonicalGroupTriple(h graph.NodeHash, b int, a, bb, c graph.Node) triple {
+func canonicalGroupTriple(h graph.NodeHash, b int, a, bb, c graph.Node) graph.BucketKey {
 	var d [3]int
 	nd := 0
 	for _, u := range [3]graph.Node{a, bb, c} {
@@ -223,7 +230,7 @@ func canonicalGroupTriple(h graph.NodeHash, b int, a, bb, c graph.Node) triple {
 			panic("triangle: cannot complete group triple")
 		}
 	}
-	return sortedTriple(d[0], d[1], d[2])
+	return graph.MultisetKey(d[0], d[1], d[2])
 }
 
 // roleMask marks which join roles an edge plays at a reducer.
@@ -244,12 +251,12 @@ type taggedEdge struct {
 // E(X,Y) ⋈ E(Y,Z) ⋈ E(X,Z) over the id-ordered edge relation, with shares
 // (b, b, b). Each edge reaches exactly 3b−2 distinct reducers (the paper's
 // footnote-1 dedup is performed, merging the coinciding role copies).
-func multiwayJob(h graph.NodeHash) mapreduce.Job[graph.Edge, triple, taggedEdge, [3]graph.Node] {
+func multiwayJob(h graph.NodeHash) mapreduce.Job[graph.Edge, graph.BucketKey, taggedEdge, [3]graph.Node] {
 	b := h.B
-	return mapreduce.Job[graph.Edge, triple, taggedEdge, [3]graph.Node]{
+	return mapreduce.Job[graph.Edge, graph.BucketKey, taggedEdge, [3]graph.Node]{
 		Name: fmt.Sprintf("multiway shares=(%d,%d,%d)", b, b, b),
 		Map:  multiwayMapper(h, b),
-		Reduce: func(ctx *mapreduce.Context, key triple, edges []taggedEdge, emit func([3]graph.Node)) {
+		Reduce: func(ctx *mapreduce.Context, key graph.BucketKey, edges []taggedEdge, emit func([3]graph.Node)) {
 			// Role-structured join: X=u, Y=v, Z=w with E(u,v) as XY, E(v,w) as
 			// YZ, E(u,w) as XZ (each pair id-ordered).
 			yzByFirst := make(map[graph.Node][]graph.Node)
@@ -275,26 +282,26 @@ func multiwayJob(h graph.NodeHash) mapreduce.Job[graph.Edge, triple, taggedEdge,
 				}
 			}
 		},
-		Codec: taggedTripleCodec{},
+		Codec: taggedEdgeCodec{graph.EdgeKeyCodec{P: 3}},
 	}
 }
 
 // multiwayMapper returns the Section 2.2 mapper: the edge plays each of its
 // three join roles across b shares, the coinciding role copies merged
 // (footnote 1's dedup) so it reaches exactly 3b−2 distinct reducers.
-func multiwayMapper(h graph.NodeHash, b int) mapreduce.Mapper[graph.Edge, triple, taggedEdge] {
-	return func(e graph.Edge, emit func(triple, taggedEdge)) {
+func multiwayMapper(h graph.NodeHash, b int) mapreduce.Mapper[graph.Edge, graph.BucketKey, taggedEdge] {
+	return func(e graph.Edge, emit func(graph.BucketKey, taggedEdge)) {
 		u, v := e.U, e.V // u < v by canonical orientation
 		hu, hv := h.Bucket(u), h.Bucket(v)
 		// Collect the ≤3b (key, role) pairs in a small scratch slice,
 		// merging the coinciding role copies by linear scan (footnote 1's
 		// dedup) — the previous map allocated per edge on the hot path.
 		type keyed struct {
-			k     triple
+			k     graph.BucketKey
 			roles roleMask
 		}
 		keys := make([]keyed, 0, 3*b)
-		add := func(k triple, r roleMask) {
+		add := func(k graph.BucketKey, r roleMask) {
 			for i := range keys {
 				if keys[i].k == k {
 					keys[i].roles |= r
@@ -304,13 +311,13 @@ func multiwayMapper(h graph.NodeHash, b int) mapreduce.Mapper[graph.Edge, triple
 			keys = append(keys, keyed{k, r})
 		}
 		for z := 0; z < b; z++ {
-			add(triple{hu, hv, z}, roleXY)
+			add(tupleKey(hu, hv, z), roleXY)
 		}
 		for x := 0; x < b; x++ {
-			add(triple{x, hu, hv}, roleYZ)
+			add(tupleKey(x, hu, hv), roleYZ)
 		}
 		for y := 0; y < b; y++ {
-			add(triple{hu, y, hv}, roleXZ)
+			add(tupleKey(hu, y, hv), roleXZ)
 		}
 		for _, kr := range keys {
 			emit(kr.k, taggedEdge{e, kr.roles})
@@ -318,37 +325,42 @@ func multiwayMapper(h graph.NodeHash, b int) mapreduce.Mapper[graph.Edge, triple
 	}
 }
 
+// tupleKey is the Multiway reducer (x, y, z): lane v is variable v's bucket.
+func tupleKey(x, y, z int) (k graph.BucketKey) {
+	k.Set(0, x)
+	k.Set(1, y)
+	k.Set(2, z)
+	return k
+}
+
 // bucketOrderedJob is the Section 2.3 algorithm: nodes are ordered by
 // (bucket, id); reducers are the nondecreasing bucket triples; each edge is
 // shipped to exactly b reducers; the triangle (u ≺ v ≺ w) is owned by the
 // reducer of its sorted bucket triple.
-func bucketOrderedJob(h graph.NodeHash) mapreduce.Job[graph.Edge, triple, graph.Edge, [3]graph.Node] {
-	return mapreduce.Job[graph.Edge, triple, graph.Edge, [3]graph.Node]{
+func bucketOrderedJob(h graph.NodeHash) edgeJob {
+	return edgeJob{
 		Name: fmt.Sprintf("bucket-ordered b=%d", h.B),
-		Map:  bucketOrderedMapper(h, h.B),
-		Reduce: func(ctx *mapreduce.Context, key triple, edges []graph.Edge, emit func([3]graph.Node)) {
+		Map:  bucketOrderedMapper{h}.Map,
+		Reduce: func(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) {
 			local := graph.SparseFromEdges(edges)
 			ctx.AddWork(trianglesInSparse(local, func(a, bb, c graph.Node) {
-				if sortedTriple(h.Bucket(a), h.Bucket(bb), h.Bucket(c)) == key {
+				if graph.MultisetKey(h.Bucket(a), h.Bucket(bb), h.Bucket(c)) == key {
 					emit([3]graph.Node{a, bb, c})
 				}
 			}))
 		},
-		Codec: edgeTripleCodec{},
+		Codec: graph.EdgeKeyCodec{P: 3},
 	}
 }
 
-// bucketOrderedMapper returns the Section 2.3 mapper: each edge reaches the
-// b nondecreasing bucket triples containing both endpoint buckets.
-func bucketOrderedMapper(h graph.NodeHash, b int) mapreduce.Mapper[graph.Edge, triple, graph.Edge] {
-	return func(e graph.Edge, emit func(triple, graph.Edge)) {
-		i, j := h.Bucket(e.U), h.Bucket(e.V)
-		// The b keys {i,j,w} for w = 0..b-1 are distinct multisets, so no
-		// dedup structure is needed on this per-edge hot path.
-		for w := 0; w < b; w++ {
-			emit(sortedTriple(i, j, w), e)
-		}
-	}
+// bucketOrderedMapper is the Section 2.3 mapper — Section 4.5's at p = 3:
+// each edge reaches the b nondecreasing bucket triples containing both
+// endpoint buckets.
+type bucketOrderedMapper struct{ h graph.NodeHash }
+
+//lint:hotpath
+func (m bucketOrderedMapper) Map(e graph.Edge, emit func(graph.BucketKey, graph.Edge)) {
+	graph.Completions(3, m.h.B, m.h.Bucket(e.U), m.h.Bucket(e.V), func(k graph.BucketKey) { emit(k, e) })
 }
 
 // trianglesInSparse enumerates each triangle of the local graph once
@@ -409,19 +421,6 @@ func trianglesInSparse(s *graph.Sparse, emit func(a, b, c graph.Node)) int64 {
 		}
 	}
 	return work
-}
-
-func sortedTriple(a, b, c int) triple {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b, c = c, b
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return triple{a, b, c}
 }
 
 // partitionCommPerEdge is the exact expected per-edge communication of

@@ -212,13 +212,15 @@ func TestSkewReporting(t *testing.T) {
 	}
 }
 
-// TestValidation: a bucket count below an algorithm's minimum is an error
-// from both Run and the load probes — the probes used to skip the check for
-// Multiway and BucketOrdered and divide by zero inside a probe goroutine.
+// TestValidation: a bucket count below an algorithm's minimum, or above what
+// a reducer-key lane holds, is an error from both Run and the load probes —
+// the probes used to skip the first check for Multiway and BucketOrdered and
+// divide by zero inside a probe goroutine, and nothing but Plan made the
+// second.
 func TestValidation(t *testing.T) {
 	g := graph.CompleteGraph(4)
 	for _, a := range Algos {
-		for b := a.MinB - 3; b < a.MinB; b++ {
+		for _, b := range []int{a.MinB - 3, a.MinB - 2, a.MinB - 1, graph.MaxBuckets + 1} {
 			if _, err := a.Run(t.Context(), g, b, 7, mapreduce.Config{}, nil); err == nil {
 				t.Errorf("%s.Run with b=%d should fail", a.Name, b)
 			}
@@ -240,6 +242,49 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := ProbeLoads(g, "no-such-algorithm", 4, 7, mapreduce.Config{}); err == nil {
 		t.Error("ProbeLoads with an unknown algorithm should fail")
+	}
+	// The largest bucket count a lane holds still runs.
+	if m := count(t, BucketOrdered, g, graph.MaxBuckets); m.Outputs != 4 {
+		t.Errorf("bucket-ordered at b=%d found %d triangles of K4, want 4", graph.MaxBuckets, m.Outputs)
+	}
+}
+
+// TestMapperAllocations: the BucketOrdered and Partition mappers build their
+// keys on the stack — no allocation per input edge, however many reducers it
+// reaches.
+func TestMapperAllocations(t *testing.T) {
+	h := graph.NodeHash{Seed: 7, B: 6}
+	pairs := 0
+	emit := func(graph.BucketKey, graph.Edge) { pairs++ }
+	for name, mapper := range map[string]mapreduce.Mapper[graph.Edge, graph.BucketKey, graph.Edge]{
+		"bucket": bucketOrderedMapper{h}.Map, "partition": partitionMapper{h}.Map,
+	} {
+		for _, e := range []graph.Edge{{U: 1, V: 2}, {U: 17, V: 4242}, {U: 5, V: 11}} {
+			if allocs := testing.AllocsPerRun(100, func() { mapper(e, emit) }); allocs != 0 {
+				t.Errorf("%s mapper on %v: %v allocs per edge, want 0", name, e, allocs)
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("the mappers emitted nothing; the test measures nothing")
+	}
+}
+
+// TestTaggedEdgeCodec: Multiway's value half round-trips on top of the
+// shared key half and refuses a torn value.
+func TestTaggedEdgeCodec(t *testing.T) {
+	c := taggedEdgeCodec{graph.EdgeKeyCodec{P: 3}}
+	te := taggedEdge{E: graph.Edge{U: 3, V: 1 << 20}, Roles: roleXY | roleXZ}
+	vb := c.AppendValue(nil, te)
+	if got, err := c.DecodeValue(vb); err != nil || got != te || len(vb) != 9 {
+		t.Fatalf("tagged edge round trip: %v %v (%d bytes)", got, err, len(vb))
+	}
+	if _, err := c.DecodeValue(vb[:8]); err == nil {
+		t.Error("an 8-byte tagged edge should fail to decode")
+	}
+	key := tupleKey(2, 0, 1)
+	if got, err := c.DecodeKey(c.AppendKey(nil, key)); err != nil || got != key {
+		t.Fatalf("key round trip: %v %v", got, err)
 	}
 }
 

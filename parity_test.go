@@ -113,9 +113,9 @@ func TestEveryPathHonorsMemoryBudget(t *testing.T) {
 	// The directed path too.
 	dg := RandomDiGraph(80, 400, 2, 5)
 	pattern := DirectedCyclePattern(3, 0)
-	res, err := EnumerateDirected(dg, pattern, DirectedOptions{
+	res, err := EnumerateDirectedContext(t.Context(), dg, pattern, DirectedOptions{
 		Buckets: 4, Seed: 3, MemoryBudget: 1024, SpillDir: t.TempDir(),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +156,9 @@ func TestEveryPathHonorsSpillDir(t *testing.T) {
 		expectEngineError(st.String(), err)
 	}
 	dg := RandomDiGraph(80, 400, 2, 5)
-	_, err := EnumerateDirected(dg, DirectedCyclePattern(3, 0), DirectedOptions{
+	_, err := EnumerateDirectedContext(t.Context(), dg, DirectedCyclePattern(3, 0), DirectedOptions{
 		Buckets: 4, MemoryBudget: 1024, SpillDir: badDir,
-	})
+	}, nil)
 	expectEngineError("directed", err)
 }
 
@@ -204,11 +204,11 @@ func TestEveryPathIsSeedDeterministic(t *testing.T) {
 	// be ignored (it changes the bucket count, hence the communication).
 	dg := RandomDiGraph(80, 400, 2, 5)
 	pattern := DirectedCyclePattern(3, 0)
-	small, err := EnumerateDirected(dg, pattern, DirectedOptions{TargetReducers: 4, Seed: 1})
+	small, err := EnumerateDirectedContext(t.Context(), dg, pattern, DirectedOptions{TargetReducers: 4, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := EnumerateDirected(dg, pattern, DirectedOptions{TargetReducers: 512, Seed: 1})
+	large, err := EnumerateDirectedContext(t.Context(), dg, pattern, DirectedOptions{TargetReducers: 512, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"subgraphmr/internal/cq"
 	"subgraphmr/internal/cycles"
+	"subgraphmr/internal/graph"
 	"subgraphmr/internal/shares"
 )
 
@@ -147,6 +148,9 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 	}
 	if o.targetReducers <= 0 {
 		o.targetReducers = defaultTargetReducers
+	}
+	if s.P() > graph.MaxKeyVars {
+		return nil, fmt.Errorf("subgraphmr: sample has %d nodes; reducer keys hold at most %d", s.P(), graph.MaxKeyVars)
 	}
 	if o.buckets > shares.MaxIntShare {
 		return nil, fmt.Errorf("subgraphmr: bucket count %d exceeds %d", o.buckets, shares.MaxIntShare)

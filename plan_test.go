@@ -401,3 +401,34 @@ func TestPredictedSpill(t *testing.T) {
 		t.Error("1 GiB budget predicted to spill")
 	}
 }
+
+// TestPatternSizeLimit: a reducer key has 16 lanes, so a sample or directed
+// pattern with more nodes is refused up front with an error naming the
+// limit (it used to be bounded only by p! — Plan would never have come
+// back). The largest sample the CLI and service can name, c12, still plans.
+func TestPatternSizeLimit(t *testing.T) {
+	var edges [][2]int
+	var arcs []PatternArc
+	for i := 0; i < 16; i++ {
+		edges = append(edges, [2]int{i, i + 1})
+		arcs = append(arcs, PatternArc{From: i, To: i + 1})
+	}
+	path17, err := NewSample(17, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Plan(Gnm(30, 60, 1), path17); err == nil || !strings.Contains(err.Error(), "at most 16") {
+		t.Errorf("Plan on a 17-node path: %v, want an error naming the 16-node limit", err)
+	}
+	dipath17, err := NewDiPattern(17, arcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = EnumerateDirectedContext(t.Context(), RandomDiGraph(30, 60, 1, 1), dipath17, DirectedOptions{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "16-node limit") {
+		t.Errorf("EnumerateDirectedContext on a 17-node path: %v, want an error naming the 16-node limit", err)
+	}
+	if _, err := Plan(Gnm(30, 60, 1), NamedSample("c12"), WithCycleCQs()); err != nil {
+		t.Errorf("Plan on c12 with cycle CQs: %v", err)
+	}
+}

@@ -245,7 +245,7 @@ func priceVariable(q *planQuery) Candidate {
 }
 
 func probeVariable(pr *prober, c *Candidate) {
-	ls, err := core.ProbeVariableLoads(pr.g, pr.p, pr.qs, c.Shares, pr.o.seed, pr.cfg)
+	ls, err := core.ProbeVariableLoads(pr.g, pr.qs, c.Shares, pr.o.seed, pr.cfg)
 	if err != nil {
 		return
 	}

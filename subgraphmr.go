@@ -49,6 +49,7 @@
 package subgraphmr
 
 import (
+	"context"
 	"io"
 
 	"subgraphmr/internal/core"
@@ -128,9 +129,11 @@ func DefaultSpillCodec[K comparable, V any]() SpillCodec[K, V] {
 // NewChain returns a Chain whose rounds run under cfg.
 func NewChain(cfg EngineConfig) *Chain { return mapreduce.NewChain(cfg) }
 
-// RunRound executes j as the chain's next round and returns its outputs.
-func RunRound[I any, K comparable, V any, O any](c *Chain, j MapReduceJob[I, K, V, O], inputs []I) []O {
-	return mapreduce.RunRound(c, j, inputs)
+// RunRound executes j as the chain's next round and returns its outputs;
+// the round's metrics are recorded on the chain. Cancelling ctx aborts the
+// round and returns ctx.Err().
+func RunRound[I any, K comparable, V any, O any](ctx context.Context, c *Chain, j MapReduceJob[I, K, V, O], inputs []I) ([]O, error) {
+	return mapreduce.RunRound(ctx, c, j, inputs)
 }
 
 // NewGraphBuilder returns a builder for a data graph with n nodes.
