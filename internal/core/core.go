@@ -238,9 +238,9 @@ func Enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Option
 	}
 }
 
-// enumJob is one enumeration round: edges in, instances out, reducers named
-// by bucket keys.
-type enumJob = mapreduce.Job[graph.Edge, graph.BucketKey, graph.Edge, []graph.Node]
+// enumJob is one enumeration round: edges in, each stored once in the block
+// its endpoint buckets name, instances out, reducers named by bucket keys.
+type enumJob = mapreduce.BlockJob[graph.Edge, graph.BucketKey, graph.Edge, []graph.Node]
 
 // enumReduce is the reduce function of an enumJob.
 type enumReduce = mapreduce.Reducer[graph.BucketKey, graph.Edge, []graph.Node]
@@ -304,10 +304,10 @@ func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []
 	return res, nil
 }
 
-// runBucketJob runs one job shipped by the Section 4.5 mapper — the
+// runBucketJob runs one job replicated by the Section 4.5 scheme — the
 // bucket-oriented strategy and the Theorem 6.1 conversion differ only in
 // what their reducers do with a key's edges: it resolves b, builds the
-// mapper, runs the job under the reducer that reduce returns for the job's
+// scheme, runs the job under the reducer that reduce returns for the job's
 // hash and match sink, and reports the one JobStats entry.
 func runBucketJob(ctx context.Context, g *graph.Graph, p int, opt Options, name, label string,
 	sink func([]graph.Node) bool, reduce func(graph.NodeHash, *matchSink) enumReduce) (*Result, error) {
@@ -315,17 +315,12 @@ func runBucketJob(ctx context.Context, g *graph.Graph, p int, opt Options, name,
 	if b <= 0 {
 		b = shares.BucketsForReducers(opt.reducers(), p)
 	}
-	mapper, err := newBucketMapper(opt.Seed, p, b)
+	scheme, err := newBucketScheme(opt.Seed, p, b)
 	if err != nil {
 		return nil, err
 	}
 	ms := &matchSink{sink: sink}
-	count, metrics, err := ms.run(ctx, enumJob{
-		Name:   fmt.Sprintf("%s b=%d", name, b),
-		Map:    mapper.Map,
-		Reduce: reduce(mapper.h, ms),
-		Codec:  graph.EdgeKeyCodec{P: p},
-	}, opt.engineConfig(), g)
+	count, metrics, err := ms.run(ctx, scheme.job(fmt.Sprintf("%s b=%d", name, b), reduce(scheme.h, ms)), opt.engineConfig(), g)
 	if err != nil {
 		return nil, err
 	}
@@ -340,27 +335,41 @@ func runBucketJob(ctx context.Context, g *graph.Graph, p int, opt Options, name,
 	return &Result{Count: count, Jobs: []JobStats{job}}, nil
 }
 
-// bucketMapper is the Section 4.5 mapper: each edge is shipped to the
+// bucketScheme is the Section 4.5 replication: an edge reaches the
 // C(b+p-3, p-2) reducers whose bucket multiset contains the buckets of both
-// its endpoints. Execution (bucket-oriented and the Theorem 6.1 conversion)
-// and the planner's load probes build it through newBucketMapper from the
-// job seed alone, so the probed loads are exactly what the job will ship.
-type bucketMapper struct {
+// its endpoints — so it is stored once, in the block of that bucket pair,
+// and each multiset reads the pair blocks it covers. Execution
+// (bucket-oriented and the Theorem 6.1 conversion) and the planner's load
+// probes build it through newBucketScheme from the job seed alone, so the
+// probed loads are exactly what the job will ship.
+type bucketScheme struct {
 	h graph.NodeHash // h.B is the bucket count b
 	p int
 }
 
-// newBucketMapper rejects a (p, b) the reducer key cannot express.
-func newBucketMapper(seed uint64, p, b int) (bucketMapper, error) {
+// newBucketScheme rejects a (p, b) the reducer key cannot express.
+func newBucketScheme(seed uint64, p, b int) (bucketScheme, error) {
 	if err := graph.CheckKey(p, b); err != nil {
-		return bucketMapper{}, fmt.Errorf("core: %w", err)
+		return bucketScheme{}, fmt.Errorf("core: %w", err)
 	}
-	return bucketMapper{h: graph.NodeHash{Seed: seed + 0x9e3779b97f4a7c15, B: b}, p: p}, nil
+	return bucketScheme{h: graph.NodeHash{Seed: seed + 0x9e3779b97f4a7c15, B: b}, p: p}, nil
 }
 
 //lint:hotpath
-func (m bucketMapper) Map(e graph.Edge, emit func(graph.BucketKey, graph.Edge)) {
-	graph.Completions(m.p, m.h.B, m.h.Bucket(e.U), m.h.Bucket(e.V), func(k graph.BucketKey) { emit(k, e) })
+func (s bucketScheme) Map(e graph.Edge, emit func(int, graph.Edge)) {
+	emit(graph.PairBlock(s.h.B, s.h.Bucket(e.U), s.h.Bucket(e.V)), e)
+}
+
+// job is the scheme as an engine job under reduce (nil for a load probe).
+func (s bucketScheme) job(name string, reduce enumReduce) enumJob {
+	return enumJob{
+		Name:   name,
+		Blocks: graph.PairBlocks(s.h.B),
+		Map:    s.Map,
+		Keys:   func(yield func(graph.BucketKey, []int32)) { graph.MultisetKeys(s.p, s.h.B, yield) },
+		Reduce: reduce,
+		Codec:  graph.EdgeKeyCodec{P: s.p},
+	}
 }
 
 // variableOriented implements the Section 4.3 strategy.
@@ -488,18 +497,21 @@ func bindingsFromCQ(q *cq.CQ) []edgeBinding {
 	return binds
 }
 
-// shareMapper is the share-based mapper: per binding, the edge is shipped to
-// the reducers of every bucket tuple extending the bound pair. Execution and
-// the planner's load probes build it through newShareMapper from the job
-// seed and the integer shares alone, so the probed loads are exactly what
-// the job will ship.
-type shareMapper struct {
+// shareScheme is the share-based replication: per binding, an edge reaches
+// the reducers of every bucket tuple extending the bound pair — so it is
+// stored once per binding, in the block (binding, h_lo(U), h_hi(V)), and a
+// reducer reads one block per binding: the one its own lo and hi lanes
+// name. Execution and the planner's load probes build it through
+// newShareScheme from the job seed and the integer shares alone, so the
+// probed loads are exactly what the job will ship.
+type shareScheme struct {
 	binds  []edgeBinding
 	hashes []graph.NodeHash // hashes[v].B is variable v's integer share
+	base   []int            // base[i] is binding i's first block; base[len(binds)] the block count
 }
 
-// newShareMapper rejects a share vector the reducer key cannot express.
-func newShareMapper(seed uint64, binds []edgeBinding, intShares []int) (*shareMapper, error) {
+// newShareScheme rejects a share vector the reducer key cannot express.
+func newShareScheme(seed uint64, binds []edgeBinding, intShares []int) (*shareScheme, error) {
 	if err := graph.CheckKey(len(intShares), shares.MaxShare(intShares)); err != nil {
 		return nil, fmt.Errorf("core: shares %v: %w", intShares, err)
 	}
@@ -507,57 +519,76 @@ func newShareMapper(seed uint64, binds []edgeBinding, intShares []int) (*shareMa
 	for v := range intShares {
 		hashes[v] = graph.NodeHash{Seed: seed + uint64(v)*0x9e3779b97f4a7c15 + 1, B: intShares[v]}
 	}
-	return &shareMapper{binds: binds, hashes: hashes}, nil
+	base := make([]int, len(binds)+1)
+	for i, bind := range binds {
+		base[i+1] = base[i] + intShares[bind.lo]*intShares[bind.hi]
+	}
+	return &shareScheme{binds: binds, hashes: hashes, base: base}, nil
 }
 
 //lint:hotpath
-func (m *shareMapper) Map(e graph.Edge, emit func(graph.BucketKey, graph.Edge)) {
-	for _, bind := range m.binds {
-		var key graph.BucketKey
-		key.Set(bind.lo, m.hashes[bind.lo].Bucket(e.U))
-		key.Set(bind.hi, m.hashes[bind.hi].Bucket(e.V))
-		// The free lanes count through every tuple, last variable fastest.
-	tuples:
-		for {
-			emit(key, e)
-			for v := len(m.hashes) - 1; v >= 0; v-- {
-				if v == bind.lo || v == bind.hi {
-					continue
-				}
-				if next := int(key[v]) + 1; next < m.hashes[v].B {
-					key.Set(v, next)
-					continue tuples
-				}
-				key.Set(v, 0)
+func (s *shareScheme) Map(e graph.Edge, emit func(int, graph.Edge)) {
+	for i, bind := range s.binds {
+		emit(s.base[i]+s.hashes[bind.lo].Bucket(e.U)*s.hashes[bind.hi].B+s.hashes[bind.hi].Bucket(e.V), e)
+	}
+}
+
+// Keys walks every bucket tuple, last variable fastest. An edge matching two
+// bindings at one key sits in two of its blocks and counts twice, as the
+// paper's cost model counts it.
+func (s *shareScheme) Keys(yield func(graph.BucketKey, []int32)) {
+	var key graph.BucketKey
+	blocks := make([]int32, len(s.binds))
+	for {
+		for i, bind := range s.binds {
+			blocks[i] = int32(s.base[i] + int(key[bind.lo])*s.hashes[bind.hi].B + int(key[bind.hi]))
+		}
+		yield(key, blocks)
+		v := len(s.hashes) - 1
+		for ; v >= 0; v-- {
+			if next := int(key[v]) + 1; next < s.hashes[v].B {
+				key.Set(v, next)
+				break
 			}
-			break
+			key.Set(v, 0)
+		}
+		if v < 0 {
+			return
 		}
 	}
 }
 
+// job is the scheme as an engine job under reduce (nil for a load probe).
+func (s *shareScheme) job(name string, reduce enumReduce) enumJob {
+	return enumJob{
+		Name:   name,
+		Blocks: s.base[len(s.binds)],
+		Map:    s.Map,
+		Keys:   s.Keys,
+		Reduce: reduce,
+		Codec:  graph.EdgeKeyCodec{P: len(s.hashes)},
+	}
+}
+
 // runShareJob executes one share-based job: optimize shares for the model,
-// round to integer bucket counts, ship each edge per binding to the
-// reducers of every bucket tuple extending the bound pair, and evaluate the
-// CQs at each reducer with the natural node order. An instance is emitted
-// only at the reducer matching the hashes of all its nodes.
+// round to integer bucket counts, store each edge once per binding, let the
+// reducer of every bucket tuple read the blocks extending its bound pairs,
+// and evaluate the CQs at each reducer with the natural node order. An
+// instance is emitted only at the reducer matching the hashes of all its
+// nodes.
 func runShareJob(ctx context.Context, g *graph.Graph, qs []*cq.CQ, model shares.Model, binds []edgeBinding, opt Options, label string, sink func([]graph.Node) bool) (*Result, error) {
 	sol, err := model.Solve(float64(opt.reducers()))
 	if err != nil {
 		return nil, err
 	}
 	intShares := model.RoundShares(sol.Shares, float64(opt.reducers()))
-	mapper, err := newShareMapper(opt.Seed, binds, intShares)
+	scheme, err := newShareScheme(opt.Seed, binds, intShares)
 	if err != nil {
 		return nil, err
 	}
 	ms := &matchSink{sink: sink}
-	reducer := &enumReducer{evals: cq.NewEvaluatorSet(qs), order: graph.NaturalKey, hashes: mapper.hashes, ms: ms}
-	count, metrics, err := ms.run(ctx, enumJob{
-		Name:   label,
-		Map:    mapper.Map,
-		Reduce: reducer.reduce,
-		Codec:  graph.EdgeKeyCodec{P: len(intShares)},
-	}, opt.engineConfig(), g)
+	reducer := &enumReducer{evals: cq.NewEvaluatorSet(qs), order: graph.NaturalKey, hashes: scheme.hashes, ms: ms}
+	count, metrics, err := ms.run(ctx, scheme.job(label, reducer.reduce), opt.engineConfig(), g)
 	if err != nil {
 		return nil, err
 	}

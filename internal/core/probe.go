@@ -6,23 +6,24 @@ import (
 	"subgraphmr/internal/mapreduce"
 )
 
-// This file exposes map-only load probes over the exact mappers the
-// enumeration jobs execute, so the adaptive planner can observe per-reducer
+// This file exposes map-only load probes over the exact jobs the
+// enumerations execute, so the adaptive planner can observe per-reducer
 // loads — total pairs, distinct keys, the hottest reducer — before
-// committing to a strategy. A probe costs one sharded map pass (counting
-// only; nothing is grouped or reduced) and is deterministic given the seed.
+// committing to a strategy. A probe is the job's own task list without the
+// job (mapreduce.BlockJob.Loads): one counting pass over the edges and a
+// walk over the reducer keys, deterministic given the seed.
 
 // ProbeBucketLoads measures the reducer loads of the Section 4.5 bucket
-// mapper for a p-node sample at bucket count b, under the same seeded hash
+// scheme for a p-node sample at bucket count b, under the same seeded hash
 // a bucket-oriented (or decomposed) job at that seed would use. A (p, b) the
 // reducer key cannot express is an error, never a silent zero-load result
 // (which would rank as a free plan).
 func ProbeBucketLoads(g *graph.Graph, p, b int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
-	mapper, err := newBucketMapper(seed, p, b)
+	scheme, err := newBucketScheme(seed, p, b)
 	if err != nil {
 		return mapreduce.LoadStats{}, err
 	}
-	return mapreduce.ReducerLoadStats(cfg, g.Edges(), mapper.Map), nil
+	return scheme.job("", nil).Loads(cfg, g.Edges())
 }
 
 // ProbeVariableLoads measures the reducer loads of the Section 4.3
@@ -39,9 +40,9 @@ func ProbeCQLoads(g *graph.Graph, q *cq.CQ, intShares []int, seed uint64, cfg ma
 }
 
 func probeShareLoads(g *graph.Graph, binds []edgeBinding, intShares []int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
-	mapper, err := newShareMapper(seed, binds, intShares)
+	scheme, err := newShareScheme(seed, binds, intShares)
 	if err != nil {
 		return mapreduce.LoadStats{}, err
 	}
-	return mapreduce.ReducerLoadStats(cfg, g.Edges(), mapper.Map), nil
+	return scheme.job("", nil).Loads(cfg, g.Edges())
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"subgraphmr/internal/cq"
@@ -21,27 +24,38 @@ type reducerBed struct {
 	owner func(key graph.BucketKey, phi []graph.Node) bool
 }
 
+// groupsOf runs a scheme's job over g under a reducer that only records what
+// it is handed: the shuffle's output, edges by reducer key.
+func groupsOf(job func(string, enumReduce) enumJob, g *graph.Graph) map[graph.BucketKey][]graph.Edge {
+	groups := map[graph.BucketKey][]graph.Edge{}
+	var mu sync.Mutex
+	record := func(_ *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, _ func([]graph.Node)) {
+		mu.Lock()
+		defer mu.Unlock()
+		if groups[key] != nil {
+			panic(fmt.Sprintf("reducer %v called twice", key))
+		}
+		groups[key] = slices.Clone(edges)
+	}
+	if _, err := job("groups", record).RunStream(context.Background(), mapreduce.Config{}, g.Edges(), nil); err != nil {
+		panic(err)
+	}
+	return groups
+}
+
 // reducerBeds builds the bucket-oriented and the variable-oriented job of
 // s over g, delivering owned matches to sink (nil counts).
 func reducerBeds(g *graph.Graph, s *sample.Sample, sink func([]graph.Node) bool) []reducerBed {
 	p := s.P()
 	qs := cq.MergeByOrientation(cq.GenerateForSample(s))
-	group := func(mapper mapreduce.Mapper[graph.Edge, graph.BucketKey, graph.Edge]) map[graph.BucketKey][]graph.Edge {
-		groups := map[graph.BucketKey][]graph.Edge{}
-		for _, e := range g.Edges() {
-			mapper(e, func(k graph.BucketKey, e graph.Edge) { groups[k] = append(groups[k], e) })
-		}
-		return groups
-	}
-
-	bm, err := newBucketMapper(3, p, 3)
+	bm, err := newBucketScheme(3, p, 3)
 	if err != nil {
 		panic(err)
 	}
 	h := bm.h
 	bucket := reducerBed{
 		name:    "bucket-oriented",
-		groups:  group(bm.Map),
+		groups:  groupsOf(bm.job, g),
 		reducer: &enumReducer{evals: cq.NewEvaluatorSet(qs), order: h.Key, ms: &matchSink{sink: sink}},
 		owner: func(key graph.BucketKey, phi []graph.Node) bool {
 			buckets := make([]byte, len(phi))
@@ -57,14 +71,14 @@ func reducerBeds(g *graph.Graph, s *sample.Sample, sink func([]graph.Node) bool)
 	for v := range intShares {
 		intShares[v] = 2 + v%2
 	}
-	sm, err := newShareMapper(3, bindingsFromUses(cq.EdgeUses(qs)), intShares)
+	sm, err := newShareScheme(3, bindingsFromUses(cq.EdgeUses(qs)), intShares)
 	if err != nil {
 		panic(err)
 	}
 	hashes := sm.hashes
 	share := reducerBed{
 		name:    "variable-oriented",
-		groups:  group(sm.Map),
+		groups:  groupsOf(sm.job, g),
 		reducer: &enumReducer{evals: cq.NewEvaluatorSet(qs), order: graph.NaturalKey, hashes: hashes, ms: &matchSink{sink: sink}},
 		owner: func(key graph.BucketKey, phi []graph.Node) bool {
 			for v, u := range phi {
@@ -153,29 +167,28 @@ func TestReducerAllocations(t *testing.T) {
 	}
 }
 
-// TestMapperAllocations: neither mapper allocates per input edge — keys are
-// built in place on the stack, whatever the number of reducers an edge
-// reaches.
+// TestMapperAllocations: neither scheme allocates per input edge — a block
+// id is arithmetic on two hashes, one per binding.
 func TestMapperAllocations(t *testing.T) {
 	qs := cq.MergeByOrientation(cq.GenerateForSample(sample.Lollipop()))
-	bm, err := newBucketMapper(3, 4, 5)
+	bm, err := newBucketScheme(3, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, err := newShareMapper(3, bindingsFromUses(cq.EdgeUses(qs)), []int{2, 3, 2, 3})
+	sm, err := newShareScheme(3, bindingsFromUses(cq.EdgeUses(qs)), []int{2, 3, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := 0
-	emit := func(graph.BucketKey, graph.Edge) { pairs++ }
-	for name, mapper := range map[string]mapreduce.Mapper[graph.Edge, graph.BucketKey, graph.Edge]{
+	stored := 0
+	emit := func(int, graph.Edge) { stored++ }
+	for name, mapper := range map[string]func(graph.Edge, func(int, graph.Edge)){
 		"bucket": bm.Map, "share": sm.Map,
 	} {
 		if allocs := testing.AllocsPerRun(100, func() { mapper(graph.Edge{U: 17, V: 4242}, emit) }); allocs != 0 {
-			t.Errorf("%s mapper: %v allocs per edge, want 0", name, allocs)
+			t.Errorf("%s scheme: %v allocs per edge, want 0", name, allocs)
 		}
 	}
-	if pairs == 0 {
-		t.Fatal("the mappers emitted nothing; the test measures nothing")
+	if stored == 0 {
+		t.Fatal("the schemes stored nothing; the test measures nothing")
 	}
 }

@@ -209,17 +209,58 @@ func TestDirectedCanonical(t *testing.T) {
 	}
 }
 
-// TestArcMapperAllocations: the mapper builds its keys on the stack — no
-// allocation per input arc, and no per-arc dedup table.
+// TestArcMapperAllocations: a block id is arithmetic on two hashes — no
+// allocation per input arc.
 func TestArcMapperAllocations(t *testing.T) {
-	m := arcMapper{h: graph.NodeHash{Seed: 5, B: 4}, p: 4}
-	pairs := 0
-	emit := func(graph.BucketKey, Arc) { pairs++ }
+	m := arcMapper{graph.NodeHash{Seed: 5, B: 4}}
+	stored := 0
+	emit := func(int, Arc) { stored++ }
 	if allocs := testing.AllocsPerRun(100, func() { m.Map(Arc{From: 17, To: 4242, Label: 2}, emit) }); allocs != 0 {
 		t.Errorf("%v allocs per arc, want 0", allocs)
 	}
-	if pairs == 0 {
-		t.Fatal("the mapper emitted nothing; the test measures nothing")
+	if stored == 0 {
+		t.Fatal("the mapper stored nothing; the test measures nothing")
+	}
+}
+
+// TestBlockLoadsMatchPairMapper: the job's reducers receive, key by key,
+// the arcs the per-pair Section 4.5 mapper shipped before replication went
+// by reference — every nondecreasing p-tuple of buckets containing both
+// endpoint buckets — so its communication metrics are what they were.
+func TestBlockLoadsMatchPairMapper(t *testing.T) {
+	g := RandomDiGraph(30, 120, 3, 7)
+	for _, pt := range []*DiPattern{DirectedCycle(3, 0), FanIn(4, 1), ThreatRing(3)} {
+		p, b := pt.P(), 3
+		h := graph.NodeHash{Seed: 9 + 0x6a09e667f3bcc909, B: b}
+		want := map[graph.BucketKey]int{}
+		free := make([]int, p-2, p)
+		var rec func(a Arc, i, from int)
+		rec = func(a Arc, i, from int) {
+			if i == p-2 {
+				want[graph.MultisetKey(append(free, h.Bucket(a.From), h.Bucket(a.To))...)]++
+				return
+			}
+			for x := from; x < b; x++ {
+				free[i] = x
+				rec(a, i+1, x)
+			}
+		}
+		var pairs, maxLoad int64
+		for _, a := range g.Arcs() {
+			rec(a, 0, 0)
+		}
+		for _, n := range want {
+			pairs += int64(n)
+			maxLoad = max(maxLoad, int64(n))
+		}
+		res, err := EnumerateContext(t.Context(), g, pt, Options{Buckets: b, Seed: 9}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := res.Metrics; m.KeyValuePairs != pairs || m.DistinctKeys != int64(len(want)) || m.MaxReducerInput != maxLoad {
+			t.Errorf("%v: job shipped %d pairs to %d reducers, at most %d; the pair mapper %d to %d, at most %d",
+				pt, m.KeyValuePairs, m.DistinctKeys, m.MaxReducerInput, pairs, len(want), maxLoad)
+		}
 	}
 }
 

@@ -55,11 +55,12 @@ type Result struct {
 
 // EnumerateContext finds every instance of the pattern in g exactly once
 // with one round of map-reduce, using the bucket-oriented scheme of
-// Section 4.5 adapted to directed labeled relations: each arc is shipped to
-// the C(b+p-3, p-2) reducers whose bucket multiset contains its endpoint
-// buckets; each reducer searches its fragment; an instance is emitted only
-// by the reducer owning its bucket multiset, in canonical (automorphism-
-// least) form.
+// Section 4.5 adapted to directed labeled relations: each arc reaches the
+// C(b+p-3, p-2) reducers whose bucket multiset contains its endpoint
+// buckets (stored once, in the block of that bucket pair, which those
+// reducers read); each reducer searches its fragment; an instance is
+// emitted only by the reducer owning its bucket multiset, in canonical
+// (automorphism-least) form.
 //
 // A nil sink materializes Result.Instances; a non-nil sink receives each
 // instance instead (serialized, with backpressure; returning false stops
@@ -89,9 +90,11 @@ func EnumerateContext(ctx context.Context, g *DiGraph, pt *DiPattern, opt Option
 			}
 		}))
 	}
-	job := mapreduce.Job[Arc, graph.BucketKey, Arc, []graph.Node]{
+	job := mapreduce.BlockJob[Arc, graph.BucketKey, Arc, []graph.Node]{
 		Name:   fmt.Sprintf("directed bucket-oriented b=%d", b),
-		Map:    arcMapper{h: h, p: p}.Map,
+		Blocks: graph.PairBlocks(b),
+		Map:    arcMapper{h}.Map,
+		Keys:   func(yield func(graph.BucketKey, []int32)) { graph.MultisetKeys(p, b, yield) },
 		Reduce: reducer,
 		Codec:  arcCodec{graph.EdgeKeyCodec{P: p}},
 	}
@@ -116,15 +119,13 @@ func EnumerateContext(ctx context.Context, g *DiGraph, pt *DiPattern, opt Option
 	return res, nil
 }
 
-// arcMapper is the Section 4.5 mapper over arcs.
-type arcMapper struct {
-	h graph.NodeHash
-	p int
-}
+// arcMapper is the map side of the Section 4.5 scheme over arcs: an arc is
+// stored in the block of its endpoints' bucket pair, whichever way it points.
+type arcMapper struct{ h graph.NodeHash }
 
 //lint:hotpath
-func (m arcMapper) Map(a Arc, emit func(graph.BucketKey, Arc)) {
-	graph.Completions(m.p, m.h.B, m.h.Bucket(a.From), m.h.Bucket(a.To), func(k graph.BucketKey) { emit(k, a) })
+func (m arcMapper) Map(a Arc, emit func(int, Arc)) {
+	emit(graph.PairBlock(m.h.B, m.h.Bucket(a.From), m.h.Bucket(a.To)), a)
 }
 
 // arcCodec serializes the job's pairs: the shared key half, and a 10-byte

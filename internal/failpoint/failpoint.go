@@ -53,7 +53,8 @@ const (
 	// SpillMerge fires where the k-way merge reopens and reads spill runs
 	// back (mapreduce.spiller.mergeReduce).
 	SpillMerge = "mr.spill.merge"
-	// MapWorker fires at the start of every map worker goroutine.
+	// MapWorker fires at the start of every map worker goroutine, and once
+	// at the start of a block job's map phase (mapreduce.BlockJob).
 	MapWorker = "mr.map"
 	// ReduceWorker fires at the start of every reduce worker goroutine.
 	ReduceWorker = "mr.reduce"

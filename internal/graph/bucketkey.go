@@ -12,7 +12,7 @@ import (
 // algorithms, the directed extension — hashes nodes to buckets with a
 // NodeHash, keys its reducers by a BucketKey, and ships Edges (or a value
 // that starts with one) under an EdgeKeyCodec. The format, its two limits,
-// the Section 4.5 replication loop and the wire encoding live here and
+// the Section 4.5 replication scheme and the wire encoding live here and
 // nowhere else.
 
 const (
@@ -86,35 +86,66 @@ func MultisetKey(buckets ...int) BucketKey {
 	return k
 }
 
-// Completions is the Section 4.5 replication loop: it calls emit with the
-// key of every bucket multiset of size p over b buckets that contains hu
-// and hv — the reducers an edge with endpoint buckets hu, hv must reach so
-// that the owner of every instance through it sees it. The p-2 free
-// buckets run over the nondecreasing tuples in lexicographic order;
-// distinct tuples stay distinct multisets once the fixed pair is merged in,
-// so the C(b+p-3, p-2) keys need no dedup. The caller has passed (p, b)
-// through CheckKey.
+// PairBlocks is the number of blocks a multiset job over b buckets stores
+// its edges in: one per unordered bucket pair.
+func PairBlocks(b int) int { return b * (b + 1) / 2 }
+
+// PairBlock is the block of an edge whose endpoints hash to hu and hv, in
+// either order: every such edge reaches the same reducers, so a multiset
+// job stores it once, there, and each reducer reads the blocks its key
+// covers (MultisetKeys). Pairs are numbered row by row, lo ≤ hi.
 //
 //lint:hotpath
-func Completions(p, b, hu, hv int, emit func(BucketKey)) {
-	n := p - 2
-	var free BucketKey // lanes 0..n-1: the current nondecreasing completion
+func PairBlock(b, hu, hv int) int {
+	lo, hi := min(hu, hv), max(hu, hv)
+	if lo < 0 || hi >= b {
+		panic(errBucketRange)
+	}
+	return lo*b - lo*(lo-1)/2 + hi - lo
+}
+
+// MultisetKeys is the Section 4.5 replication, read from the reducer's
+// side: it calls yield with every bucket multiset of size p over b buckets
+// — the C(b+p-1, p) nondecreasing tuples, in lexicographic order — and the
+// pair blocks that key covers, each once: {x, y} for every two distinct
+// buckets of the key, and the diagonal {x, x} for every bucket it holds
+// twice or more. An edge with endpoint buckets hu, hv must reach exactly
+// the multisets that contain hu and hv; those are the keys whose list
+// holds PairBlock(b, hu, hv), C(b+p-3, p-2) of them. The blocks slice is
+// reused between calls. The caller has passed (p, b) through CheckKey.
+func MultisetKeys(p, b int, yield func(key BucketKey, blocks []int32)) {
+	var k BucketKey // lanes 0..p-1: the current nondecreasing tuple
+	blocks := make([]int32, 0, p*(p-1)/2+1)
 	for {
-		k := free
-		k.insert(n, hu)
-		k.insert(n+1, hv)
-		emit(k)
+		blocks = blocks[:0]
+		for i := 0; i < p; i++ {
+			x := int(k[i])
+			if i > 0 && k[i-1] == k[i] {
+				// A repeat: the diagonal block, at the second occurrence only.
+				if i == 1 || k[i-2] != k[i] {
+					blocks = append(blocks, int32(PairBlock(b, x, x)))
+				}
+				continue
+			}
+			// A new bucket pairs with each distinct bucket before it.
+			for j := 0; j < i; j++ {
+				if j == 0 || k[j-1] != k[j] {
+					blocks = append(blocks, int32(PairBlock(b, int(k[j]), x)))
+				}
+			}
+		}
+		yield(k, blocks)
 		// Advance the rightmost lane that can still grow; the lanes after
 		// it restart at its new value.
-		i := n - 1
-		for i >= 0 && int(free[i]) == b-1 {
+		i := p - 1
+		for i >= 0 && int(k[i]) == b-1 {
 			i--
 		}
 		if i < 0 {
 			return
 		}
-		for w := free[i] + 1; i < n; i++ {
-			free[i] = w
+		for w := k[i] + 1; i < p; i++ {
+			k[i] = w
 		}
 	}
 }

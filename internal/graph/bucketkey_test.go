@@ -18,6 +18,38 @@ func binomial(n, k int) int {
 	return c
 }
 
+// Completions is the Section 4.5 replication loop as the mappers ran it
+// before replication went by reference — kept as the reference MultisetKeys
+// is tested against: it calls emit with the key of every bucket multiset of
+// size p over b buckets that contains hu and hv — the reducers an edge with
+// endpoint buckets hu, hv must reach so that the owner of every instance
+// through it sees it. The p-2 free buckets run over the nondecreasing
+// tuples in lexicographic order; distinct tuples stay distinct multisets
+// once the fixed pair is merged in, so the C(b+p-3, p-2) keys need no
+// dedup.
+func Completions(p, b, hu, hv int, emit func(BucketKey)) {
+	n := p - 2
+	var free BucketKey // lanes 0..n-1: the current nondecreasing completion
+	for {
+		k := free
+		k.insert(n, hu)
+		k.insert(n+1, hv)
+		emit(k)
+		// Advance the rightmost lane that can still grow; the lanes after
+		// it restart at its new value.
+		i := n - 1
+		for i >= 0 && int(free[i]) == b-1 {
+			i--
+		}
+		if i < 0 {
+			return
+		}
+		for w := free[i] + 1; i < n; i++ {
+			free[i] = w
+		}
+	}
+}
+
 func completions(p, b, hu, hv int) []BucketKey {
 	var keys []BucketKey
 	Completions(p, b, hu, hv, func(k BucketKey) { keys = append(keys, k) })
@@ -57,6 +89,51 @@ func TestCompletions(t *testing.T) {
 								t.Fatalf("p=%d b=%d: key %v does not contain the pair (%d,%d)", p, b, k, hu, hv)
 							}
 							rest = slices.Delete(rest, i, i+1)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMultisetKeysInvertCompletions: the keys whose block list holds the
+// block of (hu, hv) are exactly the keys the per-edge loop emitted for an
+// edge with those buckets — same set, so same communication, key by key;
+// every key lists a block once; and the walk visits C(b+p-1, p) keys.
+func TestMultisetKeysInvertCompletions(t *testing.T) {
+	for p := 2; p <= 6; p++ {
+		for b := 1; b <= 5; b++ {
+			covering := make([]map[BucketKey]bool, PairBlocks(b)) // block → keys covering it
+			for i := range covering {
+				covering[i] = map[BucketKey]bool{}
+			}
+			keys := 0
+			MultisetKeys(p, b, func(k BucketKey, blocks []int32) {
+				keys++
+				if !slices.IsSorted(k[:p]) || int(k[p-1]) >= b || !bytes.Equal(k[p:], make([]byte, MaxKeyVars-p)) {
+					t.Fatalf("p=%d b=%d: key %v is not a nondecreasing p-tuple over the buckets", p, b, k)
+				}
+				for _, blk := range blocks {
+					if covering[blk][k] {
+						t.Fatalf("p=%d b=%d: key %v lists block %d twice (or is visited twice)", p, b, k, blk)
+					}
+					covering[blk][k] = true
+				}
+			})
+			if want := binomial(b+p-1, p); keys != want {
+				t.Fatalf("p=%d b=%d: %d keys, want C(%d,%d) = %d", p, b, keys, b+p-1, p, want)
+			}
+			for hu := 0; hu < b; hu++ {
+				for hv := 0; hv < b; hv++ {
+					got := covering[PairBlock(b, hu, hv)]
+					want := completions(p, b, hu, hv)
+					if len(got) != len(want) {
+						t.Fatalf("p=%d b=%d (%d,%d): %d keys cover the block, the loop reached %d", p, b, hu, hv, len(got), len(want))
+					}
+					for _, k := range want {
+						if !got[k] {
+							t.Fatalf("p=%d b=%d (%d,%d): key %v reached by the loop does not cover the block", p, b, hu, hv, k)
 						}
 					}
 				}
@@ -131,6 +208,7 @@ func TestKeyLimits(t *testing.T) {
 		"Set":         func() { new(BucketKey).Set(0, 256) },
 		"MultisetKey": func() { MultisetKey(1, 256, 2) },
 		"Completions": func() { Completions(3, 4, 0, 256, func(BucketKey) {}) },
+		"PairBlock":   func() { PairBlock(4, 0, 4) },
 		"negative":    func() { MultisetKey(-1) },
 	} {
 		func() {

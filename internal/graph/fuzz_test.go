@@ -42,7 +42,9 @@ func FuzzReadEdgeList(f *testing.F) {
 
 // FuzzBucketKey: any byte string is a bucket multiset (every byte is a
 // bucket below 256, so nothing may panic); its key survives the codec at
-// its own arity and is refused at any other.
+// its own arity and is refused at any other; and the pair blocks of its
+// buckets are ids below PairBlocks, the same in either order, and shared by
+// no two different pairs.
 func FuzzBucketKey(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -65,6 +67,25 @@ func FuzzBucketKey(f *testing.F) {
 		}
 		if _, err := (EdgeKeyCodec{P: len(raw) + 1}).DecodeKey(enc); err == nil {
 			t.Fatalf("a %d-byte key decoded at P=%d", len(enc), len(raw)+1)
+		}
+		b := 1
+		for _, h := range buckets {
+			b = max(b, h+1)
+		}
+		pairOf := map[int][2]int{}
+		for _, hu := range buckets {
+			for _, hv := range buckets {
+				blk := PairBlock(b, hu, hv)
+				if blk < 0 || blk >= PairBlocks(b) || blk != PairBlock(b, hv, hu) {
+					t.Fatalf("b=%d: block of (%d,%d) is %d, of (%d,%d) is %d, want one id below %d",
+						b, hu, hv, blk, hv, hu, PairBlock(b, hv, hu), PairBlocks(b))
+				}
+				pair := [2]int{min(hu, hv), max(hu, hv)}
+				if prev, ok := pairOf[blk]; ok && prev != pair {
+					t.Fatalf("b=%d: pairs %v and %v share block %d", b, prev, pair, blk)
+				}
+				pairOf[blk] = pair
+			}
 		}
 	})
 }

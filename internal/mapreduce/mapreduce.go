@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -298,10 +297,6 @@ func (j Job[I, K, V, O]) RunContext(ctx context.Context, cfg Config, inputs []I)
 // teardown — and can additionally interrupt the map phase — but returns
 // ctx.Err(). Metrics.Outputs counts only the values yield accepted.
 func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, yield func(O) bool) (Metrics, error) {
-	if ctx == nil {
-		//lint:allow ctxhygiene documented nil-ctx fallback: a nil ctx means "no cancellation"
-		ctx = context.Background()
-	}
 	nm := cfg.workers()
 	if nm > len(inputs) && len(inputs) > 0 {
 		nm = len(inputs)
@@ -336,43 +331,9 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 		}
 	}
 
-	// Cooperative stop flag: set when ctx is cancelled or yield returns
-	// false. Workers poll it instead of selecting on ctx.Done() per item.
-	var stop atomic.Bool
-	if done := ctx.Done(); done != nil {
-		watcherQuit := make(chan struct{})
-		go func() {
-			select {
-			case <-done:
-				stop.Store(true)
-			case <-watcherQuit:
-			}
-		}()
-		defer close(watcherQuit)
-	}
-
-	// deliver serializes reducer outputs into yield. After a stop it drops
-	// outputs; a reducer mid-group finishes without further delivery, or
-	// sooner if it polls Context.Stopped.
-	var (
-		ymu     sync.Mutex
-		yielded int64
-	)
-	deliver := func(o O) {
-		if stop.Load() {
-			return
-		}
-		ymu.Lock()
-		defer ymu.Unlock()
-		if stop.Load() {
-			return
-		}
-		if yield(o) {
-			yielded++
-		} else {
-			stop.Store(true)
-		}
-	}
+	run, release := newRun(ctx, yield)
+	defer release()
+	stop, deliver := &run.stop, run.deliver
 
 	// External shuffle: with a memory budget, every reduce worker gets an
 	// equal share and buffers its pairs in a spiller, which sorts them out
@@ -471,7 +432,7 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 				// deferred cleanup removes any spill runs.
 				return
 			}
-			rctx := &Context{stop: &stop}
+			rctx := &Context{stop: stop}
 			reduce := func(k K, vs []V) bool {
 				if stop.Load() {
 					return false
@@ -623,24 +584,6 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 	}
 	rwg.Wait()
 
-	// First worker failure wins, reduce side before map side (the spill
-	// path carries the richer diagnosis when several workers raced to set
-	// stop).
-	var jobErr error
-	for p := 0; p < np; p++ {
-		if errs[p] != nil {
-			jobErr = errs[p]
-			break
-		}
-	}
-	if jobErr == nil {
-		for w := 0; w < nm; w++ {
-			if merrs[w] != nil {
-				jobErr = merrs[w]
-				break
-			}
-		}
-	}
 	var metrics Metrics
 	for w := 0; w < nm; w++ {
 		metrics.KeyValuePairs += shipped[w]
@@ -655,89 +598,69 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 		metrics.SpillBytes += spills[p].SpillBytes
 		metrics.SpillFiles += spills[p].SpillFiles
 	}
-	metrics.Outputs = yielded
-	if jobErr != nil {
-		// A worker failure outranks cancellation: a real fault must not
-		// be reported as a mere ctx.Err().
-		return metrics, jobErr
-	}
-	if err := ctx.Err(); err != nil {
-		return metrics, err
-	}
-	return metrics, nil
+	metrics.Outputs = run.yielded
+	// Reduce side before map side: the spill path carries the richer
+	// diagnosis when several workers raced to set stop.
+	return metrics, firstError(ctx, append(errs, merrs...)...)
 }
 
-// ReducerLoads runs only the map phase and returns the sorted list of
-// per-reducer input sizes, for skew studies without paying for the reduce
-// computation. The map phase is sharded across cfg-many workers (as
-// RunStream shards it), each counting into a private table; the result is the merged,
-// sorted load vector and is deterministic regardless of parallelism.
-func ReducerLoads[I any, K comparable, V any](
-	cfg Config,
-	inputs []I,
-	mapFn Mapper[I, K, V],
-) []int {
-	merged := ReducerLoadsByKey(cfg, inputs, mapFn)
-	loads := make([]int, 0, len(merged))
-	for _, c := range merged {
-		loads = append(loads, c)
-	}
-	sort.Ints(loads)
-	return loads
+// run is the state the workers of one engine run share, whatever the shape
+// of its shuffle: the cooperative stop flag and the serialised output sink.
+type run[O any] struct {
+	// stop is set when ctx is cancelled, yield returns false or a worker
+	// fails. Workers poll it instead of selecting on ctx.Done() per item.
+	stop atomic.Bool
+
+	ymu     sync.Mutex
+	yield   func(O) bool
+	yielded int64 // outputs yield accepted
 }
 
-// ReducerLoadsByKey is the keyed form of ReducerLoads: it runs only the map
-// phase and returns the full load histogram — for each reducer key, the
-// number of values it would receive. The result is deterministic regardless
-// of parallelism. This is the primitive behind the planner's adaptive skew
-// probes: a probe costs one sharded map pass and no reduce computation.
-func ReducerLoadsByKey[I any, K comparable, V any](
-	cfg Config,
-	inputs []I,
-	mapFn Mapper[I, K, V],
-) map[K]int {
-	nm := cfg.workers()
-	if nm > len(inputs) {
-		nm = len(inputs)
+// newRun starts a run delivering to yield and stopping when ctx is
+// cancelled; a nil ctx means "no cancellation". release ends the ctx watch
+// and must be called once the workers are done.
+func newRun[O any](ctx context.Context, yield func(O) bool) (r *run[O], release func()) {
+	r = &run[O]{yield: yield}
+	if ctx == nil {
+		return r, func() {}
 	}
-	if nm < 1 {
-		nm = 1
+	r.stop.Store(ctx.Err() != nil) // already cancelled: no worker starts
+	unwatch := context.AfterFunc(ctx, func() { r.stop.Store(true) })
+	return r, func() { unwatch() }
+}
+
+// deliver serializes reducer outputs into yield. After a stop it drops
+// outputs; a reducer mid-group finishes without further delivery, or sooner
+// if it polls Context.Stopped.
+func (r *run[O]) deliver(o O) {
+	if r.stop.Load() {
+		return
 	}
-	partials := make([]map[K]int, nm)
-	var wg sync.WaitGroup
-	chunk := (len(inputs) + nm - 1) / nm
-	if chunk < 1 {
-		chunk = 1
+	r.ymu.Lock()
+	defer r.ymu.Unlock()
+	if r.stop.Load() {
+		return
 	}
-	for w := 0; w < nm; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(inputs) {
-			hi = len(inputs)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		//lint:allow ctxhygiene probe workers are call-scoped and joined by wg.Wait before returning
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			counts := make(map[K]int)
-			for i := lo; i < hi; i++ {
-				mapFn(inputs[i], func(k K, _ V) { counts[k]++ })
-			}
-			partials[w] = counts
-		}(w, lo, hi)
+	if r.yield(o) {
+		r.yielded++
+	} else {
+		r.stop.Store(true)
 	}
-	wg.Wait()
-	merged := make(map[K]int)
-	for _, counts := range partials {
-		//lint:allow detenc order-insensitive fold: counts are summed into a map, no bytes are emitted
-		for k, c := range counts {
-			merged[k] += c
+}
+
+// firstError picks a run's error: the first worker failure in the list
+// wins; a failure outranks cancellation — a real fault must not be reported
+// as a mere ctx.Err(); a stop by yield is a nil error.
+func firstError(ctx context.Context, failures ...error) error {
+	for _, err := range failures {
+		if err != nil {
+			return err
 		}
 	}
-	return merged
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
 }
 
 // LoadStats summarizes a map-only load probe: the communication cost the
@@ -776,24 +699,6 @@ func (ls LoadStats) Merge(other LoadStats) LoadStats {
 	ls.Keys += other.Keys
 	if other.MaxLoad > ls.MaxLoad {
 		ls.MaxLoad = other.MaxLoad
-	}
-	return ls
-}
-
-// ReducerLoadStats runs only the map phase and summarizes the per-reducer
-// load histogram; see ReducerLoadsByKey.
-func ReducerLoadStats[I any, K comparable, V any](
-	cfg Config,
-	inputs []I,
-	mapFn Mapper[I, K, V],
-) LoadStats {
-	var ls LoadStats
-	for _, c := range ReducerLoadsByKey(cfg, inputs, mapFn) {
-		ls.Pairs += int64(c)
-		ls.Keys++
-		if int64(c) > ls.MaxLoad {
-			ls.MaxLoad = int64(c)
-		}
 	}
 	return ls
 }

@@ -142,16 +142,3 @@ func TestMetricsAdd(t *testing.T) {
 		t.Errorf("Add = %+v, want %+v", a, want)
 	}
 }
-
-func TestReducerLoads(t *testing.T) {
-	inputs := []int{1, 2, 3, 4, 5, 6}
-	loads := ReducerLoads(Config{}, inputs, func(x int, emit func(int, int)) {
-		emit(x%2, x) // 3 odd, 3 even
-		if x == 6 {
-			emit(99, x)
-		}
-	})
-	if len(loads) != 3 || loads[0] != 1 || loads[1] != 3 || loads[2] != 3 {
-		t.Errorf("loads = %v", loads)
-	}
-}

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"sort"
 	"testing"
 )
 
@@ -97,35 +96,5 @@ func TestGroupTableEarlyStop(t *testing.T) {
 	})
 	if calls != 3 {
 		t.Fatalf("forEach made %d calls after stop, want 3", calls)
-	}
-}
-
-// TestReducerLoadsParallelMatchesSerial: the sharded map phase returns the
-// same sorted load vector at any parallelism.
-func TestReducerLoadsParallelMatchesSerial(t *testing.T) {
-	inputs := make([]int, 10000)
-	for i := range inputs {
-		inputs[i] = i
-	}
-	mapFn := func(x int, emit func(int, int)) {
-		emit(x%97, x)
-		if x%3 == 0 {
-			emit(x%11, x)
-		}
-	}
-	want := ReducerLoads(Config{Parallelism: 1}, inputs, mapFn)
-	for _, par := range []int{2, 4, 16} {
-		got := ReducerLoads(Config{Parallelism: par}, inputs, mapFn)
-		if len(got) != len(want) {
-			t.Fatalf("parallelism %d: %d loads, want %d", par, len(got), len(want))
-		}
-		if !sort.IntsAreSorted(got) {
-			t.Fatalf("parallelism %d: loads not sorted", par)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("parallelism %d: loads[%d] = %d, want %d", par, i, got[i], want[i])
-			}
-		}
 	}
 }

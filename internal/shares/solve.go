@@ -1,9 +1,10 @@
 package shares
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Solution is the result of optimizing a cost model for k reducers.
@@ -78,8 +79,9 @@ func (m Model) Solve(k float64) (Solution, error) {
 	for i := range x {
 		x[i] = c / float64(n)
 	}
-	eval := func(x []float64) (float64, []float64) {
-		g := make([]float64, n)
+	// eval returns the objective at x and writes its gradient into g.
+	eval := func(x, g []float64) float64 {
+		clear(g)
 		f := 0.0
 		for _, t := range terms {
 			e := 0.0
@@ -92,12 +94,15 @@ func (m Model) Solve(k float64) (Solution, error) {
 				g[i] += val
 			}
 		}
-		return f, g
+		return f
 	}
 
-	f, g := eval(x)
+	// One buffer each for the gradient at x, the gradient at the trial
+	// point, the trial point and the projection's sort: a step allocates
+	// nothing, however many the descent takes.
+	g, gt, trial, scratch := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	f := eval(x, g)
 	eta := 1.0 / (1.0 + maxAbs(g))
-	trial := make([]float64, n)
 	iters := 0
 	stall := 0
 	for iters = 0; iters < 60000 && stall < 60; iters++ {
@@ -106,11 +111,11 @@ func (m Model) Solve(k float64) (Solution, error) {
 			for i := range trial {
 				trial[i] = x[i] - eta*g[i]
 			}
-			projectSimplex(trial, c)
-			ft, gt := eval(trial)
+			projectSimplex(trial, c, scratch)
+			ft := eval(trial, gt)
 			if ft < f-1e-15*math.Abs(f)-1e-300 {
 				copy(x, trial)
-				f, g = ft, gt
+				f, g, gt = ft, gt, g
 				eta *= 2
 				improved = true
 				break
@@ -136,11 +141,12 @@ func (m Model) Solve(k float64) (Solution, error) {
 }
 
 // projectSimplex projects y (in place) onto {x : x ≥ 0, Σ x = c} in
-// Euclidean norm (the standard sort-based simplex projection).
-func projectSimplex(y []float64, c float64) {
+// Euclidean norm (the standard sort-based simplex projection). scratch
+// holds the sorted copy; it needs len(y) capacity.
+func projectSimplex(y []float64, c float64, scratch []float64) {
 	n := len(y)
-	sorted := append([]float64(nil), y...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	sorted := append(scratch[:0], y...)
+	slices.SortFunc(sorted, func(a, b float64) int { return cmp.Compare(b, a) }) // descending
 	sum := 0.0
 	tau := 0.0
 	count := 0

@@ -40,40 +40,25 @@ type Algo struct {
 	// Reducers is the reducer count at b buckets.
 	Reducers func(b int) int64
 
-	probe func(g *graph.Graph, h graph.NodeHash, cfg mapreduce.Config) mapreduce.LoadStats
-	run   func(ctx context.Context, g *graph.Graph, h graph.NodeHash, cfg mapreduce.Config, sink func([3]graph.Node) bool) (mapreduce.Metrics, error)
+	// job is the algorithm under the seeded node hash h, at h.B buckets.
+	job func(h graph.NodeHash) edgeJob
 }
 
 // The Section 2 algorithms.
 var (
 	// Partition is the Suri–Vassilvitskii algorithm (Section 2.1): C(b,3)
 	// reducers, expected communication 3(b−1)(b−2)/(2b) per edge.
-	Partition = newAlgo("partition", 3, partitionCommPerEdge, partitionReducers, partitionJob)
+	Partition = Algo{"partition", 3, partitionCommPerEdge, partitionReducers, partitionJob}
 	// Multiway is the plain multiway join (Section 2.2): b³ reducers,
 	// communication 3b−2 per edge.
-	Multiway = newAlgo("multiway", 1, multiwayCommPerEdge, multiwayReducers, multiwayJob)
+	Multiway = Algo{"multiway", 1, multiwayCommPerEdge, multiwayReducers, multiwayJob}
 	// BucketOrdered is the paper's improvement (Section 2.3): C(b+2,3)
 	// useful reducers (Theorem 4.2 with p = 3), communication b per edge.
-	BucketOrdered = newAlgo("bucket", 1, bucketOrderedCommPerEdge, bucketOrderedReducers, bucketOrderedJob)
+	BucketOrdered = Algo{"bucket", 1, bucketOrderedCommPerEdge, bucketOrderedReducers, bucketOrderedJob}
 
 	// Algos lists the three algorithms.
 	Algos = []Algo{Partition, Multiway, BucketOrdered}
 )
-
-// newAlgo builds an Algo from its closed forms and the job it runs under the
-// seeded node hash h (h.B is the bucket count).
-func newAlgo[V any](name string, minB int, comm func(int) float64, reducers func(int) int64,
-	job func(h graph.NodeHash) mapreduce.Job[graph.Edge, graph.BucketKey, V, [3]graph.Node]) Algo {
-	return Algo{
-		Name: name, MinB: minB, CommPerEdge: comm, Reducers: reducers,
-		probe: func(g *graph.Graph, h graph.NodeHash, cfg mapreduce.Config) mapreduce.LoadStats {
-			return mapreduce.ReducerLoadStats(cfg, g.Edges(), job(h).Map)
-		},
-		run: func(ctx context.Context, g *graph.Graph, h graph.NodeHash, cfg mapreduce.Config, sink func([3]graph.Node) bool) (mapreduce.Metrics, error) {
-			return job(h).RunStream(ctx, cfg, g.Edges(), sink)
-		},
-	}
-}
 
 // hash validates b and returns the seeded node hash of a job at b buckets.
 func (a Algo) hash(b int, seed uint64) (graph.NodeHash, error) {
@@ -100,7 +85,7 @@ func (a Algo) Run(ctx context.Context, g *graph.Graph, b int, seed uint64, cfg m
 	if sink == nil {
 		sink = func([3]graph.Node) bool { return true }
 	}
-	return a.run(ctx, g, h, cfg, sink)
+	return a.job(h).RunStream(ctx, cfg, g.Edges(), sink)
 }
 
 // ProbeLoads measures, map-only, the reducer loads Run would ship at bucket
@@ -110,7 +95,7 @@ func (a Algo) ProbeLoads(g *graph.Graph, b int, seed uint64, cfg mapreduce.Confi
 	if err != nil {
 		return mapreduce.LoadStats{}, err
 	}
-	return a.probe(g, h, cfg), nil
+	return a.job(h).Loads(cfg, g.Edges())
 }
 
 // BucketsFor returns the largest b whose reducer count does not exceed k (at
@@ -135,9 +120,18 @@ func ProbeLoads(g *graph.Graph, algo string, b int, seed uint64, cfg mapreduce.C
 	return mapreduce.LoadStats{}, fmt.Errorf("triangle: unknown algorithm %q", algo)
 }
 
-// edgeJob is a triangle job that ships plain edges (Partition,
-// BucketOrdered).
-type edgeJob = mapreduce.Job[graph.Edge, graph.BucketKey, graph.Edge, [3]graph.Node]
+// edgeJob is a triangle job: edges in, each stored once in the block its
+// endpoint buckets name, triangles out.
+type edgeJob = mapreduce.BlockJob[graph.Edge, graph.BucketKey, graph.Edge, [3]graph.Node]
+
+// pairMapper stores an edge in the block of its unordered bucket pair — the
+// map side of Partition and BucketOrdered, whose reducers are bucket sets.
+type pairMapper struct{ h graph.NodeHash }
+
+//lint:hotpath
+func (m pairMapper) Map(e graph.Edge, emit func(int, graph.Edge)) {
+	emit(graph.PairBlock(m.h.B, m.h.Bucket(e.U), m.h.Bucket(e.V)), e)
+}
 
 // partitionJob is the Partition algorithm with h.B ≥ 3 node groups. Each
 // reducer R_{ijk} (i<j<k) receives the edges with both endpoints in
@@ -147,8 +141,10 @@ type edgeJob = mapreduce.Job[graph.Edge, graph.BucketKey, graph.Edge, [3]graph.N
 func partitionJob(h graph.NodeHash) edgeJob {
 	b := h.B
 	return edgeJob{
-		Name: fmt.Sprintf("partition b=%d", b),
-		Map:  partitionMapper{h}.Map,
+		Name:   fmt.Sprintf("partition b=%d", b),
+		Blocks: graph.PairBlocks(b),
+		Map:    pairMapper{h}.Map,
+		Keys:   func(yield func(graph.BucketKey, []int32)) { partitionKeys(b, yield) },
 		Reduce: func(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) {
 			local := graph.SparseFromEdges(edges)
 			ctx.AddWork(trianglesInSparse(local, func(a, bb, c graph.Node) {
@@ -161,36 +157,18 @@ func partitionJob(h graph.NodeHash) edgeJob {
 	}
 }
 
-// partitionMapper is the Partition edge mapper: an edge whose endpoints
-// fall in groups gu, gv reaches every 3-subset of groups containing both
-// (C(b-1,2) subsets when gu = gv, b-2 otherwise).
-type partitionMapper struct{ h graph.NodeHash }
-
-//lint:hotpath
-func (m partitionMapper) Map(e graph.Edge, emit func(graph.BucketKey, graph.Edge)) {
-	b := m.h.B
-	gu, gv := m.h.Bucket(e.U), m.h.Bucket(e.V)
-	if gu == gv {
-		// C(b-1, 2) reducers: every triple containing gu.
-		for x := 0; x < b; x++ {
-			if x == gu {
-				continue
-			}
-			for y := x + 1; y < b; y++ {
-				if y == gu {
-					continue
-				}
-				emit(graph.MultisetKey(gu, x, y), e)
+// partitionKeys lists the Partition reducers: an edge whose endpoints fall
+// in groups gu, gv reaches every 3-subset of groups containing both
+// (C(b-1,2) subsets when gu = gv, b-2 otherwise), so the subset {i<j<k}
+// reads its three off-diagonal and its three diagonal pair blocks.
+func partitionKeys(b int, yield func(graph.BucketKey, []int32)) {
+	blk := func(x, y int) int32 { return int32(graph.PairBlock(b, x, y)) }
+	for i := 0; i < b; i++ {
+		for j := i + 1; j < b; j++ {
+			for k := j + 1; k < b; k++ {
+				yield(graph.MultisetKey(i, j, k), []int32{blk(i, j), blk(i, k), blk(j, k), blk(i, i), blk(j, j), blk(k, k)})
 			}
 		}
-		return
-	}
-	// b-2 reducers: every triple containing both gu and gv.
-	for x := 0; x < b; x++ {
-		if x == gu || x == gv {
-			continue
-		}
-		emit(graph.MultisetKey(gu, gv, x), e)
 	}
 }
 
@@ -233,94 +211,77 @@ func canonicalGroupTriple(h graph.NodeHash, b int, a, bb, c graph.Node) graph.Bu
 	return graph.MultisetKey(d[0], d[1], d[2])
 }
 
-// roleMask marks which join roles an edge plays at a reducer.
-type roleMask uint8
-
-const (
-	roleXY roleMask = 1 << iota
-	roleYZ
-	roleXZ
-)
-
-type taggedEdge struct {
-	E     graph.Edge
-	Roles roleMask
-}
-
 // multiwayJob is the Section 2.2 algorithm: the cyclic join
 // E(X,Y) ⋈ E(Y,Z) ⋈ E(X,Z) over the id-ordered edge relation, with shares
-// (b, b, b). Each edge reaches exactly 3b−2 distinct reducers (the paper's
-// footnote-1 dedup is performed, merging the coinciding role copies).
-func multiwayJob(h graph.NodeHash) mapreduce.Job[graph.Edge, graph.BucketKey, taggedEdge, [3]graph.Node] {
+// (b, b, b). An edge is stored once, in the block of its ordered bucket pair
+// (h(u), h(v)); reducer (x, y, z) reads the blocks (x,y), (y,z) and (x,z) —
+// the distinct ones, so an edge playing two roles at a reducer arrives once
+// and each edge reaches exactly 3b−2 reducers: the paper's footnote-1 dedup
+// is structural. The reducer reads an edge's roles off its two buckets.
+func multiwayJob(h graph.NodeHash) edgeJob {
 	b := h.B
-	return mapreduce.Job[graph.Edge, graph.BucketKey, taggedEdge, [3]graph.Node]{
-		Name: fmt.Sprintf("multiway shares=(%d,%d,%d)", b, b, b),
-		Map:  multiwayMapper(h, b),
-		Reduce: func(ctx *mapreduce.Context, key graph.BucketKey, edges []taggedEdge, emit func([3]graph.Node)) {
+	return edgeJob{
+		Name:   fmt.Sprintf("multiway shares=(%d,%d,%d)", b, b, b),
+		Blocks: b * b,
+		Map:    multiwayMapper{h}.Map,
+		Keys:   func(yield func(graph.BucketKey, []int32)) { multiwayKeys(b, yield) },
+		Reduce: func(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) {
 			// Role-structured join: X=u, Y=v, Z=w with E(u,v) as XY, E(v,w) as
 			// YZ, E(u,w) as XZ (each pair id-ordered).
+			x, y, z := int(key[0]), int(key[1]), int(key[2])
+			var xy []graph.Edge
 			yzByFirst := make(map[graph.Node][]graph.Node)
 			xz := make(map[uint64]bool)
-			for _, te := range edges {
-				if te.Roles&roleYZ != 0 {
-					yzByFirst[te.E.U] = append(yzByFirst[te.E.U], te.E.V)
+			for _, e := range edges {
+				hu, hv := h.Bucket(e.U), h.Bucket(e.V)
+				if hu == x && hv == y {
+					xy = append(xy, e)
 				}
-				if te.Roles&roleXZ != 0 {
-					xz[te.E.Key()] = true
+				if hu == y && hv == z {
+					yzByFirst[e.U] = append(yzByFirst[e.U], e.V)
+				}
+				if hu == x && hv == z {
+					xz[e.Key()] = true
 				}
 			}
-			for _, te := range edges {
-				if te.Roles&roleXY == 0 {
-					continue
-				}
-				u, v := te.E.U, te.E.V
-				for _, w := range yzByFirst[v] {
+			for _, e := range xy {
+				for _, w := range yzByFirst[e.V] {
 					ctx.AddWork(1)
-					if xz[(graph.Edge{U: u, V: w}).Key()] {
-						emit([3]graph.Node{u, v, w})
+					if xz[(graph.Edge{U: e.U, V: w}).Key()] {
+						emit([3]graph.Node{e.U, e.V, w})
 					}
 				}
 			}
 		},
-		Codec: taggedEdgeCodec{graph.EdgeKeyCodec{P: 3}},
+		Codec: graph.EdgeKeyCodec{P: 3},
 	}
 }
 
-// multiwayMapper returns the Section 2.2 mapper: the edge plays each of its
-// three join roles across b shares, the coinciding role copies merged
-// (footnote 1's dedup) so it reaches exactly 3b−2 distinct reducers.
-func multiwayMapper(h graph.NodeHash, b int) mapreduce.Mapper[graph.Edge, graph.BucketKey, taggedEdge] {
-	return func(e graph.Edge, emit func(graph.BucketKey, taggedEdge)) {
-		u, v := e.U, e.V // u < v by canonical orientation
-		hu, hv := h.Bucket(u), h.Bucket(v)
-		// Collect the ≤3b (key, role) pairs in a small scratch slice,
-		// merging the coinciding role copies by linear scan (footnote 1's
-		// dedup) — the previous map allocated per edge on the hot path.
-		type keyed struct {
-			k     graph.BucketKey
-			roles roleMask
-		}
-		keys := make([]keyed, 0, 3*b)
-		add := func(k graph.BucketKey, r roleMask) {
-			for i := range keys {
-				if keys[i].k == k {
-					keys[i].roles |= r
-					return
-				}
-			}
-			keys = append(keys, keyed{k, r})
-		}
-		for z := 0; z < b; z++ {
-			add(tupleKey(hu, hv, z), roleXY)
-		}
-		for x := 0; x < b; x++ {
-			add(tupleKey(x, hu, hv), roleYZ)
-		}
+// multiwayMapper stores an edge (u < v by canonical orientation) in the
+// block of its ordered bucket pair.
+type multiwayMapper struct{ h graph.NodeHash }
+
+//lint:hotpath
+func (m multiwayMapper) Map(e graph.Edge, emit func(int, graph.Edge)) {
+	emit(m.h.Bucket(e.U)*m.h.B+m.h.Bucket(e.V), e)
+}
+
+// multiwayKeys lists the b³ Multiway reducers with the distinct blocks among
+// the three each one joins.
+func multiwayKeys(b int, yield func(graph.BucketKey, []int32)) {
+	var blocks [3]int32
+	for x := 0; x < b; x++ {
 		for y := 0; y < b; y++ {
-			add(tupleKey(hu, y, hv), roleXZ)
-		}
-		for _, kr := range keys {
-			emit(kr.k, taggedEdge{e, kr.roles})
+			for z := 0; z < b; z++ {
+				n := 0
+				for _, blk := range [3]int32{int32(x*b + y), int32(y*b + z), int32(x*b + z)} {
+					if !slices.Contains(blocks[:n], blk) {
+						blocks[n] = blk
+						n++
+					}
+				}
+				yield(tupleKey(x, y, z), blocks[:n])
+			}
 		}
 	}
 }
@@ -333,14 +294,17 @@ func tupleKey(x, y, z int) (k graph.BucketKey) {
 	return k
 }
 
-// bucketOrderedJob is the Section 2.3 algorithm: nodes are ordered by
-// (bucket, id); reducers are the nondecreasing bucket triples; each edge is
-// shipped to exactly b reducers; the triangle (u ≺ v ≺ w) is owned by the
+// bucketOrderedJob is the Section 2.3 algorithm — Section 4.5's at p = 3:
+// nodes are ordered by (bucket, id); reducers are the nondecreasing bucket
+// triples; each edge reaches the b triples containing both endpoint
+// buckets; the triangle (u ≺ v ≺ w) is owned by the
 // reducer of its sorted bucket triple.
 func bucketOrderedJob(h graph.NodeHash) edgeJob {
 	return edgeJob{
-		Name: fmt.Sprintf("bucket-ordered b=%d", h.B),
-		Map:  bucketOrderedMapper{h}.Map,
+		Name:   fmt.Sprintf("bucket-ordered b=%d", h.B),
+		Blocks: graph.PairBlocks(h.B),
+		Map:    pairMapper{h}.Map,
+		Keys:   func(yield func(graph.BucketKey, []int32)) { graph.MultisetKeys(3, h.B, yield) },
 		Reduce: func(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) {
 			local := graph.SparseFromEdges(edges)
 			ctx.AddWork(trianglesInSparse(local, func(a, bb, c graph.Node) {
@@ -351,16 +315,6 @@ func bucketOrderedJob(h graph.NodeHash) edgeJob {
 		},
 		Codec: graph.EdgeKeyCodec{P: 3},
 	}
-}
-
-// bucketOrderedMapper is the Section 2.3 mapper — Section 4.5's at p = 3:
-// each edge reaches the b nondecreasing bucket triples containing both
-// endpoint buckets.
-type bucketOrderedMapper struct{ h graph.NodeHash }
-
-//lint:hotpath
-func (m bucketOrderedMapper) Map(e graph.Edge, emit func(graph.BucketKey, graph.Edge)) {
-	graph.Completions(3, m.h.B, m.h.Bucket(e.U), m.h.Bucket(e.V), func(k graph.BucketKey) { emit(k, e) })
 }
 
 // trianglesInSparse enumerates each triangle of the local graph once

@@ -1,7 +1,9 @@
 package triangle
 
 import (
+	"maps"
 	"math"
+	"sync"
 	"testing"
 
 	"subgraphmr/internal/graph"
@@ -249,15 +251,14 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestMapperAllocations: the BucketOrdered and Partition mappers build their
-// keys on the stack — no allocation per input edge, however many reducers it
-// reaches.
+// TestMapperAllocations: a block id is arithmetic on two hashes — no
+// allocation per input edge in either map side.
 func TestMapperAllocations(t *testing.T) {
 	h := graph.NodeHash{Seed: 7, B: 6}
-	pairs := 0
-	emit := func(graph.BucketKey, graph.Edge) { pairs++ }
-	for name, mapper := range map[string]mapreduce.Mapper[graph.Edge, graph.BucketKey, graph.Edge]{
-		"bucket": bucketOrderedMapper{h}.Map, "partition": partitionMapper{h}.Map,
+	stored := 0
+	emit := func(int, graph.Edge) { stored++ }
+	for name, mapper := range map[string]func(graph.Edge, func(int, graph.Edge)){
+		"pair": pairMapper{h}.Map, "multiway": multiwayMapper{h}.Map,
 	} {
 		for _, e := range []graph.Edge{{U: 1, V: 2}, {U: 17, V: 4242}, {U: 5, V: 11}} {
 			if allocs := testing.AllocsPerRun(100, func() { mapper(e, emit) }); allocs != 0 {
@@ -265,26 +266,90 @@ func TestMapperAllocations(t *testing.T) {
 			}
 		}
 	}
-	if pairs == 0 {
-		t.Fatal("the mappers emitted nothing; the test measures nothing")
+	if stored == 0 {
+		t.Fatal("the mappers stored nothing; the test measures nothing")
 	}
 }
 
-// TestTaggedEdgeCodec: Multiway's value half round-trips on top of the
-// shared key half and refuses a torn value.
-func TestTaggedEdgeCodec(t *testing.T) {
-	c := taggedEdgeCodec{graph.EdgeKeyCodec{P: 3}}
-	te := taggedEdge{E: graph.Edge{U: 3, V: 1 << 20}, Roles: roleXY | roleXZ}
-	vb := c.AppendValue(nil, te)
-	if got, err := c.DecodeValue(vb); err != nil || got != te || len(vb) != 9 {
-		t.Fatalf("tagged edge round trip: %v %v (%d bytes)", got, err, len(vb))
+// The per-pair mappers the three algorithms ran before replication went by
+// reference, kept as the reference their block jobs are held to.
+var refMappers = map[string]func(h graph.NodeHash, e graph.Edge, emit func(graph.BucketKey)){
+	// Every 3-subset of groups containing both endpoint groups: C(b-1,2)
+	// subsets when they coincide, b-2 otherwise.
+	"partition": func(h graph.NodeHash, e graph.Edge, emit func(graph.BucketKey)) {
+		gu, gv := h.Bucket(e.U), h.Bucket(e.V)
+		for x := 0; x < h.B; x++ {
+			for y := x + 1; y < h.B; y++ {
+				if gu == gv && x != gu && y != gu {
+					emit(graph.MultisetKey(gu, x, y))
+				}
+			}
+			if gu != gv && x != gu && x != gv {
+				emit(graph.MultisetKey(gu, gv, x))
+			}
+		}
+	},
+	// The edge in each of its three join roles across b shares, coinciding
+	// role copies merged (footnote 1): 3b−2 distinct reducers.
+	"multiway": func(h graph.NodeHash, e graph.Edge, emit func(graph.BucketKey)) {
+		hu, hv := h.Bucket(e.U), h.Bucket(e.V)
+		seen := map[graph.BucketKey]bool{}
+		for w := 0; w < h.B; w++ {
+			for _, k := range []graph.BucketKey{tupleKey(hu, hv, w), tupleKey(w, hu, hv), tupleKey(hu, w, hv)} {
+				if !seen[k] {
+					seen[k] = true
+					emit(k)
+				}
+			}
+		}
+	},
+	// The b nondecreasing bucket triples containing both endpoint buckets.
+	"bucket": func(h graph.NodeHash, e graph.Edge, emit func(graph.BucketKey)) {
+		for x := 0; x < h.B; x++ {
+			emit(graph.MultisetKey(h.Bucket(e.U), h.Bucket(e.V), x))
+		}
+	},
+}
+
+// TestBlockLoadsMatchPairMappers: on the differential harness's graphs each
+// algorithm's reducers read, key by key, as many edges as its per-pair
+// mapper emitted pairs — so every communication metric is what it was.
+func TestBlockLoadsMatchPairMappers(t *testing.T) {
+	graphs := map[string]*graph.Graph{ // difftest.Graphs(7)
+		"gnm":      graph.Gnm(26, 60, 7),
+		"powerlaw": graph.PowerLaw(30, 5, 2.3, 8),
 	}
-	if _, err := c.DecodeValue(vb[:8]); err == nil {
-		t.Error("an 8-byte tagged edge should fail to decode")
-	}
-	key := tupleKey(2, 0, 1)
-	if got, err := c.DecodeKey(c.AppendKey(nil, key)); err != nil || got != key {
-		t.Fatalf("key round trip: %v %v", got, err)
+	for gname, g := range graphs {
+		for _, a := range Algos {
+			for _, b := range []int{a.MinB, 4, 7} {
+				h, err := a.hash(b, 11)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := map[graph.BucketKey]int{}
+				for _, e := range g.Edges() {
+					refMappers[a.Name](h, e, func(k graph.BucketKey) { want[k]++ })
+				}
+				got := map[graph.BucketKey]int{}
+				var mu sync.Mutex
+				job := a.job(h)
+				job.Reduce = func(_ *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, _ func([3]graph.Node)) {
+					mu.Lock()
+					defer mu.Unlock()
+					got[key] += len(edges)
+				}
+				m, err := job.RunStream(t.Context(), mapreduce.Config{}, g.Edges(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !maps.Equal(got, want) {
+					t.Errorf("%s %s b=%d: block job loads %v, the pair mapper shipped %v", gname, a.Name, b, got, want)
+				}
+				if m.DistinctKeys != int64(len(want)) {
+					t.Errorf("%s %s b=%d: %d reducers ran, the pair mapper reached %d", gname, a.Name, b, m.DistinctKeys, len(want))
+				}
+			}
+		}
 	}
 }
 
