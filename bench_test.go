@@ -297,10 +297,10 @@ func BenchmarkMapReduceEngine(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, m, err := mapreduce.Job[int, int, int, int]{
+		m, err := mapreduce.Job[int, int, int, int]{
 			Map:    func(x int, emit func(int, int)) { emit(x%1024, x) },
 			Reduce: func(_ *mapreduce.Context, k int, vs []int, emit func(int)) { emit(len(vs)) },
-		}.RunContext(b.Context(), mapreduce.Config{}, inputs)
+		}.RunStream(b.Context(), mapreduce.Config{}, inputs, func(int) bool { return true })
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package subgraphmr_test
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"subgraphmr"
 )
@@ -47,70 +46,4 @@ func ExampleOptimizeShares() {
 	// Output:
 	// shares: 4 4 4
 	// optimal communication per edge: 12
-}
-
-// ExampleRunRound chains two map-reduce rounds on the pipelined engine: a
-// word count with a pre-shuffle counting combiner, then a round keyed by
-// count collecting words of equal frequency. The Chain accumulates
-// per-round metrics.
-func ExampleRunRound() {
-	type wordCount struct {
-		Word  string
-		Count int64
-	}
-	lines := []string{
-		"the quick brown fox",
-		"the lazy dog",
-		"the quick dog",
-	}
-	chain := subgraphmr.NewChain(subgraphmr.EngineConfig{Parallelism: 2})
-	ctx := context.Background()
-
-	counts, err := subgraphmr.RunRound(ctx, chain, subgraphmr.MapReduceJob[string, string, int64, wordCount]{
-		Name: "word count",
-		Map: func(line string, emit func(string, int64)) {
-			for _, w := range strings.Fields(line) {
-				emit(w, 1)
-			}
-		},
-		Combine: func(_ string, partial []int64) []int64 {
-			var sum int64
-			for _, c := range partial {
-				sum += c
-			}
-			return []int64{sum}
-		},
-		Reduce: func(_ *subgraphmr.ReduceContext, word string, partial []int64, emit func(wordCount)) {
-			var sum int64
-			for _, c := range partial {
-				sum += c
-			}
-			emit(wordCount{word, sum})
-		},
-	}, lines)
-	if err != nil {
-		panic(err)
-	}
-
-	byFreq, err := subgraphmr.RunRound(ctx, chain, subgraphmr.MapReduceJob[wordCount, int64, string, string]{
-		Name: "group by frequency",
-		Map: func(wc wordCount, emit func(int64, string)) {
-			emit(wc.Count, wc.Word)
-		},
-		Reduce: func(_ *subgraphmr.ReduceContext, count int64, words []string, emit func(string)) {
-			emit(fmt.Sprintf("%d× %d word(s)", count, len(words)))
-		},
-	}, counts)
-	if err != nil {
-		panic(err)
-	}
-
-	fmt.Printf("distinct words: %d\n", len(counts))
-	fmt.Printf("frequency groups: %d\n", len(byFreq))
-	fmt.Printf("rounds: %d, total shuffled pairs: %d\n",
-		chain.NumRounds(), chain.Total().KeyValuePairs)
-	// Output:
-	// distinct words: 6
-	// frequency groups: 3
-	// rounds: 2, total shuffled pairs: 15
 }

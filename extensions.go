@@ -126,15 +126,16 @@ func CycleJoin(rels []*JoinRelation) ([][]int64, int64) { return multijoin.Cycle
 // two-way joins — one map-reduce round per relation after the first — and
 // returns the rows plus the chain with per-round metrics, so the
 // intermediate-relation blowup the paper argues against is measurable.
-// Cancelling ctx aborts the round in flight and returns ctx.Err().
+// Fewer than three relations, or a nil one, is an error. Cancelling ctx
+// aborts the round in flight and returns ctx.Err().
 func CycleJoinChain(ctx context.Context, rels []*JoinRelation, cfg EngineConfig) ([][]int64, *Chain, error) {
 	return multijoin.CycleJoinChain(ctx, rels, cfg)
 }
 
 // CycleClassCountsMR computes the Section 5 orientation classes of C_p and
-// their sizes on the map-reduce engine, using a counting combiner to cut
-// the shuffled pairs down to classes × shards. Cancelling ctx aborts the job
-// and returns ctx.Err().
+// their sizes on the map-reduce engine; each mapper counts the classes of
+// its span of strings, so at most classes × spans pairs are shipped. p must
+// lie in [3, 62]. Cancelling ctx aborts the job and returns ctx.Err().
 func CycleClassCountsMR(ctx context.Context, p int, cfg EngineConfig) ([]OrientationClassCount, Metrics, error) {
 	return cycles.ClassCountsMR(ctx, p, cfg)
 }

@@ -1,7 +1,9 @@
 package subgraphmr
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -94,4 +96,44 @@ func TestFacadeThreatRing(t *testing.T) {
 	if len(res.Instances) != 1 {
 		t.Errorf("threat ring instances = %d, want exactly 1", len(res.Instances))
 	}
+}
+
+// TestCascadeExportsRejectBadInput: the two map-reduce exports of the
+// paper's Sections 5 and 7.4 answer bad input with an error — no panic, no
+// silent empty answer, no goroutine left behind.
+func TestCascadeExportsRejectBadInput(t *testing.T) {
+	rel := NewJoinRelation([]JoinTuple{{A: 1, B: 2}, {A: 2, B: 1}})
+	cases := map[string]func() error{}
+	for _, p := range []int{-1, 0, 2, 63, 64} {
+		cases[fmt.Sprintf("class counts p=%d", p)] = func() error {
+			_, _, err := CycleClassCountsMR(t.Context(), p, EngineConfig{})
+			return err
+		}
+	}
+	for name, rels := range map[string][]*JoinRelation{
+		"no relations":    nil,
+		"two relations":   {rel, rel},
+		"a nil relation":  {rel, nil, rel},
+		"a nil last one":  {rel, rel, rel, nil},
+		"a nil first one": {nil, rel, rel},
+	} {
+		cases["cycle join, "+name] = func() error {
+			_, _, err := CycleJoinChain(t.Context(), rels, EngineConfig{})
+			return err
+		}
+	}
+	baseline := runtime.NumGoroutine()
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("panicked: %v", r)
+				}
+			}()
+			if err := run(); err == nil {
+				t.Error("no error")
+			}
+		})
+	}
+	waitForGoroutines(t, baseline)
 }

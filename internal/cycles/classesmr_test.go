@@ -1,6 +1,7 @@
 package cycles
 
 import (
+	"fmt"
 	"testing"
 
 	"subgraphmr/internal/mapreduce"
@@ -38,22 +39,39 @@ func TestClassCountsMRMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestClassCountsMRCombinerCutsPairs checks the counting combiner ships at
-// most classes × shards pairs instead of one pair per valid string.
-func TestClassCountsMRCombinerCutsPairs(t *testing.T) {
-	p := 12
+// TestClassCountsMRPairsBound: each span's mapper ships one partial count
+// per class it meets, so for every p the communication is at most
+// classes × spans — and the classes are still exactly the canonical ones.
+func TestClassCountsMRPairsBound(t *testing.T) {
 	cfg := mapreduce.Config{Parallelism: 4}
-	classes, m, err := ClassCountsMR(t.Context(), p, cfg)
-	if err != nil {
-		t.Fatal(err)
+	for p := 3; p <= 16; p++ {
+		classes, m, err := ClassCountsMR(t.Context(), p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := CanonicalOrientations(p)
+		if len(classes) != len(want) {
+			t.Fatalf("p=%d: %d classes, want %d", p, len(classes), len(want))
+		}
+		for i, c := range classes {
+			if c.Orientation != want[i] {
+				t.Errorf("p=%d class %d: %q, want %q", p, i, c.Orientation, want[i])
+			}
+		}
+		if bound := int64(len(want) * len(spans(p, cfg.Parallelism))); m.KeyValuePairs > bound {
+			t.Errorf("p=%d: shipped %d pairs, want at most classes × spans = %d", p, m.KeyValuePairs, bound)
+		}
 	}
-	valid := int64(1 << (p - 2)) // 1024 strings
-	shards := int64(4 * cfg.Parallelism)
-	bound := int64(len(classes)) * shards
-	if m.KeyValuePairs > bound {
-		t.Errorf("shipped %d pairs, combiner bound is %d", m.KeyValuePairs, bound)
-	}
-	if m.KeyValuePairs >= valid {
-		t.Errorf("shipped %d pairs, want fewer than the %d valid strings", m.KeyValuePairs, valid)
+}
+
+// TestClassCountsMRRejectsP: p outside [3, 62] is an error — p = 63 would
+// overflow the bits space into no span at all and report zero classes.
+func TestClassCountsMRRejectsP(t *testing.T) {
+	for _, p := range []int{-1, 0, 2, 63, 64} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			if classes, _, err := ClassCountsMR(t.Context(), p, mapreduce.Config{}); err == nil {
+				t.Errorf("%d classes and no error", len(classes))
+			}
+		})
 	}
 }

@@ -6,9 +6,9 @@ import "sync"
 // global-barrier shuffle: every mapper builds a private key→values map, all
 // partial maps are merged into one global grouping after the last mapper
 // finishes, and only then does the reduce phase start. It reports the same
-// metrics as the pipelined Run for any combiner-less job, which makes it
-// the reference TestPipelinedMatchesBarrier compares the engine against
-// and the baseline arm of BenchmarkPipelinedVsBarrier: its peak memory
+// metrics as the pipelined Run for any job, which makes it the reference
+// TestPipelinedMatchesBarrier compares the engine against and the baseline
+// arm of BenchmarkPipelinedVsBarrier: its peak memory
 // scales with the total communication cost and its reducers idle until the
 // map phase fully completes.
 func runBarrier[I any, K comparable, V any, O any](

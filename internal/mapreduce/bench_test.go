@@ -93,39 +93,3 @@ func BenchmarkSpillVsInMemory(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCombinerCounting measures the communication saved by the
-// counting combiner on a degree-histogram job.
-func BenchmarkCombinerCounting(b *testing.B) {
-	for name, g := range benchGraphs() {
-		edges := g.Edges()
-		job := Job[graph.Edge, graph.Node, int64, int64]{
-			Map: func(e graph.Edge, emit func(graph.Node, int64)) {
-				emit(e.U, 1)
-				emit(e.V, 1)
-			},
-			Reduce: func(_ *Context, _ graph.Node, counts []int64, emit func(int64)) {
-				var sum int64
-				for _, c := range counts {
-					sum += c
-				}
-				emit(sum)
-			},
-		}
-		for _, combine := range []bool{false, true} {
-			j := job
-			label := "plain"
-			if combine {
-				j.Combine = SumCombiner[graph.Node]
-				label = "combined"
-			}
-			b.Run(fmt.Sprintf("%s/%s", name, label), func(b *testing.B) {
-				var m Metrics
-				for i := 0; i < b.N; i++ {
-					_, m = j.Run(Config{}, edges)
-				}
-				b.ReportMetric(float64(m.KeyValuePairs), "pairs/op")
-			})
-		}
-	}
-}

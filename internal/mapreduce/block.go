@@ -26,9 +26,9 @@ import (
 // and then to fill them). The blocks slice Keys hands to yield is only valid
 // during the call, lists no block twice, and two keys may share blocks. Keys
 // whose blocks are all empty never become reducers, exactly as a key no
-// pair was emitted for. Codec is the key order and spill serialization of a
-// budgeted run and the key encoding of Config.Dist ownership (nil means
-// DefaultCodec).
+// pair was emitted for. Codec is what it is on a Job: the key order and
+// spill serialization of a budgeted run and the key encoding of Config.Dist
+// ownership (nil means DefaultCodec).
 type BlockJob[I any, K comparable, V any, O any] struct {
 	Name   string
 	Blocks int
@@ -75,15 +75,12 @@ func (j BlockJob[I, K, V, O]) forEachInput(inputs []I, stop *atomic.Bool, emit f
 // — in a run — an injected fault at the mr.map failpoint, come back as a
 // typed error.
 func (j BlockJob[I, K, V, O]) plan(cfg Config, inputs []I, stop *atomic.Bool, probe bool) (p blockPlan[K, V], err error) {
+	codec, err := jobCodec(j.Name, j.Codec, cfg)
+	if err != nil {
+		return p, err
+	}
 	var owns func(K) bool
 	if cfg.Dist != nil {
-		if err := cfg.Dist.validate(); err != nil {
-			return p, err
-		}
-		codec := j.Codec
-		if codec == nil {
-			codec = DefaultCodec[K, V]()
-		}
 		owns = distOwns(cfg.Dist, codec)
 	}
 	defer func() {

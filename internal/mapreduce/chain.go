@@ -20,12 +20,12 @@ type RoundStats struct {
 // ad-hoc serial glue:
 //
 //	c := mapreduce.NewChain(cfg)
-//	mid, err := mapreduce.RunRound(ctx, c, round1Job, inputs)
-//	out, err := mapreduce.RunRound(ctx, c, round2Job, mid)
+//	err := mapreduce.RunRoundStream(ctx, c, round1Job, inputs, collectMid)
+//	err = mapreduce.RunRoundStream(ctx, c, round2Job, mid, sink)
 //	total := c.Total()
 //
-// RunRound is a free function rather than a method because Go methods
-// cannot introduce the per-round type parameters.
+// RunRoundStream is a free function rather than a method because Go
+// methods cannot introduce the per-round type parameters.
 //
 // Rounds whose jobs share a (key, value) pair type also share the engine's
 // process-wide shuffle-batch free list (see recycle.go), so a multi-round
@@ -41,33 +41,19 @@ type Chain struct {
 // NewChain returns a Chain whose rounds run under cfg.
 func NewChain(cfg Config) *Chain { return &Chain{Cfg: cfg} }
 
-// RunRound executes j as the chain's next round and returns its outputs. A
-// cancelled ctx aborts the round and returns ctx.Err() with nil outputs.
-// The round's (possibly partial) metrics are recorded on the chain either
-// way.
-func RunRound[I any, K comparable, V any, O any](ctx context.Context, c *Chain, j Job[I, K, V, O], inputs []I) ([]O, error) {
-	name := c.roundName(j.Name)
-	outs, m, err := j.RunContext(ctx, c.Cfg, inputs)
-	c.Rounds = append(c.Rounds, RoundStats{Name: name, Metrics: m})
-	return outs, err
-}
-
 // RunRoundStream executes j as the chain's next round, streaming its
-// outputs into yield (serialized, with backpressure) instead of
-// materializing them; see Job.RunStream for the yield and cancellation
-// contract. The round's metrics are recorded on the chain.
+// outputs into yield (serialized, with backpressure); a round whose outputs
+// feed the next collects them there. See Job.RunStream for the yield and
+// cancellation contract. The round's (possibly partial) metrics are
+// recorded on the chain either way.
 func RunRoundStream[I any, K comparable, V any, O any](ctx context.Context, c *Chain, j Job[I, K, V, O], inputs []I, yield func(O) bool) error {
-	name := c.roundName(j.Name)
+	name := j.Name
+	if name == "" {
+		name = fmt.Sprintf("round %d", len(c.Rounds)+1)
+	}
 	m, err := j.RunStream(ctx, c.Cfg, inputs, yield)
 	c.Rounds = append(c.Rounds, RoundStats{Name: name, Metrics: m})
 	return err
-}
-
-func (c *Chain) roundName(name string) string {
-	if name == "" {
-		return fmt.Sprintf("round %d", len(c.Rounds)+1)
-	}
-	return name
 }
 
 // NumRounds returns the number of rounds executed so far.

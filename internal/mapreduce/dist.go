@@ -5,7 +5,7 @@ import "fmt"
 // DistFilter restricts one engine run to a subset of the distributed key
 // space. The key space is cut into Partitions slices by hashing each key's
 // codec encoding (KeyPartition); a mapper emission whose key falls outside
-// the Owned slices is dropped before it is counted, combined, or shipped.
+// the Owned slices is dropped before it is counted or shipped.
 // Because the partition of a key depends only on its encoded bytes, every
 // process that runs the same job with the same total partition count cuts
 // the key space identically — N workers with disjoint Owned sets together
@@ -16,10 +16,10 @@ import "fmt"
 // can be recomputed anywhere.
 //
 // The filter requires the job's key encoding to be deterministic across
-// processes. Job.Codec (or DefaultCodec's string/integer/fixed-size/gob
-// paths) satisfies this; the engine's internal partitioner does not (its
-// maphash seed is per-process), which is why ownership hashes encoded
-// bytes instead of reusing it.
+// processes. Job.Codec, or DefaultCodec's big-endian integer and
+// encoding/binary encodings, satisfy this; the engine's internal partition
+// hash does not (its maphash seed is per-process), which is why ownership
+// hashes encoded bytes instead of reusing it.
 type DistFilter struct {
 	// Partitions is the total number of distributed key-space slices,
 	// identical across every cooperating process.

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -32,111 +31,13 @@ func corpus(n int) []string {
 	return lines
 }
 
-// TestCombinerSameOutputsFewerPairs is the combiner contract: identical
-// reduced outputs, strictly fewer shipped pairs on a counting job.
-func TestCombinerSameOutputsFewerPairs(t *testing.T) {
-	inputs := corpus(200)
-	plain := Job[string, string, int64, string]{Map: wordMapper, Reduce: sumReducer}
-	combined := plain
-	combined.Combine = SumCombiner[string]
-
-	po, pm := plain.Run(Config{Parallelism: 4}, inputs)
-	co, cm := combined.Run(Config{Parallelism: 4}, inputs)
-	sort.Strings(po)
-	sort.Strings(co)
-	if len(po) != len(co) {
-		t.Fatalf("output sizes differ: %d vs %d", len(po), len(co))
-	}
-	for i := range po {
-		if po[i] != co[i] {
-			t.Fatalf("outputs differ at %d: %q vs %q", i, po[i], co[i])
-		}
-	}
-	if cm.KeyValuePairs >= pm.KeyValuePairs {
-		t.Errorf("combiner shipped %d pairs, want strictly fewer than %d",
-			cm.KeyValuePairs, pm.KeyValuePairs)
-	}
-	// 4 mappers × 6 distinct words bounds the combined communication.
-	if cm.KeyValuePairs > 4*6 {
-		t.Errorf("combined pairs = %d, want ≤ 24", cm.KeyValuePairs)
-	}
-	if cm.DistinctKeys != pm.DistinctKeys {
-		t.Errorf("distinct keys differ: %d vs %d", cm.DistinctKeys, pm.DistinctKeys)
-	}
-	if cm.Outputs != pm.Outputs {
-		t.Errorf("outputs differ: %d vs %d", cm.Outputs, pm.Outputs)
-	}
-}
-
-// TestCombinerFlushBound forces mid-shard combiner flushes and checks the
-// reducer still sees every count.
-func TestCombinerFlushBound(t *testing.T) {
-	inputs := corpus(500)
-	job := Job[string, string, int64, string]{
-		Map:     wordMapper,
-		Combine: SumCombiner[string],
-		Reduce:  sumReducer,
-	}
-	want, _ := job.Run(Config{Parallelism: 1}, inputs)
-	got, m := job.Run(Config{Parallelism: 1, CombinerBuffer: 8}, inputs)
-	sort.Strings(want)
-	sort.Strings(got)
-	if len(want) != len(got) {
-		t.Fatalf("output sizes differ: %d vs %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("outputs differ at %d: %q vs %q", i, want[i], got[i])
-		}
-	}
-	if m.KeyValuePairs <= 6 {
-		t.Errorf("tiny combiner buffer should flush repeatedly, shipped only %d pairs", m.KeyValuePairs)
-	}
-}
-
-// TestCustomPartitionerRouting checks that a custom partitioner fully
-// controls key→partition routing while grouping stays correct.
-func TestCustomPartitionerRouting(t *testing.T) {
-	inputs := make([]int, 300)
-	for i := range inputs {
-		inputs[i] = i
-	}
-	var calls atomic.Int64
-	outs, m := Job[int, int, int, [2]int]{
-		Map: func(x int, emit func(int, int)) { emit(x%7, x) },
-		Partition: func(k, p int) int {
-			calls.Add(1)
-			if p != 5 {
-				t.Errorf("partitioner saw p=%d, want 5", p)
-			}
-			return k // keys 0..6 spread over 5 partitions via modulo
-		},
-		Reduce: func(_ *Context, k int, vs []int, emit func([2]int)) {
-			emit([2]int{k, len(vs)})
-		},
-	}.Run(Config{Parallelism: 3, Partitions: 5}, inputs)
-	if calls.Load() != 300 {
-		t.Errorf("partitioner called %d times, want once per pair (300)", calls.Load())
-	}
-	if m.DistinctKeys != 7 || len(outs) != 7 {
-		t.Fatalf("got %d keys / %d outputs, want 7", m.DistinctKeys, len(outs))
-	}
-	total := 0
-	for _, o := range outs {
-		total += o[1]
-	}
-	if total != 300 {
-		t.Errorf("reducers saw %d values, want 300", total)
-	}
-}
-
 // TestSingleKey routes every pair to one reducer.
 func TestSingleKey(t *testing.T) {
 	inputs := make([]int, 1000)
 	for i := range inputs {
 		inputs[i] = i
 	}
-	outs, m := Run(Config{Parallelism: 8, Partitions: 8, BatchSize: 16}, inputs,
+	outs, m := Run(Config{Parallelism: 8, Partitions: 8}, inputs,
 		func(x int, emit func(struct{}, int)) { emit(struct{}{}, x) },
 		func(_ *Context, _ struct{}, vs []int, emit func(int)) { emit(len(vs)) },
 	)
@@ -162,9 +63,9 @@ func TestEmptyInputVariants(t *testing.T) {
 	}
 }
 
-// TestPipelinedMatchesBarrier checks the determinism guarantee: for
-// combiner-less jobs the pipelined engine reports byte-identical metrics to
-// the original barrier engine, across worker/partition configurations.
+// TestPipelinedMatchesBarrier checks the determinism guarantee: the
+// pipelined engine reports byte-identical metrics to the original barrier
+// engine, across worker/partition configurations and memory budgets.
 func TestPipelinedMatchesBarrier(t *testing.T) {
 	inputs := make([]int, 2000)
 	for i := range inputs {
@@ -190,9 +91,9 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 		{},
 		{Parallelism: 1},
 		{Parallelism: 1, Partitions: 9},
-		{Parallelism: 8, Partitions: 3, BatchSize: 7},
+		{Parallelism: 8, Partitions: 3},
 		{MemoryBudget: 4096},
-		{Parallelism: 8, Partitions: 3, BatchSize: 7, MemoryBudget: 1},
+		{Parallelism: 8, Partitions: 3, MemoryBudget: 1},
 	} {
 		gotOut, gotM := Run(cfg, inputs, mapFn, reduceFn)
 		sort.Ints(gotOut)

@@ -16,8 +16,8 @@ const (
 )
 
 // EngineError is the typed failure of one engine job. Every error-returning
-// entry point (RunContext, RunStream, and everything the root API layers on
-// top — Run, Stream, Instances) surfaces internal failures as *EngineError:
+// entry point (Job.RunStream, BlockJob.RunStream, and everything the root
+// API layers on top — Run, Stream, Instances) surfaces internal failures as *EngineError:
 // spill I/O errors, recovered map/reduce worker panics, and injected
 // faults. Stage names the failing layer (StageMap, StageReduce,
 // StageSpill), Job the Job.Name when set, and Cause the underlying error —

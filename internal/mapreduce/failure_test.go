@@ -51,7 +51,7 @@ func assertNoSpillFiles(t *testing.T, dir string) {
 func runExpectingEngineError(t *testing.T, cfg Config) *EngineError {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
-	out, _, err := spillJob().RunContext(context.Background(), cfg, corpus(300))
+	out, _, err := collect(context.Background(), spillJob(), cfg, corpus(300))
 	waitForGoroutines(t, baseline)
 	if cfg.SpillDir != "" {
 		assertNoSpillFiles(t, cfg.SpillDir)
@@ -143,7 +143,7 @@ func TestOrganicReducerPanicRecovered(t *testing.T) {
 			_ = *p // organic panic
 		},
 	}
-	_, _, err := job.RunContext(context.Background(), Config{Parallelism: 2}, corpus(50))
+	_, _, err := collect(context.Background(), job, Config{Parallelism: 2}, corpus(50))
 	waitForGoroutines(t, baseline)
 	var ee *EngineError
 	if !errors.As(err, &ee) {
@@ -161,7 +161,7 @@ func TestOrganicMapperPanicRecovered(t *testing.T) {
 		Map:    func(string, func(string, int64)) { panic("mapper bug") },
 		Reduce: sumReducer,
 	}
-	_, _, err := job.RunContext(context.Background(), Config{Parallelism: 3}, corpus(50))
+	_, _, err := collect(context.Background(), job, Config{Parallelism: 3}, corpus(50))
 	waitForGoroutines(t, baseline)
 	var ee *EngineError
 	if !errors.As(err, &ee) {
@@ -175,31 +175,6 @@ func TestOrganicMapperPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestSpillUnencodableValueTypedError pins the codec audit: the gob
-// fallback panics on a value type gob cannot encode (func-typed field), and
-// the reduce worker's recovery converts that into a typed error instead of
-// crashing the process. (Referenced from codec.go.)
-func TestSpillUnencodableValueTypedError(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	type bad struct{ F func() } // gob cannot encode func values
-	job := Job[int, int, bad, int]{
-		Map:    func(x int, emit func(int, bad)) { emit(x%3, bad{F: func() {}}) },
-		Reduce: func(_ *Context, k int, vs []bad, emit func(int)) { emit(k + len(vs)) },
-	}
-	dir := t.TempDir()
-	_, _, err := job.RunContext(context.Background(),
-		Config{Parallelism: 2, MemoryBudget: 1, SpillDir: dir}, []int{1, 2, 3, 4, 5, 6})
-	waitForGoroutines(t, baseline)
-	assertNoSpillFiles(t, dir)
-	var ee *EngineError
-	if !errors.As(err, &ee) {
-		t.Fatalf("unencodable value type: error %v (%T), want *EngineError", err, err)
-	}
-	if ee.Stage != StageReduce {
-		t.Errorf("Stage = %q, want %q (panic recovered in the reduce worker)", ee.Stage, StageReduce)
-	}
-}
-
 // TestFailureBudgetAllowsRecoveryRun proves failpoints with a spent budget
 // leave the engine healthy: after one injected failure, the very next run
 // (same process, same site armed but exhausted) succeeds with correct
@@ -210,10 +185,10 @@ func TestFailureBudgetAllowsRecoveryRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Parallelism: 2, MemoryBudget: 64, SpillDir: t.TempDir()}
-	if _, _, err := spillJob().RunContext(context.Background(), cfg, corpus(200)); err == nil {
+	if _, _, err := collect(context.Background(), spillJob(), cfg, corpus(200)); err == nil {
 		t.Fatal("first run should have hit the injected spill failure")
 	}
-	out, _, err := spillJob().RunContext(context.Background(), cfg, corpus(200))
+	out, _, err := collect(context.Background(), spillJob(), cfg, corpus(200))
 	if err != nil {
 		t.Fatalf("second run after budget spent failed: %v", err)
 	}
@@ -240,7 +215,7 @@ func TestWorkerErrorOutranksCancellation(t *testing.T) {
 		},
 		Reduce: sumReducer,
 	}
-	_, _, err := job.RunContext(ctx, Config{Parallelism: 2}, corpus(100))
+	_, _, err := collect(ctx, job, Config{Parallelism: 2}, corpus(100))
 	var ee *EngineError
 	if !errors.As(err, &ee) {
 		t.Fatalf("got %v, want the injected worker error to outrank ctx.Err()", err)

@@ -1,53 +1,32 @@
 package mapreduce
 
 import (
-	"hash/maphash"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// FuzzPartitionIndex asserts the routing invariant the shuffle depends on:
-// whatever a partitioner returns — including negative and overflowing
-// values — partitionIndex lands every key in [0, p).
-func FuzzPartitionIndex(f *testing.F) {
-	f.Add("a", int64(0), uint8(1))
-	f.Add("hub", int64(-1), uint8(7))
-	f.Add("", int64(1)<<62, uint8(255))
-	f.Fuzz(func(t *testing.T, key string, raw int64, np uint8) {
-		p := int(np)
-		if p < 1 {
-			p = 1
-		}
-		hostile := func(string, int) int { return int(raw) }
-		if i := partitionIndex(hostile, key, p); i < 0 || i >= p {
-			t.Fatalf("hostile partitioner: index %d outside [0, %d)", i, p)
-		}
-		seed := maphash.MakeSeed()
-		def := func(k string, pp int) int {
-			return int(maphash.Comparable(seed, k) % uint64(pp))
-		}
-		if i := partitionIndex(def, key, p); i < 0 || i >= p {
-			t.Fatalf("default partitioner: index %d outside [0, %d)", i, p)
-		}
-	})
-}
-
 // FuzzSpillCodec asserts the spill serialization contract on the default
-// codec for string keys and int64 values: every round trip is lossless and
-// key encodings are injective.
+// codec for a fixed-width struct key whose 12-byte encoding runs past the
+// spiller's 8-byte inline prefix, and int64 values: every round trip is
+// lossless and key encodings are injective.
 func FuzzSpillCodec(f *testing.F) {
-	f.Add("k", "other", int64(42))
-	f.Add("", "x", int64(-1))
-	f.Fuzz(func(t *testing.T, k1, k2 string, v int64) {
-		c := DefaultCodec[string, int64]()
+	type key struct {
+		A int64
+		B int32
+	}
+	f.Add(int64(7), int32(1), int64(7), int32(2), int64(42))
+	f.Add(int64(0), int32(-1), int64(-1), int32(0), int64(-1))
+	f.Fuzz(func(t *testing.T, a1 int64, b1 int32, a2 int64, b2 int32, v int64) {
+		c := DefaultCodec[key, int64]()
+		k1, k2 := key{a1, b1}, key{a2, b2}
 		kb := c.AppendKey(nil, k1)
 		k, err := c.DecodeKey(kb)
 		if err != nil || k != k1 {
-			t.Fatalf("key %q round-tripped to %q, %v", k1, k, err)
+			t.Fatalf("key %+v round-tripped to %+v, %v", k1, k, err)
 		}
 		if k1 != k2 && string(kb) == string(c.AppendKey(nil, k2)) {
-			t.Fatalf("distinct keys %q and %q share an encoding", k1, k2)
+			t.Fatalf("distinct keys %+v and %+v share an encoding", k1, k2)
 		}
 		vv, err := c.DecodeValue(c.AppendValue(nil, v))
 		if err != nil || vv != v {

@@ -5,8 +5,7 @@
 // The engine reproduces exactly the quantities the paper measures:
 //
 //   - Communication cost — the number of key-value pairs shipped from the
-//     mappers to the reducers (without a combiner, every pair emitted by a
-//     mapper counts once).
+//     mappers to the reducers (every pair emitted by a mapper counts once).
 //   - Number of reducers — the number of distinct keys (the paper's "what we
 //     are actually measuring is the number of different keys").
 //   - Computation cost — reducers report abstract work units through their
@@ -18,10 +17,10 @@
 // worker owns one partition, building its group table concurrently with the
 // map phase. There is no global merge map and no barrier between the
 // phases, so peak memory is bounded by the largest partition rather than by
-// the total communication cost. For combiner-less jobs the reported metrics
-// are fully deterministic (they do not depend on worker count or partition
-// assignment); with a combiner, KeyValuePairs and MaxReducerInput depend on
-// the mapper shard boundaries — see the Combiner doc.
+// the total communication cost. Like the paper's algorithms, a job has no
+// combiner and no custom partitioner: every emitted pair is shipped, and
+// the reported metrics are fully deterministic (they do not depend on
+// worker count or partition assignment).
 package mapreduce
 
 import (
@@ -38,9 +37,8 @@ import (
 // Metrics aggregates the cost measures of one map-reduce job.
 type Metrics struct {
 	// KeyValuePairs is the communication cost: every (key, value) shipped
-	// from a mapper to a reducer counts once. Without a combiner this equals
-	// the number of pairs the mappers emitted; with a combiner it is the
-	// (smaller) post-combine count.
+	// from a mapper to a reducer counts once, so it equals the number of
+	// pairs the mappers emitted (and, under Config.Dist, kept).
 	KeyValuePairs int64
 	// DistinctKeys is the number of reducers that receive at least one pair.
 	DistinctKeys int64
@@ -127,36 +125,6 @@ type Mapper[I any, K comparable, V any] func(input I, emit func(K, V))
 // wants to keep values past its return must copy them.
 type Reducer[K comparable, V any, O any] func(ctx *Context, key K, values []V, emit func(O))
 
-// Combiner performs pre-shuffle aggregation on a mapper's local pairs: it
-// receives every value the mapper has buffered under one key and returns
-// the (ideally shorter) list of values actually shipped. A combiner must be
-// semantically idempotent with respect to the reducer — the reducer may see
-// combined values from several mappers (or several flushes of one mapper)
-// mixed together. The values slice is only valid for the duration of the
-// call (the engine recycles its backing array across flush windows);
-// returning it, or a sub-slice of it, is fine — the returned values are
-// shipped before the buffer is reused. Typical use is counting: values are
-// partial counts, the combiner returns their one-element sum, and the
-// reducer sums again.
-type Combiner[K comparable, V any] func(key K, values []V) []V
-
-// SumCombiner is the counting combiner: it collapses a key's buffered
-// partial counts into their one-element sum.
-func SumCombiner[K comparable](_ K, values []int64) []int64 {
-	var sum int64
-	for _, v := range values {
-		sum += v
-	}
-	return []int64{sum}
-}
-
-// Partitioner maps a key to one of p partitions (reduce workers). All pairs
-// of one key must land in the same partition, which the engine guarantees
-// by calling the partitioner exactly once per shipped pair with the same p.
-// The returned index is reduced modulo p, so any deterministic function of
-// the key is a valid partitioner.
-type Partitioner[K comparable] func(key K, p int) int
-
 // Config controls engine execution.
 type Config struct {
 	// Parallelism is the number of map worker goroutines;
@@ -165,13 +133,6 @@ type Config struct {
 	// Partitions is the number of shuffle partitions, each owned by one
 	// reduce worker goroutine; 0 means Parallelism.
 	Partitions int
-	// BatchSize is the number of pairs a mapper buffers per partition
-	// before shipping them as one batch; 0 means 256.
-	BatchSize int
-	// CombinerBuffer bounds the number of values a mapper holds back for
-	// combining before it must combine-and-ship; 0 means 1<<15. Only used
-	// when the job has a combiner.
-	CombinerBuffer int
 	// MemoryBudget bounds, in heap bytes, the shuffle state the reduce
 	// workers hold, summed across all partitions; 0 means unlimited (no
 	// spilling; pairs are hash-grouped in memory). Each worker gets an
@@ -181,29 +142,33 @@ type Config struct {
 	// round finishes with a k-way merge that streams each key's values
 	// into the reducer (a worker that never crosses reduces from its
 	// sorted buffer, no file written). Inside the share: the buffered
-	// pairs and the heap bytes their keys and values reference, the sort
-	// scratch (16 bytes a pair, plus the encodings of keys longer than 8
-	// bytes), the run write buffer (a sixteenth of the share) and, once
-	// merging, the run read buffers (the share split between the open
-	// runs) — each I/O buffer between 4 and 64 KiB, so a share below
-	// 4 KiB a run is exceeded by that floor. Outside it: the largest
-	// single key group (a reducer receives it as one []V) and reducer
-	// output — emitted values still accumulate in memory until RunContext
-	// returns, so jobs whose output is itself huge should aggregate or
-	// count in the reducer instead of materializing (cf. core's
-	// CountOnly). Outputs and the core metrics are identical to the
-	// in-memory path; the Spill* metrics record the extra I/O. Spill I/O
-	// failures surface as a typed *EngineError from RunContext/RunStream.
+	// pairs, the sort scratch (16 bytes a pair, plus the encodings of
+	// fixed-width keys longer than 8 bytes), the run write buffer (a
+	// sixteenth of the share) and, once merging, the run read buffers (the
+	// share split between the open runs) — each I/O buffer between 4 and
+	// 64 KiB, so a share below 4 KiB a run is exceeded by that floor.
+	// Outside it: heap data a key or value references (only a job with its
+	// own Codec can have such types), the largest single key group (a
+	// reducer receives it as one []V) and whatever the consumer keeps of
+	// the output. Outputs and the core metrics are identical to the
+	// in-memory path; the Spill* metrics record the extra I/O. A budget
+	// needs a codec — Job.Codec, or DefaultCodec for integer and
+	// fixed-size types — or the run fails before any worker starts; spill
+	// I/O failures surface as a typed *EngineError from RunStream.
 	MemoryBudget int64
 	// SpillDir is the directory for spill run files; "" means the system
 	// temp dir. Only used when MemoryBudget is set.
 	SpillDir string
 	// Dist, when set, restricts the run to the owned slices of the
 	// distributed key space: mapper emissions whose key hashes outside them
-	// are dropped before they are counted, combined, or shipped, so the
-	// reported metrics describe only the owned share. See DistFilter.
+	// are dropped before they are counted or shipped, so the reported
+	// metrics describe only the owned share. See DistFilter.
 	Dist *DistFilter
 }
+
+// batchSize is the number of pairs a mapper buffers per partition before
+// shipping them as one batch.
+const batchSize = 256
 
 func (c Config) workers() int {
 	if c.Parallelism > 0 {
@@ -219,67 +184,21 @@ func (c Config) partitions() int {
 	return c.workers()
 }
 
-func (c Config) batchSize() int {
-	if c.BatchSize > 0 {
-		return c.BatchSize
-	}
-	return 256
-}
-
-func (c Config) combinerBuffer() int {
-	if c.CombinerBuffer > 0 {
-		return c.CombinerBuffer
-	}
-	return 1 << 15
-}
-
-// Job is one map-reduce round. Map and Reduce are required; Combine and
-// Partition are optional (no combining, hash partitioning), as is Codec
-// (key order and spill serialization when Config.MemoryBudget is set; nil
-// means DefaultCodec). Name labels the round in Chain statistics.
+// Job is one map-reduce round. Map and Reduce are required. Codec is the
+// key order and spill serialization under Config.MemoryBudget and the key
+// encoding of Config.Dist ownership; nil means DefaultCodec. Name labels the
+// round in Chain statistics and errors.
 type Job[I any, K comparable, V any, O any] struct {
-	Name      string
-	Map       Mapper[I, K, V]
-	Combine   Combiner[K, V]
-	Partition Partitioner[K]
-	Reduce    Reducer[K, V, O]
-	Codec     Codec[K, V]
+	Name   string
+	Map    Mapper[I, K, V]
+	Reduce Reducer[K, V, O]
+	Codec  Codec[K, V]
 }
 
 // pair is one shuffled key-value pair.
 type pair[K comparable, V any] struct {
 	key K
 	val V
-}
-
-// partitionIndex applies a partitioner and normalizes its result into
-// [0, p), reducing modulo p and folding negatives up, so any deterministic
-// integer function of the key routes validly.
-func partitionIndex[K comparable](partition Partitioner[K], k K, p int) int {
-	i := partition(k, p) % p
-	if i < 0 {
-		i += p
-	}
-	return i
-}
-
-// RunContext executes the job: Map is applied to every input, emitted pairs
-// are hash-partitioned and streamed to the reduce workers (combined first
-// when a Combiner is set), and Reduce is applied to each key group. It
-// returns the reducer outputs (in no particular order) and the job metrics.
-// Cancelling ctx aborts the job — map workers stop consuming inputs, reduce
-// workers stop reducing, spill runs are removed — and the partial metrics
-// plus ctx.Err() are returned. A nil error means the job ran to completion.
-func (j Job[I, K, V, O]) RunContext(ctx context.Context, cfg Config, inputs []I) ([]O, Metrics, error) {
-	var out []O
-	m, err := j.RunStream(ctx, cfg, inputs, func(o O) bool {
-		out = append(out, o)
-		return true
-	})
-	if err != nil {
-		return nil, m, err
-	}
-	return out, m, nil
 }
 
 // RunStream executes the job, delivering reducer outputs one at a time to
@@ -309,27 +228,14 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 		np = 1
 	}
 
-	partition := j.Partition
-	if partition == nil {
-		seed := maphash.MakeSeed()
-		partition = func(k K, p int) int {
-			return int(maphash.Comparable(seed, k) % uint64(p))
-		}
+	// The codec is resolved once; under Dist each map worker instantiates
+	// its own ownership predicate (distOwns keeps a scratch buffer that must
+	// not be shared across goroutines).
+	codec, err := jobCodec(j.Name, j.Codec, cfg)
+	if err != nil {
+		return Metrics{}, err
 	}
-
-	// Distributed ownership: the codec is resolved once, but each map
-	// worker instantiates its own predicate (distOwns keeps a scratch
-	// buffer that must not be shared across goroutines).
-	var distCodec Codec[K, V]
-	if cfg.Dist != nil {
-		if err := cfg.Dist.validate(); err != nil {
-			return Metrics{}, err
-		}
-		distCodec = j.Codec
-		if distCodec == nil {
-			distCodec = DefaultCodec[K, V]()
-		}
-	}
+	seed := maphash.MakeSeed()
 
 	run, release := newRun(ctx, yield)
 	defer release()
@@ -338,16 +244,9 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 	// External shuffle: with a memory budget, every reduce worker gets an
 	// equal share and buffers its pairs in a spiller, which sorts them out
 	// to a run file whenever their footprint crosses it.
-	var (
-		share int64
-		codec Codec[K, V]
-	)
+	var share int64
 	if cfg.MemoryBudget > 0 {
 		share = max(cfg.MemoryBudget/int64(np), 1)
-		codec = j.Codec
-		if codec == nil {
-			codec = DefaultCodec[K, V]()
-		}
 	}
 
 	chans := make([]chan []pair[K, V], np)
@@ -491,70 +390,30 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 				stop.Store(true)
 				return
 			}
-			batch := cfg.batchSize()
 			bufs := make([][]pair[K, V], np)
-			ship := func(k K, v V) {
-				p := partitionIndex(partition, k, np)
+			emit := func(k K, v V) {
+				p := int(maphash.Comparable(seed, k) % uint64(np))
 				if bufs[p] == nil {
-					bufs[p] = flist.get(batch)
+					bufs[p] = flist.get(batchSize)
 				}
 				bufs[p] = append(bufs[p], pair[K, V]{k, v})
 				shipped[w]++
-				if len(bufs[p]) >= batch {
+				if len(bufs[p]) >= batchSize {
 					chans[p] <- bufs[p]
 					bufs[p] = nil
 				}
 			}
 
-			var emit func(K, V)
-			var flushCombined func()
-			if j.Combine == nil {
-				emit = ship
-			} else {
-				// The held map survives flushes (clear keeps its buckets)
-				// and emptied value slices park on a spare stack for the
-				// next flush window, so steady-state combining allocates
-				// only when a key's value list outgrows its recycled cap.
-				held := make(map[K][]V)
-				var spare [][]V
-				heldValues := 0
-				limit := cfg.combinerBuffer()
-				flushCombined = func() {
-					for k, vs := range held {
-						for _, v := range j.Combine(k, vs) {
-							ship(k, v)
-						}
-						if len(spare) < 1024 {
-							spare = append(spare, vs[:0])
-						}
-					}
-					clear(held)
-					heldValues = 0
-				}
-				emit = func(k K, v V) {
-					vs, ok := held[k]
-					if !ok && len(spare) > 0 {
-						vs = spare[len(spare)-1]
-						spare = spare[:len(spare)-1]
-					}
-					held[k] = append(vs, v)
-					heldValues++
-					if heldValues >= limit {
-						flushCombined()
-					}
-				}
-			}
-
-			// The ownership filter wraps the outermost emit — ahead of the
-			// combiner and the shipped count — so an unowned pair leaves no
-			// trace in the metrics and N disjoint filtered runs sum to
-			// exactly one unfiltered run's metrics.
-			if distCodec != nil {
-				owns := distOwns(cfg.Dist, distCodec)
-				inner := emit
+			// The ownership filter wraps the emit ahead of the shipped
+			// count, so an unowned pair leaves no trace in the metrics and
+			// N disjoint filtered runs sum to exactly one unfiltered run's
+			// metrics.
+			if cfg.Dist != nil {
+				owns := distOwns(cfg.Dist, codec)
+				ship := emit
 				emit = func(k K, v V) {
 					if owns(k) {
-						inner(k, v)
+						ship(k, v)
 					}
 				}
 			}
@@ -567,9 +426,6 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 			}
 			if stop.Load() {
 				return
-			}
-			if flushCombined != nil {
-				flushCombined()
 			}
 			for p, buf := range bufs {
 				if len(buf) > 0 {

@@ -7,20 +7,28 @@ import (
 
 // Shuffle-buffer recycling. Every shipped batch used to be a fresh
 // `make([]pair, 0, batch)`; at steady state a job ships
-// (KeyValuePairs / BatchSize) batches, so the allocator churn scaled with
+// (KeyValuePairs / batchSize) batches, so the allocator churn scaled with
 // the communication cost. Batches now cycle through a per-pair-type free
 // list: mappers take recycled buffers, reduce workers return each batch
-// after folding it into their group table or spill buffer. The lists are keyed by the
-// (K, V) instantiation and shared process-wide, so multi-round Chain jobs
-// (and repeated jobs, e.g. the CQ-oriented strategy's one-job-per-CQ loop)
-// reuse the previous round's buffers instead of re-allocating.
+// after folding it into their group table or spill buffer. The lists are
+// keyed by the (K, V) instantiation and shared process-wide, so the rounds
+// of a Chain and repeated jobs reuse the previous round's buffers instead
+// of re-allocating.
+//
+// The lists were kept on measurement after the share-hashed strategies
+// moved to BlockJob and the plain Job was left with the cascade's rounds:
+// with get allocating fresh and put dropping, bench/run.sh (8 s a side)
+// measured tri-uniform at 70 627 → 74 413 allocs_per_query (+5.4 %) and
+// 176.4 → 191.1 MB alloc_bytes_per_query, and tri-uniform-spill at
+// 67 172 → 70 960 allocs and 23.5 → 38.2 MB — over the benchmark's 3 %
+// allocation bound.
 
 // maxFreeBatches bounds the buffers kept per (K, V) type so the free list
 // never pins more than a few MiB after a burst.
 const maxFreeBatches = 128
 
 // batchFreeList is the free list for one pair[K, V] instantiation. A plain
-// mutex-guarded stack: ships happen once per BatchSize pairs, so contention
+// mutex-guarded stack: ships happen once per batchSize pairs, so contention
 // is negligible, and unlike sync.Pool it never allocates to box a slice.
 type batchFreeList[K comparable, V any] struct {
 	mu   sync.Mutex

@@ -18,7 +18,7 @@ import (
 
 // The external shuffle. When Config.MemoryBudget is set, a reduce worker
 // keeps no hash table: arriving pairs are appended to one flat buffer and
-// charged their exact footprint (see spiller.admit). Crossing the worker's
+// charged their exact footprint (see spiller.limit). Crossing the worker's
 // share of the budget sorts the buffer once by encoded key and writes it as
 // one run file, each key once with its values behind it. After the map
 // phase the worker merges its runs with a k-way heap merge — intermediate
@@ -66,16 +66,14 @@ type spiller[K comparable, V any] struct {
 	dir   string
 	paths []string // written run files, in creation order
 
-	// Budget accounting. A buffered pair costs fixed bytes — its slot in
-	// buf, its runEntry, and for fixed-size key types whose encoding
-	// exceeds the inline prefix its arena bytes and offset slot — plus the
-	// heap bytes its key and value reference (ksize/vsize, nil for types
-	// that reference none; a dynamic key is charged those bytes twice, once
-	// more for its arena copy). est is the sum over buf; crossing room
-	// (the share less the write buffer, at least half of it) spills.
-	share, room, fixed, est int64
-	ksize                   func(K) int
-	vsize                   func(V) int
+	// Budget accounting. A buffered pair costs fixed bytes: its slot in buf,
+	// its runEntry and, for a fixed-width key encoding longer than the
+	// inline prefix, its arena bytes and offset slot. The buffer therefore
+	// holds at most limit pairs: the most that fit the room (the share less
+	// the write buffer, at least half of it) plus the crossing one, so a run
+	// holds at least one pair; reaching it spills.
+	share int64
+	limit int
 
 	buf   []pair[K, V]
 	ents  []runEntry // sort scratch, one per buffered pair
@@ -90,19 +88,15 @@ type spiller[K comparable, V any] struct {
 }
 
 func newSpiller[K comparable, V any](codec Codec[K, V], dir string, share int64) *spiller[K, V] {
-	s := &spiller[K, V]{codec: codec, dir: dir, share: share, ksize: sizerFor[K](), vsize: sizerFor[V]()}
-	s.room = share - min(int64(s.writeBufSize()), share/2)
-	s.fixed = int64(unsafe.Sizeof(pair[K, V]{}) + unsafe.Sizeof(runEntry{}))
-	if s.ksize == nil {
-		var zero K
-		if n := len(codec.AppendKey(nil, zero)); n > keyPrefixLen {
-			s.fixed += int64(n) + int64(unsafe.Sizeof(int(0)))
-		}
-	} else {
-		s.fixed += int64(unsafe.Sizeof(int(0)))
+	s := &spiller[K, V]{codec: codec, dir: dir, share: share}
+	room := share - min(int64(s.writeBufSize()), share/2)
+	fixed := int64(unsafe.Sizeof(pair[K, V]{}) + unsafe.Sizeof(runEntry{}))
+	var zero K
+	if n := len(codec.AppendKey(nil, zero)); n > keyPrefixLen {
+		fixed += int64(n) + int64(unsafe.Sizeof(int(0)))
 	}
 	// runEntry.idx is 32 bits wide.
-	s.room = min(s.room, s.fixed*(math.MaxUint32-1))
+	s.limit = int(min(room/fixed+1, math.MaxUint32))
 	return s
 }
 
@@ -124,49 +118,25 @@ func (s *spiller[K, V]) cleanup() {
 }
 
 // add buffers a batch of arrived pairs, spilling a run each time the
-// estimate crosses the worker's room.
+// buffer fills.
 func (s *spiller[K, V]) add(batch []pair[K, V]) error {
 	for len(batch) > 0 {
-		n := s.admit(batch)
+		n := min(len(batch), s.limit-len(s.buf))
 		if need := len(s.buf) + n; need > cap(s.buf) {
 			// Doubling, but never past the most pairs the room can hold:
 			// append's own growth would overshoot the share by up to 2×.
-			c := min(max(2*cap(s.buf), need), int(s.room/s.fixed)+1)
+			c := min(max(2*cap(s.buf), need), s.limit)
 			s.buf = append(make([]pair[K, V], 0, c), s.buf...)
 		}
 		s.buf = append(s.buf, batch[:n]...)
 		batch = batch[n:]
-		if s.est > s.room {
+		if len(s.buf) == s.limit {
 			if err := s.spill(); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// admit charges as many leading pairs of batch as it takes to cross the
-// room — the crossing pair included, so a run holds at least one — and
-// returns their number.
-func (s *spiller[K, V]) admit(batch []pair[K, V]) int {
-	if s.ksize == nil && s.vsize == nil {
-		n := min(int64(len(batch)), (s.room-s.est)/s.fixed+1)
-		s.est += n * s.fixed
-		return int(n)
-	}
-	for i := range batch {
-		s.est += s.fixed
-		if s.ksize != nil {
-			s.est += 2 * int64(s.ksize(batch[i].key))
-		}
-		if s.vsize != nil {
-			s.est += int64(s.vsize(batch[i].val))
-		}
-		if s.est > s.room {
-			return i + 1
-		}
-	}
-	return len(batch)
 }
 
 // sortBuf encodes every buffered key once and sorts the entries by encoded
@@ -289,14 +259,14 @@ func (s *spiller[K, V]) spill() error {
 	s.paths = append(s.paths, path)
 	s.pairs += int64(len(s.buf))
 	clear(s.buf) // the emptied buffer must not pin the run's keys and values
-	s.buf, s.est = s.buf[:0], 0
+	s.buf = s.buf[:0]
 	return nil
 }
 
 // writeRun creates a run file, has fill write its records through s.w, and
 // returns the committed file's path. Until then a defer owns the file: an
-// error return or a panic mid-encode (the gob fallback on an unencodable
-// value, an injected fault) must not orphan it.
+// error return or a panic mid-encode (a failing custom codec, an injected
+// fault) must not orphan it.
 func (s *spiller[K, V]) writeRun(fill func() error) (string, error) {
 	f, err := os.CreateTemp(s.dir, "sgmr-spill-*.run")
 	if err != nil {
@@ -669,8 +639,8 @@ func (m *merger) down(i int) {
 // nextGroup hands each to every raw value, across all runs, of the smallest
 // remaining key (by encoded bytes) and returns that key. ok is false once
 // the merge is exhausted — the key cannot double as the sentinel because a
-// legitimate key may encode to zero bytes (e.g. the empty string under
-// DefaultCodec). The key is valid until the next call, a value only during
+// legitimate key may encode to zero bytes (struct{} under DefaultCodec, an
+// empty string under a string codec). The key is valid until the next call, a value only during
 // its each call.
 func (m *merger) nextGroup(each func(vb []byte) error) (kb []byte, ok bool, err error) {
 	if len(m.h) == 0 {

@@ -219,108 +219,82 @@ func TestMergeAllocationsIndependentOfValues(t *testing.T) {
 }
 
 // budgetedMatchesInMemory runs one job over pairs under every combination
-// of budget, partition count and combiner, and holds each budgeted run to
-// the in-memory run of the same shape: same output multiset, same core
-// metrics, spill metrics that add up, no file left.
-func budgetedMatchesInMemory[K comparable](t *testing.T, pairs []pair[K, int64]) bool {
+// of budget and partition count, and holds each budgeted run to the
+// in-memory run of the same shape: same output multiset, same core metrics,
+// spill metrics that add up, no file left. A nil codec means DefaultCodec.
+func budgetedMatchesInMemory[K comparable](t *testing.T, pairs []pair[K, int64], codec Codec[K, int64]) bool {
 	t.Helper()
 	type out struct {
 		Key K
 		Sum int64
 	}
+	job := Job[pair[K, int64], K, int64, out]{
+		Map: func(in pair[K, int64], emit func(K, int64)) { emit(in.key, in.val) },
+		Reduce: func(_ *Context, k K, vs []int64, emit func(out)) {
+			var sum int64
+			for _, v := range vs {
+				sum += v
+			}
+			emit(out{k, sum})
+		},
+		Codec: codec,
+	}
 	ok := true
 	for _, np := range []int{1, 3} {
-		for _, combine := range []Combiner[K, int64]{nil, SumCombiner[K]} {
-			shipped := make([]int64, np)
-			job := Job[pair[K, int64], K, int64, out]{
-				Map:     func(in pair[K, int64], emit func(K, int64)) { emit(in.key, in.val) },
-				Combine: combine,
-				Reduce: func(_ *Context, k K, vs []int64, emit func(out)) {
-					var sum int64
-					for _, v := range vs {
-						sum += v
-					}
-					emit(out{k, sum})
-				},
+		run := func(budget int64) (map[out]int, Metrics) {
+			dir := t.TempDir()
+			outs, m := job.Run(Config{Parallelism: 1, Partitions: np, MemoryBudget: budget, SpillDir: dir}, pairs)
+			assertNoSpillFiles(t, dir)
+			set := make(map[out]int)
+			for _, o := range outs {
+				set[o]++
 			}
-			run := func(budget int64) (map[out]int, Metrics) {
-				// The single mapper makes the partitioner's call sequence, and
-				// so shipped, race-free.
-				clear(shipped)
-				job.Partition = firstSeenPartitioner[K](shipped)
-				dir := t.TempDir()
-				outs, m := job.Run(Config{Parallelism: 1, Partitions: np, CombinerBuffer: 16, MemoryBudget: budget, SpillDir: dir}, pairs)
-				assertNoSpillFiles(t, dir)
-				set := make(map[out]int)
-				for _, o := range outs {
-					set[o]++
-				}
-				return set, m
+			return set, m
+		}
+		want, wantM := run(0)
+		for _, budget := range []int64{1, 1 << 10, 1 << 30} {
+			got, gotM := run(budget)
+			label := fmt.Sprintf("budget %d, %d partitions", budget, np)
+			if len(got) != len(want) {
+				t.Errorf("%s: %d distinct outputs, want %d", label, len(got), len(want))
+				ok = false
 			}
-			want, wantM := run(0)
-			for _, budget := range []int64{1, 1 << 10, 1 << 30} {
-				got, gotM := run(budget)
-				label := fmt.Sprintf("budget %d, %d partitions, combiner %t", budget, np, combine != nil)
-				if len(got) != len(want) {
-					t.Errorf("%s: %d distinct outputs, want %d", label, len(got), len(want))
+			for o, n := range want {
+				if got[o] != n {
+					t.Errorf("%s: output %+v ×%d, want ×%d", label, o, got[o], n)
 					ok = false
 				}
-				for o, n := range want {
-					if got[o] != n {
-						t.Errorf("%s: output %+v ×%d, want ×%d", label, o, got[o], n)
-						ok = false
-					}
-				}
-				if gotM.KeyValuePairs != wantM.KeyValuePairs || gotM.DistinctKeys != wantM.DistinctKeys ||
-					gotM.MaxReducerInput != wantM.MaxReducerInput || gotM.Outputs != wantM.Outputs {
-					t.Errorf("%s: core metrics %+v, want %+v", label, gotM, wantM)
-					ok = false
-				}
-				// Every pair shipped to a worker that spilled is spilled: the
-				// count is a sum of whole partitions — all of them under a
-				// one-byte budget, none under one nothing crosses.
-				sums := map[int64]bool{0: true}
-				for _, n := range shipped {
-					for s := range sums {
-						sums[s+n] = true
-					}
-				}
-				switch {
-				case budget == 1 && gotM.SpilledPairs != gotM.KeyValuePairs,
-					budget == 1<<30 && gotM.SpilledPairs != 0,
-					!sums[gotM.SpilledPairs]:
-					t.Errorf("%s: SpilledPairs = %d with per-partition pairs %v", label, gotM.SpilledPairs, shipped)
-					ok = false
-				}
+			}
+			if gotM.KeyValuePairs != wantM.KeyValuePairs || gotM.DistinctKeys != wantM.DistinctKeys ||
+				gotM.MaxReducerInput != wantM.MaxReducerInput || gotM.Outputs != wantM.Outputs {
+				t.Errorf("%s: core metrics %+v, want %+v", label, gotM, wantM)
+				ok = false
+			}
+			// Every pair shipped to a worker that spilled is spilled: all of
+			// them under a one-byte budget, none under one nothing crosses,
+			// and with one partition nothing in between.
+			switch {
+			case budget == 1 && gotM.SpilledPairs != gotM.KeyValuePairs,
+				budget == 1<<30 && gotM.SpilledPairs != 0,
+				np == 1 && gotM.SpilledPairs != 0 && gotM.SpilledPairs != gotM.KeyValuePairs,
+				gotM.SpilledPairs < 0 || gotM.SpilledPairs > gotM.KeyValuePairs:
+				t.Errorf("%s: SpilledPairs = %d of %d shipped", label, gotM.SpilledPairs, gotM.KeyValuePairs)
+				ok = false
 			}
 		}
 	}
 	return ok
 }
 
-// firstSeenPartitioner deals keys to partitions round-robin in order of
-// first appearance and counts the pairs it routes to each.
-func firstSeenPartitioner[K comparable](shipped []int64) Partitioner[K] {
-	seen := make(map[K]int)
-	return func(k K, np int) int {
-		p, ok := seen[k]
-		if !ok {
-			p = len(seen) % np
-			seen[k] = p
-		}
-		shipped[p]++
-		return p
-	}
-}
-
 // TestBudgetedMatchesInMemoryQuick is the sort-at-spill contract on the
 // keys a prefix sort can get wrong: keys that agree beyond the 8-byte
-// prefix, the empty key, keys that are zero-padded prefixes of one another,
-// negative and extreme integers, and struct keys on both sides of the
-// prefix length through DefaultCodec.
+// prefix, the empty key, keys that are zero-padded prefixes of one another
+// (through a string Codec: custom codecs can still produce variable-length
+// keys), negative and extreme integers, and struct keys on both sides of
+// the prefix length through DefaultCodec.
 func TestBudgetedMatchesInMemoryQuick(t *testing.T) {
 	t.Run("string", func(t *testing.T) {
-		quickBudgeted(t, []string{
+		quickBudgeted(t, stringCodec{}, []string{
 			"", "ab", "ab\x00", "ab\x00\x00", "\x00", "\x00\x00",
 			"abcdefgh", "abcdefgh\x00", "abcdefghi", "abcdefghij", "abcdefgh\xff",
 			"a-shared-prefix-well-past-eight-bytes/A", "a-shared-prefix-well-past-eight-bytes/B",
@@ -334,7 +308,7 @@ func TestBudgetedMatchesInMemoryQuick(t *testing.T) {
 		})
 	})
 	t.Run("int64", func(t *testing.T) {
-		quickBudgeted(t, []int64{0, 1, -1, 255, 256, -256, 1 << 40, -(1 << 40), math.MaxInt64, math.MinInt64},
+		quickBudgeted(t, nil, []int64{0, 1, -1, 255, 256, -256, 1 << 40, -(1 << 40), math.MaxInt64, math.MinInt64},
 			(*rand.Rand).Int63)
 	})
 	t.Run("short struct", func(t *testing.T) {
@@ -342,7 +316,7 @@ func TestBudgetedMatchesInMemoryQuick(t *testing.T) {
 			A int32
 			B uint16
 		}
-		quickBudgeted(t, []key{{}, {A: -1}, {B: 1}, {A: 1, B: 1}, {A: math.MinInt32, B: math.MaxUint16}},
+		quickBudgeted(t, nil, []key{{}, {A: -1}, {B: 1}, {A: 1, B: 1}, {A: math.MinInt32, B: math.MaxUint16}},
 			func(rng *rand.Rand) key { return key{A: int32(rng.Intn(5)) - 2, B: uint16(rng.Intn(3))} })
 	})
 	t.Run("long struct", func(t *testing.T) {
@@ -350,14 +324,14 @@ func TestBudgetedMatchesInMemoryQuick(t *testing.T) {
 			A int64
 			B int32
 		}
-		quickBudgeted(t, []key{{}, {B: 1}, {B: -1}, {A: 7}, {A: 7, B: 1}, {A: 7, B: 1 << 24}, {A: -7, B: 1}},
+		quickBudgeted(t, nil, []key{{}, {B: 1}, {B: -1}, {A: 7}, {A: 7, B: 1}, {A: 7, B: 1 << 24}, {A: -7, B: 1}},
 			func(rng *rand.Rand) key { return key{A: 7, B: int32(rng.Intn(1 << 10))} })
 	})
 }
 
 // quickBudgeted checks budgetedMatchesInMemory on seeded pair sequences
 // that lean on the pool's adversarial keys and fill in with generated ones.
-func quickBudgeted[K comparable](t *testing.T, pool []K, gen func(*rand.Rand) K) {
+func quickBudgeted[K comparable](t *testing.T, codec Codec[K, int64], pool []K, gen func(*rand.Rand) K) {
 	t.Helper()
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -369,7 +343,7 @@ func quickBudgeted[K comparable](t *testing.T, pool []K, gen func(*rand.Rand) K)
 			}
 			pairs[i] = pair[K, int64]{k, rng.Int63n(2001) - 1000}
 		}
-		return budgetedMatchesInMemory(t, pairs)
+		return budgetedMatchesInMemory(t, pairs, codec)
 	}, &quick.Config{MaxCount: 8})
 	if err != nil {
 		t.Error(err)

@@ -5,24 +5,57 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+
+	"subgraphmr/internal/graph"
 )
 
-// TestDefaultCodecRoundTrip exercises every encoding path of DefaultCodec:
-// raw strings, fixed-width integers, binary fixed-size structs, and the gob
-// fallback for slice-bearing types.
-func TestDefaultCodecRoundTrip(t *testing.T) {
-	t.Run("string-int64", func(t *testing.T) {
-		c := DefaultCodec[string, int64]()
-		for _, k := range []string{"", "a", "hello world", string([]byte{0, 1, 255})} {
-			kb := c.AppendKey(nil, k)
-			got, err := c.DecodeKey(kb)
-			if err != nil || got != k {
-				t.Fatalf("key %q round-tripped to %q, %v", k, got, err)
-			}
+// TestDefaultCodecCoverage pins the narrowed contract: DefaultCodec covers
+// integer kinds and fixed-size types — the engine's reducer key, arrays and
+// fixed-width structs among them — and returns nil for everything else,
+// which a job must encode with its own Codec.
+func TestDefaultCodecCoverage(t *testing.T) {
+	type edge struct{ U, V int32 }
+	type named int16
+	for name, ok := range map[string]bool{
+		"int/int8":        DefaultCodec[int, int8]() != nil,
+		"int16/int32":     DefaultCodec[int16, int32]() != nil,
+		"int64/named":     DefaultCodec[int64, named]() != nil,
+		"uint/uint8":      DefaultCodec[uint, uint8]() != nil,
+		"uint16/uint32":   DefaultCodec[uint16, uint32]() != nil,
+		"uint64/uintptr":  DefaultCodec[uint64, uintptr]() != nil,
+		"graph.BucketKey": DefaultCodec[graph.BucketKey, graph.Edge]() != nil,
+		"[2]int64":        DefaultCodec[[2]int64, [2]int64]() != nil,
+		"struct/struct{}": DefaultCodec[edge, struct{}]() != nil,
+		"bool/float64":    DefaultCodec[bool, float64]() != nil,
+	} {
+		if !ok {
+			t.Errorf("%s: DefaultCodec is nil, want a codec", name)
 		}
+	}
+	for name, ok := range map[string]bool{
+		"string key":         DefaultCodec[string, int64]() != nil,
+		"string value":       DefaultCodec[int64, string]() != nil,
+		"slice value":        DefaultCodec[int64, []int64]() != nil,
+		"map value":          DefaultCodec[int64, map[int]int]() != nil,
+		"pointer key":        DefaultCodec[*int, int64]() != nil,
+		"pointer value":      DefaultCodec[int64, *edge]() != nil,
+		"struct with string": DefaultCodec[struct{ S string }, int64]() != nil,
+	} {
+		if ok {
+			t.Errorf("%s: DefaultCodec is non-nil, want nil", name)
+		}
+	}
+}
+
+// TestDefaultCodecRoundTrip exercises both encoding paths of DefaultCodec:
+// fixed-width integers and encoding/binary for fixed-size structs.
+func TestDefaultCodecRoundTrip(t *testing.T) {
+	t.Run("int64", func(t *testing.T) {
+		c := DefaultCodec[int64, int64]()
 		for _, v := range []int64{0, 1, -1, 1 << 40, -(1 << 40)} {
 			vb := c.AppendValue(nil, v)
 			got, err := c.DecodeValue(vb)
@@ -45,18 +78,6 @@ func TestDefaultCodecRoundTrip(t *testing.T) {
 			t.Fatalf("value %v round-tripped to %v, %v", v, vv, err)
 		}
 	})
-	t.Run("gob-fallback", func(t *testing.T) {
-		type item struct {
-			Path []int64
-			Tag  string
-		}
-		c := DefaultCodec[string, item]()
-		v := item{Path: []int64{3, 1, 4}, Tag: "x"}
-		vv, err := c.DecodeValue(c.AppendValue(nil, v))
-		if err != nil || vv.Tag != v.Tag || len(vv.Path) != 3 || vv.Path[2] != 4 {
-			t.Fatalf("value %+v round-tripped to %+v, %v", v, vv, err)
-		}
-	})
 	t.Run("key-encoding-injective", func(t *testing.T) {
 		c := DefaultCodec[int, int]()
 		seen := map[string]int{}
@@ -70,33 +91,48 @@ func TestDefaultCodecRoundTrip(t *testing.T) {
 	})
 }
 
-// TestSizerCountsBackingData pins the budget estimator's contract: values
-// that reference heap data (slice backing arrays, strings) are charged for
-// it on top of their own size, so MemoryBudget keeps bounding memory for
-// slice-bearing value types like the multijoin cascade's partial paths.
-func TestSizerCountsBackingData(t *testing.T) {
-	type item struct {
-		Path []int64
-		Tag  string
-	}
-	sz := sizerFor[item]()
-	small := sz(item{Path: make([]int64, 1)})
-	big := sz(item{Path: make([]int64, 1000), Tag: strings.Repeat("x", 500)})
-	if big-small < 999*8+500 {
-		t.Errorf("estimator ignores backing data: small=%d big=%d", small, big)
-	}
-	if sizerFor[[2]int64]() != nil {
-		t.Error("a fixed-size type references no heap data and needs no estimator")
-	}
-	str := sizerFor[string]()
-	if got := str("hello"); got < 5 {
-		t.Errorf("string estimate = %d, want >= len", got)
+// TestJobWithoutCodec: a string-keyed job that brings no Codec runs in
+// memory, and under a memory budget or a DistFilter — which both encode
+// keys — fails before any worker starts, naming the types, with no spill
+// file and no goroutine left.
+func TestJobWithoutCodec(t *testing.T) {
+	job := spillJob()
+	job.Codec = nil
+	t.Run("in memory", func(t *testing.T) {
+		want, _ := spillJob().Run(Config{Parallelism: 2}, corpus(50))
+		got, _ := job.Run(Config{Parallelism: 2}, corpus(50))
+		sort.Strings(want)
+		sort.Strings(got)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatal("the in-memory run without a Codec differs from the one with")
+		}
+	})
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"1 B budget", Config{Parallelism: 2, MemoryBudget: 1, SpillDir: dir}},
+		{"dist filter", Config{Parallelism: 2, Dist: NewDistFilter(2, []int{0})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			out, _, err := collect(context.Background(), job, tc.cfg, corpus(50))
+			waitForGoroutines(t, baseline)
+			assertNoSpillFiles(t, dir)
+			if err == nil || out != nil {
+				t.Fatalf("ran to %d outputs, %v; want an error", len(out), err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "string") || !strings.Contains(msg, "int64") {
+				t.Errorf("error %q does not name the key and value types", msg)
+			}
+		})
 	}
 }
 
 // spillJob is the reference word-count job used by the spill tests.
 func spillJob() Job[string, string, int64, string] {
-	return Job[string, string, int64, string]{Map: wordMapper, Reduce: sumReducer}
+	return Job[string, string, int64, string]{Map: wordMapper, Reduce: sumReducer, Codec: stringCodec{}}
 }
 
 // TestSpillMatchesInMemory is the external-shuffle contract: identical
@@ -129,7 +165,7 @@ func TestSpillMatchesInMemory(t *testing.T) {
 }
 
 // TestSpillEmptyStringKey pins the regression where a key whose encoding is
-// zero bytes (the empty string under DefaultCodec) was mistaken for the
+// zero bytes (the empty string under a string codec) was mistaken for the
 // merger's end-of-merge sentinel, silently dropping every spilled group.
 func TestSpillEmptyStringKey(t *testing.T) {
 	job := Job[string, string, int64, string]{
@@ -137,6 +173,7 @@ func TestSpillEmptyStringKey(t *testing.T) {
 			emit(line, 1) // "" is a legitimate key
 		},
 		Reduce: sumReducer,
+		Codec:  stringCodec{},
 	}
 	inputs := []string{"", "x", "", "x", ""}
 	want, _ := job.Run(Config{Parallelism: 1}, inputs)
@@ -206,24 +243,6 @@ func TestSpillFilesRemoved(t *testing.T) {
 	}
 }
 
-// TestSpillWithCombiner checks that mapper-side combining composes with the
-// reducer-side external shuffle.
-func TestSpillWithCombiner(t *testing.T) {
-	inputs := corpus(300)
-	job := spillJob()
-	job.Combine = SumCombiner[string]
-	want, _ := spillJob().Run(Config{Parallelism: 3}, inputs)
-	got, m := job.Run(Config{Parallelism: 3, CombinerBuffer: 8, MemoryBudget: 64}, inputs)
-	sort.Strings(want)
-	sort.Strings(got)
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatal("combined+spilled outputs differ from the plain run")
-	}
-	if m.SpilledPairs == 0 {
-		t.Error("expected the 64-byte budget to spill even after combining")
-	}
-}
-
 // TestSpillChain runs a two-round chain entirely under a tiny budget and
 // checks the summed spill metrics surface through Chain.Total.
 func TestSpillChain(t *testing.T) {
@@ -262,10 +281,10 @@ func TestSpillBadDir(t *testing.T) {
 		MemoryBudget: 64,
 		SpillDir:     filepath.Join(os.TempDir(), "sgmr-definitely-missing", "nested"),
 	}
-	_, _, err := spillJob().RunContext(context.Background(), badCfg, corpus(100))
+	_, _, err := collect(context.Background(), spillJob(), badCfg, corpus(100))
 	var ee *EngineError
 	if !errors.As(err, &ee) {
-		t.Fatalf("RunContext with unusable spill dir returned %v (%T), want *EngineError", err, err)
+		t.Fatalf("a run with an unusable spill dir returned %v (%T), want *EngineError", err, err)
 	}
 	if ee.Stage != StageSpill {
 		t.Fatalf("Stage = %q, want %q", ee.Stage, StageSpill)

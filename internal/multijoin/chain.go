@@ -3,17 +3,26 @@ package multijoin
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"subgraphmr/internal/mapreduce"
 )
 
 // joinItem is the union input type of one cascade round: either a partial
 // path of consecutive attribute bindings or a tuple of the relation being
-// joined in.
+// joined in. It is fixed-size, so DefaultCodec encodes it when the round
+// spills: a path travels as its row number in the round's path table.
 type joinItem struct {
-	Path    []int64 // bindings of X_0 … X_i (nil for tuples)
+	Path    int32 // row of the round's path table (unused for tuples)
 	Tuple   Tuple
 	IsTuple bool
+}
+
+// extension is a middle round's output: path row Path of the round's table
+// extended by the binding Next.
+type extension struct {
+	Path int32
+	Next int64
 }
 
 // CycleJoinChain evaluates the p-cycle join R_0(X0,X1) ⋈ … ⋈ R_{p-1}(X_{p-1},X0)
@@ -22,86 +31,94 @@ type joinItem struct {
 // paper's one-round algorithms undercut. Round i keys the partial paths by
 // their frontier attribute X_i and joins them with R_i; the final round
 // keys completed paths by the closing pair (X_{p-1}, X0) and checks them
-// against R_{p-1}. Result rows match CycleJoin (one value per attribute);
-// the returned chain carries the per-round metrics, making the
-// intermediate-relation blowup measurable. Cancelling ctx aborts the round
-// in flight and returns ctx.Err() with the chain so far.
+// against R_{p-1}. The paths of round i live in one flat table of width
+// i+1, which round i's outputs extend into the next round's table. Result
+// rows match CycleJoin (one value per attribute); the returned chain
+// carries the per-round metrics, making the intermediate-relation blowup
+// measurable. Fewer than three relations, or a nil one, is an error.
+// Cancelling ctx aborts the round in flight and returns ctx.Err() with the
+// chain so far.
 func CycleJoinChain(ctx context.Context, rels []*Relation, cfg mapreduce.Config) ([][]int64, *mapreduce.Chain, error) {
+	c := mapreduce.NewChain(cfg)
 	p := len(rels)
 	if p < 3 {
-		panic("multijoin: cascade needs at least three relations")
+		return nil, c, fmt.Errorf("multijoin: a cycle join needs at least three relations, got %d", p)
 	}
-	c := mapreduce.NewChain(cfg)
+	for i, r := range rels {
+		if r == nil {
+			return nil, c, fmt.Errorf("multijoin: relation %d is nil", i)
+		}
+	}
 
-	paths := make([][]int64, 0, rels[0].Size())
+	// paths holds the partial paths X0…X(w-1), one row of w bindings each.
+	w := 2
+	paths := make([]int64, 0, 2*rels[0].Size())
 	for _, t := range rels[0].Tuples {
-		paths = append(paths, []int64{t.A, t.B})
+		paths = append(paths, t.A, t.B)
 	}
 
 	// Middle rounds: extend paths X0…Xi with R_i to reach X_{i+1}.
 	for i := 1; i <= p-2; i++ {
-		items := make([]joinItem, 0, len(paths)+rels[i].Size())
-		for _, pa := range paths {
-			items = append(items, joinItem{Path: pa})
+		items, err := roundItems(paths, w, rels[i])
+		if err != nil {
+			return nil, c, err
 		}
-		for _, t := range rels[i].Tuples {
-			items = append(items, joinItem{Tuple: t, IsTuple: true})
-		}
-		var err error
-		paths, err = mapreduce.RunRound(ctx, c, mapreduce.Job[joinItem, int64, joinItem, []int64]{
+		var next []int64 // the next round's table, w+1 wide
+		err = mapreduce.RunRoundStream(ctx, c, mapreduce.Job[joinItem, int64, joinItem, extension]{
 			Name: fmt.Sprintf("extend ⋈ R%d on X%d", i, i),
 			Map: func(it joinItem, emit func(int64, joinItem)) {
 				if it.IsTuple {
 					emit(it.Tuple.A, it)
 				} else {
-					emit(it.Path[len(it.Path)-1], it)
+					emit(paths[int(it.Path)*w+w-1], it)
 				}
 			},
-			Reduce: func(ctx *mapreduce.Context, _ int64, items []joinItem, emit func([]int64)) {
-				var ps [][]int64
-				var next []int64
+			Reduce: func(ctx *mapreduce.Context, _ int64, items []joinItem, emit func(extension)) {
+				var ps []int32
+				var bs []int64
 				for _, it := range items {
 					if it.IsTuple {
-						next = append(next, it.Tuple.B)
+						bs = append(bs, it.Tuple.B)
 					} else {
 						ps = append(ps, it.Path)
 					}
 				}
-				ctx.AddWork(int64(len(ps)) * int64(len(next)))
+				ctx.AddWork(int64(len(ps)) * int64(len(bs)))
 				for _, pa := range ps {
-					for _, b := range next {
-						row := make([]int64, len(pa)+1)
-						copy(row, pa)
-						row[len(pa)] = b
-						emit(row)
+					for _, b := range bs {
+						emit(extension{pa, b})
 					}
 				}
 			},
-		}, items)
+		}, items, func(e extension) bool {
+			row := int(e.Path) * w
+			next = append(append(next, paths[row:row+w]...), e.Next)
+			return true
+		})
 		if err != nil {
 			return nil, c, err
 		}
+		paths, w = next, w+1
 	}
 
 	// Closing round: a completed path binds every attribute; R_{p-1} must
-	// contain the closing edge (X_{p-1}, X0).
-	items := make([]joinItem, 0, len(paths)+rels[p-1].Size())
-	for _, pa := range paths {
-		items = append(items, joinItem{Path: pa})
+	// contain the closing edge (X_{p-1}, X0). Only its rows are copied out.
+	items, err := roundItems(paths, w, rels[p-1])
+	if err != nil {
+		return nil, c, err
 	}
-	for _, t := range rels[p-1].Tuples {
-		items = append(items, joinItem{Tuple: t, IsTuple: true})
-	}
-	rows, err := mapreduce.RunRound(ctx, c, mapreduce.Job[joinItem, [2]int64, joinItem, []int64]{
+	var rows [][]int64
+	err = mapreduce.RunRoundStream(ctx, c, mapreduce.Job[joinItem, [2]int64, joinItem, int32]{
 		Name: fmt.Sprintf("close against R%d on (X%d, X0)", p-1, p-1),
 		Map: func(it joinItem, emit func([2]int64, joinItem)) {
 			if it.IsTuple {
 				emit([2]int64{it.Tuple.A, it.Tuple.B}, it)
 			} else {
-				emit([2]int64{it.Path[len(it.Path)-1], it.Path[0]}, it)
+				row := int(it.Path) * w
+				emit([2]int64{paths[row+w-1], paths[row]}, it)
 			}
 		},
-		Reduce: func(ctx *mapreduce.Context, _ [2]int64, items []joinItem, emit func([]int64)) {
+		Reduce: func(ctx *mapreduce.Context, _ [2]int64, items []joinItem, emit func(int32)) {
 			closed := false
 			for _, it := range items {
 				if it.IsTuple {
@@ -116,6 +133,30 @@ func CycleJoinChain(ctx context.Context, rels []*Relation, cfg mapreduce.Config)
 				}
 			}
 		},
-	}, items)
-	return rows, c, err
+	}, items, func(pa int32) bool {
+		row := int(pa) * w
+		rows = append(rows, append([]int64(nil), paths[row:row+w]...))
+		return true
+	})
+	if err != nil {
+		return nil, c, err
+	}
+	return rows, c, nil
+}
+
+// roundItems is one round's input: a path item per row of the w-wide path
+// table, then a tuple item per tuple of r.
+func roundItems(paths []int64, w int, r *Relation) ([]joinItem, error) {
+	n := len(paths) / w
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("multijoin: %d partial paths overflow a joinItem's int32 path row", n)
+	}
+	items := make([]joinItem, 0, n+r.Size())
+	for pa := 0; pa < n; pa++ {
+		items = append(items, joinItem{Path: int32(pa)})
+	}
+	for _, t := range r.Tuples {
+		items = append(items, joinItem{Tuple: t, IsTuple: true})
+	}
+	return items, nil
 }

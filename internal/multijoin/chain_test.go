@@ -1,6 +1,7 @@
 package multijoin
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -95,5 +96,38 @@ func TestCycleJoinChainMaterializesIntermediates(t *testing.T) {
 	r2 := chain.Rounds[2].Metrics
 	if r2.KeyValuePairs != 81+9 {
 		t.Errorf("round 3 shipped %d pairs, want 90", r2.KeyValuePairs)
+	}
+}
+
+// TestCycleJoinChainUnderBudget: every round's items are fixed-size, so a
+// budgeted cascade spills through DefaultCodec and returns the in-memory
+// rows with the same per-round communication and reducer counts.
+func TestCycleJoinChainUnderBudget(t *testing.T) {
+	rels := randomRelations(4, 40, 8, 3)
+	want, wantChain, err := CycleJoinChain(t.Context(), rels, mapreduce.Config{Parallelism: 2})
+	if err != nil || len(want) == 0 {
+		t.Fatalf("in memory: %d rows, %v; want some rows", len(want), err)
+	}
+	for _, budget := range []int64{1, 1 << 10} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			got, chain, err := CycleJoinChain(t.Context(), rels, mapreduce.Config{Parallelism: 2, MemoryBudget: budget, SpillDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, got, want)
+			if chain.NumRounds() != wantChain.NumRounds() {
+				t.Fatalf("%d rounds, want %d", chain.NumRounds(), wantChain.NumRounds())
+			}
+			for i, r := range chain.Rounds {
+				w := wantChain.Rounds[i].Metrics
+				if r.Metrics.KeyValuePairs != w.KeyValuePairs || r.Metrics.DistinctKeys != w.DistinctKeys {
+					t.Errorf("%s: %d pairs over %d keys, in memory %d over %d",
+						r.Name, r.Metrics.KeyValuePairs, r.Metrics.DistinctKeys, w.KeyValuePairs, w.DistinctKeys)
+				}
+			}
+			if chain.Total().SpilledPairs == 0 {
+				t.Error("nothing spilled")
+			}
+		})
 	}
 }

@@ -34,12 +34,10 @@
 //   - The analysis toolkit (CQsFor, MergedCQsFor, CycleCQs, OptimizeShares)
 //     exposes the CQ generation of Sections 3 and 5 and the share
 //     optimization of Section 4 for planning without running a job.
-//   - The pipelined engine itself is programmable: build custom rounds
-//     with MapReduceJob (optional combiner, partitioner and spill codec)
-//     and compose multi-round jobs with NewChain/RunRound. Setting
-//     EngineConfig.MemoryBudget bounds reduce-worker memory — beyond it
-//     the engine spills sorted runs to disk and merge-streams them into
-//     the reducers; see docs/ARCHITECTURE.md and docs/API.md.
+//   - Every job runs on one pipelined engine, configured by EngineConfig.
+//     Setting EngineConfig.MemoryBudget bounds reduce-worker memory —
+//     beyond it the engine spills sorted runs to disk and merge-streams
+//     them into the reducers; see docs/ARCHITECTURE.md and docs/API.md.
 //
 // The pre-Plan entry points (Enumerate, TrianglePartition, …) are gone;
 // docs/API.md has the migration table.
@@ -49,7 +47,6 @@
 package subgraphmr
 
 import (
-	"context"
 	"io"
 
 	"subgraphmr/internal/core"
@@ -82,12 +79,10 @@ type (
 	// Metrics carries the measured costs of a map-reduce job.
 	Metrics = mapreduce.Metrics
 	// EngineConfig controls the pipelined map-reduce engine (map workers,
-	// shuffle partitions, batch sizes).
+	// shuffle partitions, memory budget).
 	EngineConfig = mapreduce.Config
-	// ReduceContext is handed to reducers for reporting abstract work.
-	ReduceContext = mapreduce.Context
-	// Chain executes a multi-round map-reduce job and accumulates per-round
-	// metrics; run rounds with RunRound.
+	// Chain records the rounds of a multi-round map-reduce job with their
+	// metrics; CycleJoinChain returns one.
 	Chain = mapreduce.Chain
 	// RoundStats records one executed round of a Chain.
 	RoundStats = mapreduce.RoundStats
@@ -107,34 +102,6 @@ type (
 	// DecompositionPart is one part of a Theorem 7.2 decomposition.
 	DecompositionPart = sample.Part
 )
-
-// MapReduceJob is one round of the pipelined engine: Map and Reduce are
-// required; Combine (pre-shuffle aggregation), Partition (key routing) and
-// Codec (spill serialization under EngineConfig.MemoryBudget) are
-// optional. Run it directly or as a Chain round via RunRound.
-type MapReduceJob[I any, K comparable, V any, O any] = mapreduce.Job[I, K, V, O]
-
-// SpillCodec serializes keys and values for the external shuffle's spill
-// runs; see mapreduce.Codec for the contract (deterministic, injective key
-// encodings). DefaultSpillCodec covers any gob-encodable pair.
-type SpillCodec[K comparable, V any] = mapreduce.Codec[K, V]
-
-// DefaultSpillCodec builds the codec the engine uses when a job sets none:
-// raw bytes for strings, big-endian words for integer kinds,
-// encoding/binary for fixed-size types, gob for everything else.
-func DefaultSpillCodec[K comparable, V any]() SpillCodec[K, V] {
-	return mapreduce.DefaultCodec[K, V]()
-}
-
-// NewChain returns a Chain whose rounds run under cfg.
-func NewChain(cfg EngineConfig) *Chain { return mapreduce.NewChain(cfg) }
-
-// RunRound executes j as the chain's next round and returns its outputs;
-// the round's metrics are recorded on the chain. Cancelling ctx aborts the
-// round and returns ctx.Err().
-func RunRound[I any, K comparable, V any, O any](ctx context.Context, c *Chain, j MapReduceJob[I, K, V, O], inputs []I) ([]O, error) {
-	return mapreduce.RunRound(ctx, c, j, inputs)
-}
 
 // NewGraphBuilder returns a builder for a data graph with n nodes.
 func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
