@@ -203,11 +203,10 @@ func TestCQOrientedPerJobStats(t *testing.T) {
 // TestConvertibilityGeneral is Section 6 as an assertion: for every core
 // strategy, total reducer work (candidates the kernel examined) stays within
 // a constant of the serial algorithm's work as the reducer budget grows.
-// Each bound is the ratio measured at k = 200 — the largest of the three
-// budgets, where replication is highest — plus about a third, so a kernel
-// change that re-inflates candidate generation (the comparator-driven
-// evaluator this replaced sat at 3–5× these ratios) fails here rather than
-// showing up as a slow benchmark.
+// Each bound is the largest ratio measured over the three budgets plus a
+// quarter, so a kernel change that re-inflates candidate generation — or
+// stops pruning by ownership while binding, which multiplied these ratios
+// by 2–12 — fails here rather than showing up as a slow benchmark.
 func TestConvertibilityGeneral(t *testing.T) {
 	g := graph.Gnm(120, 700, 10)
 	serialWork := func(s *sample.Sample) int64 {
@@ -224,9 +223,9 @@ func TestConvertibilityGeneral(t *testing.T) {
 		s      *sample.Sample
 		bounds map[Strategy]float64
 	}{
-		{sample.Triangle(), map[Strategy]float64{BucketOriented: 8, VariableOriented: 13, CQOriented: 13}},
-		{sample.Square(), map[Strategy]float64{BucketOriented: 1, VariableOriented: 3.5, CQOriented: 2}},
-		{sample.Lollipop(), map[Strategy]float64{BucketOriented: 8, VariableOriented: 22, CQOriented: 9.5}},
+		{sample.Triangle(), map[Strategy]float64{BucketOriented: 3.75, VariableOriented: 4.7, CQOriented: 4.7}},
+		{sample.Square(), map[Strategy]float64{BucketOriented: 0.27, VariableOriented: 0.74, CQOriented: 0.46}},
+		{sample.Lollipop(), map[Strategy]float64{BucketOriented: 2.8, VariableOriented: 1.73, CQOriented: 1.33}},
 	} {
 		base := serialWork(tc.s)
 		for strat, bound := range tc.bounds {
@@ -236,7 +235,7 @@ func TestConvertibilityGeneral(t *testing.T) {
 					t.Fatal(err)
 				}
 				if ratio := float64(res.TotalReducerWork()) / float64(base); ratio > bound {
-					t.Errorf("%v %v k=%d: reducer work %d is %.2f× serial work %d, bound %.1f",
+					t.Errorf("%v %v k=%d: reducer work %d is %.2f× serial work %d, bound %.2f",
 						tc.s, strat, k, res.TotalReducerWork(), ratio, base, bound)
 				}
 			}

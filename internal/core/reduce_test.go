@@ -43,8 +43,9 @@ func groupsOf(job func(string, enumReduce) enumJob, g *graph.Graph) map[graph.Bu
 	return groups
 }
 
-// reducerBeds builds the bucket-oriented and the variable-oriented job of
-// s over g, delivering owned matches to sink (nil counts).
+// reducerBeds builds the bucket-oriented job, the variable-oriented job
+// and the cq-oriented jobs (one per CQ, all named "cq-oriented") of s over
+// g, delivering owned matches to sink (nil counts).
 func reducerBeds(g *graph.Graph, s *sample.Sample, sink func([]graph.Node) bool) []reducerBed {
 	p := s.P()
 	qs := cq.MergeByOrientation(cq.GenerateForSample(s))
@@ -71,38 +72,51 @@ func reducerBeds(g *graph.Graph, s *sample.Sample, sink func([]graph.Node) bool)
 	for v := range intShares {
 		intShares[v] = 2 + v%2
 	}
-	sm, err := newShareScheme(3, bindingsFromUses(cq.EdgeUses(qs)), intShares)
-	if err != nil {
-		panic(err)
-	}
-	hashes := sm.hashes
-	share := reducerBed{
-		name:    "variable-oriented",
-		groups:  groupsOf(sm.job, g),
-		reducer: &enumReducer{evals: cq.NewEvaluatorSet(qs), order: graph.NaturalKey, hashes: hashes, ms: &matchSink{sink: sink}},
-		owner: func(key graph.BucketKey, phi []graph.Node) bool {
-			for v, u := range phi {
-				if hashes[v].Bucket(u) != int(key[v]) {
-					return false
+	share := func(name string, qs []*cq.CQ, binds []edgeBinding) reducerBed {
+		sm, err := newShareScheme(3, binds, intShares)
+		if err != nil {
+			panic(err)
+		}
+		hashes := sm.hashes
+		return reducerBed{
+			name:    name,
+			groups:  groupsOf(sm.job, g),
+			reducer: &enumReducer{evals: cq.NewEvaluatorSet(qs), order: graph.NaturalKey, hashes: hashes, ms: &matchSink{sink: sink}},
+			owner: func(key graph.BucketKey, phi []graph.Node) bool {
+				for v, u := range phi {
+					if hashes[v].Bucket(u) != int(key[v]) {
+						return false
+					}
 				}
-			}
-			return true
-		},
+				return true
+			},
+		}
 	}
-	return []reducerBed{bucket, share}
+	beds := []reducerBed{bucket, share("variable-oriented", qs, bindingsFromUses(cq.EdgeUses(qs)))}
+	for _, q := range qs {
+		beds = append(beds, share("cq-oriented", []*cq.CQ{q}, bindingsFromCQ(q)))
+	}
+	return beds
 }
 
 // TestReducerOwnership: one worker Context carried through every key of a
 // job — fragments growing and shrinking under it — emits each instance at
 // exactly the reducer that owns it; in particular the bucket the
 // bucket-oriented reducer reads off its fragment is the hash of the node it
-// emits.
+// emits. The kernel prunes completely: owns, the guard behind it, never
+// sees a match its reducer does not own.
 func TestReducerOwnership(t *testing.T) {
 	g := graph.Gnm(40, 160, 5)
-	for _, s := range []*sample.Sample{sample.Triangle(), sample.Lollipop()} {
+	for _, s := range []*sample.Sample{sample.Triangle(), sample.Square(), sample.Lollipop(), sample.Cycle(5)} {
+		results := map[string]*Result{}
 		for _, bed := range reducerBeds(g, s, func([]graph.Node) bool { return true }) {
+			rejected := 0
+			bed.reducer.reject = func([]int32) { rejected++ }
 			ctx := &mapreduce.Context{}
-			res := &Result{}
+			if results[bed.name] == nil {
+				results[bed.name] = &Result{}
+			}
+			res := results[bed.name]
 			for key, edges := range bed.groups {
 				bed.reducer.reduce(ctx, key, edges, func(phi []graph.Node) {
 					if !bed.owner(key, phi) {
@@ -111,15 +125,27 @@ func TestReducerOwnership(t *testing.T) {
 					res.Instances = append(res.Instances, phi)
 				})
 			}
+			if rejected > 0 {
+				t.Errorf("%s %v: owns rejected %d raw matches the kernel should have pruned", bed.name, s, rejected)
+			}
+		}
+		if len(results) != 3 {
+			t.Fatalf("%v: beds cover %d strategies, want 3", s, len(results))
+		}
+		for name, res := range results {
+			if len(res.Instances) == 0 {
+				t.Fatalf("%s %v: no instance in the graph; the test measures nothing", name, s)
+			}
 			checkExactlyOnce(t, g, s, res)
 		}
 	}
 }
 
 // TestReducerAllocations pins the allocation win: against a warmed worker
-// slot a reducer call allocates nothing when counting and exactly one
-// object — the instance — per match it emits, whether the group is smaller
-// or larger than the call before it.
+// slot a reducer call — the ownership setup (a share job's mask, a
+// multiset job's quota and lanes) included — allocates nothing when
+// counting and exactly one object — the instance — per match it emits,
+// whether the group is smaller or larger than the call before it.
 func TestReducerAllocations(t *testing.T) {
 	g := graph.Gnm(60, 400, 9)
 	for _, counting := range []bool{true, false} {

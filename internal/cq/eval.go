@@ -2,6 +2,7 @@ package cq
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"subgraphmr/internal/graph"
@@ -38,6 +39,10 @@ type step struct {
 	below    []int // bound variables whose image must precede v's
 	above    []int // bound variables whose image must follow v's
 	apart    []int // bound variables otherwise unrelated to v
+	// The lane clamp of a multiset evaluation: v's image sits at sorted
+	// position laneLo or later and laneHi or earlier in every match, because
+	// laneLo variables are forced below it and p-1-laneHi above it.
+	laneLo, laneHi int
 }
 
 // NewEvaluator builds the join plan for q.
@@ -75,10 +80,44 @@ func NewEvaluator(q *CQ) *Evaluator {
 		plan = append(plan, best)
 	}
 
+	// The order every match obeys, in both CQ modes — subgoal orientations
+	// and LessCons, closed transitively — as two bitsets per variable: the
+	// variables forced below it (lower) and above it (upper). Only multiset
+	// evaluations clamp lanes, and their keys hold at most MaxKeyVars.
+	var lower, upper [graph.MaxKeyVars]uint16
+	if p <= graph.MaxKeyVars {
+		for _, sg := range q.Subgoals {
+			lower[sg.Hi] |= 1 << sg.Lo
+		}
+		for _, c := range q.LessCons {
+			lower[c.B] |= 1 << c.A
+		}
+		for k := 0; k < p; k++ {
+			for v := 0; v < p; v++ {
+				if lower[v]>>k&1 != 0 {
+					lower[v] |= lower[k]
+				}
+			}
+		}
+		for v := 0; v < p; v++ {
+			for w := 0; w < p; w++ {
+				if lower[v]>>w&1 != 0 {
+					upper[w] |= 1 << v
+				}
+			}
+		}
+	}
+
 	ev := &Evaluator{q: q, steps: make([]step, p), exact: q.Orderings == nil || q.ExactSimplified}
 	for i, v := range plan {
 		st := &ev.steps[i]
 		st.v = v
+		st.laneHi = p - 1
+		if p <= graph.MaxKeyVars {
+			others := ^uint16(1 << v)
+			st.laneLo = bits.OnesCount16(lower[v] & others)
+			st.laneHi -= bits.OnesCount16(upper[v] & others)
+		}
 		for _, w := range plan[:i] {
 			var adjacent, below, above bool
 			for _, sg := range q.Subgoals {
@@ -108,16 +147,19 @@ func NewEvaluator(q *CQ) *Evaluator {
 }
 
 // Scratch is the mutable state of evaluations over fragments: the
-// assignment under construction and the kernel's work buffers. One Scratch
-// serves any number of sequential Eval calls (it sizes itself to each), so
-// a reduce worker that keeps one evaluates without allocating. The zero
-// value is ready to use.
+// assignment under construction, the kernel's work buffers and the
+// ownership rule of the call in progress. One Scratch serves any number of
+// sequential Eval calls (it sizes itself to each), so a reduce worker that
+// keeps one evaluates without allocating. The zero value is ready to use
+// and restricts nothing.
 type Scratch struct {
-	// Stop, when set, is polled once per candidate of the first plan step —
-	// never inside the deeper loops. Once it returns true the evaluation
-	// abandons the candidates not yet started and returns the work done so
-	// far.
+	// Stop, when set, is polled once per candidate of the first plan step
+	// that ownership leaves — never inside the deeper loops. Once it
+	// returns true the evaluation abandons the candidates not yet started
+	// and returns the work done so far.
 	Stop func() bool
+	// Own restricts the next Eval calls to the matches one reducer owns.
+	Own Ownership
 
 	phi      []int32   // the assignment, as ranks
 	lists    [][]int32 // p narrowed adjacency lists per recursion level
@@ -125,6 +167,31 @@ type Scratch struct {
 	order    []int     // finalCheck: variables sorted by image
 	orderKey []byte    // finalCheck: order as an orderSet key
 	halted   bool      // Stop returned true during the current Eval
+
+	// A multiset evaluation's quota and lanes: quota[b] is how many more
+	// variables may bind a rank of bucket b, and the key's lane j is the
+	// rank range [laneLo[j], laneHi[j]).
+	quota          [graph.MaxBuckets + 1]uint8
+	laneLo, laneHi [graph.MaxKeyVars]int32
+}
+
+// Ownership is the rule by which exactly one reducer keeps each match, in
+// the form the kernel prunes with: a variable is never bound to a rank that
+// cannot belong to a kept match, so the matches Eval emits are exactly the
+// kept ones and the pruned candidates are not counted as work. The zero
+// value keeps every match.
+type Ownership struct {
+	// Mask, when non-nil, is a share job's rule: one word per rank of the
+	// fragment, bit v set iff the rank's node hashes to the key's lane v —
+	// only such a rank may bind variable v.
+	Mask []uint16
+	// Multiset selects a multiset job's rule over a fragment laid out in
+	// (bucket, id) order: a match is kept iff its sorted node buckets
+	// (Fragment.Major) are Key's first p lanes. Each bucket is bound at
+	// most as often as Key holds it, and each variable is clamped to the
+	// rank range of the lanes the CQ's order leaves it.
+	Multiset bool
+	Key      graph.BucketKey
 }
 
 // prepare sizes the buffers for CQs of p variables over n nodes.
@@ -141,11 +208,25 @@ func (sc *Scratch) prepare(p, n int) {
 	sc.halted = false
 }
 
+// own sets up a multiset evaluation's quota and lanes from the key's first
+// p lanes: p increments and a bucket's rank range per lane.
+//
+//lint:hotpath
+func (sc *Scratch) own(f *graph.Fragment, p int) {
+	clear(sc.quota[:])
+	for j, b := range sc.Own.Key[:p] {
+		sc.quota[b]++
+		sc.laneLo[j], sc.laneHi[j] = f.BucketRange(int(b))
+	}
+}
+
 // extend binds the variable of step i to each of its candidates in turn and
 // recurses. The candidates are ranks in [lo, hi) — above every image that
-// must precede, below every image that must follow — taken from the
-// shortest of the bound neighbors' lists; the other lists are probed by a
-// cursor that only moves forward, since candidates ascend.
+// must precede, below every image that must follow, inside the variable's
+// lanes in a multiset evaluation — taken from the shortest of the bound
+// neighbors' lists; the other lists are probed by a cursor that only moves
+// forward, since candidates ascend. A candidate the ownership rule forbids
+// for the variable is skipped before it is counted or probed.
 //
 //lint:hotpath
 func (ev *Evaluator) extend(f *graph.Fragment, sc *Scratch, i int, emit func(ranks []int32)) int64 {
@@ -161,6 +242,11 @@ func (ev *Evaluator) extend(f *graph.Fragment, sc *Scratch, i int, emit func(ran
 		if x := phi[w]; x < hi {
 			hi = x
 		}
+	}
+	multiset := sc.Own.Multiset
+	if multiset {
+		lo = max(lo, sc.laneLo[st.laneLo])
+		hi = min(hi, sc.laneHi[st.laneHi])
 	}
 	if lo >= hi {
 		return 0
@@ -191,9 +277,19 @@ func (ev *Evaluator) extend(f *graph.Fragment, sc *Scratch, i int, emit func(ran
 	}
 
 	last := i == len(ev.steps)-1
+	mask, bit := sc.Own.Mask, uint16(1)<<st.v
 	var work int64
 next:
 	for _, c := range cand {
+		if mask != nil && mask[c]&bit == 0 {
+			continue
+		}
+		var bucket int
+		if multiset {
+			if bucket = f.Major(c); sc.quota[bucket] == 0 {
+				continue
+			}
+		}
 		if i == 0 && sc.Stop != nil && sc.Stop() {
 			sc.halted = true
 			break
@@ -215,10 +311,16 @@ next:
 			}
 		}
 		phi[st.v] = c
+		if multiset {
+			sc.quota[bucket]--
+		}
 		if !last {
 			work += ev.extend(f, sc, i+1, emit)
 		} else if ev.exact || ev.finalCheck(sc) {
 			emit(phi)
+		}
+		if multiset {
+			sc.quota[bucket]++
 		}
 	}
 	return work
@@ -296,13 +398,17 @@ func (s *EvaluatorSet) Len() int { return len(s.evals) }
 
 // Eval runs every compiled CQ over the fragment, whose rank order is the
 // node order the CQs' conditions refer to, and calls emit once per
-// satisfying assignment (distinct CQs of a well-formed set never produce
-// the same one). The assignment holds ranks — f.ID translates — in a buffer
-// of sc that the next match overwrites. Returns the total number of
-// candidates examined; it allocates nothing once sc has seen the arity and
-// the fragment size.
+// satisfying assignment that sc.Own keeps (distinct CQs of a well-formed
+// set never produce the same one). The assignment holds ranks — f.ID
+// translates — in a buffer of sc that the next match overwrites. Returns
+// the total number of candidates examined, not counting those ownership
+// pruned; it allocates nothing once sc has seen the arity and the fragment
+// size.
 func (s *EvaluatorSet) Eval(f *graph.Fragment, sc *Scratch, emit func(ranks []int32)) int64 {
 	sc.prepare(s.p, f.NumNodes())
+	if sc.Own.Multiset {
+		sc.own(f, s.p)
+	}
 	var work int64
 	for _, ev := range s.evals {
 		if sc.halted {

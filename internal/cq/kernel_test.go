@@ -3,6 +3,7 @@ package cq_test
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -105,8 +106,14 @@ func (l local) injective(p int, visit func(phi []graph.Node)) {
 // when each subgoal maps to a data edge oriented upward in key and the
 // CQ's condition holds. It reads the CQ's exported fields only.
 func bruteForce(q *cq.CQ, l local, key func(graph.Node) uint64) map[string]bool {
-	below := func(phi []graph.Node, a, b int) bool { return key(phi[a]) < key(phi[b]) }
 	out := map[string]bool{}
+	bruteForceEach(q, l, key, func(phi []graph.Node) { out[fmt.Sprint(phi)] = true })
+	return out
+}
+
+// bruteForceEach calls visit with every match bruteForce keeps.
+func bruteForceEach(q *cq.CQ, l local, key func(graph.Node) uint64, visit func(phi []graph.Node)) {
+	below := func(phi []graph.Node, a, b int) bool { return key(phi[a]) < key(phi[b]) }
 	l.injective(q.P, func(phi []graph.Node) {
 		for _, sg := range q.Subgoals {
 			if !l.has[graph.Edge{U: phi[sg.Lo], V: phi[sg.Hi]}] || !below(phi, sg.Lo, sg.Hi) {
@@ -128,10 +135,9 @@ func bruteForce(q *cq.CQ, l local, key func(graph.Node) uint64) map[string]bool 
 			})
 		}
 		if ok {
-			out[fmt.Sprint(phi)] = true
+			visit(phi)
 		}
 	})
-	return out
 }
 
 // imageKey identifies an instance by the set of data edges it covers.
@@ -259,5 +265,141 @@ func TestKernelStopsAtFirstStepCandidate(t *testing.T) {
 	sc.Stop = nil
 	if again := set.Eval(&f, &sc, func([]int32) {}); again != full {
 		t.Errorf("Eval after a stopped one did %d work, want %d", again, full)
+	}
+}
+
+// ownedBy is the brute-force side of an ownership rule: q's matches under
+// the node order key, grouped by the reducer key owner assigns them.
+func ownedBy(q *cq.CQ, l local, key func(graph.Node) uint64, owner func(phi []graph.Node) graph.BucketKey) map[graph.BucketKey]map[string]bool {
+	out := map[graph.BucketKey]map[string]bool{}
+	bruteForceEach(q, l, key, func(phi []graph.Node) {
+		k := owner(phi)
+		if out[k] == nil {
+			out[k] = map[string]bool{}
+		}
+		out[k][fmt.Sprint(phi)] = true
+	})
+	return out
+}
+
+// evalSet runs q alone over f under sc and returns its matches as node ids.
+func evalSet(q *cq.CQ, f *graph.Fragment, sc *cq.Scratch) map[string]bool {
+	got := map[string]bool{}
+	cq.NewEvaluatorSet([]*cq.CQ{q}).Eval(f, sc, func(ranks []int32) {
+		phi := make([]graph.Node, len(ranks))
+		for v, r := range ranks {
+			phi[v] = f.ID(r)
+		}
+		got[fmt.Sprint(phi)] = true
+	})
+	return got
+}
+
+// TestQuickKernelOwnership is the property of the ownership rules: on
+// hostile edge multisets, Eval under each reducer key of a share job (a
+// per-rank mask over the natural order) or of a multiset job (a bucket
+// quota and lane clamp over the (bucket, id) order) emits exactly the
+// brute-force matches that key owns — those whose per-variable hashes are
+// the key's lanes, or whose sorted buckets are the key. One Scratch serves
+// every key, and afterwards a zero Ownership restricts nothing again. The
+// CQs include one whose simplified condition is not exact.
+func TestQuickKernelOwnership(t *testing.T) {
+	// The generated sets are all exact; footnote 5's merge of the orders
+	// XYZ and ZXY of one edge is not, and its matches need the final check.
+	edge := sample.MustNew(3, [][2]int{{0, 1}}, "X", "Y", "Z")
+	inexact := cq.MergeByOrientation([]*cq.CQ{cq.FromOrdering(edge, []int{0, 1, 2}), cq.FromOrdering(edge, []int{2, 0, 1})})
+	if len(inexact) != 1 || inexact[0].ExactSimplified {
+		t.Fatalf("footnote-5 merge gave %v, want one inexact CQ", inexact)
+	}
+	cases := append(kernelCases(), kernelCase{edge, inexact})
+	matched := 0 // owned matches compared, over the whole run
+
+	err := quick.Check(func(seed int64, pick uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tc := cases[int(pick)%len(cases)]
+		p := tc.cqs[0].P
+		edges := hostileEdges(rng)
+		l := localOf(edges)
+		var f graph.Fragment
+		var sc cq.Scratch
+		// check compares q's emissions under one key with what it owns.
+		check := func(i int, key graph.BucketKey, owned map[graph.BucketKey]map[string]bool) bool {
+			if got := evalSet(tc.cqs[i], &f, &sc); !maps.Equal(got, owned[key]) && len(got)+len(owned[key]) > 0 {
+				t.Errorf("%v CQ %d (%v) key %v: kernel emitted %v, owned %v", tc.s, i, tc.cqs[i], key[:p], got, owned[key])
+				return false
+			}
+			matched += len(owned[key])
+			return true
+		}
+
+		// A share job: natural order, variable v hashed into 1–3 buckets.
+		hashes := make([]graph.NodeHash, p)
+		keys := 1
+		for v := range hashes {
+			hashes[v] = graph.NodeHash{Seed: uint64(seed) + uint64(v), B: 1 + rng.Intn(3)}
+			keys *= hashes[v].B
+		}
+		f.Build(edges, graph.NaturalKey)
+		mask := make([]uint16, f.NumNodes())
+		for i, q := range tc.cqs {
+			owned := ownedBy(q, l, graph.NaturalKey, func(phi []graph.Node) (key graph.BucketKey) {
+				for v, u := range phi {
+					key[v] = byte(hashes[v].Bucket(u))
+				}
+				return key
+			})
+			for n := 0; n < keys; n++ {
+				var key graph.BucketKey
+				for v, x := 0, n; v < p; v, x = v+1, x/hashes[v].B {
+					key[v] = byte(x % hashes[v].B)
+				}
+				for r := range mask {
+					mask[r] = 0
+					for v, h := range hashes {
+						if h.Bucket(f.ID(int32(r))) == int(key[v]) {
+							mask[r] |= 1 << v
+						}
+					}
+				}
+				sc.Own = cq.Ownership{Mask: mask}
+				if !check(i, key, owned) {
+					return false
+				}
+			}
+		}
+
+		// A multiset job: (bucket, id) order over 1–4 buckets.
+		h := graph.NodeHash{Seed: uint64(seed), B: 1 + rng.Intn(4)}
+		f.Build(edges, h.Key)
+		for i, q := range tc.cqs {
+			owned := ownedBy(q, l, h.Key, func(phi []graph.Node) graph.BucketKey {
+				buckets := make([]int, len(phi))
+				for v, u := range phi {
+					buckets[v] = h.Bucket(u)
+				}
+				return graph.MultisetKey(buckets...)
+			})
+			ok := true
+			graph.MultisetKeys(p, h.B, func(key graph.BucketKey, _ []int32) {
+				sc.Own = cq.Ownership{Multiset: true, Key: key}
+				ok = ok && check(i, key, owned)
+			})
+			if !ok {
+				return false
+			}
+			// No restriction again: the quota is back to zero.
+			sc.Own = cq.Ownership{}
+			if got, want := evalSet(q, &f, &sc), bruteForce(q, l, h.Key); !maps.Equal(got, want) {
+				t.Errorf("%v CQ %d: a zero Ownership after owned runs emitted %d matches, brute force %d", tc.s, i, len(got), len(want))
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 80})
+	if err != nil {
+		t.Error(err)
+	}
+	if matched == 0 {
+		t.Error("no key owned a match: the test compares nothing")
 	}
 }

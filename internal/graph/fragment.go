@@ -55,6 +55,16 @@ func (f *Fragment) ID(r int32) Node { return Node(uint32(f.Keys[r])) }
 // NodeHash.Key, 0 under NaturalKey.
 func (f *Fragment) Major(r int32) int { return int(f.Keys[r] >> 32) }
 
+// BucketRange returns the ranks [lo, hi) whose bucket (Major) is b. Under
+// NodeHash.Key each bucket is one contiguous run of ranks, so this is two
+// binary searches on Keys.
+func (f *Fragment) BucketRange(b int) (lo, hi int32) {
+	first := uint64(b) << 32
+	l, _ := slices.BinarySearch(f.Keys, first)
+	h, _ := slices.BinarySearch(f.Keys, first+1<<32)
+	return int32(l), int32(h)
+}
+
 // Build lays out edges — in either orientation, duplicates and self-loops
 // ignored — in the node order ascending in key, replacing the previous
 // contents. key must carry the node id in its low word (as NaturalKey and
