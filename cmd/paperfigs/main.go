@@ -394,9 +394,10 @@ func thm61() {
 	fmt.Printf("serial triangle work: %d\n", serialWork)
 	for _, b := range []int{2, 4, 8, 16} {
 		m := runTriangle(g, subgraphmr.StrategyTriangleBucketOrdered, b)
-		fmt.Printf("b=%-3d reducers=%-5d total reducer work=%-9d ratio=%.2f\n",
-			b, m.DistinctKeys, m.ReducerWork,
-			float64(m.ReducerWork)/float64(serialWork))
+		fmt.Printf("b=%-3d reducers=%-5d total reducer work=%-9d comm=%-9d work/serial=%.2f work/(serial+comm)=%.2f\n",
+			b, m.DistinctKeys, m.ReducerWork, m.KeyValuePairs,
+			float64(m.ReducerWork)/float64(serialWork),
+			float64(m.ReducerWork)/float64(serialWork+m.KeyValuePairs))
 	}
 }
 

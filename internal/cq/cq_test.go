@@ -254,14 +254,21 @@ func TestEdgeUsesSquare(t *testing.T) {
 	}
 }
 
-// exactlyOnce checks that evaluating the CQ set over all of g yields every
-// instance of s exactly once, matching the brute-force oracle.
-func exactlyOnce(t *testing.T, s *sample.Sample, cqs []*CQ, g *graph.Graph, less graph.Less) {
+// exactlyOnce checks that evaluating the CQ set over all of g, laid out as
+// one fragment in the node order of key — a reducer's path, with no
+// ownership rule — yields every instance of s exactly once, matching the
+// brute-force oracle.
+func exactlyOnce(t *testing.T, s *sample.Sample, cqs []*CQ, g *graph.Graph, key func(graph.Node) uint64) {
 	t.Helper()
-	local := graph.SparseFromEdges(g.Edges())
+	var f graph.Fragment
+	f.Build(g.Edges(), key)
 	seen := map[string]bool{}
 	total := 0
-	EvaluateAll(cqs, local, less, func(phi []graph.Node) {
+	phi := make([]graph.Node, s.P())
+	NewEvaluatorSet(cqs).Eval(&f, new(Scratch), func(ranks []int32) {
+		for v, r := range ranks {
+			phi[v] = f.ID(r)
+		}
 		total++
 		if !s.IsInstance(g, phi) {
 			t.Fatalf("CQ produced a non-instance %v", phi)
@@ -288,7 +295,7 @@ func TestExactlyOnceUnmerged(t *testing.T) {
 		sample.Triangle(), sample.Square(), sample.Lollipop(), sample.Path(4),
 	} {
 		g := graph.Gnm(12, 34, 7)
-		exactlyOnce(t, s, GenerateForSample(s), g, graph.NaturalLess)
+		exactlyOnce(t, s, GenerateForSample(s), g, graph.NaturalKey)
 	}
 }
 
@@ -305,7 +312,7 @@ func TestExactlyOnceMerged(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		g := graph.Gnm(12, 34, seed)
 		for _, s := range samples {
-			exactlyOnce(t, s, MergeByOrientation(GenerateForSample(s)), g, graph.NaturalLess)
+			exactlyOnce(t, s, MergeByOrientation(GenerateForSample(s)), g, graph.NaturalKey)
 		}
 	}
 }
@@ -314,9 +321,9 @@ func TestExactlyOnceHashOrder(t *testing.T) {
 	// The CQ machinery is valid under any total node order, including the
 	// hash-then-id order of Section 2.3.
 	g := graph.Gnm(13, 36, 4)
-	less := graph.HashLess(graph.NodeHash{Seed: 11, B: 4})
+	h := graph.NodeHash{Seed: 11, B: 4}
 	for _, s := range []*sample.Sample{sample.Triangle(), sample.Square(), sample.Lollipop()} {
-		exactlyOnce(t, s, MergeByOrientation(GenerateForSample(s)), g, less)
+		exactlyOnce(t, s, MergeByOrientation(GenerateForSample(s)), g, h.Key)
 	}
 }
 
@@ -348,14 +355,14 @@ func TestEvaluatorDisconnectedSample(t *testing.T) {
 	// layer rejects disconnected samples outright for this reason).
 	s := sample.MustNew(3, [][2]int{{0, 1}})
 	g := graph.PathGraph(4)
-	exactlyOnce(t, s, MergeByOrientation(GenerateForSample(s)), g, graph.NaturalLess)
+	exactlyOnce(t, s, MergeByOrientation(GenerateForSample(s)), g, graph.NaturalKey)
 }
 
 func TestEvaluatorWorkCounted(t *testing.T) {
 	g := graph.CompleteGraph(6)
 	local := graph.SparseFromEdges(g.Edges())
 	q := GenerateForSample(sample.Triangle())[0]
-	work := NewEvaluator(q).Run(local, graph.NaturalLess, func([]graph.Node) {})
+	work := NewEvaluatorSet([]*CQ{q}).EvaluateAll(local, graph.NaturalLess, func([]graph.Node) {})
 	if work <= 0 {
 		t.Error("evaluator should report positive work")
 	}

@@ -34,7 +34,7 @@ func TestNonExactSimplification(t *testing.T) {
 	// instances with a third distinct node, under orders XYZ and ZXY only.
 	local := graph.SparseFromEdges(graph.CompleteGraph(3).Edges())
 	var got [][]graph.Node
-	NewEvaluator(m).Run(local, graph.NaturalLess, func(phi []graph.Node) {
+	NewEvaluatorSet([]*CQ{m}).EvaluateAll(local, graph.NaturalLess, func(phi []graph.Node) {
 		// phi is the evaluator's scratch buffer: copy to retain.
 		got = append(got, append([]graph.Node(nil), phi...))
 	})
@@ -94,7 +94,7 @@ func TestReducedLessRemovesTransitive(t *testing.T) {
 func TestEvaluatorEmptyLocalGraph(t *testing.T) {
 	q := GenerateForSample(sample.Triangle())[0]
 	count := 0
-	NewEvaluator(q).Run(graph.SparseFromEdges(nil), graph.NaturalLess, func([]graph.Node) { count++ })
+	NewEvaluatorSet([]*CQ{q}).EvaluateAll(graph.SparseFromEdges(nil), graph.NaturalLess, func([]graph.Node) { count++ })
 	if count != 0 {
 		t.Errorf("empty fragment produced %d matches", count)
 	}

@@ -357,17 +357,6 @@ func (ev *Evaluator) finalCheck(sc *Scratch) bool {
 	return ok
 }
 
-// Run enumerates every assignment φ (one data node per variable) satisfying
-// the CQ over the local edge set, under the node order less. It calls emit
-// once per match with a scratch assignment — valid only for the duration of
-// the call, so emit must copy phi if it retains it — and returns the number
-// of candidate extensions examined (the evaluator's work, for
-// convertibility metering). See EvaluatorSet.EvaluateAll.
-func (ev *Evaluator) Run(local *graph.Sparse, less graph.Less, emit func(phi []graph.Node)) int64 {
-	one := EvaluatorSet{p: ev.q.P, evals: []*Evaluator{ev}}
-	return one.EvaluateAll(local, less, emit)
-}
-
 // EvaluatorSet is a set of CQ evaluators compiled once and shared by every
 // reducer invocation of a job (the per-key compilation of join plans used
 // to dominate small-fragment reducers). The set is immutable and safe for
@@ -421,9 +410,10 @@ func (s *EvaluatorSet) Eval(f *graph.Fragment, sc *Scratch, emit func(ranks []in
 
 // EvaluateAll is Eval for callers holding a Sparse and a comparator rather
 // than a Fragment: it ranks local's nodes by less, lays the fragment out in
-// that order and runs the same kernel, translating each match back to node
-// ids. The phi passed to emit is a scratch buffer shared across the whole
-// call — copy it to retain it. Returns total evaluator work.
+// that order and runs the same kernel with no ownership rule, translating
+// each match back to node ids. The phi passed to emit is a scratch buffer
+// shared across the whole call — copy it to retain it. Returns total
+// evaluator work.
 func (s *EvaluatorSet) EvaluateAll(local *graph.Sparse, less graph.Less, emit func(phi []graph.Node)) int64 {
 	var f graph.Fragment
 	f.Build(local.Edges(), rankKey(local, less))
@@ -459,13 +449,8 @@ func rankKey(local *graph.Sparse, less graph.Less) func(graph.Node) uint64 {
 	for r, i := range order {
 		pos[i] = uint64(r)
 	}
-	return func(u graph.Node) uint64 { return pos[local.IndexOf(u)]<<32 | graph.NaturalKey(u) }
-}
-
-// EvaluateAll compiles the CQ set and runs it over the local edge set; see
-// EvaluatorSet.EvaluateAll for the emit contract. Callers evaluating the
-// same set against many fragments (reducers above all) should compile once
-// with NewEvaluatorSet and reuse it instead.
-func EvaluateAll(cqs []*CQ, local *graph.Sparse, less graph.Less, emit func(phi []graph.Node)) int64 {
-	return NewEvaluatorSet(cqs).EvaluateAll(local, less, emit)
+	return func(u graph.Node) uint64 {
+		i, _ := slices.BinarySearch(nodes, u)
+		return pos[i]<<32 | graph.NaturalKey(u)
+	}
 }

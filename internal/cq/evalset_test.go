@@ -19,7 +19,7 @@ func TestEvaluatorSetMatchesPerCQRuns(t *testing.T) {
 		wantSeen := map[string]int{}
 		var wantWork int64
 		for _, q := range cqs {
-			wantWork += NewEvaluator(q).Run(local, graph.NaturalLess, func(phi []graph.Node) {
+			wantWork += NewEvaluatorSet([]*CQ{q}).EvaluateAll(local, graph.NaturalLess, func(phi []graph.Node) {
 				wantSeen[s.Key(phi)]++
 			})
 		}
@@ -57,7 +57,7 @@ func TestEvaluatorRunScratchContract(t *testing.T) {
 	q := MergeByOrientation(GenerateForSample(sample.Triangle()))[0]
 	var retained, copied []graph.Node
 	count := 0
-	NewEvaluator(q).Run(local, graph.NaturalLess, func(phi []graph.Node) {
+	NewEvaluatorSet([]*CQ{q}).EvaluateAll(local, graph.NaturalLess, func(phi []graph.Node) {
 		if count == 0 {
 			retained = phi // deliberately retained without copying
 			copied = append([]graph.Node(nil), phi...)
@@ -76,6 +76,6 @@ func TestEvaluatorRunScratchContract(t *testing.T) {
 		}
 	}
 	if same {
-		t.Fatalf("retained scratch %v unexpectedly still equals the first match %v — did Run start copying per emit?", retained, copied)
+		t.Fatalf("retained scratch %v unexpectedly still equals the first match %v — did EvaluateAll start copying per emit?", retained, copied)
 	}
 }

@@ -43,7 +43,7 @@ func TestQuickExactlyOnceRandomSamples(t *testing.T) {
 		seen := map[string]bool{}
 		count := 0
 		dup := false
-		EvaluateAll(MergeByOrientation(GenerateForSample(s)), local, graph.NaturalLess,
+		NewEvaluatorSet(MergeByOrientation(GenerateForSample(s))).EvaluateAll(local, graph.NaturalLess,
 			func(phi []graph.Node) {
 				count++
 				k := s.Key(phi)
@@ -61,19 +61,21 @@ func TestQuickExactlyOnceRandomSamples(t *testing.T) {
 }
 
 // TestQuickOrderingInvariance: the CQ machinery is exactly-once under any
-// total node order (the hash order of Section 2.3 in particular).
+// total node order (the hash order of Section 2.3 in particular). The order
+// reaches EvaluateAll as a comparator, so its ranking sorts.
 func TestQuickOrderingInvariance(t *testing.T) {
 	s := sample.Lollipop()
-	merged := MergeByOrientation(GenerateForSample(s))
+	set := NewEvaluatorSet(MergeByOrientation(GenerateForSample(s)))
 	cfg := &quick.Config{MaxCount: 40}
 	err := quick.Check(func(seed uint16, b uint8) bool {
 		g := graph.Gnm(10, 20, int64(seed))
 		local := graph.SparseFromEdges(g.Edges())
-		less := graph.HashLess(graph.NodeHash{Seed: uint64(seed), B: int(b%6) + 2})
+		h := graph.NodeHash{Seed: uint64(seed), B: int(b%6) + 2}
+		less := func(u, v graph.Node) bool { return h.Key(u) < h.Key(v) }
 		count := 0
 		seen := map[string]bool{}
 		dup := false
-		EvaluateAll(merged, local, less, func(phi []graph.Node) {
+		set.EvaluateAll(local, less, func(phi []graph.Node) {
 			count++
 			k := s.Key(phi)
 			if seen[k] {

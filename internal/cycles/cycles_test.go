@@ -228,7 +228,7 @@ func TestCycleCQsExactlyOnce(t *testing.T) {
 			seen := map[string]bool{}
 			count := 0
 			for _, c := range Generate(p) {
-				cq.NewEvaluator(c.CQ).Run(local, graph.NaturalLess, func(phi []graph.Node) {
+				cq.NewEvaluatorSet([]*cq.CQ{c.CQ}).EvaluateAll(local, graph.NaturalLess, func(phi []graph.Node) {
 					count++
 					// phi maps X1..Xp around the cycle; every consecutive
 					// pair must be an edge.
@@ -253,17 +253,22 @@ func TestCycleCQsExactlyOnce(t *testing.T) {
 }
 
 // TestCycleCQsHashOrder: the CQ set remains exactly-once under the
-// hash-then-id node order of Section 2.3.
+// hash-then-id node order of Section 2.3, evaluated as a bucket-oriented
+// reducer lays its group out (with no ownership rule).
 func TestCycleCQsHashOrder(t *testing.T) {
 	g := graph.Gnm(14, 36, 2)
-	local := graph.SparseFromEdges(g.Edges())
-	less := graph.HashLess(graph.NodeHash{Seed: 3, B: 5})
+	var f graph.Fragment
+	f.Build(g.Edges(), graph.NodeHash{Seed: 3, B: 5}.Key)
 	for _, p := range []int{5, 6} {
 		count := 0
 		seen := map[string]bool{}
 		cp := sample.Cycle(p)
+		phi := make([]graph.Node, p)
 		for _, c := range Generate(p) {
-			cq.NewEvaluator(c.CQ).Run(local, less, func(phi []graph.Node) {
+			cq.NewEvaluatorSet([]*cq.CQ{c.CQ}).Eval(&f, new(cq.Scratch), func(ranks []int32) {
+				for v, r := range ranks {
+					phi[v] = f.ID(r)
+				}
 				count++
 				k := cp.Key(phi)
 				if seen[k] {

@@ -35,8 +35,9 @@ type Fragment struct {
 // non-negative node ids.
 func NaturalKey(u Node) uint64 { return uint64(uint32(u)) }
 
-// Key is the Build key of the (bucket, id) order of Section 2.3 (HashLess):
-// the bucket in the high word, so Fragment.Major returns it per rank.
+// Key is the Build key of the (bucket, id) order of Section 2.3 — nodes by
+// bucket, ties by id: the bucket in the high word, so Fragment.Major returns
+// it per rank.
 func (h NodeHash) Key(u Node) uint64 { return uint64(h.Bucket(u))<<32 | uint64(uint32(u)) }
 
 // NumNodes returns the number of distinct nodes (ranks).
@@ -178,4 +179,55 @@ func (f *Fragment) layout(edges []Edge, key func(Node) uint64) {
 	}
 	off[n] = w
 	f.Off, f.Nbr = off, nbr[:w]
+}
+
+// nodeIndex is an open-addressing table from node id to a position in a
+// node list kept beside it (the Fragment's discovery list): power-of-2
+// sized at ≥ 2× load, linear probing, so a lookup is one multiply and
+// (almost always) one slot probe. The table stores positions only; the ids
+// live in the list, which every call takes.
+type nodeIndex struct {
+	slot []int32 // position in the node list, -1 = empty
+	mask uint32
+}
+
+// reset empties the table and sizes it for up to n nodes, reusing its
+// storage when it is large enough.
+func (x *nodeIndex) reset(n int) {
+	size := 4
+	for size < 2*n {
+		size *= 2
+	}
+	if cap(x.slot) < size {
+		x.slot = make([]int32, size)
+	}
+	x.slot = x.slot[:size]
+	for i := range x.slot {
+		x.slot[i] = -1
+	}
+	x.mask = uint32(size - 1)
+}
+
+// find returns the slot of u: the one holding its position in nodes, or
+// the empty one where that position belongs.
+//
+//lint:hotpath
+func (x *nodeIndex) find(nodes []Node, u Node) uint32 {
+	h := idHash(u) & x.mask
+	for j := x.slot[h]; j >= 0 && nodes[j] != u; j = x.slot[h] {
+		h = (h + 1) & x.mask
+	}
+	return h
+}
+
+// idHash mixes a node id for the open-addressing table (splitmix32-style
+// finalizer).
+func idHash(u Node) uint32 {
+	x := uint32(u)
+	x ^= x >> 16
+	x *= 0x7feb352d
+	x ^= x >> 15
+	x *= 0x846ca68b
+	x ^= x >> 16
+	return x
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestBuilderDedupAndLoops(t *testing.T) {
@@ -193,37 +192,6 @@ func TestNodeHashRangeAndDeterminism(t *testing.T) {
 		if c < 500 || c > 1500 {
 			t.Errorf("bucket %d badly balanced: %d of 7000", b, c)
 		}
-	}
-}
-
-func TestHashLessIsStrictTotalOrder(t *testing.T) {
-	less := HashLess(NodeHash{Seed: 5, B: 4})
-	err := quick.Check(func(a, b uint16) bool {
-		u, v := Node(a%100), Node(b%100)
-		if u == v {
-			return !less(u, v)
-		}
-		return less(u, v) != less(v, u) // exactly one direction
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSparse(t *testing.T) {
-	s := SparseFromEdges([]Edge{{10, 3}, {3, 10}, {4, 4}, {10, 20}})
-	if !s.HasEdge(3, 10) || s.HasEdge(3, 20) || s.HasEdge(4, 4) {
-		t.Fatal("sparse HasEdge broken")
-	}
-	if got := s.Nodes(); len(got) != 3 || got[0] != 3 || got[1] != 10 || got[2] != 20 {
-		t.Fatalf("Nodes = %v", got)
-	}
-	if s.NumEdges() != 2 || s.Degree(10) != 2 {
-		t.Fatal("sparse counts wrong")
-	}
-	es := s.Edges()
-	if len(es) != 2 || es[0] != (Edge{3, 10}) || es[1] != (Edge{10, 20}) {
-		t.Fatalf("Edges = %v", es)
 	}
 }
 

@@ -4,9 +4,10 @@ import "sort"
 
 // Less is a strict total order on nodes. The CQ machinery (Section 3 of the
 // paper) assumes "some given order of the nodes"; implementations here are
-// the natural identifier order, the nondecreasing-degree order used by the
-// serial algorithms of Section 7, and the hash-then-identifier order of
-// Section 2.3.
+// the natural identifier order and the nondecreasing-degree order used by
+// the serial algorithms of Section 7. The reducers take their order as a
+// Fragment key instead (NaturalKey, and NodeHash.Key for the
+// hash-then-identifier order of Section 2.3).
 type Less func(u, v Node) bool
 
 // NaturalLess orders nodes by identifier.
@@ -39,18 +40,6 @@ func (g *Graph) DegreeRank() []int32 {
 		rank[u] = int32(pos)
 	}
 	return rank
-}
-
-// HashLess orders nodes first by their bucket under the given hash, then by
-// identifier — the "ordering nodes by bucket" trick of Section 2.3.
-func HashLess(h NodeHash) Less {
-	return func(u, v Node) bool {
-		hu, hv := h.Bucket(u), h.Bucket(v)
-		if hu != hv {
-			return hu < hv
-		}
-		return u < v
-	}
 }
 
 // NodeHash maps nodes to buckets 0 .. B-1 using a seeded mixing function, so

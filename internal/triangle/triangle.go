@@ -20,8 +20,10 @@ import (
 	"math"
 	"slices"
 
+	"subgraphmr/internal/cq"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
+	"subgraphmr/internal/sample"
 )
 
 // Algo is one of the three Section 2 algorithms: its closed forms and, behind
@@ -145,15 +147,8 @@ func partitionJob(h graph.NodeHash) edgeJob {
 		Blocks: graph.PairBlocks(b),
 		Map:    pairMapper{h}.Map,
 		Keys:   func(yield func(graph.BucketKey, []int32)) { partitionKeys(b, yield) },
-		Reduce: func(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) {
-			local := graph.SparseFromEdges(edges)
-			ctx.AddWork(trianglesInSparse(local, func(a, bb, c graph.Node) {
-				if canonicalGroupTriple(h, b, a, bb, c) == key {
-					emit([3]graph.Node{a, bb, c})
-				}
-			}))
-		},
-		Codec: graph.EdgeKeyCodec{P: 3},
+		Reduce: newTriReducer(h, true).reduce,
+		Codec:  graph.EdgeKeyCodec{P: 3},
 	}
 }
 
@@ -305,76 +300,86 @@ func bucketOrderedJob(h graph.NodeHash) edgeJob {
 		Blocks: graph.PairBlocks(h.B),
 		Map:    pairMapper{h}.Map,
 		Keys:   func(yield func(graph.BucketKey, []int32)) { graph.MultisetKeys(3, h.B, yield) },
-		Reduce: func(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) {
-			local := graph.SparseFromEdges(edges)
-			ctx.AddWork(trianglesInSparse(local, func(a, bb, c graph.Node) {
-				if graph.MultisetKey(h.Bucket(a), h.Bucket(bb), h.Bucket(c)) == key {
-					emit([3]graph.Node{a, bb, c})
-				}
-			}))
-		},
-		Codec: graph.EdgeKeyCodec{P: 3},
+		Reduce: newTriReducer(h, false).reduce,
+		Codec:  graph.EdgeKeyCodec{P: 3},
 	}
 }
 
-// trianglesInSparse enumerates each triangle of the local graph once
-// (emitted id-sorted) using the degree-ordered successor method — the same
-// O(m^{3/2}) serial algorithm, so reducer work stays convertible. Returns
-// the number of candidate pairs examined (the pairwise count, although the
-// verification itself runs as a sorted merge over the fragment).
-func trianglesInSparse(s *graph.Sparse, emit func(a, b, c graph.Node)) int64 {
-	nodes := s.Nodes()
-	n := len(nodes)
-	deg := make([]int32, n)
-	for i := 0; i < n; i++ {
-		deg[i] = int32(len(s.NeighborsAt(i)))
+// triReducer is the reduce side of Partition and BucketOrdered: the
+// triangle's one CQ, E(X,Y) & E(X,Z) & E(Y,Z) & X<Y & Y<Z, run by the rank
+// kernel over each group laid out as a graph.Fragment in the job's node
+// order — the layout and the kernel the core strategies use.
+type triReducer struct {
+	evals *cq.EvaluatorSet
+	h     graph.NodeHash
+	order func(graph.Node) uint64 // graph.Fragment key of the node order
+	// partition selects Partition's rule: id order, every triangle of the
+	// group bound, the one whose canonical group triple is the key kept.
+	// Otherwise BucketOrdered's: (bucket, id) order, the kernel binding
+	// only the triangles whose bucket multiset is the key.
+	partition bool
+}
+
+func newTriReducer(h graph.NodeHash, partition bool) *triReducer {
+	order := h.Key
+	if partition {
+		order = graph.NaturalKey
 	}
-	// Index-space degree order: nodes are sorted, so index order is id
-	// order and the whole ordering works on flat arrays.
-	ord := make([]int32, n)
-	for i := range ord {
-		ord[i] = int32(i)
+	return &triReducer{cq.NewEvaluatorSet(cq.GenerateForSample(sample.Triangle())), h, order, partition}
+}
+
+// triWorker is what one reduce worker keeps in its Context's Local slot
+// across its reducer calls: the fragment and the kernel's scratch, sized by
+// the largest group seen, so a warmed call allocates nothing.
+type triWorker struct {
+	r       *triReducer
+	frag    graph.Fragment
+	scratch cq.Scratch
+	key     graph.BucketKey // the call in progress
+	emit    func([3]graph.Node)
+}
+
+func (r *triReducer) reduce(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) {
+	w, _ := ctx.Local.(*triWorker)
+	if w == nil {
+		w = &triWorker{r: r}
+		w.scratch.Stop = ctx.Stopped
+		w.scratch.Own.Multiset = !r.partition
+		ctx.Local = w
 	}
-	slices.SortFunc(ord, func(a, b int32) int {
-		if deg[a] != deg[b] {
-			return int(deg[a] - deg[b])
-		}
-		return int(a - b)
-	})
-	rank := make([]int32, n)
-	for pos, i := range ord {
-		rank[i] = int32(pos)
+	ctx.AddWork(w.run(key, edges, emit))
+}
+
+// run lays one group out and evaluates the triangle CQ over it, returning
+// the kernel's work.
+//
+//lint:hotpath
+func (w *triWorker) run(key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) int64 {
+	w.key, w.emit = key, emit
+	w.scratch.Own.Key = key // read only by BucketOrdered's multiset rule
+	w.frag.Build(edges, w.r.order)
+	return w.r.evals.Eval(&w.frag, &w.scratch, w.match)
+}
+
+// match receives a triangle the kernel bound, as ranks X < Y < Z, and emits
+// it id-sorted if this reducer keeps it.
+//
+//lint:hotpath
+func (w *triWorker) match(ranks []int32) {
+	a, b, c := w.frag.ID(ranks[0]), w.frag.ID(ranks[1]), w.frag.ID(ranks[2])
+	if w.r.partition && canonicalGroupTriple(w.r.h, w.r.h.B, a, b, c) != w.key {
+		return
 	}
-	var work int64
-	var succ, common []graph.Node
-	for i := 0; i < n; i++ {
-		v := nodes[i]
-		succ = succ[:0]
-		for _, u := range s.NeighborsAt(i) {
-			if rank[s.IndexOf(u)] > rank[i] {
-				succ = append(succ, u)
-			}
-		}
-		work += int64(len(succ)*(len(succ)-1)) / 2
-		for j := 0; j+1 < len(succ); j++ {
-			u := succ[j]
-			common = graph.IntersectSorted(succ[j+1:], s.Neighbors(u), common[:0])
-			for _, w := range common {
-				a, bb, c := v, u, w
-				if a > bb {
-					a, bb = bb, a
-				}
-				if bb > c {
-					bb, c = c, bb
-				}
-				if a > bb {
-					a, bb = bb, a
-				}
-				emit(a, bb, c)
-			}
-		}
+	if a > b {
+		a, b = b, a
 	}
-	return work
+	if b > c {
+		b, c = c, b
+	}
+	if a > b {
+		a, b = b, a
+	}
+	w.emit([3]graph.Node{a, b, c})
 }
 
 // partitionCommPerEdge is the exact expected per-edge communication of
