@@ -106,15 +106,15 @@ func BenchmarkAblationDirected(b *testing.B) {
 	g := RandomDiGraph(800, 6000, 3, 7)
 	for _, p := range []int{3, 4} {
 		b.Run(fmt.Sprintf("directed-C%d", p), func(b *testing.B) {
-			var res *DirectedResult
+			var res *Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = EnumerateDirectedContext(b.Context(), g, DirectedCyclePattern(p, 0), DirectedOptions{Buckets: 5, Seed: 3}, nil)
+				res, err = EnumerateDirectedContext(b.Context(), g, DirectedCyclePattern(p, 0), nil, WithBuckets(5), WithSeed(3))
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(res.Metrics.KeyValuePairs)/float64(g.NumArcs()), "comm/arc")
+			b.ReportMetric(float64(res.TotalComm())/float64(g.NumArcs()), "comm/arc")
 			b.ReportMetric(float64(len(res.Instances)), "instances")
 		})
 	}

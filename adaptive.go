@@ -139,7 +139,7 @@ func (pr *prober) applyOnly(c *Candidate, row LoadProbe) {
 // re-deriving its closed forms there, and folds the observation in.
 func applyRung(c *Candidate, row LoadProbe, comm func(int) float64, reducers func(int) int64) {
 	c.Buckets = row.Buckets
-	c.Shares = uniformIntShares(len(c.Shares), row.Buckets)
+	c.Shares = shares.Uniform(len(c.Shares), row.Buckets)
 	c.CommPerEdge = comm(row.Buckets)
 	c.Reducers = reducers(row.Buckets)
 	observe(c, row)
@@ -151,7 +151,7 @@ func applyRung(c *Candidate, row LoadProbe, comm func(int) float64, reducers fun
 func (pr *prober) climb(c *Candidate, ladder bool, comm func(int) float64, reducers func(int) int64,
 	loads func(b int) (mapreduce.LoadStats, error)) (LoadProbe, bool) {
 	rungs := []int{c.Buckets}
-	if ladder && pr.o.buckets == 0 {
+	if ladder && pr.o.core.Buckets == 0 {
 		rungs = probeLadder(c.Buckets, comm)
 	}
 	best := -1
@@ -160,7 +160,7 @@ func (pr *prober) climb(c *Candidate, ladder bool, comm func(int) float64, reduc
 		if err != nil {
 			continue
 		}
-		pr.probes = append(pr.probes, pr.row(c.Strategy, b, uniformIntShares(len(c.Shares), b), ls))
+		pr.probes = append(pr.probes, pr.row(c.Strategy, b, shares.Uniform(len(c.Shares), b), ls))
 		if i := len(pr.probes) - 1; best < 0 || pr.probes[i].AdjustedCost < pr.probes[best].AdjustedCost {
 			best = i
 		}
@@ -181,7 +181,7 @@ func (pr *prober) climb(c *Candidate, ladder bool, comm func(int) float64, reduc
 // probing order.
 func probeCandidates(q *planQuery, cands []Candidate) []LoadProbe {
 	o := q.o
-	pr := &prober{planQuery: q, k: int64(o.targetReducers), cfg: o.engineConfig()}
+	pr := &prober{planQuery: q, k: int64(o.core.TargetReducers), cfg: o.core.Engine}
 
 	// With a forced strategy only that candidate's probe can change the
 	// plan, so the others' map passes would be pure waste — except the

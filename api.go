@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"subgraphmr/internal/core"
-	"subgraphmr/internal/mapreduce"
 )
 
 // PlanStrategy names an execution strategy the planner can choose. The
@@ -48,51 +47,35 @@ const (
 // budget, spill dir) and the planning knobs they support.
 type Option func(*planOpts)
 
-// planOpts is the unified configuration behind the functional options.
+// planOpts is the unified configuration behind the functional options:
+// the one core.Options value every execution path runs on, next to what
+// only the root package reads.
 type planOpts struct {
-	strategy PlanStrategy
-	// targetReducers is the resolved reducer budget k: Plan normalizes any
-	// non-positive value to defaultTargetReducers once, up front, so every
-	// candidate (and the executed jobs) prices against the same k.
-	targetReducers int
-	buckets        int
-	cycleCQs       bool
-	countOnly      bool
-	seed           uint64
-	parallelism    int
-	partitions     int
-	memoryBudget   int64
-	spillDir       string
-	adaptive       bool
-	skewThreshold  float64
+	strategy  PlanStrategy
+	countOnly bool
+	// core is the enumeration and engine configuration. Plan normalizes a
+	// non-positive TargetReducers to defaultTargetReducers once, up front,
+	// so every candidate (and the executed jobs) prices against the same
+	// k. Its Engine.Dist is worker-side only: the key-space slices this
+	// process owns.
+	core core.Options
 
 	// Distributed execution (see distributed.go). workers routes runs
 	// through already-listening worker processes; spawnWorkers forks n
-	// local ones instead. dist is worker-side only: the key-space slices
-	// this process owns.
+	// local ones instead.
 	workers       []string
 	spawnWorkers  int
 	workerTimeout time.Duration
 	fault         FaultSpec
-	dist          *mapreduce.DistFilter
 }
 
 // defaultTargetReducers is the reducer budget k used when none is given —
 // the single source of the default; candidates read the resolved
-// planOpts.targetReducers and never re-derive it.
+// planOpts.core.TargetReducers and never re-derive it.
 const defaultTargetReducers = 1024
 
 func defaultPlanOpts() planOpts {
-	return planOpts{strategy: StrategyAuto, targetReducers: defaultTargetReducers}
-}
-
-// resolvedSkewThreshold is the observed max/mean load ratio above which the
-// adaptive machinery treats a configuration as skewed.
-func (o planOpts) resolvedSkewThreshold() float64 {
-	if o.skewThreshold > 0 {
-		return o.skewThreshold
-	}
-	return core.DefaultSkewThreshold
+	return planOpts{strategy: StrategyAuto, core: core.Options{TargetReducers: defaultTargetReducers}}
 }
 
 // WithStrategy forces a specific strategy instead of letting the planner
@@ -102,15 +85,15 @@ func WithStrategy(st PlanStrategy) Option { return func(o *planOpts) { o.strateg
 // WithTargetReducers sets the reducer budget k (default 1024): share-based
 // strategies optimize shares for it, bucket-based strategies pick the
 // largest b whose useful-reducer count stays within it.
-func WithTargetReducers(k int) Option { return func(o *planOpts) { o.targetReducers = k } }
+func WithTargetReducers(k int) Option { return func(o *planOpts) { o.core.TargetReducers = k } }
 
 // WithBuckets overrides the bucket count b for bucket-based strategies,
 // bypassing the TargetReducers derivation.
-func WithBuckets(b int) Option { return func(o *planOpts) { o.buckets = b } }
+func WithBuckets(b int) Option { return func(o *planOpts) { o.core.Buckets = b } }
 
 // WithCycleCQs selects the Section 5 run-sequence CQ generator (cycle
 // samples only; fewer CQs than the general method).
-func WithCycleCQs() Option { return func(o *planOpts) { o.cycleCQs = true } }
+func WithCycleCQs() Option { return func(o *planOpts) { o.core.UseCycleCQs = true } }
 
 // WithCountOnly makes Run count instances without materializing them
 // (Result.Instances stays nil; Result.Count is exact): Run executes the
@@ -119,22 +102,26 @@ func WithCycleCQs() Option { return func(o *planOpts) { o.cycleCQs = true } }
 func WithCountOnly() Option { return func(o *planOpts) { o.countOnly = true } }
 
 // WithSeed seeds the bucket hashes; runs are deterministic given a seed.
-func WithSeed(seed uint64) Option { return func(o *planOpts) { o.seed = seed } }
+func WithSeed(seed uint64) Option { return func(o *planOpts) { o.core.Seed = seed } }
 
 // WithParallelism bounds map worker goroutines (0 = GOMAXPROCS).
-func WithParallelism(workers int) Option { return func(o *planOpts) { o.parallelism = workers } }
+func WithParallelism(workers int) Option {
+	return func(o *planOpts) { o.core.Engine.Parallelism = workers }
+}
 
 // WithPartitions sets the number of shuffle partitions / reduce workers
 // (0 = parallelism). Scheduling only; metrics are unaffected.
-func WithPartitions(p int) Option { return func(o *planOpts) { o.partitions = p } }
+func WithPartitions(p int) Option { return func(o *planOpts) { o.core.Engine.Partitions = p } }
 
 // WithMemoryBudget bounds, in bytes, the grouped intermediate pairs the
 // reduce workers hold in memory; beyond it the engine spills sorted runs
 // to disk and merge-streams them into the reducers.
-func WithMemoryBudget(bytes int64) Option { return func(o *planOpts) { o.memoryBudget = bytes } }
+func WithMemoryBudget(bytes int64) Option {
+	return func(o *planOpts) { o.core.Engine.MemoryBudget = bytes }
+}
 
 // WithSpillDir sets the directory for spill run files ("" = system temp).
-func WithSpillDir(dir string) Option { return func(o *planOpts) { o.spillDir = dir } }
+func WithSpillDir(dir string) Option { return func(o *planOpts) { o.core.Engine.SpillDir = dir } }
 
 // WithAdaptive enables skew-adaptive planning and execution. At plan time,
 // Plan probes each viable candidate's actual reducer loads with a map-only
@@ -151,41 +138,9 @@ func WithSpillDir(dir string) Option { return func(o *planOpts) { o.spillDir = d
 // bucket-ordered algorithm when round 1's loads prove skewed (the switch
 // is recorded in JobStats.Replanned/ObservedSkew). Results are
 // bit-identical to the static plan's — only the configuration changes.
-func WithAdaptive() Option { return func(o *planOpts) { o.adaptive = true } }
+func WithAdaptive() Option { return func(o *planOpts) { o.core.AdaptiveReplan = true } }
 
 // WithSkewThreshold sets the observed max/mean reducer-load ratio above
 // which adaptive execution re-plans (default 4). Only meaningful together
 // with WithAdaptive.
-func WithSkewThreshold(t float64) Option { return func(o *planOpts) { o.skewThreshold = t } }
-
-// engineConfig translates the unified options into an engine Config.
-func (o planOpts) engineConfig() mapreduce.Config {
-	return mapreduce.Config{
-		Parallelism:  o.parallelism,
-		Partitions:   o.partitions,
-		MemoryBudget: o.memoryBudget,
-		SpillDir:     o.spillDir,
-		Dist:         o.dist,
-	}
-}
-
-// coreOptions translates the unified options into core.Options for the
-// CQ-based strategies. buckets carries the planner's resolved bucket count
-// so execution matches the plan exactly. (WithCountOnly has no field here:
-// counting is "no sink".)
-func (o planOpts) coreOptions(strategy core.Strategy, buckets int) core.Options {
-	return core.Options{
-		Strategy:       strategy,
-		TargetReducers: o.targetReducers,
-		Buckets:        buckets,
-		UseCycleCQs:    o.cycleCQs,
-		Seed:           o.seed,
-		Parallelism:    o.parallelism,
-		Partitions:     o.partitions,
-		MemoryBudget:   o.memoryBudget,
-		SpillDir:       o.spillDir,
-		AdaptiveReplan: o.adaptive,
-		SkewThreshold:  o.skewThreshold,
-		Dist:           o.dist,
-	}
-}
+func WithSkewThreshold(t float64) Option { return func(o *planOpts) { o.core.SkewThreshold = t } }

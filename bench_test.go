@@ -156,11 +156,7 @@ func BenchmarkDecomposition(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var work int64
 			for i := 0; i < b.N; i++ {
-				var err error
-				_, work, err = EnumerateByDecomposition(g, s, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
+				_, work = EnumerateByDecomposition(g, s)
 			}
 			b.ReportMetric(float64(work)/math.Pow(float64(g.NumEdges()), float64(s.P())/2), "work/m^(p/2)")
 		})

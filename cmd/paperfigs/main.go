@@ -131,14 +131,14 @@ func sec8() {
 			{From: 0, To: 1, Label: directed.LabelKnows},
 			{From: 1, To: 2, Label: directed.LabelBuysFrom}})},
 	} {
-		res, err := directed.EnumerateContext(context.Background(), g, tc.pt, directed.Options{Buckets: 5, Seed: 2}, nil)
+		res, err := subgraphmr.EnumerateDirectedContext(context.Background(), g, tc.pt, nil, subgraphmr.WithBuckets(5), subgraphmr.WithSeed(2))
 		if err != nil {
 			panic(err)
 		}
 		oracle := len(directed.BruteForce(g, tc.pt))
 		fmt.Printf("%-28s |Aut|=%d instances=%d (oracle %d) comm/arc=%.0f reducers=%d\n",
 			tc.name, len(tc.pt.Automorphisms()), len(res.Instances), oracle,
-			float64(res.Metrics.KeyValuePairs)/float64(g.NumArcs()), res.Metrics.DistinctKeys)
+			float64(res.TotalComm())/float64(g.NumArcs()), res.Jobs[0].Metrics.DistinctKeys)
 	}
 }
 

@@ -211,10 +211,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "strategy: serial brute force\n")
 	case "serial-decompose":
 		var work int64
-		instances, work, err = subgraphmr.EnumerateByDecomposition(g, s, nil)
-		if err != nil {
-			return err
-		}
+		instances, work = subgraphmr.EnumerateByDecomposition(g, s)
 		fmt.Fprintf(out, "strategy: serial decomposition (Theorem 7.2), work=%d\n", work)
 	case "serial-degree":
 		var work int64

@@ -138,18 +138,9 @@ func executeWorkerJob(ctx context.Context, g *graph.Graph, req *distrib.JobReque
 		return nil, err
 	}
 	st := PlanStrategy(req.Strategy)
-	o := defaultPlanOpts()
-	o.strategy = st
-	if req.TargetReducers > 0 {
-		o.targetReducers = req.TargetReducers
-	}
-	o.cycleCQs = req.CycleCQs
-	o.seed = req.Seed
-	o.parallelism = req.Parallelism
-	o.partitions = req.Partitions
-	o.memoryBudget = req.MemoryBudget
-	o.spillDir = req.SpillDir
-	o.dist = mapreduce.NewDistFilter(req.DistTotal, req.Owned)
+	o := planOpts{strategy: st, core: req.Options}
+	o.core.AdaptiveReplan = false
+	o.core.Engine.Dist = mapreduce.NewDistFilter(req.DistTotal, req.Owned)
 	p := &QueryPlan{
 		Strategy: st,
 		Chosen:   Candidate{Strategy: st, Viable: true, Buckets: req.Buckets, CommPerEdge: req.PredictedCommPerEdge},
@@ -223,15 +214,9 @@ func runDistributed(ctx context.Context, p *QueryPlan, yield func([]Node) bool) 
 	d := distKeyPartitions(w)
 	base := distrib.JobRequest{
 		Strategy:             int(p.Strategy),
+		Options:              p.opts.core,
 		Buckets:              p.Chosen.Buckets,
 		PredictedCommPerEdge: p.Chosen.CommPerEdge,
-		TargetReducers:       p.opts.targetReducers,
-		CycleCQs:             p.opts.cycleCQs,
-		Seed:                 p.opts.seed,
-		Parallelism:          p.opts.parallelism,
-		Partitions:           p.opts.partitions,
-		MemoryBudget:         p.opts.memoryBudget,
-		SpillDir:             p.opts.spillDir,
 		SampleP:              p.sample.P(),
 		SampleEdges:          p.sample.Edges(),
 		SampleNames:          p.sample.Names(),
@@ -286,8 +271,8 @@ func runDistributed(ctx context.Context, p *QueryPlan, yield func([]Node) bool) 
 		// written to a copy, never to p.opts in place.
 		retried += len(unfinished)
 		lp := *p
-		lp.opts.adaptive = false
-		lp.opts.dist = mapreduce.NewDistFilter(d, unfinished)
+		lp.opts.core.AdaptiveReplan = false
+		lp.opts.core.Engine.Dist = mapreduce.NewDistFilter(d, unfinished)
 		lres, lerr := runLocal(ctx, &lp, accept)
 		if lerr != nil {
 			return nil, lerr

@@ -59,19 +59,20 @@ func main() {
 	// real deployment would alert on the first hit and cancel ctx.
 	matches := 0
 	res, err := subgraphmr.EnumerateDirectedContext(context.Background(), g, pattern,
-		subgraphmr.DirectedOptions{Buckets: 4, Seed: 1},
 		func(phi []subgraphmr.Node) bool {
 			fmt.Printf("  ring %v all booked on flight %d\n", phi[:k], phi[k]-people)
 			matches++
 			return true
-		})
+		},
+		subgraphmr.WithBuckets(4), subgraphmr.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}
+	job := res.Jobs[0]
 	fmt.Printf("\none map-reduce round: %d key-value pairs (%.1f per arc), %d reducers\n",
-		res.Metrics.KeyValuePairs,
-		float64(res.Metrics.KeyValuePairs)/float64(g.NumArcs()),
-		res.Metrics.DistinctKeys)
+		job.Metrics.KeyValuePairs,
+		float64(job.Metrics.KeyValuePairs)/float64(g.NumArcs()),
+		job.Metrics.DistinctKeys)
 	fmt.Printf("matches: %d\n", matches)
 
 	// Cross-check against the exhaustive oracle.

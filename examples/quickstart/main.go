@@ -74,10 +74,7 @@ func main() {
 	}
 
 	// The same answers come from the serial algorithms of Section 7.
-	serialSquares, _, err := subgraphmr.EnumerateByDecomposition(g, subgraphmr.Square(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
+	serialSquares, _ := subgraphmr.EnumerateByDecomposition(g, subgraphmr.Square())
 	fmt.Printf("\nserial cross-check: %d triangles, %d squares (streamed %d)\n",
 		subgraphmr.CountTriangles(g), len(serialSquares), squares)
 }

@@ -2,6 +2,8 @@ package subgraphmr
 
 import (
 	"context"
+	"fmt"
+	"strings"
 
 	"subgraphmr/internal/approx"
 	"subgraphmr/internal/cycles"
@@ -26,10 +28,6 @@ type (
 	DiPattern = directed.DiPattern
 	// PatternArc is a directed labeled edge of a DiPattern.
 	PatternArc = directed.PatternArc
-	// DirectedOptions configures EnumerateDirected.
-	DirectedOptions = directed.Options
-	// DirectedResult is the outcome of EnumerateDirected.
-	DirectedResult = directed.Result
 )
 
 // Arc labels for the threat-detection patterns of Section 1.1.
@@ -72,15 +70,39 @@ func FanInPattern(p int, label ArcLabel) *DiPattern { return directed.FanIn(p, l
 func ThreatRingPattern(k int) *DiPattern { return directed.ThreatRing(k) }
 
 // EnumerateDirectedContext finds every instance of a directed labeled
-// pattern (at most 16 nodes) in a single map-reduce round, each exactly
-// once. A nil sink materializes Result.Instances; a non-nil sink receives
-// each instance instead (serialized, with backpressure; returning false
-// stops the job early). Cancelling ctx aborts the job, removes spill runs
-// and returns ctx.Err(). The directed Options honor the same execution
-// knobs as the undirected planner (TargetReducers, Parallelism, Partitions,
-// MemoryBudget, SpillDir, Seed).
-func EnumerateDirectedContext(ctx context.Context, g *DiGraph, pt *DiPattern, opt DirectedOptions, sink func([]Node) bool) (*DirectedResult, error) {
-	return directed.EnumerateContext(ctx, g, pt, opt, sink)
+// pattern (at most 16 nodes) in a single map-reduce round of the Section
+// 4.5 bucket scheme, each exactly once. A nil sink materializes
+// Result.Instances; a non-nil sink receives each instance instead
+// (serialized, with backpressure; returning false stops the job early).
+// Result.Count is exact either way, and Result.Jobs holds the one job.
+// Cancelling ctx aborts the job, removes spill runs and returns ctx.Err().
+//
+// It takes Plan's options and honours the bucket, seed and engine ones
+// (WithBuckets, WithTargetReducers, WithSeed, WithParallelism,
+// WithPartitions, WithMemoryBudget, WithSpillDir). Any other option is an
+// error naming it: the directed path has one strategy, no CQs to generate,
+// no adaptive re-planning and no distributed runner.
+func EnumerateDirectedContext(ctx context.Context, g *DiGraph, pt *DiPattern, sink func([]Node) bool, opts ...Option) (*Result, error) {
+	o := defaultPlanOpts()
+	for _, fn := range opts {
+		fn(&o)
+	}
+	var unsupported []string
+	reject := func(set bool, name string) {
+		if set {
+			unsupported = append(unsupported, name)
+		}
+	}
+	reject(o.strategy != StrategyAuto, "WithStrategy")
+	reject(o.core.UseCycleCQs, "WithCycleCQs")
+	reject(o.countOnly, "WithCountOnly")
+	reject(o.core.AdaptiveReplan, "WithAdaptive")
+	reject(o.isDistributed() || o.workerTimeout != 0 || o.fault != (FaultSpec{}),
+		"WithWorkers/WithDistributed/WithWorkerTimeout/WithFaultInjection")
+	if len(unsupported) > 0 {
+		return nil, fmt.Errorf("subgraphmr: the directed path cannot honour %s", strings.Join(unsupported, ", "))
+	}
+	return directed.EnumerateContext(ctx, g, pt, o.core, sink)
 }
 
 // DirectedBruteForce is the exhaustive oracle for directed patterns.

@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestFacadeDirected(t *testing.T) {
 	g := RandomDiGraph(20, 100, 2, 1)
 	pt := DirectedCyclePattern(3, 0)
-	res, err := EnumerateDirectedContext(t.Context(), g, pt, DirectedOptions{Buckets: 3, Seed: 2}, nil)
+	res, err := EnumerateDirectedContext(t.Context(), g, pt, nil, WithBuckets(3), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,12 +27,42 @@ func TestFacadeDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := EnumerateDirectedContext(t.Context(), g, custom, DirectedOptions{Buckets: 4}, nil)
+	res2, err := EnumerateDirectedContext(t.Context(), g, custom, nil, WithBuckets(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := len(DirectedBruteForce(g, custom)); len(res2.Instances) != want {
 		t.Errorf("custom pattern: %d, oracle %d", len(res2.Instances), want)
+	}
+}
+
+// TestFacadeDirectedRejectsUnsupportedOptions: the directed path takes
+// Plan's options, and each one it cannot honour is an error naming it,
+// never a silently ignored knob.
+func TestFacadeDirectedRejectsUnsupportedOptions(t *testing.T) {
+	g := RandomDiGraph(20, 60, 1, 1)
+	pt := DirectedCyclePattern(3, 0)
+	for name, opt := range map[string]Option{
+		"WithStrategy":       WithStrategy(StrategyBucketOriented),
+		"WithCycleCQs":       WithCycleCQs(),
+		"WithCountOnly":      WithCountOnly(),
+		"WithAdaptive":       WithAdaptive(),
+		"WithWorkers":        WithWorkers([]string{"127.0.0.1:1"}),
+		"WithDistributed":    WithDistributed(2),
+		"WithWorkerTimeout":  WithWorkerTimeout(time.Second),
+		"WithFaultInjection": WithFaultInjection(FaultSpec{Mode: FaultDrop}),
+	} {
+		_, err := EnumerateDirectedContext(t.Context(), g, pt, nil, WithBuckets(2), opt)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: error %v, want one naming the option", name, err)
+		}
+	}
+	res, err := EnumerateDirectedContext(t.Context(), g, pt, nil, WithBuckets(2), WithParallelism(2), WithPartitions(3), WithSkewThreshold(2))
+	if err != nil {
+		t.Fatalf("supported options rejected: %v", err)
+	}
+	if res.Count != int64(len(DirectedBruteForce(g, pt))) || len(res.Jobs) != 1 {
+		t.Errorf("directed result: count %d over %d jobs, oracle %d", res.Count, len(res.Jobs), len(DirectedBruteForce(g, pt)))
 	}
 }
 
@@ -40,7 +72,7 @@ func TestFacadeDirectedBuilder(t *testing.T) {
 	b.AddArc(1, 2, LabelKnows)
 	b.AddArc(2, 0, LabelKnows)
 	g := b.Graph()
-	res, err := EnumerateDirectedContext(t.Context(), g, DirectedCyclePattern(3, LabelKnows), DirectedOptions{Buckets: 2}, nil)
+	res, err := EnumerateDirectedContext(t.Context(), g, DirectedCyclePattern(3, LabelKnows), nil, WithBuckets(2))
 	if err != nil || len(res.Instances) != 1 {
 		t.Errorf("directed triangle ring: %v, %d instances", err, len(res.Instances))
 	}
@@ -89,7 +121,7 @@ func TestFacadeThreatRing(t *testing.T) {
 		b.AddArc(i, (i+2)%4+4, LabelKnows)  // noise
 	}
 	g := b.Graph()
-	res, err := EnumerateDirectedContext(t.Context(), g, ThreatRingPattern(4), DirectedOptions{Buckets: 3}, nil)
+	res, err := EnumerateDirectedContext(t.Context(), g, ThreatRingPattern(4), nil, WithBuckets(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,8 @@ func TestIntegrationAllPathsAgree(t *testing.T) {
 		{"variable-oriented", mr(StrategyVariableOriented)},
 		{"cq-oriented", mr(StrategyCQOriented)},
 		{"serial-decomposition", func(g *Graph, s *Sample) ([][]Node, error) {
-			out, _, err := EnumerateByDecomposition(g, s, nil)
-			return out, err
+			out, _ := EnumerateByDecomposition(g, s)
+			return out, nil
 		}},
 		{"serial-bounded-degree", func(g *Graph, s *Sample) ([][]Node, error) {
 			out, _, err := EnumerateBoundedDegree(g, s)

@@ -58,10 +58,11 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
-// Options configures Enumerate.
+// Options configures Enumerate: the planning knobs of the share- and
+// bucket-based strategies and the engine every job runs on. The root
+// package's options, the distributed job request and the directed path all
+// carry this one value.
 type Options struct {
-	// Strategy is the processing strategy (default BucketOriented).
-	Strategy Strategy
 	// TargetReducers is the reducer budget k for the share-based strategies
 	// (default 1024). For BucketOriented it picks the largest b with
 	// C(b+p-1, p) ≤ TargetReducers unless Buckets is set.
@@ -73,20 +74,6 @@ type Options struct {
 	UseCycleCQs bool
 	// Seed seeds the bucket hashes (jobs are deterministic given a seed).
 	Seed uint64
-	// Parallelism bounds map worker goroutines (0 = GOMAXPROCS).
-	Parallelism int
-	// Partitions is the number of shuffle partitions / reduce workers of
-	// the pipelined engine (0 = Parallelism). It affects scheduling only,
-	// never the reported Metrics.
-	Partitions int
-	// MemoryBudget bounds, in bytes, the grouped intermediate pairs the
-	// engine's reduce workers hold in memory; 0 means unlimited. When
-	// exceeded the engine spills sorted runs to SpillDir and merge-streams
-	// them into the reducers — instances and core metrics are unchanged,
-	// Metrics.Spilled* record the extra I/O.
-	MemoryBudget int64
-	// SpillDir is the directory for spill run files ("" = system temp).
-	SpillDir string
 	// AdaptiveReplan enables mid-query re-planning for multi-job
 	// strategies: after each CQOriented job, the observed reducer skew
 	// (MaxReducerInput vs the mean) is compared against SkewThreshold, and
@@ -99,10 +86,12 @@ type Options struct {
 	// SkewThreshold is the observed max/mean load ratio above which
 	// AdaptiveReplan revises the remaining jobs (0 = the default, 4).
 	SkewThreshold float64
-	// Dist restricts every job of the enumeration to the owned slices of
-	// the distributed key space (see mapreduce.DistFilter). Set by the
-	// distributed executor on workers; nil for local runs.
-	Dist *mapreduce.DistFilter
+	// Engine configures every job of the enumeration: map workers, shuffle
+	// partitions, memory budget and spill dir, none of which changes the
+	// instances or the core metrics. Its Dist is set only by the
+	// distributed executor on workers, restricting every job to the owned
+	// key-space slices.
+	Engine mapreduce.Config
 }
 
 func (o Options) reducers() int {
@@ -112,27 +101,29 @@ func (o Options) reducers() int {
 	return 1024
 }
 
+// BucketsFor resolves the bucket count b of a bucket-style job over p
+// variables: Buckets when set, otherwise the largest b whose C(b+p-1, p)
+// useful reducers fit the reducer budget (Theorem 4.2).
+func (o Options) BucketsFor(p int) int {
+	if o.Buckets > 0 {
+		return o.Buckets
+	}
+	return shares.BucketsForReducers(o.reducers(), p)
+}
+
 // DefaultSkewThreshold is the observed max/mean reducer-load ratio above
 // which adaptive execution considers a job skewed (see Options.SkewThreshold
 // and the planner's WithAdaptive).
 const DefaultSkewThreshold = 4.0
 
-func (o Options) skewThreshold() float64 {
+// ResolvedSkewThreshold is the observed max/mean load ratio above which
+// adaptive execution treats a configuration as skewed: SkewThreshold when
+// set, otherwise DefaultSkewThreshold.
+func (o Options) ResolvedSkewThreshold() float64 {
 	if o.SkewThreshold > 0 {
 		return o.SkewThreshold
 	}
 	return DefaultSkewThreshold
-}
-
-// engineConfig translates the enumeration options into an engine Config.
-func (o Options) engineConfig() mapreduce.Config {
-	return mapreduce.Config{
-		Parallelism:  o.Parallelism,
-		Partitions:   o.Partitions,
-		MemoryBudget: o.MemoryBudget,
-		SpillDir:     o.SpillDir,
-		Dist:         o.Dist,
-	}
 }
 
 // JobStats describes one map-reduce job of an enumeration.
@@ -208,17 +199,18 @@ func (r *Result) TotalReducerWork() int64 {
 	return t
 }
 
-// Enumerate finds every instance of s in g exactly once using a single
-// map-reduce round per job, delivering each to sink: calls are serialized
-// and block the engine (backpressure); returning false stops the
-// enumeration early with a nil error. A nil sink counts instead — the
-// reducers tally their owned matches without ever constructing an instance.
-// Result.Count is exact either way. Cancelling ctx aborts the running job
-// (engine workers wind down, spill runs are removed) and returns ctx.Err().
+// Enumerate finds every instance of s in g exactly once under strategy st,
+// using a single map-reduce round per job and delivering each to sink:
+// calls are serialized and block the engine (backpressure); returning false
+// stops the enumeration early with a nil error. A nil sink counts instead —
+// the reducers tally their owned matches without ever constructing an
+// instance. Result.Count is exact either way. Cancelling ctx aborts the
+// running job (engine workers wind down, spill runs are removed) and
+// returns ctx.Err().
 //
 // The sample graph must be connected (reducers only see edges, so an
 // isolated sample node could bind to nodes the reducer never receives).
-func Enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Options, sink func([]graph.Node) bool) (*Result, error) {
+func Enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, st Strategy, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	if !s.IsConnected() {
 		return nil, fmt.Errorf("core: map-reduce enumeration requires a connected sample graph")
 	}
@@ -226,7 +218,7 @@ func Enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Option
 	if err != nil {
 		return nil, err
 	}
-	switch opt.Strategy {
+	switch st {
 	case BucketOriented:
 		return bucketOriented(ctx, g, s, qs, opt, sink)
 	case VariableOriented:
@@ -234,7 +226,7 @@ func Enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Option
 	case CQOriented:
 		return cqOriented(ctx, g, qs, opt, sink)
 	default:
-		return nil, fmt.Errorf("core: unknown strategy %v", opt.Strategy)
+		return nil, fmt.Errorf("core: unknown strategy %v", st)
 	}
 }
 
@@ -311,22 +303,19 @@ func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []
 // hash and match sink, and reports the one JobStats entry.
 func runBucketJob(ctx context.Context, g *graph.Graph, p int, opt Options, name, label string,
 	sink func([]graph.Node) bool, reduce func(graph.NodeHash, *matchSink) enumReduce) (*Result, error) {
-	b := opt.Buckets
-	if b <= 0 {
-		b = shares.BucketsForReducers(opt.reducers(), p)
-	}
+	b := opt.BucketsFor(p)
 	scheme, err := newBucketScheme(opt.Seed, p, b)
 	if err != nil {
 		return nil, err
 	}
 	ms := &matchSink{sink: sink}
-	count, metrics, err := ms.run(ctx, scheme.job(fmt.Sprintf("%s b=%d", name, b), reduce(scheme.h, ms)), opt.engineConfig(), g)
+	count, metrics, err := ms.run(ctx, scheme.job(fmt.Sprintf("%s b=%d", name, b), reduce(scheme.h, ms)), opt.Engine, g)
 	if err != nil {
 		return nil, err
 	}
 	job := JobStats{
 		Label:                fmt.Sprintf("%s b=%d", label, b),
-		Shares:               uniformShares(p, b),
+		Shares:               shares.Uniform(p, b),
 		PredictedCommPerEdge: shares.BucketEdgeReplication(b, p),
 		OptimalCommPerEdge:   shares.BucketEdgeReplication(b, p),
 		Metrics:              metrics,
@@ -430,7 +419,7 @@ func cqOriented(ctx context.Context, g *graph.Graph, qs []*cq.CQ, opt Options, s
 		out.Jobs = append(out.Jobs, res.Jobs...)
 
 		if opt.AdaptiveReplan && i+1 < len(qs) {
-			if k2 := replanReducers(k, res.Jobs, qs[i+1:], opt.skewThreshold()); k2 > k {
+			if k2 := replanReducers(k, res.Jobs, qs[i+1:], opt.ResolvedSkewThreshold()); k2 > k {
 				k = k2
 				replanned = true
 			}
@@ -588,7 +577,7 @@ func runShareJob(ctx context.Context, g *graph.Graph, qs []*cq.CQ, model shares.
 	}
 	ms := &matchSink{sink: sink}
 	reducer := &enumReducer{evals: cq.NewEvaluatorSet(qs), order: graph.NaturalKey, hashes: scheme.hashes, ms: ms}
-	count, metrics, err := ms.run(ctx, scheme.job(label, reducer.reduce), opt.engineConfig(), g)
+	count, metrics, err := ms.run(ctx, scheme.job(label, reducer.reduce), opt.Engine, g)
 	if err != nil {
 		return nil, err
 	}
@@ -613,14 +602,6 @@ func cqStrings(qs []*cq.CQ) []string {
 	out := make([]string, len(qs))
 	for i, q := range qs {
 		out[i] = q.String()
-	}
-	return out
-}
-
-func uniformShares(p, b int) []int {
-	out := make([]int, p)
-	for i := range out {
-		out[i] = b
 	}
 	return out
 }

@@ -11,10 +11,10 @@ import (
 
 // collect runs Enumerate into a collecting sink and hands the instances
 // back on the Result, the way the root package's Run does.
-func collect(t *testing.T, g *graph.Graph, s *sample.Sample, opt Options) (*Result, error) {
+func collect(t *testing.T, g *graph.Graph, s *sample.Sample, st Strategy, opt Options) (*Result, error) {
 	t.Helper()
 	var instances [][]graph.Node
-	res, err := Enumerate(t.Context(), g, s, opt, func(phi []graph.Node) bool {
+	res, err := Enumerate(t.Context(), g, s, st, opt, func(phi []graph.Node) bool {
 		instances = append(instances, phi)
 		return true
 	})
@@ -76,7 +76,7 @@ func TestAllStrategiesMatchOracle(t *testing.T) {
 	for _, strat := range []Strategy{BucketOriented, VariableOriented, CQOriented} {
 		for _, g := range graphs {
 			for _, s := range samples {
-				res, err := collect(t, g, s, Options{Strategy: strat, TargetReducers: 200, Seed: 5})
+				res, err := collect(t, g, s, strat, Options{TargetReducers: 200, Seed: 5})
 				if err != nil {
 					t.Fatalf("%v %v: %v", strat, s, err)
 				}
@@ -90,11 +90,11 @@ func TestCycleCQStrategy(t *testing.T) {
 	g := graph.Gnm(16, 40, 3)
 	for _, p := range []int{5, 6} {
 		s := sample.Cycle(p)
-		general, err := collect(t, g, s, Options{Strategy: BucketOriented, Buckets: 4})
+		general, err := collect(t, g, s, BucketOriented, Options{Buckets: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		specialized, err := collect(t, g, s, Options{Strategy: BucketOriented, Buckets: 4, UseCycleCQs: true})
+		specialized, err := collect(t, g, s, BucketOriented, Options{Buckets: 4, UseCycleCQs: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestCycleCQStrategy(t *testing.T) {
 		}
 	}
 	// UseCycleCQs on a non-cycle fails.
-	if _, err := collect(t, g, sample.Lollipop(), Options{UseCycleCQs: true}); err == nil {
+	if _, err := collect(t, g, sample.Lollipop(), BucketOriented, Options{UseCycleCQs: true}); err == nil {
 		t.Error("UseCycleCQs on the lollipop should fail")
 	}
 }
@@ -114,7 +114,7 @@ func TestCycleCQStrategy(t *testing.T) {
 func TestDisconnectedSampleRejected(t *testing.T) {
 	g := graph.CompleteGraph(5)
 	s := sample.MustNew(3, [][2]int{{0, 1}}) // isolated third node
-	if _, err := collect(t, g, s, Options{}); err == nil {
+	if _, err := collect(t, g, s, BucketOriented, Options{}); err == nil {
 		t.Error("disconnected sample should be rejected")
 	}
 }
@@ -132,7 +132,7 @@ func TestBucketOrientedCommMatchesTheorem42(t *testing.T) {
 		{sample.Lollipop(), 5},
 		{sample.Cycle(5), 3},
 	} {
-		res, err := collect(t, g, tc.s, Options{Strategy: BucketOriented, Buckets: tc.b, Seed: 9})
+		res, err := collect(t, g, tc.s, BucketOriented, Options{Buckets: tc.b, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestBucketOrientedCommMatchesTheorem42(t *testing.T) {
 func TestVariableOrientedCommMatchesModel(t *testing.T) {
 	g := graph.Gnm(25, 90, 6)
 	for _, s := range []*sample.Sample{sample.Triangle(), sample.Square(), sample.Lollipop()} {
-		res, err := collect(t, g, s, Options{Strategy: VariableOriented, TargetReducers: 500, Seed: 3})
+		res, err := collect(t, g, s, VariableOriented, Options{TargetReducers: 500, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,14 +183,14 @@ func TestCQOrientedPerJobStats(t *testing.T) {
 	g := graph.Gnm(25, 90, 8)
 	s := sample.Lollipop()
 	k := 300
-	cqRes, err := collect(t, g, s, Options{Strategy: CQOriented, TargetReducers: k, Seed: 3})
+	cqRes, err := collect(t, g, s, CQOriented, Options{TargetReducers: k, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cqRes.Jobs) != 6 {
 		t.Fatalf("lollipop should run 6 CQ jobs, got %d", len(cqRes.Jobs))
 	}
-	varRes, err := collect(t, g, s, Options{Strategy: VariableOriented, TargetReducers: k, Seed: 3})
+	varRes, err := collect(t, g, s, VariableOriented, Options{TargetReducers: k, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestConvertibilityGeneral(t *testing.T) {
 		base := serialWork(tc.s)
 		for strat, bound := range tc.bounds {
 			for _, k := range []int{20, 60, 200} {
-				res, err := Enumerate(t.Context(), g, tc.s, Options{Strategy: strat, TargetReducers: k, Seed: 2}, nil)
+				res, err := Enumerate(t.Context(), g, tc.s, strat, Options{TargetReducers: k, Seed: 2}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -252,7 +252,7 @@ func TestDefaultBucketSelection(t *testing.T) {
 		s    *sample.Sample
 		k, b int
 	}{{sample.Triangle(), 220, 10}, {sample.Square(), 1, 1}} {
-		res, err := collect(t, g, tc.s, Options{Strategy: BucketOriented, TargetReducers: tc.k})
+		res, err := collect(t, g, tc.s, BucketOriented, Options{TargetReducers: tc.k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestDefaultBucketSelection(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	g := graph.Gnm(15, 40, 1)
-	res, err := collect(t, g, sample.Square(), Options{Strategy: BucketOriented, Buckets: 4})
+	res, err := collect(t, g, sample.Square(), BucketOriented, Options{Buckets: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,11 +286,11 @@ func TestCountOnly(t *testing.T) {
 	g := graph.Gnm(20, 60, 3)
 	for _, strat := range []Strategy{BucketOriented, VariableOriented, CQOriented} {
 		for _, s := range []*sample.Sample{sample.Triangle(), sample.Lollipop()} {
-			full, err := collect(t, g, s, Options{Strategy: strat, TargetReducers: 100, Seed: 4})
+			full, err := collect(t, g, s, strat, Options{TargetReducers: 100, Seed: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			counted, err := Enumerate(t.Context(), g, s, Options{Strategy: strat, TargetReducers: 100, Seed: 4}, nil)
+			counted, err := Enumerate(t.Context(), g, s, strat, Options{TargetReducers: 100, Seed: 4}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,14 +312,10 @@ func TestCountOnly(t *testing.T) {
 func TestShareOverflowRejected(t *testing.T) {
 	g := graph.Gnm(10, 20, 1)
 	// Single-edge sample: one variable absorbs the whole budget.
-	if _, err := collect(t, g, sample.SingleEdge(), Options{
-		Strategy: VariableOriented, TargetReducers: 100000,
-	}); err == nil {
+	if _, err := collect(t, g, sample.SingleEdge(), VariableOriented, Options{TargetReducers: 100000}); err == nil {
 		t.Error("share > 255 should be rejected")
 	}
-	if _, err := collect(t, g, sample.Triangle(), Options{
-		Strategy: BucketOriented, Buckets: 300,
-	}); err == nil {
+	if _, err := collect(t, g, sample.Triangle(), BucketOriented, Options{Buckets: 300}); err == nil {
 		t.Error("buckets > 255 should be rejected")
 	}
 }
@@ -328,7 +324,7 @@ func TestShareOverflowRejected(t *testing.T) {
 func TestEmptyDataGraph(t *testing.T) {
 	g := graph.FromEdges(6, nil)
 	for _, strat := range []Strategy{BucketOriented, VariableOriented, CQOriented} {
-		res, err := collect(t, g, sample.Triangle(), Options{Strategy: strat, TargetReducers: 16})
+		res, err := collect(t, g, sample.Triangle(), strat, Options{TargetReducers: 16})
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -341,7 +337,7 @@ func TestEmptyDataGraph(t *testing.T) {
 // TestEdgeSampleP2: the p = 2 mapper special case (no completion buckets).
 func TestEdgeSampleP2(t *testing.T) {
 	g := graph.Gnm(12, 30, 2)
-	res, err := collect(t, g, sample.SingleEdge(), Options{Strategy: BucketOriented, Buckets: 4})
+	res, err := collect(t, g, sample.SingleEdge(), BucketOriented, Options{Buckets: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +353,7 @@ func TestEdgeSampleP2(t *testing.T) {
 // TestUnknownStrategyRejected covers the default switch branch.
 func TestUnknownStrategyRejected(t *testing.T) {
 	g := graph.Gnm(5, 8, 1)
-	if _, err := collect(t, g, sample.Triangle(), Options{Strategy: Strategy(99)}); err == nil {
+	if _, err := collect(t, g, sample.Triangle(), Strategy(99), Options{}); err == nil {
 		t.Error("unknown strategy should be rejected")
 	}
 	if Strategy(99).String() == "" {

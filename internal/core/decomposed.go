@@ -16,21 +16,15 @@ import (
 // decomposition algorithm on its local edge fragment, and an instance is
 // kept only by the reducer owning its bucket multiset — so each instance
 // surfaces exactly once and total reducer work stays Θ(serial work) spread
-// over C(b+p-1, p) reducers. Pass nil parts to use the optimal
-// decomposition.
+// over C(b+p-1, p) reducers. The decomposition is the sample's optimal
+// one (sample.Decompose).
 //
 // The sample must be connected: every node of an instance is then incident
 // to an instance edge, all of which reach the owning reducer. See Enumerate
 // for the sink (nil counts) and cancellation contract.
-func EnumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, parts []sample.Part, opt Options, sink func([]graph.Node) bool) (*Result, error) {
+func EnumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	if !s.IsConnected() {
 		return nil, fmt.Errorf("core: map-reduce enumeration requires a connected sample graph")
-	}
-	if parts == nil {
-		parts, _ = s.Decompose()
-	}
-	if err := s.ValidateParts(parts); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
 	}
 	return runBucketJob(ctx, g, s.P(), opt, "decomposed (Theorem 6.1)", "decomposed (Theorem 6.1 conversion)", sink,
 		func(h graph.NodeHash, ms *matchSink) enumReduce {
@@ -40,11 +34,7 @@ func EnumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, 
 					maxID = max(maxID, e.U, e.V)
 				}
 				local := graph.FromEdges(int(maxID)+1, edges)
-				found, work, err := serial.EnumerateByDecomposition(local, s, parts)
-				if err != nil {
-					// Parts were validated up front; a failure here is a bug.
-					panic(fmt.Sprintf("core: decomposition rejected after validation: %v", err))
-				}
+				found, work := serial.EnumerateByDecomposition(local, s)
 				ctx.AddWork(work)
 				buckets := make([]int, s.P())
 				for _, phi := range found {

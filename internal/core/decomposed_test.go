@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"subgraphmr/internal/graph"
+	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/sample"
 	"subgraphmr/internal/serial"
 )
@@ -36,12 +37,9 @@ func TestEnumerateDecomposedMatchesSerial(t *testing.T) {
 	}
 	for gname, g := range graphs {
 		for sname, s := range samples {
-			want, _, err := serial.EnumerateByDecomposition(g, s, nil)
-			if err != nil {
-				t.Fatalf("%s/%s serial: %v", gname, sname, err)
-			}
+			want, _ := serial.EnumerateByDecomposition(g, s)
 			var got [][]graph.Node
-			res, err := EnumerateDecomposed(t.Context(), g, s, nil, Options{Buckets: 3, Seed: 11, Parallelism: 4}, func(phi []graph.Node) bool {
+			res, err := EnumerateDecomposed(t.Context(), g, s, Options{Buckets: 3, Seed: 11, Engine: mapreduce.Config{Parallelism: 4}}, func(phi []graph.Node) bool {
 				got = append(got, phi)
 				return true
 			})
@@ -75,14 +73,14 @@ func TestEnumerateDecomposedCountOnly(t *testing.T) {
 	g := graph.Gnm(80, 400, 9)
 	s := sample.Triangle()
 	var delivered int64
-	full, err := EnumerateDecomposed(t.Context(), g, s, nil, Options{Buckets: 4, Seed: 2}, func([]graph.Node) bool {
+	full, err := EnumerateDecomposed(t.Context(), g, s, Options{Buckets: 4, Seed: 2}, func([]graph.Node) bool {
 		delivered++
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	counted, err := EnumerateDecomposed(t.Context(), g, s, nil, Options{Buckets: 4, Seed: 2}, nil)
+	counted, err := EnumerateDecomposed(t.Context(), g, s, Options{Buckets: 4, Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,20 +92,15 @@ func TestEnumerateDecomposedCountOnly(t *testing.T) {
 	}
 }
 
-// TestEnumerateDecomposedRejectsBadParts checks decomposition validation.
-func TestEnumerateDecomposedRejectsBadParts(t *testing.T) {
+// TestEnumerateDecomposedRejectsDisconnectedSample: a sample node the
+// reducers' edges cannot reach is refused up front.
+func TestEnumerateDecomposedRejectsDisconnectedSample(t *testing.T) {
 	g := graph.Gnm(20, 40, 1)
-	s := sample.Triangle()
-	if _, err := EnumerateDecomposed(t.Context(), g, s, []sample.Part{
-		{Kind: sample.IsolatedNode, Vars: []int{0}},
-	}, Options{Buckets: 2}, nil); err == nil {
-		t.Error("incomplete decomposition accepted")
-	}
 	disc, err := sample.New(4, [][2]int{{0, 1}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EnumerateDecomposed(t.Context(), g, disc, nil, Options{Buckets: 2}, nil); err == nil {
+	if _, err := EnumerateDecomposed(t.Context(), g, disc, Options{Buckets: 2}, nil); err == nil {
 		t.Error("disconnected sample accepted")
 	}
 }

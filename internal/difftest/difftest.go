@@ -54,11 +54,11 @@ func sampleOracle(g *graph.Graph, s *sample.Sample) map[string]bool {
 	return want
 }
 
-// CheckEnumerate runs core.Enumerate under opt and compares the instance
-// set against the brute-force oracle.
-func CheckEnumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, opt core.Options) (mapreduce.Metrics, error) {
-	return checkCore(fmt.Sprintf("enumerate/%v/%v", opt.Strategy, s), g, s, func(sink func([]graph.Node) bool) (*core.Result, error) {
-		return core.Enumerate(ctx, g, s, opt, sink)
+// CheckEnumerate runs core.Enumerate under st and opt and compares the
+// instance set against the brute-force oracle.
+func CheckEnumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, st core.Strategy, opt core.Options) (mapreduce.Metrics, error) {
+	return checkCore(fmt.Sprintf("enumerate/%v/%v", st, s), g, s, func(sink func([]graph.Node) bool) (*core.Result, error) {
+		return core.Enumerate(ctx, g, s, st, opt, sink)
 	})
 }
 
@@ -66,7 +66,7 @@ func CheckEnumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, opt c
 // compares the instance set against the brute-force oracle.
 func CheckDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, opt core.Options) (mapreduce.Metrics, error) {
 	return checkCore(fmt.Sprintf("mr-decompose/%v", s), g, s, func(sink func([]graph.Node) bool) (*core.Result, error) {
-		return core.EnumerateDecomposed(ctx, g, s, nil, opt, sink)
+		return core.EnumerateDecomposed(ctx, g, s, opt, sink)
 	})
 }
 
@@ -163,7 +163,7 @@ func CheckCycleChain(ctx context.Context, rels []*multijoin.Relation, cfg mapred
 
 // CheckDirected runs the directed labeled enumeration and compares the
 // instance set against the directed brute-force oracle.
-func CheckDirected(ctx context.Context, g *directed.DiGraph, pt *directed.DiPattern, opt directed.Options) (mapreduce.Metrics, error) {
+func CheckDirected(ctx context.Context, g *directed.DiGraph, pt *directed.DiPattern, opt core.Options) (mapreduce.Metrics, error) {
 	res, err := directed.EnumerateContext(ctx, g, pt, opt, nil)
 	if err != nil {
 		return mapreduce.Metrics{}, err
@@ -176,7 +176,7 @@ func CheckDirected(ctx context.Context, g *directed.DiGraph, pt *directed.DiPatt
 	for _, phi := range res.Instances {
 		got = append(got, fmt.Sprint(phi))
 	}
-	return res.Metrics, compareInstances("directed", want, got)
+	return res.Jobs[0].Metrics, compareInstances("directed", want, got)
 }
 
 // Graphs returns the seeded test corpus: a uniform Gnm graph and a skewed

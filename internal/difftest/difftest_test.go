@@ -45,13 +45,10 @@ func TestEnumerateAllStrategies(t *testing.T) {
 				for _, mode := range modes {
 					name := fmt.Sprintf("%s/%v/%v/%s", gname, s, strat, mode.name)
 					t.Run(name, func(t *testing.T) {
-						m, err := CheckEnumerate(t.Context(), g, s, core.Options{
-							Strategy:       strat,
+						m, err := CheckEnumerate(t.Context(), g, s, strat, core.Options{
 							TargetReducers: 64,
 							Seed:           11,
-							Parallelism:    2,
-							Partitions:     2,
-							MemoryBudget:   mode.budget,
+							Engine:         mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget},
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -67,12 +64,10 @@ func TestEnumerateAllStrategies(t *testing.T) {
 func TestEnumerateCycleCQs(t *testing.T) {
 	g := Graphs(3)["gnm"]
 	for _, mode := range modes {
-		m, err := CheckEnumerate(t.Context(), g, sample.Named("c5"), core.Options{
+		m, err := CheckEnumerate(t.Context(), g, sample.Named("c5"), core.BucketOriented, core.Options{
 			UseCycleCQs:    true,
 			TargetReducers: 64,
-			Parallelism:    2,
-			Partitions:     2,
-			MemoryBudget:   mode.budget,
+			Engine:         mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", mode.name, err)
@@ -92,9 +87,7 @@ func TestDecomposed(t *testing.T) {
 					m, err := CheckDecomposed(t.Context(), g, s, core.Options{
 						TargetReducers: 64,
 						Seed:           5,
-						Parallelism:    2,
-						Partitions:     2,
-						MemoryBudget:   mode.budget,
+						Engine:         mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget},
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -175,8 +168,8 @@ func TestDirectedPatterns(t *testing.T) {
 	for pname, pt := range patterns {
 		for _, mode := range modes {
 			t.Run(pname+"/"+mode.name, func(t *testing.T) {
-				m, err := CheckDirected(t.Context(), g, pt, directed.Options{
-					Buckets: 4, Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget,
+				m, err := CheckDirected(t.Context(), g, pt, core.Options{
+					Buckets: 4, Engine: mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -192,11 +185,9 @@ func TestDirectedPatterns(t *testing.T) {
 // compaction, and must still agree with the oracle.
 func TestOneByteBudget(t *testing.T) {
 	g := Graphs(29)["gnm"]
-	m, err := CheckEnumerate(t.Context(), g, sample.Named("triangle"), core.Options{
+	m, err := CheckEnumerate(t.Context(), g, sample.Named("triangle"), core.BucketOriented, core.Options{
 		TargetReducers: 64,
-		Parallelism:    2,
-		Partitions:     2,
-		MemoryBudget:   1,
+		Engine:         mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,11 +228,10 @@ func TestProbeMatchesRun(t *testing.T) {
 	for gname, g := range Graphs(7) {
 		for _, s := range []*sample.Sample{sample.Triangle(), sample.Square(), sample.Lollipop()} {
 			p := s.P()
-			opt := core.Options{Buckets: b, TargetReducers: k, Seed: seed, Parallelism: 2, Partitions: 2}
+			opt := core.Options{Buckets: b, TargetReducers: k, Seed: seed, Engine: mapreduce.Config{Parallelism: 2, Partitions: 2}}
 			qs := cq.MergeByOrientation(cq.GenerateForSample(s))
 			run := func(t *testing.T, st core.Strategy) *core.Result {
-				opt.Strategy = st
-				res, err := core.Enumerate(t.Context(), g, s, opt, nil)
+				res, err := core.Enumerate(t.Context(), g, s, st, opt, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -254,7 +244,7 @@ func TestProbeMatchesRun(t *testing.T) {
 				closed(t, shares.BucketEdgeReplication(b, p), g, m)
 			})
 			t.Run(fmt.Sprintf("%s/%v/decomposed", gname, s), func(t *testing.T) {
-				res, err := core.EnumerateDecomposed(t.Context(), g, s, nil, opt, nil)
+				res, err := core.EnumerateDecomposed(t.Context(), g, s, opt, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,8 +1,10 @@
 package directed
 
 import (
+	"slices"
 	"testing"
 
+	"subgraphmr/internal/core"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/shares"
 )
@@ -95,7 +97,7 @@ func TestDirectedEnumerateMatchesOracle(t *testing.T) {
 				want[pt.Key(phi)] = true
 			}
 			for _, b := range []int{1, 3, 5} {
-				res, err := EnumerateContext(t.Context(), g, pt, Options{Buckets: b, Seed: 11}, nil)
+				res, err := EnumerateContext(t.Context(), g, pt, core.Options{Buckets: b, Seed: 11}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,17 +131,63 @@ func TestDirectedCommMatchesFormula(t *testing.T) {
 		{DirectedCycle(4, 1), 4},
 		{FanIn(4, 0), 5},
 	} {
-		res, err := EnumerateContext(t.Context(), g, tc.pt, Options{Buckets: tc.b, Seed: 2}, nil)
+		res, err := EnumerateContext(t.Context(), g, tc.pt, core.Options{Buckets: tc.b, Seed: 2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		job := res.Jobs[0]
 		want := int64(PredictedCommPerArc(tc.b, tc.pt.P())) * int64(g.NumArcs())
-		if res.Metrics.KeyValuePairs != want {
-			t.Errorf("pattern p=%d b=%d: comm %d, want %d",
-				tc.pt.P(), tc.b, res.Metrics.KeyValuePairs, want)
+		if job.Metrics.KeyValuePairs != want || job.PredictedCommPerEdge != PredictedCommPerArc(tc.b, tc.pt.P()) {
+			t.Errorf("pattern p=%d b=%d: comm %d (predicted %v per arc), want %d",
+				tc.pt.P(), tc.b, job.Metrics.KeyValuePairs, job.PredictedCommPerEdge, want)
 		}
-		if max := int64(shares.UsefulReducers(tc.b, tc.pt.P())); res.Metrics.DistinctKeys > max {
-			t.Errorf("reducers %d exceed C(b+p-1,p)=%d", res.Metrics.DistinctKeys, max)
+		if len(res.Jobs) != 1 || res.Count != int64(len(res.Instances)) || len(job.Shares) != tc.pt.P() || job.Shares[0] != tc.b {
+			t.Errorf("pattern p=%d b=%d: result %d jobs, count %d for %d instances, shares %v",
+				tc.pt.P(), tc.b, len(res.Jobs), res.Count, len(res.Instances), job.Shares)
+		}
+		if max := int64(shares.UsefulReducers(tc.b, tc.pt.P())); res.Jobs[0].Metrics.DistinctKeys > max {
+			t.Errorf("reducers %d exceed C(b+p-1,p)=%d", res.Jobs[0].Metrics.DistinctKeys, max)
+		}
+	}
+}
+
+// TestBruteForceCountsByHand pins the oracle on graphs whose instance
+// counts are known in closed form, so it is checked by something other
+// than the reducers' matcher it judges.
+func TestBruteForceCountsByHand(t *testing.T) {
+	const n = 6
+	b := NewDiBuilder(n)
+	for u := graph.Node(0); u < n; u++ {
+		for v := graph.Node(0); v < n; v++ {
+			if u != v {
+				b.AddArc(u, v, 0)
+			}
+		}
+	}
+	b.AddArc(0, 1, 1)
+	complete := b.Graph()
+	for _, tc := range []struct {
+		name string
+		pt   *DiPattern
+		want int
+	}{
+		{"directed 3-cycles: two orientations per triple", DirectedCycle(3, 0), 2 * 20},
+		{"directed 3-paths: every ordered triple", DirectedPath(3, 0), 6 * 5 * 4},
+		{"fan-in 3: a sink and an unordered pair of sources", FanIn(3, 0), 6 * 10},
+		{"a label-1 arc: only 0→1 carries one", DirectedPath(2, 1), 1},
+		{"label-1 then label-0", MustPattern(3, []PatternArc{{0, 1, 1}, {1, 2, 0}}), 4},
+	} {
+		got := BruteForce(complete, tc.pt)
+		if len(got) != tc.want {
+			t.Errorf("%s: %d instances, want %d", tc.name, len(got), tc.want)
+		}
+		for i, phi := range got {
+			if !tc.pt.IsInstance(complete, phi) || !tc.pt.IsCanonical(phi) {
+				t.Errorf("%s: %v is not a canonical instance", tc.name, phi)
+			}
+			if i > 0 && slices.Compare(got[i-1], phi) >= 0 {
+				t.Errorf("%s: %v after %v — not sorted and unique", tc.name, phi, got[i-1])
+			}
 		}
 	}
 }
@@ -159,7 +207,7 @@ func TestThreatRingPlanted(t *testing.T) {
 	}
 	g := b.Graph()
 	pt := ThreatRing(3)
-	res, err := EnumerateContext(t.Context(), g, pt, Options{Buckets: 4, Seed: 1}, nil)
+	res, err := EnumerateContext(t.Context(), g, pt, core.Options{Buckets: 4, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +229,7 @@ func TestThreatRingPlanted(t *testing.T) {
 func TestDisconnectedPatternRejected(t *testing.T) {
 	pt := MustPattern(4, []PatternArc{{0, 1, 0}, {2, 3, 0}})
 	g := RandomDiGraph(10, 30, 1, 1)
-	if _, err := EnumerateContext(t.Context(), g, pt, Options{}, nil); err == nil {
+	if _, err := EnumerateContext(t.Context(), g, pt, core.Options{}, nil); err == nil {
 		t.Error("weakly disconnected pattern should be rejected")
 	}
 }
@@ -253,11 +301,11 @@ func TestBlockLoadsMatchPairMapper(t *testing.T) {
 			pairs += int64(n)
 			maxLoad = max(maxLoad, int64(n))
 		}
-		res, err := EnumerateContext(t.Context(), g, pt, Options{Buckets: b, Seed: 9}, nil)
+		res, err := EnumerateContext(t.Context(), g, pt, core.Options{Buckets: b, Seed: 9}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m := res.Metrics; m.KeyValuePairs != pairs || m.DistinctKeys != int64(len(want)) || m.MaxReducerInput != maxLoad {
+		if m := res.Jobs[0].Metrics; m.KeyValuePairs != pairs || m.DistinctKeys != int64(len(want)) || m.MaxReducerInput != maxLoad {
 			t.Errorf("%v: job shipped %d pairs to %d reducers, at most %d; the pair mapper %d to %d, at most %d",
 				pt, m.KeyValuePairs, m.DistinctKeys, m.MaxReducerInput, pairs, len(want), maxLoad)
 		}

@@ -6,52 +6,13 @@ import (
 	"fmt"
 	"sort"
 
+	"subgraphmr/internal/core"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
+	"subgraphmr/internal/sample"
+	"subgraphmr/internal/serial"
 	"subgraphmr/internal/shares"
 )
-
-// Options configures the directed enumeration. It mirrors the execution
-// fields of core.Options exactly (asserted by the public options-parity
-// test), so every knob the undirected strategies honor works here too.
-type Options struct {
-	// Buckets is the hash bucket count b (default: derived from
-	// TargetReducers, or 4 when that is unset too).
-	Buckets int
-	// TargetReducers, when Buckets is unset, picks the largest b whose
-	// useful-reducer count C(b+p-1, p) stays within it (Theorem 4.2).
-	TargetReducers int
-	// Seed seeds the node hash.
-	Seed uint64
-	// Parallelism bounds worker goroutines (0 = GOMAXPROCS).
-	Parallelism int
-	// Partitions is the number of shuffle partitions / reduce workers
-	// (0 = Parallelism).
-	Partitions int
-	// MemoryBudget bounds, in bytes, the grouped arcs the engine's reduce
-	// workers hold in memory; 0 means unlimited. See mapreduce.Config.
-	MemoryBudget int64
-	// SpillDir is the directory for spill run files ("" = system temp).
-	SpillDir string
-}
-
-// buckets resolves the bucket count for a p-node pattern.
-func (o Options) buckets(p int) int {
-	if o.Buckets > 0 {
-		return o.Buckets
-	}
-	if o.TargetReducers > 0 {
-		return shares.BucketsForReducers(o.TargetReducers, p)
-	}
-	return 4
-}
-
-// Result carries the instances and job metrics.
-type Result struct {
-	Instances [][]graph.Node
-	Metrics   mapreduce.Metrics
-	Buckets   int
-}
 
 // EnumerateContext finds every instance of the pattern in g exactly once
 // with one round of map-reduce, using the bucket-oriented scheme of
@@ -62,16 +23,18 @@ type Result struct {
 // emitted only by the reducer owning its bucket multiset, in canonical
 // (automorphism-least) form.
 //
-// A nil sink materializes Result.Instances; a non-nil sink receives each
+// opt supplies the bucket count (opt.BucketsFor), the seed and the engine
+// configuration; the result is the one core.Result, with a single job. A
+// nil sink materializes Result.Instances; a non-nil sink receives each
 // instance instead (serialized, with backpressure; returning false stops
-// the job early with a nil error). Cancelling ctx aborts the job and
-// returns ctx.Err().
-func EnumerateContext(ctx context.Context, g *DiGraph, pt *DiPattern, opt Options, sink func([]graph.Node) bool) (*Result, error) {
+// the job early with a nil error). Result.Count is the instances delivered
+// either way. Cancelling ctx aborts the job and returns ctx.Err().
+func EnumerateContext(ctx context.Context, g *DiGraph, pt *DiPattern, opt core.Options, sink func([]graph.Node) bool) (*core.Result, error) {
 	if !pt.IsWeaklyConnected() {
 		return nil, fmt.Errorf("directed: pattern must be weakly connected")
 	}
 	p := pt.P()
-	b := opt.buckets(p)
+	b := opt.BucketsFor(p)
 	if err := graph.CheckKey(p, b); err != nil {
 		return nil, fmt.Errorf("directed: %w", err)
 	}
@@ -98,24 +61,26 @@ func EnumerateContext(ctx context.Context, g *DiGraph, pt *DiPattern, opt Option
 		Reduce: reducer,
 		Codec:  arcCodec{graph.EdgeKeyCodec{P: p}},
 	}
-	cfg := mapreduce.Config{
-		Parallelism:  opt.Parallelism,
-		Partitions:   opt.Partitions,
-		MemoryBudget: opt.MemoryBudget,
-		SpillDir:     opt.SpillDir,
-	}
-	res := &Result{Buckets: b}
+	res := &core.Result{}
 	if sink == nil {
 		sink = func(phi []graph.Node) bool {
 			res.Instances = append(res.Instances, phi)
 			return true
 		}
 	}
-	metrics, err := job.RunStream(ctx, cfg, g.Arcs(), sink)
+	metrics, err := job.RunStream(ctx, opt.Engine, g.Arcs(), sink)
 	if err != nil {
 		return nil, err
 	}
-	res.Metrics = metrics
+	res.Count = metrics.Outputs
+	res.Jobs = []core.JobStats{{
+		Label:                job.Name,
+		Shares:               shares.Uniform(p, b),
+		PredictedCommPerEdge: PredictedCommPerArc(b, p),
+		OptimalCommPerEdge:   PredictedCommPerArc(b, p),
+		Metrics:              metrics,
+		ObservedSkew:         metrics.Skew(),
+	}}
 	return res, nil
 }
 
@@ -305,16 +270,36 @@ func enumerateFragment(f *fragment, pt *DiPattern, plan []planStep, emit func([]
 }
 
 // BruteForce enumerates every instance of the pattern exactly once by
-// exhaustive search over the whole graph — the directed oracle.
+// exhaustive search — the directed oracle. It shares nothing with the
+// reducers' matcher: serial.BruteForce finds every instance of the
+// pattern's undirected skeleton in the graph's undirected skeleton, each is
+// expanded over the skeleton's automorphisms into all its assignments, and
+// the assignments that are instances of the pattern (directions and labels
+// included) and canonical under its own automorphisms are kept, sorted.
 func BruteForce(g *DiGraph, pt *DiPattern) [][]graph.Node {
-	f := buildFragment(g.Arcs())
-	plan := searchPlan(pt)
+	edges := make([][2]int, len(pt.arcs))
+	for i, a := range pt.arcs {
+		edges[i] = [2]int{a.From, a.To}
+	}
+	skel := sample.MustNew(pt.P(), edges)
+	dataEdges := make([]graph.Edge, len(g.arcs))
+	for i, a := range g.arcs {
+		dataEdges[i] = graph.Edge{U: a.From, V: a.To}
+	}
+	seen := map[string]bool{}
 	var out [][]graph.Node
-	enumerateFragment(f, pt, plan, func(phi []graph.Node) {
-		if pt.IsCanonical(phi) {
-			out = append(out, append([]graph.Node(nil), phi...))
+	for _, psi := range serial.BruteForce(graph.FromEdges(g.n, dataEdges), skel) {
+		for _, a := range skel.Automorphisms() {
+			phi := make([]graph.Node, len(psi))
+			for i := range phi {
+				phi[i] = psi[a[i]]
+			}
+			if k := fmt.Sprint(phi); !seen[k] && pt.IsInstance(g, phi) && pt.IsCanonical(phi) {
+				seen[k] = true
+				out = append(out, phi)
+			}
 		}
-	})
+	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		for k := range a {

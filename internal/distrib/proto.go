@@ -11,30 +11,24 @@ import (
 )
 
 // JobRequest tells a worker to execute one plan over its slice of the
-// distributed key space. It carries the plan's resolved configuration —
-// strategy, bucket count, seed, engine knobs — never re-derived quantities,
-// so every worker cuts the key space exactly as the coordinator planned.
-// Adaptive re-planning is deliberately absent: a worker that re-planned
-// mid-run would change its reducer keys and desynchronize the ownership
-// filter, so distributed execution always runs the static plan.
+// distributed key space. It carries the plan's options value whole and the
+// plan's resolved quantities, never re-derived ones, so every worker cuts
+// the key space exactly as the coordinator planned. The worker turns
+// Options.AdaptiveReplan off — a worker that re-planned mid-run would
+// change its reducer keys and desynchronize the ownership filter, so
+// distributed execution always runs the static plan — and sets
+// Options.Engine.Dist from DistTotal and Owned.
 type JobRequest struct {
 	// Strategy is the resolved PlanStrategy (the root package's numbering).
 	Strategy int
+	// Options is the plan's enumeration and engine configuration.
+	Options core.Options
 	// Buckets is the plan's resolved bucket count (0 for share-based
-	// strategies, which derive shares from TargetReducers).
-	Buckets        int
-	TargetReducers int
-	CycleCQs       bool
-	Seed           uint64
+	// strategies, which derive shares from Options.TargetReducers).
+	Buckets int
 	// PredictedCommPerEdge carries the plan's cost prediction so worker
 	// job statistics label themselves like the local run's would.
 	PredictedCommPerEdge float64
-
-	// Engine knobs, applied per worker.
-	Parallelism  int
-	Partitions   int
-	MemoryBudget int64
-	SpillDir     string
 
 	// Sample graph (reconstructed worker-side via sample.New).
 	SampleP     int

@@ -1,9 +1,6 @@
 package sample
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // PartKind labels a piece of a sample-graph decomposition in the sense of
 // Theorem 7.2: isolated nodes, pairs of nodes connected by an edge, and
@@ -43,9 +40,16 @@ type Part struct {
 // Decompose partitions the sample's nodes into parts per Theorem 7.2,
 // minimizing the number q of isolated nodes (because the resulting
 // enumeration algorithm runs in O(n^q · m^{(p-q)/2}), and trading n² for m
-// always pays). It returns the parts and q. For p ≤ ~16 the bitmask dynamic
-// program below is instantaneous.
+// always pays). It returns the parts and q, computed once and cached: safe
+// for concurrent use, and the parts are shared — do not modify them.
 func (s *Sample) Decompose() ([]Part, int) {
+	s.decOnce.Do(func() { s.parts, s.isolated = s.decompose() })
+	return s.parts, s.isolated
+}
+
+// decompose is the bitmask dynamic program behind Decompose: O(3^p)
+// submask steps, each an odd-Hamiltonian test memoized per mask.
+func (s *Sample) decompose() ([]Part, int) {
 	p := s.p
 	full := (1 << p) - 1
 
@@ -166,29 +170,4 @@ func maskToVars(mask int) []int {
 		mask &^= 1 << v
 	}
 	return vars
-}
-
-// ValidateParts checks that parts is a legal Theorem 7.2 decomposition of
-// s: the parts' variables partition the sample nodes exactly, and every
-// odd-Hamiltonian part has odd size ≥ 3. It is shared by the serial
-// decomposition algorithm and its map-reduce conversion.
-func (s *Sample) ValidateParts(parts []Part) error {
-	covered := make([]bool, s.P())
-	for _, part := range parts {
-		if part.Kind == OddHamiltonian && (len(part.Vars)%2 == 0 || len(part.Vars) < 3) {
-			return fmt.Errorf("sample: odd-Hamiltonian part has even or too-small size %d", len(part.Vars))
-		}
-		for _, v := range part.Vars {
-			if v < 0 || v >= s.P() || covered[v] {
-				return fmt.Errorf("sample: decomposition does not partition the sample nodes")
-			}
-			covered[v] = true
-		}
-	}
-	for v, ok := range covered {
-		if !ok {
-			return fmt.Errorf("sample: sample node %d not covered by decomposition", v)
-		}
-	}
-	return nil
 }

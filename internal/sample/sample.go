@@ -26,6 +26,10 @@ type Sample struct {
 
 	autOnce sync.Once
 	auts    []perm.Perm // cached automorphism group, computed under autOnce
+
+	decOnce  sync.Once
+	parts    []Part // cached Decompose result, computed under decOnce
+	isolated int
 }
 
 // New builds a sample graph with p nodes and the given undirected edges.

@@ -1,8 +1,6 @@
 package serial
 
 import (
-	"fmt"
-
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/sample"
 )
@@ -13,18 +11,11 @@ import (
 // enumerated independently, combined by checking disjointness and the
 // sample edges crossing between parts, and deduplicated by keeping the
 // canonical (lexicographically least) assignment per Aut(S)-orbit. With q
-// isolated nodes this is a (q, (p-q)/2)-algorithm.
-//
-// If parts is nil, s.Decompose() chooses a decomposition minimizing q.
+// isolated nodes this is a (q, (p-q)/2)-algorithm; the parts are
+// s.Decompose()'s, which minimize q.
 // Returns the canonical assignments and the work performed.
-func EnumerateByDecomposition(g *graph.Graph, s *sample.Sample, parts []sample.Part) ([][]graph.Node, int64, error) {
-	if parts == nil {
-		parts, _ = s.Decompose()
-	}
-	if err := s.ValidateParts(parts); err != nil {
-		return nil, 0, fmt.Errorf("serial: %w", err)
-	}
-
+func EnumerateByDecomposition(g *graph.Graph, s *sample.Sample) ([][]graph.Node, int64) {
+	parts, _ := s.Decompose()
 	var work int64
 	// Enumerate the assignments of each part (Lemma 6.1 enumerates the two
 	// pieces fully before combining; we do the same, part by part).
@@ -44,13 +35,7 @@ func EnumerateByDecomposition(g *graph.Graph, s *sample.Sample, parts []sample.P
 			}
 			work += int64(2 * g.NumEdges())
 		case sample.OddHamiltonian:
-			w, err := oddHamAssignments(g, s, part, &asg)
-			if err != nil {
-				return nil, 0, err
-			}
-			work += w
-		default:
-			return nil, 0, fmt.Errorf("serial: unknown part kind %v", part.Kind)
+			work += oddHamAssignments(g, s, part, &asg)
 		}
 		partAssignments[pi] = asg
 	}
@@ -118,7 +103,7 @@ func EnumerateByDecomposition(g *graph.Graph, s *sample.Sample, parts []sample.P
 	}
 	combine(0)
 	sortAssignments(out)
-	return out, work, nil
+	return out, work
 }
 
 // oddHamAssignments enumerates the assignments of an odd-Hamiltonian part:
@@ -126,11 +111,8 @@ func EnumerateByDecomposition(g *graph.Graph, s *sample.Sample, parts []sample.P
 // triangle algorithm for length 3), mapped onto the part's Hamilton cycle in
 // all 2L rotations/reflections, keeping those where the part's chord edges
 // (sample edges inside the part but off the Hamilton cycle) are present.
-func oddHamAssignments(g *graph.Graph, s *sample.Sample, part sample.Part, asg *[][]graph.Node) (int64, error) {
+func oddHamAssignments(g *graph.Graph, s *sample.Sample, part sample.Part, asg *[][]graph.Node) int64 {
 	length := len(part.Vars)
-	if length%2 == 0 || length < 3 {
-		return 0, fmt.Errorf("serial: odd-Hamiltonian part has even size %d", length)
-	}
 	var chords [][2]int // indexes into part.Vars
 	for i := 0; i < length; i++ {
 		for j := i + 1; j < length; j++ {
@@ -170,5 +152,5 @@ func oddHamAssignments(g *graph.Graph, s *sample.Sample, part sample.Part, asg *
 	} else {
 		work += OddCycles(g, (length-1)/2, addCycle)
 	}
-	return work, nil
+	return work
 }

@@ -57,6 +57,16 @@ func BucketsForReducers(k, p int) int {
 // method of Section 4.5: each edge reaches C(b+p-3, p-2) distinct reducers.
 func BucketEdgeReplication(b, p int) float64 { return Binomial(b+p-3, p-2) }
 
+// Uniform is the share vector of a bucket-style job: b buckets for each of
+// the p variables.
+func Uniform(p, b int) []int {
+	out := make([]int, p)
+	for i := range out {
+		out[i] = b
+	}
+	return out
+}
+
 // GeneralizedPartitionEdgeReplication is the expected per-edge replication
 // of the generalized Partition algorithm of Section 4.5 with b node groups:
 // a fraction (b-1)/b of edges (endpoints in different groups) reach

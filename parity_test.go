@@ -7,70 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"subgraphmr/internal/core"
-	"subgraphmr/internal/directed"
 )
-
-// execOptionFields is the execution option set every path must expose:
-// the config-duplication bug class this pins is a strategy silently
-// ignoring a knob the others honor (directed.Options used to lack
-// TargetReducers; SpillDir/Partitions parity was maintained by hand).
-var execOptionFields = map[string]reflect.Type{
-	"TargetReducers": reflect.TypeOf(int(0)),
-	"Buckets":        reflect.TypeOf(int(0)),
-	"Seed":           reflect.TypeOf(uint64(0)),
-	"Parallelism":    reflect.TypeOf(int(0)),
-	"Partitions":     reflect.TypeOf(int(0)),
-	"MemoryBudget":   reflect.TypeOf(int64(0)),
-	"SpillDir":       reflect.TypeOf(""),
-}
-
-// TestOptionStructParity asserts, at the type level, that every remaining
-// options struct carries the full execution option set with matching
-// types, so a knob added to one cannot silently miss the others.
-func TestOptionStructParity(t *testing.T) {
-	for name, typ := range map[string]reflect.Type{
-		"core.Options":     reflect.TypeOf(core.Options{}),
-		"directed.Options": reflect.TypeOf(directed.Options{}),
-		"planOpts":         reflect.TypeOf(planOpts{}),
-	} {
-		for field, want := range execOptionFields {
-			if name == "planOpts" {
-				// The functional-options struct uses unexported names.
-				field = lowerFirst(field)
-			}
-			f, ok := typ.FieldByName(field)
-			if !ok {
-				t.Errorf("%s lacks execution option %s", name, field)
-				continue
-			}
-			if f.Type != want {
-				t.Errorf("%s.%s has type %v, want %v", name, field, f.Type, want)
-			}
-		}
-	}
-}
-
-func lowerFirst(s string) string {
-	switch s {
-	case "TargetReducers":
-		return "targetReducers"
-	case "Buckets":
-		return "buckets"
-	case "Seed":
-		return "seed"
-	case "Parallelism":
-		return "parallelism"
-	case "Partitions":
-		return "partitions"
-	case "MemoryBudget":
-		return "memoryBudget"
-	case "SpillDir":
-		return "spillDir"
-	}
-	return s
-}
 
 // allPlanStrategies is every runnable strategy (triangle sample makes all
 // of them viable).
@@ -110,16 +47,36 @@ func TestEveryPathHonorsMemoryBudget(t *testing.T) {
 		}
 	}
 
-	// The directed path too.
-	dg := RandomDiGraph(80, 400, 2, 5)
-	pattern := DirectedCyclePattern(3, 0)
-	res, err := EnumerateDirectedContext(t.Context(), dg, pattern, DirectedOptions{
-		Buckets: 4, Seed: 3, MemoryBudget: 1024, SpillDir: t.TempDir(),
-	}, nil)
+	// The distributed runner: the engine knobs ride to the workers inside
+	// the shipped options, so the workers' own jobs must spill.
+	plan, err := Plan(g, Triangle(), WithStrategy(StrategyBucketOriented), WithTargetReducers(64),
+		WithSeed(3), WithMemoryBudget(2048), WithSpillDir(t.TempDir()), WithDistributed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.SpilledPairs == 0 {
+	res, err := Run(ctx, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != want {
+		t.Errorf("distributed under budget: %d triangles, oracle %d", res.Count, want)
+	}
+	var spilled int64
+	for _, job := range res.Jobs {
+		spilled += job.Metrics.SpilledPairs
+	}
+	if spilled == 0 {
+		t.Error("distributed: 2 KiB budget spilled nothing on the workers — MemoryBudget is not reaching them")
+	}
+
+	// The directed path too.
+	dg := RandomDiGraph(80, 400, 2, 5)
+	pattern := DirectedCyclePattern(3, 0)
+	res, err = EnumerateDirectedContext(t.Context(), dg, pattern, nil, WithBuckets(4), WithSeed(3), WithMemoryBudget(1024), WithSpillDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Jobs[0].Metrics.SpilledPairs == 0 {
 		t.Error("directed: 1 KiB budget spilled nothing — MemoryBudget is not reaching the directed path")
 	}
 	if len(res.Instances) != len(DirectedBruteForce(dg, pattern)) {
@@ -156,9 +113,7 @@ func TestEveryPathHonorsSpillDir(t *testing.T) {
 		expectEngineError(st.String(), err)
 	}
 	dg := RandomDiGraph(80, 400, 2, 5)
-	_, err := EnumerateDirectedContext(t.Context(), dg, DirectedCyclePattern(3, 0), DirectedOptions{
-		Buckets: 4, MemoryBudget: 1024, SpillDir: badDir,
-	}, nil)
+	_, err := EnumerateDirectedContext(t.Context(), dg, DirectedCyclePattern(3, 0), nil, WithBuckets(4), WithMemoryBudget(1024), WithSpillDir(badDir))
 	expectEngineError("directed", err)
 }
 
@@ -204,16 +159,16 @@ func TestEveryPathIsSeedDeterministic(t *testing.T) {
 	// be ignored (it changes the bucket count, hence the communication).
 	dg := RandomDiGraph(80, 400, 2, 5)
 	pattern := DirectedCyclePattern(3, 0)
-	small, err := EnumerateDirectedContext(t.Context(), dg, pattern, DirectedOptions{TargetReducers: 4, Seed: 1}, nil)
+	small, err := EnumerateDirectedContext(t.Context(), dg, pattern, nil, WithTargetReducers(4), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := EnumerateDirectedContext(t.Context(), dg, pattern, DirectedOptions{TargetReducers: 512, Seed: 1}, nil)
+	large, err := EnumerateDirectedContext(t.Context(), dg, pattern, nil, WithTargetReducers(512), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if small.Buckets >= large.Buckets {
-		t.Errorf("directed TargetReducers ignored: b=%d for k=4, b=%d for k=512", small.Buckets, large.Buckets)
+	if bs, bl := small.Jobs[0].Shares[0], large.Jobs[0].Shares[0]; bs >= bl {
+		t.Errorf("directed TargetReducers ignored: b=%d for k=4, b=%d for k=512", bs, bl)
 	}
 	if len(small.Instances) != len(large.Instances) {
 		t.Errorf("directed bucket counts changed the result: %d vs %d instances", len(small.Instances), len(large.Instances))

@@ -92,8 +92,6 @@ type QueryPlan struct {
 	// shuffle footprint exceeds the configured memory budget (always
 	// false without a budget).
 	PredictedSpill bool
-	// MemoryBudget echoes the configured budget (0 = unlimited).
-	MemoryBudget int64 `json:",omitempty"`
 	// Adaptive reports that WithAdaptive probed the candidates and the
 	// plan was ranked by observed loads; Probes lists every probe row.
 	Adaptive bool `json:",omitempty"`
@@ -112,8 +110,9 @@ type QueryPlan struct {
 	// opts is frozen once Plan returns: execution paths read it but never
 	// write it (see the concurrency note on QueryPlan — variants copy the
 	// plan first). Keeping it a value, not a pointer, makes lp := *p a
-	// deep-enough copy: the only reference fields (workers, dist) are
-	// replaced wholesale by the paths that touch them, never appended to.
+	// deep-enough copy: the only reference fields (workers,
+	// core.Engine.Dist) are replaced wholesale by the paths that touch
+	// them, never appended to.
 	opts planOpts
 	// enc memoizes the distributed wire encoding of the data graph. It is
 	// a pointer so plan copies (lp := *p) share the one payload and so the
@@ -146,14 +145,14 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	if o.targetReducers <= 0 {
-		o.targetReducers = defaultTargetReducers
+	if o.core.TargetReducers <= 0 {
+		o.core.TargetReducers = defaultTargetReducers
 	}
 	if s.P() > graph.MaxKeyVars {
 		return nil, fmt.Errorf("subgraphmr: sample has %d nodes; reducer keys hold at most %d", s.P(), graph.MaxKeyVars)
 	}
-	if o.buckets > shares.MaxIntShare {
-		return nil, fmt.Errorf("subgraphmr: bucket count %d exceeds %d", o.buckets, shares.MaxIntShare)
+	if o.core.Buckets > shares.MaxIntShare {
+		return nil, fmt.Errorf("subgraphmr: bucket count %d exceeds %d", o.core.Buckets, shares.MaxIntShare)
 	}
 	qs, err := planCQs(s, o)
 	if err != nil {
@@ -168,12 +167,12 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 	}
 
 	var probes []LoadProbe
-	if o.adaptive {
+	if o.core.AdaptiveReplan {
 		probes = probeCandidates(q, cands)
 	}
 
 	cost := func(c Candidate) int64 {
-		if o.adaptive && c.Probed {
+		if o.core.AdaptiveReplan && c.Probed {
 			return c.AdjustedCost
 		}
 		return c.EstComm
@@ -207,22 +206,21 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 	}
 
 	plan := &QueryPlan{
-		Strategy:     cands[chosen].Strategy,
-		Chosen:       cands[chosen],
-		Candidates:   cands,
-		NumCQs:       len(qs),
-		MemoryBudget: o.memoryBudget,
-		graph:        g,
-		sample:       s,
-		opts:         o,
-		enc:          &encodedGraph{},
+		Strategy:   cands[chosen].Strategy,
+		Chosen:     cands[chosen],
+		Candidates: cands,
+		NumCQs:     len(qs),
+		graph:      g,
+		sample:     s,
+		opts:       o,
+		enc:        &encodedGraph{},
 	}
-	if o.adaptive {
+	if o.core.AdaptiveReplan {
 		plan.Adaptive = true
-		plan.SkewThreshold = o.resolvedSkewThreshold()
+		plan.SkewThreshold = o.core.ResolvedSkewThreshold()
 		plan.Probes = probes
 	}
-	if o.memoryBudget > 0 && plan.Chosen.EstShuffleBytes > o.memoryBudget {
+	if budget := o.core.Engine.MemoryBudget; budget > 0 && plan.Chosen.EstShuffleBytes > budget {
 		plan.PredictedSpill = true
 	}
 	return plan, nil
@@ -239,7 +237,7 @@ func (p *QueryPlan) Sample() *Sample { return p.sample }
 // Section 3 pipeline. Mirrors core's CQ construction so plan estimates
 // match execution.
 func planCQs(s *Sample, o planOpts) ([]*CQ, error) {
-	if o.cycleCQs {
+	if o.core.UseCycleCQs {
 		if d, reg := s.IsRegular(); !reg || d != 2 {
 			return nil, fmt.Errorf("subgraphmr: WithCycleCQs requires a cycle sample, got %v", s)
 		}
@@ -282,13 +280,13 @@ func (p *QueryPlan) Explain() string {
 	fmt.Fprintf(&sb, "  jobs: %d, rounds: %d, est. reducers: %d\n", c.Jobs, c.Rounds, c.Reducers)
 	fmt.Fprintf(&sb, "  est. communication: %.2f pairs/edge, %d total\n", c.CommPerEdge, c.EstComm)
 	fmt.Fprintf(&sb, "  CQs: %d\n", p.NumCQs)
-	if p.MemoryBudget > 0 {
+	if budget := p.opts.core.Engine.MemoryBudget; budget > 0 {
 		verdict := "fits in memory"
 		if p.PredictedSpill {
 			verdict = "will spill to disk"
 		}
 		fmt.Fprintf(&sb, "  memory: est. shuffle %d bytes vs budget %d — predicted: %s\n",
-			c.EstShuffleBytes, p.MemoryBudget, verdict)
+			c.EstShuffleBytes, budget, verdict)
 	}
 	sb.WriteString("candidates:\n")
 	for _, cand := range p.Candidates {

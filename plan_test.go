@@ -424,7 +424,7 @@ func TestPatternSizeLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = EnumerateDirectedContext(t.Context(), RandomDiGraph(30, 60, 1, 1), dipath17, DirectedOptions{}, nil)
+	_, err = EnumerateDirectedContext(t.Context(), RandomDiGraph(30, 60, 1, 1), dipath17, nil)
 	if err == nil || !strings.Contains(err.Error(), "16-node limit") {
 		t.Errorf("EnumerateDirectedContext on a 17-node path: %v, want an error naming the 16-node limit", err)
 	}

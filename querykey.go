@@ -18,53 +18,55 @@ import (
 //   - The sample contributes its normalized form (p plus the sorted,
 //     u<v edge list). Variable names are excluded: they label output
 //     columns but change neither the plan nor the instances.
-//   - Every planOpts field is either encoded into the key or explicitly
-//     exempted in queryKeyExemptFields with the reason; the reflection
-//     test TestQueryKeyCoversPlanOpts fails the build of any future
-//     option that is neither, so new options cannot silently alias
-//     cache entries.
+//   - Every planOpts field — nested struct fields included, down to each
+//     core.Options and engine knob — is either encoded into the key or
+//     explicitly exempted in queryKeyExemptFields with the reason; the
+//     reflection test TestQueryKeyCoversPlanOpts fails the build of any
+//     future option that is neither, so new options cannot silently
+//     alias cache entries.
 func QueryKey(graphID string, s *Sample, opts ...Option) string {
 	o := defaultPlanOpts()
 	for _, fn := range opts {
 		fn(&o)
 	}
 	// Mirror Plan's normalization so k<=0 and k=default share an entry.
-	if o.targetReducers <= 0 {
-		o.targetReducers = defaultTargetReducers
+	c := o.core
+	if c.TargetReducers <= 0 {
+		c.TargetReducers = defaultTargetReducers
 	}
 	var sb strings.Builder
 	sb.Grow(160)
 	fmt.Fprintf(&sb, "g=%s|s=%s|", graphID, sampleKeyString(s))
-	// Each planOpts field below is one key segment; the reflection test
-	// holds this list and the exempt list to the full field set.
+	// Each planOpts leaf field below is one key segment; the reflection
+	// test holds this list and the exempt list to the full field set.
 	fmt.Fprintf(&sb, "strategy=%d|k=%d|b=%d|cyclecqs=%t|countonly=%t|seed=%d",
-		int(o.strategy), o.targetReducers, o.buckets, o.cycleCQs, o.countOnly, o.seed)
+		int(o.strategy), c.TargetReducers, c.Buckets, c.UseCycleCQs, o.countOnly, c.Seed)
 	fmt.Fprintf(&sb, "|par=%d|parts=%d|mem=%d|spill=%s",
-		o.parallelism, o.partitions, o.memoryBudget, o.spillDir)
-	fmt.Fprintf(&sb, "|adaptive=%t|skew=%g", o.adaptive, o.skewThreshold)
+		c.Engine.Parallelism, c.Engine.Partitions, c.Engine.MemoryBudget, c.Engine.SpillDir)
+	fmt.Fprintf(&sb, "|adaptive=%t|skew=%g", c.AdaptiveReplan, c.SkewThreshold)
 	fmt.Fprintf(&sb, "|workers=%s|spawn=%d|wtimeout=%d|fault=%d:%d:%d",
 		strings.Join(o.workers, ","), o.spawnWorkers, int64(o.workerTimeout),
 		int(o.fault.Mode), o.fault.Worker, o.fault.AfterInstances)
 	return sb.String()
 }
 
-// queryKeyExemptFields lists the planOpts fields QueryKey deliberately
-// leaves out of the key, each with the reason. The reflection test
-// requires every planOpts field to appear either here or in
-// queryKeyIncludedFields — adding an option forces an explicit caching
-// decision.
+// queryKeyExemptFields lists the planOpts leaf fields (dotted paths through
+// nested structs) QueryKey deliberately leaves out of the key, each with
+// the reason. The reflection test requires every leaf to appear either
+// here or in queryKeyIncludedFields — adding an option forces an explicit
+// caching decision.
 var queryKeyExemptFields = map[string]string{
-	"dist": "worker-side ownership filter: set only by the distributed executor on reconstructed worker plans, never by a caller-facing Option",
+	"core.Engine.Dist": "worker-side ownership filter: set only by the distributed executor on reconstructed worker plans, never by a caller-facing Option",
 }
 
-// queryKeyIncludedFields names the planOpts fields QueryKey encodes, in
-// key order. Kept next to QueryKey so the two are updated together; the
-// reflection test cross-checks it against the struct.
+// queryKeyIncludedFields names the planOpts leaf fields QueryKey encodes,
+// in key order. Kept next to QueryKey so the two are updated together;
+// the reflection test cross-checks it against the struct.
 var queryKeyIncludedFields = []string{
-	"strategy", "targetReducers", "buckets", "cycleCQs", "countOnly", "seed",
-	"parallelism", "partitions", "memoryBudget", "spillDir",
-	"adaptive", "skewThreshold",
-	"workers", "spawnWorkers", "workerTimeout", "fault",
+	"strategy", "core.TargetReducers", "core.Buckets", "core.UseCycleCQs", "countOnly", "core.Seed",
+	"core.Engine.Parallelism", "core.Engine.Partitions", "core.Engine.MemoryBudget", "core.Engine.SpillDir",
+	"core.AdaptiveReplan", "core.SkewThreshold",
+	"workers", "spawnWorkers", "workerTimeout", "fault.Mode", "fault.Worker", "fault.AfterInstances",
 }
 
 // sampleKeyString renders the sample's normalized form: p plus the sorted

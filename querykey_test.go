@@ -6,38 +6,47 @@ import (
 	"time"
 )
 
-// TestQueryKeyCoversPlanOpts is the aliasing guard: every planOpts field
-// must have an explicit cache-key decision — encoded by QueryKey (listed
-// in queryKeyIncludedFields) or exempted with a reason
-// (queryKeyExemptFields). Adding an option without deciding fails here,
-// so a new knob can never silently alias plan-cache entries.
+// TestQueryKeyCoversPlanOpts is the aliasing guard: every planOpts leaf
+// field — struct fields are walked into, so each core.Options and engine
+// knob is a leaf of its own — must have an explicit cache-key decision:
+// encoded by QueryKey (listed in queryKeyIncludedFields) or exempted with
+// a reason (queryKeyExemptFields). Adding an option without deciding
+// fails here, so a new knob can never silently alias plan-cache entries.
 func TestQueryKeyCoversPlanOpts(t *testing.T) {
-	typ := reflect.TypeOf(planOpts{})
 	included := make(map[string]bool, len(queryKeyIncludedFields))
 	for _, f := range queryKeyIncludedFields {
 		included[f] = true
 	}
 	seen := make(map[string]bool)
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		seen[name] = true
-		_, exempt := queryKeyExemptFields[name]
-		switch {
-		case included[name] && exempt:
-			t.Errorf("planOpts.%s is both included in and exempted from QueryKey — pick one", name)
-		case !included[name] && !exempt:
-			t.Errorf("planOpts.%s has no cache-key decision: add it to QueryKey + queryKeyIncludedFields, or exempt it in queryKeyExemptFields with the reason", name)
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name := prefix + f.Name
+			if f.Type.Kind() == reflect.Struct {
+				walk(name+".", f.Type)
+				continue
+			}
+			seen[name] = true
+			_, exempt := queryKeyExemptFields[name]
+			switch {
+			case included[name] && exempt:
+				t.Errorf("planOpts.%s is both included in and exempted from QueryKey — pick one", name)
+			case !included[name] && !exempt:
+				t.Errorf("planOpts.%s has no cache-key decision: add it to QueryKey + queryKeyIncludedFields, or exempt it in queryKeyExemptFields with the reason", name)
+			}
 		}
 	}
+	walk("", reflect.TypeOf(planOpts{}))
 	// No stale decisions for fields that no longer exist.
 	for _, f := range queryKeyIncludedFields {
 		if !seen[f] {
-			t.Errorf("queryKeyIncludedFields lists %q, which is not a planOpts field", f)
+			t.Errorf("queryKeyIncludedFields lists %q, which is not a planOpts leaf field", f)
 		}
 	}
 	for f := range queryKeyExemptFields {
 		if !seen[f] {
-			t.Errorf("queryKeyExemptFields lists %q, which is not a planOpts field", f)
+			t.Errorf("queryKeyExemptFields lists %q, which is not a planOpts leaf field", f)
 		}
 	}
 }
@@ -50,22 +59,24 @@ func TestQueryKeySensitivity(t *testing.T) {
 	s := Triangle()
 	base := QueryKey("g1", s)
 	perturb := map[string][]Option{
-		"strategy":       {WithStrategy(StrategyTriangleMultiway)},
-		"targetReducers": {WithTargetReducers(7)},
-		"buckets":        {WithBuckets(5)},
-		"cycleCQs":       {WithCycleCQs()},
-		"countOnly":      {WithCountOnly()},
-		"seed":           {WithSeed(99)},
-		"parallelism":    {WithParallelism(2)},
-		"partitions":     {WithPartitions(3)},
-		"memoryBudget":   {WithMemoryBudget(4096)},
-		"spillDir":       {WithSpillDir("/tmp/elsewhere")},
-		"adaptive":       {WithAdaptive()},
-		"skewThreshold":  {WithSkewThreshold(2.5)},
-		"workers":        {WithWorkers([]string{"127.0.0.1:1"})},
-		"spawnWorkers":   {WithDistributed(2)},
-		"workerTimeout":  {WithWorkerTimeout(time.Second)},
-		"fault":          {WithFaultInjection(FaultSpec{Mode: FaultDrop, Worker: 1})},
+		"strategy":                 {WithStrategy(StrategyTriangleMultiway)},
+		"core.TargetReducers":      {WithTargetReducers(7)},
+		"core.Buckets":             {WithBuckets(5)},
+		"core.UseCycleCQs":         {WithCycleCQs()},
+		"countOnly":                {WithCountOnly()},
+		"core.Seed":                {WithSeed(99)},
+		"core.Engine.Parallelism":  {WithParallelism(2)},
+		"core.Engine.Partitions":   {WithPartitions(3)},
+		"core.Engine.MemoryBudget": {WithMemoryBudget(4096)},
+		"core.Engine.SpillDir":     {WithSpillDir("/tmp/elsewhere")},
+		"core.AdaptiveReplan":      {WithAdaptive()},
+		"core.SkewThreshold":       {WithSkewThreshold(2.5)},
+		"workers":                  {WithWorkers([]string{"127.0.0.1:1"})},
+		"spawnWorkers":             {WithDistributed(2)},
+		"workerTimeout":            {WithWorkerTimeout(time.Second)},
+		"fault.Mode":               {WithFaultInjection(FaultSpec{Mode: FaultDrop})},
+		"fault.Worker":             {WithFaultInjection(FaultSpec{Worker: 1})},
+		"fault.AfterInstances":     {WithFaultInjection(FaultSpec{AfterInstances: 5})},
 	}
 	for _, field := range queryKeyIncludedFields {
 		opts, ok := perturb[field]

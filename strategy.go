@@ -113,8 +113,9 @@ func ParseStrategy(name string) (PlanStrategy, error) {
 
 // runLocal executes a plan in-process into sink (nil counts). It is the one
 // execution path: Run and Stream call it, a distributed worker executes its
-// job through it (planOpts.dist set, so every engine round filters to the
-// owned key-space slices), and the coordinator degrades to it.
+// job through it (planOpts.core.Engine.Dist set, so every engine round
+// filters to the owned key-space slices), and the coordinator degrades to
+// it.
 func runLocal(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
 	def := p.Strategy.def()
 	if def == nil {
@@ -145,20 +146,12 @@ func bucketCandidate(q *planQuery, b int, reducers int64, commPerEdge float64) C
 	return finishCandidate(Candidate{
 		Viable:      true,
 		Buckets:     b,
-		Shares:      uniformIntShares(q.p, b),
+		Shares:      shares.Uniform(q.p, b),
 		Jobs:        1,
 		Rounds:      1,
 		Reducers:    reducers,
 		CommPerEdge: commPerEdge,
 	}, q.m)
-}
-
-func uniformIntShares(p, b int) []int {
-	out := make([]int, p)
-	for i := range out {
-		out[i] = b
-	}
-	return out
 }
 
 // —— Section 4.5 bucket-oriented, and the Theorem 6.1 decomposed conversion ——
@@ -169,11 +162,8 @@ func uniformIntShares(p, b int) []int {
 
 func priceCoreBuckets(q *planQuery) Candidate {
 	// The explicit override, or the shared Theorem 4.2 derivation — the
-	// same helper execution uses, so plan and job cannot diverge.
-	b := q.o.buckets
-	if b <= 0 {
-		b = shares.BucketsForReducers(q.o.targetReducers, q.p)
-	}
+	// same resolution execution uses, so plan and job cannot diverge.
+	b := q.o.core.BucketsFor(q.p)
 	return bucketCandidate(q, b, int64(shares.UsefulReducers(b, q.p)), shares.BucketEdgeReplication(b, q.p))
 }
 
@@ -187,20 +177,26 @@ func probeCoreBuckets(pr *prober, c *Candidate) {
 		return
 	}
 	if row, ok := pr.climb(c, true, comm, reducers, func(b int) (mapreduce.LoadStats, error) {
-		return core.ProbeBucketLoads(pr.g, pr.p, b, pr.o.seed, pr.cfg)
+		return core.ProbeBucketLoads(pr.g, pr.p, b, pr.o.core.Seed, pr.cfg)
 	}); ok {
 		pr.coreBuckets = &row
 	}
 }
 
+// runCore runs one of the core strategies at the plan's options, with the
+// bucket count the planner resolved (an adaptive probe may have raised it).
 func runCore(st core.Strategy) func(context.Context, *QueryPlan, func([]Node) bool) (*Result, error) {
 	return func(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
-		return core.Enumerate(ctx, p.graph, p.sample, p.opts.coreOptions(st, p.Chosen.Buckets), sink)
+		opt := p.opts.core
+		opt.Buckets = p.Chosen.Buckets
+		return core.Enumerate(ctx, p.graph, p.sample, st, opt, sink)
 	}
 }
 
 func runDecomposed(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
-	return core.EnumerateDecomposed(ctx, p.graph, p.sample, nil, p.opts.coreOptions(core.BucketOriented, p.Chosen.Buckets), sink)
+	opt := p.opts.core
+	opt.Buckets = p.Chosen.Buckets
+	return core.EnumerateDecomposed(ctx, p.graph, p.sample, opt, sink)
 }
 
 // —— Section 4.3 variable-oriented and Section 4.1 cq-oriented ——
@@ -230,7 +226,7 @@ func priceShares(model shares.Model, p int, k float64) (intShares []int, reducer
 // priceVariable costs the one combined job at the integer shares execution
 // will actually use.
 func priceVariable(q *planQuery) Candidate {
-	intShares, reducers, comm, reason := priceShares(shares.VariableOrientedModel(q.p, q.qs), q.p, float64(q.o.targetReducers))
+	intShares, reducers, comm, reason := priceShares(shares.VariableOrientedModel(q.p, q.qs), q.p, float64(q.o.core.TargetReducers))
 	if reason != "" {
 		return Candidate{Reason: reason}
 	}
@@ -245,7 +241,7 @@ func priceVariable(q *planQuery) Candidate {
 }
 
 func probeVariable(pr *prober, c *Candidate) {
-	ls, err := core.ProbeVariableLoads(pr.g, pr.qs, c.Shares, pr.o.seed, pr.cfg)
+	ls, err := core.ProbeVariableLoads(pr.g, pr.qs, c.Shares, pr.o.core.Seed, pr.cfg)
 	if err != nil {
 		return
 	}
@@ -258,7 +254,7 @@ func probeVariable(pr *prober, c *Candidate) {
 func priceCQ(q *planQuery) Candidate {
 	c := Candidate{Viable: true, Jobs: len(q.qs), Rounds: 1}
 	for _, cq := range q.qs {
-		intShares, reducers, comm, reason := priceShares(shares.ModelFromCQ(cq), q.p, float64(q.o.targetReducers))
+		intShares, reducers, comm, reason := priceShares(shares.ModelFromCQ(cq), q.p, float64(q.o.core.TargetReducers))
 		if reason != "" {
 			return Candidate{Reason: reason}
 		}
@@ -275,7 +271,7 @@ func probeCQ(pr *prober, c *Candidate) {
 		if j >= len(c.JobShares) {
 			break
 		}
-		ls, err := core.ProbeCQLoads(pr.g, cq, c.JobShares[j], pr.o.seed, pr.cfg)
+		ls, err := core.ProbeCQLoads(pr.g, cq, c.JobShares[j], pr.o.core.Seed, pr.cfg)
 		if err != nil {
 			return
 		}
@@ -303,9 +299,9 @@ func triangleStrategy(id PlanStrategy, name, flag string, algo triangle.Algo, la
 			if !isTriangleSample(q.s) {
 				return Candidate{Reason: "triangle algorithms require the triangle sample"}
 			}
-			b := q.o.buckets
+			b := q.o.core.Buckets
 			if b <= 0 {
-				b = algo.BucketsFor(int64(q.o.targetReducers))
+				b = algo.BucketsFor(int64(q.o.core.TargetReducers))
 			}
 			if b < algo.MinB {
 				return Candidate{Reason: fmt.Sprintf("%s needs b >= %d, got %d", name, algo.MinB, b)}
@@ -314,7 +310,7 @@ func triangleStrategy(id PlanStrategy, name, flag string, algo triangle.Algo, la
 		},
 		probe: func(pr *prober, c *Candidate) {
 			pr.climb(c, ladder, algo.CommPerEdge, algo.Reducers, func(b int) (mapreduce.LoadStats, error) {
-				return algo.ProbeLoads(pr.g, b, pr.o.seed, pr.cfg)
+				return algo.ProbeLoads(pr.g, b, pr.o.core.Seed, pr.cfg)
 			})
 		},
 		run: func(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
@@ -331,13 +327,13 @@ func triangleStrategy(id PlanStrategy, name, flag string, algo triangle.Algo, la
 // runTriangleJob runs one Section 2 job at b buckets into sink and returns
 // its statistics; Metrics.Outputs is the number of triangles accepted.
 func runTriangleJob(ctx context.Context, p *QueryPlan, algo triangle.Algo, label string, b int, commPerEdge float64, sink func([]Node) bool) (JobStats, error) {
-	m, err := algo.Run(ctx, p.graph, b, p.opts.seed, p.opts.engineConfig(), tripleSink(sink))
+	m, err := algo.Run(ctx, p.graph, b, p.opts.core.Seed, p.opts.core.Engine, tripleSink(sink))
 	if err != nil {
 		return JobStats{}, err
 	}
 	return JobStats{
 		Label:                label,
-		Shares:               uniformIntShares(3, b),
+		Shares:               shares.Uniform(3, b),
 		PredictedCommPerEdge: commPerEdge,
 		OptimalCommPerEdge:   commPerEdge,
 		Metrics:              m,
@@ -404,13 +400,13 @@ func probeTwoRound(pr *prober, c *Candidate) {
 // cheapest observable point, before the wedge relation is shipped again.
 func runTwoRound(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
 	var afterRound1 func(Metrics, int64) bool
-	if p.opts.adaptive {
-		threshold := p.opts.resolvedSkewThreshold()
+	if p.opts.core.AdaptiveReplan {
+		threshold := p.opts.core.ResolvedSkewThreshold()
 		afterRound1 = func(round1 Metrics, _ int64) bool {
 			return round1.Skew() <= threshold
 		}
 	}
-	tr, err := tworound.Triangles(ctx, p.graph, p.opts.engineConfig(), tripleSink(sink), afterRound1)
+	tr, err := tworound.Triangles(ctx, p.graph, p.opts.core.Engine, tripleSink(sink), afterRound1)
 	if err != nil {
 		return nil, err
 	}
@@ -460,5 +456,5 @@ func (p *QueryPlan) fallbackTriangleBuckets(algo triangle.Algo) int {
 			return c.Buckets
 		}
 	}
-	return algo.BucketsFor(int64(p.opts.targetReducers))
+	return algo.BucketsFor(int64(p.opts.core.TargetReducers))
 }

@@ -99,8 +99,6 @@ type (
 	ShareSolution = shares.Solution
 	// TwoPath is a properly ordered 2-path (Lemma 7.1).
 	TwoPath = serial.TwoPath
-	// DecompositionPart is one part of a Theorem 7.2 decomposition.
-	DecompositionPart = sample.Part
 )
 
 // NewGraphBuilder returns a builder for a data graph with n nodes.
@@ -206,10 +204,11 @@ func ProperlyOrdered2Paths(g *Graph, emit func(TwoPath)) int64 {
 func BruteForce(g *Graph, s *Sample) [][]Node { return serial.BruteForce(g, s) }
 
 // EnumerateByDecomposition runs the Theorem 7.2 serial algorithm: decompose
-// s into edges, odd-Hamiltonian parts and isolated nodes, enumerate parts,
-// and join. Pass nil parts to use the optimal decomposition.
-func EnumerateByDecomposition(g *Graph, s *Sample, parts []DecompositionPart) ([][]Node, int64, error) {
-	return serial.EnumerateByDecomposition(g, s, parts)
+// s optimally into edges, odd-Hamiltonian parts and isolated nodes,
+// enumerate the parts, and join. It returns the instances and the work
+// performed.
+func EnumerateByDecomposition(g *Graph, s *Sample) ([][]Node, int64) {
+	return serial.EnumerateByDecomposition(g, s)
 }
 
 // EnumerateBoundedDegree runs the Theorem 7.3 serial algorithm, which on

@@ -59,10 +59,7 @@ func TestFacadeSerialAlgorithms(t *testing.T) {
 	if count != oracle {
 		t.Errorf("OddCycles found %d pentagons, oracle %d", count, oracle)
 	}
-	dec, _, err := EnumerateByDecomposition(g, Square(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec, _ := EnumerateByDecomposition(g, Square())
 	bd, _, err := EnumerateBoundedDegree(g, Square())
 	if err != nil {
 		t.Fatal(err)
