@@ -8,6 +8,10 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"subgraphmr/internal/approx"
+	"subgraphmr/internal/directed"
+	"subgraphmr/internal/tworound"
 )
 
 // BenchmarkAblationCascadeVsOneRound quantifies the paper's introduction
@@ -34,7 +38,7 @@ func BenchmarkAblationCascadeVsOneRound(b *testing.B) {
 			total = mustRun(b, plan).TotalComm()
 		}
 		b.ReportMetric(float64(total)/float64(g.NumEdges()), "comm/edge")
-		b.ReportMetric(float64(WedgeCount(g)), "wedges")
+		b.ReportMetric(float64(tworound.WedgeCount(g)), "wedges")
 	})
 	b.Run("one-round-bucketordered", func(b *testing.B) {
 		plan := mustPlan(b, g, Triangle(), WithStrategy(StrategyTriangleBucketOrdered), WithBuckets(10), WithSeed(7))
@@ -92,7 +96,7 @@ func BenchmarkAblationApproxVsExact(b *testing.B) {
 		b.Run(fmt.Sprintf("doulion-q=%.1f", q), func(b *testing.B) {
 			var est float64
 			for i := 0; i < b.N; i++ {
-				est = DoulionTriangles(g, q, 1, int64(i)+1)
+				est = approx.DoulionTriangles(g, q, 1, int64(i)+1)
 			}
 			b.ReportMetric(est, "triangles")
 			b.ReportMetric(math.Abs(est-exact)/exact, "rel_err")
@@ -103,13 +107,13 @@ func BenchmarkAblationApproxVsExact(b *testing.B) {
 // BenchmarkAblationDirected measures the directed/labeled extension: the
 // bucket scheme's communication per arc is the same C(b+p-3, p-2) shape.
 func BenchmarkAblationDirected(b *testing.B) {
-	g := RandomDiGraph(800, 6000, 3, 7)
+	g := directed.RandomDiGraph(800, 6000, 3, 7)
 	for _, p := range []int{3, 4} {
 		b.Run(fmt.Sprintf("directed-C%d", p), func(b *testing.B) {
 			var res *Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = EnumerateDirectedContext(b.Context(), g, DirectedCyclePattern(p, 0), nil, WithBuckets(5), WithSeed(3))
+				res, err = EnumerateDirectedContext(b.Context(), g, directed.DirectedCycle(p, 0), nil, WithBuckets(5), WithSeed(3))
 				if err != nil {
 					b.Fatal(err)
 				}

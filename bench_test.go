@@ -9,7 +9,10 @@ import (
 	"math"
 	"testing"
 
+	"subgraphmr/internal/cq"
+	"subgraphmr/internal/cycles"
 	"subgraphmr/internal/mapreduce"
+	"subgraphmr/internal/serial"
 	"subgraphmr/internal/shares"
 )
 
@@ -80,7 +83,7 @@ func BenchmarkSerialTriangleScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			var work int64
 			for i := 0; i < b.N; i++ {
-				work = SerialTriangles(g, func(_, _, _ Node) {})
+				work = serial.Triangles(g, func(_, _, _ Node) {})
 			}
 			b.ReportMetric(float64(work)/math.Pow(float64(m), 1.5), "work/m^1.5")
 		})
@@ -133,7 +136,7 @@ func BenchmarkBoundedDegree(b *testing.B) {
 			var work int64
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, work, err = EnumerateBoundedDegree(g, star)
+				_, work, err = serial.EnumerateBoundedDegree(g, star)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -168,7 +171,7 @@ func BenchmarkDecomposition(b *testing.B) {
 // serial algorithm as the bucket count grows.
 func BenchmarkConvertibility(b *testing.B) {
 	g := Gnm(1500, 9000, 7)
-	serialWork := SerialTriangles(g, func(_, _, _ Node) {})
+	serialWork := serial.Triangles(g, func(_, _, _ Node) {})
 	for _, buckets := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("b=%d", buckets), func(b *testing.B) {
 			plan := mustPlan(b, g, Triangle(), WithStrategy(StrategyTriangleBucketOrdered), WithBuckets(buckets), WithSeed(7))
@@ -230,7 +233,7 @@ func BenchmarkCQGeneration(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			var n int
 			for i := 0; i < b.N; i++ {
-				n = len(MergedCQsFor(s))
+				n = len(cq.MergeByOrientation(cq.GenerateForSample(s)))
 			}
 			b.ReportMetric(float64(n), "CQs")
 		})
@@ -244,7 +247,7 @@ func BenchmarkCycleCQGeneration(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			var n int
 			for i := 0; i < b.N; i++ {
-				n = len(CycleCQs(p))
+				n = len(cycles.Generate(p))
 			}
 			b.ReportMetric(float64(n), "CQs")
 		})
@@ -255,26 +258,26 @@ func BenchmarkCycleCQGeneration(b *testing.B) {
 // on the paper's worked examples.
 func BenchmarkShareOptimizer(b *testing.B) {
 	models := map[string]struct {
-		m ShareModel
+		m shares.Model
 		k float64
 	}{
-		"Ex4.1_lollipopCQ1": {ShareModel{NumVars: 4, Subgoals: []ShareSubgoal{
+		"Ex4.1_lollipopCQ1": {shares.Model{NumVars: 4, Subgoals: []shares.Subgoal{
 			{Vars: []int{0, 1}, Coef: 1}, {Vars: []int{1, 2}, Coef: 1},
 			{Vars: []int{1, 3}, Coef: 1}, {Vars: []int{2, 3}, Coef: 1}}}, 750},
-		"Ex4.2_squareVO": {ShareModel{NumVars: 4, Subgoals: []ShareSubgoal{
+		"Ex4.2_squareVO": {shares.Model{NumVars: 4, Subgoals: []shares.Subgoal{
 			{Vars: []int{0, 1}, Coef: 1}, {Vars: []int{0, 3}, Coef: 1},
 			{Vars: []int{1, 2}, Coef: 2}, {Vars: []int{2, 3}, Coef: 2}}}, 50000},
-		"Ex4.3_C6VO": {ShareModel{NumVars: 6, Subgoals: []ShareSubgoal{
+		"Ex4.3_C6VO": {shares.Model{NumVars: 6, Subgoals: []shares.Subgoal{
 			{Vars: []int{0, 1}, Coef: 1}, {Vars: []int{0, 5}, Coef: 1},
 			{Vars: []int{1, 2}, Coef: 2}, {Vars: []int{2, 3}, Coef: 2},
 			{Vars: []int{3, 4}, Coef: 2}, {Vars: []int{4, 5}, Coef: 2}}}, 500000},
 	}
 	for name, tc := range models {
 		b.Run(name, func(b *testing.B) {
-			var sol ShareSolution
+			var sol shares.Solution
 			for i := 0; i < b.N; i++ {
 				var err error
-				sol, err = OptimizeShares(tc.m, tc.k)
+				sol, err = tc.m.Solve(tc.k)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"subgraphmr"
+	"subgraphmr/internal/approx"
 	"subgraphmr/internal/cq"
 	"subgraphmr/internal/cycles"
 	"subgraphmr/internal/directed"
@@ -21,6 +22,7 @@ import (
 	"subgraphmr/internal/serial"
 	"subgraphmr/internal/shares"
 	"subgraphmr/internal/triangle"
+	"subgraphmr/internal/tworound"
 )
 
 var sections = map[string]func(){
@@ -112,7 +114,7 @@ func intro() {
 	fmt.Printf("hub graph n=%d m=%d: both find %d triangles\n",
 		g.NumNodes(), g.NumEdges(), cascade.Count)
 	fmt.Printf("  cascade (2 rounds): comm=%d (%.1f/edge), wedges materialized=%d\n",
-		cascade.TotalComm(), float64(cascade.TotalComm())/float64(g.NumEdges()), subgraphmr.WedgeCount(g))
+		cascade.TotalComm(), float64(cascade.TotalComm())/float64(g.NumEdges()), tworound.WedgeCount(g))
 	fmt.Printf("  one round (§2.3, b=10): comm=%d (%.1f/edge)\n",
 		oneRound.KeyValuePairs,
 		float64(oneRound.KeyValuePairs)/float64(g.NumEdges()))
@@ -148,13 +150,13 @@ func baseline() {
 	exact := subgraphmr.CountTriangles(g)
 	fmt.Printf("exact triangles: %d\n", exact)
 	for _, q := range []float64{0.5, 0.2, 0.1} {
-		est := subgraphmr.DoulionTriangles(g, q, 5, 3)
+		est := approx.DoulionTriangles(g, q, 5, 3)
 		fmt.Printf("doulion q=%.1f (5 trials): estimate %.0f (rel err %.1f%%)\n",
 			q, est, 100*math.Abs(est-float64(exact))/float64(exact))
 	}
 	small := subgraphmr.Gnm(40, 100, 2)
 	exactPaths := len(subgraphmr.BruteForce(small, subgraphmr.PathSample(4)))
-	ccEst := subgraphmr.ColorCodingPaths(small, 4, 500, 9)
+	ccEst := approx.ColorCodingPaths(small, 4, 500, 9)
 	fmt.Printf("color coding 4-paths (500 colorings): estimate %.1f (exact %d)\n", ccEst, exactPaths)
 }
 
@@ -390,7 +392,7 @@ func sec5() {
 func thm61() {
 	header("Theorem 6.1 / Section 2.3 — convertibility: total reducer work vs serial work")
 	g := subgraphmr.Gnm(1500, 9000, 7)
-	serialWork := subgraphmr.SerialTriangles(g, func(_, _, _ subgraphmr.Node) {})
+	serialWork := serial.Triangles(g, func(_, _, _ graph.Node) {})
 	fmt.Printf("serial triangle work: %d\n", serialWork)
 	for _, b := range []int{2, 4, 8, 16} {
 		m := runTriangle(g, subgraphmr.StrategyTriangleBucketOrdered, b)

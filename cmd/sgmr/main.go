@@ -69,6 +69,8 @@ import (
 	"time"
 
 	"subgraphmr"
+	"subgraphmr/internal/approx"
+	"subgraphmr/internal/serial"
 )
 
 // errUsage signals a flag-parse failure the FlagSet already reported, so
@@ -215,7 +217,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "strategy: serial decomposition (Theorem 7.2), work=%d\n", work)
 	case "serial-degree":
 		var work int64
-		instances, work, err = subgraphmr.EnumerateBoundedDegree(g, s)
+		instances, work, err = serial.EnumerateBoundedDegree(g, s)
 		if err != nil {
 			return err
 		}
@@ -224,7 +226,7 @@ func run(args []string, out io.Writer) error {
 		if *sampleName != "triangle" {
 			return fmt.Errorf("the doulion baseline supports -sample triangle only")
 		}
-		est := subgraphmr.DoulionTriangles(g, *doulionQ, *trials, *genSeed)
+		est := approx.DoulionTriangles(g, *doulionQ, *trials, *genSeed)
 		fmt.Fprintf(out, "strategy: doulion probabilistic counting (q=%.2f, %d trials)\n", *doulionQ, *trials)
 		fmt.Fprintf(out, "estimated triangles: %.0f\n", est)
 		return nil

@@ -31,19 +31,3 @@ func ExampleRun() {
 	// jobs: 1, conjunctive queries: 1
 	// communication: 20 key-value pairs (2.0 per edge)
 }
-
-// ExampleOptimizeShares solves the Section 4 share-optimization problem
-// for the triangle sample with a budget of 64 reducers: by symmetry every
-// variable gets the same share k^(1/3) = 4.
-func ExampleOptimizeShares() {
-	model := subgraphmr.VariableOrientedModel(3, subgraphmr.MergedCQsFor(subgraphmr.Triangle()))
-	sol, err := subgraphmr.OptimizeShares(model, 64)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("shares: %.0f %.0f %.0f\n", sol.Shares[0], sol.Shares[1], sol.Shares[2])
-	fmt.Printf("optimal communication per edge: %.0f\n", sol.CostPerEdge)
-	// Output:
-	// shares: 4 4 4
-	// optimal communication per edge: 12
-}

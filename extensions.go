@@ -5,11 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"subgraphmr/internal/approx"
-	"subgraphmr/internal/cycles"
 	"subgraphmr/internal/directed"
-	"subgraphmr/internal/multijoin"
-	"subgraphmr/internal/tworound"
 )
 
 // Directed, edge-labeled graphs — the extension sketched in the paper's
@@ -41,29 +37,10 @@ const (
 // nodes.
 func NewDiGraphBuilder(n int) *DiGraphBuilder { return directed.NewDiBuilder(n) }
 
-// RandomDiGraph returns a random directed graph with n nodes, m arcs and
-// the given number of labels.
-func RandomDiGraph(n, m, labels int, seed int64) *DiGraph {
-	return directed.RandomDiGraph(n, m, labels, seed)
-}
-
 // NewDiPattern builds a directed labeled sample pattern.
 func NewDiPattern(p int, arcs []PatternArc, names ...string) (*DiPattern, error) {
 	return directed.NewPattern(p, arcs, names...)
 }
-
-// DirectedCyclePattern returns the directed p-cycle pattern with one label.
-func DirectedCyclePattern(p int, label ArcLabel) *DiPattern {
-	return directed.DirectedCycle(p, label)
-}
-
-// DirectedPathPattern returns the directed p-node path pattern.
-func DirectedPathPattern(p int, label ArcLabel) *DiPattern {
-	return directed.DirectedPath(p, label)
-}
-
-// FanInPattern returns p-1 sources pointing at one sink.
-func FanInPattern(p int, label ArcLabel) *DiPattern { return directed.FanIn(p, label) }
 
 // ThreatRingPattern returns the Section 1.1-style query: k people booked
 // on the same flight who form a buys-from ring.
@@ -81,7 +58,8 @@ func ThreatRingPattern(k int) *DiPattern { return directed.ThreatRing(k) }
 // (WithBuckets, WithTargetReducers, WithSeed, WithParallelism,
 // WithPartitions, WithMemoryBudget, WithSpillDir). Any other option is an
 // error naming it: the directed path has one strategy, no CQs to generate,
-// no adaptive re-planning and no distributed runner.
+// no adaptive re-planning and no distributed runner. A nil graph or pattern
+// is an error naming it.
 func EnumerateDirectedContext(ctx context.Context, g *DiGraph, pt *DiPattern, sink func([]Node) bool, opts ...Option) (*Result, error) {
 	o := defaultPlanOpts()
 	for _, fn := range opts {
@@ -108,56 +86,4 @@ func EnumerateDirectedContext(ctx context.Context, g *DiGraph, pt *DiPattern, si
 // DirectedBruteForce is the exhaustive oracle for directed patterns.
 func DirectedBruteForce(g *DiGraph, pt *DiPattern) [][]Node {
 	return directed.BruteForce(g, pt)
-}
-
-// WedgeCount returns the size of the intermediate relation the cascade
-// must ship.
-func WedgeCount(g *Graph) int64 { return tworound.WedgeCount(g) }
-
-// DoulionTriangles estimates the triangle count by coin-flip edge
-// sparsification (keep probability q), averaged over trials — the
-// probabilistic baseline of the paper's related work [20].
-func DoulionTriangles(g *Graph, q float64, trials int, seed int64) float64 {
-	return approx.DoulionTriangles(g, q, trials, seed)
-}
-
-// ColorCodingPaths estimates the number of simple p-node paths by the
-// color-coding method of the paper's related work [5].
-func ColorCodingPaths(g *Graph, p, trials int, seed int64) float64 {
-	return approx.ColorCodingPaths(g, p, trials, seed)
-}
-
-// Multiway-join cascade (Section 7.4) and orientation-class exports.
-type (
-	// JoinRelation is a binary relation of a multiway join.
-	JoinRelation = multijoin.Relation
-	// JoinTuple is one row of a JoinRelation.
-	JoinTuple = multijoin.Tuple
-	// OrientationClassCount is one cycle orientation class with its size.
-	OrientationClassCount = cycles.ClassCount
-)
-
-// NewJoinRelation builds a relation from tuples, removing duplicates.
-func NewJoinRelation(tuples []JoinTuple) *JoinRelation { return multijoin.NewRelation(tuples) }
-
-// CycleJoin evaluates the p-cycle join serially by backtracking, returning
-// the result rows and the work performed.
-func CycleJoin(rels []*JoinRelation) ([][]int64, int64) { return multijoin.CycleJoin(rels) }
-
-// CycleJoinChain evaluates the p-cycle join as an explicit cascade of
-// two-way joins — one map-reduce round per relation after the first — and
-// returns the rows plus the chain with per-round metrics, so the
-// intermediate-relation blowup the paper argues against is measurable.
-// Fewer than three relations, or a nil one, is an error. Cancelling ctx
-// aborts the round in flight and returns ctx.Err().
-func CycleJoinChain(ctx context.Context, rels []*JoinRelation, cfg EngineConfig) ([][]int64, *Chain, error) {
-	return multijoin.CycleJoinChain(ctx, rels, cfg)
-}
-
-// CycleClassCountsMR computes the Section 5 orientation classes of C_p and
-// their sizes on the map-reduce engine; each mapper counts the classes of
-// its span of strings, so at most classes × spans pairs are shipped. p must
-// lie in [3, 62]. Cancelling ctx aborts the job and returns ctx.Err().
-func CycleClassCountsMR(ctx context.Context, p int, cfg EngineConfig) ([]OrientationClassCount, Metrics, error) {
-	return cycles.ClassCountsMR(ctx, p, cfg)
 }

@@ -1,17 +1,17 @@
 package subgraphmr
 
 import (
-	"fmt"
-	"math"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"subgraphmr/internal/directed"
+	"subgraphmr/internal/tworound"
 )
 
 func TestFacadeDirected(t *testing.T) {
-	g := RandomDiGraph(20, 100, 2, 1)
-	pt := DirectedCyclePattern(3, 0)
+	g := directed.RandomDiGraph(20, 100, 2, 1)
+	pt := directed.DirectedCycle(3, 0)
 	res, err := EnumerateDirectedContext(t.Context(), g, pt, nil, WithBuckets(3), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +40,8 @@ func TestFacadeDirected(t *testing.T) {
 // Plan's options, and each one it cannot honour is an error naming it,
 // never a silently ignored knob.
 func TestFacadeDirectedRejectsUnsupportedOptions(t *testing.T) {
-	g := RandomDiGraph(20, 60, 1, 1)
-	pt := DirectedCyclePattern(3, 0)
+	g := directed.RandomDiGraph(20, 60, 1, 1)
+	pt := directed.DirectedCycle(3, 0)
 	for name, opt := range map[string]Option{
 		"WithStrategy":       WithStrategy(StrategyBucketOriented),
 		"WithCycleCQs":       WithCycleCQs(),
@@ -66,19 +66,45 @@ func TestFacadeDirectedRejectsUnsupportedOptions(t *testing.T) {
 	}
 }
 
+// TestFacadeDirectedRejectsNilInput: a nil data graph or pattern is an
+// error naming it, as Plan's nil inputs are, never a nil dereference.
+func TestFacadeDirectedRejectsNilInput(t *testing.T) {
+	g := directed.RandomDiGraph(20, 60, 1, 1)
+	pt := directed.DirectedCycle(3, 0)
+	for name, run := range map[string]func() error{
+		"data graph": func() error {
+			_, err := EnumerateDirectedContext(t.Context(), nil, pt, nil)
+			return err
+		},
+		"pattern": func() error {
+			_, err := EnumerateDirectedContext(t.Context(), g, nil, nil)
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("panicked: %v", r)
+				}
+			}()
+			if err := run(); err == nil || !strings.Contains(err.Error(), name+" is nil") {
+				t.Errorf("error %v, want one naming the nil %s", err, name)
+			}
+		})
+	}
+}
+
 func TestFacadeDirectedBuilder(t *testing.T) {
 	b := NewDiGraphBuilder(3)
 	b.AddArc(0, 1, LabelKnows)
 	b.AddArc(1, 2, LabelKnows)
 	b.AddArc(2, 0, LabelKnows)
 	g := b.Graph()
-	res, err := EnumerateDirectedContext(t.Context(), g, DirectedCyclePattern(3, LabelKnows), nil, WithBuckets(2))
+	res, err := EnumerateDirectedContext(t.Context(), g, directed.DirectedCycle(3, LabelKnows), nil, WithBuckets(2))
 	if err != nil || len(res.Instances) != 1 {
 		t.Errorf("directed triangle ring: %v, %d instances", err, len(res.Instances))
 	}
 	// The reversed ring is absent.
-	rev := DirectedCyclePattern(3, LabelKnows)
-	_ = rev
 	if g.HasArc(1, 0, LabelKnows) {
 		t.Error("reverse arc should not exist")
 	}
@@ -92,23 +118,9 @@ func TestFacadeTwoRound(t *testing.T) {
 	}
 	// Round 1 ships each edge twice; round 2 ships every wedge plus each
 	// edge once.
-	if len(res.Jobs) != 2 || res.TotalComm() != 3*int64(g.NumEdges())+WedgeCount(g) {
+	if len(res.Jobs) != 2 || res.TotalComm() != 3*int64(g.NumEdges())+tworound.WedgeCount(g) {
 		t.Errorf("cascade communication accounting off: %d jobs, %d pairs, want 3m+W = %d",
-			len(res.Jobs), res.TotalComm(), 3*int64(g.NumEdges())+WedgeCount(g))
-	}
-}
-
-func TestFacadeApprox(t *testing.T) {
-	g := Gnm(150, 1800, 3)
-	exact := float64(CountTriangles(g))
-	est := DoulionTriangles(g, 0.5, 40, 9)
-	if math.Abs(est-exact) > 0.2*exact {
-		t.Errorf("doulion %v vs exact %v", est, exact)
-	}
-	p3 := float64(len(BruteForce(Gnm(25, 60, 1), PathSample(3))))
-	cc := ColorCodingPaths(Gnm(25, 60, 1), 3, 300, 4)
-	if math.Abs(cc-p3) > 0.25*p3+2 {
-		t.Errorf("color coding %v vs exact %v", cc, p3)
+			len(res.Jobs), res.TotalComm(), 3*int64(g.NumEdges())+tworound.WedgeCount(g))
 	}
 }
 
@@ -128,44 +140,4 @@ func TestFacadeThreatRing(t *testing.T) {
 	if len(res.Instances) != 1 {
 		t.Errorf("threat ring instances = %d, want exactly 1", len(res.Instances))
 	}
-}
-
-// TestCascadeExportsRejectBadInput: the two map-reduce exports of the
-// paper's Sections 5 and 7.4 answer bad input with an error — no panic, no
-// silent empty answer, no goroutine left behind.
-func TestCascadeExportsRejectBadInput(t *testing.T) {
-	rel := NewJoinRelation([]JoinTuple{{A: 1, B: 2}, {A: 2, B: 1}})
-	cases := map[string]func() error{}
-	for _, p := range []int{-1, 0, 2, 63, 64} {
-		cases[fmt.Sprintf("class counts p=%d", p)] = func() error {
-			_, _, err := CycleClassCountsMR(t.Context(), p, EngineConfig{})
-			return err
-		}
-	}
-	for name, rels := range map[string][]*JoinRelation{
-		"no relations":    nil,
-		"two relations":   {rel, rel},
-		"a nil relation":  {rel, nil, rel},
-		"a nil last one":  {rel, rel, rel, nil},
-		"a nil first one": {nil, rel, rel},
-	} {
-		cases["cycle join, "+name] = func() error {
-			_, _, err := CycleJoinChain(t.Context(), rels, EngineConfig{})
-			return err
-		}
-	}
-	baseline := runtime.NumGoroutine()
-	for name, run := range cases {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Errorf("panicked: %v", r)
-				}
-			}()
-			if err := run(); err == nil {
-				t.Error("no error")
-			}
-		})
-	}
-	waitForGoroutines(t, baseline)
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden plans under testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // TestGoldenExplain pins the planner's full output — candidate order, cost
 // ties, probe ladders, every rendered digit — for three samples, static and

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"subgraphmr/internal/serial"
 )
 
 // TestIntegrationAllPathsAgree cross-validates every enumeration path in
@@ -38,7 +40,7 @@ func TestIntegrationAllPathsAgree(t *testing.T) {
 			return out, nil
 		}},
 		{"serial-bounded-degree", func(g *Graph, s *Sample) ([][]Node, error) {
-			out, _, err := EnumerateBoundedDegree(g, s)
+			out, _, err := serial.EnumerateBoundedDegree(g, s)
 			return out, err
 		}},
 	}

@@ -21,6 +21,7 @@ import (
 
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/perm"
+	"subgraphmr/internal/sample"
 )
 
 // Label identifies an arc label (relation name).
@@ -37,8 +38,6 @@ type Arc struct {
 // not.
 type DiGraph struct {
 	n    int
-	out  map[graph.Node][]Arc // arcs by source
-	in   map[graph.Node][]Arc // arcs by destination
 	set  map[Arc]struct{}
 	arcs []Arc
 }
@@ -76,12 +75,7 @@ func (b *DiBuilder) NumArcs() int { return len(b.set) }
 
 // Graph freezes the builder.
 func (b *DiBuilder) Graph() *DiGraph {
-	g := &DiGraph{
-		n:   b.n,
-		out: make(map[graph.Node][]Arc),
-		in:  make(map[graph.Node][]Arc),
-		set: b.set,
-	}
+	g := &DiGraph{n: b.n, set: b.set}
 	for a := range b.set {
 		g.arcs = append(g.arcs, a)
 	}
@@ -95,10 +89,6 @@ func (b *DiBuilder) Graph() *DiGraph {
 		}
 		return x.Label < y.Label
 	})
-	for _, a := range g.arcs {
-		g.out[a.From] = append(g.out[a.From], a)
-		g.in[a.To] = append(g.in[a.To], a)
-	}
 	return g
 }
 
@@ -116,12 +106,6 @@ func (g *DiGraph) HasArc(from, to graph.Node, label Label) bool {
 	_, ok := g.set[Arc{from, to, label}]
 	return ok
 }
-
-// Out returns the arcs leaving u.
-func (g *DiGraph) Out(u graph.Node) []Arc { return g.out[u] }
-
-// In returns the arcs entering u.
-func (g *DiGraph) In(u graph.Node) []Arc { return g.in[u] }
 
 // DiPattern is a directed, labeled sample graph on p nodes.
 type DiPattern struct {
@@ -203,52 +187,40 @@ func (pt *DiPattern) HasArc(from, to int, label Label) bool {
 // IsWeaklyConnected reports whether the pattern is connected ignoring
 // directions (required by the map-reduce scheme, as for undirected
 // samples).
-func (pt *DiPattern) IsWeaklyConnected() bool {
-	adj := make([][]int, pt.p)
-	for _, a := range pt.arcs {
-		adj[a.From] = append(adj[a.From], a.To)
-		adj[a.To] = append(adj[a.To], a.From)
+func (pt *DiPattern) IsWeaklyConnected() bool { return pt.skeleton().IsConnected() }
+
+// skeleton returns the pattern's undirected skeleton: an edge wherever
+// some arc joins two nodes, whatever its direction and label.
+func (pt *DiPattern) skeleton() *sample.Sample {
+	edges := make([][2]int, len(pt.arcs))
+	for i, a := range pt.arcs {
+		edges[i] = [2]int{a.From, a.To}
 	}
-	seen := make([]bool, pt.p)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				count++
-				stack = append(stack, v)
-			}
-		}
-	}
-	return count == pt.p
+	return sample.MustNew(pt.p, edges)
 }
 
 // Automorphisms returns the label- and direction-preserving automorphism
 // group of the pattern, computed once and cached. Safe for concurrent use
-// — reducers of a parallel enumeration call it on a shared pattern. As the
-// paper notes, these groups are typically smaller than in the undirected
-// unlabeled case.
+// — reducers of a parallel enumeration call it on a shared pattern. The
+// group is the subgroup of the skeleton's automorphisms (found by the
+// backtracking search samples use) that sends every arc to an arc with the
+// same direction and label. As the paper notes, these groups are typically
+// smaller than in the undirected unlabeled case.
 func (pt *DiPattern) Automorphisms() []perm.Perm {
 	pt.autOnce.Do(func() {
 		arcSet := make(map[PatternArc]bool, len(pt.arcs))
 		for _, a := range pt.arcs {
 			arcSet[a] = true
 		}
-		var out []perm.Perm
-		perm.ForEach(pt.p, func(pm perm.Perm) bool {
+	next:
+		for _, pm := range pt.skeleton().Automorphisms() {
 			for _, a := range pt.arcs {
 				if !arcSet[PatternArc{pm[a.From], pm[a.To], a.Label}] {
-					return true // not an automorphism; next permutation
+					continue next
 				}
 			}
-			out = append(out, append(perm.Perm(nil), pm...))
-			return true
-		})
-		pt.auts = out
+			pt.auts = append(pt.auts, pm)
+		}
 	})
 	return pt.auts
 }

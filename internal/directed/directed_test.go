@@ -1,11 +1,13 @@
 package directed
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
 	"subgraphmr/internal/core"
 	"subgraphmr/internal/graph"
+	"subgraphmr/internal/perm"
 	"subgraphmr/internal/shares"
 )
 
@@ -33,8 +35,11 @@ func TestDiBuilderBasics(t *testing.T) {
 	if !g.HasArc(0, 1, 1) || g.HasArc(1, 0, 1) {
 		t.Error("HasArc wrong")
 	}
-	if len(g.Out(0)) != 2 || len(g.In(0)) != 1 {
-		t.Error("adjacency wrong")
+	if want := []Arc{{0, 1, 0}, {0, 1, 1}, {1, 0, 0}}; !slices.Equal(g.Arcs(), want) {
+		t.Errorf("arcs %v, want %v", g.Arcs(), want)
+	}
+	if !g.HasArc(1, 0, 0) || g.HasArc(1, 0, 1) {
+		t.Error("HasArc wrong on the reverse arc")
 	}
 }
 
@@ -76,6 +81,50 @@ func TestDirectedAutomorphismGroups(t *testing.T) {
 	// ThreatRing(3): rotations of the ring (3).
 	if got := len(ThreatRing(3).Automorphisms()); got != 3 {
 		t.Errorf("threat ring: |Aut| = %d, want 3", got)
+	}
+}
+
+// TestDirectedAutomorphismsMatchExhaustive: on random labeled patterns the
+// skeleton-filtered group is exactly the set of permutations, among all
+// p!, that send every arc to an arc with the same direction and label.
+func TestDirectedAutomorphismsMatchExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		p := 2 + rng.Intn(5)
+		var arcs []PatternArc
+		for len(arcs) == 0 || rng.Intn(3) > 0 {
+			if from, to := rng.Intn(p), rng.Intn(p); from != to {
+				arcs = append(arcs, PatternArc{from, to, Label(rng.Intn(2))})
+			}
+		}
+		pt := MustPattern(p, arcs)
+		var want []perm.Perm
+		perm.ForEach(p, func(pm perm.Perm) bool {
+			for _, a := range pt.Arcs() {
+				if !pt.HasArc(pm[a.From], pm[a.To], a.Label) {
+					return true
+				}
+			}
+			want = append(want, slices.Clone(pm))
+			return true
+		})
+		if got := pt.Automorphisms(); !slices.EqualFunc(got, want, perm.Perm.Equal) {
+			t.Fatalf("pattern %v: group %v, exhaustive %v", arcs, got, want)
+		}
+	}
+}
+
+// TestDirectedAutomorphismsAtSixteenNodes: the group comes from the
+// skeleton's backtracking search, not from trying all p! permutations, so
+// the largest patterns the entry point accepts answer at once — the
+// 16-node directed path only with the identity, the directed 16-cycle
+// with its 16 rotations.
+func TestDirectedAutomorphismsAtSixteenNodes(t *testing.T) {
+	if got := len(DirectedPath(16, 0).Automorphisms()); got != 1 {
+		t.Errorf("directed 16-path: |Aut| = %d, want 1", got)
+	}
+	if got := len(DirectedCycle(16, 0).Automorphisms()); got != 16 {
+		t.Errorf("directed C16: |Aut| = %d, want 16", got)
 	}
 }
 

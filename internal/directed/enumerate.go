@@ -9,7 +9,6 @@ import (
 	"subgraphmr/internal/core"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
-	"subgraphmr/internal/sample"
 	"subgraphmr/internal/serial"
 	"subgraphmr/internal/shares"
 )
@@ -30,7 +29,12 @@ import (
 // the job early with a nil error). Result.Count is the instances delivered
 // either way. Cancelling ctx aborts the job and returns ctx.Err().
 func EnumerateContext(ctx context.Context, g *DiGraph, pt *DiPattern, opt core.Options, sink func([]graph.Node) bool) (*core.Result, error) {
-	if !pt.IsWeaklyConnected() {
+	switch {
+	case g == nil:
+		return nil, fmt.Errorf("directed: the data graph is nil")
+	case pt == nil:
+		return nil, fmt.Errorf("directed: the pattern is nil")
+	case !pt.IsWeaklyConnected():
 		return nil, fmt.Errorf("directed: pattern must be weakly connected")
 	}
 	p := pt.P()
@@ -277,11 +281,7 @@ func enumerateFragment(f *fragment, pt *DiPattern, plan []planStep, emit func([]
 // the assignments that are instances of the pattern (directions and labels
 // included) and canonical under its own automorphisms are kept, sorted.
 func BruteForce(g *DiGraph, pt *DiPattern) [][]graph.Node {
-	edges := make([][2]int, len(pt.arcs))
-	for i, a := range pt.arcs {
-		edges[i] = [2]int{a.From, a.To}
-	}
-	skel := sample.MustNew(pt.P(), edges)
+	skel := pt.skeleton()
 	dataEdges := make([]graph.Edge, len(g.arcs))
 	for i, a := range g.arcs {
 		dataEdges[i] = graph.Edge{U: a.From, V: a.To}

@@ -3,7 +3,9 @@ package multijoin
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"subgraphmr/internal/mapreduce"
 )
@@ -129,5 +131,36 @@ func TestCycleJoinChainUnderBudget(t *testing.T) {
 				t.Error("nothing spilled")
 			}
 		})
+	}
+}
+
+// TestCycleJoinChainRejectsBadInput: fewer than three relations, or a nil
+// one anywhere in the cycle, is an error — no panic, no silent empty
+// answer, no goroutine left behind.
+func TestCycleJoinChainRejectsBadInput(t *testing.T) {
+	rel := NewRelation([]Tuple{{A: 1, B: 2}, {A: 2, B: 1}})
+	baseline := runtime.NumGoroutine()
+	for name, rels := range map[string][]*Relation{
+		"no relations":    nil,
+		"two relations":   {rel, rel},
+		"a nil relation":  {rel, nil, rel},
+		"a nil last one":  {rel, rel, rel, nil},
+		"a nil first one": {nil, rel, rel},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("panicked: %v", r)
+				}
+			}()
+			if rows, _, err := CycleJoinChain(t.Context(), rels, mapreduce.Config{}); err == nil {
+				t.Errorf("%d rows and no error", len(rows))
+			}
+		})
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d running, baseline %d", runtime.NumGoroutine(), baseline)
+		}
 	}
 }

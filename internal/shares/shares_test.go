@@ -86,6 +86,23 @@ func TestExample42(t *testing.T) {
 	approx(t, "auto cost", sol.CostPerEdge, 4*math.Sqrt(2*128), 1e-3)
 }
 
+// TestLollipopVariableOrientedModel: the lollipop's generated CQs merge
+// into the six of Fig. 7, and their variable-oriented model solves to a
+// positive cost at Example 4.1's 750 reducers.
+func TestLollipopVariableOrientedModel(t *testing.T) {
+	merged := cq.MergeByOrientation(cq.GenerateForSample(sample.Lollipop()))
+	if len(merged) != 6 {
+		t.Fatalf("lollipop merged CQs = %d, want 6", len(merged))
+	}
+	sol, err := VariableOrientedModel(4, merged).Solve(750)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.CostPerEdge <= 0 {
+		t.Errorf("cost per edge %v, want positive", sol.CostPerEdge)
+	}
+}
+
 // TestExample43 reproduces Example 4.3: C6 variable-oriented with
 // k = 500,000. The paper's shares (5, 10, 10, 10, 10, 10) are optimal.
 // Note: the paper states a total communication of 5×10^13 for m = 10^9

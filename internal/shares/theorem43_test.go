@@ -58,12 +58,22 @@ func TestTheorem43SquareCaseA(t *testing.T) {
 	uses := cq.EdgeUses(cq.MergeByOrientation(cq.GenerateForSample(s)))
 	k := 4096.0
 	closed, which := Theorem43Shares(4, degreesOf(s), uses, k)
-	if which != Theorem43CaseA {
-		t.Fatalf("square matched %v, want case (a)", which)
+	if which != Theorem43CaseA || len(closed) != 4 {
+		t.Fatalf("square matched %v with shares %v, want case (a) with four shares", which, closed)
 	}
 	model := ModelFromEdgeUses(4, uses)
 	if got, want := model.CostPerEdge(closed), 4*math.Sqrt(2*k); math.Abs(got-want) > 1e-9*want {
 		t.Errorf("square closed-form cost %v, want 4*sqrt(2k) = %v", got, want)
+	}
+	// The closed form is no worse than the solver on the square's
+	// variable-oriented model.
+	vo := VariableOrientedModel(4, cq.MergeByOrientation(cq.GenerateForSample(s)))
+	sol, err := vo.Solve(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := vo.CostPerEdge(closed), sol.CostPerEdge; got > want*1.001 {
+		t.Errorf("square closed-form cost %v worse than solver %v", got, want)
 	}
 }
 

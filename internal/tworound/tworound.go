@@ -18,26 +18,19 @@ import (
 // Result carries the per-round metrics of one cascade run; the triangles
 // themselves go to the sink.
 type Result struct {
-	// Round1 is the wedge-building join E(X,Y) ⋈ E(Y,Z) keyed by Y.
-	Round1 mapreduce.Metrics
-	// Round2 joins the wedges with E(X,Z) keyed by the (X, Z) pair; its
-	// Outputs is the number of triangles the sink accepted.
-	Round2 mapreduce.Metrics
 	// Wedges is the size of the intermediate relation shipped to round 2.
 	Wedges int64
-	// Chain holds the executed rounds (same metrics as Round1/Round2, in
-	// the engine's multi-round form).
+	// Chain holds the executed rounds: Rounds[0] is the wedge-building
+	// join E(X,Y) ⋈ E(Y,Z) keyed by Y, and Rounds[1] joins the wedges with
+	// E(X,Z) keyed by the (X, Z) pair — its Outputs is the number of
+	// triangles the sink accepted. A cancelled or abandoned cascade has
+	// fewer rounds.
 	Chain *mapreduce.Chain
 	// Abandoned reports that the after-round-1 hook stopped the cascade:
 	// round 2 never ran, nothing was delivered, and the caller is expected
 	// to finish the query another way (adaptive re-planning switches to a
 	// one-round algorithm).
 	Abandoned bool
-}
-
-// TotalComm is the communication summed over both rounds.
-func (r Result) TotalComm() int64 {
-	return r.Round1.KeyValuePairs + r.Round2.KeyValuePairs
 }
 
 // role is a round-1 value: an edge's far endpoint, and which side of the
@@ -121,12 +114,10 @@ func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink f
 	})
 	wedges := int64(len(inputs))
 	if err != nil {
-		return resultFromChain(wedges, c), err
+		return Result{Wedges: wedges, Chain: c}, err
 	}
 	if afterRound1 != nil && !afterRound1(c.Rounds[0].Metrics, wedges) {
-		res := resultFromChain(wedges, c)
-		res.Abandoned = true
-		return res, nil
+		return Result{Wedges: wedges, Chain: c, Abandoned: true}, nil
 	}
 
 	// Round 2: join the wedges with E(X,Z), keyed by the (X,Z) edge.
@@ -171,20 +162,7 @@ func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink f
 	}
 
 	err = mapreduce.RunRoundStream(ctx, c, round2, inputs, sink)
-	return resultFromChain(wedges, c), err
-}
-
-// resultFromChain assembles a Result from however many rounds actually ran
-// (a cancelled chain may have fewer than two).
-func resultFromChain(wedges int64, c *mapreduce.Chain) Result {
-	r := Result{Wedges: wedges, Chain: c}
-	if len(c.Rounds) > 0 {
-		r.Round1 = c.Rounds[0].Metrics
-	}
-	if len(c.Rounds) > 1 {
-		r.Round2 = c.Rounds[1].Metrics
-	}
-	return r
+	return Result{Wedges: wedges, Chain: c}, err
 }
 
 // Round1LoadStats computes, in O(n + m) without running anything, the exact

@@ -44,8 +44,9 @@ func TestCascadeMatchesSerial(t *testing.T) {
 			t.Fatalf("seed %d: cascade found %d, serial %d", seed, len(got), len(want))
 		}
 		// Count is the accepted deliveries, with a sink or without one.
-		if n := cascade(t, g).Round2.Outputs; res.Round2.Outputs != int64(len(want)) || n != int64(len(want)) {
-			t.Fatalf("seed %d: Outputs %d with a sink, %d without, serial %d", seed, res.Round2.Outputs, n, len(want))
+		got2 := res.Chain.Rounds[1].Metrics.Outputs
+		if n := cascade(t, g).Chain.Rounds[1].Metrics.Outputs; got2 != int64(len(want)) || n != int64(len(want)) {
+			t.Fatalf("seed %d: Outputs %d with a sink, %d without, serial %d", seed, got2, n, len(want))
 		}
 	}
 }
@@ -54,20 +55,21 @@ func TestCascadeCommunicationAccounting(t *testing.T) {
 	g := graph.Gnm(50, 220, 4)
 	res := cascade(t, g)
 	m := int64(g.NumEdges())
+	round1, round2 := res.Chain.Rounds[0].Metrics, res.Chain.Rounds[1].Metrics
 	// Round 1 ships every edge twice.
-	if res.Round1.KeyValuePairs != 2*m {
-		t.Errorf("round 1 comm = %d, want %d", res.Round1.KeyValuePairs, 2*m)
+	if round1.KeyValuePairs != 2*m {
+		t.Errorf("round 1 comm = %d, want %d", round1.KeyValuePairs, 2*m)
 	}
 	// Round 1 outputs exactly the ordered wedges.
 	if res.Wedges != WedgeCount(g) {
 		t.Errorf("wedges = %d, want %d", res.Wedges, WedgeCount(g))
 	}
 	// Round 2 ships every wedge and every edge once.
-	if res.Round2.KeyValuePairs != res.Wedges+m {
-		t.Errorf("round 2 comm = %d, want %d", res.Round2.KeyValuePairs, res.Wedges+m)
+	if round2.KeyValuePairs != res.Wedges+m {
+		t.Errorf("round 2 comm = %d, want %d", round2.KeyValuePairs, res.Wedges+m)
 	}
-	if res.TotalComm() != 3*m+res.Wedges {
-		t.Errorf("total = %d, want %d", res.TotalComm(), 3*m+res.Wedges)
+	if total := res.Chain.Total().KeyValuePairs; total != 3*m+res.Wedges {
+		t.Errorf("total = %d, want %d", total, 3*m+res.Wedges)
 	}
 }
 
@@ -93,15 +95,16 @@ func TestCascadeLosesOnSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if two.Round2.Outputs != oneRound.Outputs {
-		t.Fatalf("counts differ: cascade %d, one-round %d", two.Round2.Outputs, oneRound.Outputs)
+	if n := two.Chain.Rounds[1].Metrics.Outputs; n != oneRound.Outputs {
+		t.Fatalf("counts differ: cascade %d, one-round %d", n, oneRound.Outputs)
 	}
-	if two.TotalComm() <= oneRound.KeyValuePairs {
+	twoComm := two.Chain.Total().KeyValuePairs
+	if twoComm <= oneRound.KeyValuePairs {
 		t.Errorf("expected cascade comm %d to exceed one-round comm %d on a skewed graph",
-			two.TotalComm(), oneRound.KeyValuePairs)
+			twoComm, oneRound.KeyValuePairs)
 	}
 	t.Logf("cascade comm=%d (wedges %d) vs one-round b=10 comm=%d",
-		two.TotalComm(), two.Wedges, oneRound.KeyValuePairs)
+		twoComm, two.Wedges, oneRound.KeyValuePairs)
 }
 
 func TestWedgeCountStar(t *testing.T) {
@@ -120,7 +123,7 @@ func TestWedgeCountStar(t *testing.T) {
 func TestCascadeEmptyGraph(t *testing.T) {
 	g := graph.FromEdges(5, nil)
 	res := cascade(t, g)
-	if res.Round2.Outputs != 0 || res.TotalComm() != 0 {
-		t.Errorf("empty graph: %+v", res)
+	if n, comm := res.Chain.Rounds[1].Metrics.Outputs, res.Chain.Total().KeyValuePairs; n != 0 || comm != 0 {
+		t.Errorf("empty graph: %d triangles, %d pairs", n, comm)
 	}
 }

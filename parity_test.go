@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"subgraphmr/internal/directed"
 )
 
 // allPlanStrategies is every runnable strategy (triangle sample makes all
@@ -70,8 +72,8 @@ func TestEveryPathHonorsMemoryBudget(t *testing.T) {
 	}
 
 	// The directed path too.
-	dg := RandomDiGraph(80, 400, 2, 5)
-	pattern := DirectedCyclePattern(3, 0)
+	dg := directed.RandomDiGraph(80, 400, 2, 5)
+	pattern := directed.DirectedCycle(3, 0)
 	res, err = EnumerateDirectedContext(t.Context(), dg, pattern, nil, WithBuckets(4), WithSeed(3), WithMemoryBudget(1024), WithSpillDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
@@ -112,8 +114,8 @@ func TestEveryPathHonorsSpillDir(t *testing.T) {
 		_, err = Run(ctx, plan)
 		expectEngineError(st.String(), err)
 	}
-	dg := RandomDiGraph(80, 400, 2, 5)
-	_, err := EnumerateDirectedContext(t.Context(), dg, DirectedCyclePattern(3, 0), nil, WithBuckets(4), WithMemoryBudget(1024), WithSpillDir(badDir))
+	dg := directed.RandomDiGraph(80, 400, 2, 5)
+	_, err := EnumerateDirectedContext(t.Context(), dg, directed.DirectedCycle(3, 0), nil, WithBuckets(4), WithMemoryBudget(1024), WithSpillDir(badDir))
 	expectEngineError("directed", err)
 }
 
@@ -157,8 +159,8 @@ func TestEveryPathIsSeedDeterministic(t *testing.T) {
 
 	// TargetReducers parity on the directed path: a larger budget must not
 	// be ignored (it changes the bucket count, hence the communication).
-	dg := RandomDiGraph(80, 400, 2, 5)
-	pattern := DirectedCyclePattern(3, 0)
+	dg := directed.RandomDiGraph(80, 400, 2, 5)
+	pattern := directed.DirectedCycle(3, 0)
 	small, err := EnumerateDirectedContext(t.Context(), dg, pattern, nil, WithTargetReducers(4), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)

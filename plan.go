@@ -236,12 +236,12 @@ func (p *QueryPlan) Sample() *Sample { return p.sample }
 // the Section 5 generator when WithCycleCQs is set, otherwise the general
 // Section 3 pipeline. Mirrors core's CQ construction so plan estimates
 // match execution.
-func planCQs(s *Sample, o planOpts) ([]*CQ, error) {
+func planCQs(s *Sample, o planOpts) ([]*cq.CQ, error) {
 	if o.core.UseCycleCQs {
 		if d, reg := s.IsRegular(); !reg || d != 2 {
 			return nil, fmt.Errorf("subgraphmr: WithCycleCQs requires a cycle sample, got %v", s)
 		}
-		var qs []*CQ
+		var qs []*cq.CQ
 		for _, c := range cycles.Generate(s.P()) {
 			qs = append(qs, c.CQ)
 		}

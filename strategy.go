@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"subgraphmr/internal/core"
+	"subgraphmr/internal/cq"
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/shares"
 	"subgraphmr/internal/triangle"
@@ -128,9 +129,9 @@ func runLocal(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Resul
 type planQuery struct {
 	g  *Graph
 	s  *Sample
-	p  int   // s.P()
-	m  int64 // g.NumEdges()
-	qs []*CQ // the merged CQ set the share-based strategies evaluate
+	p  int      // s.P()
+	m  int64    // g.NumEdges()
+	qs []*cq.CQ // the merged CQ set the share-based strategies evaluate
 	o  planOpts
 }
 
@@ -410,7 +411,7 @@ func runTwoRound(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Re
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Count: tr.Round2.Outputs}
+	res := &Result{}
 	m := float64(p.graph.NumEdges())
 	for i, round := range tr.Chain.Rounds {
 		predicted := 2.0 // round 1: each edge plays two roles
@@ -426,6 +427,7 @@ func runTwoRound(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Re
 		})
 	}
 	if !tr.Abandoned {
+		res.Count = tr.Chain.Rounds[1].Metrics.Outputs
 		return res, nil
 	}
 

@@ -28,16 +28,16 @@
 //     PowerLaw, CycleGraph, …), or load with ReadGraph.
 //   - Sample graphs: the catalog (Triangle, Square, Lollipop, CycleSample,
 //     …) or NewSample for custom patterns.
-//   - The serial algorithms of Sections 6–7 (SerialTriangles, OddCycles,
-//     EnumerateByDecomposition, EnumerateBoundedDegree) are exposed for
-//     single-machine use and as baselines.
-//   - The analysis toolkit (CQsFor, MergedCQsFor, CycleCQs, OptimizeShares)
-//     exposes the CQ generation of Sections 3 and 5 and the share
-//     optimization of Section 4 for planning without running a job.
-//   - Every job runs on one pipelined engine, configured by EngineConfig.
-//     Setting EngineConfig.MemoryBudget bounds reduce-worker memory —
-//     beyond it the engine spills sorted runs to disk and merge-streams
-//     them into the reducers; see docs/ARCHITECTURE.md and docs/API.md.
+//   - The serial algorithms of Section 7 (OddCycles, ProperlyOrdered2Paths,
+//     EnumerateByDecomposition) and the oracles (BruteForce,
+//     CountTriangles) are exposed for single-machine use and as baselines.
+//   - Directed, labeled patterns (the conclusions' extension) run through
+//     EnumerateDirectedContext with Plan's options.
+//   - Every job runs on one pipelined engine, configured by Plan's options
+//     (WithParallelism, WithPartitions, WithMemoryBudget, WithSpillDir).
+//     WithMemoryBudget bounds reduce-worker memory — beyond it the engine
+//     spills sorted runs to disk and merge-streams them into the reducers;
+//     see docs/ARCHITECTURE.md and docs/API.md.
 //
 // The pre-Plan entry points (Enumerate, TrianglePartition, …) are gone;
 // docs/API.md has the migration table.
@@ -50,13 +50,10 @@ import (
 	"io"
 
 	"subgraphmr/internal/core"
-	"subgraphmr/internal/cq"
-	"subgraphmr/internal/cycles"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/sample"
 	"subgraphmr/internal/serial"
-	"subgraphmr/internal/shares"
 )
 
 // Core graph types.
@@ -71,32 +68,13 @@ type (
 	GraphBuilder = graph.Builder
 	// Sample is a pattern graph whose instances are enumerated.
 	Sample = sample.Sample
-	// CQ is a conjunctive query compiled from a sample graph.
-	CQ = cq.CQ
-	// CycleCQ is a Section 5 cycle conjunctive query with its orientation
-	// metadata.
-	CycleCQ = cycles.CycleCQ
 	// Metrics carries the measured costs of a map-reduce job.
 	Metrics = mapreduce.Metrics
-	// EngineConfig controls the pipelined map-reduce engine (map workers,
-	// shuffle partitions, memory budget).
-	EngineConfig = mapreduce.Config
-	// Chain records the rounds of a multi-round map-reduce job with their
-	// metrics; CycleJoinChain returns one.
-	Chain = mapreduce.Chain
-	// RoundStats records one executed round of a Chain.
-	RoundStats = mapreduce.RoundStats
 	// Result is the outcome of Run and Stream — one shape for every
 	// strategy.
 	Result = core.Result
 	// JobStats describes one map-reduce job of an enumeration.
 	JobStats = core.JobStats
-	// ShareModel is a Section 4 communication-cost model.
-	ShareModel = shares.Model
-	// ShareSubgoal is one subgoal of a ShareModel.
-	ShareSubgoal = shares.Subgoal
-	// ShareSolution is an optimized share assignment.
-	ShareSolution = shares.Solution
 	// TwoPath is a properly ordered 2-path (Lemma 7.1).
 	TwoPath = serial.TwoPath
 )
@@ -157,33 +135,6 @@ func StarSample(p int) *Sample   { return sample.Star(p) }
 // "lollipop", "c5", "k4", "path4", "star5", "q3", …) or nil if unknown.
 func NamedSample(name string) *Sample { return sample.Named(name) }
 
-// CQsFor compiles the sample graph into one conjunctive query per coset of
-// Sym(p)/Aut(S) (Theorem 3.1).
-func CQsFor(s *Sample) []*CQ { return cq.GenerateForSample(s) }
-
-// MergedCQsFor compiles the sample and merges CQs with identical edge
-// orientations (Section 3.3) — the set the map-reduce strategies evaluate.
-func MergedCQsFor(s *Sample) []*CQ { return cq.MergeByOrientation(cq.GenerateForSample(s)) }
-
-// CycleCQs generates the minimum CQ set for the cycle C_p using the
-// Section 5 run-sequence algorithm.
-func CycleCQs(p int) []CycleCQ { return cycles.Generate(p) }
-
-// OptimizeShares solves the Section 4 share-optimization problem for k
-// reducers: minimize communication subject to the product of shares = k.
-func OptimizeShares(m ShareModel, k float64) (ShareSolution, error) { return m.Solve(k) }
-
-// VariableOrientedModel builds the Section 4.3 cost model for a CQ set.
-func VariableOrientedModel(p int, cqs []*CQ) ShareModel {
-	return shares.VariableOrientedModel(p, cqs)
-}
-
-// SerialTriangles enumerates every triangle of g exactly once in O(m^{3/2})
-// (the Section 2 serial baseline), returning the work performed.
-func SerialTriangles(g *Graph, emit func(a, b, c Node)) int64 {
-	return serial.Triangles(g, emit)
-}
-
 // CountTriangles returns the number of triangles in g.
 func CountTriangles(g *Graph) int64 { return serial.CountTriangles(g) }
 
@@ -211,35 +162,9 @@ func EnumerateByDecomposition(g *Graph, s *Sample) ([][]Node, int64) {
 	return serial.EnumerateByDecomposition(g, s)
 }
 
-// EnumerateBoundedDegree runs the Theorem 7.3 serial algorithm, which on
-// data graphs of maximum degree Δ takes O(m·Δ^{p-2}).
-func EnumerateBoundedDegree(g *Graph, s *Sample) ([][]Node, int64, error) {
-	return serial.EnumerateBoundedDegree(g, s)
-}
-
 // BarabasiAlbert returns a preferential-attachment random graph (heavy
 // hubs): m0-clique seed, each new node attaches to k existing nodes
 // proportionally to degree.
 func BarabasiAlbert(n, m0, k int, seed int64) *Graph {
 	return graph.BarabasiAlbert(n, m0, k, seed)
-}
-
-// Theorem43Shares applies Theorem 4.3's closed form when the sample's
-// orientation structure matches one of its cases; see
-// shares.Theorem43Shares.
-func Theorem43Shares(s *Sample, k float64) ([]float64, bool) {
-	uses := cq.EdgeUses(cq.MergeByOrientation(cq.GenerateForSample(s)))
-	degrees := make([]int, s.P())
-	for i := range degrees {
-		degrees[i] = s.Degree(i)
-	}
-	sh, which := shares.Theorem43Shares(s.P(), degrees, uses, k)
-	return sh, which != shares.Theorem43None
-}
-
-// Convertible is the Theorem 6.1 condition: a serial O(n^α·m^β) algorithm
-// for a p-node sample converts to an equal-work map-reduce algorithm when
-// α + 2β ≥ p.
-func Convertible(alpha, beta float64, p int) bool {
-	return shares.Convertible(alpha, beta, p)
 }

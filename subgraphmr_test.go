@@ -3,6 +3,8 @@ package subgraphmr
 import (
 	"bytes"
 	"testing"
+
+	"subgraphmr/internal/serial"
 )
 
 // TestFacadeQuickstart exercises the README quickstart path end to end.
@@ -33,24 +35,6 @@ func TestFacadeSampleCatalog(t *testing.T) {
 	}
 }
 
-func TestFacadeCQAndShares(t *testing.T) {
-	merged := MergedCQsFor(Lollipop())
-	if len(merged) != 6 {
-		t.Fatalf("lollipop merged CQs = %d, want 6", len(merged))
-	}
-	model := VariableOrientedModel(4, merged)
-	sol, err := OptimizeShares(model, 750)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.CostPerEdge <= 0 {
-		t.Error("share optimization returned nonpositive cost")
-	}
-	if got := len(CycleCQs(5)); got != 3 {
-		t.Errorf("pentagon cycle CQs = %d, want 3", got)
-	}
-}
-
 func TestFacadeSerialAlgorithms(t *testing.T) {
 	g := Gnm(15, 40, 2)
 	count := 0
@@ -60,7 +44,7 @@ func TestFacadeSerialAlgorithms(t *testing.T) {
 		t.Errorf("OddCycles found %d pentagons, oracle %d", count, oracle)
 	}
 	dec, _ := EnumerateByDecomposition(g, Square())
-	bd, _, err := EnumerateBoundedDegree(g, Square())
+	bd, _, err := serial.EnumerateBoundedDegree(g, Square())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,27 +71,6 @@ func TestFacadeGraphIO(t *testing.T) {
 	b.AddEdge(0, 1)
 	if b.Graph().NumEdges() != 1 {
 		t.Error("builder facade broken")
-	}
-}
-
-func TestFacadeTheorem43AndConvertible(t *testing.T) {
-	sh, ok := Theorem43Shares(Square(), 4096)
-	if !ok || len(sh) != 4 {
-		t.Fatalf("square should match Theorem 4.3: ok=%v shares=%v", ok, sh)
-	}
-	model := VariableOrientedModel(4, MergedCQsFor(Square()))
-	sol, err := OptimizeShares(model, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := model.CostPerEdge(sh), sol.CostPerEdge; got > want*1.001 {
-		t.Errorf("Theorem 4.3 closed form cost %v worse than solver %v", got, want)
-	}
-	if _, ok := Theorem43Shares(Lollipop(), 100); ok {
-		t.Error("lollipop is irregular; Theorem 4.3 should not apply")
-	}
-	if !Convertible(0, 1.5, 3) || Convertible(0, 1, 3) {
-		t.Error("Convertible predicate wrong")
 	}
 }
 
