@@ -322,6 +322,37 @@ func TestCanonIdempotentAndClassClosed(t *testing.T) {
 	}
 }
 
+// TestClassesPartitionValidStrings: the canonical classes split the
+// 2^(p-2) valid orientation strings of C_p (start u, end d) into disjoint
+// sets — every valid string lies in exactly one class, the one named by
+// its Canon, and no class holds an invalid string.
+func TestClassesPartitionValidStrings(t *testing.T) {
+	for p := 3; p <= 12; p++ {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			owner := make(map[string]string)
+			for _, c := range CanonicalOrientations(p) {
+				for _, member := range Class(c) {
+					if len(member) != p || !valid(member) {
+						t.Fatalf("class %q holds %q, not a valid length-%d string", c, member, p)
+					}
+					if prev, ok := owner[member]; ok {
+						t.Fatalf("%q lies in class %q and in class %q", member, prev, c)
+					}
+					owner[member] = c
+				}
+			}
+			if len(owner) != 1<<(p-2) {
+				t.Errorf("classes cover %d strings, want %d valid strings", len(owner), 1<<(p-2))
+			}
+			for member, c := range owner {
+				if Canon(member) != c {
+					t.Errorf("%q lies in class %q but canonicalizes to %q", member, c, Canon(member))
+				}
+			}
+		})
+	}
+}
+
 func TestGeneratePanicsOnSmallP(t *testing.T) {
 	defer func() {
 		if recover() == nil {

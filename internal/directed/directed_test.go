@@ -118,13 +118,37 @@ func TestDirectedAutomorphismsMatchExhaustive(t *testing.T) {
 // skeleton's backtracking search, not from trying all p! permutations, so
 // the largest patterns the entry point accepts answer at once — the
 // 16-node directed path only with the identity, the directed 16-cycle
-// with its 16 rotations.
+// with its 16 rotations, and the skeleton's reflections only where the
+// arcs run both ways.
 func TestDirectedAutomorphismsAtSixteenNodes(t *testing.T) {
-	if got := len(DirectedPath(16, 0).Automorphisms()); got != 1 {
-		t.Errorf("directed 16-path: |Aut| = %d, want 1", got)
+	const p = 16
+	cycleArcs := func(label func(i int) Label, both bool) []PatternArc {
+		var arcs []PatternArc
+		for i := 0; i < p; i++ {
+			arcs = append(arcs, PatternArc{i, (i + 1) % p, label(i)})
+			if both {
+				arcs = append(arcs, PatternArc{(i + 1) % p, i, label(i)})
+			}
+		}
+		return arcs
 	}
-	if got := len(DirectedCycle(16, 0).Automorphisms()); got != 16 {
-		t.Errorf("directed C16: |Aut| = %d, want 16", got)
+	for _, tc := range []struct {
+		name string
+		pt   *DiPattern
+		want int
+	}{
+		{"directed path", DirectedPath(p, 0), 1},
+		{"directed cycle", DirectedCycle(p, 0), p},
+		// Only the even rotations keep the labels in place.
+		{"alternating-label cycle", MustPattern(p, cycleArcs(func(i int) Label { return Label(i % 2) }, false)), p / 2},
+		// Arcs both ways restore the skeleton's whole dihedral group.
+		{"bidirected cycle", MustPattern(p, cycleArcs(func(int) Label { return 0 }, true)), 2 * p},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := len(tc.pt.Automorphisms()); got != tc.want {
+				t.Errorf("|Aut| = %d, want %d", got, tc.want)
+			}
+		})
 	}
 }
 
