@@ -234,9 +234,6 @@ func Enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, st Strateg
 // its endpoint buckets name, instances out, reducers named by bucket keys.
 type enumJob = mapreduce.BlockJob[graph.Edge, graph.BucketKey, graph.Edge, []graph.Node]
 
-// enumReduce is the reduce function of an enumJob.
-type enumReduce = mapreduce.Reducer[graph.BucketKey, graph.Edge, []graph.Node]
-
 // matchSink is where a job's reducers send the matches they own: on to sink
 // when there is one, into a counter when there is none — so a count-only
 // run never constructs an instance.
@@ -282,11 +279,10 @@ func buildCQs(s *sample.Sample, opt Options) ([]*cq.CQ, error) {
 // bucketOriented implements the Section 4.5 strategy.
 func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.CQ, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	const name = "bucket-oriented"
-	res, err := runBucketJob(ctx, g, s.P(), opt, name, name, sink, func(h graph.NodeHash, ms *matchSink) enumReduce {
-		// Nodes are ordered by (bucket, id) as in Section 2.3; the fragment keeps
-		// each rank's bucket, which is all the ownership test reads.
-		r := &enumReducer{evals: cq.NewEvaluatorSet(qs), order: h.Key, ms: ms}
-		return r.reduce
+	res, err := runBucketJob(ctx, g, s.P(), opt, name, name, sink, func(scheme bucketScheme, ms *matchSink, job enumJob) enumJob {
+		// The fragment keeps each rank's bucket, which is all the ownership
+		// test reads.
+		return newBucketReducer(qs, scheme, ms).side(job)
 	})
 	if err != nil {
 		return nil, err
@@ -299,21 +295,22 @@ func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []
 // runBucketJob runs one job replicated by the Section 4.5 scheme — the
 // bucket-oriented strategy and the Theorem 6.1 conversion differ only in
 // what their reducers do with a key's edges: it resolves b, builds the
-// scheme, runs the job under the reducer that reduce returns for the job's
-// hash and match sink, and reports the one JobStats entry.
+// scheme, has side give the job its reduce side for the scheme and the
+// match sink, runs the job and reports the one JobStats entry.
 func runBucketJob(ctx context.Context, g *graph.Graph, p int, opt Options, name, label string,
-	sink func([]graph.Node) bool, reduce func(graph.NodeHash, *matchSink) enumReduce) (*Result, error) {
+	sink func([]graph.Node) bool, side func(bucketScheme, *matchSink, enumJob) enumJob) (*Result, error) {
 	b := opt.BucketsFor(p)
 	scheme, err := newBucketScheme(opt.Seed, p, b)
 	if err != nil {
 		return nil, err
 	}
 	ms := &matchSink{sink: sink}
-	count, metrics, err := ms.run(ctx, scheme.job(fmt.Sprintf("%s b=%d", name, b), reduce(scheme.h, ms)), opt.Engine, g)
+	job := side(scheme, ms, scheme.job(fmt.Sprintf("%s b=%d", name, b)))
+	count, metrics, err := ms.run(ctx, job, opt.Engine, g)
 	if err != nil {
 		return nil, err
 	}
-	job := JobStats{
+	stats := JobStats{
 		Label:                fmt.Sprintf("%s b=%d", label, b),
 		Shares:               shares.Uniform(p, b),
 		PredictedCommPerEdge: shares.BucketEdgeReplication(b, p),
@@ -321,7 +318,7 @@ func runBucketJob(ctx context.Context, g *graph.Graph, p int, opt Options, name,
 		Metrics:              metrics,
 		ObservedSkew:         metrics.Skew(),
 	}
-	return &Result{Count: count, Jobs: []JobStats{job}}, nil
+	return &Result{Count: count, Jobs: []JobStats{stats}}, nil
 }
 
 // bucketScheme is the Section 4.5 replication: an edge reaches the
@@ -349,14 +346,16 @@ func (s bucketScheme) Map(e graph.Edge, emit func(int, graph.Edge)) {
 	emit(graph.PairBlock(s.h.B, s.h.Bucket(e.U), s.h.Bucket(e.V)), e)
 }
 
-// job is the scheme as an engine job under reduce (nil for a load probe).
-func (s bucketScheme) job(name string, reduce enumReduce) enumJob {
+func (s bucketScheme) blocks() int { return graph.PairBlocks(s.h.B) }
+
+// job is the scheme as an engine job, its reduce side unset (as a load
+// probe wants it).
+func (s bucketScheme) job(name string) enumJob {
 	return enumJob{
 		Name:   name,
-		Blocks: graph.PairBlocks(s.h.B),
+		Blocks: s.blocks(),
 		Map:    s.Map,
 		Keys:   func(yield func(graph.BucketKey, []int32)) { graph.MultisetKeys(s.p, s.h.B, yield) },
-		Reduce: reduce,
 		Codec:  graph.EdgeKeyCodec{P: s.p},
 	}
 }
@@ -547,14 +546,16 @@ func (s *shareScheme) Keys(yield func(graph.BucketKey, []int32)) {
 	}
 }
 
-// job is the scheme as an engine job under reduce (nil for a load probe).
-func (s *shareScheme) job(name string, reduce enumReduce) enumJob {
+func (s *shareScheme) blocks() int { return s.base[len(s.binds)] }
+
+// job is the scheme as an engine job, its reduce side unset (as a load
+// probe wants it).
+func (s *shareScheme) job(name string) enumJob {
 	return enumJob{
 		Name:   name,
-		Blocks: s.base[len(s.binds)],
+		Blocks: s.blocks(),
 		Map:    s.Map,
 		Keys:   s.Keys,
-		Reduce: reduce,
 		Codec:  graph.EdgeKeyCodec{P: len(s.hashes)},
 	}
 }
@@ -576,8 +577,8 @@ func runShareJob(ctx context.Context, g *graph.Graph, qs []*cq.CQ, model shares.
 		return nil, err
 	}
 	ms := &matchSink{sink: sink}
-	reducer := &enumReducer{evals: cq.NewEvaluatorSet(qs), order: graph.NaturalKey, hashes: scheme.hashes, ms: ms}
-	count, metrics, err := ms.run(ctx, scheme.job(label, reducer.reduce), opt.Engine, g)
+	job := newShareReducer(qs, scheme, g, ms).side(scheme.job(label))
+	count, metrics, err := ms.run(ctx, job, opt.Engine, g)
 	if err != nil {
 		return nil, err
 	}
@@ -585,7 +586,7 @@ func runShareJob(ctx context.Context, g *graph.Graph, qs []*cq.CQ, model shares.
 	for v, sh := range intShares {
 		fs[v] = float64(sh)
 	}
-	job := JobStats{
+	stats := JobStats{
 		Label:                label,
 		CQs:                  cqStrings(qs),
 		Shares:               intShares,
@@ -595,7 +596,7 @@ func runShareJob(ctx context.Context, g *graph.Graph, qs []*cq.CQ, model shares.
 		ObservedSkew:         metrics.Skew(),
 		TargetReducers:       opt.reducers(),
 	}
-	return &Result{Count: count, Jobs: []JobStats{job}}, nil
+	return &Result{Count: count, Jobs: []JobStats{stats}}, nil
 }
 
 func cqStrings(qs []*cq.CQ) []string {

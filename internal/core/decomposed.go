@@ -27,8 +27,9 @@ func EnumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, 
 		return nil, fmt.Errorf("core: map-reduce enumeration requires a connected sample graph")
 	}
 	return runBucketJob(ctx, g, s.P(), opt, "decomposed (Theorem 6.1)", "decomposed (Theorem 6.1 conversion)", sink,
-		func(h graph.NodeHash, ms *matchSink) enumReduce {
-			return func(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([]graph.Node)) {
+		func(scheme bucketScheme, ms *matchSink, job enumJob) enumJob {
+			h := scheme.h
+			job.Reduce = func(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([]graph.Node)) {
 				maxID := graph.Node(0)
 				for _, e := range edges {
 					maxID = max(maxID, e.U, e.V)
@@ -51,5 +52,6 @@ func EnumerateDecomposed(ctx context.Context, g *graph.Graph, s *sample.Sample, 
 					}
 				}
 			}
+			return job
 		})
 }

@@ -23,7 +23,7 @@ func ProbeBucketLoads(g *graph.Graph, p, b int, seed uint64, cfg mapreduce.Confi
 	if err != nil {
 		return mapreduce.LoadStats{}, err
 	}
-	return scheme.job("", nil).Loads(cfg, g.Edges())
+	return scheme.job("").Loads(cfg, g.Edges())
 }
 
 // ProbeVariableLoads measures the reducer loads of the Section 4.3
@@ -44,5 +44,5 @@ func probeShareLoads(g *graph.Graph, binds []edgeBinding, intShares []int, seed 
 	if err != nil {
 		return mapreduce.LoadStats{}, err
 	}
-	return scheme.job("", nil).Loads(cfg, g.Edges())
+	return scheme.job("").Loads(cfg, g.Edges())
 }

@@ -16,31 +16,62 @@ import (
 // reducerBed is one job's mapper and reducer taken out of the engine, so a
 // test can call the reducer key by key on a worker Context of its own.
 type reducerBed struct {
-	name    string
-	groups  map[graph.BucketKey][]graph.Edge // the shuffle's output: edges by reducer key
+	name string
+	shuffle
 	reducer *enumReducer
 	// owner reports whether the reducer of key owns phi, recomputed from
 	// the node ids with the job's hashes.
 	owner func(key graph.BucketKey, phi []graph.Node) bool
 }
 
-// groupsOf runs a scheme's job over g under a reducer that only records what
-// it is handed: the shuffle's output, edges by reducer key.
-func groupsOf(job func(string, enumReduce) enumJob, g *graph.Graph) map[graph.BucketKey][]graph.Edge {
-	groups := map[graph.BucketKey][]graph.Edge{}
+// shuffle is what a job's engine hands its reduce side: every non-empty
+// block's values (Prepare's input), and per reducer key the blocks it reads
+// and the edges gathered from them (Reduce's).
+type shuffle struct {
+	vals   map[int][]graph.Edge
+	blocks map[graph.BucketKey][]int32
+	groups map[graph.BucketKey][]graph.Edge
+}
+
+// shuffleOf runs a job over g under a reduce side that only records what it
+// is handed.
+func shuffleOf(job enumJob, g *graph.Graph) shuffle {
+	sh := shuffle{vals: map[int][]graph.Edge{}, blocks: map[graph.BucketKey][]int32{}, groups: map[graph.BucketKey][]graph.Edge{}}
 	var mu sync.Mutex
-	record := func(_ *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, _ func([]graph.Node)) {
+	job.Prepare = func(_ *mapreduce.Context, block int, edges []graph.Edge) {
 		mu.Lock()
 		defer mu.Unlock()
-		if groups[key] != nil {
+		if sh.vals[block] != nil {
+			panic(fmt.Sprintf("block %d prepared twice", block))
+		}
+		sh.vals[block] = slices.Clone(edges)
+	}
+	job.Reduce = func(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, _ func([]graph.Node)) {
+		mu.Lock()
+		defer mu.Unlock()
+		if sh.groups[key] != nil {
 			panic(fmt.Sprintf("reducer %v called twice", key))
 		}
-		groups[key] = slices.Clone(edges)
+		sh.blocks[key], sh.groups[key] = slices.Clone(ctx.Blocks), slices.Clone(edges)
 	}
-	if _, err := job("groups", record).RunStream(context.Background(), mapreduce.Config{}, g.Edges(), nil); err != nil {
+	if _, err := job.RunStream(context.Background(), mapreduce.Config{}, g.Edges(), nil); err != nil {
 		panic(err)
 	}
-	return groups
+	return sh
+}
+
+// prepare lays every block out on ctx's worker, as the engine would before
+// the first task reading it.
+func (bed *reducerBed) prepare(ctx *mapreduce.Context) {
+	for block, edges := range bed.vals {
+		bed.reducer.prepare(ctx, block, edges)
+	}
+}
+
+// reduce calls the reducer on key's group as the engine would.
+func (bed *reducerBed) reduce(ctx *mapreduce.Context, key graph.BucketKey, emit func([]graph.Node)) {
+	ctx.Blocks = bed.blocks[key]
+	bed.reducer.reduce(ctx, key, bed.groups[key], emit)
 }
 
 // reducerBeds builds the bucket-oriented job, the variable-oriented job
@@ -56,8 +87,8 @@ func reducerBeds(g *graph.Graph, s *sample.Sample, sink func([]graph.Node) bool)
 	h := bm.h
 	bucket := reducerBed{
 		name:    "bucket-oriented",
-		groups:  groupsOf(bm.job, g),
-		reducer: &enumReducer{evals: cq.NewEvaluatorSet(qs), order: h.Key, ms: &matchSink{sink: sink}},
+		shuffle: shuffleOf(bm.job("groups"), g),
+		reducer: newBucketReducer(qs, bm, &matchSink{sink: sink}),
 		owner: func(key graph.BucketKey, phi []graph.Node) bool {
 			buckets := make([]byte, len(phi))
 			for i, u := range phi {
@@ -80,8 +111,8 @@ func reducerBeds(g *graph.Graph, s *sample.Sample, sink func([]graph.Node) bool)
 		hashes := sm.hashes
 		return reducerBed{
 			name:    name,
-			groups:  groupsOf(sm.job, g),
-			reducer: &enumReducer{evals: cq.NewEvaluatorSet(qs), order: graph.NaturalKey, hashes: hashes, ms: &matchSink{sink: sink}},
+			shuffle: shuffleOf(sm.job("groups"), g),
+			reducer: newShareReducer(qs, sm, g, &matchSink{sink: sink}),
 			owner: func(key graph.BucketKey, phi []graph.Node) bool {
 				for v, u := range phi {
 					if hashes[v].Bucket(u) != int(key[v]) {
@@ -113,12 +144,13 @@ func TestReducerOwnership(t *testing.T) {
 			rejected := 0
 			bed.reducer.reject = func([]int32) { rejected++ }
 			ctx := &mapreduce.Context{}
+			bed.prepare(ctx)
 			if results[bed.name] == nil {
 				results[bed.name] = &Result{}
 			}
 			res := results[bed.name]
-			for key, edges := range bed.groups {
-				bed.reducer.reduce(ctx, key, edges, func(phi []graph.Node) {
+			for key := range bed.groups {
+				bed.reduce(ctx, key, func(phi []graph.Node) {
 					if !bed.owner(key, phi) {
 						t.Fatalf("%s %v: reducer %v emitted %v, which it does not own", bed.name, s, key, phi)
 					}
@@ -169,11 +201,12 @@ func TestReducerAllocations(t *testing.T) {
 				t.Fatalf("%s: every group has %d edges", bed.name, len(bed.groups[small]))
 			}
 			ctx := &mapreduce.Context{}
+			bed.prepare(ctx)
 			emitted := 0
 			emit := func([]graph.Node) { emitted++ }
 			call := func() {
-				bed.reducer.reduce(ctx, small, bed.groups[small], emit)
-				bed.reducer.reduce(ctx, large, bed.groups[large], emit)
+				bed.reduce(ctx, small, emit)
+				bed.reduce(ctx, large, emit)
 			}
 			call() // growth happens here, once
 			perCall := emitted
@@ -216,5 +249,57 @@ func TestMapperAllocations(t *testing.T) {
 	}
 	if stored == 0 {
 		t.Fatal("the schemes stored nothing; the test measures nothing")
+	}
+}
+
+// TestShareMaskPastEightVariables: a share job's mask compares a node's
+// lanes with the key's eight at a time, so a sample of more than eight
+// nodes needs the second word. The 9-node star's instances are the hubs
+// with eight of their neighbors, Σ_u C(deg u, 8) of them; the variable- and
+// cq-oriented jobs find exactly that many, and the kernel prunes every
+// match the reducer does not own.
+func TestShareMaskPastEightVariables(t *testing.T) {
+	g := graph.Gnm(40, 220, 3)
+	want := int64(0)
+	for u := range g.NumNodes() {
+		c := int64(1) // C(deg u, 8)
+		for i := int64(0); i < 8; i++ {
+			c = c * (int64(g.Degree(graph.Node(u))) - i) / (i + 1)
+		}
+		want += max(c, 0)
+	}
+	if want == 0 {
+		t.Fatal("the graph holds no 9-node star; the test measures nothing")
+	}
+	s := sample.Star(9)
+	qs := cq.MergeByOrientation(cq.GenerateForSample(s))
+	jobs := map[string][][]edgeBinding{"variable-oriented": {bindingsFromUses(cq.EdgeUses(qs))}}
+	for _, q := range qs {
+		jobs["cq-oriented"] = append(jobs["cq-oriented"], bindingsFromCQ(q))
+	}
+	for name, binds := range jobs {
+		var count int64
+		rejected := 0
+		for i, b := range binds {
+			sm, err := newShareScheme(5, b, []int{2, 1, 2, 1, 2, 1, 1, 2, 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jqs := qs
+			if name == "cq-oriented" {
+				jqs = qs[i : i+1]
+			}
+			ms := &matchSink{}
+			r := newShareReducer(jqs, sm, g, ms)
+			r.reject = func([]int32) { rejected++ }
+			n, _, err := ms.run(t.Context(), r.side(sm.job(name)), mapreduce.Config{Partitions: 1}, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count += n
+		}
+		if count != want || rejected != 0 {
+			t.Errorf("%s: %d stars, %d rejected matches; want %d, 0", name, count, rejected, want)
+		}
 	}
 }

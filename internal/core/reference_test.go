@@ -73,9 +73,9 @@ func pairLoads(g *graph.Graph, mapper func(graph.Edge, func(graph.BucketKey))) m
 
 // blockLoads is the load histogram of a scheme's job over g, as its reducers
 // see it.
-func blockLoads(job func(string, enumReduce) enumJob, g *graph.Graph) map[graph.BucketKey]int {
+func blockLoads(job func(string) enumJob, g *graph.Graph) map[graph.BucketKey]int {
 	loads := map[graph.BucketKey]int{}
-	for key, edges := range groupsOf(job, g) {
+	for key, edges := range shuffleOf(job("groups"), g).groups {
 		loads[key] = len(edges)
 	}
 	return loads
@@ -91,13 +91,13 @@ func TestBlockLoadsMatchPairMappers(t *testing.T) {
 		"gnm":      graph.Gnm(26, 60, 7),
 		"powerlaw": graph.PowerLaw(30, 5, 2.3, 8),
 	}
-	check := func(t *testing.T, g *graph.Graph, job func(string, enumReduce) enumJob, ref func(graph.Edge, func(graph.BucketKey))) {
+	check := func(t *testing.T, g *graph.Graph, job func(string) enumJob, ref func(graph.Edge, func(graph.BucketKey))) {
 		t.Helper()
 		got, want := blockLoads(job, g), pairLoads(g, ref)
 		if !maps.Equal(got, want) {
 			t.Fatalf("block job loads %v, the pair mapper shipped %v", got, want)
 		}
-		ls, err := job("probe", nil).Loads(mapreduce.Config{}, g.Edges())
+		ls, err := job("probe").Loads(mapreduce.Config{}, g.Edges())
 		if err != nil {
 			t.Fatal(err)
 		}

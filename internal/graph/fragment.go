@@ -9,14 +9,19 @@ import "slices"
 // reducers evaluate entirely on ranks and translate back to global ids
 // (ID) only for the assignments they keep.
 //
-// The order is a key, not a comparator: Build sorts the distinct nodes by
-// key(u), so the order costs one key computation per distinct node and one
-// integer sort, and the major part of the key (the node's bucket under the
-// Section 2.3 order) stays readable per rank afterwards.
+// The order is a key, not a comparator: a node's key carries its id in the
+// low word and the major part of the order (the node's bucket under the
+// Section 2.3 order) in the high word, so ranking never calls back per
+// comparison, and the major part stays readable per rank afterwards. A
+// share-hashed reducer gets its ranks without sorting at all: Merge merges
+// the runs its blocks were laid out into once per job (BlockRuns); Build
+// sorts the keys of one edge list itself. Either way the same layout
+// follows.
 //
-// A Fragment owns its storage and Build reuses it, so a reduce worker that
-// keeps one Fragment allocates only while its largest group is still
-// growing. The zero value is an empty fragment.
+// A Fragment owns its storage and reuses it, growing it geometrically, so
+// a reduce worker that keeps one Fragment allocates only a few times per
+// job however its groups grow. It is also where the worker keeps the runs
+// of the blocks it prepares (Prepare). The zero value is an empty fragment.
 type Fragment struct {
 	// Keys holds the order key of every rank, strictly ascending.
 	Keys []uint64
@@ -25,10 +30,17 @@ type Fragment struct {
 	Off []int32
 	Nbr []int32
 
-	index  nodeIndex
-	ids    []Node  // distinct nodes in discovery order
-	rankOf []int32 // discovery position → rank; reused as the fill cursor
-	tmp    []int32 // adjacency grouped by source, lists still unsorted
+	rank []int32 // node id → rank, one word per node id seen so far
+	// cur and tmp are the merges' ping-pong buffers, then the scatters'
+	// fill cursor and the adjacency grouped by source.
+	cur, tmp []int32
+	runs     []Run // the task's runs, grouped by major; Prepare's scratch
+
+	// The chunks the runs this worker prepared live in: append-only,
+	// because other workers read a run once it is stored, so a full chunk
+	// is left in place and a new one started.
+	ids    []Node
+	stored []Run
 }
 
 // NaturalKey is the Build key of the identifier order (NaturalLess) over
@@ -69,81 +81,173 @@ func (f *Fragment) BucketRange(b int) (lo, hi int32) {
 // Build lays out edges — in either orientation, duplicates and self-loops
 // ignored — in the node order ascending in key, replacing the previous
 // contents. key must carry the node id in its low word (as NaturalKey and
-// NodeHash.Key do), which also makes it injective.
+// NodeHash.Key do), which also makes it injective. It is the one-run case
+// of Merge: the edge list's distinct keys, sorted here, then the same
+// layout.
 func (f *Fragment) Build(edges []Edge, key func(Node) uint64) {
-	// A group of m edges has at most 2m nodes and 2m directed pairs. Storage
-	// grows here, outside the hot path, and only for a group larger than any
-	// before it.
-	if m := len(edges); cap(f.Off) <= 2*m {
-		f.Keys = make([]uint64, 2*m)
-		f.Off = make([]int32, 2*m+1)
-		f.Nbr = make([]int32, 2*m)
-		f.ids = make([]Node, 2*m)
-		f.rankOf = make([]int32, 2*m)
-		f.tmp = make([]int32, 2*m)
+	keys := f.Keys[:0]
+	for _, e := range edges {
+		if e.U != e.V {
+			keys = append(keys, key(e.U), key(e.V))
+		}
 	}
-	f.index.reset(2 * len(edges))
-	f.layout(edges, key)
+	slices.Sort(keys)
+	f.Keys = slices.Compact(keys)
+	f.grow(edges)
+	f.layout(edges)
 }
 
-// layout is Build on storage already sized and an index already empty. No
-// comparison sort touches the adjacency: distinct nodes are discovered
-// through the open-addressing table, ranked by one integer sort of their
-// keys, and the 2m directed rank pairs are grouped by source with a
-// counting scatter, then scattered again in source order — the transpose of
-// a symmetric adjacency is itself with every list ascending — and deduped
-// in place.
+// Merge lays out edges — a reduce task's group, gathered from the given
+// blocks — from the runs prepared into br for those blocks, replacing the
+// previous contents. The result is exactly Build(edges, key) under br's
+// key: the ranks are the union of the blocks' runs, merged major by major
+// with duplicates dropped, and no key is computed or sorted.
+func (f *Fragment) Merge(edges []Edge, br *BlockRuns, blocks []int32) {
+	runs := f.runs[:0]
+	for _, b := range blocks {
+		runs = append(runs, br.runs[b]...)
+	}
+	// Group the runs by major: a task reads a handful of blocks of at most
+	// a few runs each, so an insertion sort.
+	total := 0
+	for i := range runs {
+		for j := i; j > 0 && runs[j-1].Major > runs[j].Major; j-- {
+			runs[j-1], runs[j] = runs[j], runs[j-1]
+		}
+		total += len(runs[i].IDs)
+	}
+	f.runs = runs
+	f.cur, f.tmp, f.Keys = fit(f.cur, total), fit(f.tmp, total), fit(f.Keys, total)
+	f.Keys = f.merge(f.Keys[:0], runs)
+	f.grow(edges)
+	f.layout(edges)
+}
+
+// merge appends to keys the union of runs, which are grouped by major, one
+// major at a time.
 //
 //lint:hotpath
-func (f *Fragment) layout(edges []Edge, key func(Node) uint64) {
-	// Discover the distinct nodes; Nbr parks the discovery positions of
-	// each kept edge's endpoints until the first scatter has read them.
-	ids, ends := f.ids[:0], f.Nbr[:0]
+func (f *Fragment) merge(keys []uint64, runs []Run) []uint64 {
+	for lo := 0; lo < len(runs); {
+		hi := lo + 1
+		for hi < len(runs) && runs[hi].Major == runs[lo].Major {
+			hi++
+		}
+		keys = f.mergeMajor(keys, runs[lo:hi])
+		lo = hi
+	}
+	return keys
+}
+
+// mergeMajor appends to keys the union of runs — one major's, each
+// ascending and duplicate-free — as keys, ascending. Pairwise merges halve
+// the number of runs until one is left, ping-ponging between cur and tmp
+// (each with room for every id of runs), so n ids in r runs cost
+// n·⌈log₂ r⌉ steps. runs is the caller's scratch and is overwritten.
+//
+//lint:hotpath
+func (f *Fragment) mergeMajor(keys []uint64, runs []Run) []uint64 {
+	for p := 0; len(runs) > 1; p ^= 1 {
+		out := &f.cur
+		if p == 1 {
+			out = &f.tmp
+		}
+		buf := (*out)[:0]
+		k := 0
+		for i := 0; i < len(runs); i += 2 {
+			start := len(buf)
+			if i+1 < len(runs) {
+				buf = mergeIDs(buf, runs[i].IDs, runs[i+1].IDs)
+			} else {
+				buf = append(buf, runs[i].IDs...)
+			}
+			runs[k].IDs = buf[start:len(buf):len(buf)]
+			k++
+		}
+		runs = runs[:k]
+	}
+	hi := uint64(runs[0].Major) << 32
+	for _, u := range runs[0].IDs {
+		keys = append(keys, hi|uint64(uint32(u)))
+	}
+	return keys
+}
+
+// mergeIDs appends the union of a and b — each ascending and
+// duplicate-free — to dst, ascending.
+//
+//lint:hotpath
+func mergeIDs(dst, a, b []Node) []Node {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch x, y := a[i], b[j]; {
+		case x < y:
+			dst = append(dst, x)
+			i++
+		case y < x:
+			dst = append(dst, y)
+			j++
+		default:
+			dst = append(dst, x)
+			i++
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// grow sizes the layout's storage for edges under the ranks Keys holds:
+// the dense id → rank table up to the largest id, and the CSR and the
+// scatters' scratch, each with headroom.
+func (f *Fragment) grow(edges []Edge) {
+	maxID := -1
+	for _, k := range f.Keys {
+		maxID = max(maxID, int(uint32(k)))
+	}
+	if len(f.rank) <= maxID {
+		f.rank = make([]int32, max(maxID+1, 2*len(f.rank)))
+	}
+	n := len(f.Keys)
+	f.Off, f.cur = fit(f.Off, n+1), fit(f.cur, n)
+	f.Nbr, f.tmp = fit(f.Nbr, 2*len(edges)), fit(f.tmp, 2*len(edges))
+}
+
+// layout lays edges out under the ranks f.Keys already holds — the distinct
+// keys of their endpoints, ascending — on storage grow has sized. No
+// comparison sort touches the adjacency: endpoints become ranks through the
+// dense id → rank table, and the 2m directed rank pairs are grouped by
+// source with a counting scatter, then scattered again in source order —
+// the transpose of a symmetric adjacency is itself with every list
+// ascending — and deduped in place.
+//
+//lint:hotpath
+func (f *Fragment) layout(edges []Edge) {
+	keys, rank := f.Keys, f.rank
+	n := len(keys)
+	for r, k := range keys {
+		rank[uint32(k)] = int32(r)
+	}
+
+	// Degrees (duplicates included) → offsets; Nbr parks the ranks of each
+	// kept edge's endpoints until the first scatter has read them.
+	off, ends := f.Off[:n+1], f.Nbr[:0]
+	clear(off)
 	for _, e := range edges {
 		if e.U == e.V {
 			continue
 		}
-		for _, u := range [2]Node{e.U, e.V} {
-			h := f.index.find(ids, u)
-			t := f.index.slot[h]
-			if t < 0 {
-				t = int32(len(ids))
-				f.index.slot[h] = t
-				ids = append(ids, u)
-			}
-			ends = append(ends, t)
-		}
-	}
-	f.ids = ids
-	n := len(ids)
-
-	// Rank: one key per distinct node, one integer sort.
-	keys := f.Keys[:n]
-	for t, u := range ids {
-		keys[t] = key(u)
-	}
-	slices.Sort(keys)
-	rankOf := f.rankOf[:n]
-	for r, k := range keys {
-		rankOf[f.index.slot[f.index.find(ids, Node(uint32(k)))]] = int32(r)
-	}
-	f.Keys = keys
-
-	// Degrees (duplicates included) → offsets.
-	off := f.Off[:n+1]
-	clear(off)
-	for i, t := range ends {
-		r := rankOf[t]
-		ends[i] = r
-		off[r+1]++
+		u, v := rank[e.U], rank[e.V]
+		ends = append(ends, u, v)
+		off[u+1]++
+		off[v+1]++
 	}
 	for r := 0; r < n; r++ {
 		off[r+1] += off[r]
 	}
 
-	// First scatter: group by source. rankOf has served its purpose and
-	// becomes the per-source fill cursor.
-	cur, tmp := rankOf, f.tmp[:len(ends)]
+	// First scatter: group by source.
+	cur, tmp := f.cur[:n], f.tmp[:len(ends)]
 	copy(cur, off[:n])
 	for i := 0; i < len(ends); i += 2 {
 		u, v := ends[i], ends[i+1]
@@ -181,53 +285,13 @@ func (f *Fragment) layout(edges []Edge, key func(Node) uint64) {
 	f.Off, f.Nbr = off, nbr[:w]
 }
 
-// nodeIndex is an open-addressing table from node id to a position in a
-// node list kept beside it (the Fragment's discovery list): power-of-2
-// sized at ≥ 2× load, linear probing, so a lookup is one multiply and
-// (almost always) one slot probe. The table stores positions only; the ids
-// live in the list, which every call takes.
-type nodeIndex struct {
-	slot []int32 // position in the node list, -1 = empty
-	mask uint32
-}
-
-// reset empties the table and sizes it for up to n nodes, reusing its
-// storage when it is large enough.
-func (x *nodeIndex) reset(n int) {
-	size := 4
-	for size < 2*n {
-		size *= 2
+// fit returns s with length n, reallocated when its capacity is short to
+// at least double that capacity: storage grows geometrically, so a worker
+// whose groups keep growing reallocates O(log) times, not once per new
+// largest group, and its first group costs no more than its size.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
 	}
-	if cap(x.slot) < size {
-		x.slot = make([]int32, size)
-	}
-	x.slot = x.slot[:size]
-	for i := range x.slot {
-		x.slot[i] = -1
-	}
-	x.mask = uint32(size - 1)
-}
-
-// find returns the slot of u: the one holding its position in nodes, or
-// the empty one where that position belongs.
-//
-//lint:hotpath
-func (x *nodeIndex) find(nodes []Node, u Node) uint32 {
-	h := idHash(u) & x.mask
-	for j := x.slot[h]; j >= 0 && nodes[j] != u; j = x.slot[h] {
-		h = (h + 1) & x.mask
-	}
-	return h
-}
-
-// idHash mixes a node id for the open-addressing table (splitmix32-style
-// finalizer).
-func idHash(u Node) uint32 {
-	x := uint32(u)
-	x ^= x >> 16
-	x *= 0x7feb352d
-	x ^= x >> 15
-	x *= 0x846ca68b
-	x ^= x >> 16
-	return x
+	return s[:n]
 }

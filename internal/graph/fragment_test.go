@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -117,7 +119,8 @@ func TestFragmentBuild(t *testing.T) {
 }
 
 // TestFragmentBuildReusesStorage: once a Fragment has seen its largest
-// group, building — that group again or any smaller one — allocates nothing.
+// group, building or merging — that group again or any smaller one —
+// allocates nothing.
 func TestFragmentBuildReusesStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	big, small := randomMultiset(rng, 60, 500), randomMultiset(rng, 10, 30)
@@ -129,6 +132,86 @@ func TestFragmentBuildReusesStorage(t *testing.T) {
 		f.Build(big, key)
 	}); allocs != 0 {
 		t.Fatalf("Build on warmed storage allocates: %v allocs/run", allocs)
+	}
+
+	// Two blocks per group; the big group reads the small one's blocks too.
+	br := NewBlockRuns(4, key)
+	blocks := [][]Edge{small[:10], small[10:], big[:250], big[250:]}
+	for b, edges := range blocks {
+		f.Prepare(&br, b, edges)
+	}
+	smallIDs, bigIDs := []int32{0, 1}, []int32{0, 1, 2, 3}
+	bigEdges := append(slices.Clone(small), big...)
+	f.Merge(bigEdges, &br, bigIDs)
+	if allocs := testing.AllocsPerRun(20, func() {
+		f.Merge(small, &br, smallIDs)
+		f.Merge(bigEdges, &br, bigIDs)
+	}); allocs != 0 {
+		t.Fatalf("Merge on warmed storage allocates: %v allocs/run", allocs)
+	}
+}
+
+// checkMerge prepares each block of edges into br — spread over two
+// fragments, as two reduce workers would — merges the task that reads the
+// blocks listed in task into f, and requires exactly the Keys, Off and Nbr
+// Build lays out for the task's gathered edges.
+func checkMerge(t *testing.T, f *Fragment, blocks [][]Edge, task []int32, key func(Node) uint64) {
+	t.Helper()
+	br := NewBlockRuns(len(blocks), key)
+	var workers [2]Fragment
+	for b, edges := range blocks {
+		workers[b%2].Prepare(&br, b, edges)
+	}
+	var group []Edge
+	for _, b := range task {
+		group = append(group, blocks[b]...)
+	}
+	f.Merge(group, &br, task)
+	var want Fragment
+	want.Build(group, key)
+	if !slices.Equal(f.Keys, want.Keys) || !slices.Equal(f.Off, want.Off) || !slices.Equal(f.Nbr, want.Nbr) {
+		t.Fatalf("merged layout of blocks %v differs from Build:\nKeys %v\n want %v\nOff %v\n want %v\nNbr %v\n want %v",
+			task, f.Keys, want.Keys, f.Off, want.Off, f.Nbr, want.Nbr)
+	}
+	checkFragment(t, f, group, key)
+}
+
+// TestFragmentMergeMatchesBuild: over random multisets cut into random,
+// overlapping blocks — some in Graph.Edges order, some not — under the
+// natural and the (bucket, id) order, a task merged from any subset of the
+// blocks is laid out exactly as Build lays out its gathered edges, and one
+// Fragment reused across tasks stays exact.
+func TestFragmentMergeMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var f Fragment
+	for round := 0; round < 200; round++ {
+		edges := randomMultiset(rng, 3+rng.Intn(40), rng.Intn(300))
+		blocks := make([][]Edge, 1+rng.Intn(8))
+		for _, e := range edges {
+			for n := 1 + rng.Intn(2); n > 0; n-- { // some edges in two blocks
+				b := rng.Intn(len(blocks))
+				blocks[b] = append(blocks[b], e)
+			}
+		}
+		if round%2 == 0 {
+			for _, block := range blocks {
+				for i, e := range block {
+					block[i] = e.Canon()
+				}
+				slices.SortFunc(block, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+			}
+		}
+		var task []int32
+		for b := range blocks {
+			if rng.Intn(3) > 0 {
+				task = append(task, int32(b))
+			}
+		}
+		key := NaturalKey
+		if round%3 > 0 {
+			key = NodeHash{Seed: uint64(round), B: 1 + rng.Intn(6)}.Key
+		}
+		checkMerge(t, &f, blocks, task, key)
 	}
 }
 
@@ -157,5 +240,58 @@ func FuzzFragmentBuild(f *testing.F) {
 		checkFragment(t, &frag, edges[:len(edges)/2], key)
 		frag.Build(edges, key)
 		checkFragment(t, &frag, edges, key)
+	})
+}
+
+// FuzzFragmentRuns decodes bytes into edges and cuts them into runs: a
+// header byte picks the order (natural or (bucket, id) at 1–7 buckets), the
+// number of blocks and whether each block is put in Graph.Edges order;
+// then three bytes per edge give two endpoints from a 64-node pool with
+// sparse ids and the block it lands in — a second block too when the high
+// bit is set. Blocks overlap, repeat edges, hold self-loops or nothing. Two
+// tasks, every block and the even-numbered ones, are merged into one
+// Fragment and each must equal Build's layout of its gathered edges.
+func FuzzFragmentRuns(f *testing.F) {
+	f.Add([]byte{0x13, 1, 2, 0, 2, 1, 1, 3, 3, 0x82, 2, 5, 0})
+	f.Add([]byte{0x80, 0, 1, 3, 1, 2, 3, 0, 2, 0x93, 0, 1, 3, 63, 0, 3})
+	f.Add([]byte{0x4a})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		head := data[0]
+		blocks := make([][]Edge, 1+int(head>>4&7))
+		for i := 1; i+2 < len(data); i += 3 {
+			e := Edge{Node(data[i]%64)*977 + 5, Node(data[i+1]%64)*977 + 5}
+			sel := int(data[i+2])
+			blocks[sel%len(blocks)] = append(blocks[sel%len(blocks)], e)
+			if sel&0x80 != 0 {
+				b := (sel >> 3) % len(blocks)
+				blocks[b] = append(blocks[b], e)
+			}
+		}
+		if head&0x80 != 0 {
+			for _, block := range blocks {
+				for i, e := range block {
+					block[i] = e.Canon()
+				}
+				slices.SortFunc(block, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+			}
+		}
+		key := NaturalKey
+		if b := int(head % 8); b > 0 {
+			key = NodeHash{Seed: uint64(head), B: b}.Key
+		}
+		var all, even []int32
+		for b := range blocks {
+			all = append(all, int32(b))
+			if b%2 == 0 {
+				even = append(even, int32(b))
+			}
+		}
+		var frag Fragment
+		checkMerge(t, &frag, blocks, all, key)
+		checkMerge(t, &frag, blocks, even, key)
 	})
 }

@@ -29,17 +29,28 @@ import (
 // pair was emitted for. Codec is what it is on a Job: the key order and
 // spill serialization of a budgeted run and the key encoding of Config.Dist
 // ownership (nil means DefaultCodec).
+//
+// Prepare, when set, is work a reducer would otherwise repeat for every task
+// that reads a block — in the share-hashed jobs, ranking the block's nodes —
+// done once per block instead. The engine calls it at most once per
+// non-empty block, lazily, on the reduce worker whose task is the first to
+// read the block and with that worker's Context, before any task that reads
+// the block runs; different blocks are prepared concurrently. What Prepare
+// stores for a block is therefore visible to every later reducer call, which
+// finds its task's blocks in Context.Blocks. It never runs for Loads or for
+// an empty block, and a panic in it fails the job like a panic in Reduce.
 type BlockJob[I any, K comparable, V any, O any] struct {
-	Name   string
-	Blocks int
-	Map    func(in I, emit func(block int, v V))
-	Keys   func(yield func(key K, blocks []int32))
-	Reduce Reducer[K, V, O]
-	Codec  Codec[K, V]
+	Name    string
+	Blocks  int
+	Map     func(in I, emit func(block int, v V))
+	Keys    func(yield func(key K, blocks []int32))
+	Prepare func(ctx *Context, block int, vals []V)
+	Reduce  Reducer[K, V, O]
+	Codec   Codec[K, V]
 }
 
-// blockTask is one reducer of a block job: its key and the blocks it reads,
-// ids[lo:hi] of the plan.
+// blockTask is one reducer of a block job: its key and the non-empty blocks
+// it reads, ids[lo:hi] of the plan.
 type blockTask[K comparable] struct {
 	key    K
 	lo, hi int32
@@ -54,6 +65,7 @@ type blockPlan[K comparable, V any] struct {
 	tasks []blockTask[K]
 	ids   []int32
 	loads LoadStats
+	once  []sync.Once // block → its Prepare; nil when the job has none
 }
 
 // forEachInput applies Map to every input until stop is set.
@@ -119,7 +131,11 @@ func (j BlockJob[I, K, V, O]) plan(cfg Config, inputs []I, stop *atomic.Bool, pr
 			return
 		}
 		lo := int32(len(p.ids))
-		p.ids = append(p.ids, blocks...)
+		for _, b := range blocks {
+			if p.off[b] < p.off[b+1] {
+				p.ids = append(p.ids, b)
+			}
+		}
 		p.tasks = append(p.tasks, blockTask[K]{key: key, lo: lo, hi: int32(len(p.ids))})
 		p.loads.Pairs += int64(size)
 		p.loads.MaxLoad = max(p.loads.MaxLoad, int64(size))
@@ -136,6 +152,35 @@ func (p *blockPlan[K, V]) gather(dst []V, t blockTask[K]) []V {
 		dst = append(dst, p.vals[p.off[b]:p.off[b+1]]...)
 	}
 	return dst
+}
+
+// ready prepares each block of the task in progress (ctx.Blocks) that no
+// worker has prepared yet and reports whether the task may run: false once
+// the job has stopped — a Prepare that panicked, here or on another worker,
+// stops it before any worker waiting on that block is released.
+//
+//lint:hotpath
+func (p *blockPlan[K, V]) ready(ctx *Context, prepare func(*Context, int, []V)) bool {
+	if prepare == nil {
+		return true
+	}
+	for _, b := range ctx.Blocks {
+		p.once[b].Do(func() { p.prepare(ctx, b, prepare) })
+	}
+	return !ctx.Stopped()
+}
+
+// prepare runs Prepare on block b. A panic sets the job's stop flag before
+// it leaves — and so before the block's Once releases anyone waiting on it —
+// and goes on to the worker's recovery, which makes it a typed error.
+func (p *blockPlan[K, V]) prepare(ctx *Context, b int32, prepare func(*Context, int, []V)) {
+	defer func() {
+		if r := recover(); r != nil {
+			ctx.stop.Store(true)
+			panic(r)
+		}
+	}()
+	prepare(ctx, int(b), p.vals[p.off[b]:p.off[b+1]])
 }
 
 // pairs is the plan as the inputs and mapper of a plain Job: a task expands
@@ -170,7 +215,9 @@ func (j BlockJob[I, K, V, O]) Loads(cfg Config, inputs []I) (LoadStats, error) {
 // instead: a plain Job maps each task to its pairs, so spilling, the Spill*
 // metrics and the spill failure model are Job.RunStream's own. The block
 // table is input-sized — one V per emitted value — and, like the largest
-// group and the output, outside the budget.
+// group and the output, outside the budget; it stays in memory, so each
+// group's key leads back to its task, whose blocks the reducer finds in
+// Context.Blocks and Prepare has laid out as on the in-memory path.
 func (j BlockJob[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, yield func(O) bool) (Metrics, error) {
 	run, release := newRun(ctx, yield)
 	defer release()
@@ -179,9 +226,23 @@ func (j BlockJob[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs 
 	if err != nil || run.stop.Load() {
 		return metrics, firstError(ctx, err)
 	}
+	if j.Prepare != nil {
+		p.once = make([]sync.Once, j.Blocks)
+	}
 	if cfg.MemoryBudget > 0 {
 		cfg.Dist = nil // the task list is already the owned share
-		return Job[blockTask[K], K, V, O]{Name: j.Name, Map: p.pairs, Reduce: j.Reduce, Codec: j.Codec}.
+		task := make(map[K]int32, len(p.tasks))
+		for i, t := range p.tasks {
+			task[t.key] = int32(i)
+		}
+		reduce := func(rctx *Context, key K, vals []V, emit func(O)) {
+			t := p.tasks[task[key]]
+			rctx.Blocks = p.ids[t.lo:t.hi]
+			if p.ready(rctx, j.Prepare) {
+				j.Reduce(rctx, key, vals, emit)
+			}
+		}
+		return Job[blockTask[K], K, V, O]{Name: j.Name, Map: p.pairs, Reduce: reduce, Codec: j.Codec}.
 			RunStream(ctx, cfg, p.tasks, yield)
 	}
 
@@ -218,6 +279,10 @@ func (j BlockJob[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs 
 					break
 				}
 				t := p.tasks[i]
+				rctx.Blocks = p.ids[t.lo:t.hi]
+				if !p.ready(rctx, j.Prepare) {
+					break
+				}
 				group = p.gather(group[:0], t)
 				j.Reduce(rctx, t.key, group, deliver)
 				// A reduce task never blocks — no channel, no lock until an

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -259,6 +260,9 @@ func TestBlockJobFailuresAreTyped(t *testing.T) {
 		{"reduce panic", "", func(j *BlockJob[int, int, int, string]) {
 			j.Reduce = func(*Context, int, []int, func(string)) { boom() }
 		}, StageReduce},
+		{"prepare panic", "", func(j *BlockJob[int, int, int, string]) {
+			j.Prepare = func(*Context, int, []int) { boom() }
+		}, StageReduce},
 		{"mr.map", failpoint.MapWorker, nil, StageMap},
 		{"mr.reduce", failpoint.ReduceWorker, nil, StageReduce},
 	}
@@ -293,6 +297,124 @@ func TestBlockJobFailuresAreTyped(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestBlockPrepareContractQuick: over random block jobs, at four
+// partitions, in memory and under a budget that spills, Prepare runs exactly
+// once for every non-empty block some task reads — on that block's values,
+// before any reducer call that reads it — and never for an empty block or
+// for Loads; every reducer call finds its task's non-empty blocks in
+// Context.Blocks, the same ones on both paths.
+func TestBlockPrepareContractQuick(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		bed := newBlockBed(rng)
+		job := bed.block
+		vals := make([][]int, job.Blocks) // block → its values, in input order
+		for _, x := range bed.inputs {
+			job.Map(x, func(b int, v int) { vals[b] = append(vals[b], v) })
+		}
+		want := make([]int, job.Blocks) // block → Prepare calls a run must make
+		for _, cover := range bed.covers {
+			for _, b := range cover {
+				if len(vals[b]) > 0 {
+					want[b] = 1
+				}
+			}
+		}
+
+		var mu sync.Mutex
+		var prepared []int
+		var seen map[int][]int32 // key → Context.Blocks
+		job.Prepare = func(_ *Context, b int, vs []int) {
+			mu.Lock()
+			defer mu.Unlock()
+			prepared[b]++
+			if !slices.Equal(vs, vals[b]) {
+				t.Errorf("seed %d: Prepare(%d) got %v, the block holds %v", seed, b, vs, vals[b])
+			}
+		}
+		reduce := job.Reduce
+		job.Reduce = func(ctx *Context, key int, vs []int, emit func(string)) {
+			mu.Lock()
+			var blocks []int32
+			for _, b := range bed.covers[key] {
+				if len(vals[b]) > 0 {
+					blocks = append(blocks, b)
+				}
+			}
+			if !slices.Equal(ctx.Blocks, blocks) {
+				t.Errorf("seed %d key %d: Context.Blocks %v, want the non-empty cover %v", seed, key, ctx.Blocks, blocks)
+			}
+			for _, b := range ctx.Blocks {
+				if prepared[b] != 1 {
+					t.Errorf("seed %d key %d: block %d read after %d Prepare calls", seed, key, b, prepared[b])
+				}
+			}
+			seen[key] = slices.Clone(ctx.Blocks)
+			mu.Unlock()
+			reduce(ctx, key, vs, emit)
+		}
+
+		var first map[int][]int32
+		for _, budget := range []int64{0, 1} {
+			prepared, seen = make([]int, job.Blocks), map[int][]int32{}
+			cfg := Config{Partitions: 4, MemoryBudget: budget, SpillDir: t.TempDir()}
+			if _, err := job.RunStream(context.Background(), cfg, bed.inputs, func(string) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(prepared, want) {
+				t.Errorf("seed %d budget %d: Prepare calls per block %v, want %v", seed, budget, prepared, want)
+			}
+			if first == nil {
+				first = seen
+			} else if !maps.EqualFunc(seen, first, slices.Equal) {
+				t.Errorf("seed %d: under a budget the reducers saw blocks %v, in memory %v", seed, seen, first)
+			}
+		}
+		prepared = make([]int, job.Blocks)
+		if _, err := job.Loads(Config{}, bed.inputs); err != nil {
+			t.Fatal(err)
+		}
+		if slices.Max(append(prepared, 0)) != 0 {
+			t.Errorf("seed %d: Loads prepared blocks %v", seed, prepared)
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestBlockPrepareFailureReleasesWaiters: when the Prepare of a block every
+// task reads panics while the other workers wait for it, the job fails with
+// the typed error, no reducer runs on the unprepared block and no goroutine
+// is left — in memory and under a budget.
+func TestBlockPrepareFailureReleasesWaiters(t *testing.T) {
+	for _, budget := range []int64{0, 1} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			job := slowBed(40, 0)
+			job.Prepare = func(_ *Context, b int, _ []int) {
+				if b == 0 {
+					time.Sleep(20 * time.Millisecond) // the other workers queue on block 0
+					panic("boom")
+				}
+			}
+			var reduced atomic.Int64
+			job.Reduce = func(*Context, int, []int, func(string)) { reduced.Add(1) }
+			baseline := runtime.NumGoroutine()
+			_, err := job.RunStream(context.Background(), Config{Partitions: 4, MemoryBudget: budget, SpillDir: t.TempDir()}, bed64,
+				func(string) bool { return true })
+			waitForGoroutines(t, baseline)
+			var ee *EngineError
+			if !errors.As(err, &ee) || ee.Stage != StageReduce || ee.Job != "slow" {
+				t.Fatalf("got %v (%T), want an *EngineError at stage %q of job slow", err, err, StageReduce)
+			}
+			if n := reduced.Load(); n != 0 {
+				t.Errorf("%d reducer calls ran on a block whose Prepare failed", n)
+			}
+		})
 	}
 }
 

@@ -101,6 +101,12 @@ type Context struct {
 	// package variable it cannot ratchet a long-lived process's memory up
 	// across queries.
 	Local any
+	// Blocks is, during a block job's reducer call, the blocks its task
+	// reads that hold values — the ones the values were gathered from, each
+	// already through the job's Prepare — and nil in a plain Job. The engine
+	// sets it before every call, on the in-memory and the budgeted path
+	// alike; a reducer only reads it.
+	Blocks []int32
 
 	work int64
 	stop *atomic.Bool // the job's cooperative stop flag; nil outside a job

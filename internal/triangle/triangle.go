@@ -142,14 +142,13 @@ func (m pairMapper) Map(e graph.Edge, emit func(int, graph.Edge)) {
 // the paper describes is compensated exactly.
 func partitionJob(h graph.NodeHash) edgeJob {
 	b := h.B
-	return edgeJob{
+	return newTriReducer(h, true).side(edgeJob{
 		Name:   fmt.Sprintf("partition b=%d", b),
 		Blocks: graph.PairBlocks(b),
 		Map:    pairMapper{h}.Map,
 		Keys:   func(yield func(graph.BucketKey, []int32)) { partitionKeys(b, yield) },
-		Reduce: newTriReducer(h, true).reduce,
 		Codec:  graph.EdgeKeyCodec{P: 3},
-	}
+	})
 }
 
 // partitionKeys lists the Partition reducers: an edge whose endpoints fall
@@ -295,24 +294,24 @@ func tupleKey(x, y, z int) (k graph.BucketKey) {
 // buckets; the triangle (u ≺ v ≺ w) is owned by the
 // reducer of its sorted bucket triple.
 func bucketOrderedJob(h graph.NodeHash) edgeJob {
-	return edgeJob{
+	return newTriReducer(h, false).side(edgeJob{
 		Name:   fmt.Sprintf("bucket-ordered b=%d", h.B),
 		Blocks: graph.PairBlocks(h.B),
 		Map:    pairMapper{h}.Map,
 		Keys:   func(yield func(graph.BucketKey, []int32)) { graph.MultisetKeys(3, h.B, yield) },
-		Reduce: newTriReducer(h, false).reduce,
 		Codec:  graph.EdgeKeyCodec{P: 3},
-	}
+	})
 }
 
 // triReducer is the reduce side of Partition and BucketOrdered: the
 // triangle's one CQ, E(X,Y) & E(X,Z) & E(Y,Z) & X<Y & Y<Z, run by the rank
-// kernel over each group laid out as a graph.Fragment in the job's node
-// order — the layout and the kernel the core strategies use.
+// kernel over each group merged as a graph.Fragment from its pair blocks,
+// each laid out once in the job's node order — the layout and the kernel
+// the core strategies use.
 type triReducer struct {
 	evals *cq.EvaluatorSet
 	h     graph.NodeHash
-	order func(graph.Node) uint64 // graph.Fragment key of the node order
+	runs  graph.BlockRuns
 	// partition selects Partition's rule: id order, every triangle of the
 	// group bound, the one whose canonical group triple is the key kept.
 	// Otherwise BucketOrdered's: (bucket, id) order, the kernel binding
@@ -325,12 +324,19 @@ func newTriReducer(h graph.NodeHash, partition bool) *triReducer {
 	if partition {
 		order = graph.NaturalKey
 	}
-	return &triReducer{cq.NewEvaluatorSet(cq.GenerateForSample(sample.Triangle())), h, order, partition}
+	return &triReducer{cq.NewEvaluatorSet(cq.GenerateForSample(sample.Triangle())), h, graph.NewBlockRuns(graph.PairBlocks(h.B), order), partition}
+}
+
+// side returns job with its Prepare and Reduce set to this reducer's.
+func (r *triReducer) side(job edgeJob) edgeJob {
+	job.Prepare, job.Reduce = r.prepare, r.reduce
+	return job
 }
 
 // triWorker is what one reduce worker keeps in its Context's Local slot
-// across its reducer calls: the fragment and the kernel's scratch, sized by
-// the largest group seen, so a warmed call allocates nothing.
+// across its reducer calls: the fragment (which also holds the blocks this
+// worker prepared) and the kernel's scratch, sized by the largest group
+// seen, so a warmed call allocates nothing.
 type triWorker struct {
 	r       *triReducer
 	frag    graph.Fragment
@@ -339,7 +345,8 @@ type triWorker struct {
 	emit    func([3]graph.Node)
 }
 
-func (r *triReducer) reduce(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) {
+// worker returns the worker slot of ctx, setting it up on first use.
+func (r *triReducer) worker(ctx *mapreduce.Context) *triWorker {
 	w, _ := ctx.Local.(*triWorker)
 	if w == nil {
 		w = &triWorker{r: r}
@@ -347,17 +354,26 @@ func (r *triReducer) reduce(ctx *mapreduce.Context, key graph.BucketKey, edges [
 		w.scratch.Own.Multiset = !r.partition
 		ctx.Local = w
 	}
-	ctx.AddWork(w.run(key, edges, emit))
+	return w
 }
 
-// run lays one group out and evaluates the triangle CQ over it, returning
-// the kernel's work.
+// prepare lays one pair block out in the job's node order, once per job.
+func (r *triReducer) prepare(ctx *mapreduce.Context, block int, edges []graph.Edge) {
+	r.worker(ctx).frag.Prepare(&r.runs, block, edges)
+}
+
+func (r *triReducer) reduce(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) {
+	ctx.AddWork(r.worker(ctx).run(key, edges, ctx.Blocks, emit))
+}
+
+// run merges one group's fragment from its blocks and evaluates the
+// triangle CQ over it, returning the kernel's work.
 //
 //lint:hotpath
-func (w *triWorker) run(key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) int64 {
+func (w *triWorker) run(key graph.BucketKey, edges []graph.Edge, blocks []int32, emit func([3]graph.Node)) int64 {
 	w.key, w.emit = key, emit
 	w.scratch.Own.Key = key // read only by BucketOrdered's multiset rule
-	w.frag.Build(edges, w.r.order)
+	w.frag.Merge(edges, &w.r.runs, blocks)
 	return w.r.evals.Eval(&w.frag, &w.scratch, w.match)
 }
 

@@ -322,23 +322,37 @@ var refMappers = map[string]func(h graph.NodeHash, e graph.Edge, emit func(graph
 	},
 }
 
-// groupsOf runs a's job under h with a reducer that records each key's
-// group instead of evaluating it.
-func groupsOf(t *testing.T, a Algo, h graph.NodeHash, g *graph.Graph) (map[graph.BucketKey][]graph.Edge, mapreduce.Metrics) {
+// shuffle is what a job's engine hands its reduce side: every non-empty
+// block's values (Prepare's input), and per reducer key the blocks it reads
+// and the edges gathered from them (Reduce's).
+type shuffle struct {
+	vals   map[int][]graph.Edge
+	blocks map[graph.BucketKey][]int32
+	groups map[graph.BucketKey][]graph.Edge
+}
+
+// shuffleOf runs a's job under h with a reduce side that records what it is
+// handed instead of evaluating it.
+func shuffleOf(t *testing.T, a Algo, h graph.NodeHash, g *graph.Graph) (shuffle, mapreduce.Metrics) {
 	t.Helper()
-	groups := map[graph.BucketKey][]graph.Edge{}
+	sh := shuffle{vals: map[int][]graph.Edge{}, blocks: map[graph.BucketKey][]int32{}, groups: map[graph.BucketKey][]graph.Edge{}}
 	var mu sync.Mutex
 	job := a.job(h)
-	job.Reduce = func(_ *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, _ func([3]graph.Node)) {
+	job.Prepare = func(_ *mapreduce.Context, block int, edges []graph.Edge) {
 		mu.Lock()
 		defer mu.Unlock()
-		groups[key] = slices.Clone(edges)
+		sh.vals[block] = slices.Clone(edges)
+	}
+	job.Reduce = func(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, _ func([3]graph.Node)) {
+		mu.Lock()
+		defer mu.Unlock()
+		sh.blocks[key], sh.groups[key] = slices.Clone(ctx.Blocks), slices.Clone(edges)
 	}
 	m, err := job.RunStream(t.Context(), mapreduce.Config{}, g.Edges(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return groups, m
+	return sh, m
 }
 
 // TestBlockLoadsMatchPairMappers: on the differential harness's graphs each
@@ -360,9 +374,9 @@ func TestBlockLoadsMatchPairMappers(t *testing.T) {
 				for _, e := range g.Edges() {
 					refMappers[a.Name](h, e, func(k graph.BucketKey) { want[k]++ })
 				}
-				groups, m := groupsOf(t, a, h, g)
+				sh, m := shuffleOf(t, a, h, g)
 				got := map[graph.BucketKey]int{}
-				for key, edges := range groups {
+				for key, edges := range sh.groups {
 					got[key] = len(edges)
 				}
 				if !maps.Equal(got, want) {
@@ -430,7 +444,8 @@ func TestReducerAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			groups, _ := groupsOf(t, a, h, g)
+			sh, _ := shuffleOf(t, a, h, g)
+			groups := sh.groups
 			var small, large graph.BucketKey
 			first := true
 			for key, edges := range groups {
@@ -445,13 +460,18 @@ func TestReducerAllocations(t *testing.T) {
 			if len(groups[small]) == len(groups[large]) {
 				t.Fatalf("every group has %d edges", len(groups[small]))
 			}
-			reduce := a.job(h).Reduce
+			job := a.job(h)
 			ctx := &mapreduce.Context{}
+			for block, edges := range sh.vals {
+				job.Prepare(ctx, block, edges)
+			}
 			emitted := 0
 			emit := func([3]graph.Node) { emitted++ }
 			call := func() {
-				reduce(ctx, small, groups[small], emit)
-				reduce(ctx, large, groups[large], emit)
+				ctx.Blocks = sh.blocks[small]
+				job.Reduce(ctx, small, groups[small], emit)
+				ctx.Blocks = sh.blocks[large]
+				job.Reduce(ctx, large, groups[large], emit)
 			}
 			call() // growth happens here, once
 			if emitted == 0 {
