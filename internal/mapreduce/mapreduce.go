@@ -14,10 +14,11 @@
 //
 // Execution is pipelined and hash-partitioned: mappers stream emitted pairs
 // into P fixed partitions through per-partition channels, and each reduce
-// worker owns one partition, building its group table concurrently with the
-// map phase. There is no global merge map and no barrier between the
-// phases, so peak memory is bounded by the largest partition rather than by
-// the total communication cost. Like the paper's algorithms, a job has no
+// worker owns one partition, taking in its pairs concurrently with the map
+// phase and grouping them one hash bucket at a time once the phase ends.
+// There is no global merge map and no barrier between the phases, so peak
+// memory is bounded by the largest partition rather than by the total
+// communication cost. Like the paper's algorithms, a job has no
 // combiner and no custom partitioner: every emitted pair is shipped, and
 // the reported metrics are fully deterministic (they do not depend on
 // worker count or partition assignment).
@@ -126,9 +127,9 @@ func (c *Context) Stopped() bool { return c.stop != nil && c.stop.Load() }
 type Mapper[I any, K comparable, V any] func(input I, emit func(K, V))
 
 // Reducer consumes all values grouped under one key. The values slice is
-// only valid for the duration of the call — both the in-memory group slab
-// and the external shuffle reuse its backing storage — so a reducer that
-// wants to keep values past its return must copy them.
+// only valid for the duration of the call — the engine may reuse its
+// backing storage — so a reducer that wants to keep values past its return
+// must copy them.
 type Reducer[K comparable, V any, O any] func(ctx *Context, key K, values []V, emit func(O))
 
 // Config controls engine execution.
@@ -261,12 +262,12 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 	}
 	// Shuffle batches cycle through a process-wide per-type free list:
 	// mappers take recycled buffers, reduce workers return each batch once
-	// its pairs are folded into the group table (see recycle.go).
+	// its pairs are copied into the group table (see recycle.go).
 	flist := freeListFor[K, V]()
 
 	// Reduce workers: each owns one partition, taking in batches as they
 	// arrive (concurrently with mapping) and reducing once its channel
-	// closes — from the slab group table, or with a budget from the
+	// closes — from the bucketed group table, or with a budget from the
 	// spiller's sorted buffer or run merge. On stop they keep draining their
 	// channel (so mappers never block forever) but skip grouping and
 	// reducing.
@@ -307,13 +308,13 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 			}
 			var (
 				sp    *spiller[K, V]    // budgeted path
-				table *groupTable[K, V] // in-memory path, O(keys) allocations
+				table *groupTable[K, V] // in-memory path
 			)
 			if share > 0 {
 				sp = newSpiller(codec, cfg.SpillDir, share)
 				defer sp.cleanup()
 			} else {
-				table = newGroupTable[K, V]()
+				table = newGroupTable[K, V](seed)
 			}
 			for batch := range chans[p] {
 				if stop.Load() {
@@ -354,6 +355,9 @@ func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, 
 				distinct[p], maxIn[p] = d, mi
 				spills[p] = Metrics{SpilledPairs: sp.pairs, SpillBytes: sp.bytes, SpillFiles: sp.runs}
 			} else {
+				if !table.group(stop) {
+					return
+				}
 				distinct[p] = int64(table.numKeys())
 				maxIn[p] = table.forEach(reduce)
 			}

@@ -92,22 +92,7 @@ func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink f
 			emit(e.V, role{Other: e.U, Left: true})  // X = U, Y = V
 			emit(e.U, role{Other: e.V, Left: false}) // Y = U, Z = V
 		},
-		Reduce: func(ctx *mapreduce.Context, y graph.Node, roles []role, emit func(wedge)) {
-			var lefts, rights []graph.Node
-			for _, r := range roles {
-				if r.Left {
-					lefts = append(lefts, r.Other)
-				} else {
-					rights = append(rights, r.Other)
-				}
-			}
-			ctx.AddWork(int64(len(lefts)) * int64(len(rights)))
-			for _, x := range lefts {
-				for _, z := range rights {
-					emit(wedge{X: x, Y: y, Z: z})
-				}
-			}
-		},
+		Reduce: joinWedges,
 	}, g.Edges(), func(w wedge) bool {
 		inputs = append(inputs, w)
 		return true
@@ -163,6 +148,38 @@ func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink f
 
 	err = mapreduce.RunRoundStream(ctx, c, round2, inputs, sink)
 	return Result{Wedges: wedges, Chain: c}, err
+}
+
+// wedgeSides is what one round-1 reduce worker keeps in its Context's
+// Local slot: the two sides of the current middle node, reused across the
+// worker's calls.
+type wedgeSides struct {
+	lefts, rights []graph.Node
+}
+
+// joinWedges is round 1's reducer: it splits the roles at middle node y
+// into the two sides and emits their product as wedges.
+func joinWedges(ctx *mapreduce.Context, y graph.Node, roles []role, emit func(wedge)) {
+	s, _ := ctx.Local.(*wedgeSides)
+	if s == nil {
+		s = new(wedgeSides)
+		ctx.Local = s
+	}
+	lefts, rights := s.lefts[:0], s.rights[:0]
+	for _, r := range roles {
+		if r.Left {
+			lefts = append(lefts, r.Other)
+		} else {
+			rights = append(rights, r.Other)
+		}
+	}
+	s.lefts, s.rights = lefts, rights
+	ctx.AddWork(int64(len(lefts)) * int64(len(rights)))
+	for _, x := range lefts {
+		for _, z := range rights {
+			emit(wedge{X: x, Y: y, Z: z})
+		}
+	}
 }
 
 // Round1LoadStats computes, in O(n + m) without running anything, the exact

@@ -127,3 +127,20 @@ func TestCascadeEmptyGraph(t *testing.T) {
 		t.Errorf("empty graph: %d triangles, %d pairs", n, comm)
 	}
 }
+
+// TestWedgeJoinAllocations: a round-1 reducer call against a warmed worker
+// slot allocates nothing — both sides reuse the slot's buffers — and still
+// emits the full product of the two sides.
+func TestWedgeJoinAllocations(t *testing.T) {
+	roles := []role{{Other: 1, Left: true}, {Other: 9}, {Other: 2, Left: true}, {Other: 8}, {Other: 7}}
+	ctx := &mapreduce.Context{}
+	var wedges int
+	emit := func(wedge) { wedges++ }
+	joinWedges(ctx, 5, roles, emit) // warm the slot
+	if wedges != 6 {
+		t.Fatalf("emitted %d wedges, want 2×3", wedges)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { joinWedges(ctx, 5, roles, emit) }); allocs != 0 {
+		t.Fatalf("warmed round-1 reducer call allocates: %v allocs/run", allocs)
+	}
+}
