@@ -63,13 +63,15 @@ func (r *enumReducer) side(job enumJob) enumJob {
 // reduceWorker is what one reduce worker keeps, in its Context's Local slot,
 // across all the reducer calls it makes: the fragment (which also holds the
 // blocks this worker prepared), the share mask and the evaluator scratch,
-// sized by the largest group seen and reused, so a call allocates nothing
-// but the instances it emits.
+// sized by the largest group seen and reused, and the slab its instances
+// are carved from, so a call allocates nothing but a slab chunk per 256
+// instances it emits.
 type reduceWorker struct {
 	job     *enumReducer
 	frag    graph.Fragment
 	mask    []uint16 // share jobs: one ownership word per rank
 	scratch cq.Scratch
+	slab    graph.Slab
 
 	// The call in progress.
 	key  graph.BucketKey
@@ -145,7 +147,8 @@ func zeroBytes(x uint64) uint64 {
 
 // owns receives every raw match of the reducer call in progress, checks
 // that this reducer owns it — the kernel pruned every other, so this is a
-// guard — and passes it on as a count or as a fresh instance of node ids.
+// guard — and passes it on as a count or as an instance of node ids that
+// the sink may keep.
 //
 //lint:hotpath
 func (w *reduceWorker) owns(ranks []int32) {
@@ -161,8 +164,8 @@ func (w *reduceWorker) owns(ranks []int32) {
 	}
 	// ranks is the evaluator's scratch: only an owned match that actually
 	// leaves the reducer becomes an instance.
-	phi := append([]graph.Node(nil), ranks...)
-	for v, r := range phi {
+	phi := w.slab.Take(len(ranks))
+	for v, r := range ranks {
 		phi[v] = w.frag.ID(r)
 	}
 	w.emit(phi)

@@ -98,10 +98,24 @@ func TestDecodeGraphRejectsBadPayload(t *testing.T) {
 }
 
 func TestInstancesCodecRoundTrip(t *testing.T) {
+	// One frame past a slab chunk whose widths vary from instance to
+	// instance, from 0 to past any sample's.
+	var mixed [][]graph.Node
+	for i := range 700 {
+		phi := make([]graph.Node, i%18)
+		if i%100 == 99 {
+			phi = make([]graph.Node, 40)
+		}
+		for j := range phi {
+			phi[j] = graph.Node(i*40 + j)
+		}
+		mixed = append(mixed, phi)
+	}
 	batches := [][][]graph.Node{
 		{},
 		{{1, 2, 3}},
 		{{0}, {4, 5}, {6, 7, 8, 9}},
+		mixed,
 	}
 	for i, batch := range batches {
 		got, err := decodeInstances(appendInstances(nil, batch))
@@ -111,9 +125,11 @@ func TestInstancesCodecRoundTrip(t *testing.T) {
 		if len(got) != len(batch) {
 			t.Fatalf("batch %d: %d instances, want %d", i, len(got), len(batch))
 		}
+		// Each instance is capped, so the caller may grow it without
+		// writing into its neighbour.
 		for j := range batch {
-			if len(got[j]) != len(batch[j]) {
-				t.Fatalf("batch %d instance %d: width %d, want %d", i, j, len(got[j]), len(batch[j]))
+			if len(got[j]) != len(batch[j]) || cap(got[j]) != len(batch[j]) {
+				t.Fatalf("batch %d instance %d: width %d cap %d, want %d", i, j, len(got[j]), cap(got[j]), len(batch[j]))
 			}
 			for k := range batch[j] {
 				if got[j][k] != batch[j][k] {

@@ -128,7 +128,8 @@ func appendInstances(dst []byte, batch [][]graph.Node) []byte {
 	return dst
 }
 
-// decodeInstances parses a frameInstances payload.
+// decodeInstances parses a frameInstances payload. The instances are
+// carved from one slab, each capped, so the caller may keep every one.
 func decodeInstances(payload []byte) ([][]graph.Node, error) {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
@@ -139,6 +140,7 @@ func decodeInstances(payload []byte) ([][]graph.Node, error) {
 		return nil, fmt.Errorf("distrib: instance batch: count %d exceeds payload", count)
 	}
 	batch := make([][]graph.Node, 0, count)
+	var slab graph.Slab
 	for i := uint64(0); i < count; i++ {
 		width, n := binary.Uvarint(payload)
 		if n <= 0 {
@@ -148,7 +150,7 @@ func decodeInstances(payload []byte) ([][]graph.Node, error) {
 		if width > uint64(len(payload))+1 {
 			return nil, fmt.Errorf("distrib: instance batch: width %d exceeds payload", width)
 		}
-		phi := make([]graph.Node, width)
+		phi := slab.Take(int(width))
 		for j := range phi {
 			v, n := binary.Uvarint(payload)
 			if n <= 0 {

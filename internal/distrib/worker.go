@@ -14,9 +14,9 @@ import (
 
 // Executor runs one JobRequest against the already-decoded replicated
 // graph, streaming instances into emit (serialized; returning false stops
-// the run early) and returning the committed stats. The root package
-// injects its strategy dispatch here, which keeps distrib free of a
-// dependency cycle on the public API.
+// the run early; each instance is emit's to keep) and returning the
+// committed stats. The root package injects its strategy dispatch here,
+// which keeps distrib free of a dependency cycle on the public API.
 type Executor func(ctx context.Context, g *graph.Graph, req *JobRequest, emit func([]graph.Node) bool) (*JobResult, error)
 
 // instanceBatch is the number of instances a worker buffers per
@@ -148,7 +148,7 @@ func runJob(ctx context.Context, conn net.Conn, g *graph.Graph, req *JobRequest,
 			downErr = errConnDown
 			return false
 		}
-		batch = append(batch, append([]graph.Node(nil), phi...))
+		batch = append(batch, phi) // emit may keep phi: no copy
 		emitted++
 		if len(batch) >= instanceBatch {
 			return flush()

@@ -39,7 +39,9 @@ func Run(ctx context.Context, p *QueryPlan) (*Result, error) {
 }
 
 // Stream executes a plan, delivering each instance to yield instead of
-// materializing Result.Instances. Calls to yield are serialized and block
+// materializing Result.Instances. Each instance slice is yield's to keep:
+// nothing reuses or writes it after the call, and appending to it never
+// writes into another instance. Calls to yield are serialized and block
 // the emitting reduce worker, so delivery is consumer-paced and the
 // output never accumulates in memory; the shuffle's grouped intermediate
 // state is still built before the first delivery, so bound it with
@@ -68,54 +70,102 @@ func execute(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result
 	return runLocal(ctx, p, sink)
 }
 
-// Instances executes a plan as a streaming iterator: instances are
-// delivered one at a time at the consumer's pace, so enumerations whose
-// output dwarfs memory can be consumed incrementally (the shuffle's
-// grouped intermediate state is separate — bound it with WithMemoryBudget
-// when it may exceed RAM). Breaking out of the range loop — or cancelling
-// ctx — tears the engine down promptly: remaining reducer groups are
-// skipped, spill files are removed, and no goroutines are left behind.
-// WithCountOnly is ignored — streaming always delivers. A cancelled or
-// expired context surfaces as a final iteration with a non-nil error (and
-// a nil instance slice).
+// Instances executes a plan as a streaming iterator. Delivery is
+// consumer-paced, with at most one batch of at most 256 instances in
+// flight: the engine fills the next batch while the range loop consumes
+// the last, then waits. The first batch holds a single instance, so the
+// first result is not held back. Enumerations whose output dwarfs memory
+// can thus be consumed incrementally (the shuffle's grouped intermediate
+// state is separate — bound it with WithMemoryBudget when it may exceed
+// RAM). Each instance is the caller's to keep. Breaking out of the range loop — or cancelling ctx — tears the
+// engine down promptly: remaining reducer groups are skipped, spill files
+// are removed, and no goroutines are left behind. WithCountOnly is ignored
+// — streaming always delivers. A failure, or a cancelled or expired
+// context, surfaces as a final iteration with a non-nil error (and a nil
+// instance slice); a failure comes after every instance delivered before
+// it.
 func Instances(ctx context.Context, p *QueryPlan) iter.Seq2[[]Node, error] {
 	return func(yield func([]Node, error) bool) {
 		if err := checkRunnable(ctx, p); err != nil {
 			yield(nil, err)
 			return
 		}
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
+		bridge(ctx, func(ctx context.Context, sink func([]Node) bool) error {
+			_, err := Stream(ctx, p, sink)
+			return err
+		}, yield)
+	}
+}
 
-		instances := make(chan []Node) // unbuffered: backpressure to the engine
-		errc := make(chan error, 1)
-		go func() {
-			_, err := Stream(ctx, p, func(phi []Node) bool {
-				select {
-				case instances <- phi:
+// maxBatch is the most instances one bridge batch carries.
+const maxBatch = 256
+
+// bridge runs produce on its own goroutine and hands what it delivers to
+// yield in order, then its error, if any. Instances cross in batches — 1,
+// 2, 4, … up to maxBatch of them — so a hand-off costs one goroutine switch
+// per batch, not per instance, and the first instance crosses alone.
+// produce runs at most one batch ahead: it fills the next batch while
+// yield consumes the last, then blocks. A batch yield has finished with
+// goes back to produce through a one-slot free list, so steady streaming
+// allocates no containers. Once yield returns false, bridge cancels
+// produce's context and returns only after produce has.
+func bridge(ctx context.Context, produce func(context.Context, func([]Node) bool) error, yield func([]Node, error) bool) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	batches := make(chan [][]Node) // unbuffered: backpressure to the engine
+	free := make(chan [][]Node, 1)
+	errc := make(chan error, 1)
+	go func() {
+		batch := make([][]Node, 0, 1)
+		send := func() bool {
+			select {
+			case batches <- batch:
+			case <-ctx.Done():
+				return false
+			}
+			size := min(2*cap(batch), maxBatch)
+			select {
+			case batch = <-free:
+				if cap(batch) >= size {
 					return true
-				case <-ctx.Done():
-					return false
 				}
-			})
-			errc <- err
-			close(instances)
-		}()
+			default:
+			}
+			batch = make([][]Node, 0, size)
+			return true
+		}
+		err := produce(ctx, func(phi []Node) bool {
+			batch = append(batch, phi)
+			return len(batch) < cap(batch) || send()
+		})
+		if len(batch) > 0 {
+			send() // the instances delivered before produce returned
+		}
+		errc <- err
+		close(batches)
+	}()
 
-		for phi := range instances {
+	for batch := range batches {
+		for _, phi := range batch {
 			if !yield(phi, nil) {
 				// Early break: tear down the engine and wait for it so no
 				// goroutines or spill files outlive the loop.
 				cancel()
-				for range instances {
+				for range batches {
 				}
 				<-errc
 				return
 			}
 		}
-		if err := <-errc; err != nil {
-			yield(nil, err)
+		clear(batch)
+		select {
+		case free <- batch[:0]:
+		default:
 		}
+	}
+	if err := <-errc; err != nil {
+		yield(nil, err)
 	}
 }
 

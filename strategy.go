@@ -7,6 +7,7 @@ import (
 
 	"subgraphmr/internal/core"
 	"subgraphmr/internal/cq"
+	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/shares"
 	"subgraphmr/internal/triangle"
@@ -343,12 +344,14 @@ func runTriangleJob(ctx context.Context, p *QueryPlan, algo triangle.Algo, label
 }
 
 // tripleSink adapts an instance sink to the triangle packages' fixed-size
-// triples; no sink stays no sink.
+// triples, carving each instance from one slab; no sink stays no sink. The
+// engine serializes its calls, so the slab needs no lock.
 func tripleSink(sink func([]Node) bool) func([3]Node) bool {
 	if sink == nil {
 		return nil
 	}
-	return func(t [3]Node) bool { return sink([]Node{t[0], t[1], t[2]}) }
+	var slab graph.Slab
+	return func(t [3]Node) bool { return sink(slab.Copy(t[:])) }
 }
 
 // —— The two-round cascade baseline ——

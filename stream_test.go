@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -357,4 +359,202 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			t.Errorf("%v: streamed %d distinct instances, materialized %d", tc.st, len(streamed), len(want))
 		}
 	}
+}
+
+// TestInstancesAreTheCallers pins the ownership contract of Stream and
+// Instances: each yielded slice is the caller's to keep and to grow.
+// Appending to every instance as it arrives must leave every other
+// instance unchanged and the multiset equal to Run's — which fails if any
+// path hands out uncapped slices of a shared chunk, or reuses one.
+func TestInstancesAreTheCallers(t *testing.T) {
+	ctx := context.Background()
+	g := Gnm(150, 600, 11)
+	for _, tc := range []struct {
+		name string
+		s    *Sample
+		st   PlanStrategy
+		opts []Option
+	}{
+		{"bucket", Triangle(), StrategyBucketOriented, nil},
+		{"variable", Square(), StrategyVariableOriented, nil},
+		{"cq", Square(), StrategyCQOriented, nil},
+		{"tri-bucket", Triangle(), StrategyTriangleBucketOrdered, nil},
+		{"cascade", Triangle(), StrategyTwoRound, nil},
+		{"distributed bucket", Square(), StrategyBucketOriented, []Option{WithDistributed(2)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := Plan(g, tc.s, append([]Option{WithStrategy(tc.st), WithTargetReducers(64), WithSeed(4)}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(ctx, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kept, snapshots [][]Node
+			for phi, err := range Instances(ctx, plan) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				snapshots = append(snapshots, slices.Clone(phi))
+				kept = append(kept, phi)
+				grown := append(phi, -1)
+				grown[0] = -1
+			}
+			for i, phi := range kept {
+				if !slices.Equal(phi, snapshots[i]) {
+					t.Fatalf("instance %d changed from %v to %v after later instances were grown", i, snapshots[i], phi)
+				}
+			}
+			if got, want := instanceKeys(tc.s, kept), instanceKeys(tc.s, res.Instances); !slices.Equal(got, want) {
+				t.Errorf("streamed %d instances, Run %d; the multisets differ", len(got), len(want))
+			}
+		})
+	}
+}
+
+// instanceKeys returns the sorted canonical keys of instances.
+func instanceKeys(s *Sample, instances [][]Node) []string {
+	keys := make([]string, len(instances))
+	for i, phi := range instances {
+		keys[i] = s.Key(phi)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// fakeProducer delivers n instances {i, i+1, i+2} in order (n < 0: until
+// stopped), stopping when the sink refuses one or ctx ends, and then
+// returns err (ctx's error if it ended). It closes done on return.
+func fakeProducer(n int, err error, done chan<- struct{}) func(context.Context, func([]Node) bool) error {
+	return func(ctx context.Context, sink func([]Node) bool) error {
+		defer close(done)
+		for i := 0; n < 0 || i < n; i++ {
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			if !sink([]Node{Node(i), Node(i + 1), Node(i + 2)}) {
+				return nil
+			}
+		}
+		return err
+	}
+}
+
+// TestBridgeOrderAndErrors pins what bridge hands the range loop: every
+// instance the producer delivered, in order, and only then its error.
+func TestBridgeOrderAndErrors(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name    string
+		n       int
+		err     error
+		breakAt int // the consumer breaks after this many instances; 0 never
+		want    int // instances yielded
+	}{
+		{"5 then a failure", 5, boom, 0, 5},
+		{"300 then a failure", 300, boom, 0, 300},
+		{"300", 300, nil, 0, 300},
+		{"none", 0, nil, 0, 0},
+		{"none then a failure", 0, boom, 0, 0},
+		{"break at the first", -1, nil, 1, 1},
+		{"break at the 257th", -1, nil, 257, 257},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan struct{})
+			got, iterations := 0, 0
+			var gotErr error
+			bridge(context.Background(), fakeProducer(tc.n, tc.err, done), func(phi []Node, err error) bool {
+				iterations++
+				if gotErr != nil {
+					t.Fatalf("iteration after the error %v", gotErr)
+				}
+				if err != nil {
+					gotErr = err
+					return true
+				}
+				if want := []Node{Node(got), Node(got + 1), Node(got + 2)}; !slices.Equal(phi, want) {
+					t.Fatalf("instance %d = %v, want %v", got, phi, want)
+				}
+				got++
+				return got != tc.breakAt
+			})
+			select {
+			case <-done:
+			default:
+				t.Fatal("bridge returned before its producer did")
+			}
+			if got != tc.want {
+				t.Errorf("yielded %d instances, want %d", got, tc.want)
+			}
+			if gotErr != tc.err {
+				t.Errorf("error %v, want %v", gotErr, tc.err)
+			}
+			if tc.n == 0 && tc.err == nil && iterations != 0 {
+				t.Errorf("an empty producer made %d iterations", iterations)
+			}
+		})
+	}
+}
+
+// TestBridgeRunsAtMostOneBatchAhead: the producer may fill the next batch
+// while the consumer works through the last one, and no more — so it is
+// never more than two batches past the instance being yielded — and the
+// first instance crosses alone, before a second is asked for.
+func TestBridgeRunsAtMostOneBatchAhead(t *testing.T) {
+	var delivered atomic.Int64
+	produce := func(ctx context.Context, sink func([]Node) bool) error {
+		for i := range 5000 {
+			delivered.Add(1)
+			if !sink([]Node{Node(i)}) {
+				break
+			}
+		}
+		return nil
+	}
+	yielded := int64(0)
+	bridge(context.Background(), produce, func(phi []Node, err error) bool {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := delivered.Load(); yielded == 0 && d > 3 {
+			t.Errorf("the producer had delivered %d instances before the first was yielded", d)
+		} else if d-yielded > 2*maxBatch {
+			t.Errorf("the producer had delivered %d instances with %d yielded", d, yielded)
+		}
+		yielded++
+		return true
+	})
+	if yielded != 5000 {
+		t.Errorf("yielded %d of 5000", yielded)
+	}
+}
+
+// TestInstancesAllocations pins the batched hand-off: a full Instances
+// loop over a triangle-dense graph makes far fewer allocations than it
+// yields instances, where one per instance was the rule before slabs.
+func TestInstancesAllocations(t *testing.T) {
+	plan, err := Plan(CompleteGraph(60), Triangle(), WithStrategy(StrategyBucketOriented), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var n int
+	loop := func() {
+		n = 0
+		for _, err := range Instances(ctx, plan) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+	}
+	allocs := testing.AllocsPerRun(3, loop)
+	if n < 10000 {
+		t.Fatalf("the graph has %d triangles; the test needs at least 10000", n)
+	}
+	if allocs >= float64(n)/32 {
+		t.Errorf("an Instances loop over %d triangles took %v allocations, want fewer than %d", n, allocs, n/32)
+	}
+	t.Logf("%d triangles, %v allocations", n, allocs)
 }
