@@ -114,13 +114,17 @@ func WithParallelism(workers int) Option {
 func WithPartitions(p int) Option { return func(o *planOpts) { o.core.Engine.Partitions = p } }
 
 // WithMemoryBudget bounds, in bytes, the grouped intermediate pairs the
-// reduce workers hold in memory; beyond it the engine spills sorted runs
-// to disk and merge-streams them into the reducers.
+// reduce workers of the two-round cascade hold in memory; beyond it the
+// engine spills sorted runs to disk and merge-streams them into the
+// reducers. The share-hashed strategies (every other one, and the directed
+// path) hold no pairs — each edge sits once in an input-sized block table
+// — so they ignore the budget and never spill.
 func WithMemoryBudget(bytes int64) Option {
 	return func(o *planOpts) { o.core.Engine.MemoryBudget = bytes }
 }
 
-// WithSpillDir sets the directory for spill run files ("" = system temp).
+// WithSpillDir sets the directory for spill run files ("" = system temp);
+// only a budgeted cascade writes any.
 func WithSpillDir(dir string) Option { return func(o *planOpts) { o.core.Engine.SpillDir = dir } }
 
 // WithAdaptive enables skew-adaptive planning and execution. At plan time,

@@ -11,13 +11,13 @@ import (
 )
 
 // TestFailpointsFlagInjectsEngineError pins the -failpoints flag on the
-// one-shot path: an armed spill-create ENOSPC makes run() return the typed
-// engine error instead of printing a partial count.
+// one-shot path: an armed spill-create ENOSPC makes a budgeted cascade's
+// run() return the typed engine error instead of printing a partial count.
 func TestFailpointsFlagInjectsEngineError(t *testing.T) {
 	t.Cleanup(subgraphmr.ResetFailpoints)
 	var out strings.Builder
 	args := append([]string{
-		"-sample", "triangle", "-strategy", "bucket", "-k", "64",
+		"-sample", "triangle", "-strategy", "cascade",
 		"-mem-budget", "2048", "-spill-dir", t.TempDir(),
 		"-failpoints", "mr.spill.create=enospc",
 	}, graphArgs...)

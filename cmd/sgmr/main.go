@@ -5,7 +5,7 @@
 //
 //	sgmr -sample triangle -gen gnm -n 1000 -m 5000 [-strategy auto] [-k 1024]
 //	sgmr -sample lollipop -data graph.txt -strategy variable -k 500 -print
-//	sgmr -sample square -gen powerlaw -n 100000 -mem-budget 268435456
+//	sgmr -sample triangle -gen powerlaw -n 100000 -strategy cascade -mem-budget 268435456
 //	sgmr -sample c5 -explain            # print the plan without running it
 //	sgmr -sample triangle -json         # machine-readable plan + result
 //	sgmr -gen ba -strategy auto -adaptive -explain
@@ -22,9 +22,10 @@
 // printed); at run time it also re-plans multi-job executions mid-query
 // when observed skew exceeds -skew-threshold. Statistics (communication
 // cost, reducers, skew, reducer work) are always printed; -print also
-// lists instances. -mem-budget bounds the reduce workers' memory: above it
-// the engine spills sorted runs to disk and merge-streams them into the
-// reducers. -cpuprofile and -memprofile write standard pprof files on
+// lists instances. -mem-budget bounds the cascade's reduce workers'
+// memory: above it the engine spills sorted runs to disk and merge-streams
+// them into the reducers (the other strategies store each edge once and
+// never spill). -cpuprofile and -memprofile write standard pprof files on
 // exit, for profiling enumeration runs.
 //
 // Distributed execution (multi-process):
@@ -134,7 +135,7 @@ func run(args []string, out io.Writer) error {
 		printAll   = fs.Bool("print", false, "print every instance")
 		workers    = fs.Int("workers", 0, "map worker goroutines (0 = GOMAXPROCS)")
 		partitions = fs.Int("partitions", 0, "shuffle partitions / reduce workers (0 = workers)")
-		memBudget  = fs.Int64("mem-budget", 0, "reduce-memory budget in bytes; exceeding it spills sorted runs to disk (0 = unlimited)")
+		memBudget  = fs.Int64("mem-budget", 0, "the cascade's reduce-memory budget in bytes; exceeding it spills sorted runs to disk (0 = unlimited; other strategies never spill)")
 		spillDir   = fs.String("spill-dir", "", "directory for spill run files (default: system temp dir)")
 		adaptive   = fs.Bool("adaptive", false, "probe reducer loads before planning and re-plan mid-query on observed skew")
 		skewThresh = fs.Float64("skew-threshold", 0, "observed max/mean load ratio that triggers mid-query re-planning (0 = default 4)")

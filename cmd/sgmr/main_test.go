@@ -60,36 +60,31 @@ func TestStrategiesAgree(t *testing.T) {
 	}
 }
 
-// TestMemoryBudgetFlag checks -mem-budget: same counts, and the spill
-// report line proves the external shuffle engaged.
+// TestMemoryBudgetFlag checks -mem-budget and -spill-dir: same counts on
+// every strategy; the cascade's spill report line proves its external
+// shuffle engaged, and the block strategies, which never spill, print none.
 func TestMemoryBudgetFlag(t *testing.T) {
 	want := foundCount(t, runSGMR(t, append([]string{"-strategy", "serial"}, graphArgs...)...))
-	for _, strategy := range []string{"bucket", "variable", "cq", "mr-decompose"} {
+	for _, strategy := range []string{"cascade", "bucket", "variable", "cq", "mr-decompose"} {
 		out := runSGMR(t, append([]string{"-strategy", strategy, "-k", "64",
 			"-mem-budget", "4096", "-spill-dir", t.TempDir()}, graphArgs...)...)
 		if got := foundCount(t, out); got != want {
 			t.Errorf("%s under -mem-budget: %d instances, want %d\n%s", strategy, got, want, out)
 		}
-		if !strings.Contains(out, "external shuffle: spilled=") {
-			t.Errorf("%s under -mem-budget 4096 reported no spilling:\n%s", strategy, out)
+		if spilled := strings.Contains(out, "external shuffle: spilled="); spilled != (strategy == "cascade") {
+			t.Errorf("%s under -mem-budget 4096 reported spilling: %v\n%s", strategy, spilled, out)
 		}
 	}
 }
 
 // TestCascadeAndBaselines smoke-tests the remaining strategies: the
-// two-round cascade (also under a budget) and the doulion estimator.
+// two-round cascade (TestMemoryBudgetFlag runs it under a budget) and the
+// doulion estimator.
 func TestCascadeAndBaselines(t *testing.T) {
 	want := foundCount(t, runSGMR(t, append([]string{"-strategy", "serial"}, graphArgs...)...))
 	out := runSGMR(t, append([]string{"-strategy", "cascade"}, graphArgs...)...)
 	if got := foundCount(t, out); got != want {
 		t.Errorf("cascade: %d triangles, serial found %d", got, want)
-	}
-	out = runSGMR(t, append([]string{"-strategy", "cascade", "-mem-budget", "4096"}, graphArgs...)...)
-	if got := foundCount(t, out); got != want {
-		t.Errorf("cascade under -mem-budget: %d triangles, want %d", got, want)
-	}
-	if !strings.Contains(out, "external shuffle: spilled=") {
-		t.Errorf("cascade under -mem-budget 4096 reported no spilling:\n%s", out)
 	}
 	out = runSGMR(t, append([]string{"-strategy", "doulion"}, graphArgs...)...)
 	if !strings.Contains(out, "estimated triangles:") {

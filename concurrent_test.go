@@ -30,8 +30,9 @@ func TestSharedPlanConcurrentExecution(t *testing.T) {
 		// The adaptive cascade exercises the mid-query re-plan path, which
 		// reads p.Candidates while other goroutines execute the same plan.
 		{"cascade-adaptive", []Option{WithStrategy(StrategyTwoRound), WithAdaptive(), WithSkewThreshold(0.5)}},
-		// A spill-path run shares the plan's spill configuration.
-		{"bucket-spill", []Option{WithStrategy(StrategyBucketOriented), WithMemoryBudget(2048), WithSpillDir(t.TempDir())}},
+		// A spill-path run shares the plan's spill configuration; the
+		// cascade's plain jobs are the ones that spill.
+		{"cascade-spill", []Option{WithStrategy(StrategyTwoRound), WithMemoryBudget(2048), WithSpillDir(t.TempDir())}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

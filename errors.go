@@ -4,7 +4,7 @@ import "subgraphmr/internal/mapreduce"
 
 // EngineError is the typed failure surfaced by Run, Stream and Instances
 // when the engine itself fails mid-query: spill I/O errors (e.g. ENOSPC
-// under WithMemoryBudget), recovered map/reduce worker panics, and injected
+// under a budgeted cascade), recovered map/reduce worker panics, and injected
 // faults. Stage names the failing layer ("map", "reduce", "spill"), Job the
 // failing round, and Cause the underlying error — reachable through
 // errors.As / errors.Is, so callers can still detect syscall.ENOSPC or a

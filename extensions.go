@@ -52,14 +52,15 @@ func ThreatRingPattern(k int) *DiPattern { return directed.ThreatRing(k) }
 // Result.Instances; a non-nil sink receives each instance instead
 // (serialized, with backpressure; returning false stops the job early).
 // Result.Count is exact either way, and Result.Jobs holds the one job.
-// Cancelling ctx aborts the job, removes spill runs and returns ctx.Err().
+// Cancelling ctx aborts the job and returns ctx.Err().
 //
 // It takes Plan's options and honours the bucket, seed and engine ones
 // (WithBuckets, WithTargetReducers, WithSeed, WithParallelism,
-// WithPartitions, WithMemoryBudget, WithSpillDir). Any other option is an
-// error naming it: the directed path has one strategy, no CQs to generate,
-// no adaptive re-planning and no distributed runner. A nil graph or pattern
-// is an error naming it.
+// WithPartitions). WithMemoryBudget and WithSpillDir are accepted and
+// bound nothing: the one job holds each arc once and never spills. Any
+// other option is an error naming it: the directed path has one strategy,
+// no CQs to generate, no adaptive re-planning and no distributed runner. A
+// nil graph or pattern is an error naming it.
 func EnumerateDirectedContext(ctx context.Context, g *DiGraph, pt *DiPattern, sink func([]Node) bool, opts ...Option) (*Result, error) {
 	o := defaultPlanOpts()
 	for _, fn := range opts {

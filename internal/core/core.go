@@ -205,8 +205,7 @@ func (r *Result) TotalReducerWork() int64 {
 // stops the enumeration early with a nil error. A nil sink counts instead —
 // the reducers tally their owned matches without ever constructing an
 // instance. Result.Count is exact either way. Cancelling ctx aborts the
-// running job (engine workers wind down, spill runs are removed) and
-// returns ctx.Err().
+// running job (engine workers wind down) and returns ctx.Err().
 //
 // The sample graph must be connected (reducers only see edges, so an
 // isolated sample node could bind to nodes the reducer never receives).
@@ -214,9 +213,9 @@ func Enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, st Strateg
 	if !s.IsConnected() {
 		return nil, fmt.Errorf("core: map-reduce enumeration requires a connected sample graph")
 	}
-	qs, err := buildCQs(s, opt)
+	qs, err := CompileCQs(s, opt)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: UseCycleCQs: %w", err)
 	}
 	switch st {
 	case BucketOriented:
@@ -259,13 +258,15 @@ func (ms *matchSink) run(ctx context.Context, job enumJob, cfg mapreduce.Config,
 	return metrics.Outputs + ms.counted.Load(), metrics, err
 }
 
-// buildCQs compiles the sample to its CQ set: the Section 5 generator for
-// cycles when requested, otherwise the Section 3 pipeline (orderings →
-// Aut quotient → orientation merge).
-func buildCQs(s *sample.Sample, opt Options) ([]*cq.CQ, error) {
+// CompileCQs compiles the sample to its CQ set: the Section 5 generator for
+// cycles when opt.UseCycleCQs is set, otherwise the Section 3 pipeline
+// (orderings → Aut quotient → orientation merge). The planner costs the
+// same set the strategies run. Its one error is UseCycleCQs on a sample
+// that is not a cycle.
+func CompileCQs(s *sample.Sample, opt Options) ([]*cq.CQ, error) {
 	if opt.UseCycleCQs {
 		if d, reg := s.IsRegular(); !reg || d != 2 {
-			return nil, fmt.Errorf("core: UseCycleCQs requires a cycle sample, got %v", s)
+			return nil, fmt.Errorf("the Section 5 generator requires a cycle sample, got %v", s)
 		}
 		var qs []*cq.CQ
 		for _, c := range cycles.Generate(s.P()) {

@@ -22,7 +22,8 @@ var adaptiveStrategies = []subgraphmr.PlanStrategy{
 // TestAdaptiveParityOnSkewedGraphs: on a seeded power-law graph and the
 // planted-hub fixture, the adaptive path (probing + mid-query re-planning)
 // must yield the bit-identical instance set and count as the static plan —
-// fully in memory and under a tiny spill budget.
+// fully in memory and under a tiny budget, which these strategies' block
+// jobs ignore: neither run spills.
 func TestAdaptiveParityOnSkewedGraphs(t *testing.T) {
 	graphs := map[string]*subgraphmr.Graph{
 		"powerlaw": Graphs(7)["powerlaw"],
@@ -43,7 +44,7 @@ func TestAdaptiveParityOnSkewedGraphs(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						wantSpill(t, mode.budget, am)
+						wantSpill(t, false, mode.budget, am)
 					})
 				}
 			}
@@ -54,7 +55,8 @@ func TestAdaptiveParityOnSkewedGraphs(t *testing.T) {
 // TestAdaptiveParityMidQueryReplan forces the two mid-query re-planning
 // paths — the cq-oriented budget raise (threshold 1.01 breaches on any real
 // skew) and the cascade's switch to the one-round algorithm — and asserts
-// bit-identical results in memory and under a tiny budget.
+// bit-identical results in memory and under a tiny budget (which only the
+// cascade's plain jobs spill under).
 func TestAdaptiveParityMidQueryReplan(t *testing.T) {
 	g := HubGraph(80, 40)
 	for _, mode := range modes {
@@ -69,7 +71,7 @@ func TestAdaptiveParityMidQueryReplan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSpill(t, mode.budget, am)
+			wantSpill(t, false, mode.budget, am)
 		})
 		t.Run("cascade/"+mode.name, func(t *testing.T) {
 			_, _, err := CheckAdaptiveParity(t.Context(), g, sample.Triangle(), subgraphmr.StrategyTwoRound,

@@ -63,8 +63,10 @@ type ChaosCase struct {
 	WorkerEnv string
 	Strategy  subgraphmr.PlanStrategy
 	Sample    *sample.Sample
-	// MemoryBudget > 0 forces the external shuffle (the spill sites are
-	// unreachable without it).
+	// MemoryBudget > 0 forces the external shuffle of a strategy that
+	// runs plain jobs — the cascade; the spill sites are unreachable
+	// without it. CheckChaos fails a budgeted case whose oracle never
+	// spilled.
 	MemoryBudget int64
 	// Workers > 0 runs distributed over that many in-process wire-protocol
 	// workers; Spawn > 0 forks real worker processes instead.
@@ -81,11 +83,13 @@ type ChaosCase struct {
 // and spawned workers do not (parity).
 func ChaosCases() []ChaosCase {
 	return []ChaosCase{
-		// Local spill-path faults: no redundancy, must be typed errors.
+		// Local spill-path faults: no redundancy, must be typed errors. The
+		// spill cases run the cascade, whose plain jobs are the ones a
+		// budget makes spill.
 		{Name: "local/spill-create-enospc", Failpoints: "mr.spill.create=enospc",
-			Strategy: subgraphmr.StrategyBucketOriented, Sample: sample.TwoPath(), MemoryBudget: 2048, Expect: ExpectTypedError},
+			Strategy: subgraphmr.StrategyTwoRound, Sample: sample.Triangle(), MemoryBudget: 2048, Expect: ExpectTypedError},
 		{Name: "local/spill-write-enospc", Failpoints: "mr.spill.write=enospc",
-			Strategy: subgraphmr.StrategyTriangleBucketOrdered, Sample: sample.Triangle(), MemoryBudget: 2048, Expect: ExpectTypedError},
+			Strategy: subgraphmr.StrategyTwoRound, Sample: sample.Triangle(), MemoryBudget: 2048, Expect: ExpectTypedError},
 		{Name: "local/spill-merge-error", Failpoints: "mr.spill.merge=error",
 			Strategy: subgraphmr.StrategyTwoRound, Sample: sample.Triangle(), MemoryBudget: 2048, Expect: ExpectTypedError},
 		// Armed spill site, in-memory run: the site is never reached.
@@ -93,14 +97,14 @@ func ChaosCases() []ChaosCase {
 			Strategy: subgraphmr.StrategyBucketOriented, Sample: sample.TwoPath(), Expect: ExpectParity},
 		// Delay mode: slower, bit-identical.
 		{Name: "local/spill-write-delay", Failpoints: "mr.spill.write=delay:2ms",
-			Strategy: subgraphmr.StrategyBucketOriented, Sample: sample.TwoPath(), MemoryBudget: 2048, Expect: ExpectParity},
+			Strategy: subgraphmr.StrategyTwoRound, Sample: sample.Triangle(), MemoryBudget: 2048, Expect: ExpectParity},
 		// Worker faults, both flavors, both stages.
 		{Name: "local/map-panic", Failpoints: "mr.map=panic",
 			Strategy: subgraphmr.StrategyBucketOriented, Sample: sample.TwoPath(), Expect: ExpectTypedError},
 		{Name: "local/map-error-spill", Failpoints: "mr.map=error",
 			Strategy: subgraphmr.StrategyTwoRound, Sample: sample.Triangle(), MemoryBudget: 2048, Expect: ExpectTypedError},
 		{Name: "local/reduce-panic-spill", Failpoints: "mr.reduce=panic",
-			Strategy: subgraphmr.StrategyTriangleBucketOrdered, Sample: sample.Triangle(), MemoryBudget: 2048, Expect: ExpectTypedError},
+			Strategy: subgraphmr.StrategyTwoRound, Sample: sample.Triangle(), MemoryBudget: 2048, Expect: ExpectTypedError},
 		{Name: "local/reduce-error", Failpoints: "mr.reduce=error",
 			Strategy: subgraphmr.StrategyBucketOriented, Sample: sample.TwoPath(), Expect: ExpectTypedError},
 		{Name: "local/reduce-panic-once", Failpoints: "mr.reduce=panic*1",
@@ -164,6 +168,15 @@ func CheckChaos(ctx context.Context, g *graph.Graph, c ChaosCase, seed uint64, w
 	oracle, err := subgraphmr.Run(ctx, oraclePlan)
 	if err != nil {
 		return fmt.Errorf("%s: oracle run: %w", label, err)
+	}
+	if c.MemoryBudget > 0 {
+		var spilled int64
+		for _, j := range oracle.Jobs {
+			spilled += j.Metrics.SpillFiles
+		}
+		if spilled == 0 {
+			return fmt.Errorf("%s: the oracle never spilled under budget %d — the spill sites are unreachable", label, c.MemoryBudget)
+		}
 	}
 
 	opts := append([]subgraphmr.Option(nil), base...)

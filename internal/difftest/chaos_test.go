@@ -7,6 +7,7 @@ import (
 
 	"subgraphmr"
 	"subgraphmr/internal/failpoint"
+	"subgraphmr/internal/sample"
 )
 
 // waitForGoroutineBaseline polls until the goroutine count returns to the
@@ -75,8 +76,8 @@ func TestChaosRecoveryBetweenCases(t *testing.T) {
 	c := ChaosCase{
 		Name:         "recovery-probe",
 		Failpoints:   "mr.spill.write=enospc",
-		Strategy:     subgraphmr.StrategyBucketOriented,
-		Sample:       ChaosCases()[0].Sample,
+		Strategy:     subgraphmr.StrategyTwoRound,
+		Sample:       sample.Triangle(),
 		MemoryBudget: 2048,
 		Expect:       ExpectTypedError,
 	}

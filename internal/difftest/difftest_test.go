@@ -1,8 +1,12 @@
 package difftest
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"subgraphmr/internal/core"
@@ -16,25 +20,49 @@ import (
 	"subgraphmr/internal/triangle"
 )
 
-// modes runs every check twice: fully in memory, and under a memory budget
-// tiny enough that each reduce worker must spill — the differential answer
-// has to be identical either way.
-var modes = []struct {
+// mode is one memory budget a check runs under.
+type mode struct {
 	name   string
 	budget int64
-}{
-	{"in-memory", 0},
-	{"spill", 2048},
 }
 
-// wantSpill asserts the spill mode actually exercised the external shuffle.
-func wantSpill(t *testing.T, budget int64, m mapreduce.Metrics) {
+// modes runs every check twice: fully in memory, and under a memory budget
+// tiny enough that each reduce worker of a plain job (the cascade, the join
+// chain) must spill — the differential answer has to be identical either
+// way.
+var modes = []mode{{"in-memory", 0}, {"spill", 2048}}
+
+// blockModes are the budgets a block job (every share-hashed strategy and
+// the directed path) runs under: the same answer under each, and never a
+// spill — see blockEngine and wantNoSpill.
+var blockModes = []mode{{"in-memory", 0}, {"budget-1", 1}, {"budget-2048", 2048}}
+
+// wantSpill asserts the spill mode actually exercised a plain job's
+// external shuffle (plain set) and that nothing else spilled: a run of
+// block jobs reports no Spill* under any budget.
+func wantSpill(t *testing.T, plain bool, budget int64, m mapreduce.Metrics) {
 	t.Helper()
-	if budget > 0 && m.SpilledPairs == 0 {
+	switch {
+	case plain && budget > 0 && m.SpilledPairs == 0:
 		t.Errorf("budget %d never spilled (metrics %+v)", budget, m)
+	case (!plain || budget == 0) && (m.SpilledPairs != 0 || m.SpillBytes != 0 || m.SpillFiles != 0):
+		t.Errorf("run spilled under budget %d (plain jobs %v): %+v", budget, plain, m)
 	}
-	if budget == 0 && m.SpilledPairs != 0 {
-		t.Errorf("unbudgeted run spilled: %+v", m)
+}
+
+// blockEngine is the engine a block path runs on under budget, its spill
+// directory one that does not exist: a block job must never open it.
+func blockEngine(t *testing.T, budget int64) mapreduce.Config {
+	return mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: budget, SpillDir: filepath.Join(t.TempDir(), "missing")}
+}
+
+// wantNoSpill asserts a block job spilled nothing and created no spill
+// file, whatever its budget.
+func wantNoSpill(t *testing.T, cfg mapreduce.Config, m mapreduce.Metrics) {
+	t.Helper()
+	wantSpill(t, false, cfg.MemoryBudget, m)
+	if _, err := os.Stat(cfg.SpillDir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("block job touched the spill directory %s: %v", cfg.SpillDir, err)
 	}
 }
 
@@ -42,18 +70,19 @@ func TestEnumerateAllStrategies(t *testing.T) {
 	for gname, g := range Graphs(7) {
 		for _, s := range Samples() {
 			for _, strat := range []core.Strategy{core.BucketOriented, core.VariableOriented, core.CQOriented} {
-				for _, mode := range modes {
+				for _, mode := range blockModes {
 					name := fmt.Sprintf("%s/%v/%v/%s", gname, s, strat, mode.name)
 					t.Run(name, func(t *testing.T) {
+						engine := blockEngine(t, mode.budget)
 						m, err := CheckEnumerate(t.Context(), g, s, strat, core.Options{
 							TargetReducers: 64,
 							Seed:           11,
-							Engine:         mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget},
+							Engine:         engine,
 						})
 						if err != nil {
 							t.Fatal(err)
 						}
-						wantSpill(t, mode.budget, m)
+						wantNoSpill(t, engine, m)
 					})
 				}
 			}
@@ -63,16 +92,17 @@ func TestEnumerateAllStrategies(t *testing.T) {
 
 func TestEnumerateCycleCQs(t *testing.T) {
 	g := Graphs(3)["gnm"]
-	for _, mode := range modes {
+	for _, mode := range blockModes {
+		engine := blockEngine(t, mode.budget)
 		m, err := CheckEnumerate(t.Context(), g, sample.Named("c5"), core.BucketOriented, core.Options{
 			UseCycleCQs:    true,
 			TargetReducers: 64,
-			Engine:         mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget},
+			Engine:         engine,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", mode.name, err)
 		}
-		wantSpill(t, mode.budget, m)
+		wantNoSpill(t, engine, m)
 	}
 }
 
@@ -82,17 +112,18 @@ func TestDecomposed(t *testing.T) {
 			if s.P() < 3 {
 				continue // decomposition needs at least one non-edge part
 			}
-			for _, mode := range modes {
+			for _, mode := range blockModes {
 				t.Run(fmt.Sprintf("%s/%v/%s", gname, s, mode.name), func(t *testing.T) {
+					engine := blockEngine(t, mode.budget)
 					m, err := CheckDecomposed(t.Context(), g, s, core.Options{
 						TargetReducers: 64,
 						Seed:           5,
-						Engine:         mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget},
+						Engine:         engine,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantSpill(t, mode.budget, m)
+					wantNoSpill(t, engine, m)
 				})
 			}
 		}
@@ -109,7 +140,7 @@ func TestTwoRoundCascade(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantSpill(t, mode.budget, m)
+				wantSpill(t, true, mode.budget, m)
 			})
 		}
 	}
@@ -118,15 +149,14 @@ func TestTwoRoundCascade(t *testing.T) {
 func TestTriangleAlgorithms(t *testing.T) {
 	for gname, g := range Graphs(17) {
 		for _, algo := range triangle.Algos {
-			for _, mode := range modes {
+			for _, mode := range blockModes {
 				t.Run(fmt.Sprintf("%s/%s/%s", gname, algo.Name, mode.name), func(t *testing.T) {
-					m, err := CheckTriangle(t.Context(), g, algo, 4, 3, mapreduce.Config{
-						Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget,
-					})
+					engine := blockEngine(t, mode.budget)
+					m, err := CheckTriangle(t.Context(), g, algo, 4, 3, engine)
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantSpill(t, mode.budget, m)
+					wantNoSpill(t, engine, m)
 				})
 			}
 		}
@@ -152,7 +182,7 @@ func TestMultijoinCycleChain(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantSpill(t, mode.budget, m)
+				wantSpill(t, true, mode.budget, m)
 			})
 		}
 	}
@@ -166,34 +196,34 @@ func TestDirectedPatterns(t *testing.T) {
 		"fanin3": directed.FanIn(3, 0),
 	}
 	for pname, pt := range patterns {
-		for _, mode := range modes {
+		for _, mode := range blockModes {
 			t.Run(pname+"/"+mode.name, func(t *testing.T) {
-				m, err := CheckDirected(t.Context(), g, pt, core.Options{
-					Buckets: 4, Engine: mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget},
-				})
+				engine := blockEngine(t, mode.budget)
+				m, err := CheckDirected(t.Context(), g, pt, core.Options{Buckets: 4, Engine: engine})
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantSpill(t, mode.budget, m)
+				wantNoSpill(t, engine, m)
 			})
 		}
 	}
 }
 
-// TestOneByteBudget is the stress extreme: a budget of one byte spills
-// after every single pair, driving the run count through the merge fan-in
-// compaction, and must still agree with the oracle.
+// TestOneByteBudget is the stress extreme: a budget of one byte makes the
+// cascade's plain jobs spill after every single pair, driving the run count
+// through the merge fan-in compaction, and must still agree with the
+// oracle.
 func TestOneByteBudget(t *testing.T) {
 	g := Graphs(29)["gnm"]
-	m, err := CheckEnumerate(t.Context(), g, sample.Named("triangle"), core.BucketOriented, core.Options{
-		TargetReducers: 64,
-		Engine:         mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: 1},
-	})
+	m, err := CheckTwoRound(t.Context(), g, mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.SpilledPairs == 0 || m.SpillFiles < 4 {
+	if m.SpilledPairs != m.KeyValuePairs || m.SpillFiles < 4 {
 		t.Errorf("one-byte budget should spill per pair, metrics %+v", m)
+	}
+	if m.SpillFiles <= m.SpilledPairs {
+		t.Errorf("one run file per pair and no merge output: the fan-in compaction never ran (metrics %+v)", m)
 	}
 }
 

@@ -26,7 +26,8 @@ type DistributedConfig struct {
 	// (the fault really fired); when false, a healthy run is asserted to
 	// have retried nothing.
 	ExpectRetry bool
-	// MemoryBudget, when positive, forces the workers' external shuffle.
+	// MemoryBudget, when positive, forces the workers' external shuffle
+	// — for the cascade, the one strategy whose jobs can spill.
 	MemoryBudget int64
 	// Timeout overrides the coordinator's per-frame read deadline (the
 	// stall fault needs a short one to keep the test quick).

@@ -45,7 +45,8 @@ func startWorkers(t *testing.T, n int) []string {
 // TestDistributedParity is the healthy-cluster matrix: every strategy on
 // every corpus graph, in memory and under a tiny spill budget, must produce
 // bit-identical instance sets (and, for the single-round strategies,
-// identical summed communication metrics) through three workers.
+// identical summed communication metrics) through three workers. Under the
+// budget the cascade's workers spill and no other strategy's do.
 func TestDistributedParity(t *testing.T) {
 	addrs := startWorkers(t, 3)
 	for gname, g := range Graphs(7) {
@@ -61,7 +62,7 @@ func TestDistributedParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantSpill(t, mode.budget, m)
+					wantSpill(t, tc.Strategy == subgraphmr.StrategyTwoRound, mode.budget, m)
 				})
 			}
 		}
@@ -71,16 +72,17 @@ func TestDistributedParity(t *testing.T) {
 // TestDistributedParityWorkerKill is the acceptance case: three spawned
 // worker processes, the first one to stream an instance is SIGKILLed
 // mid-job, and every strategy must still produce bit-identical results —
-// with the summary JobStats recording the retried partitions. Half the
-// cases run under the tiny spill budget so the kill also lands mid-spill.
+// with the summary JobStats recording the retried partitions. The cascade,
+// the one strategy that can spill, runs under the tiny spill budget so the
+// kill also lands mid-spill.
 func TestDistributedParityWorkerKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
 	g := Graphs(7)["gnm"]
-	for i, tc := range DistributedCases() {
+	for _, tc := range DistributedCases() {
 		var budget int64
-		if i%2 == 1 {
+		if tc.Strategy == subgraphmr.StrategyTwoRound {
 			budget = 2048
 		}
 		t.Run(fmt.Sprintf("%v/%v", tc.Strategy, tc.Sample), func(t *testing.T) {

@@ -384,17 +384,3 @@ func TestBlockLoadsMatchPairMapper(t *testing.T) {
 		}
 	}
 }
-
-// TestArcCodec: the 10-byte arc value round-trips on top of the shared key
-// half and refuses a torn value.
-func TestArcCodec(t *testing.T) {
-	c := arcCodec{graph.EdgeKeyCodec{P: 3}}
-	a := Arc{From: 1 << 20, To: 3, Label: 0xBEEF}
-	vb := c.AppendValue(nil, a)
-	if got, err := c.DecodeValue(vb); err != nil || got != a || len(vb) != 10 {
-		t.Fatalf("arc round trip: %v %v (%d bytes)", got, err, len(vb))
-	}
-	if _, err := c.DecodeValue(vb[:8]); err == nil {
-		t.Error("an 8-byte arc should fail to decode")
-	}
-}

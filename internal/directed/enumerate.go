@@ -2,7 +2,6 @@ package directed
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -63,7 +62,7 @@ func EnumerateContext(ctx context.Context, g *DiGraph, pt *DiPattern, opt core.O
 		Map:    arcMapper{h}.Map,
 		Keys:   func(yield func(graph.BucketKey, []int32)) { graph.MultisetKeys(p, b, yield) },
 		Reduce: reducer,
-		Codec:  arcCodec{graph.EdgeKeyCodec{P: p}},
+		Codec:  graph.EdgeKeyCodec{P: p},
 	}
 	res := &core.Result{}
 	if sink == nil {
@@ -95,23 +94,6 @@ type arcMapper struct{ h graph.NodeHash }
 //lint:hotpath
 func (m arcMapper) Map(a Arc, emit func(int, Arc)) {
 	emit(graph.PairBlock(m.h.B, m.h.Bucket(a.From), m.h.Bucket(a.To)), a)
-}
-
-// arcCodec serializes the job's pairs: the shared key half, and a 10-byte
-// value — the arc's endpoints in the shared edge encoding, then its label.
-type arcCodec struct{ graph.EdgeKeyCodec }
-
-func (c arcCodec) AppendValue(dst []byte, a Arc) []byte {
-	dst = c.EdgeKeyCodec.AppendValue(dst, graph.Edge{U: a.From, V: a.To})
-	return binary.BigEndian.AppendUint16(dst, uint16(a.Label))
-}
-
-func (c arcCodec) DecodeValue(src []byte) (Arc, error) {
-	if len(src) != 10 {
-		return Arc{}, fmt.Errorf("directed: arc encoding is %d bytes, want 10", len(src))
-	}
-	e, err := c.EdgeKeyCodec.DecodeValue(src[:8])
-	return Arc{From: e.U, To: e.V, Label: Label(binary.BigEndian.Uint16(src[8:]))}, err
 }
 
 // PredictedCommPerArc is the per-arc replication of the scheme:

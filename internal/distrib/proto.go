@@ -67,7 +67,7 @@ func decodeGob(payload []byte, v any) error {
 
 // EncodeGraph serializes the replicated data graph for a frameGraph
 // payload: uvarint node count, uvarint edge count, then each edge as two
-// big-endian uint32s — the same edge layout core's spill codec uses.
+// big-endian uint32s.
 func EncodeGraph(numNodes int, edges []graph.Edge) []byte {
 	buf := make([]byte, 0, 2*binary.MaxVarintLen64+8*len(edges))
 	buf = binary.AppendUvarint(buf, uint64(numNodes))

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -10,10 +9,9 @@ import (
 // Every share-hashed job — the three Section 4 strategies and the
 // Theorem 6.1 conversion in package core, the three Section 2 triangle
 // algorithms, the directed extension — hashes nodes to buckets with a
-// NodeHash, keys its reducers by a BucketKey, and ships Edges (or a value
-// that starts with one) under an EdgeKeyCodec. The format, its two limits,
-// the Section 4.5 replication scheme and the wire encoding live here and
-// nowhere else.
+// NodeHash, keys its reducers by a BucketKey and encodes them with an
+// EdgeKeyCodec. The format, its two limits, the Section 4.5 replication
+// scheme and the wire encoding live here and nowhere else.
 
 const (
 	// MaxBuckets is the largest bucket count (or per-variable share) a job
@@ -150,39 +148,11 @@ func MultisetKeys(p, b int, yield func(key BucketKey, blocks []int32)) {
 	}
 }
 
-// EdgeKeyCodec is the shuffle codec of a job keyed by P-lane BucketKeys
-// and shipping Edges. A key encodes as exactly its P meaningful bytes —
-// injective because the other lanes are zero, and as short as the format
-// allows, so the external shuffle's sort prefix holds all of it for
-// P ≤ 8; an edge as two big-endian uint32s. Jobs whose value only starts
-// with an edge embed the codec and replace the value half.
+// EdgeKeyCodec is the key codec of a share-hashed job keyed by P-lane
+// BucketKeys: the encoding the distributed key-space slices hash. A key
+// encodes as exactly its P meaningful bytes — injective because the other
+// lanes are zero, and as short as the format allows.
 type EdgeKeyCodec struct{ P int }
 
 //lint:hotpath
 func (c EdgeKeyCodec) AppendKey(dst []byte, k BucketKey) []byte { return append(dst, k[:c.P]...) }
-
-// DecodeKey rejects any length but P: a torn spill run is a read error.
-func (c EdgeKeyCodec) DecodeKey(src []byte) (BucketKey, error) {
-	var k BucketKey
-	if len(src) != c.P {
-		return k, fmt.Errorf("graph: reducer-key encoding is %d bytes, want %d", len(src), c.P)
-	}
-	copy(k[:], src)
-	return k, nil
-}
-
-//lint:hotpath
-func (EdgeKeyCodec) AppendValue(dst []byte, e Edge) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(e.U))
-	return binary.BigEndian.AppendUint32(dst, uint32(e.V))
-}
-
-func (EdgeKeyCodec) DecodeValue(src []byte) (Edge, error) {
-	if len(src) != 8 {
-		return Edge{}, fmt.Errorf("graph: edge encoding is %d bytes, want 8", len(src))
-	}
-	return Edge{
-		U: Node(binary.BigEndian.Uint32(src)),
-		V: Node(binary.BigEndian.Uint32(src[4:])),
-	}, nil
-}

@@ -222,10 +222,10 @@ func TestKeyLimits(t *testing.T) {
 	}
 }
 
-// TestEdgeKeyCodec: pairs round-trip; a key encodes as exactly its P bucket
-// bytes — what the string keys this format replaced encoded as, so spill
-// runs and the distributed key-space slices did not move — and any other
-// length is a decode error, as is a torn edge.
+// TestEdgeKeyCodec: a key encodes as exactly its P bucket bytes — what the
+// string keys this format replaced encoded as, so the distributed key-space
+// slices did not move — and appending into a reused buffer does not
+// allocate.
 func TestEdgeKeyCodec(t *testing.T) {
 	c := EdgeKeyCodec{P: 4}
 	key := MultisetKey(3, 0, 254, 3)
@@ -233,29 +233,8 @@ func TestEdgeKeyCodec(t *testing.T) {
 	if !bytes.Equal(kb, []byte{0, 3, 3, 254}) {
 		t.Fatalf("key bytes %v, want the four buckets", kb)
 	}
-	if k, err := c.DecodeKey(kb); err != nil || k != key {
-		t.Fatalf("key round trip: %v %v", k, err)
-	}
-	for _, n := range []int{0, 3, 5, MaxKeyVars} {
-		if _, err := c.DecodeKey(make([]byte, n)); err == nil {
-			t.Errorf("DecodeKey accepted %d bytes for P=4", n)
-		}
-	}
-	e := Edge{U: 7, V: 1 << 20}
-	vb := c.AppendValue(nil, e)
-	if got, err := c.DecodeValue(vb); err != nil || got != e {
-		t.Fatalf("value round trip: %v %v", got, err)
-	}
-	if _, err := c.DecodeValue(vb[:5]); err == nil {
-		t.Error("truncated edge should fail to decode")
-	}
-	// The spiller reuses one scratch buffer per run: appending into it must
-	// not allocate.
 	dst := make([]byte, 0, 64)
-	if allocs := testing.AllocsPerRun(100, func() {
-		dst = c.AppendKey(dst[:0], key)
-		dst = c.AppendValue(dst, e)
-	}); allocs != 0 {
-		t.Errorf("codec encode allocates: %v allocs/run", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { dst = c.AppendKey(dst[:0], key) }); allocs != 0 {
+		t.Errorf("key encode allocates: %v allocs/run", allocs)
 	}
 }

@@ -26,9 +26,8 @@ import (
 // and then to fill them). The blocks slice Keys hands to yield is only valid
 // during the call, lists no block twice, and two keys may share blocks. Keys
 // whose blocks are all empty never become reducers, exactly as a key no
-// pair was emitted for. Codec is what it is on a Job: the key order and
-// spill serialization of a budgeted run and the key encoding of Config.Dist
-// ownership (nil means DefaultCodec).
+// pair was emitted for. A block job never spills (see RunStream), so Codec
+// encodes keys only, for Config.Dist ownership (nil means DefaultCodec's).
 //
 // Prepare, when set, is work a reducer would otherwise repeat for every task
 // that reads a block — in the share-hashed jobs, ranking the block's nodes —
@@ -46,7 +45,7 @@ type BlockJob[I any, K comparable, V any, O any] struct {
 	Keys    func(yield func(key K, blocks []int32))
 	Prepare func(ctx *Context, block int, vals []V)
 	Reduce  Reducer[K, V, O]
-	Codec   Codec[K, V]
+	Codec   KeyCodec[K]
 }
 
 // blockTask is one reducer of a block job: its key and the non-empty blocks
@@ -87,12 +86,12 @@ func (j BlockJob[I, K, V, O]) forEachInput(inputs []I, stop *atomic.Bool, emit f
 // — in a run — an injected fault at the mr.map failpoint, come back as a
 // typed error.
 func (j BlockJob[I, K, V, O]) plan(cfg Config, inputs []I, stop *atomic.Bool, probe bool) (p blockPlan[K, V], err error) {
-	codec, err := jobCodec(j.Name, j.Codec, cfg)
-	if err != nil {
-		return p, err
-	}
 	var owns func(K) bool
 	if cfg.Dist != nil {
+		codec, err := keyCodec(j.Name, j.Codec, cfg.Dist)
+		if err != nil {
+			return p, err
+		}
 		owns = distOwns(cfg.Dist, codec)
 	}
 	defer func() {
@@ -183,16 +182,6 @@ func (p *blockPlan[K, V]) prepare(ctx *Context, b int32, prepare func(*Context, 
 	prepare(ctx, int(b), p.vals[p.off[b]:p.off[b+1]])
 }
 
-// pairs is the plan as the inputs and mapper of a plain Job: a task expands
-// into the (key, value) pairs a per-pair mapper would have emitted for it.
-func (p *blockPlan[K, V]) pairs(t blockTask[K], emit func(K, V)) {
-	for _, b := range p.ids[t.lo:t.hi] {
-		for _, v := range p.vals[p.off[b]:p.off[b+1]] {
-			emit(t.key, v)
-		}
-	}
-}
-
 // Loads runs only the map phase — one counting pass over the inputs and the
 // walk over the keys, nothing scattered or reduced — and returns the loads
 // RunStream would ship under cfg: the same task list, so a probe and a run
@@ -211,13 +200,9 @@ func (j BlockJob[I, K, V, O]) Loads(cfg Config, inputs []I) (LoadStats, error) {
 // job even when it is stopped early, and the first output can follow one
 // pass over the inputs.
 //
-// With Config.MemoryBudget set, the task list feeds the external shuffle
-// instead: a plain Job maps each task to its pairs, so spilling, the Spill*
-// metrics and the spill failure model are Job.RunStream's own. The block
-// table is input-sized — one V per emitted value — and, like the largest
-// group and the output, outside the budget; it stays in memory, so each
-// group's key leads back to its task, whose blocks the reducer finds in
-// Context.Blocks and Prepare has laid out as on the in-memory path.
+// Config.MemoryBudget and SpillDir are not read: the block table is
+// input-sized — one V per emitted value — and stays in memory with the
+// largest group, so a block job reports no Spill* and creates no file.
 func (j BlockJob[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, yield func(O) bool) (Metrics, error) {
 	run, release := newRun(ctx, yield)
 	defer release()
@@ -229,23 +214,6 @@ func (j BlockJob[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs 
 	if j.Prepare != nil {
 		p.once = make([]sync.Once, j.Blocks)
 	}
-	if cfg.MemoryBudget > 0 {
-		cfg.Dist = nil // the task list is already the owned share
-		task := make(map[K]int32, len(p.tasks))
-		for i, t := range p.tasks {
-			task[t.key] = int32(i)
-		}
-		reduce := func(rctx *Context, key K, vals []V, emit func(O)) {
-			t := p.tasks[task[key]]
-			rctx.Blocks = p.ids[t.lo:t.hi]
-			if p.ready(rctx, j.Prepare) {
-				j.Reduce(rctx, key, vals, emit)
-			}
-		}
-		return Job[blockTask[K], K, V, O]{Name: j.Name, Map: p.pairs, Reduce: reduce, Codec: j.Codec}.
-			RunStream(ctx, cfg, p.tasks, yield)
-	}
-
 	np := max(cfg.partitions(), 1)
 	deliver := run.deliver
 	var (

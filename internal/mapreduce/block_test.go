@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -103,8 +106,9 @@ func sortedOutputs(t *testing.T, run streamer, cfg Config, inputs []int) ([]stri
 // covers, inputs, partition counts, memory budgets and distributed slices,
 // a BlockJob is the plain Job that emits one pair per covering key — same
 // output multiset, same KeyValuePairs, DistinctKeys, MaxReducerInput,
-// ReducerWork and Outputs; the map-only probe reports the same loads; and N
-// disjoint Dist runs add up to the unfiltered one.
+// ReducerWork and Outputs — except that it never spills, budget or not; the
+// map-only probe reports the same loads; and N disjoint Dist runs add up to
+// the unfiltered one.
 func TestBlockJobMatchesPairJobQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -117,8 +121,11 @@ func TestBlockJobMatchesPairJobQuick(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Errorf("seed %d %s: block job output %v, pair job %v", seed, label, got, want)
 			}
-			// What was spilled depends on arrival order; the rest is exact.
-			gotM.SpilledPairs, gotM.SpillBytes, gotM.SpillFiles = wantM.SpilledPairs, wantM.SpillBytes, wantM.SpillFiles
+			if gotM.SpilledPairs != 0 || gotM.SpillBytes != 0 || gotM.SpillFiles != 0 {
+				t.Errorf("seed %d %s: block job spilled under budget %d: %+v", seed, label, cfg.MemoryBudget, gotM)
+			}
+			// The pair job's spilling is its own; the rest is exact.
+			wantM.SpilledPairs, wantM.SpillBytes, wantM.SpillFiles = 0, 0, 0
 			if gotM != wantM {
 				t.Errorf("seed %d %s: block job metrics %+v, pair job %+v", seed, label, gotM, wantM)
 			}
@@ -140,7 +147,6 @@ func TestBlockJobMatchesPairJobQuick(t *testing.T) {
 			sum.Add(m)
 		}
 		slices.Sort(parts)
-		sum.SpilledPairs, sum.SpillBytes, sum.SpillFiles = wholeM.SpilledPairs, wholeM.SpillBytes, wholeM.SpillFiles
 		if !slices.Equal(parts, whole) || sum != wholeM {
 			t.Errorf("seed %d: %d disjoint slices give %v %+v, the unfiltered run %v %+v", seed, nSlices, parts, sum, whole, wholeM)
 		}
@@ -151,14 +157,23 @@ func TestBlockJobMatchesPairJobQuick(t *testing.T) {
 	}
 }
 
-// TestBlockJobBudgetSpills: under a budget the task list goes through the
-// external shuffle — pairs really are spilled — and an invalid Dist filter
-// is an error from run and probe alike.
-func TestBlockJobBudgetSpills(t *testing.T) {
+// TestBlockJobNeverSpills: under a 1-byte and a 2 KiB budget, with a spill
+// directory that does not exist, a block job runs its one in-memory path —
+// the same outputs and metrics as without a budget, nothing spilled, no
+// file created — and an invalid Dist filter is an error from run and probe
+// alike.
+func TestBlockJobNeverSpills(t *testing.T) {
 	bed := slowBed(50, 0)
-	_, m := sortedOutputs(t, bed.RunStream, Config{MemoryBudget: 1, SpillDir: t.TempDir()}, bed64)
-	if m.SpilledPairs == 0 || m.KeyValuePairs != 50*64 {
-		t.Errorf("1-byte budget: %+v, want %d pairs, some spilled", m, 50*64)
+	want, wantM := sortedOutputs(t, bed.RunStream, Config{}, bed64)
+	spillDir := filepath.Join(t.TempDir(), "missing")
+	for _, budget := range []int64{1, 2048} {
+		got, m := sortedOutputs(t, bed.RunStream, Config{MemoryBudget: budget, SpillDir: spillDir}, bed64)
+		if !slices.Equal(got, want) || m != wantM || m.KeyValuePairs != 50*64 {
+			t.Errorf("budget %d: %d outputs %+v; without a budget %d outputs %+v, %d pairs", budget, len(got), m, len(want), wantM, 50*64)
+		}
+	}
+	if _, err := os.Stat(spillDir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the spill directory was touched: %v", err)
 	}
 	bad := Config{Dist: &DistFilter{Partitions: 2}}
 	if _, err := bed.RunStream(context.Background(), bad, bed64, func(string) bool { return true }); err == nil {
@@ -245,7 +260,7 @@ func TestBlockJobStopAndCancel(t *testing.T) {
 // TestBlockJobFailuresAreTyped: a panic in Map, Keys or Reduce and an
 // injected fault at either worker failpoint come back as a typed
 // *EngineError naming the stage, with no output after it and no goroutine
-// left — in memory and through the budgeted branch.
+// left — with and without a budget, which a block job ignores.
 func TestBlockJobFailuresAreTyped(t *testing.T) {
 	boom := func() { panic("boom") }
 	cases := []struct {
@@ -301,11 +316,11 @@ func TestBlockJobFailuresAreTyped(t *testing.T) {
 }
 
 // TestBlockPrepareContractQuick: over random block jobs, at four
-// partitions, in memory and under a budget that spills, Prepare runs exactly
+// partitions, with and without a budget, Prepare runs exactly
 // once for every non-empty block some task reads — on that block's values,
 // before any reducer call that reads it — and never for an empty block or
 // for Loads; every reducer call finds its task's non-empty blocks in
-// Context.Blocks, the same ones on both paths.
+// Context.Blocks, the same ones under either budget.
 func TestBlockPrepareContractQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -370,7 +385,7 @@ func TestBlockPrepareContractQuick(t *testing.T) {
 			if first == nil {
 				first = seen
 			} else if !maps.EqualFunc(seen, first, slices.Equal) {
-				t.Errorf("seed %d: under a budget the reducers saw blocks %v, in memory %v", seed, seen, first)
+				t.Errorf("seed %d: under a budget the reducers saw blocks %v, without one %v", seed, seen, first)
 			}
 		}
 		prepared = make([]int, job.Blocks)
@@ -390,7 +405,7 @@ func TestBlockPrepareContractQuick(t *testing.T) {
 // TestBlockPrepareFailureReleasesWaiters: when the Prepare of a block every
 // task reads panics while the other workers wait for it, the job fails with
 // the typed error, no reducer runs on the unprepared block and no goroutine
-// is left — in memory and under a budget.
+// is left — with and without a budget.
 func TestBlockPrepareFailureReleasesWaiters(t *testing.T) {
 	for _, budget := range []int64{0, 1} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {

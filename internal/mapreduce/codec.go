@@ -6,6 +6,15 @@ import (
 	"reflect"
 )
 
+// KeyCodec encodes reducer keys. It is the key half of a Codec and all a
+// BlockJob encodes: a block job never spills, so it encodes a key only to
+// test Config.Dist ownership. The encoding must be deterministic and
+// injective, as a Codec's key encoding is.
+type KeyCodec[K comparable] interface {
+	// AppendKey appends the encoding of k to dst and returns the result.
+	AppendKey(dst []byte, k K) []byte
+}
+
 // Codec serializes keys and values for the external shuffle (see
 // Config.MemoryBudget) and encodes keys for Config.Dist ownership. Key
 // encodings must be deterministic and injective: equal keys always produce
@@ -20,8 +29,7 @@ import (
 // the in-memory hash table, so give such jobs a Codec with an
 // identity-faithful key encoding, or run them without a budget.
 type Codec[K comparable, V any] interface {
-	// AppendKey appends the encoding of k to dst and returns the result.
-	AppendKey(dst []byte, k K) []byte
+	KeyCodec[K]
 	// DecodeKey decodes a key from the bytes AppendKey produced.
 	DecodeKey(src []byte) (K, error)
 	// AppendValue appends the encoding of v to dst and returns the result.
@@ -134,4 +142,22 @@ func jobCodec[K comparable, V any](job string, c Codec[K, V], cfg Config) (Codec
 			job, reflect.TypeFor[K](), reflect.TypeFor[V]())
 	}
 	return c, nil
+}
+
+// keyCodec is jobCodec for a block job, which encodes keys only and only
+// under Config.Dist: the job's own KeyCodec, else DefaultCodec's key half.
+// An invalid DistFilter, or a key type DefaultCodec does not cover with no
+// KeyCodec, fails here, before any worker starts.
+func keyCodec[K comparable](job string, c KeyCodec[K], d *DistFilter) (KeyCodec[K], error) {
+	if err := d.validate(); err != nil {
+		return nil, err
+	}
+	if c != nil {
+		return c, nil
+	}
+	if enc, _ := codecFor[K](); enc != nil {
+		return funcCodec[K, struct{}]{appendKey: enc}, nil
+	}
+	return nil, fmt.Errorf("mapreduce: job %q sets no Codec, and DefaultCodec cannot encode key type %v (only integer and fixed-size types); a distributed run needs one",
+		job, reflect.TypeFor[K]())
 }

@@ -16,7 +16,7 @@ import "fmt"
 // can be recomputed anywhere.
 //
 // The filter requires the job's key encoding to be deterministic across
-// processes. Job.Codec, or DefaultCodec's big-endian integer and
+// processes. The job's Codec, or DefaultCodec's big-endian integer and
 // encoding/binary encodings, satisfy this; the engine's internal partition
 // hash does not (its maphash seed is per-process), which is why ownership
 // hashes encoded bytes instead of reusing it.
@@ -76,7 +76,7 @@ func KeyPartition(key []byte, partitions int) int {
 
 // distOwns builds a per-goroutine ownership predicate for one job run. Each
 // map worker gets its own instance (the scratch buffer is not shared).
-func distOwns[K comparable, V any](d *DistFilter, codec Codec[K, V]) func(K) bool {
+func distOwns[K comparable](d *DistFilter, codec KeyCodec[K]) func(K) bool {
 	var buf []byte
 	return func(k K) bool {
 		buf = codec.AppendKey(buf[:0], k)

@@ -105,8 +105,7 @@ type Context struct {
 	// Blocks is, during a block job's reducer call, the blocks its task
 	// reads that hold values — the ones the values were gathered from, each
 	// already through the job's Prepare — and nil in a plain Job. The engine
-	// sets it before every call, on the in-memory and the budgeted path
-	// alike; a reducer only reads it.
+	// sets it before every call; a reducer only reads it.
 	Blocks []int32
 
 	work int64
@@ -141,16 +140,16 @@ type Config struct {
 	// reduce worker goroutine; 0 means Parallelism.
 	Partitions int
 	// MemoryBudget bounds, in heap bytes, the shuffle state the reduce
-	// workers hold, summed across all partitions; 0 means unlimited (no
-	// spilling; pairs are hash-grouped in memory). Each worker gets an
-	// equal share. With a budget a worker appends arriving pairs to one
-	// flat buffer; when what the buffer costs crosses the share it is
-	// sorted by encoded key and written as a run to a temp file, and the
-	// round finishes with a k-way merge that streams each key's values
-	// into the reducer (a worker that never crosses reduces from its
-	// sorted buffer, no file written). Inside the share: the buffered
-	// pairs, the sort scratch (16 bytes a pair, plus the encodings of
-	// fixed-width keys longer than 8 bytes), the run write buffer (a
+	// workers of a plain Job hold, summed across all partitions; 0 means
+	// unlimited (no spilling; pairs are hash-grouped in memory). Each
+	// worker gets an equal share. With a budget a worker appends arriving
+	// pairs to one flat buffer; when what the buffer costs crosses the
+	// share it is sorted by encoded key and written as a run to a temp
+	// file, and the round finishes with a k-way merge that streams each
+	// key's values into the reducer (a worker that never crosses reduces
+	// from its sorted buffer, no file written). Inside the share: the
+	// buffered pairs, the sort scratch (16 bytes a pair, plus the encodings
+	// of fixed-width keys longer than 8 bytes), the run write buffer (a
 	// sixteenth of the share) and, once merging, the run read buffers (the
 	// share split between the open runs) — each I/O buffer between 4 and
 	// 64 KiB, so a share below 4 KiB a run is exceeded by that floor.
@@ -161,10 +160,12 @@ type Config struct {
 	// in-memory path; the Spill* metrics record the extra I/O. A budget
 	// needs a codec — Job.Codec, or DefaultCodec for integer and
 	// fixed-size types — or the run fails before any worker starts; spill
-	// I/O failures surface as a typed *EngineError from RunStream.
+	// I/O failures surface as a typed *EngineError from RunStream. A
+	// BlockJob holds no pairs — each value sits once in its input-sized
+	// block table — so it ignores the budget and never spills.
 	MemoryBudget int64
 	// SpillDir is the directory for spill run files; "" means the system
-	// temp dir. Only used when MemoryBudget is set.
+	// temp dir. Only a plain Job under a MemoryBudget uses it.
 	SpillDir string
 	// Dist, when set, restricts the run to the owned slices of the
 	// distributed key space: mapper emissions whose key hashes outside them

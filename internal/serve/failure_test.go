@@ -108,7 +108,7 @@ func TestSpillENOSPCStructured500(t *testing.T) {
 	if err := failpoint.Enable(failpoint.SpillCreate, "enospc"); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(ts.URL + "/query?graph=gnm&sample=triangle&strategy=bucket&k=64&mem-budget=2048")
+	resp, err := http.Get(ts.URL + "/query?graph=gnm&sample=triangle&strategy=cascade&mem-budget=2048")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSpillENOSPCStructured500(t *testing.T) {
 	}
 	// And the very next query (no injection) succeeds.
 	var ok queryResponse
-	r := getJSON(t, ts.URL+"/query?graph=gnm&sample=triangle&strategy=bucket&k=64&mem-budget=2048", &ok)
+	r := getJSON(t, ts.URL+"/query?graph=gnm&sample=triangle&strategy=cascade&mem-budget=2048", &ok)
 	if r.StatusCode != http.StatusOK || ok.Count == 0 {
 		t.Fatalf("recovery query: status %d count %d", r.StatusCode, ok.Count)
 	}
@@ -154,7 +154,7 @@ func TestStreamEngineErrorTerminalLine(t *testing.T) {
 	if err := failpoint.Enable(failpoint.SpillMerge, "error"); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(ts.URL + "/query?graph=gnm&sample=triangle&strategy=bucket&k=64&mem-budget=2048&stream=1")
+	resp, err := http.Get(ts.URL + "/query?graph=gnm&sample=triangle&strategy=cascade&mem-budget=2048&stream=1")
 	if err != nil {
 		t.Fatal(err)
 	}

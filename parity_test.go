@@ -3,12 +3,16 @@ package subgraphmr
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"subgraphmr/internal/directed"
+	"subgraphmr/internal/mapreduce"
 )
 
 // allPlanStrategies is every runnable strategy (triangle sample makes all
@@ -19,104 +23,119 @@ var allPlanStrategies = []PlanStrategy{
 	StrategyTrianglePartition, StrategyTriangleMultiway, StrategyTriangleBucketOrdered,
 }
 
-// TestEveryPathHonorsMemoryBudget runs every execution path under a tiny
-// memory budget with an explicit spill dir and asserts the external
-// shuffle actually engaged — proving MemoryBudget and SpillDir reach the
-// engine on all of them, with unchanged results.
+// TestEveryPathHonorsMemoryBudget: the cascade, the one strategy that runs
+// plain map-reduce jobs, spills under a tiny budget, locally and on the
+// distributed workers, with unchanged results — MemoryBudget and SpillDir
+// reach its engine. Every other strategy and the directed path run block
+// jobs, which hold each edge once and never spill: under budgets of 1 byte
+// and 2 KiB, with a spill directory that does not exist, they find the
+// instances they find without a budget, report no Spill* and create no
+// file.
 func TestEveryPathHonorsMemoryBudget(t *testing.T) {
 	ctx := context.Background()
 	g := Gnm(120, 500, 9)
 	want := CountTriangles(g)
-	for _, st := range allPlanStrategies {
-		plan, err := Plan(g, Triangle(), WithStrategy(st), WithTargetReducers(64),
-			WithSeed(3), WithMemoryBudget(2048), WithSpillDir(t.TempDir()))
-		if err != nil {
-			t.Fatalf("%v: %v", st, err)
+	spilled := func(res *Result) (m mapreduce.Metrics) {
+		for _, job := range res.Jobs {
+			m.SpilledPairs += job.Metrics.SpilledPairs
+			m.SpillBytes += job.Metrics.SpillBytes
+			m.SpillFiles += job.Metrics.SpillFiles
 		}
-		res, err := Run(ctx, plan)
+		return m
+	}
+	for _, dist := range []bool{false, true} {
+		opts := []Option{WithStrategy(StrategyTwoRound), WithSeed(3), WithMemoryBudget(2048), WithSpillDir(t.TempDir())}
+		if dist {
+			// The engine knobs ride to the workers inside the shipped
+			// options, so the workers' own jobs must spill.
+			opts = append(opts, WithDistributed(2))
+		}
+		res, err := Run(ctx, mustPlan(t, g, Triangle(), opts...))
 		if err != nil {
-			t.Fatalf("%v: %v", st, err)
+			t.Fatalf("cascade (distributed %v): %v", dist, err)
 		}
 		if res.Count != want {
-			t.Errorf("%v under budget: %d triangles, oracle %d", st, res.Count, want)
+			t.Errorf("cascade (distributed %v) under budget: %d triangles, oracle %d", dist, res.Count, want)
 		}
-		var spilled int64
-		for _, job := range res.Jobs {
-			spilled += job.Metrics.SpilledPairs
-		}
-		if spilled == 0 {
-			t.Errorf("%v: 2 KiB budget spilled nothing — MemoryBudget is not reaching this path", st)
+		if spilled(res).SpilledPairs == 0 {
+			t.Errorf("cascade (distributed %v): 2 KiB budget spilled nothing — MemoryBudget is not reaching its engine", dist)
 		}
 	}
 
-	// The distributed runner: the engine knobs ride to the workers inside
-	// the shipped options, so the workers' own jobs must spill.
-	plan, err := Plan(g, Triangle(), WithStrategy(StrategyBucketOriented), WithTargetReducers(64),
-		WithSeed(3), WithMemoryBudget(2048), WithSpillDir(t.TempDir()), WithDistributed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(ctx, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != want {
-		t.Errorf("distributed under budget: %d triangles, oracle %d", res.Count, want)
-	}
-	var spilled int64
-	for _, job := range res.Jobs {
-		spilled += job.Metrics.SpilledPairs
-	}
-	if spilled == 0 {
-		t.Error("distributed: 2 KiB budget spilled nothing on the workers — MemoryBudget is not reaching them")
+	parent := t.TempDir()
+	missing := filepath.Join(parent, "missing")
+	for _, st := range allPlanStrategies {
+		if st == StrategyTwoRound {
+			continue
+		}
+		unbudgeted := instanceKeys(Triangle(), planRun(t, g, Triangle(), WithStrategy(st), WithTargetReducers(64), WithSeed(3)).Instances)
+		if int64(len(unbudgeted)) != want {
+			t.Errorf("%v: %d triangles, oracle %d", st, len(unbudgeted), want)
+		}
+		for _, budget := range []int64{1, 2048} {
+			res := planRun(t, g, Triangle(), WithStrategy(st), WithTargetReducers(64), WithSeed(3),
+				WithMemoryBudget(budget), WithSpillDir(missing))
+			if got := instanceKeys(Triangle(), res.Instances); !slices.Equal(got, unbudgeted) {
+				t.Errorf("%v under budget %d: %d instances, without one %d", st, budget, len(got), len(unbudgeted))
+			}
+			if m := spilled(res); m != (mapreduce.Metrics{}) {
+				t.Errorf("%v under budget %d spilled: %+v", st, budget, m)
+			}
+		}
 	}
 
-	// The directed path too.
 	dg := directed.RandomDiGraph(80, 400, 2, 5)
 	pattern := directed.DirectedCycle(3, 0)
-	res, err = EnumerateDirectedContext(t.Context(), dg, pattern, nil, WithBuckets(4), WithSeed(3), WithMemoryBudget(1024), WithSpillDir(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
+	oracle := len(DirectedBruteForce(dg, pattern))
+	var unbudgeted []string
+	for _, budget := range []int64{0, 1, 2048} {
+		res, err := EnumerateDirectedContext(ctx, dg, pattern, nil, WithBuckets(4), WithSeed(3), WithMemoryBudget(budget), WithSpillDir(missing))
+		if err != nil {
+			t.Fatalf("directed under budget %d: %v", budget, err)
+		}
+		var got []string
+		for _, phi := range res.Instances {
+			got = append(got, fmt.Sprint(phi))
+		}
+		slices.Sort(got)
+		if budget == 0 {
+			unbudgeted = got
+			if len(got) != oracle || oracle == 0 {
+				t.Errorf("directed: %d instances, oracle %d", len(got), oracle)
+			}
+		} else if !slices.Equal(got, unbudgeted) {
+			t.Errorf("directed under budget %d: instances %v, without one %v", budget, got, unbudgeted)
+		}
+		if m := spilled(res); m != (mapreduce.Metrics{}) {
+			t.Errorf("directed under budget %d spilled: %+v", budget, m)
+		}
 	}
-	if res.Jobs[0].Metrics.SpilledPairs == 0 {
-		t.Error("directed: 1 KiB budget spilled nothing — MemoryBudget is not reaching the directed path")
-	}
-	if len(res.Instances) != len(DirectedBruteForce(dg, pattern)) {
-		t.Error("directed under budget disagrees with the oracle")
+	if entries, err := os.ReadDir(parent); err != nil || len(entries) != 0 {
+		t.Errorf("a block job touched the spill directory's parent: %v %v", entries, err)
 	}
 }
 
-// TestEveryPathHonorsSpillDir proves SpillDir is plumbed through every
-// path by pointing it at a nonexistent directory: the engine's documented
-// response to unusable spill storage is a typed *EngineError at the spill
-// stage, so a path that succeeds (or panics) is ignoring the option.
+// TestEveryPathHonorsSpillDir proves SpillDir reaches the cascade, the one
+// strategy that can spill, by pointing it at a nonexistent directory: the
+// engine's documented response to unusable spill storage is a typed
+// *EngineError at the spill stage, so a success (or a panic) means the
+// option is ignored. The block strategies under the same options are
+// TestEveryPathHonorsMemoryBudget's: they never open the directory.
 func TestEveryPathHonorsSpillDir(t *testing.T) {
-	ctx := context.Background()
-	g := Gnm(120, 500, 9)
 	badDir := filepath.Join(t.TempDir(), "does", "not", "exist")
-	expectEngineError := func(label string, err error) {
-		t.Helper()
+	for _, dist := range []bool{false, true} {
+		opts := []Option{WithStrategy(StrategyTwoRound), WithSeed(3), WithMemoryBudget(2048), WithSpillDir(badDir)}
+		if dist {
+			opts = append(opts, WithDistributed(2))
+		}
+		_, err := Run(context.Background(), mustPlan(t, Gnm(120, 500, 9), Triangle(), opts...))
 		var ee *EngineError
 		if !errors.As(err, &ee) {
-			t.Errorf("%s: error %v (%T) with an unusable spill dir — want *EngineError; SpillDir is not reaching this path", label, err, err)
-			return
-		}
-		if ee.Stage != "spill" {
-			t.Errorf("%s: EngineError stage %q, want %q", label, ee.Stage, "spill")
+			t.Errorf("cascade (distributed %v): error %v (%T) with an unusable spill dir — want *EngineError; SpillDir is not reaching it", dist, err, err)
+		} else if ee.Stage != "spill" {
+			t.Errorf("cascade (distributed %v): EngineError stage %q, want %q", dist, ee.Stage, "spill")
 		}
 	}
-	for _, st := range allPlanStrategies {
-		plan, err := Plan(g, Triangle(), WithStrategy(st), WithTargetReducers(64),
-			WithSeed(3), WithMemoryBudget(2048), WithSpillDir(badDir))
-		if err != nil {
-			t.Fatalf("%v: %v", st, err)
-		}
-		_, err = Run(ctx, plan)
-		expectEngineError(st.String(), err)
-	}
-	dg := directed.RandomDiGraph(80, 400, 2, 5)
-	_, err := EnumerateDirectedContext(t.Context(), dg, directed.DirectedCycle(3, 0), nil, WithBuckets(4), WithMemoryBudget(1024), WithSpillDir(badDir))
-	expectEngineError("directed", err)
 }
 
 // TestEveryPathIsSeedDeterministic runs each path twice with the same seed

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"subgraphmr/internal/cq"
-	"subgraphmr/internal/cycles"
+	"subgraphmr/internal/core"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/shares"
 )
@@ -88,9 +87,10 @@ type QueryPlan struct {
 	// NumCQs is the number of conjunctive queries the CQ-based strategies
 	// evaluate for this sample.
 	NumCQs int
-	// PredictedSpill reports whether the chosen strategy's estimated
-	// shuffle footprint exceeds the configured memory budget (always
-	// false without a budget).
+	// PredictedSpill reports whether the chosen strategy will spill: it
+	// runs plain map-reduce jobs (the two-round cascade; the share-hashed
+	// strategies never spill) and its estimated shuffle footprint exceeds
+	// the configured memory budget (always false without a budget).
 	PredictedSpill bool
 	// Adaptive reports that WithAdaptive probed the candidates and the
 	// plan was ranked by observed loads; Probes lists every probe row.
@@ -120,10 +120,12 @@ type QueryPlan struct {
 	enc *encodedGraph
 }
 
-// planPairOverhead approximates the per-pair heap footprint of the reduce
-// workers' group tables (key/value bytes plus map and slice overheads) for
-// the spill prediction. It intentionally errs high: predicting a spill
-// that ends up borderline is more useful than missing one.
+// planPairOverhead approximates the per-pair heap footprint of a plain
+// job's reduce workers — the pair and its bucket byte in an arrival chunk,
+// then its key and value again in the bucket-ordered slabs grouping builds
+// — for the spill prediction and the service's admission. It intentionally
+// errs high: predicting a spill that ends up borderline is more useful
+// than missing one.
 const planPairOverhead = 96
 
 // Plan builds a cost-based execution plan for enumerating s in g. With
@@ -154,9 +156,9 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 	if o.core.Buckets > shares.MaxIntShare {
 		return nil, fmt.Errorf("subgraphmr: bucket count %d exceeds %d", o.core.Buckets, shares.MaxIntShare)
 	}
-	qs, err := planCQs(s, o)
+	qs, err := core.CompileCQs(s, o.core)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("subgraphmr: WithCycleCQs: %w", err)
 	}
 	q := &planQuery{g: g, s: s, p: s.P(), m: int64(g.NumEdges()), qs: qs, o: o}
 
@@ -220,7 +222,9 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 		plan.SkewThreshold = o.core.ResolvedSkewThreshold()
 		plan.Probes = probes
 	}
-	if budget := o.core.Engine.MemoryBudget; budget > 0 && plan.Chosen.EstShuffleBytes > budget {
+	// Only a plain job spills, and only the cascade runs plain jobs: every
+	// other strategy's block job holds its values once and ignores the budget.
+	if budget := o.core.Engine.MemoryBudget; budget > 0 && plan.Strategy == StrategyTwoRound && plan.Chosen.EstShuffleBytes > budget {
 		plan.PredictedSpill = true
 	}
 	return plan, nil
@@ -231,24 +235,6 @@ func (p *QueryPlan) Graph() *Graph { return p.graph }
 
 // Sample returns the sample graph the plan was built for.
 func (p *QueryPlan) Sample() *Sample { return p.sample }
-
-// planCQs compiles the CQ set the share-based candidates are costed on —
-// the Section 5 generator when WithCycleCQs is set, otherwise the general
-// Section 3 pipeline. Mirrors core's CQ construction so plan estimates
-// match execution.
-func planCQs(s *Sample, o planOpts) ([]*cq.CQ, error) {
-	if o.core.UseCycleCQs {
-		if d, reg := s.IsRegular(); !reg || d != 2 {
-			return nil, fmt.Errorf("subgraphmr: WithCycleCQs requires a cycle sample, got %v", s)
-		}
-		var qs []*cq.CQ
-		for _, c := range cycles.Generate(s.P()) {
-			qs = append(qs, c.CQ)
-		}
-		return qs, nil
-	}
-	return cq.MergeByOrientation(cq.GenerateForSample(s)), nil
-}
 
 // Explain renders the plan: the chosen strategy with its predicted shape
 // (buckets/shares, reducers, jobs, communication, spill) followed by the

@@ -365,36 +365,42 @@ func TestCascadeIntegerEstComm(t *testing.T) {
 }
 
 // TestPredictedSpill checks the planner's spill prediction against the
-// engine: a tiny budget must be predicted to spill, and the executed run
-// must actually spill.
+// engine under a 4 KiB budget: the cascade, whose plain jobs spill, must be
+// predicted to spill and must actually spill; bucket-oriented, a block job
+// that never spills, must be predicted not to and must not.
 func TestPredictedSpill(t *testing.T) {
 	g := Gnm(150, 600, 11)
-	plan, err := Plan(g, Triangle(), WithTargetReducers(64), WithMemoryBudget(4096), WithSpillDir(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.PredictedSpill {
-		t.Errorf("4 KiB budget against %d estimated pairs not predicted to spill", plan.Chosen.EstComm)
-	}
-	if !strings.Contains(plan.Explain(), "will spill") {
-		t.Errorf("Explain does not announce the predicted spill:\n%s", plan.Explain())
-	}
-	res, err := Run(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spilled int64
-	for _, job := range res.Jobs {
-		spilled += job.Metrics.SpilledPairs
-	}
-	if spilled == 0 {
-		t.Error("predicted spill but the engine spilled nothing")
-	}
-	if res.Count != CountTriangles(g) {
-		t.Errorf("count %d under spill, oracle %d", res.Count, CountTriangles(g))
+	for _, tc := range []struct {
+		st    PlanStrategy
+		spill bool
+	}{{StrategyTwoRound, true}, {StrategyBucketOriented, false}} {
+		plan, err := Plan(g, Triangle(), WithStrategy(tc.st), WithTargetReducers(64), WithMemoryBudget(4096), WithSpillDir(t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.PredictedSpill != tc.spill {
+			t.Errorf("%v: 4 KiB budget against %d estimated pairs: predicted spill %v, want %v", tc.st, plan.Chosen.EstComm, plan.PredictedSpill, tc.spill)
+		}
+		if strings.Contains(plan.Explain(), "will spill") != tc.spill {
+			t.Errorf("%v: Explain announces a spill: %v, want %v\n%s", tc.st, !tc.spill, tc.spill, plan.Explain())
+		}
+		res, err := Run(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spilled int64
+		for _, job := range res.Jobs {
+			spilled += job.Metrics.SpilledPairs
+		}
+		if (spilled > 0) != tc.spill {
+			t.Errorf("%v: predicted spill %v, the engine spilled %d pairs", tc.st, plan.PredictedSpill, spilled)
+		}
+		if res.Count != CountTriangles(g) {
+			t.Errorf("%v: count %d under a budget, oracle %d", tc.st, res.Count, CountTriangles(g))
+		}
 	}
 
-	roomy, err := Plan(g, Triangle(), WithTargetReducers(64), WithMemoryBudget(1<<30))
+	roomy, err := Plan(g, Triangle(), WithStrategy(StrategyTwoRound), WithTargetReducers(64), WithMemoryBudget(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}

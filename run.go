@@ -44,8 +44,8 @@ func Run(ctx context.Context, p *QueryPlan) (*Result, error) {
 // writes into another instance. Calls to yield are serialized and block
 // the emitting reduce worker, so delivery is consumer-paced and the
 // output never accumulates in memory; the shuffle's grouped intermediate
-// state is still built before the first delivery, so bound it with
-// WithMemoryBudget when it may exceed RAM. Returning false from yield
+// state is still built before the first delivery (for the cascade, bound
+// it with WithMemoryBudget when it may exceed RAM). Returning false from yield
 // stops the enumeration early with a nil error (remaining reducer groups
 // are skipped); cancelling ctx aborts it with ctx.Err(). WithCountOnly is
 // ignored — streaming always delivers. The returned Result carries the
@@ -76,8 +76,8 @@ func execute(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result
 // the last, then waits. The first batch holds a single instance, so the
 // first result is not held back. Enumerations whose output dwarfs memory
 // can thus be consumed incrementally (the shuffle's grouped intermediate
-// state is separate — bound it with WithMemoryBudget when it may exceed
-// RAM). Each instance is the caller's to keep. Breaking out of the range loop — or cancelling ctx — tears the
+// state is separate — for the cascade, bound it with WithMemoryBudget when
+// it may exceed RAM). Each instance is the caller's to keep. Breaking out of the range loop — or cancelling ctx — tears the
 // engine down promptly: remaining reducer groups are skipped, spill files
 // are removed, and no goroutines are left behind. WithCountOnly is ignored
 // — streaming always delivers. A failure, or a cancelled or expired

@@ -205,9 +205,13 @@ func TestInstancesMidRunCancel(t *testing.T) {
 
 // TestStreamSpillCleanup checks that streamed runs under a memory budget
 // leave no spill files behind — on completion, on early break, and on
-// cancellation.
+// cancellation. It runs the cascade, the strategy whose plain jobs spill,
+// over the triangles of a clique.
 func TestStreamSpillCleanup(t *testing.T) {
 	ctx := context.Background()
+	spillPlan := func(dir string) *QueryPlan {
+		return mustPlan(t, CompleteGraph(24), Triangle(), WithStrategy(StrategyTwoRound), WithMemoryBudget(1<<14), WithSpillDir(dir))
+	}
 	assertEmpty := func(t *testing.T, dir, when string) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
@@ -232,7 +236,7 @@ func TestStreamSpillCleanup(t *testing.T) {
 
 	// Completed streamed run: must actually spill, then clean up.
 	dir := t.TempDir()
-	plan := k5Plan(t, WithMemoryBudget(1<<14), WithSpillDir(dir))
+	plan := spillPlan(dir)
 	res, err := Stream(ctx, plan, func([]Node) bool { return true })
 	if err != nil {
 		t.Fatal(err)
@@ -248,24 +252,29 @@ func TestStreamSpillCleanup(t *testing.T) {
 
 	// Early iterator break mid-spill.
 	dir = t.TempDir()
-	plan = k5Plan(t, WithMemoryBudget(1<<14), WithSpillDir(dir))
+	plan = spillPlan(dir)
 	baseline := runtime.NumGoroutine()
-	n := 0
+	n, open := 0, 0
 	for _, err := range Instances(ctx, plan) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		n++
 		if n == 3 {
+			entries, _ := os.ReadDir(dir)
+			open = len(entries)
 			break
 		}
 	}
 	waitForGoroutines(t, baseline)
+	if open == 0 {
+		t.Fatal("no spill run open at the break — the check below would be vacuous")
+	}
 	assertEmpty(t, dir, "early break")
 
 	// Cancellation mid-run.
 	dir = t.TempDir()
-	plan = k5Plan(t, WithMemoryBudget(1<<14), WithSpillDir(dir))
+	plan = spillPlan(dir)
 	cctx, cancel := context.WithCancel(ctx)
 	n = 0
 	for _, err := range Instances(cctx, plan) {

@@ -35,9 +35,10 @@
 //     EnumerateDirectedContext with Plan's options.
 //   - Every job runs on one pipelined engine, configured by Plan's options
 //     (WithParallelism, WithPartitions, WithMemoryBudget, WithSpillDir).
-//     WithMemoryBudget bounds reduce-worker memory — beyond it the engine
-//     spills sorted runs to disk and merge-streams them into the reducers;
-//     see docs/ARCHITECTURE.md and docs/API.md.
+//     WithMemoryBudget bounds the cascade's reduce-worker memory — beyond
+//     it the engine spills sorted runs to disk and merge-streams them into
+//     the reducers; the share-hashed strategies store each edge once and
+//     never spill. See docs/ARCHITECTURE.md and docs/API.md.
 //
 // The pre-Plan entry points (Enumerate, TrianglePartition, …) are gone;
 // docs/API.md has the migration table.
