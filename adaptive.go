@@ -145,13 +145,13 @@ func applyRung(c *Candidate, row LoadProbe, comm func(int) float64, reducers fun
 	observe(c, row)
 }
 
-// climb probes a bucket-style candidate at its planned b and, when ladder is
-// set and no explicit WithBuckets pins b, along the b/2b/4b ladder; the rung
-// with the lowest adjusted cost is applied to the candidate and returned.
-func (pr *prober) climb(c *Candidate, ladder bool, comm func(int) float64, reducers func(int) int64,
+// climb probes a bucket-style candidate at its planned b and, unless an
+// explicit WithBuckets pins b, along the b/2b/4b ladder; the rung with the
+// lowest adjusted cost is applied to the candidate and returned.
+func (pr *prober) climb(c *Candidate, comm func(int) float64, reducers func(int) int64,
 	loads func(b int) (mapreduce.LoadStats, error)) (LoadProbe, bool) {
 	rungs := []int{c.Buckets}
-	if ladder && pr.o.core.Buckets == 0 {
+	if pr.o.core.Buckets == 0 {
 		rungs = probeLadder(c.Buckets, comm)
 	}
 	best := -1
@@ -185,13 +185,13 @@ func probeCandidates(q *planQuery, cands []Candidate) []LoadProbe {
 
 	// With a forced strategy only that candidate's probe can change the
 	// plan, so the others' map passes would be pure waste — except the
-	// §2.3 candidate when the cascade is forced, whose probed b is the
-	// mid-query replan target.
+	// bucket-oriented candidate when the cascade is forced, whose probed b
+	// is the mid-query replan target.
 	shouldProbe := func(st PlanStrategy) bool {
 		if o.strategy == StrategyAuto || st == o.strategy {
 			return true
 		}
-		return o.strategy == StrategyTwoRound && st == StrategyTriangleBucketOrdered
+		return o.strategy == StrategyTwoRound && st == StrategyBucketOriented
 	}
 
 	// Probe cheapest-first and prune candidates that cannot win: a probed

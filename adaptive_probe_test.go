@@ -2,6 +2,7 @@ package subgraphmr
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -145,8 +146,9 @@ func jobSkews(res *Result) []float64 {
 // TestAdaptiveCascadeReplansMidQuery forces the two-round cascade with
 // adaptive execution on the planted-hub graph: round 1's observed skew (the
 // hub's degree against the mean) breaches the threshold, round 2 is
-// abandoned, and the query finishes as the one-round bucket-ordered
-// algorithm — recorded as a Replanned job, with the triangle set intact.
+// abandoned, and the query finishes as the one-round bucket-oriented job
+// (Section 2.3's algorithm) at the b the plan probed for the bucket-oriented
+// candidate — recorded as a Replanned job, with the triangle set intact.
 func TestAdaptiveCascadeReplansMidQuery(t *testing.T) {
 	g := hubGraph(400, 200)
 	plan, err := Plan(g, Triangle(), WithStrategy(StrategyTwoRound), WithTargetReducers(256),
@@ -164,6 +166,19 @@ func TestAdaptiveCascadeReplansMidQuery(t *testing.T) {
 	last := res.Jobs[len(res.Jobs)-1]
 	if !last.Replanned || !strings.Contains(last.Label, "replanned") {
 		t.Errorf("final job %+v not marked as the mid-query replan", last.Label)
+	}
+	// The forced cascade probes the bucket-oriented candidate: it is the
+	// replan target, and the replanned job runs at its b.
+	var target Candidate
+	for _, c := range plan.Candidates {
+		if c.Strategy == StrategyBucketOriented {
+			target = c
+		}
+	}
+	if !target.Probed || len(last.Shares) == 0 || last.Shares[0] != target.Buckets ||
+		!strings.HasSuffix(last.Label, fmt.Sprintf("→ %v b=%d", StrategyBucketOriented, target.Buckets)) {
+		t.Errorf("replanned job %q shares %v; want the probed bucket-oriented candidate's b=%d (probed %v)",
+			last.Label, last.Shares, target.Buckets, target.Probed)
 	}
 	if res.Jobs[0].ObservedSkew <= plan.SkewThreshold {
 		t.Errorf("round 1 skew %.2f did not breach threshold %.2f — fixture too uniform",

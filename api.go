@@ -37,10 +37,14 @@ const (
 	// StrategyTriangleMultiway is the plain multiway join (Section 2.2,
 	// triangle samples only).
 	StrategyTriangleMultiway
-	// StrategyTriangleBucketOrdered is the paper's improved triangle
-	// algorithm (Section 2.3, triangle samples only).
-	StrategyTriangleBucketOrdered
 )
+
+// StrategyTriangleBucketOrdered names the paper's improved triangle
+// algorithm (Section 2.3). It is Section 4.5's bucket-oriented strategy at
+// p = 3, so the name is an alias of StrategyBucketOriented, as the short
+// name "tri-bucket" is of "bucket". Value 8, which it had while it was a
+// job of its own, is retired and no strategy takes it again.
+const StrategyTriangleBucketOrdered = StrategyBucketOriented
 
 // Option configures Plan. The one option set covers every execution path —
 // all strategies honor the engine knobs (parallelism, partitions, memory
@@ -139,7 +143,7 @@ func WithSpillDir(dir string) Option { return func(o *planOpts) { o.core.Engine.
 // multi-job executions re-plan mid-query: a cq-oriented job sequence
 // raises its reducer budget for the remaining jobs after an observed-skew
 // breach, and the two-round cascade abandons round 2 for the one-round
-// bucket-ordered algorithm when round 1's loads prove skewed (the switch
+// bucket-oriented job when round 1's loads prove skewed (the switch
 // is recorded in JobStats.Replanned/ObservedSkew). Results are
 // bit-identical to the static plan's — only the configuration changes.
 func WithAdaptive() Option { return func(o *planOpts) { o.core.AdaptiveReplan = true } }

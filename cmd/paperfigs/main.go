@@ -174,40 +174,39 @@ func fig1() {
 	g := subgraphmr.Gnm(2000, 12000, 42)
 	k := 220
 	fmt.Printf("measured on G(n=%d, m=%d), budget k=%d:\n", g.NumNodes(), g.NumEdges(), k)
-	for _, r := range []struct {
-		name string
-		st   subgraphmr.PlanStrategy
-	}{
-		{"Partition", subgraphmr.StrategyTrianglePartition},
-		{"Section 2.2", subgraphmr.StrategyTriangleMultiway},
-		{"Section 2.3", subgraphmr.StrategyTriangleBucketOrdered},
-	} {
+	for _, r := range triangleRows {
 		// The planner derives each algorithm's bucket count from the budget.
 		plan, res := run(g, subgraphmr.Triangle(), subgraphmr.WithStrategy(r.st), subgraphmr.WithTargetReducers(k), subgraphmr.WithSeed(7))
 		m := res.Jobs[0].Metrics
-		fmt.Printf("  %-12s b=%-3d comm/edge=%.2f reducers=%d triangles=%d\n",
-			r.name, plan.Chosen.Buckets, float64(m.KeyValuePairs)/float64(g.NumEdges()),
+		b := plan.Chosen.Buckets
+		fmt.Printf("  %-12s b=%-3d comm/edge=%.2f (closed form %.2f) reducers=%d triangles=%d\n",
+			r.name, b, float64(m.KeyValuePairs)/float64(g.NumEdges()), r.comm(b),
 			m.DistinctKeys, res.Count)
 	}
+}
+
+// triangleRows are Figs. 1 and 2's three algorithms with their exact
+// per-edge communication at b buckets. Section 2.3's is the bucket-oriented
+// strategy at p = 3, priced by Theorem 4.2's C(b+p-3, p-2) = b.
+var triangleRows = []struct {
+	name string
+	st   subgraphmr.PlanStrategy
+	comm func(b int) float64
+	b    int // Fig. 2's bucket count
+}{
+	{"Partition", subgraphmr.StrategyTrianglePartition, triangle.Partition.CommPerEdge, 12},
+	{"Section 2.2", subgraphmr.StrategyTriangleMultiway, triangle.Multiway.CommPerEdge, 6},
+	{"Section 2.3", subgraphmr.StrategyTriangleBucketOrdered, func(b int) float64 { return shares.BucketEdgeReplication(b, 3) }, 10},
 }
 
 func fig2() {
 	header("Fig. 2 — concrete comparison (paper: 13.75m / 16m / 10m at ~2^20, 2^16, 2^20 reducers)")
 	g := subgraphmr.Gnm(2000, 12000, 42)
 	fmt.Printf("%-14s %-8s %-10s %-18s %-18s\n", "algorithm", "buckets", "reducers", "paper comm/edge", "measured comm/edge")
-	for _, r := range []struct {
-		name string
-		st   subgraphmr.PlanStrategy
-		algo triangle.Algo
-		b    int
-	}{
-		{"Partition", subgraphmr.StrategyTrianglePartition, triangle.Partition, 12},
-		{"Section 2.2", subgraphmr.StrategyTriangleMultiway, triangle.Multiway, 6},
-		{"Section 2.3", subgraphmr.StrategyTriangleBucketOrdered, triangle.BucketOrdered, 10},
-	} {
+	for _, r := range triangleRows {
 		m := runTriangle(g, r.st, r.b)
 		fmt.Printf("%-14s %-8d %-10d %-18.2f %-18.2f\n", r.name, r.b, m.DistinctKeys,
-			r.algo.CommPerEdge(r.b), float64(m.KeyValuePairs)/float64(g.NumEdges()))
+			r.comm(r.b), float64(m.KeyValuePairs)/float64(g.NumEdges()))
 	}
 	fmt.Println("(formula reducer counts: C(12,3)=220, 6^3=216, C(12,3)=220; paper's 2^20/2^16 scale the same shapes)")
 }

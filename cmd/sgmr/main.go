@@ -98,8 +98,9 @@ func main() {
 
 // strategyNames is the -strategy vocabulary: the map-reduce strategies that
 // run through the unified Plan/Run API (the library's strategy table), then
-// the serial and probabilistic baselines this command adds.
-var strategyNames = strings.Join(subgraphmr.StrategyNames(), ", ") + ", serial, serial-decompose, serial-degree, doulion (triangles)"
+// the serial and probabilistic baselines this command adds. tri-bucket, an
+// alias of bucket, is accepted too.
+var strategyNames = strings.Join(subgraphmr.StrategyNames(), ", ") + ", serial, serial-decompose, serial-degree, doulion (triangles); tri-bucket = bucket"
 
 // run executes one sgmr invocation, writing all reporting to out. It is
 // main minus the process plumbing, so tests can drive every strategy flag

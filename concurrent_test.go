@@ -25,7 +25,7 @@ func TestSharedPlanConcurrentExecution(t *testing.T) {
 		{"variable", []Option{WithStrategy(StrategyVariableOriented)}},
 		{"cq", []Option{WithStrategy(StrategyCQOriented)}},
 		{"decomposed", []Option{WithStrategy(StrategyDecomposed)}},
-		{"tri-bucket", []Option{WithStrategy(StrategyTriangleBucketOrdered)}},
+		{"tri-partition", []Option{WithStrategy(StrategyTrianglePartition)}},
 		{"cascade", []Option{WithStrategy(StrategyTwoRound)}},
 		// The adaptive cascade exercises the mid-query re-plan path, which
 		// reads p.Candidates while other goroutines execute the same plan.
@@ -108,7 +108,7 @@ func TestSharedPlanConcurrentDistributed(t *testing.T) {
 	g := Gnm(60, 400, 3)
 	want := CountTriangles(g)
 	plan, err := Plan(g, Triangle(),
-		WithStrategy(StrategyTriangleBucketOrdered),
+		WithStrategy(StrategyBucketOriented),
 		WithTargetReducers(64), WithSeed(1), WithDistributed(2))
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func trianglePlan(t *testing.T, opts ...Option) *QueryPlan {
 	t.Helper()
 	g := Gnm(60, 400, 3)
 	plan, err := Plan(g, Triangle(), append([]Option{
-		WithStrategy(StrategyTriangleBucketOrdered),
+		WithStrategy(StrategyBucketOriented),
 		WithTargetReducers(64),
 		WithSeed(1),
 	}, opts...)...)

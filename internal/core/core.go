@@ -17,7 +17,8 @@
 //   - BucketOriented (Section 4.5): one hash, equal buckets b per variable,
 //     one reducer per nondecreasing bucket p-tuple (C(b+p-1, p) of them —
 //     Theorem 4.2), each edge shipped to C(b+p-3, p-2) reducers, nodes
-//     ordered by (bucket, id) as in Section 2.3.
+//     ordered by (bucket, id) as in Section 2.3 — whose triangle algorithm
+//     is this strategy at p = 3.
 package core
 
 import (

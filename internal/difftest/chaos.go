@@ -117,7 +117,7 @@ func ChaosCases() []ChaosCase {
 		{Name: "dist/dial-error-twice", Failpoints: "distrib.dial=error*2",
 			Strategy: subgraphmr.StrategyBucketOriented, Sample: sample.TwoPath(), Workers: 3, Expect: ExpectParity},
 		{Name: "dist/frame-write-corrupt-once", Failpoints: "distrib.frame.write=corrupt*1",
-			Strategy: subgraphmr.StrategyTriangleBucketOrdered, Sample: sample.Triangle(), Workers: 3, Expect: ExpectParity},
+			Strategy: subgraphmr.StrategyTrianglePartition, Sample: sample.Triangle(), Workers: 3, Expect: ExpectParity},
 		{Name: "dist/frame-write-error-twice", Failpoints: "distrib.frame.write=error*2",
 			Strategy: subgraphmr.StrategyBucketOriented, Sample: sample.TwoPath(), Workers: 3, Expect: ExpectParity},
 		{Name: "dist/frame-read-error-unlimited", Failpoints: "distrib.frame.read=error",

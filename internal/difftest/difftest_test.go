@@ -160,6 +160,17 @@ func TestTriangleAlgorithms(t *testing.T) {
 				})
 			}
 		}
+		// Section 2.3's algorithm is the bucket-oriented job at p = 3.
+		for _, mode := range blockModes {
+			t.Run(fmt.Sprintf("%s/bucket/%s", gname, mode.name), func(t *testing.T) {
+				engine := blockEngine(t, mode.budget)
+				m, err := CheckEnumerate(t.Context(), g, sample.Triangle(), core.BucketOriented, core.Options{Buckets: 4, Seed: 3, Engine: engine})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantNoSpill(t, engine, m)
+			})
+		}
 	}
 }
 
@@ -307,5 +318,16 @@ func TestProbeMatchesRun(t *testing.T) {
 				}
 			})
 		}
+		// ProbeLoads' "bucket" is Section 2.3's algorithm: the
+		// bucket-oriented job at p = 3, b pairs per edge.
+		t.Run(gname+"/tri-bucket", func(t *testing.T) {
+			res, err := core.Enumerate(t.Context(), g, sample.Triangle(), core.BucketOriented, core.Options{Buckets: b, Seed: seed, Engine: cfg}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ls, err := triangle.ProbeLoads(g, "bucket", b, seed, cfg)
+			same(t, ls, err, res.Jobs[0].Metrics)
+			closed(t, shares.BucketEdgeReplication(b, 3), g, res.Jobs[0].Metrics)
+		})
 	}
 }

@@ -149,7 +149,9 @@ type DistributedCase struct {
 // DistributedCases pairs every strategy of the root package's table with a
 // suitable sample: the general strategies run on the two-path sample
 // (plentiful instances, so faults reliably fire mid-stream), the ones whose
-// planner rejects it — the triangle-only algorithms — on the triangle.
+// planner rejects it — the triangle-only algorithms — on the triangle. The
+// bucket-oriented job runs on the triangle too: there it is Section 2.3's
+// algorithm, the job the tri-bucket alias names.
 func DistributedCases() []DistributedCase {
 	probe := graph.PathGraph(3)
 	var cases []DistributedCase
@@ -164,5 +166,5 @@ func DistributedCases() []DistributedCase {
 		}
 		cases = append(cases, DistributedCase{Strategy: st, Sample: s, CommParity: st != subgraphmr.StrategyTwoRound})
 	}
-	return cases
+	return append(cases, DistributedCase{Strategy: subgraphmr.StrategyTriangleBucketOrdered, Sample: sample.Triangle(), CommParity: true})
 }

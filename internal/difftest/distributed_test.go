@@ -108,7 +108,7 @@ func TestDistributedParityWorkerDrop(t *testing.T) {
 	g := Graphs(7)["powerlaw"]
 	for _, tc := range []DistributedCase{
 		{subgraphmr.StrategyBucketOriented, sample.TwoPath(), true},
-		{subgraphmr.StrategyTriangleBucketOrdered, sample.Triangle(), true},
+		{subgraphmr.StrategyBucketOriented, sample.Triangle(), true},
 	} {
 		t.Run(fmt.Sprintf("%v/%v", tc.Strategy, tc.Sample), func(t *testing.T) {
 			_, err := CheckDistributedParity(t.Context(), g, tc.Sample, tc.Strategy, 42, DistributedConfig{

@@ -24,8 +24,9 @@ const (
 
 // BucketKey names one reducer: a fixed-width tuple of bucket numbers, one
 // byte per lane. In a share job (and Multiway) lane v is the bucket of
-// variable v; in a multiset job (bucket-oriented, decomposed,
-// BucketOrdered, Partition, directed) lane v is the v-th smallest bucket.
+// variable v; in a multiset job (bucket-oriented — Section 2.3's triangle
+// algorithm among them — decomposed, Partition, directed) lane v is the v-th
+// smallest bucket.
 // Lanes beyond the job's arity are zero, so == on two keys of one job is
 // equality of their tuples.
 type BucketKey [MaxKeyVars]byte

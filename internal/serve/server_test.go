@@ -112,6 +112,30 @@ func TestPlanCacheHitAndKeying(t *testing.T) {
 	}
 }
 
+// TestTriBucketIsBucket pins the strategy=tri-bucket alias: Section 2.3's
+// triangle algorithm is the bucket-oriented job at p = 3, so the query
+// resolves to the bucket-oriented plan — the same count, and the plan cache
+// entry strategy=bucket filled.
+func TestTriBucketIsBucket(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	base := ts.URL + "/query?graph=gnm&sample=triangle&k=64&strategy="
+	var bucket, alias queryResponse
+	getJSON(t, base+"bucket", &bucket)
+	if r := getJSON(t, base+"tri-bucket", &alias); r.StatusCode != http.StatusOK {
+		t.Fatalf("strategy=tri-bucket: status %d", r.StatusCode)
+	}
+	if alias.Count != bucket.Count || alias.Count != subgraphmr.CountTriangles(subgraphmr.Gnm(120, 500, 9)) {
+		t.Errorf("strategy=tri-bucket counted %d, strategy=bucket %d", alias.Count, bucket.Count)
+	}
+	if alias.Cache != "hit" || s.cache.Hits() != 1 || s.cache.Misses() != 1 {
+		t.Errorf("strategy=tri-bucket after strategy=bucket: cache=%q, %d hits, %d misses; want the bucket plan's hit",
+			alias.Cache, s.cache.Hits(), s.cache.Misses())
+	}
+	if alias.Strategy != subgraphmr.StrategyBucketOriented.String() {
+		t.Errorf("strategy=tri-bucket ran %q", alias.Strategy)
+	}
+}
+
 // TestQueryInstancesAndLimit exercises instance materialization in the
 // JSON body with truncation.
 func TestQueryInstancesAndLimit(t *testing.T) {
@@ -143,7 +167,7 @@ func TestQueryErrors(t *testing.T) {
 		{"/query?graph=gnm&sample=heptadecagon", http.StatusBadRequest},
 		{"/query?graph=gnm&sample=triangle&strategy=warp", http.StatusBadRequest},
 		{"/query?graph=gnm&sample=triangle&k=banana", http.StatusBadRequest},
-		{"/query?graph=gnm&sample=square&strategy=tri-bucket", http.StatusBadRequest}, // triangle-only strategy
+		{"/query?graph=gnm&sample=square&strategy=tri-partition", http.StatusBadRequest}, // triangle-only strategy
 	} {
 		resp, err := http.Get(ts.URL + tc.url)
 		if err != nil {

@@ -1,17 +1,19 @@
-// Package triangle implements the three single-round map-reduce
-// triangle-enumeration algorithms of Section 2:
+// Package triangle implements the two single-round map-reduce
+// triangle-enumeration baselines of Section 2:
 //
 //   - Partition — the algorithm of Suri & Vassilvitskii (Section 2.1):
 //     nodes are split into b groups, one reducer per 3-subset of groups,
 //     communication ≈ 3bm/2.
 //   - Multiway — the plain multiway join E(X,Y) ⋈ E(Y,Z) ⋈ E(X,Z) of
 //     Afrati & Ullman (Section 2.2): b³ reducers, communication (3b−2)m.
-//   - BucketOrdered — the paper's improvement (Section 2.3): nodes ordered
-//     by (bucket, id), one reducer per nondecreasing bucket triple
-//     (C(b+2,3) of them), communication exactly bm.
 //
-// All three enumerate every triangle exactly once; ownership filters
-// reproduce the papers' "discovered by only one reducer" arguments.
+// The paper's improvement (Section 2.3: nodes ordered by (bucket, id), one
+// reducer per nondecreasing bucket triple, communication exactly bm) is
+// Section 4.5's bucket-oriented strategy at p = 3, so it runs as package
+// core's bucket-oriented job; ProbeLoads still answers to its name.
+//
+// Both enumerate every triangle exactly once; ownership filters reproduce
+// the papers' "discovered by only one reducer" arguments.
 package triangle
 
 import (
@@ -20,19 +22,20 @@ import (
 	"math"
 	"slices"
 
+	"subgraphmr/internal/core"
 	"subgraphmr/internal/cq"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/sample"
 )
 
-// Algo is one of the three Section 2 algorithms: its closed forms and, behind
+// Algo is one of the two Section 2 baselines: its closed forms and, behind
 // Run and ProbeLoads, the one job both execution and the planner's load
 // probes are built from — so a probe observes exactly the loads a run ships
-// and both reject the same bucket counts. The three values Partition,
-// Multiway and BucketOrdered are the whole set (see Algos).
+// and both reject the same bucket counts. The two values Partition and
+// Multiway are the whole set (see Algos).
 type Algo struct {
-	// Name is the algorithm's short name: "partition", "multiway", "bucket".
+	// Name is the algorithm's short name: "partition" or "multiway".
 	Name string
 	// MinB is the smallest bucket count the algorithm is defined for.
 	MinB int
@@ -54,12 +57,9 @@ var (
 	// Multiway is the plain multiway join (Section 2.2): b³ reducers,
 	// communication 3b−2 per edge.
 	Multiway = Algo{"multiway", 1, multiwayCommPerEdge, multiwayReducers, multiwayJob}
-	// BucketOrdered is the paper's improvement (Section 2.3): C(b+2,3)
-	// useful reducers (Theorem 4.2 with p = 3), communication b per edge.
-	BucketOrdered = Algo{"bucket", 1, bucketOrderedCommPerEdge, bucketOrderedReducers, bucketOrderedJob}
 
-	// Algos lists the three algorithms.
-	Algos = []Algo{Partition, Multiway, BucketOrdered}
+	// Algos lists the two algorithms.
+	Algos = []Algo{Partition, Multiway}
 )
 
 // hash validates b and returns the seeded node hash of a job at b buckets.
@@ -101,8 +101,8 @@ func (a Algo) ProbeLoads(g *graph.Graph, b int, seed uint64, cfg mapreduce.Confi
 }
 
 // BucketsFor returns the largest b whose reducer count does not exceed k (at
-// least MinB) — the Fig. 1 bucket choices b = ∛(6k) for Partition and
-// BucketOrdered, b = ∛k for Multiway.
+// least MinB) — the Fig. 1 bucket choices b = ∛(6k) for Partition, b = ∛k
+// for Multiway.
 func (a Algo) BucketsFor(k int64) int {
 	b := a.MinB
 	for a.Reducers(b+1) <= k {
@@ -111,9 +111,13 @@ func (a Algo) BucketsFor(k int64) int {
 	return b
 }
 
-// ProbeLoads is Algo.ProbeLoads by algorithm name ("partition", "multiway"
-// or "bucket").
+// ProbeLoads is Algo.ProbeLoads by algorithm name ("partition" or
+// "multiway"), or, for "bucket", the loads of Section 2.3's algorithm: core's
+// bucket-oriented job on the triangle.
 func ProbeLoads(g *graph.Graph, algo string, b int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
+	if algo == "bucket" {
+		return core.ProbeBucketLoads(g, 3, b, seed, cfg)
+	}
 	for _, a := range Algos {
 		if a.Name == algo {
 			return a.ProbeLoads(g, b, seed, cfg)
@@ -126,8 +130,8 @@ func ProbeLoads(g *graph.Graph, algo string, b int, seed uint64, cfg mapreduce.C
 // endpoint buckets name, triangles out.
 type edgeJob = mapreduce.BlockJob[graph.Edge, graph.BucketKey, graph.Edge, [3]graph.Node]
 
-// pairMapper stores an edge in the block of its unordered bucket pair — the
-// map side of Partition and BucketOrdered, whose reducers are bucket sets.
+// pairMapper stores an edge in the block of its unordered group pair — the
+// map side of Partition, whose reducers are group sets.
 type pairMapper struct{ h graph.NodeHash }
 
 //lint:hotpath
@@ -142,13 +146,16 @@ func (m pairMapper) Map(e graph.Edge, emit func(int, graph.Edge)) {
 // the paper describes is compensated exactly.
 func partitionJob(h graph.NodeHash) edgeJob {
 	b := h.B
-	return newTriReducer(h, true).side(edgeJob{
-		Name:   fmt.Sprintf("partition b=%d", b),
-		Blocks: graph.PairBlocks(b),
-		Map:    pairMapper{h}.Map,
-		Keys:   func(yield func(graph.BucketKey, []int32)) { partitionKeys(b, yield) },
-		Codec:  graph.EdgeKeyCodec{P: 3},
-	})
+	r := newTriReducer(h)
+	return edgeJob{
+		Name:    fmt.Sprintf("partition b=%d", b),
+		Blocks:  graph.PairBlocks(b),
+		Map:     pairMapper{h}.Map,
+		Keys:    func(yield func(graph.BucketKey, []int32)) { partitionKeys(b, yield) },
+		Prepare: r.prepare,
+		Reduce:  r.reduce,
+		Codec:   graph.EdgeKeyCodec{P: 3},
+	}
 }
 
 // partitionKeys lists the Partition reducers: an edge whose endpoints fall
@@ -288,49 +295,20 @@ func tupleKey(x, y, z int) (k graph.BucketKey) {
 	return k
 }
 
-// bucketOrderedJob is the Section 2.3 algorithm — Section 4.5's at p = 3:
-// nodes are ordered by (bucket, id); reducers are the nondecreasing bucket
-// triples; each edge reaches the b triples containing both endpoint
-// buckets; the triangle (u ≺ v ≺ w) is owned by the
-// reducer of its sorted bucket triple.
-func bucketOrderedJob(h graph.NodeHash) edgeJob {
-	return newTriReducer(h, false).side(edgeJob{
-		Name:   fmt.Sprintf("bucket-ordered b=%d", h.B),
-		Blocks: graph.PairBlocks(h.B),
-		Map:    pairMapper{h}.Map,
-		Keys:   func(yield func(graph.BucketKey, []int32)) { graph.MultisetKeys(3, h.B, yield) },
-		Codec:  graph.EdgeKeyCodec{P: 3},
-	})
-}
-
-// triReducer is the reduce side of Partition and BucketOrdered: the
-// triangle's one CQ, E(X,Y) & E(X,Z) & E(Y,Z) & X<Y & Y<Z, run by the rank
-// kernel over each group merged as a graph.Fragment from its pair blocks,
-// each laid out once in the job's node order — the layout and the kernel
-// the core strategies use.
+// triReducer is Partition's reduce side: the triangle's one CQ,
+// E(X,Y) & E(X,Z) & E(Y,Z) & X<Y & Y<Z, run by the rank kernel over each
+// group merged as a graph.Fragment from its pair blocks, each laid out once
+// in id order — the layout and the kernel the core strategies use. The
+// kernel binds every triangle of the group; the one whose canonical group
+// triple is the key is kept.
 type triReducer struct {
 	evals *cq.EvaluatorSet
 	h     graph.NodeHash
 	runs  graph.BlockRuns
-	// partition selects Partition's rule: id order, every triangle of the
-	// group bound, the one whose canonical group triple is the key kept.
-	// Otherwise BucketOrdered's: (bucket, id) order, the kernel binding
-	// only the triangles whose bucket multiset is the key.
-	partition bool
 }
 
-func newTriReducer(h graph.NodeHash, partition bool) *triReducer {
-	order := h.Key
-	if partition {
-		order = graph.NaturalKey
-	}
-	return &triReducer{cq.NewEvaluatorSet(cq.GenerateForSample(sample.Triangle())), h, graph.NewBlockRuns(graph.PairBlocks(h.B), order), partition}
-}
-
-// side returns job with its Prepare and Reduce set to this reducer's.
-func (r *triReducer) side(job edgeJob) edgeJob {
-	job.Prepare, job.Reduce = r.prepare, r.reduce
-	return job
+func newTriReducer(h graph.NodeHash) *triReducer {
+	return &triReducer{cq.NewEvaluatorSet(cq.GenerateForSample(sample.Triangle())), h, graph.NewBlockRuns(graph.PairBlocks(h.B), graph.NaturalKey)}
 }
 
 // triWorker is what one reduce worker keeps in its Context's Local slot
@@ -351,13 +329,12 @@ func (r *triReducer) worker(ctx *mapreduce.Context) *triWorker {
 	if w == nil {
 		w = &triWorker{r: r}
 		w.scratch.Stop = ctx.Stopped
-		w.scratch.Own.Multiset = !r.partition
 		ctx.Local = w
 	}
 	return w
 }
 
-// prepare lays one pair block out in the job's node order, once per job.
+// prepare lays one pair block out in id order, once per job.
 func (r *triReducer) prepare(ctx *mapreduce.Context, block int, edges []graph.Edge) {
 	r.worker(ctx).frag.Prepare(&r.runs, block, edges)
 }
@@ -372,7 +349,6 @@ func (r *triReducer) reduce(ctx *mapreduce.Context, key graph.BucketKey, edges [
 //lint:hotpath
 func (w *triWorker) run(key graph.BucketKey, edges []graph.Edge, blocks []int32, emit func([3]graph.Node)) int64 {
 	w.key, w.emit = key, emit
-	w.scratch.Own.Key = key // read only by BucketOrdered's multiset rule
 	w.frag.Merge(edges, &w.r.runs, blocks)
 	return w.r.evals.Eval(&w.frag, &w.scratch, w.match)
 }
@@ -383,7 +359,7 @@ func (w *triWorker) run(key graph.BucketKey, edges []graph.Edge, blocks []int32,
 //lint:hotpath
 func (w *triWorker) match(ranks []int32) {
 	a, b, c := w.frag.ID(ranks[0]), w.frag.ID(ranks[1]), w.frag.ID(ranks[2])
-	if w.r.partition && canonicalGroupTriple(w.r.h, w.r.h.B, a, b, c) != w.key {
+	if canonicalGroupTriple(w.r.h, w.r.h.B, a, b, c) != w.key {
 		return
 	}
 	if a > b {
@@ -407,21 +383,15 @@ func partitionCommPerEdge(b int) float64 {
 
 func multiwayCommPerEdge(b int) float64 { return float64(3*b - 2) }
 
-func bucketOrderedCommPerEdge(b int) float64 { return float64(b) }
-
 func partitionReducers(b int) int64 {
 	return int64(b) * int64(b-1) * int64(b-2) / 6
 }
 
 func multiwayReducers(b int) int64 { return int64(b) * int64(b) * int64(b) }
 
-func bucketOrderedReducers(b int) int64 {
-	return int64(b+2) * int64(b+1) * int64(b) / 6
-}
-
 // Fig1CommPerEdge returns the asymptotic Fig. 1 communication costs per
-// edge for k reducers: Partition 3·∛(6k)/2, Multiway 3·∛k, BucketOrdered
-// ∛(6k).
+// edge for k reducers: Partition 3·∛(6k)/2, Multiway 3·∛k, and Section 2.3's
+// bucket-ordered algorithm ∛(6k).
 func Fig1CommPerEdge(k float64) (partition, multiway, bucketOrdered float64) {
 	c6k := math.Cbrt(6 * k)
 	return 3 * c6k / 2, 3 * math.Cbrt(k), c6k

@@ -7,10 +7,12 @@ import (
 	"sync"
 	"testing"
 
+	"subgraphmr/internal/core"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/sample"
 	"subgraphmr/internal/serial"
+	"subgraphmr/internal/shares"
 )
 
 // collect runs a at b buckets (seed 7) and materializes the triangles.
@@ -35,6 +37,23 @@ func count(t *testing.T, a Algo, g *graph.Graph, b int) mapreduce.Metrics {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// bucketRun runs Section 2.3's algorithm — core's bucket-oriented job on the
+// triangle — at b buckets (seed 7) into sink; a nil sink counts.
+func bucketRun(t *testing.T, g *graph.Graph, b int, sink func([]graph.Node) bool) *core.Result {
+	t.Helper()
+	res, err := core.Enumerate(t.Context(), g, sample.Triangle(), core.BucketOriented, core.Options{Buckets: b, Seed: 7}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// bucketCount is bucketRun without a sink, returning the job's metrics.
+func bucketCount(t *testing.T, g *graph.Graph, b int) mapreduce.Metrics {
+	t.Helper()
+	return bucketRun(t, g, b, nil).Jobs[0].Metrics
 }
 
 // TestAllAlgorithmsExactlyOnce: every algorithm finds exactly the serial
@@ -87,8 +106,9 @@ func TestAllAlgorithmsExactlyOnce(t *testing.T) {
 }
 
 // TestCommunicationExact: measured communication matches the closed forms.
-// Multiway and BucketOrdered are deterministic per edge; Partition depends
-// on how many edges have both ends in one group, computed exactly.
+// Multiway and Section 2.3's bucket job (Theorem 4.2's C(b+p-3, p-2) = b at
+// p = 3) are deterministic per edge; Partition depends on how many edges
+// have both ends in one group, computed exactly.
 func TestCommunicationExact(t *testing.T) {
 	g := graph.Gnm(60, 400, 5)
 	m := int64(g.NumEdges())
@@ -96,8 +116,8 @@ func TestCommunicationExact(t *testing.T) {
 		if got, want := count(t, Multiway, g, b).KeyValuePairs, m*int64(3*b-2); got != want {
 			t.Errorf("multiway b=%d: comm %d, want %d", b, got, want)
 		}
-		if got, want := count(t, BucketOrdered, g, b).KeyValuePairs, m*int64(b); got != want {
-			t.Errorf("bucketordered b=%d: comm %d, want %d", b, got, want)
+		if got, want := bucketCount(t, g, b).KeyValuePairs, m*int64(b); got != want || shares.BucketEdgeReplication(b, 3) != float64(b) {
+			t.Errorf("bucket b=%d: comm %d, want %d; closed form %v per edge", b, got, want, shares.BucketEdgeReplication(b, 3))
 		}
 
 		pm := count(t, Partition, g, b)
@@ -132,8 +152,8 @@ func TestReducerCounts(t *testing.T) {
 	if got := count(t, Multiway, dense, b).DistinctKeys; got > Multiway.Reducers(b) {
 		t.Errorf("multiway reducers = %d > %d", got, Multiway.Reducers(b))
 	}
-	if got := count(t, BucketOrdered, dense, b).DistinctKeys; got != BucketOrdered.Reducers(b) {
-		t.Errorf("bucketordered reducers = %d, want %d", got, BucketOrdered.Reducers(b))
+	if got, want := bucketCount(t, dense, b).DistinctKeys, shares.UsefulReducers(b, 3); float64(got) != want || want != 20 {
+		t.Errorf("bucket reducers = %d, want C(6,3) = %v", got, want)
 	}
 }
 
@@ -147,8 +167,8 @@ func TestFig2(t *testing.T) {
 	if got := Multiway.CommPerEdge(6); got != 16 {
 		t.Errorf("Multiway b=6: %v per edge, want 16", got)
 	}
-	if got := BucketOrdered.CommPerEdge(10); got != 10 {
-		t.Errorf("BucketOrdered b=10: %v per edge, want 10", got)
+	if got := shares.BucketEdgeReplication(10, 3); got != 10 {
+		t.Errorf("Section 2.3 b=10: %v per edge, want 10", got)
 	}
 	if Partition.Reducers(12) != 220 {
 		t.Errorf("C(12,3) = %d", Partition.Reducers(12))
@@ -156,8 +176,8 @@ func TestFig2(t *testing.T) {
 	if Multiway.Reducers(6) != 216 {
 		t.Errorf("6^3 = %d", Multiway.Reducers(6))
 	}
-	if BucketOrdered.Reducers(10) != 220 {
-		t.Errorf("C(12,3) = %d", BucketOrdered.Reducers(10))
+	if got := shares.UsefulReducers(10, 3); got != 220 {
+		t.Errorf("C(12,3) = %v", got)
 	}
 }
 
@@ -181,8 +201,8 @@ func TestBucketsFor(t *testing.T) {
 	if b := Multiway.BucketsFor(1 << 16); b != 40 {
 		t.Errorf("multiway buckets for 2^16 = %d, want 40 (40^3 = 64000 <= 65536)", b)
 	}
-	if b := BucketOrdered.BucketsFor(220); b != 10 {
-		t.Errorf("bucketordered buckets for 220 = %d, want 10", b)
+	if b := shares.BucketsForReducers(220, 3); b != 10 {
+		t.Errorf("Section 2.3 buckets for 220 = %d, want 10", b)
 	}
 }
 
@@ -196,26 +216,33 @@ func TestConvertibility(t *testing.T) {
 	serialWork := serial.Triangles(g, func(_, _, _ graph.Node) {})
 	// Measured on this graph: at most 1.78 (Partition, b = 16, whose
 	// reducers bind every triangle of their group and keep one in C(b-1,2)
-	// or so); BucketOrdered and Multiway stay at or below 1.
+	// or so); Section 2.3's bucket job and Multiway stay at or below 1.
 	const c = 2.25
+	check := func(t *testing.T, b int, m mapreduce.Metrics) {
+		if ratio := float64(m.ReducerWork) / float64(serialWork+m.KeyValuePairs); ratio > c {
+			t.Errorf("b=%d: reducer work %d is %.2fx serial %d + comm %d — not convertible",
+				b, m.ReducerWork, ratio, serialWork, m.KeyValuePairs)
+		}
+	}
 	for _, a := range Algos {
 		t.Run(a.Name, func(t *testing.T) {
 			for _, b := range []int{a.MinB, 4, 8, 16} {
-				m := count(t, a, g, b)
-				if ratio := float64(m.ReducerWork) / float64(serialWork+m.KeyValuePairs); ratio > c {
-					t.Errorf("b=%d: reducer work %d is %.2fx serial %d + comm %d — not convertible",
-						b, m.ReducerWork, ratio, serialWork, m.KeyValuePairs)
-				}
+				check(t, b, count(t, a, g, b))
 			}
 		})
 	}
+	t.Run("bucket", func(t *testing.T) {
+		for _, b := range []int{1, 4, 8, 16} {
+			check(t, b, bucketCount(t, g, b))
+		}
+	})
 }
 
 // TestSkewReporting: on a heavy-tailed graph the engine reports max reducer
 // input (the "curse of the last reducer" metric).
 func TestSkewReporting(t *testing.T) {
 	g := graph.PowerLaw(300, 10, 2.1, 9)
-	m := count(t, BucketOrdered, g, 6)
+	m := bucketCount(t, g, 6)
 	if m.MaxReducerInput <= 0 {
 		t.Error("max reducer input not reported")
 	}
@@ -227,9 +254,10 @@ func TestSkewReporting(t *testing.T) {
 
 // TestValidation: a bucket count below an algorithm's minimum, or above what
 // a reducer-key lane holds, is an error from both Run and the load probes —
-// the probes used to skip the first check for Multiway and BucketOrdered and
-// divide by zero inside a probe goroutine, and nothing but Plan made the
-// second.
+// the probes used to skip the first check for Multiway and Section 2.3's
+// algorithm and divide by zero inside a probe goroutine, and nothing but
+// Plan made the second. ProbeLoads' "bucket" is core's bucket job at p = 3
+// and is held to the same rules.
 func TestValidation(t *testing.T) {
 	g := graph.CompleteGraph(4)
 	for _, a := range Algos {
@@ -253,12 +281,24 @@ func TestValidation(t *testing.T) {
 			t.Errorf("%s b=%d: probe %+v, run %+v", a.Name, a.MinB, ls, m)
 		}
 	}
+	for _, b := range []int{-2, -1, 0, graph.MaxBuckets + 1} {
+		if _, err := ProbeLoads(g, "bucket", b, 7, mapreduce.Config{}); err == nil {
+			t.Errorf(`ProbeLoads("bucket") with b=%d should fail`, b)
+		}
+	}
+	ls, err := ProbeLoads(g, "bucket", 1, 7, mapreduce.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := bucketCount(t, g, 1); ls.Pairs != m.KeyValuePairs || ls.Keys != m.DistinctKeys || ls.MaxLoad != m.MaxReducerInput {
+		t.Errorf("bucket b=1: probe %+v, run %+v", ls, m)
+	}
 	if _, err := ProbeLoads(g, "no-such-algorithm", 4, 7, mapreduce.Config{}); err == nil {
 		t.Error("ProbeLoads with an unknown algorithm should fail")
 	}
 	// The largest bucket count a lane holds still runs.
-	if m := count(t, BucketOrdered, g, graph.MaxBuckets); m.Outputs != 4 {
-		t.Errorf("bucket-ordered at b=%d found %d triangles of K4, want 4", graph.MaxBuckets, m.Outputs)
+	if res := bucketRun(t, g, graph.MaxBuckets, nil); res.Count != 4 {
+		t.Errorf("bucket at b=%d found %d triangles of K4, want 4", graph.MaxBuckets, res.Count)
 	}
 }
 
@@ -282,8 +322,10 @@ func TestMapperAllocations(t *testing.T) {
 	}
 }
 
-// The per-pair mappers the three algorithms ran before replication went by
-// reference, kept as the reference their block jobs are held to.
+// The per-pair mappers the two algorithms ran before replication went by
+// reference, kept as the reference their block jobs are held to. (Section
+// 2.3's is core's bucket scheme at p = 3, which core's
+// TestBlockLoadsMatchPairMappers holds to its own reference.)
 var refMappers = map[string]func(h graph.NodeHash, e graph.Edge, emit func(graph.BucketKey)){
 	// Every 3-subset of groups containing both endpoint groups: C(b-1,2)
 	// subsets when they coincide, b-2 otherwise.
@@ -312,12 +354,6 @@ var refMappers = map[string]func(h graph.NodeHash, e graph.Edge, emit func(graph
 					emit(k)
 				}
 			}
-		}
-	},
-	// The b nondecreasing bucket triples containing both endpoint buckets.
-	"bucket": func(h graph.NodeHash, e graph.Edge, emit func(graph.BucketKey)) {
-		for x := 0; x < h.B; x++ {
-			emit(graph.MultisetKey(h.Bucket(e.U), h.Bucket(e.V), x))
 		}
 	},
 }
@@ -391,16 +427,17 @@ func TestBlockLoadsMatchPairMappers(t *testing.T) {
 }
 
 // TestBucketOrderedBeatsOthersMeasured: at (approximately) equal reducer
-// budgets, measured communication orders as Fig. 2 predicts.
+// budgets, measured communication orders as Fig. 2 predicts — Section 2.3's
+// algorithm (core's bucket job at p = 3) below Partition and Multiway.
 func TestBucketOrderedBeatsOthersMeasured(t *testing.T) {
 	g := graph.Gnm(80, 600, 13)
 	k := int64(220)
-	bPart := Partition.BucketsFor(k)       // 12
-	bMulti := Multiway.BucketsFor(k)       // 6
-	bBucket := BucketOrdered.BucketsFor(k) // 10
+	bPart := Partition.BucketsFor(k)                // 12
+	bMulti := Multiway.BucketsFor(k)                // 6
+	bBucket := shares.BucketsForReducers(int(k), 3) // 10
 	rp := count(t, Partition, g, bPart).KeyValuePairs
 	rm := count(t, Multiway, g, bMulti).KeyValuePairs
-	rb := count(t, BucketOrdered, g, bBucket).KeyValuePairs
+	rb := bucketCount(t, g, bBucket).KeyValuePairs
 	if !(rb < rp) {
 		t.Errorf("bucketordered %d should beat partition %d", rb, rp)
 	}
@@ -409,77 +446,82 @@ func TestBucketOrderedBeatsOthersMeasured(t *testing.T) {
 	}
 }
 
-// TestReducerStopsMidGroup: at MinB one reducer holds every edge of K60. A
-// sink that stops at the first triangle leaves that reducer within one
+// TestReducerStopsMidGroup: at the smallest b one reducer holds every edge
+// of K60 (Partition at b = 3, Section 2.3's bucket job at b = 1). A sink
+// that stops at the first triangle leaves that reducer within one
 // first-step candidate's subtree, so the stopped run does strictly less
 // reducer work than the full one.
 func TestReducerStopsMidGroup(t *testing.T) {
 	g := graph.CompleteGraph(60)
-	for _, a := range []Algo{BucketOrdered, Partition} {
-		t.Run(a.Name, func(t *testing.T) {
-			full := count(t, a, g, a.MinB)
-			stopped, err := a.Run(t.Context(), g, a.MinB, 7, mapreduce.Config{}, func([3]graph.Node) bool { return false })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if full.DistinctKeys != 1 {
-				t.Fatalf("b=%d: %d reducers, want one holding every edge", a.MinB, full.DistinctKeys)
-			}
-			if stopped.ReducerWork >= full.ReducerWork {
-				t.Errorf("b=%d: stopped run did %d work, the full run %d — the reducer did not poll Stopped",
-					a.MinB, stopped.ReducerWork, full.ReducerWork)
-			}
-		})
+	check := func(t *testing.T, b int, full, stopped mapreduce.Metrics) {
+		if full.DistinctKeys != 1 {
+			t.Fatalf("b=%d: %d reducers, want one holding every edge", b, full.DistinctKeys)
+		}
+		if stopped.ReducerWork >= full.ReducerWork {
+			t.Errorf("b=%d: stopped run did %d work, the full run %d — the reducer did not poll Stopped",
+				b, stopped.ReducerWork, full.ReducerWork)
+		}
 	}
+	t.Run("bucket", func(t *testing.T) {
+		stopped := bucketRun(t, g, 1, func([]graph.Node) bool { return false })
+		check(t, 1, bucketCount(t, g, 1), stopped.Jobs[0].Metrics)
+	})
+	t.Run(Partition.Name, func(t *testing.T) {
+		stopped, err := Partition.Run(t.Context(), g, Partition.MinB, 7, mapreduce.Config{}, func([3]graph.Node) bool { return false })
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, Partition.MinB, count(t, Partition, g, Partition.MinB), stopped)
+	})
 }
 
-// TestReducerAllocations: a triangle reducer call against a warmed worker
+// TestReducerAllocations: a Partition reducer call against a warmed worker
 // slot allocates nothing, on a group smaller and then larger than the one
-// before it.
+// before it. (Section 2.3's reducer is core's bucket-oriented one, pinned on
+// the same graph by core's TestReducerAllocations.)
 func TestReducerAllocations(t *testing.T) {
 	g := graph.Gnm(60, 400, 9)
-	for _, a := range []Algo{BucketOrdered, Partition} {
-		t.Run(a.Name, func(t *testing.T) {
-			h, err := a.hash(4, 7)
-			if err != nil {
-				t.Fatal(err)
+	a := Partition
+	t.Run(a.Name, func(t *testing.T) {
+		h, err := a.hash(4, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, _ := shuffleOf(t, a, h, g)
+		groups := sh.groups
+		var small, large graph.BucketKey
+		first := true
+		for key, edges := range groups {
+			if first || len(edges) < len(groups[small]) {
+				small = key
 			}
-			sh, _ := shuffleOf(t, a, h, g)
-			groups := sh.groups
-			var small, large graph.BucketKey
-			first := true
-			for key, edges := range groups {
-				if first || len(edges) < len(groups[small]) {
-					small = key
-				}
-				if first || len(edges) > len(groups[large]) {
-					large = key
-				}
-				first = false
+			if first || len(edges) > len(groups[large]) {
+				large = key
 			}
-			if len(groups[small]) == len(groups[large]) {
-				t.Fatalf("every group has %d edges", len(groups[small]))
-			}
-			job := a.job(h)
-			ctx := &mapreduce.Context{}
-			for block, edges := range sh.vals {
-				job.Prepare(ctx, block, edges)
-			}
-			emitted := 0
-			emit := func([3]graph.Node) { emitted++ }
-			call := func() {
-				ctx.Blocks = sh.blocks[small]
-				job.Reduce(ctx, small, groups[small], emit)
-				ctx.Blocks = sh.blocks[large]
-				job.Reduce(ctx, large, groups[large], emit)
-			}
-			call() // growth happens here, once
-			if emitted == 0 {
-				t.Fatal("the two groups own no triangle; the test measures nothing")
-			}
-			if allocs := testing.AllocsPerRun(20, call); allocs != 0 {
-				t.Errorf("%v allocs per pair of warmed reducer calls, want 0", allocs)
-			}
-		})
-	}
+			first = false
+		}
+		if len(groups[small]) == len(groups[large]) {
+			t.Fatalf("every group has %d edges", len(groups[small]))
+		}
+		job := a.job(h)
+		ctx := &mapreduce.Context{}
+		for block, edges := range sh.vals {
+			job.Prepare(ctx, block, edges)
+		}
+		emitted := 0
+		emit := func([3]graph.Node) { emitted++ }
+		call := func() {
+			ctx.Blocks = sh.blocks[small]
+			job.Reduce(ctx, small, groups[small], emit)
+			ctx.Blocks = sh.blocks[large]
+			job.Reduce(ctx, large, groups[large], emit)
+		}
+		call() // growth happens here, once
+		if emitted == 0 {
+			t.Fatal("the two groups own no triangle; the test measures nothing")
+		}
+		if allocs := testing.AllocsPerRun(20, call); allocs != 0 {
+			t.Errorf("%v allocs per pair of warmed reducer calls, want 0", allocs)
+		}
+	})
 }

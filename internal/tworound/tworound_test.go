@@ -3,11 +3,11 @@ package tworound
 import (
 	"testing"
 
+	"subgraphmr/internal/core"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/sample"
 	"subgraphmr/internal/serial"
-	"subgraphmr/internal/triangle"
 )
 
 // cascade runs the two-round chain without a sink.
@@ -91,12 +91,14 @@ func TestCascadeLosesOnSkew(t *testing.T) {
 	}
 	g := b.Graph()
 	two := cascade(t, g)
-	oneRound, err := triangle.BucketOrdered.Run(t.Context(), g, 10, 7, mapreduce.Config{}, nil)
+	// The one-round job is Section 2.3's: core's bucket-oriented at p = 3.
+	res, err := core.Enumerate(t.Context(), g, sample.Triangle(), core.BucketOriented, core.Options{Buckets: 10, Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := two.Chain.Rounds[1].Metrics.Outputs; n != oneRound.Outputs {
-		t.Fatalf("counts differ: cascade %d, one-round %d", n, oneRound.Outputs)
+	oneRound := res.Jobs[0].Metrics
+	if n := two.Chain.Rounds[1].Metrics.Outputs; n != res.Count {
+		t.Fatalf("counts differ: cascade %d, one-round %d", n, res.Count)
 	}
 	twoComm := two.Chain.Total().KeyValuePairs
 	if twoComm <= oneRound.KeyValuePairs {

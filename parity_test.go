@@ -20,7 +20,7 @@ import (
 var allPlanStrategies = []PlanStrategy{
 	StrategyBucketOriented, StrategyVariableOriented, StrategyCQOriented,
 	StrategyDecomposed, StrategyTwoRound,
-	StrategyTrianglePartition, StrategyTriangleMultiway, StrategyTriangleBucketOrdered,
+	StrategyTrianglePartition, StrategyTriangleMultiway,
 }
 
 // TestEveryPathHonorsMemoryBudget: the cascade, the one strategy that runs

@@ -266,13 +266,17 @@ func (p *QueryPlan) Explain() string {
 	fmt.Fprintf(&sb, "  jobs: %d, rounds: %d, est. reducers: %d\n", c.Jobs, c.Rounds, c.Reducers)
 	fmt.Fprintf(&sb, "  est. communication: %.2f pairs/edge, %d total\n", c.CommPerEdge, c.EstComm)
 	fmt.Fprintf(&sb, "  CQs: %d\n", p.NumCQs)
-	if budget := p.opts.core.Engine.MemoryBudget; budget > 0 {
+	if budget := p.opts.core.Engine.MemoryBudget; budget > 0 && p.Strategy == StrategyTwoRound {
 		verdict := "fits in memory"
 		if p.PredictedSpill {
 			verdict = "will spill to disk"
 		}
 		fmt.Fprintf(&sb, "  memory: est. shuffle %d bytes vs budget %d — predicted: %s\n",
 			c.EstShuffleBytes, budget, verdict)
+	} else if budget > 0 {
+		// Every other strategy runs block jobs, which never build the
+		// replicated pairs EstShuffleBytes prices.
+		fmt.Fprintf(&sb, "  memory: runs in memory — a block job holds each edge once; budget %d does not apply\n", budget)
 	}
 	sb.WriteString("candidates:\n")
 	for _, cand := range p.Candidates {

@@ -167,7 +167,7 @@ func TestUnifiedResultAcrossStrategies(t *testing.T) {
 	for _, st := range []PlanStrategy{
 		StrategyBucketOriented, StrategyVariableOriented, StrategyCQOriented,
 		StrategyDecomposed, StrategyTwoRound,
-		StrategyTrianglePartition, StrategyTriangleMultiway, StrategyTriangleBucketOrdered,
+		StrategyTrianglePartition, StrategyTriangleMultiway,
 	} {
 		plan, err := Plan(g, Triangle(), WithStrategy(st), WithTargetReducers(64), WithSeed(2))
 		if err != nil {
@@ -371,9 +371,15 @@ func TestCascadeIntegerEstComm(t *testing.T) {
 func TestPredictedSpill(t *testing.T) {
 	g := Gnm(150, 600, 11)
 	for _, tc := range []struct {
-		st    PlanStrategy
-		spill bool
-	}{{StrategyTwoRound, true}, {StrategyBucketOriented, false}} {
+		st     PlanStrategy
+		spill  bool
+		memory string // Explain's memory line
+	}{
+		{StrategyTwoRound, true, "memory: est. shuffle 333408 bytes vs budget 4096 — predicted: will spill to disk\n"},
+		// A block job ignores the budget; Explain must not price it by the
+		// pairs it never builds.
+		{StrategyBucketOriented, false, "memory: runs in memory — a block job holds each edge once; budget 4096 does not apply\n"},
+	} {
 		plan, err := Plan(g, Triangle(), WithStrategy(tc.st), WithTargetReducers(64), WithMemoryBudget(4096), WithSpillDir(t.TempDir()))
 		if err != nil {
 			t.Fatal(err)
@@ -383,6 +389,9 @@ func TestPredictedSpill(t *testing.T) {
 		}
 		if strings.Contains(plan.Explain(), "will spill") != tc.spill {
 			t.Errorf("%v: Explain announces a spill: %v, want %v\n%s", tc.st, !tc.spill, tc.spill, plan.Explain())
+		}
+		if !strings.Contains(plan.Explain(), "\n  "+tc.memory) || strings.Count(plan.Explain(), "memory:") != 1 {
+			t.Errorf("%v: Explain's memory line is not %q:\n%s", tc.st, tc.memory, plan.Explain())
 		}
 		res, err := Run(context.Background(), plan)
 		if err != nil {

@@ -16,7 +16,7 @@ import (
 
 // This file is the one place that knows what the strategies are. The paper
 // is one idea — hash edges to reducers by shares, evaluate locally — applied
-// eight ways, and every layer that needs "each strategy" (Plan's candidate
+// seven ways, and every layer that needs "each strategy" (Plan's candidate
 // list, the adaptive prober, the local runner that Run, Stream, distributed
 // workers and the coordinator's fallbacks share, the display and CLI/HTTP
 // names) iterates the table below instead of switching on PlanStrategy.
@@ -51,17 +51,17 @@ var strategies = []strategyDef{
 	{StrategyVariableOriented, "variable-oriented", "variable", priceVariable, probeVariable, runCore(core.VariableOriented)},
 	{StrategyCQOriented, "cq-oriented", "cq", priceCQ, probeCQ, runCore(core.CQOriented)},
 	{StrategyDecomposed, "decomposed", "mr-decompose", priceCoreBuckets, probeCoreBuckets, runDecomposed},
-	// Only the linear-communication Section 2.3 algorithm gets a probe
-	// ladder; raising b for Partition/Multiway grows shipping superlinearly
-	// for the same straggler relief.
-	triangleStrategy(StrategyTriangleBucketOrdered, "triangle-bucket-ordered", "tri-bucket", triangle.BucketOrdered, true),
-	triangleStrategy(StrategyTrianglePartition, "triangle-partition", "tri-partition", triangle.Partition, false),
-	triangleStrategy(StrategyTriangleMultiway, "triangle-multiway", "tri-multiway", triangle.Multiway, false),
+	triangleStrategy(StrategyTrianglePartition, "triangle-partition", "tri-partition", triangle.Partition),
+	triangleStrategy(StrategyTriangleMultiway, "triangle-multiway", "tri-multiway", triangle.Multiway),
 	{StrategyTwoRound, "two-round-cascade", "cascade", priceTwoRound, probeTwoRound, runTwoRound},
 }
 
 // strategyAutoName names StrategyAuto, the one PlanStrategy without a row.
 const strategyAutoName = "auto"
+
+// strategyAliases are short names ParseStrategy accepts beside the rows'
+// own: Section 2.3's triangle algorithm is the bucket-oriented job at p = 3.
+var strategyAliases = map[string]PlanStrategy{"tri-bucket": StrategyTriangleBucketOrdered}
 
 // def returns the strategy's table row, or nil for StrategyAuto and
 // unknown values.
@@ -88,8 +88,9 @@ func (st PlanStrategy) String() string {
 // when marshalled to JSON (cmd/sgmr -json).
 func (st PlanStrategy) MarshalText() ([]byte, error) { return []byte(st.String()), nil }
 
-// StrategyNames lists the names ParseStrategy accepts: "auto", then every
-// strategy's short name in planner order.
+// StrategyNames lists the canonical names ParseStrategy accepts: "auto",
+// then every strategy's short name in planner order. ParseStrategy also
+// takes "tri-bucket", an alias of "bucket".
 func StrategyNames() []string {
 	names := []string{strategyAutoName}
 	for _, def := range strategies {
@@ -104,6 +105,9 @@ func StrategyNames() []string {
 func ParseStrategy(name string) (PlanStrategy, error) {
 	if name == strategyAutoName {
 		return StrategyAuto, nil
+	}
+	if st, ok := strategyAliases[name]; ok {
+		return st, nil
 	}
 	for _, def := range strategies {
 		if def.flag == name {
@@ -178,7 +182,7 @@ func probeCoreBuckets(pr *prober, c *Candidate) {
 		applyRung(c, *pr.coreBuckets, comm, reducers)
 		return
 	}
-	if row, ok := pr.climb(c, true, comm, reducers, func(b int) (mapreduce.LoadStats, error) {
+	if row, ok := pr.climb(c, comm, reducers, func(b int) (mapreduce.LoadStats, error) {
 		return core.ProbeBucketLoads(pr.g, pr.p, b, pr.o.core.Seed, pr.cfg)
 	}); ok {
 		pr.coreBuckets = &row
@@ -291,10 +295,12 @@ func isTriangleSample(s *Sample) bool {
 	return s.P() == 3 && reg && d == 2
 }
 
-// triangleStrategy builds the row of one Section 2 algorithm: priced by its
+// triangleStrategy builds the row of one Section 2 baseline: priced by its
 // exact closed forms, probed and run through the algorithm's one job.
-// ladder says whether adaptive probing may try raised bucket counts.
-func triangleStrategy(id PlanStrategy, name, flag string, algo triangle.Algo, ladder bool) strategyDef {
+// Adaptive probing tries no raised bucket counts (no ladder): raising b for
+// Partition or Multiway grows shipping superlinearly for the same straggler
+// relief.
+func triangleStrategy(id PlanStrategy, name, flag string, algo triangle.Algo) strategyDef {
 	return strategyDef{
 		id: id, name: name, flag: flag,
 		price: func(q *planQuery) Candidate {
@@ -311,36 +317,28 @@ func triangleStrategy(id PlanStrategy, name, flag string, algo triangle.Algo, la
 			return bucketCandidate(q, b, algo.Reducers(b), algo.CommPerEdge(b))
 		},
 		probe: func(pr *prober, c *Candidate) {
-			pr.climb(c, ladder, algo.CommPerEdge, algo.Reducers, func(b int) (mapreduce.LoadStats, error) {
-				return algo.ProbeLoads(pr.g, b, pr.o.core.Seed, pr.cfg)
-			})
+			ls, err := algo.ProbeLoads(pr.g, c.Buckets, pr.o.core.Seed, pr.cfg)
+			if err != nil {
+				return
+			}
+			pr.applyOnly(c, pr.row(c.Strategy, c.Buckets, c.Shares, ls))
 		},
 		run: func(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
 			b := p.Chosen.Buckets
-			js, err := runTriangleJob(ctx, p, algo, fmt.Sprintf("%v b=%d", p.Strategy, b), b, p.Chosen.CommPerEdge, sink)
+			m, err := algo.Run(ctx, p.graph, b, p.opts.core.Seed, p.opts.core.Engine, tripleSink(sink))
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Count: js.Metrics.Outputs, Jobs: []JobStats{js}}, nil
+			return &Result{Count: m.Outputs, Jobs: []JobStats{{
+				Label:                fmt.Sprintf("%v b=%d", p.Strategy, b),
+				Shares:               shares.Uniform(3, b),
+				PredictedCommPerEdge: p.Chosen.CommPerEdge,
+				OptimalCommPerEdge:   p.Chosen.CommPerEdge,
+				Metrics:              m,
+				ObservedSkew:         m.Skew(),
+			}}}, nil
 		},
 	}
-}
-
-// runTriangleJob runs one Section 2 job at b buckets into sink and returns
-// its statistics; Metrics.Outputs is the number of triangles accepted.
-func runTriangleJob(ctx context.Context, p *QueryPlan, algo triangle.Algo, label string, b int, commPerEdge float64, sink func([]Node) bool) (JobStats, error) {
-	m, err := algo.Run(ctx, p.graph, b, p.opts.core.Seed, p.opts.core.Engine, tripleSink(sink))
-	if err != nil {
-		return JobStats{}, err
-	}
-	return JobStats{
-		Label:                label,
-		Shares:               shares.Uniform(3, b),
-		PredictedCommPerEdge: commPerEdge,
-		OptimalCommPerEdge:   commPerEdge,
-		Metrics:              m,
-		ObservedSkew:         m.Skew(),
-	}, nil
 }
 
 // tripleSink adapts an instance sink to the triangle packages' fixed-size
@@ -399,7 +397,7 @@ func probeTwoRound(pr *prober, c *Candidate) {
 // runTwoRound executes the cascade, one JobStats entry per round. Under
 // WithAdaptive the cascade is resumable mid-query: after round 1 (the wedge
 // join), the observed reducer skew is compared against the threshold, and a
-// breach abandons round 2 in favor of the one-round bucket-ordered algorithm
+// breach abandons round 2 in favor of the one-round bucket-oriented job
 // at the plan's probed configuration — the remaining work re-planned at the
 // cheapest observable point, before the wedge relation is shipped again.
 func runTwoRound(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
@@ -435,31 +433,33 @@ func runTwoRound(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Re
 	}
 
 	// Mid-query re-plan: round 1's loads proved skewed, so the wedges are
-	// discarded and the whole query runs as the one-round Section 2.3
-	// algorithm instead (identical triangle set; only the configuration
-	// changed). The round-1 stats stay in Jobs so the switch is auditable.
-	algo := triangle.BucketOrdered
-	b := p.fallbackTriangleBuckets(algo)
-	label := fmt.Sprintf("replanned from skew %.2f → %v b=%d", res.Jobs[0].ObservedSkew, StrategyTriangleBucketOrdered, b)
-	js, err := runTriangleJob(ctx, p, algo, label, b, algo.CommPerEdge(b), sink)
+	// discarded and the whole query runs as the one-round bucket-oriented
+	// job instead — Section 2.3's algorithm (identical triangle set; only
+	// the configuration changed). The round-1 stats stay in Jobs so the
+	// switch is auditable.
+	opt := p.opts.core
+	opt.Buckets = p.fallbackBuckets()
+	fb, err := core.Enumerate(ctx, p.graph, p.sample, core.BucketOriented, opt, sink)
 	if err != nil {
 		return nil, err
 	}
+	js := fb.Jobs[0]
+	js.Label = fmt.Sprintf("replanned from skew %.2f → %v b=%d", res.Jobs[0].ObservedSkew, StrategyBucketOriented, opt.Buckets)
 	js.Replanned = true
-	res.Count = js.Metrics.Outputs
+	res.Count = fb.Count
 	res.Jobs = append(res.Jobs, js)
 	return res, nil
 }
 
-// fallbackTriangleBuckets picks the bucket count the cascade's mid-query
-// re-plan switches to: the plan's triangle-bucket-ordered candidate (probe-
-// informed under WithAdaptive), or the Theorem 4.2 derivation if the
-// candidate is somehow absent.
-func (p *QueryPlan) fallbackTriangleBuckets(algo triangle.Algo) int {
+// fallbackBuckets picks the bucket count the cascade's mid-query re-plan
+// switches to: the plan's bucket-oriented candidate's (probe-informed under
+// WithAdaptive), or the Theorem 4.2 derivation if the candidate is somehow
+// absent.
+func (p *QueryPlan) fallbackBuckets() int {
 	for _, c := range p.Candidates {
-		if c.Strategy == StrategyTriangleBucketOrdered && c.Viable && c.Buckets > 0 {
+		if c.Strategy == StrategyBucketOriented && c.Viable && c.Buckets > 0 {
 			return c.Buckets
 		}
 	}
-	return algo.BucketsFor(int64(p.opts.core.TargetReducers))
+	return p.opts.core.BucketsFor(3)
 }

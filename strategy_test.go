@@ -8,15 +8,15 @@ import (
 
 // TestStrategyTable pins the one strategy table: every PlanStrategy
 // constant has exactly one row, the planner order is the literal list below
-// (it is behaviour — Auto breaks cost ties toward the earlier row), and the
-// short names round-trip through ParseStrategy.
+// (it is behaviour — Auto breaks cost ties toward the earlier row), the
+// short names round-trip through ParseStrategy, and Section 2.3's triangle
+// algorithm is an alias of the bucket-oriented row, its old value 8 retired.
 func TestStrategyTable(t *testing.T) {
 	wantOrder := []PlanStrategy{
 		StrategyBucketOriented,
 		StrategyVariableOriented,
 		StrategyCQOriented,
 		StrategyDecomposed,
-		StrategyTriangleBucketOrdered,
 		StrategyTrianglePartition,
 		StrategyTriangleMultiway,
 		StrategyTwoRound,
@@ -31,11 +31,11 @@ func TestStrategyTable(t *testing.T) {
 
 	// The constants are wire format (distrib.JobRequest.Strategy) and
 	// cache-key format (QueryKey's strategy=%d): the values never move, and
-	// every one of them but Auto has exactly one row.
+	// every one of them but Auto has exactly one row. Value 8 is retired.
 	wantValues := map[PlanStrategy]int{
 		StrategyAuto: 0, StrategyBucketOriented: 1, StrategyVariableOriented: 2,
 		StrategyCQOriented: 3, StrategyDecomposed: 4, StrategyTwoRound: 5,
-		StrategyTrianglePartition: 6, StrategyTriangleMultiway: 7, StrategyTriangleBucketOrdered: 8,
+		StrategyTrianglePartition: 6, StrategyTriangleMultiway: 7,
 	}
 	for st, v := range wantValues {
 		if int(st) != v {
@@ -55,8 +55,19 @@ func TestStrategyTable(t *testing.T) {
 			t.Errorf("%v has %d table rows, want %d", st, rows, want)
 		}
 	}
-	if len(strategies) != len(wantValues)-1 {
-		t.Errorf("table has %d rows for %d strategies", len(strategies), len(wantValues)-1)
+	if len(strategies) != 7 || len(strategies) != len(wantValues)-1 {
+		t.Errorf("table has %d rows for %d strategies, want 7", len(strategies), len(wantValues)-1)
+	}
+	const retired = PlanStrategy(8)
+	if retired.def() != nil || retired.String() != "strategy(8)" {
+		t.Errorf("retired value 8 has a row or a name: %q", retired.String())
+	}
+	if StrategyTriangleBucketOrdered != StrategyBucketOriented {
+		t.Errorf("StrategyTriangleBucketOrdered = %d, want the bucket-oriented alias %d",
+			int(StrategyTriangleBucketOrdered), int(StrategyBucketOriented))
+	}
+	if st, err := ParseStrategy("tri-bucket"); err != nil || st != StrategyBucketOriented {
+		t.Errorf(`ParseStrategy("tri-bucket") = %v, %v; want %v`, st, err, StrategyBucketOriented)
 	}
 
 	names := StrategyNames()

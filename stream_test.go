@@ -387,7 +387,7 @@ func TestInstancesAreTheCallers(t *testing.T) {
 		{"bucket", Triangle(), StrategyBucketOriented, nil},
 		{"variable", Square(), StrategyVariableOriented, nil},
 		{"cq", Square(), StrategyCQOriented, nil},
-		{"tri-bucket", Triangle(), StrategyTriangleBucketOrdered, nil},
+		{"tri-partition", Triangle(), StrategyTrianglePartition, nil},
 		{"cascade", Triangle(), StrategyTwoRound, nil},
 		{"distributed bucket", Square(), StrategyBucketOriented, []Option{WithDistributed(2)}},
 	} {
