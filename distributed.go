@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"subgraphmr/internal/core"
 	"subgraphmr/internal/distrib"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
@@ -141,11 +142,16 @@ func executeWorkerJob(ctx context.Context, g *graph.Graph, req *distrib.JobReque
 	o := planOpts{strategy: st, core: req.Options}
 	o.core.AdaptiveReplan = false
 	o.core.Engine.Dist = mapreduce.NewDistFilter(req.DistTotal, req.Owned)
+	qs, err := core.CompileCQs(s, o.core)
+	if err != nil {
+		return nil, fmt.Errorf("subgraphmr: WithCycleCQs: %w", err)
+	}
 	p := &QueryPlan{
 		Strategy: st,
 		Chosen:   Candidate{Strategy: st, Viable: true, Buckets: req.Buckets, CommPerEdge: req.PredictedCommPerEdge},
 		graph:    g,
 		sample:   s,
+		qs:       qs,
 		opts:     o,
 	}
 	res, err := runLocal(ctx, p, emit)

@@ -201,7 +201,9 @@ func (r *Result) TotalReducerWork() int64 {
 }
 
 // Enumerate finds every instance of s in g exactly once under strategy st,
-// using a single map-reduce round per job and delivering each to sink:
+// evaluating qs, s's CQ set as CompileCQs builds it for opt (a plan compiles
+// it once and hands it to every run), in a single map-reduce round per job
+// and delivering each instance to sink:
 // calls are serialized and block the engine (backpressure); returning false
 // stops the enumeration early with a nil error. A nil sink counts instead —
 // the reducers tally their owned matches without ever constructing an
@@ -210,13 +212,9 @@ func (r *Result) TotalReducerWork() int64 {
 //
 // The sample graph must be connected (reducers only see edges, so an
 // isolated sample node could bind to nodes the reducer never receives).
-func Enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, st Strategy, opt Options, sink func([]graph.Node) bool) (*Result, error) {
+func Enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, st Strategy, qs []*cq.CQ, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	if !s.IsConnected() {
 		return nil, fmt.Errorf("core: map-reduce enumeration requires a connected sample graph")
-	}
-	qs, err := CompileCQs(s, opt)
-	if err != nil {
-		return nil, fmt.Errorf("core: UseCycleCQs: %w", err)
 	}
 	switch st {
 	case BucketOriented:

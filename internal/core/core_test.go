@@ -9,12 +9,22 @@ import (
 	"subgraphmr/internal/shares"
 )
 
+// enumerate compiles s's CQ set for opt and runs Enumerate over it.
+func enumerate(t *testing.T, g *graph.Graph, s *sample.Sample, st Strategy, opt Options, sink func([]graph.Node) bool) (*Result, error) {
+	t.Helper()
+	qs, err := CompileCQs(s, opt)
+	if err != nil {
+		return nil, err
+	}
+	return Enumerate(t.Context(), g, s, st, qs, opt, sink)
+}
+
 // collect runs Enumerate into a collecting sink and hands the instances
 // back on the Result, the way the root package's Run does.
 func collect(t *testing.T, g *graph.Graph, s *sample.Sample, st Strategy, opt Options) (*Result, error) {
 	t.Helper()
 	var instances [][]graph.Node
-	res, err := Enumerate(t.Context(), g, s, st, opt, func(phi []graph.Node) bool {
+	res, err := enumerate(t, g, s, st, opt, func(phi []graph.Node) bool {
 		instances = append(instances, phi)
 		return true
 	})
@@ -230,7 +240,7 @@ func TestConvertibilityGeneral(t *testing.T) {
 		base := serialWork(tc.s)
 		for strat, bound := range tc.bounds {
 			for _, k := range []int{20, 60, 200} {
-				res, err := Enumerate(t.Context(), g, tc.s, strat, Options{TargetReducers: k, Seed: 2}, nil)
+				res, err := enumerate(t, g, tc.s, strat, Options{TargetReducers: k, Seed: 2}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -290,7 +300,7 @@ func TestCountOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			counted, err := Enumerate(t.Context(), g, s, strat, Options{TargetReducers: 100, Seed: 4}, nil)
+			counted, err := enumerate(t, g, s, strat, Options{TargetReducers: 100, Seed: 4}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -338,21 +338,30 @@ func (q *CQ) buildOrderSet() {
 // String renders the CQ in the paper's style, e.g.
 // "E(W,X) & E(X,Y) & E(X,Z) & E(Y,Z) & W<X & X<Y & Y<Z".
 func (q *CQ) String() string {
-	var parts []string
+	var sb strings.Builder
+	part := func(pre string, a int, op string, b int, post string) {
+		if sb.Len() > 0 {
+			sb.WriteString(" & ")
+		}
+		sb.WriteString(pre)
+		sb.WriteString(q.Names[a])
+		sb.WriteString(op)
+		sb.WriteString(q.Names[b])
+		sb.WriteString(post)
+	}
 	for _, sg := range q.Subgoals {
-		parts = append(parts, fmt.Sprintf("E(%s,%s)", q.Names[sg.Lo], q.Names[sg.Hi]))
+		part("E(", sg.Lo, ",", sg.Hi, ")")
 	}
 	for _, c := range q.ReducedLess() {
-		parts = append(parts, fmt.Sprintf("%s<%s", q.Names[c.A], q.Names[c.B]))
+		part("", c.A, "<", c.B, "")
 	}
 	for _, c := range q.NeqCons {
-		parts = append(parts, fmt.Sprintf("%s!=%s", q.Names[c.A], q.Names[c.B]))
+		part("", c.A, "!=", c.B, "")
 	}
-	s := strings.Join(parts, " & ")
 	if q.Orderings != nil && !q.ExactSimplified {
-		s += fmt.Sprintf(" [exact OR of %d orders]", len(q.Orderings))
+		fmt.Fprintf(&sb, " [exact OR of %d orders]", len(q.Orderings))
 	}
-	return s
+	return sb.String()
 }
 
 func orderKey(order []int) string {

@@ -58,7 +58,11 @@ func sampleOracle(g *graph.Graph, s *sample.Sample) map[string]bool {
 // instance set against the brute-force oracle.
 func CheckEnumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, st core.Strategy, opt core.Options) (mapreduce.Metrics, error) {
 	return checkCore(fmt.Sprintf("enumerate/%v/%v", st, s), g, s, func(sink func([]graph.Node) bool) (*core.Result, error) {
-		return core.Enumerate(ctx, g, s, st, opt, sink)
+		qs, err := core.CompileCQs(s, opt)
+		if err != nil {
+			return nil, err
+		}
+		return core.Enumerate(ctx, g, s, st, qs, opt, sink)
 	})
 }
 

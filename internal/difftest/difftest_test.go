@@ -272,7 +272,7 @@ func TestProbeMatchesRun(t *testing.T) {
 			opt := core.Options{Buckets: b, TargetReducers: k, Seed: seed, Engine: mapreduce.Config{Parallelism: 2, Partitions: 2}}
 			qs := cq.MergeByOrientation(cq.GenerateForSample(s))
 			run := func(t *testing.T, st core.Strategy) *core.Result {
-				res, err := core.Enumerate(t.Context(), g, s, st, opt, nil)
+				res, err := core.Enumerate(t.Context(), g, s, st, qs, opt, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -321,7 +321,12 @@ func TestProbeMatchesRun(t *testing.T) {
 		// ProbeLoads' "bucket" is Section 2.3's algorithm: the
 		// bucket-oriented job at p = 3, b pairs per edge.
 		t.Run(gname+"/tri-bucket", func(t *testing.T) {
-			res, err := core.Enumerate(t.Context(), g, sample.Triangle(), core.BucketOriented, core.Options{Buckets: b, Seed: seed, Engine: cfg}, nil)
+			opt := core.Options{Buckets: b, Seed: seed, Engine: cfg}
+			qs, err := core.CompileCQs(sample.Triangle(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Enumerate(t.Context(), g, sample.Triangle(), core.BucketOriented, qs, opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

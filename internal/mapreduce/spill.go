@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"slices"
 	"unsafe"
@@ -19,13 +20,15 @@ import (
 // The external shuffle. When Config.MemoryBudget is set, a reduce worker
 // keeps no hash table: arriving pairs are appended to one flat buffer and
 // charged their exact footprint (see spiller.limit). Crossing the worker's
-// share of the budget sorts the buffer once by encoded key and writes it as
-// one run file, each key once with its values behind it. After the map
-// phase the worker merges its runs with a k-way heap merge — intermediate
-// passes keep the fan-in at most mergeFanIn open files — and streams each
-// key's concatenated values into the reducer. A worker that never crossed
-// its share sorts the buffer and reduces from it through the same group
-// walk that writes a run, so the budgeted path has one grouping routine.
+// share of the budget sorts the buffer once by encoded key — an in-place
+// radix pass when every key fits 8 bytes, a comparator sort otherwise —
+// and writes it as one run file, each key once with its values behind it.
+// After the map phase the worker merges its runs through a loser tree —
+// intermediate passes keep the fan-in at most mergeFanIn open files — and
+// streams each key's concatenated values into the reducer. A worker that
+// never crossed its share sorts the buffer and reduces from it through the
+// same group walk that writes a run, so the budgeted path has one grouping
+// routine.
 
 // mergeFanIn caps how many run files one merge pass reads at once. Runs
 // are closed after writing and reopened by the merge, so the engine never
@@ -140,9 +143,14 @@ func (s *spiller[K, V]) add(batch []pair[K, V]) error {
 }
 
 // sortBuf encodes every buffered key once and sorts the entries by encoded
-// key bytes, arrival order within a key.
+// key bytes, arrival order within a key. When every key fits the inline
+// prefix (the fixed-width integer encodings) an in-place radix pass over the
+// prefix bytes that vary sorts them; a single longer key sends the whole
+// buffer through the comparator sort instead.
 func (s *spiller[K, V]) sortBuf() error {
 	s.ents, s.arena = s.ents[:0], s.arena[:0]
+	short := true
+	or, and := uint64(0), ^uint64(0)
 	for i := range s.buf {
 		start := len(s.arena)
 		s.arena = s.codec.AppendKey(s.arena, s.buf[i].key)
@@ -152,18 +160,115 @@ func (s *spiller[K, V]) sortBuf() error {
 		}
 		var p [keyPrefixLen]byte
 		copy(p[:], kb)
-		s.ents = append(s.ents, runEntry{prefix: binary.BigEndian.Uint64(p[:]), idx: uint32(i), klen: uint32(len(kb))})
+		prefix := binary.BigEndian.Uint64(p[:])
+		or, and = or|prefix, and&prefix
+		s.ents = append(s.ents, runEntry{prefix: prefix, idx: uint32(i), klen: uint32(len(kb))})
 		if len(kb) <= keyPrefixLen {
 			s.arena = s.arena[:start] // the entry holds all of it
 			continue
 		}
+		short = false
 		if len(s.offs) < len(s.buf) { // first long key of this sort: older offsets are stale
 			s.offs = slices.Grow(s.offs[:0], len(s.buf))[:len(s.buf)]
 		}
 		s.offs[i] = start
 	}
-	slices.SortFunc(s.ents, s.compare)
+	if short {
+		radixSort(s.ents, or^and)
+	} else {
+		slices.SortFunc(s.ents, s.compare)
+	}
 	return nil
+}
+
+// radixSmall is the bucket size radixSort finishes by insertion sort.
+const radixSmall = 32
+
+// radixSort orders entries whose keys all fit the inline prefix by
+// (prefix, klen, idx), which is compare's order for such keys: two
+// zero-padded prefixes tie only when the shorter key is a byte-wise prefix
+// of the longer. It is an MSD (American flag) radix sort, in place: each
+// pass counts one bucket's entries by the highest prefix byte set in vary
+// (the bits that differ somewhere in the buffer), permutes them into
+// sub-buckets by cycle-swapping, and recurses into each sub-bucket with that
+// byte cleared. Small buckets, and buckets whose prefixes are all equal, are
+// finished by comparison.
+//
+//lint:hotpath
+func radixSort(ents []runEntry, vary uint64) {
+	for {
+		if len(ents) <= radixSmall {
+			insertionSort(ents)
+			return
+		}
+		if vary == 0 {
+			slices.SortFunc(ents, compareShort)
+			return
+		}
+		shift := uint(63-bits.LeadingZeros64(vary)) &^ 7
+		vary &^= 0xff << shift
+		var count [256]int
+		for _, e := range ents {
+			count[byte(e.prefix>>shift)]++
+		}
+		if count[byte(ents[0].prefix>>shift)] == len(ents) {
+			continue // the byte is the same across this bucket
+		}
+		var next, end [256]int
+		for d, off := 0, 0; d < 256; d++ {
+			next[d] = off
+			off += count[d]
+			end[d] = off
+		}
+		for d := range 256 {
+			for next[d] < end[d] {
+				e := ents[next[d]]
+				for t := byte(e.prefix >> shift); int(t) != d; t = byte(e.prefix >> shift) {
+					ents[next[t]], e = e, ents[next[t]]
+					next[t]++
+				}
+				ents[next[d]] = e
+				next[d]++
+			}
+		}
+		lo := 0
+		for _, hi := range end {
+			if hi-lo > 1 {
+				radixSort(ents[lo:hi], vary)
+			}
+			lo = hi
+		}
+		return
+	}
+}
+
+// insertionSort finishes a small radix bucket in compareShort's order.
+//
+//lint:hotpath
+func insertionSort(ents []runEntry) {
+	for i := 1; i < len(ents); i++ {
+		e, j := ents[i], i
+		for ; j > 0 && compareShort(e, ents[j-1]) < 0; j-- {
+			ents[j] = ents[j-1]
+		}
+		ents[j] = e
+	}
+}
+
+// compareShort is compare for two keys that fit the inline prefix.
+//
+//lint:hotpath
+func compareShort(a, b runEntry) int {
+	if a.prefix != b.prefix {
+		if a.prefix < b.prefix {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(a.klen, b.klen); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // tail returns the bytes of a long key past the inline prefix.
@@ -282,15 +387,16 @@ func (s *spiller[K, V]) writeRun(fill func() error) (string, error) {
 	if err := failpoint.Eval(failpoint.SpillCreate); err != nil {
 		return "", fmt.Errorf("mapreduce: creating spill file: %w", err)
 	}
-	if s.w.bw == nil {
-		s.w.bw = bufio.NewWriterSize(f, s.writeBufSize())
+	if s.w.buf == nil {
+		s.w.buf = make([]byte, 0, s.writeBufSize())
 	}
-	s.w.bw.Reset(f)
-	s.w.n = 0
+	s.w.f, s.w.buf, s.w.n, s.w.err = f, s.w.buf[:0], 0, nil
 	if err := fill(); err != nil {
 		return "", err
 	}
-	err = s.w.bw.Flush()
+	s.w.flush()
+	err = s.w.err
+	s.w.f = nil
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -339,16 +445,22 @@ func (s *spiller[K, V]) mergeReduce(fn func(k K, vs []V) bool) (distinct, maxIn 
 	if err := failpoint.Eval(failpoint.SpillMerge); err != nil {
 		return 0, 0, fmt.Errorf("mapreduce: merging spill runs: %w", err)
 	}
-	// Intermediate passes: fold the oldest runs into one until the final
-	// merge fits the fan-in cap — no more of them than that takes, so one
-	// run over the cap rewrites two runs, not thirty-two.
-	for len(s.paths) > mergeFanIn {
-		n := min(mergeFanIn, len(s.paths)-mergeFanIn+1)
-		np, err := s.compact(s.paths[:n])
+	// Intermediate passes: fold the oldest unfolded runs into one until the
+	// final merge fits the fan-in cap — no more of them than that takes, so
+	// one run over the cap rewrites two runs, not thirty-two. A folded run
+	// takes the place of the runs it holds, so the list stays in creation
+	// order and a key's values still reach fn in arrival order.
+	for at := 0; len(s.paths) > mergeFanIn; at++ {
+		if at >= len(s.paths)-1 {
+			at = 0 // every run has been folded once: fold the folded ones
+		}
+		n := min(mergeFanIn, len(s.paths)-mergeFanIn+1, len(s.paths)-at)
+		np, err := s.compact(s.paths[at : at+n])
 		if err != nil {
 			return 0, 0, err
 		}
-		s.paths = append(s.paths[n:], np)
+		s.paths[at] = np
+		s.paths = slices.Delete(s.paths, at+1, at+n)
 	}
 	m, err := newMerger(s.paths, s.share)
 	if err != nil {
@@ -428,27 +540,56 @@ func (s *spiller[K, V]) compact(paths []string) (string, error) {
 	})
 }
 
-// runWriter writes length-prefixed records, counting bytes and deferring
-// error checks to the flush (bufio.Writer remembers the first error).
+// runWriter writes length-prefixed records to a run file through one
+// reused buffer, counting bytes and deferring error checks to the end of
+// the run (it remembers the first error). Record pieces are appended to
+// the buffer, which goes to the file whenever the next piece would not fit,
+// so encoding a record costs appends, not calls.
 type runWriter struct {
-	bw  *bufio.Writer
+	f   *os.File
+	buf []byte // pending bytes; its capacity is the write buffer size
 	n   int64
-	hdr [binary.MaxVarintLen64]byte
+	err error
+}
+
+// flush writes the pending bytes to the file.
+func (w *runWriter) flush() {
+	if len(w.buf) > 0 && w.err == nil {
+		_, w.err = w.f.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
+}
+
+// room flushes the buffer unless n more bytes fit it, and reports whether
+// they fit it at all.
+func (w *runWriter) room(n int) bool {
+	if len(w.buf)+n > cap(w.buf) {
+		w.flush()
+	}
+	return n <= cap(w.buf)
 }
 
 func (w *runWriter) writeUvarint(x uint64) {
-	w.write(w.hdr[:binary.PutUvarint(w.hdr[:], x)])
+	w.room(binary.MaxVarintLen64) // the buffer is at least minRunBuf long
+	n := len(w.buf)
+	w.buf = binary.AppendUvarint(w.buf, x)
+	w.n += int64(len(w.buf) - n)
 }
 
 // writePrefix writes the first n bytes of a runEntry's inline key prefix.
 func (w *runWriter) writePrefix(prefix uint64, n uint32) {
-	binary.BigEndian.PutUint64(w.hdr[:], prefix)
-	w.write(w.hdr[:n])
+	w.room(keyPrefixLen)
+	w.buf = binary.BigEndian.AppendUint64(w.buf, prefix)[:len(w.buf)+int(n)]
+	w.n += int64(n)
 }
 
 func (w *runWriter) write(b []byte) {
-	w.bw.Write(b)
 	w.n += int64(len(b))
+	if w.room(len(b)) {
+		w.buf = append(w.buf, b...)
+	} else if w.err == nil {
+		_, w.err = w.f.Write(b) // larger than the buffer: straight to the file
+	}
 }
 
 func (w *runWriter) writeBytes(b []byte) {
@@ -465,9 +606,10 @@ type runCursor struct {
 	br   *bufio.Reader
 	left int64  // bytes of the file not yet consumed
 	key  []byte // current record's key
+	head uint64 // key's first keyPrefixLen bytes, big-endian, zero-padded
 	val  []byte // value buffer, reused: valid until the next value call
 	nv   uint64 // values of the current record not yet read
-	ord  int    // heap tie-break: run creation order
+	done bool   // the run is exhausted
 }
 
 var errRunVarint = errors.New("length varint overflows 64 bits")
@@ -515,19 +657,31 @@ func (c *runCursor) fill(buf []byte, n uint64) ([]byte, error) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	_, err := io.ReadFull(c.br, buf)
 	c.left -= int64(n)
+	if b, _ := c.br.Peek(c.br.Buffered()); uint64(len(b)) >= n {
+		copy(buf, b)
+		c.br.Discard(int(n))
+		return buf, nil
+	}
+	_, err := io.ReadFull(c.br, buf)
 	return buf, err
 }
 
-// next loads the following record header; false means clean EOF.
+// next loads the following record header; false means clean EOF, which
+// also marks the cursor done.
 func (c *runCursor) next() (bool, error) {
 	klen, err := c.length()
 	if err == io.EOF {
+		c.done = true
 		return false, nil
 	}
 	if err == nil {
 		c.key, err = c.fill(c.key, klen)
+	}
+	if err == nil {
+		var p [keyPrefixLen]byte
+		copy(p[:], c.key)
+		c.head = binary.BigEndian.Uint64(p[:])
 	}
 	if err == nil {
 		c.nv, err = c.length()
@@ -538,11 +692,20 @@ func (c *runCursor) next() (bool, error) {
 	return true, nil
 }
 
-// value reads the next raw value of the current record into the cursor's
-// reusable buffer.
+// value reads the next raw value of the current record. A value whose
+// one-byte length and bytes the read buffer already holds is returned in
+// place, valid until the cursor reads again; any other is read into the
+// cursor's reusable buffer.
 //
 //lint:hotpath
 func (c *runCursor) value() ([]byte, error) {
+	if b, _ := c.br.Peek(c.br.Buffered()); len(b) > 0 && b[0] < 0x80 && int(b[0]) < len(b) && int64(b[0]) < c.left {
+		n := int(b[0]) + 1
+		c.br.Discard(n)
+		c.left -= int64(n)
+		c.nv--
+		return b[1:n], nil
+	}
 	vlen, err := c.length()
 	if err == nil {
 		c.val, err = c.fill(c.val, vlen)
@@ -554,13 +717,16 @@ func (c *runCursor) value() ([]byte, error) {
 	return c.val, nil
 }
 
-// merger streams merged key groups out of a set of run files. It takes
-// ownership of the files: it opens each, and closes and removes all of
-// them in close.
+// merger streams merged key groups out of a set of run files through a
+// loser tree over their cursors: leaf i is the cursor of run i, each
+// internal node holds the loser of the match played there, and tree[0] the
+// overall winner. Advancing the winner replays only its leaf-to-root path,
+// one comparison per level. The merger takes ownership of the files: it
+// opens each, and closes and removes all of them in close.
 type merger struct {
-	h   []*runCursor // min-heap by (key bytes, run order)
-	kb  []byte
-	all []*runCursor
+	all  []*runCursor // in run creation order
+	tree []int32      // tree[0] the winning cursor, tree[1:] each internal node's loser
+	kb   []byte
 }
 
 // newMerger opens the runs for one merge pass, splitting share between
@@ -569,15 +735,15 @@ func newMerger(paths []string, share int64) (*merger, error) {
 	// On error the spiller's deferred cleanup still owns every path (the
 	// caller only drops them from its list on success), so close() here
 	// only needs to release descriptors; double-removal is harmless.
-	m := &merger{}
+	m := &merger{all: make([]*runCursor, 0, len(paths)), tree: make([]int32, len(paths))}
 	size := runBufSize(share / int64(max(len(paths), 1)))
-	for i, p := range paths {
+	for _, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
 			m.close()
 			return nil, fmt.Errorf("mapreduce: reopening spill run: %w", err)
 		}
-		c := &runCursor{f: f, br: bufio.NewReaderSize(f, size), ord: i}
+		c := &runCursor{f: f, br: bufio.NewReaderSize(f, size)}
 		m.all = append(m.all, c)
 		st, err := f.Stat()
 		if err != nil {
@@ -585,17 +751,13 @@ func newMerger(paths []string, share int64) (*merger, error) {
 			return nil, fmt.Errorf("mapreduce: reopening spill run: %w", err)
 		}
 		c.left = st.Size()
-		more, err := c.next()
-		if err != nil {
+		if _, err := c.next(); err != nil {
 			m.close()
 			return nil, err
 		}
-		if more {
-			m.h = append(m.h, c)
-		}
 	}
-	for i := len(m.h)/2 - 1; i >= 0; i-- {
-		m.down(i)
+	if len(m.tree) > 0 {
+		m.tree[0] = m.play(1)
 	}
 	return m, nil
 }
@@ -606,34 +768,61 @@ func (m *merger) close() {
 		os.Remove(c.f.Name())
 	}
 	m.all = nil
-	m.h = nil
+	m.tree = nil
 }
 
-// less orders cursors by encoded key bytes, run order as tie-break (which
-// keeps value order deterministic given the same runs).
-func (m *merger) less(i, j int) bool {
-	if c := bytes.Compare(m.h[i].key, m.h[j].key); c != 0 {
-		return c < 0
+// play fills in the subtree under node, storing each match's loser, and
+// returns its winner. Nodes 1..k-1 are internal, k..2k-1 the leaves of the
+// k runs.
+func (m *merger) play(node int) int32 {
+	k := len(m.all)
+	if node >= k {
+		return int32(node - k)
 	}
-	return m.h[i].ord < m.h[j].ord
+	w, l := m.play(2*node), m.play(2*node+1)
+	if m.beats(l, w) {
+		w, l = l, w
+	}
+	m.tree[node] = l
+	return w
 }
 
-// down restores the heap below position i.
-func (m *merger) down(i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(m.h) {
-			return
+// replay plays leaf w, whose cursor has advanced, back up to the root.
+//
+//lint:hotpath
+func (m *merger) replay(w int32) {
+	for node := (int(w) + len(m.all)) / 2; node > 0; node /= 2 {
+		if l := m.tree[node]; m.beats(l, w) {
+			m.tree[node], w = w, l
 		}
-		if r := l + 1; r < len(m.h) && m.less(r, l) {
-			l = r
-		}
-		if !m.less(l, i) {
-			return
-		}
-		m.h[i], m.h[l] = m.h[l], m.h[i]
-		i = l
 	}
+	m.tree[0] = w
+}
+
+// beats reports whether cursor i's record comes before cursor j's: by
+// encoded key bytes, with the cached heads deciding almost every match, then
+// by run order (which keeps value order deterministic given the same runs).
+// An exhausted cursor loses to every other. On a head tie a key that fits
+// the head is a byte-wise prefix of the other, as in compareKeys.
+//
+//lint:hotpath
+func (m *merger) beats(i, j int32) bool {
+	a, b := m.all[i], m.all[j]
+	switch {
+	case a.done:
+		return false
+	case b.done:
+		return true
+	case a.head != b.head:
+		return a.head < b.head
+	case len(a.key) > keyPrefixLen && len(b.key) > keyPrefixLen:
+		if c := bytes.Compare(a.key[keyPrefixLen:], b.key[keyPrefixLen:]); c != 0 {
+			return c < 0
+		}
+	case len(a.key) != len(b.key):
+		return len(a.key) < len(b.key)
+	}
+	return i < j
 }
 
 // nextGroup hands each to every raw value, across all runs, of the smallest
@@ -643,12 +832,18 @@ func (m *merger) down(i int) {
 // empty string under a string codec). The key is valid until the next call, a value only during
 // its each call.
 func (m *merger) nextGroup(each func(vb []byte) error) (kb []byte, ok bool, err error) {
-	if len(m.h) == 0 {
+	if len(m.tree) == 0 || m.all[m.tree[0]].done {
 		return nil, false, nil
 	}
-	m.kb = append(m.kb[:0], m.h[0].key...)
-	for len(m.h) > 0 && bytes.Equal(m.h[0].key, m.kb) {
-		c := m.h[0]
+	w := m.all[m.tree[0]]
+	head := w.head
+	m.kb = append(m.kb[:0], w.key...)
+	for {
+		i := m.tree[0]
+		c := m.all[i]
+		if c.done || c.head != head || !bytes.Equal(c.key, m.kb) {
+			return m.kb, true, nil
+		}
 		for c.nv > 0 {
 			vb, err := c.value()
 			if err == nil {
@@ -658,16 +853,9 @@ func (m *merger) nextGroup(each func(vb []byte) error) (kb []byte, ok bool, err 
 				return nil, false, err
 			}
 		}
-		more, err := c.next()
-		if err != nil {
+		if _, err := c.next(); err != nil {
 			return nil, false, err
 		}
-		if !more {
-			last := len(m.h) - 1
-			m.h[0] = m.h[last]
-			m.h = m.h[:last]
-		}
-		m.down(0)
+		m.replay(i)
 	}
-	return m.kb, true, nil
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"subgraphmr/internal/core"
 	"subgraphmr/internal/cq"
@@ -307,8 +308,14 @@ type triReducer struct {
 	runs  graph.BlockRuns
 }
 
+// triangleEvals is the triangle's compiled CQ, built once per process: the
+// set is immutable, so every Partition job shares it.
+var triangleEvals = sync.OnceValue(func() *cq.EvaluatorSet {
+	return cq.NewEvaluatorSet(cq.GenerateForSample(sample.Triangle()))
+})
+
 func newTriReducer(h graph.NodeHash) *triReducer {
-	return &triReducer{cq.NewEvaluatorSet(cq.GenerateForSample(sample.Triangle())), h, graph.NewBlockRuns(graph.PairBlocks(h.B), graph.NaturalKey)}
+	return &triReducer{triangleEvals(), h, graph.NewBlockRuns(graph.PairBlocks(h.B), graph.NaturalKey)}
 }
 
 // triWorker is what one reduce worker keeps in its Context's Local slot

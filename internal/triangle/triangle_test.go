@@ -43,7 +43,12 @@ func count(t *testing.T, a Algo, g *graph.Graph, b int) mapreduce.Metrics {
 // triangle — at b buckets (seed 7) into sink; a nil sink counts.
 func bucketRun(t *testing.T, g *graph.Graph, b int, sink func([]graph.Node) bool) *core.Result {
 	t.Helper()
-	res, err := core.Enumerate(t.Context(), g, sample.Triangle(), core.BucketOriented, core.Options{Buckets: b, Seed: 7}, sink)
+	opt := core.Options{Buckets: b, Seed: 7}
+	qs, err := core.CompileCQs(sample.Triangle(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Enumerate(t.Context(), g, sample.Triangle(), core.BucketOriented, qs, opt, sink)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,12 @@ func TestCascadeLosesOnSkew(t *testing.T) {
 	g := b.Graph()
 	two := cascade(t, g)
 	// The one-round job is Section 2.3's: core's bucket-oriented at p = 3.
-	res, err := core.Enumerate(t.Context(), g, sample.Triangle(), core.BucketOriented, core.Options{Buckets: 10, Seed: 7}, nil)
+	opt := core.Options{Buckets: 10, Seed: 7}
+	qs, err := core.CompileCQs(sample.Triangle(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Enumerate(t.Context(), g, sample.Triangle(), core.BucketOriented, qs, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"subgraphmr/internal/core"
+	"subgraphmr/internal/cq"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/shares"
 )
@@ -107,6 +108,9 @@ type QueryPlan struct {
 
 	graph  *Graph
 	sample *Sample
+	// qs is the sample's compiled CQ set, built once by Plan and read by
+	// every run of the plan (plan copies share it; nothing writes it).
+	qs []*cq.CQ
 	// opts is frozen once Plan returns: execution paths read it but never
 	// write it (see the concurrency note on QueryPlan — variants copy the
 	// plan first). Keeping it a value, not a pointer, makes lp := *p a
@@ -214,6 +218,7 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 		NumCQs:     len(qs),
 		graph:      g,
 		sample:     s,
+		qs:         qs,
 		opts:       o,
 		enc:        &encodedGraph{},
 	}

@@ -195,7 +195,7 @@ func runCore(st core.Strategy) func(context.Context, *QueryPlan, func([]Node) bo
 	return func(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
 		opt := p.opts.core
 		opt.Buckets = p.Chosen.Buckets
-		return core.Enumerate(ctx, p.graph, p.sample, st, opt, sink)
+		return core.Enumerate(ctx, p.graph, p.sample, st, p.qs, opt, sink)
 	}
 }
 
@@ -439,7 +439,7 @@ func runTwoRound(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Re
 	// switch is auditable.
 	opt := p.opts.core
 	opt.Buckets = p.fallbackBuckets()
-	fb, err := core.Enumerate(ctx, p.graph, p.sample, core.BucketOriented, opt, sink)
+	fb, err := core.Enumerate(ctx, p.graph, p.sample, core.BucketOriented, p.qs, opt, sink)
 	if err != nil {
 		return nil, err
 	}
