@@ -120,9 +120,15 @@ func WithPartitions(p int) Option { return func(o *planOpts) { o.core.Engine.Par
 // WithMemoryBudget bounds, in bytes, the grouped intermediate pairs the
 // reduce workers of the two-round cascade hold in memory; beyond it the
 // engine spills sorted runs to disk and merge-streams them into the
-// reducers. The share-hashed strategies (every other one, and the directed
-// path) hold no pairs — each edge sits once in an input-sized block table
-// — so they ignore the budget and never spill.
+// reducers. The cascade's two rounds run as one pipe — round 1's reducers
+// map each wedge straight into round 2's shuffle — and the budget bounds
+// both rounds' shuffle state together: round 1 buffers in the whole
+// budget, and once round 2 starts filling, round 1 holds only a small
+// reserve of it (its merge read buffers) and round 2 buffers in the rest.
+// The wedge relation therefore never exists outside that state. The
+// share-hashed strategies (every other one, and the directed path) hold no
+// pairs — each edge sits once in an input-sized block table — so they
+// ignore the budget and never spill.
 func WithMemoryBudget(bytes int64) Option {
 	return func(o *planOpts) { o.core.Engine.MemoryBudget = bytes }
 }
@@ -142,9 +148,10 @@ func WithSpillDir(dir string) Option { return func(o *planOpts) { o.core.Engine.
 // them, even when its total communication is lower. At run time,
 // multi-job executions re-plan mid-query: a cq-oriented job sequence
 // raises its reducer budget for the remaining jobs after an observed-skew
-// breach, and the two-round cascade abandons round 2 for the one-round
-// bucket-oriented job when round 1's loads prove skewed (the switch
-// is recorded in JobStats.Replanned/ObservedSkew). Results are
+// breach, and the two-round cascade runs as the one-round bucket-oriented
+// job instead when round 1's exact loads — its reducers are the degree
+// distribution, known before it starts — prove skewed (the switch is
+// recorded in JobStats.Replanned/ObservedSkew). Results are
 // bit-identical to the static plan's — only the configuration changes.
 func WithAdaptive() Option { return func(o *planOpts) { o.core.AdaptiveReplan = true } }
 

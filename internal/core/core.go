@@ -24,6 +24,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"subgraphmr/internal/cq"
@@ -212,7 +213,7 @@ func (r *Result) TotalReducerWork() int64 {
 //
 // The sample graph must be connected (reducers only see edges, so an
 // isolated sample node could bind to nodes the reducer never receives).
-func Enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, st Strategy, qs []*cq.CQ, opt Options, sink func([]graph.Node) bool) (*Result, error) {
+func Enumerate(ctx context.Context, g *graph.Graph, s *sample.Sample, st Strategy, qs *CQSet, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	if !s.IsConnected() {
 		return nil, fmt.Errorf("core: map-reduce enumeration requires a connected sample graph")
 	}
@@ -262,7 +263,7 @@ func (ms *matchSink) run(ctx context.Context, job enumJob, cfg mapreduce.Config,
 // (orderings → Aut quotient → orientation merge). The planner costs the
 // same set the strategies run. Its one error is UseCycleCQs on a sample
 // that is not a cycle.
-func CompileCQs(s *sample.Sample, opt Options) ([]*cq.CQ, error) {
+func CompileCQs(s *sample.Sample, opt Options) (*CQSet, error) {
 	if opt.UseCycleCQs {
 		if d, reg := s.IsRegular(); !reg || d != 2 {
 			return nil, fmt.Errorf("the Section 5 generator requires a cycle sample, got %v", s)
@@ -271,24 +272,67 @@ func CompileCQs(s *sample.Sample, opt Options) ([]*cq.CQ, error) {
 		for _, c := range cycles.Generate(s.P()) {
 			qs = append(qs, c.CQ)
 		}
-		return qs, nil
+		return &CQSet{CQs: qs}, nil
 	}
-	return cq.MergeByOrientation(cq.GenerateForSample(s)), nil
+	return &CQSet{CQs: cq.MergeByOrientation(cq.GenerateForSample(s))}, nil
+}
+
+// CQSet is a sample's compiled CQ set with what the jobs evaluating it
+// reuse, each built on first use: the evaluator set over all of it (the
+// bucket- and variable-oriented jobs), one over each CQ (the cq-oriented
+// jobs run one CQ each) and the CQs rendered for JobStats.CQs. It is
+// read-only once built and safe for concurrent runs, so a plan compiles it
+// once and every run of the plan shares it.
+type CQSet struct {
+	CQs []*cq.CQ
+
+	allOnce  sync.Once
+	all      *cq.EvaluatorSet
+	eachOnce sync.Once
+	each     []*cq.EvaluatorSet
+	nameOnce sync.Once
+	names    []string
+}
+
+// evaluators returns the evaluator set over every CQ.
+func (c *CQSet) evaluators() *cq.EvaluatorSet {
+	c.allOnce.Do(func() { c.all = cq.NewEvaluatorSet(c.CQs) })
+	return c.all
+}
+
+// evaluatorsEach returns one evaluator set per CQ, sharing the compiled
+// evaluators of evaluators().
+func (c *CQSet) evaluatorsEach() []*cq.EvaluatorSet {
+	c.eachOnce.Do(func() { c.each = c.evaluators().Split() })
+	return c.each
+}
+
+// strings returns CQs i to j rendered, for JobStats.CQs. Every run's
+// JobStats shares the rendering (capped, so an append copies).
+func (c *CQSet) strings(i, j int) []string {
+	c.nameOnce.Do(func() {
+		c.names = make([]string, len(c.CQs))
+		for k, q := range c.CQs {
+			c.names[k] = q.String()
+		}
+	})
+	return c.names[i:j:j]
 }
 
 // bucketOriented implements the Section 4.5 strategy.
-func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.CQ, opt Options, sink func([]graph.Node) bool) (*Result, error) {
+func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs *CQSet, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	const name = "bucket-oriented"
+	evals := qs.evaluators()
 	res, err := runBucketJob(ctx, g, s.P(), opt, name, name, sink, func(scheme bucketScheme, ms *matchSink, job enumJob) enumJob {
 		// The fragment keeps each rank's bucket, which is all the ownership
 		// test reads.
-		return newBucketReducer(qs, scheme, ms).side(job)
+		return newBucketReducer(evals, scheme, ms).side(job)
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Jobs[0].CQs = cqStrings(qs)
-	res.NumCQs = len(qs)
+	res.Jobs[0].CQs = qs.strings(0, len(qs.CQs))
+	res.NumCQs = len(qs.CQs)
 	return res, nil
 }
 
@@ -361,14 +405,15 @@ func (s bucketScheme) job(name string) enumJob {
 }
 
 // variableOriented implements the Section 4.3 strategy.
-func variableOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs []*cq.CQ, opt Options, sink func([]graph.Node) bool) (*Result, error) {
-	uses := cq.EdgeUses(qs)
+func variableOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs *CQSet, opt Options, sink func([]graph.Node) bool) (*Result, error) {
+	uses := cq.EdgeUses(qs.CQs)
 	model := shares.ModelFromEdgeUses(s.P(), uses)
-	res, err := runShareJob(ctx, g, qs, model, bindingsFromUses(uses), opt, "variable-oriented", sink)
+	evals := qs.evaluators()
+	res, err := runShareJob(ctx, g, evals, qs.strings(0, len(qs.CQs)), model, bindingsFromUses(uses), opt, "variable-oriented", sink)
 	if err != nil {
 		return nil, err
 	}
-	res.NumCQs = len(qs)
+	res.NumCQs = len(qs.CQs)
 	return res, nil
 }
 
@@ -381,8 +426,9 @@ func variableOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs 
 // smaller groups. That is sound because each job owns its CQ's instances
 // outright — the share configuration decides where an instance is emitted,
 // never whether.
-func cqOriented(ctx context.Context, g *graph.Graph, qs []*cq.CQ, opt Options, sink func([]graph.Node) bool) (*Result, error) {
-	out := &Result{NumCQs: len(qs)}
+func cqOriented(ctx context.Context, g *graph.Graph, qs *CQSet, opt Options, sink func([]graph.Node) bool) (*Result, error) {
+	out := &Result{NumCQs: len(qs.CQs)}
+	each := qs.evaluatorsEach()
 	stopped := false
 	wrapped := sink
 	if sink != nil {
@@ -396,18 +442,18 @@ func cqOriented(ctx context.Context, g *graph.Graph, qs []*cq.CQ, opt Options, s
 	}
 	k := opt.reducers()
 	replanned := false
-	for i, q := range qs {
+	for i, q := range qs.CQs {
 		if stopped || ctx.Err() != nil {
 			break
 		}
 		model := shares.ModelFromCQ(q)
 		jobOpt := opt
 		jobOpt.TargetReducers = k
-		label := fmt.Sprintf("cq-oriented job %d/%d", i+1, len(qs))
+		label := fmt.Sprintf("cq-oriented job %d/%d", i+1, len(qs.CQs))
 		if replanned {
 			label += fmt.Sprintf(" (replanned k=%d)", k)
 		}
-		res, err := runShareJob(ctx, g, []*cq.CQ{q}, model, bindingsFromCQ(q), jobOpt, label, wrapped)
+		res, err := runShareJob(ctx, g, each[i], qs.strings(i, i+1), model, bindingsFromCQ(q), jobOpt, label, wrapped)
 		if err != nil {
 			return nil, err
 		}
@@ -417,8 +463,8 @@ func cqOriented(ctx context.Context, g *graph.Graph, qs []*cq.CQ, opt Options, s
 		out.Count += res.Count
 		out.Jobs = append(out.Jobs, res.Jobs...)
 
-		if opt.AdaptiveReplan && i+1 < len(qs) {
-			if k2 := replanReducers(k, res.Jobs, qs[i+1:], opt.ResolvedSkewThreshold()); k2 > k {
+		if opt.AdaptiveReplan && i+1 < len(qs.CQs) {
+			if k2 := replanReducers(k, res.Jobs, qs.CQs[i+1:], opt.ResolvedSkewThreshold()); k2 > k {
 				k = k2
 				replanned = true
 			}
@@ -566,7 +612,7 @@ func (s *shareScheme) job(name string) enumJob {
 // and evaluate the CQs at each reducer with the natural node order. An
 // instance is emitted only at the reducer matching the hashes of all its
 // nodes.
-func runShareJob(ctx context.Context, g *graph.Graph, qs []*cq.CQ, model shares.Model, binds []edgeBinding, opt Options, label string, sink func([]graph.Node) bool) (*Result, error) {
+func runShareJob(ctx context.Context, g *graph.Graph, evals *cq.EvaluatorSet, cqs []string, model shares.Model, binds []edgeBinding, opt Options, label string, sink func([]graph.Node) bool) (*Result, error) {
 	sol, err := model.Solve(float64(opt.reducers()))
 	if err != nil {
 		return nil, err
@@ -577,7 +623,7 @@ func runShareJob(ctx context.Context, g *graph.Graph, qs []*cq.CQ, model shares.
 		return nil, err
 	}
 	ms := &matchSink{sink: sink}
-	job := newShareReducer(qs, scheme, g, ms).side(scheme.job(label))
+	job := newShareReducer(evals, scheme, g, ms).side(scheme.job(label))
 	count, metrics, err := ms.run(ctx, job, opt.Engine, g)
 	if err != nil {
 		return nil, err
@@ -588,7 +634,7 @@ func runShareJob(ctx context.Context, g *graph.Graph, qs []*cq.CQ, model shares.
 	}
 	stats := JobStats{
 		Label:                label,
-		CQs:                  cqStrings(qs),
+		CQs:                  cqs,
 		Shares:               intShares,
 		PredictedCommPerEdge: model.CostPerEdge(fs),
 		OptimalCommPerEdge:   sol.CostPerEdge,
@@ -597,12 +643,4 @@ func runShareJob(ctx context.Context, g *graph.Graph, qs []*cq.CQ, model shares.
 		TargetReducers:       opt.reducers(),
 	}
 	return &Result{Count: count, Jobs: []JobStats{stats}}, nil
-}
-
-func cqStrings(qs []*cq.CQ) []string {
-	out := make([]string, len(qs))
-	for i, q := range qs {
-		out[i] = q.String()
-	}
-	return out
 }

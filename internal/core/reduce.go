@@ -34,13 +34,13 @@ type enumReducer struct {
 
 // newBucketReducer is the reducer of a bucket-oriented job under the
 // scheme's hash: nodes in (bucket, id) order, as in Section 2.3.
-func newBucketReducer(qs []*cq.CQ, s bucketScheme, ms *matchSink) *enumReducer {
-	return &enumReducer{evals: cq.NewEvaluatorSet(qs), runs: graph.NewBlockRuns(s.blocks(), s.h.Key), ms: ms}
+func newBucketReducer(evals *cq.EvaluatorSet, s bucketScheme, ms *matchSink) *enumReducer {
+	return &enumReducer{evals: evals, runs: graph.NewBlockRuns(s.blocks(), s.h.Key), ms: ms}
 }
 
 // newShareReducer is the reducer of a share job over g: nodes in id order,
 // ownership read off the lane table of the scheme's hashes.
-func newShareReducer(qs []*cq.CQ, s *shareScheme, g *graph.Graph, ms *matchSink) *enumReducer {
+func newShareReducer(evals *cq.EvaluatorSet, s *shareScheme, g *graph.Graph, ms *matchSink) *enumReducer {
 	p := len(s.hashes)
 	lanes := make([]byte, g.NumNodes()*p+laneSlack)
 	for u := range g.NumNodes() {
@@ -48,7 +48,7 @@ func newShareReducer(qs []*cq.CQ, s *shareScheme, g *graph.Graph, ms *matchSink)
 			lanes[u*p+v] = byte(h.Bucket(graph.Node(u)))
 		}
 	}
-	return &enumReducer{evals: cq.NewEvaluatorSet(qs), runs: graph.NewBlockRuns(s.blocks(), graph.NaturalKey), lanes: lanes, p: p, ms: ms}
+	return &enumReducer{evals: evals, runs: graph.NewBlockRuns(s.blocks(), graph.NaturalKey), lanes: lanes, p: p, ms: ms}
 }
 
 // laneSlack pads a lane table for ownMask's word reads past its last node.

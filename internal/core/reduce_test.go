@@ -88,7 +88,7 @@ func reducerBeds(g *graph.Graph, s *sample.Sample, sink func([]graph.Node) bool)
 	bucket := reducerBed{
 		name:    "bucket-oriented",
 		shuffle: shuffleOf(bm.job("groups"), g),
-		reducer: newBucketReducer(qs, bm, &matchSink{sink: sink}),
+		reducer: newBucketReducer(cq.NewEvaluatorSet(qs), bm, &matchSink{sink: sink}),
 		owner: func(key graph.BucketKey, phi []graph.Node) bool {
 			buckets := make([]byte, len(phi))
 			for i, u := range phi {
@@ -112,7 +112,7 @@ func reducerBeds(g *graph.Graph, s *sample.Sample, sink func([]graph.Node) bool)
 		return reducerBed{
 			name:    name,
 			shuffle: shuffleOf(sm.job("groups"), g),
-			reducer: newShareReducer(qs, sm, g, &matchSink{sink: sink}),
+			reducer: newShareReducer(cq.NewEvaluatorSet(qs), sm, g, &matchSink{sink: sink}),
 			owner: func(key graph.BucketKey, phi []graph.Node) bool {
 				for v, u := range phi {
 					if hashes[v].Bucket(u) != int(key[v]) {
@@ -291,7 +291,7 @@ func TestShareMaskPastEightVariables(t *testing.T) {
 				jqs = qs[i : i+1]
 			}
 			ms := &matchSink{}
-			r := newShareReducer(jqs, sm, g, ms)
+			r := newShareReducer(cq.NewEvaluatorSet(jqs), sm, g, ms)
 			r.reject = func([]int32) { rejected++ }
 			n, _, err := ms.run(t.Context(), r.side(sm.job(name)), mapreduce.Config{Partitions: 1}, g)
 			if err != nil {

@@ -382,6 +382,18 @@ func NewEvaluatorSet(cqs []*CQ) *EvaluatorSet {
 	return s
 }
 
+// Split returns one set per compiled CQ, in order, each sharing that CQ's
+// compiled evaluator with s — for jobs that evaluate one CQ each.
+func (s *EvaluatorSet) Split() []*EvaluatorSet {
+	sets := make([]EvaluatorSet, len(s.evals))
+	out := make([]*EvaluatorSet, len(s.evals))
+	for i := range s.evals {
+		sets[i] = EvaluatorSet{p: s.p, evals: s.evals[i : i+1 : i+1]}
+		out[i] = &sets[i]
+	}
+	return out
+}
+
 // Len returns the number of compiled CQs.
 func (s *EvaluatorSet) Len() int { return len(s.evals) }
 

@@ -117,7 +117,7 @@ func tripleKeys(got *[]string) func([3]graph.Node) bool {
 // triangle set against the serial enumerator.
 func CheckTwoRound(ctx context.Context, g *graph.Graph, cfg mapreduce.Config) (mapreduce.Metrics, error) {
 	var got []string
-	res, err := tworound.Triangles(ctx, g, cfg, tripleKeys(&got), nil)
+	res, err := tworound.Triangles(ctx, g, cfg, tripleKeys(&got))
 	if err != nil {
 		return mapreduce.Metrics{}, err
 	}

@@ -272,7 +272,7 @@ func TestProbeMatchesRun(t *testing.T) {
 			opt := core.Options{Buckets: b, TargetReducers: k, Seed: seed, Engine: mapreduce.Config{Parallelism: 2, Partitions: 2}}
 			qs := cq.MergeByOrientation(cq.GenerateForSample(s))
 			run := func(t *testing.T, st core.Strategy) *core.Result {
-				res, err := core.Enumerate(t.Context(), g, s, st, qs, opt, nil)
+				res, err := core.Enumerate(t.Context(), g, s, st, &core.CQSet{CQs: qs}, opt, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

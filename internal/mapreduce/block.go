@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -215,7 +216,7 @@ func (j BlockJob[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs 
 		p.once = make([]sync.Once, j.Blocks)
 	}
 	np := max(cfg.partitions(), 1)
-	deliver := run.deliver
+	deliver, outs := run.deliver, listFor[O]()
 	var (
 		wg   sync.WaitGroup
 		next atomic.Int64 // the next task nobody has taken
@@ -226,7 +227,11 @@ func (j BlockJob[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs 
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			out := &outbox[O]{to: deliver, list: outs}
 			fail := func(cause error) {
+				if err := out.drain(); err != nil {
+					cause = errors.Join(cause, err)
+				}
 				errs[w] = engineErr(StageReduce, j.Name, cause)
 				run.stop.Store(true)
 			}
@@ -240,6 +245,7 @@ func (j BlockJob[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs 
 				return
 			}
 			rctx := &Context{stop: &run.stop}
+			emit := out.emit
 			group := make([]V, 0, p.loads.MaxLoad) // holds the largest task
 			for !run.stop.Load() {
 				i := next.Add(1) - 1
@@ -252,7 +258,7 @@ func (j BlockJob[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs 
 					break
 				}
 				group = p.gather(group[:0], t)
-				j.Reduce(rctx, t.key, group, deliver)
+				j.Reduce(rctx, t.key, group, emit)
 				// A reduce task never blocks — no channel, no lock until an
 				// output — so np workers would hold every P for a full
 				// preemption slice (10 ms) each, and a concurrent job that
@@ -264,6 +270,7 @@ func (j BlockJob[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs 
 				// must not do this: its groups can be a few values each.
 				runtime.Gosched()
 			}
+			out.release()
 			work.Add(rctx.work)
 		}(w)
 	}

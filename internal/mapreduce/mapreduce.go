@@ -26,6 +26,7 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"runtime"
@@ -162,7 +163,12 @@ type Config struct {
 	// fixed-size types — or the run fails before any worker starts; spill
 	// I/O failures surface as a typed *EngineError from RunStream. A
 	// BlockJob holds no pairs — each value sits once in its input-sized
-	// block table — so it ignores the budget and never spills.
+	// block table — so it ignores the budget and never spills. In a pipe
+	// (RunPipe) the budget bounds both rounds together: the first round's
+	// workers buffer in their whole share, and once the second round's
+	// buffers start filling, the first keeps only a reserve of each share
+	// for its merge read buffers — a sixteenth of it, at most 64 KiB — and
+	// the second buffers in the rest.
 	MemoryBudget int64
 	// SpillDir is the directory for spill run files; "" means the system
 	// temp dir. Only a plain Job under a MemoryBudget uses it.
@@ -209,266 +215,449 @@ type pair[K comparable, V any] struct {
 	val V
 }
 
-// RunStream executes the job, delivering reducer outputs one at a time to
-// yield instead of materializing them. Calls to yield are serialized
-// (never concurrent) and block the emitting reduce worker, so delivery is
-// consumer-paced and the outputs never accumulate in memory. Note the
-// pacing reaches the reduce phase only: reduction starts after the map
-// phase completes, so by the first yield the shuffled pairs are already
-// grouped in the reduce workers' tables — bound that state with
-// Config.MemoryBudget, not with a slow consumer. Returning false from
-// yield stops the job early: no further outputs are delivered, remaining
-// groups are never reduced, a reducer in the middle of its group can see it
-// through Context.Stopped, spill files are removed, and RunStream returns
-// the partial metrics with a nil error. Cancelling ctx has the same
-// teardown — and can additionally interrupt the map phase — but returns
-// ctx.Err(). Metrics.Outputs counts only the values yield accepted.
+// RunStream executes the job, delivering reducer outputs to yield instead
+// of materializing them. Calls to yield are serialized (never concurrent)
+// and block the emitting reduce worker, so delivery is consumer-paced and
+// the outputs never accumulate in memory. A reduce worker's outputs leave
+// it in batches (see outbox): the first alone, then 2, 4, … up to 256, each
+// batch under one lock. Note the pacing reaches the reduce phase only:
+// reduction starts after the map phase completes, so by the first yield
+// the shuffled pairs are already grouped in the reduce workers' tables —
+// bound that state with Config.MemoryBudget, not with a slow consumer.
+// Returning false from yield stops the job early: no further outputs are
+// delivered (the rest of that batch included), remaining groups are never
+// reduced, a reducer in the middle of its group can see it through
+// Context.Stopped, spill files are removed, and RunStream returns the
+// partial metrics with a nil error. Cancelling ctx has the same teardown —
+// and can additionally interrupt the map phase — but returns ctx.Err(). A
+// failing worker first hands on the outputs it emitted before the failure.
+// Metrics.Outputs counts only the values yield accepted.
 func (j Job[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs []I, yield func(O) bool) (Metrics, error) {
-	nm := cfg.workers()
-	if nm > len(inputs) && len(inputs) > 0 {
-		nm = len(inputs)
-	}
-	if nm < 1 {
-		nm = 1
-	}
-	np := cfg.partitions()
-	if np < 1 {
-		np = 1
-	}
-
-	// The codec is resolved once; under Dist each map worker instantiates
-	// its own ownership predicate (distOwns keeps a scratch buffer that must
-	// not be shared across goroutines).
-	codec, err := jobCodec(j.Name, j.Codec, cfg)
+	run, release := newRun(ctx, yield)
+	defer release()
+	r, err := newRound(j, cfg, &run.stop, cfg.mappers(len(inputs)))
 	if err != nil {
 		return Metrics{}, err
 	}
-	seed := maphash.MakeSeed()
+	deliver := run.deliver
+	r.startReducers(func(int) func([]O) { return deliver })
+	mapInputs(r, inputs, j.Map)
+	r.finish()
+	return r.metrics(run.yielded), firstError(ctx, r.failures()...)
+}
 
-	run, release := newRun(ctx, yield)
-	defer release()
-	stop, deliver := &run.stop, run.deliver
+// mappers is the number of map workers a round over n inputs starts.
+func (c Config) mappers(n int) int {
+	return max(min(c.workers(), n), 1)
+}
 
+// round is one Job in flight: its shuffle (partition channels, hash seed,
+// batch free list), its reduce workers and what they report. RunStream
+// runs one round; RunPipe runs two, the first one's reduce workers mapping
+// straight into the second one's shuffle.
+type round[I any, K comparable, V any, O any] struct {
+	j     Job[I, K, V, O]
+	cfg   Config
+	codec Codec[K, V]
+	seed  maphash.Seed
+	stop  *atomic.Bool
+	chans []chan []pair[K, V]
+	// Shuffle batches cycle through a process-wide per-type free list:
+	// senders take recycled buffers, reduce workers return each batch once
+	// its pairs are copied into the group table (see recycle.go).
+	flist *batchFreeList[K, V]
+
+	// share is each reduce worker's equal slice of Config.MemoryBudget (0:
+	// the in-memory path); keep is the part of it the worker's reduce phase
+	// may hold (spiller.keep), the whole share unless the phase overlaps
+	// another round's shuffle.
+	share, keep int64
+	// sealed, when set, holds every reduce worker between its buffering and
+	// its reduce phase until all of them have settled: RunPipe's first
+	// round, whose outputs fill the next round's buffers.
+	sealed *sync.WaitGroup
+
+	outs    *freeList[O]   // the reduce workers' outbox buffers
+	rwg     sync.WaitGroup // reduce workers
+	shipped atomic.Int64
+	reports []report // one per partition
+
+	mmu  sync.Mutex
+	merr error // map side: the first failure
+}
+
+// newRound resolves the job's codec and makes its shuffle for the given
+// number of goroutines that will ship into it. The codec is resolved once;
+// under Dist each sender instantiates its own ownership predicate
+// (distOwns keeps a scratch buffer that must not be shared across
+// goroutines).
+func newRound[I any, K comparable, V any, O any](j Job[I, K, V, O], cfg Config, stop *atomic.Bool, senders int) (*round[I, K, V, O], error) {
+	codec, err := jobCodec(j.Name, j.Codec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	np := max(cfg.partitions(), 1)
+	r := &round[I, K, V, O]{
+		j: j, cfg: cfg, codec: codec, seed: maphash.MakeSeed(), stop: stop,
+		chans:   make([]chan []pair[K, V], np),
+		flist:   freeListFor[K, V](),
+		outs:    listFor[O](),
+		reports: make([]report, np),
+	}
+	// Two batches in flight per sender let it fill one while the reduce
+	// worker takes in the other.
+	for p := range r.chans {
+		r.chans[p] = make(chan []pair[K, V], 2*senders)
+	}
 	// External shuffle: with a memory budget, every reduce worker gets an
 	// equal share and buffers its pairs in a spiller, which sorts them out
 	// to a run file whenever their footprint crosses it.
-	var share int64
 	if cfg.MemoryBudget > 0 {
-		share = max(cfg.MemoryBudget/int64(np), 1)
+		r.share = max(cfg.MemoryBudget/int64(np), 1)
+		r.keep = r.share
 	}
+	return r, nil
+}
 
-	chans := make([]chan []pair[K, V], np)
-	for p := range chans {
-		chans[p] = make(chan []pair[K, V], 2*nm)
+// startReducers starts one reduce worker per partition; to(p) is where
+// partition p's outputs go.
+func (r *round[I, K, V, O]) startReducers(to func(p int) func([]O)) {
+	for p := range r.chans {
+		r.rwg.Add(1)
+		go r.reducer(p, to(p))
 	}
-	// Shuffle batches cycle through a process-wide per-type free list:
-	// mappers take recycled buffers, reduce workers return each batch once
-	// its pairs are copied into the group table (see recycle.go).
-	flist := freeListFor[K, V]()
+}
 
-	// Reduce workers: each owns one partition, taking in batches as they
-	// arrive (concurrently with mapping) and reducing once its channel
-	// closes — from the bucketed group table, or with a budget from the
-	// spiller's sorted buffer or run merge. On stop they keep draining their
-	// channel (so mappers never block forever) but skip grouping and
-	// reducing.
+// reducer is partition p's reduce worker. It takes in batches as they
+// arrive (concurrently with mapping) and reduces once its channel closes —
+// from the bucketed group table, or with a budget from the spiller's sorted
+// buffer or run merge — handing its outputs to to through an outbox. On
+// stop it keeps draining its channel (so senders never block forever) but
+// skips grouping and reducing.
+func (r *round[I, K, V, O]) reducer(p int, to func([]O)) {
+	defer r.rwg.Done()
+	out := &outbox[O]{to: to, list: r.outs}
+	arrived := r.sealed == nil
+	arrive := func() { // at the sealed barrier, once on every path
+		if !arrived {
+			arrived = true
+			r.sealed.Done()
+		}
+	}
+	// fail records a typed worker error and keeps draining the partition
+	// channel so senders never block on a dead partition (recycling the
+	// drained batches as usual).
+	fail := func(stage string, cause error) {
+		if err := out.drain(); err != nil {
+			cause = errors.Join(cause, err)
+		}
+		r.reports[p].err = engineErr(stage, r.j.Name, cause)
+		r.stop.Store(true)
+		arrive()
+		for batch := range r.chans[p] {
+			r.flist.put(batch)
+		}
+	}
+	// A panicking reducer (or spill codec) is recovered once per worker and
+	// converted to the same typed error. The spiller's cleanup defer below
+	// is registered later, so it has already removed the run files by the
+	// time this recovery runs.
+	defer func() {
+		if rec := recover(); rec != nil {
+			fail(StageReduce, fmt.Errorf("recovered panic: %v", rec))
+		}
+		arrive()
+	}()
+	if err := failpoint.Eval(failpoint.ReduceWorker); err != nil {
+		fail(StageReduce, err)
+		return
+	}
 	var (
-		rwg      sync.WaitGroup
-		distinct = make([]int64, np)
-		maxIn    = make([]int64, np)
-		works    = make([]int64, np)
-		spills   = make([]Metrics, np)
-		errs     = make([]error, np)
+		sp    *spiller[K, V]    // budgeted path
+		table *groupTable[K, V] // in-memory path
 	)
-	for p := 0; p < np; p++ {
-		rwg.Add(1)
-		go func(p int) {
-			defer rwg.Done()
-			// fail records a typed worker error and keeps draining the
-			// partition channel so mappers never block on a dead partition
-			// (recycling the drained batches as usual).
-			fail := func(stage string, cause error) {
-				errs[p] = engineErr(stage, j.Name, cause)
-				stop.Store(true)
-				for batch := range chans[p] {
-					flist.put(batch)
-				}
-			}
-			// A panicking reducer (or spill codec) is recovered once per
-			// worker and converted to the same typed error. The spiller's
-			// cleanup defer below is registered later, so it has already
-			// removed the run files by the time this recovery runs.
-			defer func() {
-				if r := recover(); r != nil {
-					fail(StageReduce, fmt.Errorf("recovered panic: %v", r))
-				}
-			}()
-			if err := failpoint.Eval(failpoint.ReduceWorker); err != nil {
-				fail(StageReduce, err)
-				return
-			}
-			var (
-				sp    *spiller[K, V]    // budgeted path
-				table *groupTable[K, V] // in-memory path
-			)
-			if share > 0 {
-				sp = newSpiller(codec, cfg.SpillDir, share)
-				defer sp.cleanup()
-			} else {
-				table = newGroupTable[K, V](seed)
-			}
-			for batch := range chans[p] {
-				if stop.Load() {
-					flist.put(batch)
-					continue // drain without grouping
-				}
-				if sp != nil {
-					if err := sp.add(batch); err != nil {
-						fail(StageSpill, err)
-						return
-					}
-				} else {
-					for _, kv := range batch {
-						table.add(kv.key, kv.val)
-					}
-				}
-				flist.put(batch)
-			}
-			if stop.Load() {
-				// Cancelled or stopped early: nothing left to reduce; the
-				// deferred cleanup removes any spill runs.
-				return
-			}
-			rctx := &Context{stop: stop}
-			reduce := func(k K, vs []V) bool {
-				if stop.Load() {
-					return false
-				}
-				j.Reduce(rctx, k, vs, deliver)
-				return true
-			}
-			if sp != nil {
-				d, mi, err := sp.reduce(reduce)
-				if err != nil {
-					fail(StageSpill, err)
-					return
-				}
-				distinct[p], maxIn[p] = d, mi
-				spills[p] = Metrics{SpilledPairs: sp.pairs, SpillBytes: sp.bytes, SpillFiles: sp.runs}
-			} else {
-				if !table.group(stop) {
-					return
-				}
-				distinct[p] = int64(table.numKeys())
-				maxIn[p] = table.forEach(reduce)
-			}
-			works[p] = rctx.work
-		}(p)
+	if r.share > 0 {
+		sp = newSpiller(r.codec, r.cfg.SpillDir, r.share)
+		sp.keep = r.keep
+		defer sp.cleanup()
+	} else {
+		table = newGroupTable[K, V](r.seed)
 	}
+	for batch := range r.chans[p] {
+		if r.stop.Load() {
+			r.flist.put(batch)
+			continue // drain without grouping
+		}
+		if sp != nil {
+			if err := sp.add(batch); err != nil {
+				fail(StageSpill, err)
+				return
+			}
+		} else {
+			for _, kv := range batch {
+				table.add(kv.key, kv.val)
+			}
+		}
+		r.flist.put(batch)
+	}
+	if sp != nil && !r.stop.Load() {
+		if err := sp.settle(); err != nil {
+			fail(StageSpill, err)
+			return
+		}
+	}
+	arrive()
+	if r.sealed != nil {
+		r.sealed.Wait()
+	}
+	if r.stop.Load() {
+		// Cancelled or stopped early: nothing left to reduce; the deferred
+		// cleanup removes any spill runs.
+		return
+	}
+	rctx := &Context{stop: r.stop}
+	emit := out.emit
+	reduce := func(k K, vs []V) bool {
+		if r.stop.Load() {
+			return false
+		}
+		r.j.Reduce(rctx, k, vs, emit)
+		return true
+	}
+	if sp != nil {
+		d, mi, err := sp.reduce(reduce)
+		if err != nil {
+			fail(StageSpill, err)
+			return
+		}
+		r.reports[p].m = Metrics{DistinctKeys: d, MaxReducerInput: mi, SpilledPairs: sp.pairs, SpillBytes: sp.bytes, SpillFiles: sp.runs}
+	} else {
+		if !table.group(r.stop) {
+			return
+		}
+		r.reports[p].m.DistinctKeys = int64(table.numKeys())
+		r.reports[p].m.MaxReducerInput = table.forEach(reduce)
+	}
+	out.release()
+	r.reports[p].m.ReducerWork = rctx.work
+}
 
-	// Map workers: each owns a contiguous shard of the inputs and streams
-	// batches into the partition channels.
-	shipped := make([]int64, nm)
-	merrs := make([]error, nm)
-	var mwg sync.WaitGroup
+// mapInputs maps inputs with mapf into r's shuffle on cfg.mappers
+// goroutines, each a contiguous shard, and returns once every shard is
+// shipped or dropped. mapf is r's own Map, or in a pipe the side mapper
+// over the first round's inputs.
+func mapInputs[X, I any, K comparable, V, O any](r *round[I, K, V, O], inputs []X, mapf Mapper[X, K, V]) {
+	nm := r.cfg.mappers(len(inputs))
 	chunk := (len(inputs) + nm - 1) / nm
-	if chunk < 1 {
-		chunk = 1
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(inputs); lo += chunk {
+		wg.Add(1)
+		go func(shard []X) {
+			defer wg.Done()
+			mapShard(r, shard, mapf)
+		}(inputs[lo:min(lo+chunk, len(inputs))])
 	}
-	for w := 0; w < nm; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(inputs) {
-			hi = len(inputs)
-		}
-		if lo >= hi {
-			continue
-		}
-		mwg.Add(1)
-		go func(w, lo, hi int) {
-			defer mwg.Done()
-			// A panicking mapper is recovered once per worker; buffered
-			// batches are dropped (nobody will reduce them) and the reduce
-			// workers see stop and drain.
-			defer func() {
-				if r := recover(); r != nil {
-					merrs[w] = engineErr(StageMap, j.Name, fmt.Errorf("recovered panic: %v", r))
-					stop.Store(true)
-				}
-			}()
-			if err := failpoint.Eval(failpoint.MapWorker); err != nil {
-				merrs[w] = engineErr(StageMap, j.Name, err)
-				stop.Store(true)
-				return
-			}
-			bufs := make([][]pair[K, V], np)
-			emit := func(k K, v V) {
-				p := int(maphash.Comparable(seed, k) % uint64(np))
-				if bufs[p] == nil {
-					bufs[p] = flist.get(batchSize)
-				}
-				bufs[p] = append(bufs[p], pair[K, V]{k, v})
-				shipped[w]++
-				if len(bufs[p]) >= batchSize {
-					chans[p] <- bufs[p]
-					bufs[p] = nil
-				}
-			}
+	wg.Wait()
+}
 
-			// The ownership filter wraps the emit ahead of the shipped
-			// count, so an unowned pair leaves no trace in the metrics and
-			// N disjoint filtered runs sum to exactly one unfiltered run's
-			// metrics.
-			if cfg.Dist != nil {
-				owns := distOwns(cfg.Dist, codec)
-				ship := emit
-				emit = func(k K, v V) {
-					if owns(k) {
-						ship(k, v)
-					}
-				}
-			}
-
-			for i := lo; i < hi; i++ {
-				if stop.Load() {
-					return // discard buffered pairs: nobody will reduce them
-				}
-				j.Map(inputs[i], emit)
-			}
-			if stop.Load() {
-				return
-			}
-			for p, buf := range bufs {
-				if len(buf) > 0 {
-					chans[p] <- buf
-				}
-			}
-		}(w, lo, hi)
-	}
-	mwg.Wait()
-	for p := range chans {
-		close(chans[p])
-	}
-	rwg.Wait()
-
-	var metrics Metrics
-	for w := 0; w < nm; w++ {
-		metrics.KeyValuePairs += shipped[w]
-	}
-	for p := 0; p < np; p++ {
-		metrics.DistinctKeys += distinct[p]
-		if maxIn[p] > metrics.MaxReducerInput {
-			metrics.MaxReducerInput = maxIn[p]
+// mapShard is one map worker: it streams its shard's pairs into the
+// partition channels. A panicking mapper is recovered once per worker;
+// buffered batches are dropped (nobody will reduce them) and the reduce
+// workers see stop and drain.
+func mapShard[X, I any, K comparable, V, O any](r *round[I, K, V, O], shard []X, mapf Mapper[X, K, V]) {
+	s := r.newSender()
+	defer func() {
+		if rec := recover(); rec != nil {
+			r.failMap(fmt.Errorf("recovered panic: %v", rec))
 		}
-		metrics.ReducerWork += works[p]
-		metrics.SpilledPairs += spills[p].SpilledPairs
-		metrics.SpillBytes += spills[p].SpillBytes
-		metrics.SpillFiles += spills[p].SpillFiles
+		r.shipped.Add(s.n)
+	}()
+	if err := failpoint.Eval(failpoint.MapWorker); err != nil {
+		r.failMap(err)
+		return
 	}
-	metrics.Outputs = run.yielded
-	// Reduce side before map side: the spill path carries the richer
-	// diagnosis when several workers raced to set stop.
-	return metrics, firstError(ctx, append(errs, merrs...)...)
+	emit := r.emitter(s)
+	for i := range shard {
+		if r.stop.Load() {
+			return // discard buffered pairs: nobody will reduce them
+		}
+		mapf(shard[i], emit)
+	}
+	if !r.stop.Load() {
+		s.flush()
+	}
+}
+
+// failMap records a map-side failure (the first one wins) and stops the run.
+func (r *round[I, K, V, O]) failMap(cause error) {
+	r.mmu.Lock()
+	if r.merr == nil {
+		r.merr = engineErr(StageMap, r.j.Name, cause)
+	}
+	r.mmu.Unlock()
+	r.stop.Store(true)
+}
+
+// newSender returns a sender into the round's shuffle.
+func (r *round[I, K, V, O]) newSender() *sender[K, V] {
+	return &sender[K, V]{chans: r.chans, flist: r.flist, seed: r.seed, bufs: make([][]pair[K, V], len(r.chans))}
+}
+
+// emitter is s's emit, behind the round's ownership filter under
+// Config.Dist. The filter comes ahead of the shipped count, so an unowned
+// pair leaves no trace in the metrics and N disjoint filtered runs sum to
+// exactly one unfiltered run's metrics.
+func (r *round[I, K, V, O]) emitter(s *sender[K, V]) func(K, V) {
+	if r.cfg.Dist == nil {
+		return s.emit
+	}
+	owns := distOwns(r.cfg.Dist, r.codec)
+	return func(k K, v V) {
+		if owns(k) {
+			s.emit(k, v)
+		}
+	}
+}
+
+// finish closes the partition channels — every sender must be done — and
+// waits for the reduce workers.
+func (r *round[I, K, V, O]) finish() {
+	for _, ch := range r.chans {
+		close(ch)
+	}
+	r.rwg.Wait()
+}
+
+// metrics folds the workers' reports into the round's Metrics.
+func (r *round[I, K, V, O]) metrics(outputs int64) Metrics {
+	m := Metrics{KeyValuePairs: r.shipped.Load(), Outputs: outputs}
+	for _, rep := range r.reports {
+		m.Add(rep.m)
+	}
+	return m
+}
+
+// failures lists the round's worker errors, reduce side before map side:
+// the spill path carries the richer diagnosis when several workers raced
+// to set stop.
+func (r *round[I, K, V, O]) failures() []error {
+	errs := make([]error, 0, len(r.reports)+1)
+	for _, rep := range r.reports {
+		errs = append(errs, rep.err)
+	}
+	return append(errs, r.merr)
+}
+
+// report is what one reduce worker hands back: its share of the metrics
+// (keys, largest group, work, spill I/O) and its failure.
+type report struct {
+	m   Metrics
+	err error
+}
+
+// sender is one goroutine's way into a round's shuffle: a batch per
+// partition, owned by the goroutine and shipped whole once it holds
+// batchSize pairs.
+type sender[K comparable, V any] struct {
+	chans []chan []pair[K, V]
+	flist *batchFreeList[K, V]
+	seed  maphash.Seed
+	bufs  [][]pair[K, V]
+	n     int64 // pairs emitted
+}
+
+// emit buffers one pair for its partition, shipping the batch when full.
+//
+//lint:hotpath
+func (s *sender[K, V]) emit(k K, v V) {
+	p := int(maphash.Comparable(s.seed, k) % uint64(len(s.bufs)))
+	if s.bufs[p] == nil {
+		s.bufs[p] = s.flist.get(batchSize)
+	}
+	s.bufs[p] = append(s.bufs[p], pair[K, V]{k, v})
+	s.n++
+	if len(s.bufs[p]) >= batchSize {
+		s.chans[p] <- s.bufs[p]
+		s.bufs[p] = nil
+	}
+}
+
+// flush ships every partial batch.
+func (s *sender[K, V]) flush() {
+	for p, buf := range s.bufs {
+		if len(buf) > 0 {
+			s.chans[p] <- buf
+		}
+		s.bufs[p] = nil
+	}
+}
+
+// maxOutBatch is the most outputs one outbox batch carries.
+const maxOutBatch = 256
+
+// outbox is the one way a reduce worker's outputs leave it: they collect
+// in a batch the worker owns, which leaves whole for its destination, to —
+// the run's serialised sink (run.deliver), or in a pipe the next round's
+// map (pipe.send). Batches double 1, 2, 4, … maxOutBatch, so the first
+// output crosses alone and a busy worker pays one hand-off per
+// maxOutBatch outputs instead of one per output.
+type outbox[O any] struct {
+	buf  []O
+	size int // the current batch's size
+	to   func([]O)
+	list *freeList[O] // where buf comes from and, once the worker is done, goes back
+}
+
+// emit adds one output, handing the batch on once it is full.
+//
+//lint:hotpath
+func (b *outbox[O]) emit(o O) {
+	if b.buf == nil {
+		b.start()
+	}
+	b.buf = append(b.buf, o)
+	if len(b.buf) >= b.size {
+		b.flush()
+	}
+}
+
+// start takes the outbox's one buffer, at the worker's first output, so a
+// worker that emits nothing takes none. It is kept out of line so that its
+// allocation, when the free list is empty, stays off emit's hot path.
+//
+//go:noinline
+func (b *outbox[O]) start() { b.buf, b.size = b.list.get(maxOutBatch), 1 }
+
+// release hands the last batch on and returns the buffer to its free list.
+func (b *outbox[O]) release() {
+	b.flush()
+	b.list.put(b.buf)
+	b.buf = nil
+}
+
+// flush hands the pending outputs on. The outbox is emptied first, so a
+// destination that panics loses its batch instead of receiving it twice.
+func (b *outbox[O]) flush() {
+	batch := b.buf
+	if len(batch) == 0 {
+		return
+	}
+	b.buf, b.size = batch[:0], min(2*b.size, maxOutBatch)
+	b.to(batch)
+}
+
+// drain is flush for a failing worker: what it emitted before the failure
+// still leaves first. A destination that panics here too loses the batch,
+// and its panic comes back as an error for the worker to report beside its
+// own failure.
+func (b *outbox[O]) drain() (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("recovered panic delivering outputs: %v", rec)
+		}
+	}()
+	b.flush()
+	return nil
 }
 
 // run is the state the workers of one engine run share, whatever the shape
@@ -496,22 +685,27 @@ func newRun[O any](ctx context.Context, yield func(O) bool) (r *run[O], release 
 	return r, func() { unwatch() }
 }
 
-// deliver serializes reducer outputs into yield. After a stop it drops
-// outputs; a reducer mid-group finishes without further delivery, or sooner
-// if it polls Context.Stopped.
-func (r *run[O]) deliver(o O) {
+// deliver serializes one outbox batch into yield under one lock. A stop —
+// yield's false, a cancellation, a failure elsewhere — drops the outputs
+// after it; a reducer mid-group finishes without further delivery, or
+// sooner if it polls Context.Stopped.
+//
+//lint:hotpath
+func (r *run[O]) deliver(batch []O) {
 	if r.stop.Load() {
 		return
 	}
 	r.ymu.Lock()
 	defer r.ymu.Unlock()
-	if r.stop.Load() {
-		return
-	}
-	if r.yield(o) {
+	for _, o := range batch {
+		if r.stop.Load() {
+			return
+		}
+		if !r.yield(o) {
+			r.stop.Store(true)
+			return
+		}
 		r.yielded++
-	} else {
-		r.stop.Store(true)
 	}
 }
 

@@ -77,6 +77,13 @@ type spiller[K comparable, V any] struct {
 	// holds at least one pair; reaching it spills.
 	share int64
 	limit int
+	fixed int64 // the bytes one buffered pair costs
+	// keep is the part of the share the worker's reduce phase may hold:
+	// the merge's read buffers split it, and a worker that never spilled
+	// reduces from its buffer only if the buffer fits it (see settle). It is
+	// the whole share unless the reduce phase overlaps another round's
+	// shuffle, as in a pipe's first round.
+	keep int64
 
 	buf   []pair[K, V]
 	ents  []runEntry // sort scratch, one per buffered pair
@@ -91,15 +98,15 @@ type spiller[K comparable, V any] struct {
 }
 
 func newSpiller[K comparable, V any](codec Codec[K, V], dir string, share int64) *spiller[K, V] {
-	s := &spiller[K, V]{codec: codec, dir: dir, share: share}
+	s := &spiller[K, V]{codec: codec, dir: dir, share: share, keep: share}
 	room := share - min(int64(s.writeBufSize()), share/2)
-	fixed := int64(unsafe.Sizeof(pair[K, V]{}) + unsafe.Sizeof(runEntry{}))
+	s.fixed = int64(unsafe.Sizeof(pair[K, V]{}) + unsafe.Sizeof(runEntry{}))
 	var zero K
 	if n := len(codec.AppendKey(nil, zero)); n > keyPrefixLen {
-		fixed += int64(n) + int64(unsafe.Sizeof(int(0)))
+		s.fixed += int64(n) + int64(unsafe.Sizeof(int(0)))
 	}
 	// runEntry.idx is 32 bits wide.
-	s.limit = int(min(room/fixed+1, math.MaxUint32))
+	s.limit = int(min(room/s.fixed+1, math.MaxUint32))
 	return s
 }
 
@@ -409,34 +416,45 @@ func (s *spiller[K, V]) writeRun(fill func() error) (string, error) {
 	return f.Name(), nil
 }
 
-// reduce streams every key's values into fn and returns the number of
-// distinct keys and the largest group, matching what the in-memory path
-// would have reported. A false return from fn stops early (the group it
-// declined is counted). A worker that never spilled reduces straight from
-// its sorted buffer with the original keys and values; one that did spills
-// the rest and merges its runs, in ascending encoded-key order either way.
-func (s *spiller[K, V]) reduce(fn func(k K, vs []V) bool) (distinct, maxIn int64, err error) {
-	if len(s.paths) == 0 {
-		if err := s.sortBuf(); err != nil {
-			return 0, 0, err
-		}
-		distinct, maxIn = s.walk(func(g []runEntry) bool {
-			s.vs = s.vs[:0]
-			for _, e := range g {
-				s.vs = append(s.vs, s.buf[e.idx].val)
-			}
-			return fn(s.buf[g[0].idx].key, s.vs)
-		})
-		return distinct, maxIn, nil
+// settle ends the buffering phase. A worker that never spilled keeps its
+// buffer to reduce from if the buffer fits keep (a buffer that never
+// crossed the share always fits the whole share); otherwise the rest of the
+// buffer is spilled, and the buffer and the write buffer are dropped: the
+// merge's read buffers take over the share they held.
+func (s *spiller[K, V]) settle() error {
+	if len(s.paths) == 0 && int64(len(s.buf))*s.fixed <= s.keep {
+		return nil
 	}
 	if len(s.buf) > 0 {
 		if err := s.spill(); err != nil {
-			return 0, 0, err
+			return err
 		}
 	}
-	// The merge's read buffers take over the share the buffer held.
-	s.buf, s.ents, s.arena, s.offs = nil, nil, nil, nil
-	return s.mergeReduce(fn)
+	s.buf, s.ents, s.arena, s.offs, s.w.buf = nil, nil, nil, nil, nil
+	return nil
+}
+
+// reduce, after settle, streams every key's values into fn and returns the
+// number of distinct keys and the largest group, matching what the
+// in-memory path would have reported. A false return from fn stops early
+// (the group it declined is counted). A worker that kept its buffer
+// reduces straight from it, sorted, with the original keys and values; one
+// that spilled merges its runs, in ascending encoded-key order either way.
+func (s *spiller[K, V]) reduce(fn func(k K, vs []V) bool) (distinct, maxIn int64, err error) {
+	if len(s.paths) > 0 {
+		return s.mergeReduce(fn)
+	}
+	if err := s.sortBuf(); err != nil {
+		return 0, 0, err
+	}
+	distinct, maxIn = s.walk(func(g []runEntry) bool {
+		s.vs = s.vs[:0]
+		for _, e := range g {
+			s.vs = append(s.vs, s.buf[e.idx].val)
+		}
+		return fn(s.buf[g[0].idx].key, s.vs)
+	})
+	return distinct, maxIn, nil
 }
 
 // mergeReduce merges every run and streams each key's decoded values into
@@ -462,7 +480,7 @@ func (s *spiller[K, V]) mergeReduce(fn func(k K, vs []V) bool) (distinct, maxIn 
 		s.paths[at] = np
 		s.paths = slices.Delete(s.paths, at+1, at+n)
 	}
-	m, err := newMerger(s.paths, s.share)
+	m, err := newMerger(s.paths, s.keep)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -512,7 +530,7 @@ func decodeValueErr(err error) error {
 // the arena (their count precedes them in the record) and re-emitted under
 // the key once. The input files are consumed.
 func (s *spiller[K, V]) compact(paths []string) (string, error) {
-	m, err := newMerger(paths, s.share)
+	m, err := newMerger(paths, s.keep)
 	if err != nil {
 		return "", err
 	}
@@ -603,7 +621,7 @@ func (w *runWriter) writeBytes(b []byte) {
 // larger than the file.
 type runCursor struct {
 	f    *os.File
-	br   *bufio.Reader
+	br   bufio.Reader
 	left int64  // bytes of the file not yet consumed
 	key  []byte // current record's key
 	head uint64 // key's first keyPrefixLen bytes, big-endian, zero-padded
@@ -663,7 +681,7 @@ func (c *runCursor) fill(buf []byte, n uint64) ([]byte, error) {
 		c.br.Discard(int(n))
 		return buf, nil
 	}
-	_, err := io.ReadFull(c.br, buf)
+	_, err := io.ReadFull(&c.br, buf)
 	return buf, err
 }
 
@@ -736,14 +754,16 @@ func newMerger(paths []string, share int64) (*merger, error) {
 	// caller only drops them from its list on success), so close() here
 	// only needs to release descriptors; double-removal is harmless.
 	m := &merger{all: make([]*runCursor, 0, len(paths)), tree: make([]int32, len(paths))}
+	cursors := make([]runCursor, len(paths)) // one allocation, not one a run
 	size := runBufSize(share / int64(max(len(paths), 1)))
-	for _, p := range paths {
+	for i, p := range paths {
 		f, err := os.Open(p)
 		if err != nil {
 			m.close()
 			return nil, fmt.Errorf("mapreduce: reopening spill run: %w", err)
 		}
-		c := &runCursor{f: f, br: bufio.NewReaderSize(f, size)}
+		c := &cursors[i]
+		c.f, c.br = f, *bufio.NewReaderSize(f, size)
 		m.all = append(m.all, c)
 		st, err := f.Stat()
 		if err != nil {

@@ -37,7 +37,10 @@ type extension struct {
 // carries the per-round metrics, making the intermediate-relation blowup
 // measurable. Fewer than three relations, or a nil one, is an error.
 // Cancelling ctx aborts the round in flight and returns ctx.Err() with the
-// chain so far.
+// chain so far. Unlike the triangle cascade (tworound), the rounds are not
+// piped with mapreduce.RunPipe: a round's outputs name rows of the path
+// table the next round reads, so each round's table must be complete before
+// the next starts. Pipelining them is out of scope.
 func CycleJoinChain(ctx context.Context, rels []*Relation, cfg mapreduce.Config) ([][]int64, *mapreduce.Chain, error) {
 	c := mapreduce.NewChain(cfg)
 	p := len(rels)

@@ -3,7 +3,7 @@
 // introduction argues against ("the multiway join in a single round of
 // map-reduce is more efficient than two-way joins, each performed by its
 // own round"). It exists as a measured baseline: its communication
-// includes the materialized wedge relation E(X,Y) ⋈ E(Y,Z), which is
+// includes the wedge relation E(X,Y) ⋈ E(Y,Z), which is
 // Θ(Σ_v deg(v)²) and explodes on skewed graphs, while the one-round
 // algorithms of Section 2 ship each edge only O(b) times.
 package tworound
@@ -18,19 +18,14 @@ import (
 // Result carries the per-round metrics of one cascade run; the triangles
 // themselves go to the sink.
 type Result struct {
-	// Wedges is the size of the intermediate relation shipped to round 2.
+	// Wedges is the size of the intermediate relation round 1 hands to
+	// round 2.
 	Wedges int64
 	// Chain holds the executed rounds: Rounds[0] is the wedge-building
 	// join E(X,Y) ⋈ E(Y,Z) keyed by Y, and Rounds[1] joins the wedges with
 	// E(X,Z) keyed by the (X, Z) pair — its Outputs is the number of
-	// triangles the sink accepted. A cancelled or abandoned cascade has
-	// fewer rounds.
+	// triangles the sink accepted.
 	Chain *mapreduce.Chain
-	// Abandoned reports that the after-round-1 hook stopped the cascade:
-	// round 2 never ran, nothing was delivered, and the caller is expected
-	// to finish the query another way (adaptive re-planning switches to a
-	// one-round algorithm).
-	Abandoned bool
 }
 
 // role is a round-1 value: an edge's far endpoint, and which side of the
@@ -40,52 +35,44 @@ type role struct {
 	Left  bool // true: contributes X to E(X,Y); false: contributes Z
 }
 
-// wedge is one round-2 input: a wedge (X, Y, Z) out of round 1, or — the
-// two relations share one input slice — the edge marker (X, Z).
+// wedge is one round-1 output and round-2 input: the wedge (X, Y, Z).
 type wedge struct {
 	X, Y, Z graph.Node
-	IsEdge  bool
 }
 
+// edgeOrWedge is a round-2 value: a wedge's middle node, or the marker of
+// the edge (X, Z) itself.
 type edgeOrWedge struct {
 	Y      graph.Node // middle node for wedges; unused for edge markers
 	IsEdge bool
 }
 
 // Triangles enumerates every triangle exactly once (as X < Y < Z with the
-// natural node order) as an explicit two-round chain. Round 1 (the wedge
-// join) always materializes — its output is round 2's input — and round 2
-// delivers each triangle to sink (serialized, consumer-paced; returning
-// false stops the round early with a nil error). A nil sink counts without
-// delivering. Cancelling ctx aborts whichever round is running and returns
-// ctx.Err(); the Result then carries the metrics of the rounds that ran.
+// natural node order) as an explicit two-round chain, run as a pipe
+// (mapreduce.RunPipe): round 1's reducers map each wedge they build
+// straight into round 2's shuffle, and round 2's map workers map the edge
+// markers alongside, so the wedge relation is shipped but never
+// materialised. Round 2 delivers each triangle to sink (serialized,
+// consumer-paced; returning false stops the cascade early with a nil
+// error). A nil sink counts without delivering. Cancelling ctx aborts both
+// rounds and returns ctx.Err(); the Result then carries their partial
+// metrics.
 //
-// afterRound1, if non-nil, is the mid-query re-planning seam: once round 1
-// completes it receives the round's measured metrics and the materialized
-// wedge count — the cascade's skew, observed at the cheapest possible point,
-// is exactly Metrics.MaxReducerInput vs the mean. Returning false abandons
-// the cascade before round 2: the Result carries the round-1 chain with
-// Abandoned set, and the caller re-plans the rest of the query.
-func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink func([3]graph.Node) bool, afterRound1 func(round1 mapreduce.Metrics, wedges int64) bool) (Result, error) {
+// Under a distributed ownership filter (cfg.Dist) only round 1 is
+// filtered: each triangle has exactly one wedge whose middle is its middle
+// node, so the workers' wedge sets are disjoint and round 2 over
+// worker-local wedges already produces each triangle exactly once. The edge
+// relation is broadcast (re-mapped in full by every worker) because edge
+// markers alone emit nothing — filtering round 2's (X,Z) keys too would
+// instead drop wedges whose closing edge hashes to another worker.
+func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink func([3]graph.Node) bool) (Result, error) {
 	if sink == nil {
 		sink = func([3]graph.Node) bool { return true }
 	}
 	c := mapreduce.NewChain(cfg)
-
 	// Round 1: key by the shared variable Y. An edge (a, b) with a < b
 	// plays role E(X,Y) under key b and role E(Y,Z) under key a.
-	//
-	// Its output and one marker per edge are round 2's input, collected in
-	// one slice allocated at its final size — appending a round's worth of
-	// outputs would copy them several times over on the way up. (Under a
-	// distributed ownership filter the run keeps an unknown share of the
-	// wedges, so there the slice grows.)
-	hint := g.NumEdges()
-	if cfg.Dist == nil {
-		hint += int(WedgeCount(g))
-	}
-	inputs := make([]wedge, 0, hint)
-	err := mapreduce.RunRoundStream(ctx, c, mapreduce.Job[graph.Edge, graph.Node, role, wedge]{
+	round1 := mapreduce.Job[graph.Edge, graph.Node, role, wedge]{
 		Name:  "wedge join E(X,Y) ⋈ E(Y,Z)",
 		Codec: wedgeJoinCodec{},
 		Map: func(e graph.Edge, emit func(graph.Node, role)) {
@@ -93,36 +80,13 @@ func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink f
 			emit(e.U, role{Other: e.V, Left: false}) // Y = U, Z = V
 		},
 		Reduce: joinWedges,
-	}, g.Edges(), func(w wedge) bool {
-		inputs = append(inputs, w)
-		return true
-	})
-	wedges := int64(len(inputs))
-	if err != nil {
-		return Result{Wedges: wedges, Chain: c}, err
 	}
-	if afterRound1 != nil && !afterRound1(c.Rounds[0].Metrics, wedges) {
-		return Result{Wedges: wedges, Chain: c, Abandoned: true}, nil
-	}
-
 	// Round 2: join the wedges with E(X,Z), keyed by the (X,Z) edge.
-	//
-	// Under a distributed ownership filter (cfg.Dist) only round 1 is
-	// filtered: each triangle has exactly one wedge whose middle is its
-	// middle node, so the workers' wedge sets are disjoint and round 2 over
-	// worker-local wedges already produces each triangle exactly once. The
-	// edge relation is broadcast (re-mapped in full by every worker) because
-	// edge markers alone emit nothing — filtering round 2's (X,Z) keys too
-	// would instead drop wedges whose closing edge hashes to another worker.
-	c.Cfg.Dist = nil
-	for _, e := range g.Edges() {
-		inputs = append(inputs, wedge{X: e.U, Z: e.V, IsEdge: true})
-	}
 	round2 := mapreduce.Job[wedge, uint64, edgeOrWedge, [3]graph.Node]{
 		Name:  "close wedges against E(X,Z)",
 		Codec: closeCodec{},
-		Map: func(in wedge, emit func(uint64, edgeOrWedge)) {
-			emit((graph.Edge{U: in.X, V: in.Z}).Key(), edgeOrWedge{Y: in.Y, IsEdge: in.IsEdge})
+		Map: func(w wedge, emit func(uint64, edgeOrWedge)) {
+			emit((graph.Edge{U: w.X, V: w.Z}).Key(), edgeOrWedge{Y: w.Y})
 		},
 		Reduce: func(ctx *mapreduce.Context, key uint64, values []edgeOrWedge, emit func([3]graph.Node)) {
 			hasEdge := false
@@ -145,9 +109,11 @@ func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink f
 			}
 		},
 	}
-
-	err = mapreduce.RunRoundStream(ctx, c, round2, inputs, sink)
-	return Result{Wedges: wedges, Chain: c}, err
+	markEdge := func(e graph.Edge, emit func(uint64, edgeOrWedge)) {
+		emit(e.Key(), edgeOrWedge{IsEdge: true})
+	}
+	err := mapreduce.RunPipe(ctx, c, round1, g.Edges(), round2, markEdge, sink)
+	return Result{Wedges: c.Rounds[0].Metrics.Outputs, Chain: c}, err
 }
 
 // wedgeSides is what one round-1 reduce worker keeps in its Context's

@@ -1,6 +1,7 @@
 package tworound
 
 import (
+	"runtime"
 	"testing"
 
 	"subgraphmr/internal/core"
@@ -13,7 +14,7 @@ import (
 // cascade runs the two-round chain without a sink.
 func cascade(t *testing.T, g *graph.Graph) Result {
 	t.Helper()
-	res, err := Triangles(t.Context(), g, mapreduce.Config{}, nil, nil)
+	res, err := Triangles(t.Context(), g, mapreduce.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestCascadeMatchesSerial(t *testing.T) {
 			}
 			got[k] = true
 			return true
-		}, nil)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,5 +150,71 @@ func TestWedgeJoinAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { joinWedges(ctx, 5, roles, emit) }); allocs != 0 {
 		t.Fatalf("warmed round-1 reducer call allocates: %v allocs/run", allocs)
+	}
+}
+
+// TestCascadePipeMetrics pins the per-round metrics of the piped cascade
+// on Gnm(10000, 100000, 7919), in memory and under a 1 MiB budget: they are
+// what the two rounds reported when round 2's input was materialised.
+// Round 1 ships 2m pairs to the non-isolated nodes and outputs the W
+// ordered wedges; round 2 ships W + m pairs.
+func TestCascadePipeMetrics(t *testing.T) {
+	g := graph.Gnm(10000, 100000, 7919)
+	want := [2]mapreduce.Metrics{
+		{KeyValuePairs: 200000, DistinctKeys: 10000, Outputs: 667826},
+		{KeyValuePairs: 767826, DistinctKeys: 759836, Outputs: 1342},
+	}
+	for _, budget := range []int64{0, 1 << 20} {
+		cfg := mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: budget, SpillDir: t.TempDir()}
+		res, err := Triangles(t.Context(), g, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Chain.Rounds) != 2 {
+			t.Fatalf("budget %d: %d rounds", budget, len(res.Chain.Rounds))
+		}
+		for i, r := range res.Chain.Rounds {
+			got := mapreduce.Metrics{KeyValuePairs: r.Metrics.KeyValuePairs, DistinctKeys: r.Metrics.DistinctKeys, Outputs: r.Metrics.Outputs}
+			if got != want[i] {
+				t.Errorf("budget %d, round %d: pairs, keys, outputs %d, %d, %d; want %d, %d, %d", budget, i+1,
+					got.KeyValuePairs, got.DistinctKeys, got.Outputs, want[i].KeyValuePairs, want[i].DistinctKeys, want[i].Outputs)
+			}
+		}
+		if res.Wedges != WedgeCount(g) {
+			t.Errorf("budget %d: %d wedges, WedgeCount %d", budget, res.Wedges, WedgeCount(g))
+		}
+		if spilled := res.Chain.Total().SpillFiles > 0; spilled != (budget > 0) {
+			t.Errorf("budget %d: %d spill files", budget, res.Chain.Total().SpillFiles)
+		}
+	}
+}
+
+// TestCascadeBudgetBoundsAllocation: under a memory budget the wedge
+// relation exists only as round 2's spilled shuffle state, never as a
+// slice, so one budgeted run allocates less than the W × 16 bytes a
+// materialised round-2 input took — on a graph where that is more than 20
+// times the 64 KiB budget.
+func TestCascadeBudgetBoundsAllocation(t *testing.T) {
+	const budget = 64 << 10
+	g := graph.Gnm(3000, 30000, 5)
+	w := WedgeCount(g)
+	if w*16 < 20*budget {
+		t.Fatalf("fixture too small: W × 16 B = %d, want at least %d", w*16, 20*budget)
+	}
+	cfg := mapreduce.Config{Parallelism: 2, Partitions: 2, MemoryBudget: budget, SpillDir: t.TempDir()}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Triangles(t.Context(), g, cfg, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Wedges != w {
+		t.Fatalf("%d wedges, WedgeCount %d", res.Wedges, w)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(w*16) {
+		t.Errorf("a budgeted run allocated %d bytes, want below W × 16 B = %d", alloc, w*16)
+	} else {
+		t.Logf("a budgeted run allocated %d bytes; W × 16 B = %d", alloc, w*16)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"subgraphmr/internal/core"
-	"subgraphmr/internal/cq"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/shares"
 )
@@ -109,8 +108,9 @@ type QueryPlan struct {
 	graph  *Graph
 	sample *Sample
 	// qs is the sample's compiled CQ set, built once by Plan and read by
-	// every run of the plan (plan copies share it; nothing writes it).
-	qs []*cq.CQ
+	// every run of the plan (plan copies share it; nothing writes it), with
+	// the evaluator sets and rendered CQs its jobs build on first use.
+	qs *core.CQSet
 	// opts is frozen once Plan returns: execution paths read it but never
 	// write it (see the concurrency note on QueryPlan — variants copy the
 	// plan first). Keeping it a value, not a pointer, makes lp := *p a
@@ -164,7 +164,7 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("subgraphmr: WithCycleCQs: %w", err)
 	}
-	q := &planQuery{g: g, s: s, p: s.P(), m: int64(g.NumEdges()), qs: qs, o: o}
+	q := &planQuery{g: g, s: s, p: s.P(), m: int64(g.NumEdges()), qs: qs.CQs, o: o}
 
 	cands := make([]Candidate, len(strategies))
 	for i, def := range strategies {
@@ -215,7 +215,7 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 		Strategy:   cands[chosen].Strategy,
 		Chosen:     cands[chosen],
 		Candidates: cands,
-		NumCQs:     len(qs),
+		NumCQs:     len(qs.CQs),
 		graph:      g,
 		sample:     s,
 		qs:         qs,

@@ -44,7 +44,8 @@ func Run(ctx context.Context, p *QueryPlan) (*Result, error) {
 // writes into another instance. Calls to yield are serialized and block
 // the emitting reduce worker, so delivery is consumer-paced and the
 // output never accumulates in memory; the shuffle's grouped intermediate
-// state is still built before the first delivery (for the cascade, bound
+// state is still built before the first delivery (for the cascade, that
+// state holds the whole wedge relation, which exists nowhere else — bound
 // it with WithMemoryBudget when it may exceed RAM). Returning false from yield
 // stops the enumeration early with a nil error (remaining reducer groups
 // are skipped); cancelling ctx aborts it with ctx.Err(). WithCountOnly is
@@ -76,8 +77,9 @@ func execute(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result
 // the last, then waits. The first batch holds a single instance, so the
 // first result is not held back. Enumerations whose output dwarfs memory
 // can thus be consumed incrementally (the shuffle's grouped intermediate
-// state is separate — for the cascade, bound it with WithMemoryBudget when
-// it may exceed RAM). Each instance is the caller's to keep. Breaking out of the range loop — or cancelling ctx — tears the
+// state is separate — for the cascade it holds the whole wedge relation,
+// which exists nowhere else; bound it with WithMemoryBudget when it may
+// exceed RAM). Each instance is the caller's to keep. Breaking out of the range loop — or cancelling ctx — tears the
 // engine down promptly: remaining reducer groups are skipped, spill files
 // are removed, and no goroutines are left behind. WithCountOnly is ignored
 // — streaming always delivers. A failure, or a cancelled or expired
@@ -106,15 +108,19 @@ const maxBatch = 256
 // per batch, not per instance, and the first instance crosses alone.
 // produce runs at most one batch ahead: it fills the next batch while
 // yield consumes the last, then blocks. A batch yield has finished with
-// goes back to produce through a one-slot free list, so steady streaming
-// allocates no containers. Once yield returns false, bridge cancels
+// goes back to produce through a two-slot free list, so steady streaming
+// allocates no containers. Two slots, because yield can finish a batch
+// before produce has taken the one returned before it: engine outputs
+// arrive in bursts (see mapreduce's outbox), and with one slot that race
+// dropped about a third of the returned batches on a power-law graph's
+// Instances loop. Once yield returns false, bridge cancels
 // produce's context and returns only after produce has.
 func bridge(ctx context.Context, produce func(context.Context, func([]Node) bool) error, yield func([]Node, error) bool) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	batches := make(chan [][]Node) // unbuffered: backpressure to the engine
-	free := make(chan [][]Node, 1)
+	free := make(chan [][]Node, 2)
 	errc := make(chan error, 1)
 	go func() {
 		batch := make([][]Node, 0, 1)

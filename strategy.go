@@ -355,7 +355,7 @@ func tripleSink(sink func([]Node) bool) func([3]Node) bool {
 // —— The two-round cascade baseline ——
 
 // priceTwoRound costs the cascade from the data graph itself: round 1 ships
-// 2 pairs per edge, round 2 ships every materialized wedge plus each edge
+// 2 pairs per edge, round 2 ships every wedge plus each edge
 // once, so the total is 3m + W with W the exact wedge count (an O(n + m)
 // scan — the planner pays it to expose how badly the cascade loses on
 // skewed graphs). The exact integer 3m + W is EstComm directly —
@@ -395,24 +395,22 @@ func probeTwoRound(pr *prober, c *Candidate) {
 }
 
 // runTwoRound executes the cascade, one JobStats entry per round. Under
-// WithAdaptive the cascade is resumable mid-query: after round 1 (the wedge
-// join), the observed reducer skew is compared against the threshold, and a
-// breach abandons round 2 in favor of the one-round bucket-oriented job
-// at the plan's probed configuration — the remaining work re-planned at the
-// cheapest observable point, before the wedge relation is shipped again.
+// WithAdaptive the cascade is re-planned before it starts: round 1's
+// reducer loads are exact without running it (tworound.Round1LoadStats —
+// they are the degree distribution), so a skew over the threshold runs the
+// query as the one-round bucket-oriented job at the plan's probed
+// configuration instead, before a single wedge is built.
 func runTwoRound(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Result, error) {
-	var afterRound1 func(Metrics, int64) bool
 	if p.opts.core.AdaptiveReplan {
-		threshold := p.opts.core.ResolvedSkewThreshold()
-		afterRound1 = func(round1 Metrics, _ int64) bool {
-			return round1.Skew() <= threshold
+		if r1 := tworound.Round1LoadStats(p.graph); r1.Skew() > p.opts.core.ResolvedSkewThreshold() {
+			return replanTwoRound(ctx, p, r1, sink)
 		}
 	}
-	tr, err := tworound.Triangles(ctx, p.graph, p.opts.core.Engine, tripleSink(sink), afterRound1)
+	tr, err := tworound.Triangles(ctx, p.graph, p.opts.core.Engine, tripleSink(sink))
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
+	res := &Result{Count: tr.Chain.Rounds[1].Metrics.Outputs}
 	m := float64(p.graph.NumEdges())
 	for i, round := range tr.Chain.Rounds {
 		predicted := 2.0 // round 1: each edge plays two roles
@@ -427,28 +425,31 @@ func runTwoRound(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Re
 			ObservedSkew:         round.Metrics.Skew(),
 		})
 	}
-	if !tr.Abandoned {
-		res.Count = tr.Chain.Rounds[1].Metrics.Outputs
-		return res, nil
-	}
+	return res, nil
+}
 
-	// Mid-query re-plan: round 1's loads proved skewed, so the wedges are
-	// discarded and the whole query runs as the one-round bucket-oriented
-	// job instead — Section 2.3's algorithm (identical triangle set; only
-	// the configuration changed). The round-1 stats stay in Jobs so the
-	// switch is auditable.
+// replanTwoRound runs the query as the one-round bucket-oriented job —
+// Section 2.3's algorithm (identical triangle set; only the configuration
+// changed) — once round 1's exact loads r1 proved skewed. Jobs keeps a
+// round-1 entry so the switch is auditable: its ObservedSkew is r1's, and
+// its Metrics are zero, since nothing was shipped.
+func replanTwoRound(ctx context.Context, p *QueryPlan, r1 mapreduce.LoadStats, sink func([]Node) bool) (*Result, error) {
 	opt := p.opts.core
 	opt.Buckets = p.fallbackBuckets()
 	fb, err := core.Enumerate(ctx, p.graph, p.sample, core.BucketOriented, p.qs, opt, sink)
 	if err != nil {
 		return nil, err
 	}
+	skew := r1.Skew()
 	js := fb.Jobs[0]
-	js.Label = fmt.Sprintf("replanned from skew %.2f → %v b=%d", res.Jobs[0].ObservedSkew, StrategyBucketOriented, opt.Buckets)
+	js.Label = fmt.Sprintf("replanned from skew %.2f → %v b=%d", skew, StrategyBucketOriented, opt.Buckets)
 	js.Replanned = true
-	res.Count = fb.Count
-	res.Jobs = append(res.Jobs, js)
-	return res, nil
+	return &Result{Count: fb.Count, Jobs: []JobStats{{
+		Label:                "wedge join E(X,Y) ⋈ E(Y,Z) (not run)",
+		PredictedCommPerEdge: 2,
+		OptimalCommPerEdge:   2,
+		ObservedSkew:         skew,
+	}, js}}, nil
 }
 
 // fallbackBuckets picks the bucket count the cascade's mid-query re-plan
