@@ -19,7 +19,6 @@ import (
 	"subgraphmr/internal/directed"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
-	"subgraphmr/internal/multijoin"
 	"subgraphmr/internal/sample"
 	"subgraphmr/internal/serial"
 	"subgraphmr/internal/triangle"
@@ -121,7 +120,11 @@ func CheckTwoRound(ctx context.Context, g *graph.Graph, cfg mapreduce.Config) (m
 	if err != nil {
 		return mapreduce.Metrics{}, err
 	}
-	return res.Chain.Total(), compareInstances("tworound", triangleOracle(g), got)
+	var m mapreduce.Metrics
+	for _, r := range res.Rounds {
+		m.Add(r.Metrics)
+	}
+	return m, compareInstances("tworound", triangleOracle(g), got)
 }
 
 // CheckTriangle runs one of the Section 2 triangle algorithms and compares
@@ -141,28 +144,6 @@ func triangleOracle(g *graph.Graph) map[string]bool {
 		want[fmt.Sprint([3]graph.Node{a, b, c})] = true
 	})
 	return want
-}
-
-// CheckCycleChain evaluates the p-cycle join as a cascade of map-reduce
-// rounds and compares the rows against the serial backtracking join.
-func CheckCycleChain(ctx context.Context, rels []*multijoin.Relation, cfg mapreduce.Config) (mapreduce.Metrics, error) {
-	want, _ := multijoin.CycleJoin(rels)
-	got, chain, err := multijoin.CycleJoinChain(ctx, rels, cfg)
-	m := chain.Total()
-	if err != nil {
-		return m, err
-	}
-	multijoin.SortRows(want)
-	multijoin.SortRows(got)
-	if len(got) != len(want) {
-		return m, fmt.Errorf("cyclechain: %d rows, serial join found %d", len(got), len(want))
-	}
-	for i := range want {
-		if multijoin.RowKey(got[i]) != multijoin.RowKey(want[i]) {
-			return m, fmt.Errorf("cyclechain: row %d is %v, serial join found %v", i, got[i], want[i])
-		}
-	}
-	return m, nil
 }
 
 // CheckDirected runs the directed labeled enumeration and compares the

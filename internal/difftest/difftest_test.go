@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,7 +13,6 @@ import (
 	"subgraphmr/internal/directed"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
-	"subgraphmr/internal/multijoin"
 	"subgraphmr/internal/sample"
 	"subgraphmr/internal/shares"
 	"subgraphmr/internal/triangle"
@@ -27,8 +25,8 @@ type mode struct {
 }
 
 // modes runs every check twice: fully in memory, and under a memory budget
-// tiny enough that each reduce worker of a plain job (the cascade, the join
-// chain) must spill — the differential answer has to be identical either
+// tiny enough that each reduce worker of a plain job (the cascade) must
+// spill — the differential answer has to be identical either
 // way.
 var modes = []mode{{"in-memory", 0}, {"spill", 2048}}
 
@@ -174,31 +172,6 @@ func TestTriangleAlgorithms(t *testing.T) {
 	}
 }
 
-func TestMultijoinCycleChain(t *testing.T) {
-	for _, p := range []int{3, 4, 5} {
-		rng := rand.New(rand.NewSource(int64(p) * 31))
-		rels := make([]*multijoin.Relation, p)
-		for i := range rels {
-			tuples := make([]multijoin.Tuple, 150)
-			for j := range tuples {
-				tuples[j] = multijoin.Tuple{A: rng.Int63n(12), B: rng.Int63n(12)}
-			}
-			rels[i] = multijoin.NewRelation(tuples)
-		}
-		for _, mode := range modes {
-			t.Run(fmt.Sprintf("p%d/%s", p, mode.name), func(t *testing.T) {
-				m, err := CheckCycleChain(t.Context(), rels, mapreduce.Config{
-					Parallelism: 2, Partitions: 2, MemoryBudget: mode.budget,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantSpill(t, true, mode.budget, m)
-			})
-		}
-	}
-}
-
 func TestDirectedPatterns(t *testing.T) {
 	g := directed.RandomDiGraph(28, 110, 2, 23)
 	patterns := map[string]*directed.DiPattern{
@@ -234,7 +207,7 @@ func TestOneByteBudget(t *testing.T) {
 		t.Errorf("one-byte budget should spill per pair, metrics %+v", m)
 	}
 	if m.SpillFiles <= m.SpilledPairs {
-		t.Errorf("one run file per pair and no merge output: the fan-in compaction never ran (metrics %+v)", m)
+		t.Errorf("one run per pair and no merge output: the fan-in compaction never ran (metrics %+v)", m)
 	}
 }
 

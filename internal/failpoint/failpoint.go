@@ -44,14 +44,15 @@ import (
 // The site catalog. Enable rejects names outside it, so a typo in a test
 // or an ops spec fails loudly instead of silently injecting nothing.
 const (
-	// SpillCreate fires where the external shuffle creates a spill run
-	// file (mapreduce.spiller.writeRun, for spill and compact alike).
+	// SpillCreate fires at the start of every spill run
+	// (mapreduce.spiller.writeRun, for spill and compact alike), once the
+	// reduce worker's one spill file exists: its first run creates it.
 	SpillCreate = "mr.spill.create"
 	// SpillWrite fires where a spill run's buffered bytes are flushed to
 	// disk — the classic mid-shuffle ENOSPC.
 	SpillWrite = "mr.spill.write"
-	// SpillMerge fires where the k-way merge reopens and reads spill runs
-	// back (mapreduce.spiller.mergeReduce).
+	// SpillMerge fires where the k-way merge starts reading a worker's
+	// spill runs back (mapreduce.spiller.mergeReduce).
 	SpillMerge = "mr.spill.merge"
 	// MapWorker fires at the start of every map worker goroutine, and once
 	// at the start of a block job's map phase (mapreduce.BlockJob).

@@ -20,7 +20,9 @@ type KeyCodec[K comparable] interface {
 // encodings must be deterministic and injective: equal keys always produce
 // equal bytes and distinct keys distinct bytes, because a budgeted reduce
 // worker groups pairs by sorting and comparing encoded keys — in its buffer
-// as well as across spilled runs. Value encodings only need to round-trip.
+// as well as across spilled runs. Under a budget every key must also encode
+// to exactly 8 bytes: the external shuffle sorts and merges keys as
+// big-endian words. Value encodings only need to round-trip.
 // DefaultCodec satisfies both for the types it covers, with one key-type
 // exclusion: float keys (or fixed-size keys containing floats) that hold
 // NaN (distinct under ==, but encoding equal bytes) collapse into one group,
@@ -56,6 +58,8 @@ func (c funcCodec[K, V]) DecodeValue(src []byte) (V, error)  { return c.decodeVa
 // binary.Size: bools, floats, and structs and arrays of such fields) via
 // encoding/binary. It returns nil when K or V is anything else — strings,
 // slices, maps, pointers — and a job over such types brings its own Codec.
+// Under a memory budget its integer keys spill as they are; another key
+// type spills only if its binary.Size is 8.
 func DefaultCodec[K comparable, V any]() Codec[K, V] {
 	ak, dk := codecFor[K]()
 	av, dv := codecFor[V]()
@@ -126,7 +130,8 @@ func codecFor[T any]() (func([]byte, T) []byte, func([]byte) (T, error)) {
 // the codec it runs with: the job's own, else DefaultCodec. Only a budgeted
 // or distributed run encodes anything, so without either the codec may be
 // nil; with either, a job whose types DefaultCodec does not cover and that
-// brings no Codec — or an invalid DistFilter — fails here, before any worker
+// brings no Codec — or an invalid DistFilter, or under a budget a codec
+// whose zero key does not encode to 8 bytes — fails here, before any worker
 // starts.
 func jobCodec[K comparable, V any](job string, c Codec[K, V], cfg Config) (Codec[K, V], error) {
 	if cfg.Dist != nil {
@@ -134,12 +139,21 @@ func jobCodec[K comparable, V any](job string, c Codec[K, V], cfg Config) (Codec
 			return nil, err
 		}
 	}
-	if c != nil || cfg.MemoryBudget <= 0 && cfg.Dist == nil {
+	if cfg.MemoryBudget <= 0 && cfg.Dist == nil {
 		return c, nil
 	}
-	if c = DefaultCodec[K, V](); c == nil {
-		return nil, fmt.Errorf("mapreduce: job %q sets no Codec, and DefaultCodec cannot encode key type %v and value type %v (only integer and fixed-size types); a memory budget or a distributed run needs one",
-			job, reflect.TypeFor[K](), reflect.TypeFor[V]())
+	if c == nil {
+		if c = DefaultCodec[K, V](); c == nil {
+			return nil, fmt.Errorf("mapreduce: job %q sets no Codec, and DefaultCodec cannot encode key type %v and value type %v (only integer and fixed-size types); a memory budget or a distributed run needs one",
+				job, reflect.TypeFor[K](), reflect.TypeFor[V]())
+		}
+	}
+	if cfg.MemoryBudget > 0 {
+		var zero K
+		if n := len(c.AppendKey(nil, zero)); n != 8 {
+			return nil, fmt.Errorf("mapreduce: job %q encodes key type %v to %d bytes; a memory budget spills keys as 8-byte words",
+				job, reflect.TypeFor[K](), n)
+		}
 	}
 	return c, nil
 }

@@ -115,61 +115,6 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 	}
 }
 
-// TestChain runs a two-round chain (per-key sums, then sum-of-sums
-// parity) and checks per-round stats and totals.
-func TestChain(t *testing.T) {
-	inputs := make([]int, 100)
-	for i := range inputs {
-		inputs[i] = i
-	}
-	c := NewChain(Config{Parallelism: 2})
-	sums := mustRound(c, Job[int, int, int, int]{
-		Name: "per-residue sums",
-		Map:  func(x int, emit func(int, int)) { emit(x%10, x) },
-		Reduce: func(_ *Context, _ int, vs []int, emit func(int)) {
-			s := 0
-			for _, v := range vs {
-				s += v
-			}
-			emit(s)
-		},
-	}, inputs)
-	// Round-1 sums are 10r+450 for r = 0..9; s/500 splits them 5/5.
-	totals := mustRound(c, Job[int, bool, int, int]{
-		Map: func(s int, emit func(bool, int)) { emit(s < 500, s) },
-		Reduce: func(_ *Context, _ bool, vs []int, emit func(int)) {
-			s := 0
-			for _, v := range vs {
-				s += v
-			}
-			emit(s)
-		},
-	}, sums)
-	if c.NumRounds() != 2 {
-		t.Fatalf("rounds = %d, want 2", c.NumRounds())
-	}
-	if c.Rounds[0].Name != "per-residue sums" || c.Rounds[1].Name != "round 2" {
-		t.Errorf("round names = %q, %q", c.Rounds[0].Name, c.Rounds[1].Name)
-	}
-	grand := 0
-	for _, v := range totals {
-		grand += v
-	}
-	if grand != 99*100/2 {
-		t.Errorf("grand total = %d, want 4950", grand)
-	}
-	total := c.Total()
-	if total.KeyValuePairs != 100+10 {
-		t.Errorf("chained pairs = %d, want 110", total.KeyValuePairs)
-	}
-	if total.DistinctKeys != 10+2 {
-		t.Errorf("chained keys = %d, want 12", total.DistinctKeys)
-	}
-	if total.MaxReducerInput != c.Rounds[0].Metrics.MaxReducerInput {
-		t.Errorf("chain MaxReducerInput should be the per-round max")
-	}
-}
-
 // TestContextLocalAndStopped: a reduce worker hands one Context to every
 // reducer call it makes, so Local carries state from key to key; Stopped is
 // false while the job wants output and true from the moment yield refuses

@@ -57,11 +57,12 @@ type Metrics struct {
 	// Config.MemoryBudget is unset or never exceeded). Each pair counts
 	// once, however many merge passes later rewrite it.
 	SpilledPairs int64
-	// SpillBytes is the total bytes written to spill run files, including
+	// SpillBytes is the total bytes written to spill runs, including
 	// intermediate merge passes.
 	SpillBytes int64
-	// SpillFiles is the number of spill run files created, including
-	// intermediate merge outputs. All are removed before Run returns.
+	// SpillFiles is the number of spill runs written, including
+	// intermediate merge outputs. A reduce worker appends all of its runs to
+	// one spill file, which is removed before Run returns.
 	SpillFiles int64
 }
 
@@ -145,32 +146,34 @@ type Config struct {
 	// unlimited (no spilling; pairs are hash-grouped in memory). Each
 	// worker gets an equal share. With a budget a worker appends arriving
 	// pairs to one flat buffer; when what the buffer costs crosses the
-	// share it is sorted by encoded key and written as a run to a temp
-	// file, and the round finishes with a k-way merge that streams each
-	// key's values into the reducer (a worker that never crosses reduces
-	// from its sorted buffer, no file written). Inside the share: the
-	// buffered pairs, the sort scratch (16 bytes a pair, plus the encodings
-	// of fixed-width keys longer than 8 bytes), the run write buffer (a
-	// sixteenth of the share) and, once merging, the run read buffers (the
-	// share split between the open runs) — each I/O buffer between 4 and
-	// 64 KiB, so a share below 4 KiB a run is exceeded by that floor.
-	// Outside it: heap data a key or value references (only a job with its
-	// own Codec can have such types), the largest single key group (a
-	// reducer receives it as one []V) and whatever the consumer keeps of
-	// the output. Outputs and the core metrics are identical to the
-	// in-memory path; the Spill* metrics record the extra I/O. A budget
-	// needs a codec — Job.Codec, or DefaultCodec for integer and
-	// fixed-size types — or the run fails before any worker starts; spill
-	// I/O failures surface as a typed *EngineError from RunStream. A
-	// BlockJob holds no pairs — each value sits once in its input-sized
-	// block table — so it ignores the budget and never spills. In a pipe
-	// (RunPipe) the budget bounds both rounds together: the first round's
-	// workers buffer in their whole share, and once the second round's
-	// buffers start filling, the first keeps only a reserve of each share
-	// for its merge read buffers — a sixteenth of it, at most 64 KiB — and
-	// the second buffers in the rest.
+	// share it is radix-sorted by key and appended as one run to the
+	// worker's spill file, and the round finishes with a k-way merge that
+	// streams each key's values into the reducer (a worker that never
+	// crosses reduces from its sorted buffer, no file written). Inside the
+	// share: the buffered pairs, the sort scratch (16 bytes a pair), the run
+	// write buffer (a sixteenth of the share) and, once merging, the run
+	// read buffers (the share split between the merged runs) — each I/O
+	// buffer between 4 and 64 KiB, so a share below 4 KiB a run is exceeded
+	// by that floor. Outside it: heap data a key or value references (only
+	// a job with its own Codec can have such types), the largest single key
+	// group (a reducer receives it as one []V) and whatever the consumer
+	// keeps of the output. On disk, a worker's spill file grows to its
+	// share of Metrics.SpillBytes: the runs a merge pass folds are reclaimed
+	// only when the round ends. Outputs and the core metrics are identical
+	// to the in-memory path; the Spill* metrics record the extra I/O. A
+	// budget needs a codec whose keys encode to 8 bytes — Job.Codec, or
+	// DefaultCodec for integer keys — or the run fails before any worker
+	// starts; spill I/O failures surface as a typed *EngineError from
+	// RunStream. A BlockJob holds no pairs — each value sits once in its
+	// input-sized block table — so it ignores the budget and never spills.
+	// In a pipe (RunPipe) the budget bounds both rounds together: the first
+	// round's workers buffer in their whole share; at the barrier a worker
+	// that never spilled keeps its buffer, one that spilled keeps a reserve
+	// of its share for its merge read buffers — a sixteenth of it, at most
+	// 64 KiB — and the second round's worker p buffers in the share less
+	// what the first round's worker p keeps.
 	MemoryBudget int64
-	// SpillDir is the directory for spill run files; "" means the system
+	// SpillDir is the directory for spill files; "" means the system
 	// temp dir. Only a plain Job under a MemoryBudget uses it.
 	SpillDir string
 	// Dist, when set, restricts the run to the owned slices of the
@@ -201,7 +204,7 @@ func (c Config) partitions() int {
 // Job is one map-reduce round. Map and Reduce are required. Codec is the
 // key order and spill serialization under Config.MemoryBudget and the key
 // encoding of Config.Dist ownership; nil means DefaultCodec. Name labels the
-// round in Chain statistics and errors.
+// round in RunPipe's statistics and in errors.
 type Job[I any, K comparable, V any, O any] struct {
 	Name   string
 	Map    Mapper[I, K, V]
@@ -268,14 +271,18 @@ type round[I any, K comparable, V any, O any] struct {
 	flist *batchFreeList[K, V]
 
 	// share is each reduce worker's equal slice of Config.MemoryBudget (0:
-	// the in-memory path); keep is the part of it the worker's reduce phase
-	// may hold (spiller.keep), the whole share unless the phase overlaps
-	// another round's shuffle.
+	// the in-memory path); keep is the part of it a worker that spilled
+	// keeps for its merge (spiller.keep), the whole share unless the merge
+	// overlaps another round's shuffle.
 	share, keep int64
 	// sealed, when set, holds every reduce worker between its buffering and
 	// its reduce phase until all of them have settled: RunPipe's first
-	// round, whose outputs fill the next round's buffers.
-	sealed *sync.WaitGroup
+	// round, whose outputs fill the next round's buffers. Under a budget
+	// each of its workers records in held what it keeps through its reduce
+	// phase, and the next round's worker p buffers in its share less
+	// less[p] (the same slice).
+	sealed     *sync.WaitGroup
+	held, less []int64
 
 	outs    *freeList[O]   // the reduce workers' outbox buffers
 	rwg     sync.WaitGroup // reduce workers
@@ -311,7 +318,7 @@ func newRound[I any, K comparable, V any, O any](j Job[I, K, V, O], cfg Config, 
 	}
 	// External shuffle: with a memory budget, every reduce worker gets an
 	// equal share and buffers its pairs in a spiller, which sorts them out
-	// to a run file whenever their footprint crosses it.
+	// as a run to its spill file whenever their footprint crosses it.
 	if cfg.MemoryBudget > 0 {
 		r.share = max(cfg.MemoryBudget/int64(np), 1)
 		r.keep = r.share
@@ -360,7 +367,7 @@ func (r *round[I, K, V, O]) reducer(p int, to func([]O)) {
 	}
 	// A panicking reducer (or spill codec) is recovered once per worker and
 	// converted to the same typed error. The spiller's cleanup defer below
-	// is registered later, so it has already removed the run files by the
+	// is registered later, so it has already removed the spill file by the
 	// time this recovery runs.
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -383,12 +390,20 @@ func (r *round[I, K, V, O]) reducer(p int, to func([]O)) {
 	} else {
 		table = newGroupTable[K, V](r.seed)
 	}
+	sized := r.less == nil
 	for batch := range r.chans[p] {
 		if r.stop.Load() {
 			r.flist.put(batch)
 			continue // drain without grouping
 		}
 		if sp != nil {
+			if !sized {
+				// A pipe's second round: its first batch comes after the
+				// first round's barrier, so what worker p of that round
+				// keeps is settled.
+				sized = true
+				sp.size(max(r.share-r.less[p], 1))
+			}
 			if err := sp.add(batch); err != nil {
 				fail(StageSpill, err)
 				return
@@ -401,9 +416,13 @@ func (r *round[I, K, V, O]) reducer(p int, to func([]O)) {
 		r.flist.put(batch)
 	}
 	if sp != nil && !r.stop.Load() {
-		if err := sp.settle(); err != nil {
+		held, err := sp.settle()
+		if err != nil {
 			fail(StageSpill, err)
 			return
+		}
+		if r.held != nil {
+			r.held[p] = held
 		}
 	}
 	arrive()
@@ -412,7 +431,7 @@ func (r *round[I, K, V, O]) reducer(p int, to func([]O)) {
 	}
 	if r.stop.Load() {
 		// Cancelled or stopped early: nothing left to reduce; the deferred
-		// cleanup removes any spill runs.
+		// cleanup removes the spill file.
 		return
 	}
 	rctx := &Context{stop: r.stop}
@@ -430,7 +449,7 @@ func (r *round[I, K, V, O]) reducer(p int, to func([]O)) {
 			fail(StageSpill, err)
 			return
 		}
-		r.reports[p].m = Metrics{DistinctKeys: d, MaxReducerInput: mi, SpilledPairs: sp.pairs, SpillBytes: sp.bytes, SpillFiles: sp.runs}
+		r.reports[p].m = Metrics{DistinctKeys: d, MaxReducerInput: mi, SpilledPairs: sp.pairs, SpillBytes: sp.bytes, SpillFiles: sp.written}
 	} else {
 		if !table.group(r.stop) {
 			return

@@ -74,15 +74,14 @@ func (b *pipeBed) want() []string {
 }
 
 // run pipes the bed under cfg, collecting round 2's outputs.
-func (b *pipeBed) run(ctx context.Context, cfg Config) ([]string, *Chain, error) {
-	c := NewChain(cfg)
+func (b *pipeBed) run(ctx context.Context, cfg Config) ([]string, [2]RoundStats, error) {
 	var out []string
-	err := RunPipe(ctx, c, b.round1, b.inputs(), b.round2, b.side, func(s string) bool {
+	rounds, err := RunPipe(ctx, cfg, b.round1, b.inputs(), b.round2, b.side, func(s string) bool {
 		out = append(out, s)
 		return true
 	})
 	sort.Strings(out)
-	return out, c, err
+	return out, rounds, err
 }
 
 // TestPipeMatchesSerial: a pipe's outputs are the two rounds' composition,
@@ -98,7 +97,7 @@ func TestPipeMatchesSerial(t *testing.T) {
 		for _, np := range []int{1, 3} {
 			dir := t.TempDir()
 			cfg := Config{Parallelism: 2, Partitions: np, MemoryBudget: budget, SpillDir: dir}
-			got, c, err := b.run(context.Background(), cfg)
+			got, rounds, err := b.run(context.Background(), cfg)
 			label := fmt.Sprintf("budget %d, %d partitions", budget, np)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -106,10 +105,10 @@ func TestPipeMatchesSerial(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("%s: outputs %v, want %v", label, got, want)
 			}
-			if len(c.Rounds) != 2 || c.Rounds[0].Name != "residues" || c.Rounds[1].Name != "sums" {
-				t.Fatalf("%s: rounds %+v", label, c.Rounds)
+			if rounds[0].Name != "residues" || rounds[1].Name != "sums" {
+				t.Fatalf("%s: rounds %+v", label, rounds)
 			}
-			r1, r2 := c.Rounds[0].Metrics, c.Rounds[1].Metrics
+			r1, r2 := rounds[0].Metrics, rounds[1].Metrics
 			if r1.KeyValuePairs != n || r1.DistinctKeys != 7 || r1.Outputs != n || r1.MaxReducerInput != (n+6)/7 {
 				t.Errorf("%s: round 1 metrics %+v", label, r1)
 			}
@@ -121,6 +120,20 @@ func TestPipeMatchesSerial(t *testing.T) {
 			}
 			assertNoSpillFiles(t, dir)
 		}
+	}
+}
+
+// TestPipeUnnamedRounds: an unnamed job's round is named by its place in
+// the pipe.
+func TestPipeUnnamedRounds(t *testing.T) {
+	b := newPipeBed(50)
+	b.round1.Name, b.round2.Name = "", ""
+	_, rounds, err := b.run(context.Background(), Config{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds[0].Name != "round 1" || rounds[1].Name != "round 2" {
+		t.Errorf("round names %q, %q; want round 1, round 2", rounds[0].Name, rounds[1].Name)
 	}
 }
 
@@ -195,26 +208,25 @@ func TestPipeCancelAndStop(t *testing.T) {
 			}
 			calls.Unlock()
 		}
-		_, c, err := b.run(ctx, cfg)
+		_, rounds, err := b.run(ctx, cfg)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("budget %d: cancelled pipe returned %v, want context.Canceled", budget, err)
 		}
-		if budget > 0 && c.Rounds[0].Metrics.SpillFiles == 0 {
+		if budget > 0 && rounds[0].Metrics.SpillFiles == 0 {
 			t.Errorf("budget %d: round 1 spilled nothing before the cancellation", budget)
 		}
 		waitForGoroutines(t, baseline)
 		assertNoSpillFiles(t, dir)
 
 		b = newPipeBed(2000)
-		c = NewChain(cfg)
 		taken := 0
-		err = RunPipe(context.Background(), c, b.round1, b.inputs(), b.round2, b.side, func(string) bool {
+		rounds, err = RunPipe(context.Background(), cfg, b.round1, b.inputs(), b.round2, b.side, func(string) bool {
 			taken++
 			return taken < 2
 		})
-		if err != nil || taken != 2 || c.Rounds[1].Metrics.Outputs != 1 {
+		if err != nil || taken != 2 || rounds[1].Metrics.Outputs != 1 {
 			t.Errorf("budget %d: stopped pipe: err %v, yield called %d times, Outputs %d; want nil, 2, 1",
-				budget, err, taken, c.Rounds[1].Metrics.Outputs)
+				budget, err, taken, rounds[1].Metrics.Outputs)
 		}
 		waitForGoroutines(t, baseline)
 		assertNoSpillFiles(t, dir)

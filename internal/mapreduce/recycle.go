@@ -13,8 +13,8 @@ import (
 // the communication cost. Batches now cycle through a per-pair-type free
 // list: mappers take recycled buffers, reduce workers return each batch
 // after folding it into their group table or spill buffer. The lists are
-// keyed by the element type and shared process-wide, so the rounds of a
-// Chain and repeated jobs reuse the previous round's buffers instead of
+// keyed by the element type and shared process-wide, so a job reuses the
+// buffers of earlier jobs over the same pair type instead of
 // re-allocating. A reduce worker's outbox buffer cycles through the list
 // of its output type the same way.
 //

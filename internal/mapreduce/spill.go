@@ -1,8 +1,6 @@
 package mapreduce
 
 import (
-	"bufio"
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -19,21 +17,22 @@ import (
 
 // The external shuffle. When Config.MemoryBudget is set, a reduce worker
 // keeps no hash table: arriving pairs are appended to one flat buffer and
-// charged their exact footprint (see spiller.limit). Crossing the worker's
-// share of the budget sorts the buffer once by encoded key — an in-place
-// radix pass when every key fits 8 bytes, a comparator sort otherwise —
-// and writes it as one run file, each key once with its values behind it.
-// After the map phase the worker merges its runs through a loser tree —
-// intermediate passes keep the fan-in at most mergeFanIn open files — and
-// streams each key's concatenated values into the reducer. A worker that
-// never crossed its share sorts the buffer and reduces from it through the
-// same group walk that writes a run, so the budgeted path has one grouping
-// routine.
+// charged their exact footprint (see spiller.limit). Every key encodes to
+// one 8-byte word (see Codec), so crossing the worker's share sorts the
+// buffer once with an in-place radix pass over the words and appends it as
+// one run to the worker's spill file, each key once with its values behind
+// it. The file is created at the worker's first run; a run is a span of
+// it. After the map phase the worker merges its runs through a loser tree —
+// intermediate passes keep the fan-in at most mergeFanIn, appending each
+// folded run to the same file — and streams each key's concatenated values
+// into the reducer. A worker that never crossed its share sorts the buffer
+// and reduces from it through the same group walk that writes a run, so
+// the budgeted path has one grouping routine.
 
-// mergeFanIn caps how many run files one merge pass reads at once. Runs
-// are closed after writing and reopened by the merge, so the engine never
-// holds more than mergeFanIn descriptors per worker (plus one writer), no
-// matter how many runs a tiny budget produces.
+// mergeFanIn caps how many runs one merge pass reads at once. The pass
+// splits the worker's share between their read buffers, each at least
+// minRunBuf, so the cap bounds what a merge holds by the share or
+// mergeFanIn × minRunBuf, however many runs a tiny budget produces.
 const mergeFanIn = 32
 
 // Run I/O buffers are part of the worker's share: the one write buffer is
@@ -47,67 +46,68 @@ const (
 	maxRunBuf = 64 << 10
 )
 
-// keyPrefixLen is how many leading bytes of an encoded key a runEntry
-// carries inline. Keys no longer than this never touch the arena.
-const keyPrefixLen = 8
-
-// runEntry is the sort record of one buffered pair: enough of the encoded
-// key to decide almost every comparison without a memory indirection.
+// runEntry is the sort record of one buffered pair.
 type runEntry struct {
-	prefix uint64 // first keyPrefixLen key bytes, big-endian, zero-padded
-	idx    uint32 // arrival index: the pair is buf[idx], the long key arena[offs[idx]:][:klen]
-	klen   uint32 // encoded key length
+	key uint64 // the encoded key, read as a big-endian word
+	idx uint32 // arrival index: the pair is buf[idx]
 }
 
+// span is one run: where it starts in the worker's spill file, and its
+// length.
+type span struct{ off, n int64 }
+
 // spiller owns one budgeted reduce worker's shuffle state: the flat pair
-// buffer, the sort scratch, the run files and the spill accounting. Run
-// files are closed as soon as they are written and reopened by the merge,
-// so only one descriptor is open while spilling. Every scratch slice lives
-// here and is reused, so a warmed spill allocates nothing but the file.
+// buffer, the sort scratch, the spill file and its runs, and the spill
+// accounting. Every scratch slice lives here and is reused, so once the
+// file exists a warmed spill allocates nothing.
 type spiller[K comparable, V any] struct {
 	codec Codec[K, V]
 	dir   string
-	paths []string // written run files, in creation order
+	f     *os.File // the worker's spill file, created at its first run
+	end   int64    // the file's length: where the next run starts
+	runs  []span   // runs not yet folded, in creation order
 
-	// Budget accounting. A buffered pair costs fixed bytes: its slot in buf,
-	// its runEntry and, for a fixed-width key encoding longer than the
-	// inline prefix, its arena bytes and offset slot. The buffer therefore
-	// holds at most limit pairs: the most that fit the room (the share less
-	// the write buffer, at least half of it) plus the crossing one, so a run
-	// holds at least one pair; reaching it spills.
+	// Budget accounting. A buffered pair costs fixed bytes: its slot in buf
+	// and its runEntry. The buffer therefore holds at most limit pairs: the
+	// most that fit the room (the share less the write buffer, at least
+	// half of it) plus the crossing one, so a run holds at least one pair;
+	// reaching it spills.
 	share int64
 	limit int
 	fixed int64 // the bytes one buffered pair costs
-	// keep is the part of the share the worker's reduce phase may hold:
-	// the merge's read buffers split it, and a worker that never spilled
-	// reduces from its buffer only if the buffer fits it (see settle). It is
-	// the whole share unless the reduce phase overlaps another round's
-	// shuffle, as in a pipe's first round.
+	// keep is the part of the share a worker that spilled holds through its
+	// reduce phase: its merge's read buffers split it. It is the whole
+	// share unless the reduce phase overlaps another round's shuffle, as in
+	// a pipe's first round.
 	keep int64
 
-	buf   []pair[K, V]
-	ents  []runEntry // sort scratch, one per buffered pair
-	arena []byte     // encodings of keys longer than the prefix; raw values of one group while compacting
-	offs  []int      // arrival index → arena offset of a long key; value ends while compacting
-	val   []byte     // one encoded value
-	vs    []V        // one group's values, handed to the reducer
-	w     runWriter
+	buf  []pair[K, V]
+	ents []runEntry // sort scratch, one per buffered pair
+	kb   []byte     // one encoded key
+	val  []byte     // one encoded value
+	vs   []V        // one group's values, handed to the reducer
+	raw  []byte     // one group's raw values while compacting
+	ends []int      // where each of them ends in raw
+	w    runWriter
+	m    merger // reused by every merge pass
 
 	// Spill metrics, folded into the job Metrics by the worker.
-	pairs, bytes, runs int64
+	pairs, bytes, written int64
 }
 
 func newSpiller[K comparable, V any](codec Codec[K, V], dir string, share int64) *spiller[K, V] {
-	s := &spiller[K, V]{codec: codec, dir: dir, share: share, keep: share}
+	s := &spiller[K, V]{codec: codec, dir: dir, fixed: int64(unsafe.Sizeof(pair[K, V]{}) + unsafe.Sizeof(runEntry{}))}
+	s.size(share)
+	return s
+}
+
+// size sets the worker's share, before its first pair, and with it keep
+// and the buffer's limit.
+func (s *spiller[K, V]) size(share int64) {
+	s.share, s.keep = share, share
 	room := share - min(int64(s.writeBufSize()), share/2)
-	s.fixed = int64(unsafe.Sizeof(pair[K, V]{}) + unsafe.Sizeof(runEntry{}))
-	var zero K
-	if n := len(codec.AppendKey(nil, zero)); n > keyPrefixLen {
-		s.fixed += int64(n) + int64(unsafe.Sizeof(int(0)))
-	}
 	// runEntry.idx is 32 bits wide.
 	s.limit = int(min(room/s.fixed+1, math.MaxUint32))
-	return s
 }
 
 // writeBufSize is the size of the worker's one run write buffer.
@@ -118,13 +118,15 @@ func runBufSize(n int64) int {
 	return int(min(max(n, minRunBuf), maxRunBuf))
 }
 
-// cleanup removes every remaining run file. Safe to call twice; the worker
-// defers it so files never outlive the job, even on errors.
+// cleanup closes and removes the spill file. Safe to call twice; the
+// worker defers it so the file never outlives the job, even on errors.
 func (s *spiller[K, V]) cleanup() {
-	for _, p := range s.paths {
-		os.Remove(p) // best-effort teardown: nothing to do about a failure
+	if s.f != nil {
+		s.f.Close()
+		os.Remove(s.f.Name()) // best-effort teardown: nothing to do about a failure
+		s.f = nil
 	}
-	s.paths = nil
+	s.runs = nil
 }
 
 // add buffers a batch of arrived pairs, spilling a run each time the
@@ -149,57 +151,34 @@ func (s *spiller[K, V]) add(batch []pair[K, V]) error {
 	return nil
 }
 
-// sortBuf encodes every buffered key once and sorts the entries by encoded
-// key bytes, arrival order within a key. When every key fits the inline
-// prefix (the fixed-width integer encodings) an in-place radix pass over the
-// prefix bytes that vary sorts them; a single longer key sends the whole
-// buffer through the comparator sort instead.
+// sortBuf encodes every buffered key once, as a word, and sorts the entries
+// by key, arrival order within a key. A key that does not encode to 8 bytes
+// is an error: jobCodec checks only the zero key.
 func (s *spiller[K, V]) sortBuf() error {
-	s.ents, s.arena = s.ents[:0], s.arena[:0]
-	short := true
+	s.ents = slices.Grow(s.ents[:0], len(s.buf))
 	or, and := uint64(0), ^uint64(0)
 	for i := range s.buf {
-		start := len(s.arena)
-		s.arena = s.codec.AppendKey(s.arena, s.buf[i].key)
-		kb := s.arena[start:]
-		if len(kb) > math.MaxUint32 {
-			return fmt.Errorf("mapreduce: spill key encodes to %d bytes", len(kb))
+		s.kb = s.codec.AppendKey(s.kb[:0], s.buf[i].key)
+		if len(s.kb) != 8 {
+			return fmt.Errorf("mapreduce: spill key encodes to %d bytes, want 8", len(s.kb))
 		}
-		var p [keyPrefixLen]byte
-		copy(p[:], kb)
-		prefix := binary.BigEndian.Uint64(p[:])
-		or, and = or|prefix, and&prefix
-		s.ents = append(s.ents, runEntry{prefix: prefix, idx: uint32(i), klen: uint32(len(kb))})
-		if len(kb) <= keyPrefixLen {
-			s.arena = s.arena[:start] // the entry holds all of it
-			continue
-		}
-		short = false
-		if len(s.offs) < len(s.buf) { // first long key of this sort: older offsets are stale
-			s.offs = slices.Grow(s.offs[:0], len(s.buf))[:len(s.buf)]
-		}
-		s.offs[i] = start
+		k := binary.BigEndian.Uint64(s.kb)
+		or, and = or|k, and&k
+		s.ents = append(s.ents, runEntry{key: k, idx: uint32(i)})
 	}
-	if short {
-		radixSort(s.ents, or^and)
-	} else {
-		slices.SortFunc(s.ents, s.compare)
-	}
+	radixSort(s.ents, or^and)
 	return nil
 }
 
 // radixSmall is the bucket size radixSort finishes by insertion sort.
 const radixSmall = 32
 
-// radixSort orders entries whose keys all fit the inline prefix by
-// (prefix, klen, idx), which is compare's order for such keys: two
-// zero-padded prefixes tie only when the shorter key is a byte-wise prefix
-// of the longer. It is an MSD (American flag) radix sort, in place: each
-// pass counts one bucket's entries by the highest prefix byte set in vary
-// (the bits that differ somewhere in the buffer), permutes them into
-// sub-buckets by cycle-swapping, and recurses into each sub-bucket with that
-// byte cleared. Small buckets, and buckets whose prefixes are all equal, are
-// finished by comparison.
+// radixSort orders entries by (key, idx). It is an MSD (American flag)
+// radix sort, in place: each pass counts one bucket's entries by the
+// highest key byte set in vary (the bits that differ somewhere in the
+// buffer), permutes them into sub-buckets by cycle-swapping, and recurses
+// into each sub-bucket with that byte cleared. Small buckets, and buckets
+// whose keys are all equal, are finished by comparison.
 //
 //lint:hotpath
 func radixSort(ents []runEntry, vary uint64) {
@@ -209,16 +188,16 @@ func radixSort(ents []runEntry, vary uint64) {
 			return
 		}
 		if vary == 0 {
-			slices.SortFunc(ents, compareShort)
+			slices.SortFunc(ents, compareEntries)
 			return
 		}
 		shift := uint(63-bits.LeadingZeros64(vary)) &^ 7
 		vary &^= 0xff << shift
 		var count [256]int
 		for _, e := range ents {
-			count[byte(e.prefix>>shift)]++
+			count[byte(e.key>>shift)]++
 		}
-		if count[byte(ents[0].prefix>>shift)] == len(ents) {
+		if count[byte(ents[0].key>>shift)] == len(ents) {
 			continue // the byte is the same across this bucket
 		}
 		var next, end [256]int
@@ -230,7 +209,7 @@ func radixSort(ents []runEntry, vary uint64) {
 		for d := range 256 {
 			for next[d] < end[d] {
 				e := ents[next[d]]
-				for t := byte(e.prefix >> shift); int(t) != d; t = byte(e.prefix >> shift) {
+				for t := byte(e.key >> shift); int(t) != d; t = byte(e.key >> shift) {
 					ents[next[t]], e = e, ents[next[t]]
 					next[t]++
 				}
@@ -249,66 +228,26 @@ func radixSort(ents []runEntry, vary uint64) {
 	}
 }
 
-// insertionSort finishes a small radix bucket in compareShort's order.
+// insertionSort finishes a small radix bucket in compareEntries' order.
 //
 //lint:hotpath
 func insertionSort(ents []runEntry) {
 	for i := 1; i < len(ents); i++ {
 		e, j := ents[i], i
-		for ; j > 0 && compareShort(e, ents[j-1]) < 0; j-- {
+		for ; j > 0 && compareEntries(e, ents[j-1]) < 0; j-- {
 			ents[j] = ents[j-1]
 		}
 		ents[j] = e
 	}
 }
 
-// compareShort is compare for two keys that fit the inline prefix.
+// compareEntries is the sort order: by key, arrival order within a key
+// (which keeps a group's value order deterministic given the same
+// arrivals).
 //
 //lint:hotpath
-func compareShort(a, b runEntry) int {
-	if a.prefix != b.prefix {
-		if a.prefix < b.prefix {
-			return -1
-		}
-		return 1
-	}
-	if c := cmp.Compare(a.klen, b.klen); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.idx, b.idx)
-}
-
-// tail returns the bytes of a long key past the inline prefix.
-func (s *spiller[K, V]) tail(e runEntry) []byte {
-	off := s.offs[e.idx]
-	return s.arena[off+keyPrefixLen : off+int(e.klen)]
-}
-
-// compareKeys orders entries by encoded key bytes. The prefix decides
-// almost every comparison. On a prefix tie a key that fits the prefix is a
-// byte-wise prefix of the other ("ab" and "ab\x00" tie, being zero-padded),
-// so the shorter sorts first; only two long keys need their arena bytes.
-//
-//lint:hotpath
-func (s *spiller[K, V]) compareKeys(a, b runEntry) int {
-	if a.prefix != b.prefix {
-		if a.prefix < b.prefix {
-			return -1
-		}
-		return 1
-	}
-	if a.klen > keyPrefixLen && b.klen > keyPrefixLen {
-		return bytes.Compare(s.tail(a), s.tail(b))
-	}
-	return cmp.Compare(a.klen, b.klen)
-}
-
-// compare is the sort order: by key, arrival order within a key (which
-// keeps a group's value order deterministic given the same arrivals).
-//
-//lint:hotpath
-func (s *spiller[K, V]) compare(a, b runEntry) int {
-	if c := s.compareKeys(a, b); c != 0 {
+func compareEntries(a, b runEntry) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.idx, b.idx)
@@ -322,7 +261,7 @@ func (s *spiller[K, V]) compare(a, b runEntry) int {
 func (s *spiller[K, V]) walk(group func(g []runEntry) bool) (distinct, maxIn int64) {
 	for lo := 0; lo < len(s.ents); {
 		hi := lo + 1
-		for hi < len(s.ents) && s.compareKeys(s.ents[lo], s.ents[hi]) == 0 {
+		for hi < len(s.ents) && s.ents[hi].key == s.ents[lo].key {
 			hi++
 		}
 		distinct++
@@ -335,24 +274,20 @@ func (s *spiller[K, V]) walk(group func(g []runEntry) bool) (distinct, maxIn int
 	return distinct, maxIn
 }
 
-// spill sorts the buffer and writes it as one run file, then empties it.
-// Record layout, repeated until EOF, with every length a uvarint:
+// spill sorts the buffer and appends it as one run, then empties it.
+// Record layout, repeated to the end of the run, with every length a
+// uvarint:
 //
-//	klen | key bytes | nvals | nvals × (vlen | value bytes)
+//	key (8 bytes, big-endian) | nvals | nvals × (vlen | value bytes)
 //
-// Keys appear once per run, ordered by their encoded bytes.
+// Keys appear once per run, in ascending order.
 func (s *spiller[K, V]) spill() error {
 	if err := s.sortBuf(); err != nil {
 		return err
 	}
-	path, err := s.writeRun(func() error {
+	r, err := s.writeRun(func() error {
 		s.walk(func(g []runEntry) bool {
-			e := g[0]
-			s.w.writeUvarint(uint64(e.klen))
-			s.w.writePrefix(e.prefix, min(e.klen, keyPrefixLen))
-			if e.klen > keyPrefixLen {
-				s.w.write(s.tail(e))
-			}
+			s.w.writeKey(g[0].key)
 			s.w.writeUvarint(uint64(len(g)))
 			for _, e := range g {
 				s.val = s.codec.AppendValue(s.val[:0], s.buf[e.idx].val)
@@ -368,70 +303,64 @@ func (s *spiller[K, V]) spill() error {
 	if err != nil {
 		return err
 	}
-	s.paths = append(s.paths, path)
+	s.runs = append(s.runs, r)
 	s.pairs += int64(len(s.buf))
 	clear(s.buf) // the emptied buffer must not pin the run's keys and values
 	s.buf = s.buf[:0]
 	return nil
 }
 
-// writeRun creates a run file, has fill write its records through s.w, and
-// returns the committed file's path. Until then a defer owns the file: an
-// error return or a panic mid-encode (a failing custom codec, an injected
-// fault) must not orphan it.
-func (s *spiller[K, V]) writeRun(fill func() error) (string, error) {
-	f, err := os.CreateTemp(s.dir, "sgmr-spill-*.run")
-	if err != nil {
-		return "", fmt.Errorf("mapreduce: creating spill file: %w", err)
-	}
-	committed := false
-	defer func() {
-		if !committed {
-			f.Close()
-			os.Remove(f.Name())
+// writeRun appends one run to the spill file, creating the file at the
+// worker's first run, and returns the run's span; fill writes the run's
+// records through s.w. On an error or a panic mid-encode (a failing custom
+// codec, an injected fault) the partial run stays in the file, which the
+// worker's cleanup removes.
+func (s *spiller[K, V]) writeRun(fill func() error) (span, error) {
+	if s.f == nil {
+		f, err := os.CreateTemp(s.dir, "sgmr-spill-*.run")
+		if err != nil {
+			return span{}, fmt.Errorf("mapreduce: creating spill file: %w", err)
 		}
-	}()
+		s.f, s.w.f = f, f
+	}
 	if err := failpoint.Eval(failpoint.SpillCreate); err != nil {
-		return "", fmt.Errorf("mapreduce: creating spill file: %w", err)
+		return span{}, fmt.Errorf("mapreduce: creating spill file: %w", err)
 	}
 	if s.w.buf == nil {
 		s.w.buf = make([]byte, 0, s.writeBufSize())
 	}
-	s.w.f, s.w.buf, s.w.n, s.w.err = f, s.w.buf[:0], 0, nil
+	s.w.buf, s.w.n, s.w.err = s.w.buf[:0], 0, nil
 	if err := fill(); err != nil {
-		return "", err
+		return span{}, err
 	}
 	s.w.flush()
-	err = s.w.err
-	s.w.f = nil
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if s.w.err != nil {
+		return span{}, fmt.Errorf("mapreduce: writing spill file: %w", s.w.err)
 	}
-	if err != nil {
-		return "", fmt.Errorf("mapreduce: writing spill file: %w", err)
-	}
-	committed = true
-	s.bytes += s.w.n
-	s.runs++
-	return f.Name(), nil
+	r := span{off: s.end, n: s.w.n}
+	s.end += r.n
+	s.bytes += r.n
+	s.written++
+	return r, nil
 }
 
-// settle ends the buffering phase. A worker that never spilled keeps its
-// buffer to reduce from if the buffer fits keep (a buffer that never
-// crossed the share always fits the whole share); otherwise the rest of the
+// settle ends the buffering phase and returns the bytes the worker holds
+// through its reduce phase. A worker that never spilled keeps its buffer to
+// reduce from (it never crossed the share): the buffer, and the sort
+// scratch the reduce phase grows to its length. Otherwise the rest of the
 // buffer is spilled, and the buffer and the write buffer are dropped: the
-// merge's read buffers take over the share they held.
-func (s *spiller[K, V]) settle() error {
-	if len(s.paths) == 0 && int64(len(s.buf))*s.fixed <= s.keep {
-		return nil
+// merge's read buffers take over keep.
+func (s *spiller[K, V]) settle() (held int64, err error) {
+	if len(s.runs) == 0 {
+		return int64(cap(s.buf))*int64(unsafe.Sizeof(pair[K, V]{})) + int64(len(s.buf))*int64(unsafe.Sizeof(runEntry{})), nil
 	}
 	if len(s.buf) > 0 {
 		if err := s.spill(); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	s.buf, s.ents, s.arena, s.offs, s.w.buf = nil, nil, nil, nil, nil
-	return nil
+	s.buf, s.ents, s.w.buf = nil, nil, nil
+	return s.keep, nil
 }
 
 // reduce, after settle, streams every key's values into fn and returns the
@@ -439,9 +368,9 @@ func (s *spiller[K, V]) settle() error {
 // in-memory path would have reported. A false return from fn stops early
 // (the group it declined is counted). A worker that kept its buffer
 // reduces straight from it, sorted, with the original keys and values; one
-// that spilled merges its runs, in ascending encoded-key order either way.
+// that spilled merges its runs, in ascending key order either way.
 func (s *spiller[K, V]) reduce(fn func(k K, vs []V) bool) (distinct, maxIn int64, err error) {
-	if len(s.paths) > 0 {
+	if len(s.runs) > 0 {
 		return s.mergeReduce(fn)
 	}
 	if err := s.sortBuf(); err != nil {
@@ -458,7 +387,7 @@ func (s *spiller[K, V]) reduce(fn func(k K, vs []V) bool) (distinct, maxIn int64
 }
 
 // mergeReduce merges every run and streams each key's decoded values into
-// fn in ascending encoded-key order.
+// fn in ascending key order.
 func (s *spiller[K, V]) mergeReduce(fn func(k K, vs []V) bool) (distinct, maxIn int64, err error) {
 	if err := failpoint.Eval(failpoint.SpillMerge); err != nil {
 		return 0, 0, fmt.Errorf("mapreduce: merging spill runs: %w", err)
@@ -468,41 +397,39 @@ func (s *spiller[K, V]) mergeReduce(fn func(k K, vs []V) bool) (distinct, maxIn 
 	// one run over the cap rewrites two runs, not thirty-two. A folded run
 	// takes the place of the runs it holds, so the list stays in creation
 	// order and a key's values still reach fn in arrival order.
-	for at := 0; len(s.paths) > mergeFanIn; at++ {
-		if at >= len(s.paths)-1 {
+	for at := 0; len(s.runs) > mergeFanIn; at++ {
+		if at >= len(s.runs)-1 {
 			at = 0 // every run has been folded once: fold the folded ones
 		}
-		n := min(mergeFanIn, len(s.paths)-mergeFanIn+1, len(s.paths)-at)
-		np, err := s.compact(s.paths[at : at+n])
+		n := min(mergeFanIn, len(s.runs)-mergeFanIn+1, len(s.runs)-at)
+		r, err := s.compact(s.runs[at : at+n])
 		if err != nil {
 			return 0, 0, err
 		}
-		s.paths[at] = np
-		s.paths = slices.Delete(s.paths, at+1, at+n)
+		s.runs[at] = r
+		s.runs = slices.Delete(s.runs, at+1, at+n)
 	}
-	m, err := newMerger(s.paths, s.keep)
-	if err != nil {
+	if err := s.m.reset(s.f, s.runs, s.keep); err != nil {
 		return 0, 0, err
 	}
-	s.paths = nil // merger owns and removes them
-	defer m.close()
 	decode := s.decodeValue
 	for {
 		s.vs = s.vs[:0]
-		kb, ok, err := m.nextGroup(decode)
+		k, ok, err := s.m.nextGroup(decode)
 		if err != nil {
 			return 0, 0, err
 		}
 		if !ok {
 			return distinct, maxIn, nil
 		}
-		k, err := s.codec.DecodeKey(kb)
+		s.kb = binary.BigEndian.AppendUint64(s.kb[:0], k)
+		key, err := s.codec.DecodeKey(s.kb)
 		if err != nil {
 			return 0, 0, fmt.Errorf("mapreduce: decoding spilled key: %w", err)
 		}
 		distinct++
 		maxIn = max(maxIn, int64(len(s.vs)))
-		if !fn(k, s.vs) {
+		if !fn(key, s.vs) {
 			return distinct, maxIn, nil
 		}
 	}
@@ -525,44 +452,42 @@ func decodeValueErr(err error) error {
 	return fmt.Errorf("mapreduce: decoding spilled value: %w", err)
 }
 
-// compact merges the given runs into one new run file, whose path it
-// returns. No decoding happens: each group's raw values are gathered into
-// the arena (their count precedes them in the record) and re-emitted under
-// the key once. The input files are consumed.
-func (s *spiller[K, V]) compact(paths []string) (string, error) {
-	m, err := newMerger(paths, s.keep)
-	if err != nil {
-		return "", err
+// compact merges the given runs into one new run, appended to the spill
+// file, and returns its span. No decoding happens: each group's raw values
+// are gathered into raw (their count precedes them in the record) and
+// re-emitted under the key once.
+func (s *spiller[K, V]) compact(runs []span) (span, error) {
+	if err := s.m.reset(s.f, runs, s.keep); err != nil {
+		return span{}, err
 	}
-	defer m.close()
 	gather := func(vb []byte) error {
-		s.arena = append(s.arena, vb...)
-		s.offs = append(s.offs, len(s.arena))
+		s.raw = append(s.raw, vb...)
+		s.ends = append(s.ends, len(s.raw))
 		return nil
 	}
 	return s.writeRun(func() error {
 		for {
-			s.arena, s.offs = s.arena[:0], s.offs[:0]
-			kb, ok, err := m.nextGroup(gather)
+			s.raw, s.ends = s.raw[:0], s.ends[:0]
+			k, ok, err := s.m.nextGroup(gather)
 			if err != nil || !ok {
 				return err
 			}
-			s.w.writeBytes(kb)
-			s.w.writeUvarint(uint64(len(s.offs)))
+			s.w.writeKey(k)
+			s.w.writeUvarint(uint64(len(s.ends)))
 			start := 0
-			for _, end := range s.offs {
-				s.w.writeBytes(s.arena[start:end])
+			for _, end := range s.ends {
+				s.w.writeBytes(s.raw[start:end])
 				start = end
 			}
 		}
 	})
 }
 
-// runWriter writes length-prefixed records to a run file through one
-// reused buffer, counting bytes and deferring error checks to the end of
-// the run (it remembers the first error). Record pieces are appended to
-// the buffer, which goes to the file whenever the next piece would not fit,
-// so encoding a record costs appends, not calls.
+// runWriter appends records to the spill file through one reused buffer,
+// counting the run's bytes and deferring error checks to the end of the
+// run (it remembers the first error). Record pieces are appended to the
+// buffer, which goes to the file whenever the next piece would not fit, so
+// encoding a record costs appends, not calls.
 type runWriter struct {
 	f   *os.File
 	buf []byte // pending bytes; its capacity is the write buffer size
@@ -594,11 +519,10 @@ func (w *runWriter) writeUvarint(x uint64) {
 	w.n += int64(len(w.buf) - n)
 }
 
-// writePrefix writes the first n bytes of a runEntry's inline key prefix.
-func (w *runWriter) writePrefix(prefix uint64, n uint32) {
-	w.room(keyPrefixLen)
-	w.buf = binary.BigEndian.AppendUint64(w.buf, prefix)[:len(w.buf)+int(n)]
-	w.n += int64(n)
+func (w *runWriter) writeKey(k uint64) {
+	w.room(8)
+	w.buf = binary.BigEndian.AppendUint64(w.buf, k)
+	w.n += 8
 }
 
 func (w *runWriter) write(b []byte) {
@@ -615,19 +539,21 @@ func (w *runWriter) writeBytes(b []byte) {
 	w.write(b)
 }
 
-// runCursor reads one run file record by record. Every length it reads is
-// checked against the bytes the file still holds before a buffer grows to
-// it, so a torn or bit-flipped run is a read error, never an allocation
-// larger than the file.
+// runCursor reads one run record by record, through its window of the
+// merger's read buffers, from its span of the spill file (ReadAt, so the
+// file's own offset stays where the next run is appended). Every length it
+// reads is checked against the bytes the span still holds before a buffer
+// grows to it, so a torn or bit-flipped run is a read error, never an
+// allocation larger than the run.
 type runCursor struct {
-	f    *os.File
-	br   bufio.Reader
-	left int64  // bytes of the file not yet consumed
-	key  []byte // current record's key
-	head uint64 // key's first keyPrefixLen bytes, big-endian, zero-padded
-	val  []byte // value buffer, reused: valid until the next value call
-	nv   uint64 // values of the current record not yet read
-	done bool   // the run is exhausted
+	f        *os.File
+	buf      []byte // read buffer: buf[r:w] is read but not yet consumed
+	r, w     int
+	off, end int64  // the next file offset to read, and the span's end
+	head     uint64 // current record's key
+	val      []byte // value buffer, reused: valid until the next value call
+	nv       uint64 // values of the current record not yet read
+	done     bool   // the run is exhausted
 }
 
 var errRunVarint = errors.New("length varint overflows 64 bits")
@@ -639,27 +565,55 @@ func readRunErr(err error) error {
 	return fmt.Errorf("mapreduce: reading spill run: %w", err)
 }
 
+// left is the number of the span's bytes not yet consumed.
+func (c *runCursor) left() int64 { return c.end - c.off + int64(c.w-c.r) }
+
+// refill moves the unconsumed bytes to the front of the buffer and reads
+// as much of the rest of the span as fits behind them.
+func (c *runCursor) refill() error {
+	c.w = copy(c.buf, c.buf[c.r:c.w])
+	c.r = 0
+	n := int(min(int64(len(c.buf)-c.w), c.end-c.off))
+	if n == 0 {
+		return io.ErrUnexpectedEOF // the span is exhausted
+	}
+	got, err := c.f.ReadAt(c.buf[c.w:c.w+n], c.off)
+	c.off += int64(got)
+	c.w += got
+	if got < n { // the file is shorter than its runs; err is never nil here
+		return err
+	}
+	return nil
+}
+
+// ensure buffers at least n unconsumed bytes, n no more than the buffer
+// holds.
+func (c *runCursor) ensure(n int) error {
+	for c.w-c.r < n {
+		if err := c.refill(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // length reads one uvarint that must not exceed the bytes left after it —
-// true of a key or value length and, every value taking at least a byte,
-// of a value count. It returns io.EOF untouched only when the file ends
-// before the first byte.
+// true of a value length and, every value taking at least a byte, of a
+// value count.
 func (c *runCursor) length() (uint64, error) {
 	var x uint64
 	for shift := uint(0); shift < 64; shift += 7 {
-		b, err := c.br.ReadByte()
-		if err != nil {
-			if err == io.EOF && shift > 0 {
-				err = io.ErrUnexpectedEOF
-			}
+		if err := c.ensure(1); err != nil {
 			return 0, err
 		}
-		c.left--
+		b := c.buf[c.r]
+		c.r++
 		if b < 0x80 {
 			if shift == 63 && b > 1 {
 				break
 			}
 			x |= uint64(b) << shift
-			if x > uint64(max(c.left, 0)) {
+			if x > uint64(c.left()) {
 				return 0, io.ErrUnexpectedEOF
 			}
 			return x, nil
@@ -669,45 +623,40 @@ func (c *runCursor) length() (uint64, error) {
 	return 0, errRunVarint
 }
 
-// fill reads the next n bytes of the run into buf, growing it if needed.
+// fill reads the next n bytes of the span into buf, growing it if needed.
 func (c *runCursor) fill(buf []byte, n uint64) ([]byte, error) {
 	if uint64(cap(buf)) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	c.left -= int64(n)
-	if b, _ := c.br.Peek(c.br.Buffered()); uint64(len(b)) >= n {
-		copy(buf, b)
-		c.br.Discard(int(n))
-		return buf, nil
+	for i := 0; i < len(buf); {
+		if err := c.ensure(1); err != nil {
+			return buf, err
+		}
+		k := copy(buf[i:], c.buf[c.r:c.w])
+		c.r += k
+		i += k
 	}
-	_, err := io.ReadFull(&c.br, buf)
-	return buf, err
+	return buf, nil
 }
 
-// next loads the following record header; false means clean EOF, which
-// also marks the cursor done.
-func (c *runCursor) next() (bool, error) {
-	klen, err := c.length()
-	if err == io.EOF {
+// next loads the following record header, or marks the cursor done once
+// its span is consumed.
+func (c *runCursor) next() error {
+	if c.left() == 0 {
 		c.done = true
-		return false, nil
+		return nil
 	}
+	err := c.ensure(8)
 	if err == nil {
-		c.key, err = c.fill(c.key, klen)
-	}
-	if err == nil {
-		var p [keyPrefixLen]byte
-		copy(p[:], c.key)
-		c.head = binary.BigEndian.Uint64(p[:])
-	}
-	if err == nil {
+		c.head = binary.BigEndian.Uint64(c.buf[c.r:])
+		c.r += 8
 		c.nv, err = c.length()
 	}
 	if err != nil {
-		return false, readRunErr(err)
+		return readRunErr(err)
 	}
-	return true, nil
+	return nil
 }
 
 // value reads the next raw value of the current record. A value whose
@@ -717,10 +666,9 @@ func (c *runCursor) next() (bool, error) {
 //
 //lint:hotpath
 func (c *runCursor) value() ([]byte, error) {
-	if b, _ := c.br.Peek(c.br.Buffered()); len(b) > 0 && b[0] < 0x80 && int(b[0]) < len(b) && int64(b[0]) < c.left {
+	if b := c.buf[c.r:c.w]; len(b) > 0 && b[0] < 0x80 && int(b[0]) < len(b) {
 		n := int(b[0]) + 1
-		c.br.Discard(n)
-		c.left -= int64(n)
+		c.r += n
 		c.nv--
 		return b[1:n], nil
 	}
@@ -735,60 +683,44 @@ func (c *runCursor) value() ([]byte, error) {
 	return c.val, nil
 }
 
-// merger streams merged key groups out of a set of run files through a
-// loser tree over their cursors: leaf i is the cursor of run i, each
-// internal node holds the loser of the match played there, and tree[0] the
-// overall winner. Advancing the winner replays only its leaf-to-root path,
-// one comparison per level. The merger takes ownership of the files: it
-// opens each, and closes and removes all of them in close.
+// merger streams merged key groups out of a set of runs through a loser
+// tree over their cursors: leaf i is the cursor of run i, each internal
+// node holds the loser of the match played there, and tree[0] the overall
+// winner. Advancing the winner replays only its leaf-to-root path, one
+// comparison per level. A spiller keeps one merger for all its passes, so
+// a pass allocates its cursors, tree and read buffers only when it needs
+// more of them than every earlier pass did — never one per run.
 type merger struct {
-	all  []*runCursor // in run creation order
-	tree []int32      // tree[0] the winning cursor, tree[1:] each internal node's loser
-	kb   []byte
+	all  []runCursor // in run creation order
+	tree []int32     // tree[0] the winning cursor, tree[1:] each internal node's loser
+	slab []byte      // the cursors' read buffers, one window each
 }
 
-// newMerger opens the runs for one merge pass, splitting share between
-// their read buffers.
-func newMerger(paths []string, share int64) (*merger, error) {
-	// On error the spiller's deferred cleanup still owns every path (the
-	// caller only drops them from its list on success), so close() here
-	// only needs to release descriptors; double-removal is harmless.
-	m := &merger{all: make([]*runCursor, 0, len(paths)), tree: make([]int32, len(paths))}
-	cursors := make([]runCursor, len(paths)) // one allocation, not one a run
-	size := runBufSize(share / int64(max(len(paths), 1)))
-	for i, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			m.close()
-			return nil, fmt.Errorf("mapreduce: reopening spill run: %w", err)
-		}
-		c := &cursors[i]
-		c.f, c.br = f, *bufio.NewReaderSize(f, size)
-		m.all = append(m.all, c)
-		st, err := f.Stat()
-		if err != nil {
-			m.close()
-			return nil, fmt.Errorf("mapreduce: reopening spill run: %w", err)
-		}
-		c.left = st.Size()
-		if _, err := c.next(); err != nil {
-			m.close()
-			return nil, err
+// reset points the merger at the given runs of f for one merge pass,
+// splitting share between their read buffers, and loads each run's first
+// record.
+func (m *merger) reset(f *os.File, runs []span, share int64) error {
+	k := len(runs)
+	size := runBufSize(share / int64(max(k, 1)))
+	if cap(m.slab) < k*size {
+		m.slab = make([]byte, k*size)
+	}
+	if cap(m.all) < k {
+		m.all = make([]runCursor, k)
+		m.tree = make([]int32, k)
+	}
+	m.all, m.tree = m.all[:k], m.tree[:k]
+	for i, r := range runs {
+		c := &m.all[i]
+		*c = runCursor{f: f, buf: m.slab[i*size : (i+1)*size], off: r.off, end: r.off + r.n, val: c.val}
+		if err := c.next(); err != nil {
+			return err
 		}
 	}
-	if len(m.tree) > 0 {
+	if k > 0 {
 		m.tree[0] = m.play(1)
 	}
-	return m, nil
-}
-
-func (m *merger) close() {
-	for _, c := range m.all {
-		c.f.Close()
-		os.Remove(c.f.Name())
-	}
-	m.all = nil
-	m.tree = nil
+	return nil
 }
 
 // play fills in the subtree under node, storing each match's loser, and
@@ -819,15 +751,13 @@ func (m *merger) replay(w int32) {
 	m.tree[0] = w
 }
 
-// beats reports whether cursor i's record comes before cursor j's: by
-// encoded key bytes, with the cached heads deciding almost every match, then
-// by run order (which keeps value order deterministic given the same runs).
-// An exhausted cursor loses to every other. On a head tie a key that fits
-// the head is a byte-wise prefix of the other, as in compareKeys.
+// beats reports whether cursor i's record comes before cursor j's: by key,
+// then by run order (which keeps value order deterministic given the same
+// runs). An exhausted cursor loses to every other.
 //
 //lint:hotpath
 func (m *merger) beats(i, j int32) bool {
-	a, b := m.all[i], m.all[j]
+	a, b := &m.all[i], &m.all[j]
 	switch {
 	case a.done:
 		return false
@@ -835,34 +765,23 @@ func (m *merger) beats(i, j int32) bool {
 		return true
 	case a.head != b.head:
 		return a.head < b.head
-	case len(a.key) > keyPrefixLen && len(b.key) > keyPrefixLen:
-		if c := bytes.Compare(a.key[keyPrefixLen:], b.key[keyPrefixLen:]); c != 0 {
-			return c < 0
-		}
-	case len(a.key) != len(b.key):
-		return len(a.key) < len(b.key)
 	}
 	return i < j
 }
 
-// nextGroup hands each to every raw value, across all runs, of the smallest
-// remaining key (by encoded bytes) and returns that key. ok is false once
-// the merge is exhausted — the key cannot double as the sentinel because a
-// legitimate key may encode to zero bytes (struct{} under DefaultCodec, an
-// empty string under a string codec). The key is valid until the next call, a value only during
-// its each call.
-func (m *merger) nextGroup(each func(vb []byte) error) (kb []byte, ok bool, err error) {
+// nextGroup hands each every raw value, across all runs, of the smallest
+// remaining key and returns that key; ok is false once the merge is
+// exhausted. A value is valid only during its each call.
+func (m *merger) nextGroup(each func(vb []byte) error) (key uint64, ok bool, err error) {
 	if len(m.tree) == 0 || m.all[m.tree[0]].done {
-		return nil, false, nil
+		return 0, false, nil
 	}
-	w := m.all[m.tree[0]]
-	head := w.head
-	m.kb = append(m.kb[:0], w.key...)
+	key = m.all[m.tree[0]].head
 	for {
 		i := m.tree[0]
-		c := m.all[i]
-		if c.done || c.head != head || !bytes.Equal(c.key, m.kb) {
-			return m.kb, true, nil
+		c := &m.all[i]
+		if c.done || c.head != key {
+			return key, true, nil
 		}
 		for c.nv > 0 {
 			vb, err := c.value()
@@ -870,11 +789,11 @@ func (m *merger) nextGroup(each func(vb []byte) error) (kb []byte, ok bool, err 
 				err = each(vb)
 			}
 			if err != nil {
-				return nil, false, err
+				return 0, false, err
 			}
 		}
-		if _, err := c.next(); err != nil {
-			return nil, false, err
+		if err := c.next(); err != nil {
+			return 0, false, err
 		}
 		m.replay(i)
 	}

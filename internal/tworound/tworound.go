@@ -21,11 +21,11 @@ type Result struct {
 	// Wedges is the size of the intermediate relation round 1 hands to
 	// round 2.
 	Wedges int64
-	// Chain holds the executed rounds: Rounds[0] is the wedge-building
+	// Rounds holds the executed rounds: Rounds[0] is the wedge-building
 	// join E(X,Y) ⋈ E(Y,Z) keyed by Y, and Rounds[1] joins the wedges with
 	// E(X,Z) keyed by the (X, Z) pair — its Outputs is the number of
 	// triangles the sink accepted.
-	Chain *mapreduce.Chain
+	Rounds [2]mapreduce.RoundStats
 }
 
 // role is a round-1 value: an edge's far endpoint, and which side of the
@@ -48,7 +48,7 @@ type edgeOrWedge struct {
 }
 
 // Triangles enumerates every triangle exactly once (as X < Y < Z with the
-// natural node order) as an explicit two-round chain, run as a pipe
+// natural node order) as two explicit rounds, run as a pipe
 // (mapreduce.RunPipe): round 1's reducers map each wedge they build
 // straight into round 2's shuffle, and round 2's map workers map the edge
 // markers alongside, so the wedge relation is shipped but never
@@ -69,7 +69,6 @@ func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink f
 	if sink == nil {
 		sink = func([3]graph.Node) bool { return true }
 	}
-	c := mapreduce.NewChain(cfg)
 	// Round 1: key by the shared variable Y. An edge (a, b) with a < b
 	// plays role E(X,Y) under key b and role E(Y,Z) under key a.
 	round1 := mapreduce.Job[graph.Edge, graph.Node, role, wedge]{
@@ -112,8 +111,8 @@ func Triangles(ctx context.Context, g *graph.Graph, cfg mapreduce.Config, sink f
 	markEdge := func(e graph.Edge, emit func(uint64, edgeOrWedge)) {
 		emit(e.Key(), edgeOrWedge{IsEdge: true})
 	}
-	err := mapreduce.RunPipe(ctx, c, round1, g.Edges(), round2, markEdge, sink)
-	return Result{Wedges: c.Rounds[0].Metrics.Outputs, Chain: c}, err
+	rounds, err := mapreduce.RunPipe(ctx, cfg, round1, g.Edges(), round2, markEdge, sink)
+	return Result{Wedges: rounds[0].Metrics.Outputs, Rounds: rounds}, err
 }
 
 // wedgeSides is what one round-1 reduce worker keeps in its Context's

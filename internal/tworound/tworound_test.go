@@ -11,7 +11,7 @@ import (
 	"subgraphmr/internal/serial"
 )
 
-// cascade runs the two-round chain without a sink.
+// cascade runs the two rounds without a sink.
 func cascade(t *testing.T, g *graph.Graph) Result {
 	t.Helper()
 	res, err := Triangles(t.Context(), g, mapreduce.Config{}, nil)
@@ -19,6 +19,15 @@ func cascade(t *testing.T, g *graph.Graph) Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// total sums the metrics of both rounds.
+func total(res Result) mapreduce.Metrics {
+	var m mapreduce.Metrics
+	for _, r := range res.Rounds {
+		m.Add(r.Metrics)
+	}
+	return m
 }
 
 func TestCascadeMatchesSerial(t *testing.T) {
@@ -45,8 +54,8 @@ func TestCascadeMatchesSerial(t *testing.T) {
 			t.Fatalf("seed %d: cascade found %d, serial %d", seed, len(got), len(want))
 		}
 		// Count is the accepted deliveries, with a sink or without one.
-		got2 := res.Chain.Rounds[1].Metrics.Outputs
-		if n := cascade(t, g).Chain.Rounds[1].Metrics.Outputs; got2 != int64(len(want)) || n != int64(len(want)) {
+		got2 := res.Rounds[1].Metrics.Outputs
+		if n := cascade(t, g).Rounds[1].Metrics.Outputs; got2 != int64(len(want)) || n != int64(len(want)) {
 			t.Fatalf("seed %d: Outputs %d with a sink, %d without, serial %d", seed, got2, n, len(want))
 		}
 	}
@@ -56,7 +65,7 @@ func TestCascadeCommunicationAccounting(t *testing.T) {
 	g := graph.Gnm(50, 220, 4)
 	res := cascade(t, g)
 	m := int64(g.NumEdges())
-	round1, round2 := res.Chain.Rounds[0].Metrics, res.Chain.Rounds[1].Metrics
+	round1, round2 := res.Rounds[0].Metrics, res.Rounds[1].Metrics
 	// Round 1 ships every edge twice.
 	if round1.KeyValuePairs != 2*m {
 		t.Errorf("round 1 comm = %d, want %d", round1.KeyValuePairs, 2*m)
@@ -69,7 +78,7 @@ func TestCascadeCommunicationAccounting(t *testing.T) {
 	if round2.KeyValuePairs != res.Wedges+m {
 		t.Errorf("round 2 comm = %d, want %d", round2.KeyValuePairs, res.Wedges+m)
 	}
-	if total := res.Chain.Total().KeyValuePairs; total != 3*m+res.Wedges {
+	if total := total(res).KeyValuePairs; total != 3*m+res.Wedges {
 		t.Errorf("total = %d, want %d", total, 3*m+res.Wedges)
 	}
 }
@@ -103,10 +112,10 @@ func TestCascadeLosesOnSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	oneRound := res.Jobs[0].Metrics
-	if n := two.Chain.Rounds[1].Metrics.Outputs; n != res.Count {
+	if n := two.Rounds[1].Metrics.Outputs; n != res.Count {
 		t.Fatalf("counts differ: cascade %d, one-round %d", n, res.Count)
 	}
-	twoComm := two.Chain.Total().KeyValuePairs
+	twoComm := total(two).KeyValuePairs
 	if twoComm <= oneRound.KeyValuePairs {
 		t.Errorf("expected cascade comm %d to exceed one-round comm %d on a skewed graph",
 			twoComm, oneRound.KeyValuePairs)
@@ -131,7 +140,7 @@ func TestWedgeCountStar(t *testing.T) {
 func TestCascadeEmptyGraph(t *testing.T) {
 	g := graph.FromEdges(5, nil)
 	res := cascade(t, g)
-	if n, comm := res.Chain.Rounds[1].Metrics.Outputs, res.Chain.Total().KeyValuePairs; n != 0 || comm != 0 {
+	if n, comm := res.Rounds[1].Metrics.Outputs, total(res).KeyValuePairs; n != 0 || comm != 0 {
 		t.Errorf("empty graph: %d triangles, %d pairs", n, comm)
 	}
 }
@@ -170,10 +179,7 @@ func TestCascadePipeMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Chain.Rounds) != 2 {
-			t.Fatalf("budget %d: %d rounds", budget, len(res.Chain.Rounds))
-		}
-		for i, r := range res.Chain.Rounds {
+		for i, r := range res.Rounds {
 			got := mapreduce.Metrics{KeyValuePairs: r.Metrics.KeyValuePairs, DistinctKeys: r.Metrics.DistinctKeys, Outputs: r.Metrics.Outputs}
 			if got != want[i] {
 				t.Errorf("budget %d, round %d: pairs, keys, outputs %d, %d, %d; want %d, %d, %d", budget, i+1,
@@ -183,8 +189,8 @@ func TestCascadePipeMetrics(t *testing.T) {
 		if res.Wedges != WedgeCount(g) {
 			t.Errorf("budget %d: %d wedges, WedgeCount %d", budget, res.Wedges, WedgeCount(g))
 		}
-		if spilled := res.Chain.Total().SpillFiles > 0; spilled != (budget > 0) {
-			t.Errorf("budget %d: %d spill files", budget, res.Chain.Total().SpillFiles)
+		if spilled := total(res).SpillFiles > 0; spilled != (budget > 0) {
+			t.Errorf("budget %d: %d spill files", budget, total(res).SpillFiles)
 		}
 	}
 }
@@ -216,5 +222,30 @@ func TestCascadeBudgetBoundsAllocation(t *testing.T) {
 		t.Errorf("a budgeted run allocated %d bytes, want below W × 16 B = %d", alloc, w*16)
 	} else {
 		t.Logf("a budgeted run allocated %d bytes; W × 16 B = %d", alloc, w*16)
+	}
+}
+
+// TestCascadeRoundOneKeepsItsBuffer: under a budget, a round-1 reduce
+// worker that never crossed its share reduces from its buffer — it writes
+// no run — and round 2 buffers beside it in what is left of the share. On
+// Gnm(1000, 5000, 1) at 1 MiB round 1's 10 000 pairs fit every worker's
+// share, so round 1 spills nothing, and the cascade still finds every
+// triangle.
+func TestCascadeRoundOneKeepsItsBuffer(t *testing.T) {
+	g := graph.Gnm(1000, 5000, 1)
+	want := int64(0)
+	serial.Triangles(g, func(graph.Node, graph.Node, graph.Node) { want++ })
+	for _, np := range []int{1, 2, 4} {
+		cfg := mapreduce.Config{Parallelism: 2, Partitions: np, MemoryBudget: 1 << 20, SpillDir: t.TempDir()}
+		res, err := Triangles(t.Context(), g, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1 := res.Rounds[0].Metrics; r1.SpilledPairs != 0 || r1.SpillFiles != 0 {
+			t.Errorf("%d partitions: round 1 spilled %d pairs in %d runs", np, r1.SpilledPairs, r1.SpillFiles)
+		}
+		if n := res.Rounds[1].Metrics.Outputs; n != want {
+			t.Errorf("%d partitions: %d triangles, serial %d", np, n, want)
+		}
 	}
 }

@@ -410,9 +410,9 @@ func runTwoRound(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Re
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Count: tr.Chain.Rounds[1].Metrics.Outputs}
+	res := &Result{Count: tr.Rounds[1].Metrics.Outputs}
 	m := float64(p.graph.NumEdges())
-	for i, round := range tr.Chain.Rounds {
+	for i, round := range tr.Rounds {
 		predicted := 2.0 // round 1: each edge plays two roles
 		if i == 1 && m > 0 {
 			predicted = float64(tr.Wedges)/m + 1 // wedges + the edge relation
