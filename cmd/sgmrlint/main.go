@@ -1,25 +1,21 @@
 // Command sgmrlint is the project's invariant checker: a static-analysis
-// suite that mechanizes the rules the engine's correctness rests on
-// (QueryPlan immutability, deterministic encodings, ctx threading, the
-// cooperative stop contract). See internal/lint for the analyzers and
-// docs/ARCHITECTURE.md for the rationale behind each rule.
+// suite that mechanizes rules the engine's correctness rests on
+// (deterministic encodings, ctx threading, failpoint coverage of every
+// fallible operation, no heap escapes on annotated hot paths). See
+// internal/lint for the analyzers and docs/ARCHITECTURE.md for the
+// rationale behind each rule.
 //
-// It runs three ways:
+// It runs two ways:
 //
-//	sgmrlint [-json] [packages]   # standalone, e.g. sgmrlint ./...
+//	sgmrlint [-json] [packages]   # analyzers, e.g. sgmrlint ./...
 //	sgmrlint -escapes [packages]  # escape gate: -gcflags=-m over //lint:hotpath
-//	go vet -vettool=$(which sgmrlint) ./...
 //
-// The vettool form speaks cmd/go's unitchecker protocol (-V=full, -flags,
-// one .cfg per package), so findings come out with go vet's caching and
-// per-package scheduling. All forms exit 1 when there are unsuppressed
-// findings; the default rendering is file:line:col: message (analyzer),
-// and -json switches to one array of {file,line,col,analyzer,message,
-// suppressed} objects on stdout.
+// Both exit 1 when there are unsuppressed findings; the default rendering
+// is file:line:col: message (analyzer), and -json switches to one array of
+// {file,line,col,analyzer,message,suppressed} objects on stdout.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,24 +32,13 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 1 {
-		switch arg := args[0]; {
-		case arg == "-V=full":
-			return printVersion(stdout, stderr)
-		case arg == "-V":
-			fmt.Fprintln(stdout, "sgmrlint version devel")
-			return 0
-		case arg == "-flags":
-			// No tool-specific flags; cmd/go wants the JSON list anyway.
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		case arg == "help" || arg == "-h" || arg == "-help" || arg == "--help":
+		switch args[0] {
+		case "help", "-h", "-help", "--help":
 			usage(stdout)
 			return 0
-		case strings.HasSuffix(arg, ".cfg"):
-			return runUnit(arg, stderr)
 		}
 	}
-	// Tool modes. Flags may precede the package patterns in any order.
+	// Flags may precede the package patterns in any order.
 	var jsonOut, escapes bool
 	patterns := make([]string, 0, len(args))
 	for _, arg := range args {
@@ -121,45 +106,10 @@ func report(findings []driver.Finding, jsonOut bool, stdout, stderr io.Writer) i
 	return 0
 }
 
-func runUnit(cfgFile string, stderr io.Writer) int {
-	diags, err := driver.RunUnit(cfgFile)
-	if err != nil {
-		fmt.Fprintln(stderr, "sgmrlint:", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintln(stderr, d)
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// printVersion emits the exact version banner cmd/go's -vettool handshake
-// parses: "<executable> version devel ... buildID=<content hash>". The
-// hash makes go vet's result cache invalidate when the tool changes.
-func printVersion(stdout, stderr io.Writer) int {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(stderr, "sgmrlint:", err)
-		return 2
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		fmt.Fprintln(stderr, "sgmrlint:", err)
-		return 2
-	}
-	sum := sha256.Sum256(data)
-	fmt.Fprintf(stdout, "%s version devel comments-go-here buildID=%x\n", exe, sum)
-	return 0
-}
-
 func usage(w io.Writer) {
 	fmt.Fprintln(w, "sgmrlint checks subgraphmr's engine invariants.")
 	fmt.Fprintln(w, "\nUsage:\n\n\tsgmrlint [-json] [packages]\te.g. sgmrlint ./...")
 	fmt.Fprintln(w, "\tsgmrlint -escapes [packages]\tcompile with -gcflags=-m and fail on heap escapes inside //lint:hotpath functions")
-	fmt.Fprintln(w, "\tgo vet -vettool=$(command -v sgmrlint) [packages]")
 	fmt.Fprintln(w, "\n-json prints findings (suppressed ones included, marked) as a JSON array on stdout.")
 	fmt.Fprintln(w, "\nAnalyzers:")
 	for _, a := range lint.All() {

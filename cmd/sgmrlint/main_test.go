@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,39 +11,12 @@ import (
 	"subgraphmr/internal/lint/driver"
 )
 
-// TestVersionHandshake checks the exact banner cmd/go's -vettool probe
-// parses: "<exe> version devel ... buildID=<hex>".
-func TestVersionHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full exited %d: %s", code, stderr.String())
-	}
-	fields := strings.Fields(strings.TrimSpace(stdout.String()))
-	if len(fields) < 3 || fields[1] != "version" {
-		t.Fatalf("banner %q: want '<exe> version ...'", stdout.String())
-	}
-	if fields[2] == "devel" && !strings.HasPrefix(fields[len(fields)-1], "buildID=") {
-		t.Fatalf("devel banner %q must end in buildID=<hash>", stdout.String())
-	}
-}
-
-// TestFlagsHandshake: cmd/go asks for the tool's flag inventory as JSON.
-func TestFlagsHandshake(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags exited %d: %s", code, stderr.String())
-	}
-	if got := strings.TrimSpace(stdout.String()); got != "[]" {
-		t.Fatalf("-flags printed %q, want []", got)
-	}
-}
-
 func TestUsageListsAllAnalyzers(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"help"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("help exited %d", code)
 	}
-	for _, name := range []string{"planmutate", "detenc", "ctxhygiene", "sinkstop", "failcover", "errwrap", "hotalloc", "lint:allow", "-json", "-escapes"} {
+	for _, name := range []string{"detenc", "ctxhygiene", "failcover", "hotalloc", "lint:allow", "-json", "-escapes"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("usage output missing %q", name)
 		}
@@ -109,63 +81,5 @@ func Excused() context.Context {
 	}
 	if got := strings.TrimSpace(stdout.String()); got != "[]" {
 		t.Errorf("clean -json output = %q, want []", got)
-	}
-}
-
-// TestGoVetVettool exercises the real protocol end to end: build the
-// binary, point go vet at it over a throwaway module with one violation,
-// and require the finding (and a clean pass once fixed).
-func TestGoVetVettool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and runs go vet")
-	}
-	bin := filepath.Join(t.TempDir(), "sgmrlint")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building sgmrlint: %v\n%s", err, out)
-	}
-
-	mod := t.TempDir()
-	write := func(name, src string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(mod, name), []byte(src), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module vetfixture\n\ngo 1.24\n")
-	write("a.go", `package vetfixture
-
-import "context"
-
-func Detached() context.Context {
-	return context.Background()
-}
-`)
-
-	vet := func() (string, error) {
-		cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-		cmd.Dir = mod
-		out, err := cmd.CombinedOutput()
-		return string(out), err
-	}
-
-	out, err := vet()
-	if err == nil {
-		t.Fatalf("go vet passed on a tree with a violation:\n%s", out)
-	}
-	if !strings.Contains(out, "ctxhygiene") || !strings.Contains(out, "Background()") {
-		t.Fatalf("go vet output missing the ctxhygiene finding:\n%s", out)
-	}
-
-	write("a.go", `package vetfixture
-
-import "context"
-
-func Attached(ctx context.Context) context.Context {
-	return ctx
-}
-`)
-	if out, err := vet(); err != nil {
-		t.Fatalf("go vet failed on a clean tree: %v\n%s", err, out)
 	}
 }

@@ -32,7 +32,6 @@ func (p *QueryPlan) distGraphPayload() []byte {
 		return distrib.EncodeGraph(p.graph.NumNodes(), p.graph.Edges())
 	}
 	p.enc.once.Do(func() {
-		//lint:allow planmutate enc is a Plan-allocated memo slot; the write is sync.Once-guarded and idempotent
 		p.enc.data = distrib.EncodeGraph(p.graph.NumNodes(), p.graph.Edges())
 	})
 	return p.enc.data

@@ -2,13 +2,12 @@ package lint
 
 import "strings"
 
-// All returns the full analyzer suite in registration order. The drivers,
+// All returns the full analyzer suite in registration order. The driver,
 // the fixture meta-test, and the directive validator all consume this one
 // registry, so adding an analyzer here is the single step that wires it
-// into `go vet -vettool`, standalone runs, and the "every analyzer has
-// fixtures" check.
+// into `sgmrlint` runs and the "every analyzer has fixtures" check.
 func All() []*Analyzer {
-	return []*Analyzer{PlanMutate, DetEnc, CtxHygiene, SinkStop, FailCover, ErrWrap, HotAlloc}
+	return []*Analyzer{DetEnc, CtxHygiene, FailCover, HotAlloc}
 }
 
 // byName resolves an analyzer by its directive name, or nil.

@@ -5,13 +5,13 @@ import (
 	"go/types"
 )
 
-// The package-level call graph the dataflow analyzers (failcover, errwrap)
-// share. One node per top-level function declaration; function literals
-// are merged into the declaration that lexically encloses them, because
-// for the properties checked here — "is this I/O reachable without
-// passing a failpoint?", "can this error escape unwrapped?" — a closure
-// executes with its parent's obligations (the engine's worker bodies are
-// all closures inside runJob-shaped functions).
+// The package-level call graph failcover's reachability analysis runs
+// on. One node per top-level function declaration; function literals are
+// merged into the declaration that lexically encloses them, because for
+// the property checked here — "is this I/O reachable without passing a
+// failpoint?" — a closure executes with its parent's obligations (the
+// engine's worker bodies are all closures inside runJob-shaped
+// functions).
 
 // A cgNode is one function declaration in the graph.
 type cgNode struct {
@@ -101,14 +101,13 @@ func (g *callGraph) roots() []*cgNode {
 // reachableSkipping marks every node reachable from the given roots
 // without entering a node for which skip returns true. A skipped node
 // blocks propagation: its callees are only reached through other paths.
-// failcover uses skip=isGuard so everything downstream of a failpoint
-// evaluation counts as covered; passing skip=nil gives plain transitive
-// reachability.
+// failcover skips the guards, so everything downstream of a failpoint
+// evaluation counts as covered.
 func (g *callGraph) reachableSkipping(roots []*cgNode, skip func(*cgNode) bool) map[*cgNode]bool {
 	marked := make(map[*cgNode]bool)
 	var visit func(n *cgNode)
 	visit = func(n *cgNode) {
-		if marked[n] || (skip != nil && skip(n)) {
+		if marked[n] || skip(n) {
 			return
 		}
 		marked[n] = true

@@ -1,21 +1,15 @@
 // Package driver runs the sgmrlint analyzers without golang.org/x/tools.
 //
-// It provides the two entry points cmd/sgmrlint needs:
+// Standalone loads packages via `go list -export -deps -json`,
+// type-checks the matched ones from source against their dependencies'
+// compiler export data, and runs the analyzer suite, passing facts from
+// each package to its dependents in process. This is what `sgmrlint ./...`
+// does and what the tree-clean test pins.
 //
-//   - Standalone: load packages via `go list -export -deps -json`,
-//     type-check the matched ones from source against their dependencies'
-//     compiler export data, and run the analyzer suite. This is what
-//     `sgmrlint ./...` does and what the tree-clean test pins.
-//   - RunUnit: the `go vet -vettool` unitchecker protocol — parse the
-//     .cfg file cmd/go hands the tool for each package, type-check that
-//     one unit, emit diagnostics to stderr, and write the (empty) .vetx
-//     facts file cmd/go requires as the action's output.
-//
-// Both paths share the same trick: the module has zero third-party
-// dependencies, so every import resolves to stdlib or in-module packages
-// whose gc export data the build system already produced. A lookup-based
-// importer.ForCompiler over those files gives full type information with
-// no network and no extra toolchain.
+// The module has zero third-party dependencies, so every import resolves
+// to stdlib or in-module packages whose gc export data the build system
+// already produced. A lookup-based importer.ForCompiler over those files
+// gives full type information with no network and no extra toolchain.
 package driver
 
 import (
@@ -35,7 +29,7 @@ import (
 	"subgraphmr/internal/lint"
 )
 
-// listedPackage is the subset of `go list -json` output the drivers use.
+// listedPackage is the subset of `go list -json` output the driver uses.
 type listedPackage struct {
 	Dir        string
 	ImportPath string
@@ -118,9 +112,8 @@ func ListExports(dir string, paths ...string) (map[string]string, error) {
 }
 
 // NewImporter returns a types.Importer that resolves imports through gc
-// export-data files. resolve maps an import path as spelled to the
-// package path that owns the export file (identity when nil).
-func NewImporter(fset *token.FileSet, exports map[string]string, resolve func(string) (string, bool)) types.Importer {
+// export-data files, keyed by import path.
+func NewImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
@@ -129,15 +122,7 @@ func NewImporter(fset *token.FileSet, exports map[string]string, resolve func(st
 		return os.Open(file)
 	}
 	compiler := importer.ForCompiler(fset, "gc", lookup)
-	return importerFunc(func(importPath string) (*types.Package, error) {
-		path := importPath
-		if resolve != nil {
-			mapped, ok := resolve(importPath)
-			if !ok {
-				return nil, fmt.Errorf("import %q not in import map", importPath)
-			}
-			path = mapped
-		}
+	return importerFunc(func(path string) (*types.Package, error) {
 		if path == "unsafe" {
 			return types.Unsafe, nil
 		}
@@ -150,7 +135,7 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // TypeCheck parses and checks one package from source.
-func TypeCheck(fset *token.FileSet, importPath, goVersion string, filenames []string, imp types.Importer) (*lint.Unit, error) {
+func TypeCheck(fset *token.FileSet, importPath string, filenames []string, imp types.Importer) (*lint.Unit, error) {
 	files := make([]*ast.File, 0, len(filenames))
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
@@ -167,15 +152,10 @@ func TypeCheck(fset *token.FileSet, importPath, goVersion string, filenames []st
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: imp, GoVersion: goVersion}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
 		return nil, err
 	}
 	return &lint.Unit{Path: importPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-// Render formats one diagnostic the way `go vet` prints findings.
-func Render(fset *token.FileSet, d lint.Diagnostic) string {
-	return fmt.Sprintf("%s: %s (%s)", fset.Position(d.Pos), d.Message, d.Analyzer)
 }

@@ -1,12 +1,7 @@
 package driver_test
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"subgraphmr/internal/lint/driver"
@@ -36,138 +31,5 @@ func TestStandaloneTreeClean(t *testing.T) {
 	}
 	if suppressed == 0 {
 		t.Error("no suppressed findings at all — the //lint:allow audit notes in the tree should surface here; did suppression marking break?")
-	}
-}
-
-// listedDep mirrors the go list fields the test needs to assemble a vet
-// config by hand.
-type listedDep struct {
-	ImportPath string
-	Export     string
-	Standard   bool
-}
-
-// vetCfg builds the unitchecker-protocol JSON config cmd/go would write
-// for a single-file package importing context.
-func vetCfg(t *testing.T, dir, goFile, vetxOut string) string {
-	t.Helper()
-	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Export,Standard", "context")
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go list context: %v", err)
-	}
-	importMap := map[string]string{}
-	packageFile := map[string]string{}
-	standard := map[string]bool{}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for dec.More() {
-		var p listedDep
-		if err := dec.Decode(&p); err != nil {
-			t.Fatalf("decoding go list: %v", err)
-		}
-		importMap[p.ImportPath] = p.ImportPath
-		standard[p.ImportPath] = p.Standard
-		if p.Export != "" {
-			packageFile[p.ImportPath] = p.Export
-		}
-	}
-	cfg := map[string]any{
-		"ID":          "fixturepkg",
-		"Compiler":    "gc",
-		"Dir":         dir,
-		"ImportPath":  "fixturepkg",
-		"GoFiles":     []string{goFile},
-		"ImportMap":   importMap,
-		"PackageFile": packageFile,
-		"Standard":    standard,
-		"VetxOnly":    false,
-		"VetxOutput":  vetxOut,
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(dir, "unit.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return cfgPath
-}
-
-const violatingSrc = `package fixturepkg
-
-import "context"
-
-func Detached() context.Context {
-	return context.Background()
-}
-`
-
-// TestRunUnitProtocol drives the vet-config path directly: diagnostics
-// come back rendered, and the .vetx facts file cmd/go requires as the
-// action's output is written.
-func TestRunUnitProtocol(t *testing.T) {
-	dir := t.TempDir()
-	goFile := filepath.Join(dir, "a.go")
-	if err := os.WriteFile(goFile, []byte(violatingSrc), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	vetx := filepath.Join(dir, "unit.vetx")
-	cfgPath := vetCfg(t, dir, goFile, vetx)
-
-	diags, err := driver.RunUnit(cfgPath)
-	if err != nil {
-		t.Fatalf("RunUnit: %v", err)
-	}
-	if len(diags) != 1 || !strings.Contains(diags[0], "ctxhygiene") || !strings.Contains(diags[0], "Background()") {
-		t.Fatalf("want one ctxhygiene Background finding, got %q", diags)
-	}
-	if !strings.HasPrefix(diags[0], goFile+":") {
-		t.Errorf("diagnostic not anchored to source file: %q", diags[0])
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Errorf("vetx facts file not written: %v", err)
-	}
-}
-
-// TestRunUnitVetxOnly: fact-gathering mode must write the facts file and
-// stay silent even on a package with findings.
-func TestRunUnitVetxOnly(t *testing.T) {
-	dir := t.TempDir()
-	goFile := filepath.Join(dir, "a.go")
-	if err := os.WriteFile(goFile, []byte(violatingSrc), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	vetx := filepath.Join(dir, "unit.vetx")
-	cfgPath := vetCfg(t, dir, goFile, vetx)
-
-	// Flip VetxOnly in the written config.
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cfg map[string]any
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg["VetxOnly"] = true
-	data, err = json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	diags, err := driver.RunUnit(cfgPath)
-	if err != nil {
-		t.Fatalf("RunUnit: %v", err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("VetxOnly mode must not report diagnostics, got %q", diags)
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Errorf("vetx facts file not written in VetxOnly mode: %v", err)
 	}
 }

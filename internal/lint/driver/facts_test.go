@@ -2,7 +2,6 @@ package driver_test
 
 import (
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -138,28 +137,6 @@ func TestStandaloneFactsDepOnly(t *testing.T) {
 	if strings.Contains(out, "mr.unknown") {
 		t.Errorf("facts-only dependency leaked its own diagnostics:\n%s", out)
 	}
-}
-
-// TestGoVetFactsRoundTrip drives the same module through the real
-// `go vet -vettool` protocol, proving the facts survive serialization into
-// .vetx files and transitive re-export across cmd/go's per-package units.
-func TestGoVetFactsRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and runs go vet")
-	}
-	bin := filepath.Join(t.TempDir(), "sgmrlint")
-	build := exec.Command("go", "build", "-o", bin, "subgraphmr/cmd/sgmrlint")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building sgmrlint: %v\n%s", err, out)
-	}
-	dir := writeFactsModule(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet passed on a module with catalog violations:\n%s", out)
-	}
-	assertFactsFindings(t, string(out))
 }
 
 func assertFactsFindings(t *testing.T, out string) {

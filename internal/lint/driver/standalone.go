@@ -9,7 +9,7 @@ import (
 )
 
 // A Finding is one rendered diagnostic in machine-consumable shape — what
-// `sgmrlint -json` emits and what the drivers hand cmd/sgmrlint.
+// `sgmrlint -json` emits and what the driver hands cmd/sgmrlint.
 type Finding struct {
 	File       string `json:"file"`
 	Line       int    `json:"line"`
@@ -48,9 +48,9 @@ func finding(fset *token.FileSet, d lint.Diagnostic) Finding {
 // in dependency order (dependencies strictly before dependents), so by
 // the time a package is analyzed, everything it imports has already
 // exported its facts. In-module dependencies outside the match set are
-// run facts-only — their diagnostics are dropped, mirroring go vet's
-// VetxOnly units — so cross-package analyses see the same world whether
-// the user asked for ./... or one leaf package.
+// run facts-only — their diagnostics are dropped — so cross-package
+// analyses see the same world whether the user asked for ./... or one
+// leaf package.
 func Standalone(dir string, patterns ...string) ([]Finding, error) {
 	return StandaloneAnalyzers(dir, lint.All(), patterns...)
 }
@@ -73,7 +73,7 @@ func StandaloneAnalyzers(dir string, analyzers []*lint.Analyzer, patterns ...str
 		}
 	}
 	fset := token.NewFileSet()
-	imp := NewImporter(fset, exports, nil)
+	imp := NewImporter(fset, exports)
 	facts := lint.NewFactSet()
 	var findings []Finding
 	for _, p := range pkgs {
@@ -90,7 +90,7 @@ func StandaloneAnalyzers(dir string, analyzers []*lint.Analyzer, patterns ...str
 		for _, name := range p.GoFiles {
 			filenames = append(filenames, filepath.Join(p.Dir, name))
 		}
-		unit, err := TypeCheck(fset, p.ImportPath, "", filenames, imp)
+		unit, err := TypeCheck(fset, p.ImportPath, filenames, imp)
 		if err != nil {
 			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}

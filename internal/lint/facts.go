@@ -4,24 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 )
 
-// A FactSet carries analyzer facts across package boundaries. Facts are
-// the dataflow layer's currency: an analyzer running on one package
-// exports a named, JSON-serializable payload (failcover's site catalog,
-// errwrap's wrap-clean function list), and analyzers running on dependent
-// packages import it by (package path, fact name).
-//
-// Both drivers move FactSets through the `go vet -vettool` .vetx channel:
-// the unit driver decodes the .vetx files cmd/go hands it for each
-// dependency, merges them into the unit's working set, and serializes the
-// merged set — its own facts plus everything it imported — as the unit's
-// VetxOutput. Re-exporting imported facts makes visibility transitive by
-// construction, so an analyzer sees facts from indirect dependencies even
-// when the build system only passes direct ones. The standalone driver
-// shares one FactSet across the whole dependency-ordered package list,
-// which gives the same visibility without serialization.
+// A FactSet carries analyzer facts across package boundaries. An
+// analyzer running on one package exports a named, JSON-serializable
+// payload (failcover's site catalog and evaluated-site list), and the same
+// analyzer running on dependent packages imports it by (package path,
+// fact name). The driver shares one FactSet across the whole
+// dependency-ordered package list, so a package sees the facts of every
+// package it (transitively) imports.
 type FactSet struct {
 	// pkgs maps package path -> analyzer name -> fact name -> payload.
 	pkgs map[string]map[string]map[string]json.RawMessage
@@ -32,16 +23,6 @@ func NewFactSet() *FactSet {
 	return &FactSet{pkgs: make(map[string]map[string]map[string]json.RawMessage)}
 }
 
-// normalizePkgPath strips the build-variant suffix cmd/go appends to test
-// packages ("pkg [pkg.test]"), so facts from a test variant land under the
-// same key importers resolve.
-func normalizePkgPath(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		return path[:i]
-	}
-	return path
-}
-
 // export records one fact, overwriting any previous value under the same
 // (package, analyzer, name) key.
 func (fs *FactSet) export(pkgPath, analyzer, name string, v any) error {
@@ -49,7 +30,6 @@ func (fs *FactSet) export(pkgPath, analyzer, name string, v any) error {
 	if err != nil {
 		return fmt.Errorf("encoding fact %s/%s for %s: %w", analyzer, name, pkgPath, err)
 	}
-	pkgPath = normalizePkgPath(pkgPath)
 	byAnalyzer := fs.pkgs[pkgPath]
 	if byAnalyzer == nil {
 		byAnalyzer = make(map[string]map[string]json.RawMessage)
@@ -67,7 +47,7 @@ func (fs *FactSet) export(pkgPath, analyzer, name string, v any) error {
 // lookup decodes the fact under (pkgPath, analyzer, name) into into,
 // reporting whether it was present.
 func (fs *FactSet) lookup(pkgPath, analyzer, name string, into any) bool {
-	data, ok := fs.pkgs[normalizePkgPath(pkgPath)][analyzer][name]
+	data, ok := fs.pkgs[pkgPath][analyzer][name]
 	if !ok {
 		return false
 	}
@@ -86,50 +66,4 @@ func (fs *FactSet) packages(analyzer, name string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Merge folds other's facts into fs (other wins on key collisions).
-func (fs *FactSet) Merge(other *FactSet) {
-	if other == nil {
-		return
-	}
-	for pkg, byAnalyzer := range other.pkgs {
-		for analyzer, byName := range byAnalyzer {
-			for name, data := range byName {
-				dst := fs.pkgs[pkg]
-				if dst == nil {
-					dst = make(map[string]map[string]json.RawMessage)
-					fs.pkgs[pkg] = dst
-				}
-				dstNames := dst[analyzer]
-				if dstNames == nil {
-					dstNames = make(map[string]json.RawMessage)
-					dst[analyzer] = dstNames
-				}
-				dstNames[name] = data
-			}
-		}
-	}
-}
-
-// Encode serializes the fact set as JSON — the .vetx wire format.
-func (fs *FactSet) Encode() ([]byte, error) {
-	return json.Marshal(fs.pkgs)
-}
-
-// DecodeFactSet parses a .vetx payload. Empty input decodes to an empty
-// set: PR 8's driver wrote zero-length .vetx files, and go vet's cache may
-// still hold them, so they must stay readable.
-func DecodeFactSet(data []byte) (*FactSet, error) {
-	fs := NewFactSet()
-	if len(data) == 0 {
-		return fs, nil
-	}
-	if err := json.Unmarshal(data, &fs.pkgs); err != nil {
-		return nil, fmt.Errorf("decoding facts: %w", err)
-	}
-	if fs.pkgs == nil {
-		fs.pkgs = make(map[string]map[string]map[string]json.RawMessage)
-	}
-	return fs, nil
 }

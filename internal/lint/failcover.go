@@ -16,10 +16,14 @@ import (
 // registered failpoint site — so the chaos difftests can actually inject
 // its failure — and the site catalog in internal/failpoint matches the
 // sites the code evaluates, in both directions. FailCover mechanizes both
-// with the dataflow layer: inside internal/{mapreduce,distrib,serve} it
-// builds the package call graph, treats every function that calls
-// failpoint.Eval/Corrupt as a guard, and flags any fallible operation in a
-// function still reachable from an entry point without passing a guard.
+// with the dataflow layer: inside the engine packages and the packages on
+// Run's path above them (see failcoverDirs) it builds the package call
+// graph, treats every function that calls failpoint.Eval/Corrupt as a
+// guard, and flags any fallible operation in a function still reachable
+// from an entry point without passing a guard. Outside the engine no
+// package evaluates a site, so there the rule reads: query-path code does
+// no fallible I/O of its own — an error it could return would reach the
+// caller without the stage an engine error carries.
 // Cross-package facts close the catalog loop: the failpoint package
 // exports its catalog, every covered package exports the site names it
 // evaluates, and a main package that links the whole engine checks the
@@ -33,12 +37,45 @@ var FailCover = &Analyzer{
 	Run: runFailCover,
 }
 
-// failcoverDirs are the package-path segments whose fallible operations
-// the chaos matrix must be able to fail — the engine's I/O surface.
-var failcoverDirs = []string{
+// engineDirs are the package-path segments of the engine's I/O surface,
+// the packages that evaluate failpoint sites. The dead-site check waits
+// for a refs fact from each of them.
+var engineDirs = []string{
 	"internal/mapreduce",
 	"internal/distrib",
 	"internal/serve",
+}
+
+// failcoverDirs are the package-path segments whose fallible operations
+// the chaos matrix must be able to fail: the engine, and the algorithm
+// packages Run reaches on its way there. internal/graph is left out: its
+// one fallible operation (WriteEdgeList's Flush) is on no query path. The
+// module's root package, the query API itself, is in scope as well (see
+// inFailcoverScope).
+var failcoverDirs = append([]string{
+	"internal/core",
+	"internal/tworound",
+	"internal/triangle",
+	"internal/cq",
+	"internal/directed",
+	"internal/multijoin",
+}, engineDirs...)
+
+// inFailcoverScope reports whether a package's fallible operations must
+// sit behind a failpoint. A path without a slash is a module's root
+// package: the driver skips the standard library, and the module has no
+// third-party dependencies, so in this tree that is the query API (and
+// in fixtures, the fixture package).
+func inFailcoverScope(path string) bool {
+	if !strings.Contains(path, "/") {
+		return true
+	}
+	for _, dir := range failcoverDirs {
+		if strings.Contains(path, dir) {
+			return true
+		}
+	}
+	return false
 }
 
 // fallibleOps are the operations the failure model cares about, by
@@ -103,13 +140,7 @@ func runFailCover(pass *Pass) error {
 		return exportFailpointCatalog(pass)
 	}
 
-	inScope := pass.Path == "failcover" || strings.HasSuffix(pass.Path, "/failcover")
-	for _, dir := range failcoverDirs {
-		if strings.Contains(pass.Path, dir) {
-			inScope = true
-		}
-	}
-	if inScope {
+	if inFailcoverScope(pass.Path) {
 		checkFailpointCoverage(pass)
 	}
 	if pass.Pkg != nil && pass.Pkg.Name() == "main" {
@@ -274,12 +305,12 @@ func importedCatalog(pass *Pass) map[string]bool {
 
 // checkDeadSites closes the catalog loop at a link point. A main package
 // sees the transitive facts of everything it links; when those include
-// the catalog and a refs fact from every covered package directory, a
+// the catalog and a refs fact from every engine package directory, a
 // catalog entry absent from the union of refs is dead — its I/O path was
 // refactored away without updating the catalog, and the chaos matrix is
 // burning cycles on a site that can never fire. The check stays silent in
 // binaries that link only part of the engine (their facts lack some
-// covered directory), so it fires exactly where the full engine comes
+// engine directory), so it fires exactly where the full engine comes
 // together — cmd/sgmr in this tree.
 func checkDeadSites(pass *Pass) {
 	catalog := importedCatalog(pass)
@@ -287,7 +318,7 @@ func checkDeadSites(pass *Pass) {
 		return
 	}
 	refPkgs := pass.FactPackages("refs")
-	for _, dir := range failcoverDirs {
+	for _, dir := range engineDirs {
 		seen := false
 		for _, pkg := range refPkgs {
 			if strings.Contains(pkg, dir) {

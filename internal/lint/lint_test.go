@@ -12,17 +12,14 @@ import (
 // One golden-fixture suite per analyzer: positive, negative, and
 // suppressed cases live in testdata/src/<analyzer>/.
 
-func TestPlanMutate(t *testing.T) { linttest.Run(t, lint.PlanMutate, "planmutate") }
 func TestDetEnc(t *testing.T)     { linttest.Run(t, lint.DetEnc, "detenc") }
 func TestCtxHygiene(t *testing.T) { linttest.Run(t, lint.CtxHygiene, "ctxhygiene") }
-func TestSinkStop(t *testing.T)   { linttest.Run(t, lint.SinkStop, "sinkstop") }
 func TestFailCover(t *testing.T)  { linttest.Run(t, lint.FailCover, "failcover") }
-func TestErrWrap(t *testing.T)    { linttest.Run(t, lint.ErrWrap, "errwrap") }
 func TestHotAlloc(t *testing.T)   { linttest.Run(t, lint.HotAlloc, "hotalloc") }
 
 // TestStaleAllow pins directive hygiene: a well-formed //lint:allow that
 // suppresses nothing is itself a diagnostic (and a live one is not).
-func TestStaleAllow(t *testing.T) { linttest.Run(t, lint.SinkStop, "stale") }
+func TestStaleAllow(t *testing.T) { linttest.Run(t, lint.CtxHygiene, "stale") }
 
 // TestEveryAnalyzerHasFixtures pins the registry to the fixture tree: an
 // analyzer added to lint.All() without golden files fails here, not in

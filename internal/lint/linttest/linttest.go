@@ -89,7 +89,7 @@ func Load(t *testing.T, fixture string) *lint.Unit {
 	}
 
 	fset := token.NewFileSet()
-	unit, err := driver.TypeCheck(fset, fixture, "", filenames, driver.NewImporter(fset, exports, nil))
+	unit, err := driver.TypeCheck(fset, fixture, filenames, driver.NewImporter(fset, exports))
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", fixture, err)
 	}

@@ -4,23 +4,19 @@
 // worse than none.
 package stale
 
-// drain carries a live directive: it suppresses a real sinkstop finding,
+import "context"
+
+// root carries a live directive: it suppresses a real ctxhygiene finding,
 // so it is used, not stale.
-func drain(items []int, sink func(int) bool) {
-	for _, it := range items {
-		//lint:allow sinkstop fixture: full drain on purpose; this directive is live
-		sink(it)
-	}
+func root() context.Context {
+	//lint:allow ctxhygiene fixture: process-lifetime root on purpose; this directive is live
+	return context.Background()
 }
 
-// checked is the contract done right — and the directive below it excuses
-// nothing, which is exactly what the stale check reports.
-func checked(items []int, yield func(int) bool) {
-	for _, it := range items {
-		//lint:allow sinkstop fixture: the excused call was fixed; the directive outlived it
-		// want-1 "stale //lint:allow sinkstop: it suppresses no diagnostic"
-		if !yield(it) {
-			return
-		}
-	}
+// threaded is the contract done right — and the directive below it
+// excuses nothing, which is exactly what the stale check reports.
+func threaded(ctx context.Context) context.Context {
+	//lint:allow ctxhygiene fixture: the excused call was fixed; the directive outlived it
+	// want-1 "stale //lint:allow ctxhygiene: it suppresses no diagnostic"
+	return ctx
 }

@@ -6,25 +6,6 @@ import (
 	"strings"
 )
 
-// walkStack traverses f, calling fn with each node and the stack of its
-// ancestors (outermost first, not including n itself). Returning false
-// prunes the subtree.
-func walkStack(f *ast.File, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		descend := fn(n, stack)
-		if descend {
-			stack = append(stack, n)
-			return true
-		}
-		return false
-	})
-}
-
 // isTestFile reports whether the file's basename ends in _test.go.
 func isTestFile(name string) bool {
 	return strings.HasSuffix(name, "_test.go")
@@ -44,44 +25,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// calleeName returns the bare name a call is spelled with (the identifier
-// or selector field), or "".
-func calleeName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
-}
-
-// enclosingFuncs returns the chain of function declarations and literals
-// the stack is inside, outermost first.
-func enclosingFuncs(stack []ast.Node) []ast.Node {
-	var fns []ast.Node
-	for _, n := range stack {
-		switch n.(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			fns = append(fns, n)
-		}
-	}
-	return fns
-}
-
-// inLoopWithinFunc reports whether the stack sits inside a for/range
-// statement without crossing a function-literal boundary — i.e. the
-// innermost enclosing function contains a loop around this node.
-func inLoopWithinFunc(stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			return true
-		case *ast.FuncDecl, *ast.FuncLit:
-			return false
-		}
-	}
-	return false
 }

@@ -70,7 +70,6 @@ func (c *PlanCache) Get(key string, build func() (*subgraphmr.QueryPlan, error))
 		c.hits++
 		c.mu.Unlock()
 		<-call.done
-		//lint:allow errwrap relays the build callback's own error to coalesced waiters; handleQuery maps planner errors to 400/500 before failEngine is reachable
 		return call.plan, true, call.err
 	}
 	call := &planCall{done: make(chan struct{})}
@@ -93,7 +92,6 @@ func (c *PlanCache) Get(key string, build func() (*subgraphmr.QueryPlan, error))
 		}
 	}
 	c.mu.Unlock()
-	//lint:allow errwrap relays the build callback's own error; the planner's rejection is a sanctioned pre-execution validation error handled as a 400
 	return call.plan, false, call.err
 }
 

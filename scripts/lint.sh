@@ -3,12 +3,12 @@
 #
 # Four layers, strictest first:
 #
-#   1. sgmrlint   — the project's own invariant analyzers (planmutate,
-#                   detenc, ctxhygiene, sinkstop, failcover, errwrap,
-#                   hotalloc; see internal/lint), driven through
-#                   `go vet -vettool` so findings get go vet's per-package
-#                   caching and the cross-package facts flow through .vetx
-#                   files. Always runs: it needs only the go toolchain.
+#   1. sgmrlint   — the project's own invariant analyzers (detenc,
+#                   ctxhygiene, failcover, hotalloc; see internal/lint),
+#                   run over the whole module in one process so the
+#                   cross-package facts flow from each package to its
+#                   dependents. Always runs: it needs only the go
+#                   toolchain.
 #   2. escape gate — `sgmrlint -escapes`: rebuild with -gcflags=-m and
 #                   fail on any heap escape the compiler proves inside a
 #                   //lint:hotpath function. Always runs.
@@ -27,7 +27,7 @@ cd "$(dirname "$0")/.."
 
 echo "== sgmrlint (project invariant analyzers) =="
 go build -o /tmp/sgmrlint ./cmd/sgmrlint
-go vet -vettool=/tmp/sgmrlint ./...
+/tmp/sgmrlint ./...
 echo "ok"
 
 echo "== sgmrlint -escapes (hotpath escape gate, -gcflags=-m) =="

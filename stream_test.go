@@ -128,6 +128,48 @@ func TestEarlyBreakStopsReducersMidGroup(t *testing.T) {
 	}
 }
 
+// TestStreamStopsEveryStrategy pins the stop contract on every execution
+// path: a yield that refuses the first instance is never called again.
+// Each strategy row runs on the triangle; the four core rows (bucket-,
+// variable- and cq-oriented, and the decomposition) also run on the
+// square, where one cq-oriented query is several jobs and a stop must
+// also keep the later jobs from delivering.
+func TestStreamStopsEveryStrategy(t *testing.T) {
+	ctx := context.Background()
+	g := Gnm(200, 1500, 3)
+	triangleOnly := map[PlanStrategy]bool{
+		StrategyTwoRound:          true,
+		StrategyTrianglePartition: true,
+		StrategyTriangleMultiway:  true,
+	}
+	for _, tc := range []struct {
+		name string
+		s    *Sample
+	}{{"triangle", Triangle()}, {"square", Square()}} {
+		for _, def := range strategies {
+			if tc.name == "square" && triangleOnly[def.id] {
+				continue
+			}
+			plan, err := Plan(g, tc.s, WithStrategy(def.id), WithTargetReducers(64), WithSeed(1))
+			if err != nil {
+				t.Fatalf("%s on the %s: %v", def.flag, tc.name, err)
+			}
+			calls := 0
+			res, err := Stream(ctx, plan, func([]Node) bool {
+				calls++
+				return false
+			})
+			if err != nil {
+				t.Fatalf("%s on the %s: %v", def.flag, tc.name, err)
+			}
+			if calls != 1 || res.Count != 0 {
+				t.Errorf("%s on the %s: yield refused the first instance, yet was called %d times and %d instances counted",
+					def.flag, tc.name, calls, res.Count)
+			}
+		}
+	}
+}
+
 // TestInstancesCancelledContext checks a pre-cancelled and an expired
 // context both surface context errors promptly and leak nothing.
 func TestInstancesCancelledContext(t *testing.T) {
