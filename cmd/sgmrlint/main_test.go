@@ -23,6 +23,24 @@ func TestUsageListsAllAnalyzers(t *testing.T) {
 	}
 }
 
+// TestVettoolHandshakeRejected: sgmrlint is not a go vet -vettool. The
+// probes cmd/go sends a vettool (-V=full, then -flags) must fail with a
+// usage error, so a stale "go vet -vettool=sgmrlint" fails loudly
+// instead of passing without analyzing anything.
+func TestVettoolHandshakeRejected(t *testing.T) {
+	for _, arg := range []string{"-V=full", "-flags"} {
+		t.Run(arg, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{arg}, &stdout, &stderr); code != 2 {
+				t.Fatalf("%s exited %d, want 2 (stdout %q)", arg, code, stdout.String())
+			}
+			if !strings.Contains(stderr.String(), "unknown flag "+arg) {
+				t.Errorf("%s: stderr %q does not name the flag", arg, stderr.String())
+			}
+		})
+	}
+}
+
 // TestJSONOutput pins the machine-readable mode: findings come out as one
 // JSON array of {file,line,col,analyzer,message,suppressed} objects on
 // stdout, suppressed findings are included and marked, and only

@@ -150,22 +150,24 @@ func TestStreamStopsEveryStrategy(t *testing.T) {
 			if tc.name == "square" && triangleOnly[def.id] {
 				continue
 			}
-			plan, err := Plan(g, tc.s, WithStrategy(def.id), WithTargetReducers(64), WithSeed(1))
-			if err != nil {
-				t.Fatalf("%s on the %s: %v", def.flag, tc.name, err)
-			}
-			calls := 0
-			res, err := Stream(ctx, plan, func([]Node) bool {
-				calls++
-				return false
+			t.Run(tc.name+"/"+def.flag, func(t *testing.T) {
+				plan, err := Plan(g, tc.s, WithStrategy(def.id), WithTargetReducers(64), WithSeed(1))
+				if err != nil {
+					t.Fatalf("%s on the %s: %v", def.flag, tc.name, err)
+				}
+				calls := 0
+				res, err := Stream(ctx, plan, func([]Node) bool {
+					calls++
+					return false
+				})
+				if err != nil {
+					t.Fatalf("%s on the %s: %v", def.flag, tc.name, err)
+				}
+				if calls != 1 || res.Count != 0 {
+					t.Errorf("%s on the %s: yield refused the first instance, yet was called %d times and %d instances counted",
+						def.flag, tc.name, calls, res.Count)
+				}
 			})
-			if err != nil {
-				t.Fatalf("%s on the %s: %v", def.flag, tc.name, err)
-			}
-			if calls != 1 || res.Count != 0 {
-				t.Errorf("%s on the %s: yield refused the first instance, yet was called %d times and %d instances counted",
-					def.flag, tc.name, calls, res.Count)
-			}
 		}
 	}
 }
