@@ -1,6 +1,7 @@
 package subgraphmr
 
 import (
+	"fmt"
 	"time"
 
 	"subgraphmr/internal/core"
@@ -57,10 +58,10 @@ type Option func(*planOpts)
 type planOpts struct {
 	strategy  PlanStrategy
 	countOnly bool
-	// core is the enumeration and engine configuration. Plan normalizes a
-	// non-positive TargetReducers to defaultTargetReducers once, up front,
-	// so every candidate (and the executed jobs) prices against the same
-	// k. Its Engine.Dist is worker-side only: the key-space slices this
+	// core is the enumeration and engine configuration. Plan resolves
+	// TargetReducers once, up front (resolveReducers), so every candidate,
+	// the executed jobs and a distributed run's workers all use the same k.
+	// Its Engine.Dist is worker-side only: the key-space slices this
 	// process owns.
 	core core.Options
 
@@ -73,22 +74,85 @@ type planOpts struct {
 	fault         FaultSpec
 }
 
-// defaultTargetReducers is the reducer budget k used when none is given —
-// the single source of the default; candidates read the resolved
-// planOpts.core.TargetReducers and never re-derive it.
-const defaultTargetReducers = 1024
+func defaultPlanOpts() planOpts { return planOpts{strategy: StrategyAuto} }
 
-func defaultPlanOpts() planOpts {
-	return planOpts{strategy: StrategyAuto, core: core.Options{TargetReducers: defaultTargetReducers}}
+// reducersPerWorker is c in the default reducer budget k = c × W, with W the
+// reduce workers that run the tasks. The paper takes k as given, and its
+// communication per edge grows with k, so k should be the fewest reducers
+// that keep W workers busy. Fewer than 32 per worker measured worse on the
+// benchmark's power-law triangle workload (tri-skew, 2 cores, medians of
+// four 10 s runs against the 1024 budget): peak memory rose 15 % at 16 and
+// 20 % at 8, where the first result also came 11 % later; at 32 they moved
+// +2 % and −8 %.
+const reducersPerWorker = 32
+
+// fixedReducers is the cluster-sized reducer budget a plan keeps where an
+// option pins the old arithmetic: under WithMemoryBudget, until the budget
+// sizes reducers itself, and beside WithBuckets, whose explicit b leaves k
+// to the share-based candidates alone.
+const fixedReducers = 1024
+
+// resolveReducers is the one place the reducer budget k is decided. It sets
+// o.core.TargetReducers, unless WithTargetReducers did, and says where the
+// value came from, for Explain. Plan, QueryKey and EnumerateDirectedContext
+// all call it, so a plan, its cache key and its jobs (distributed workers
+// included, which receive the resolved value) cannot disagree.
+//
+// The default is reducersPerWorker × W. W is the engine's reduce workers —
+// WithPartitions, else WithParallelism, else GOMAXPROCS — times the worker
+// count of a distributed plan, whose tasks the whole cluster runs.
+func (o *planOpts) resolveReducers() reducerSource {
+	c := &o.core
+	switch {
+	case c.TargetReducers > 0:
+		return reducerSource{k: c.TargetReducers, by: "WithTargetReducers"}
+	case c.Engine.MemoryBudget > 0:
+		c.TargetReducers = fixedReducers
+		return reducerSource{k: fixedReducers, by: "fixed under WithMemoryBudget"}
+	case c.Buckets > 0:
+		c.TargetReducers = fixedReducers
+		return reducerSource{k: fixedReducers, by: "fixed beside WithBuckets"}
+	}
+	w, n := c.Engine.ReduceWorkers(), len(o.workers)
+	if n == 0 {
+		n = o.spawnWorkers
+	}
+	c.TargetReducers = reducersPerWorker * w * max(n, 1)
+	return reducerSource{k: c.TargetReducers, w: w, n: n}
+}
+
+// reducerSource is where a plan's k came from: the option that set or fixed
+// it, or else the reduce workers w and distributed workers n (0 for a local
+// plan) the rule multiplied.
+type reducerSource struct {
+	k    int
+	by   string
+	w, n int
+}
+
+func (r reducerSource) String() string {
+	if r.by != "" {
+		return fmt.Sprintf("k=%d (%s)", r.k, r.by)
+	}
+	s := fmt.Sprintf("k=%d (%d × %d reduce workers", r.k, reducersPerWorker, r.w)
+	if r.n > 0 {
+		s += fmt.Sprintf(" × %d distributed workers", r.n)
+	}
+	return s + ")"
 }
 
 // WithStrategy forces a specific strategy instead of letting the planner
 // choose. Triangle-only strategies error at Plan time for other samples.
 func WithStrategy(st PlanStrategy) Option { return func(o *planOpts) { o.strategy = st } }
 
-// WithTargetReducers sets the reducer budget k (default 1024): share-based
-// strategies optimize shares for it, bucket-based strategies pick the
-// largest b whose useful-reducer count stays within it.
+// WithTargetReducers sets the reducer budget k: share-based strategies
+// optimize shares for it, bucket-based strategies pick the largest b whose
+// useful-reducer count stays within it. A non-positive k lets Plan choose:
+// 32 reducers per reduce worker (WithPartitions, else WithParallelism, else
+// GOMAXPROCS; a distributed plan counts every worker's), since the paper's
+// communication per edge grows with k. Under WithMemoryBudget, or beside
+// WithBuckets, the chosen k is a fixed 1024. Explain prints the k a plan
+// used and where it came from.
 func WithTargetReducers(k int) Option { return func(o *planOpts) { o.core.TargetReducers = k } }
 
 // WithBuckets overrides the bucket count b for bucket-based strategies,

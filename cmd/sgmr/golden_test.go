@@ -12,7 +12,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden plan documents
 // TestGoldenJSONPlans pins the `-json -explain` document byte for byte for
 // three samples, static and adaptive, on one seeded skewed graph (the same
 // corpus as the root package's TestGoldenExplain; recorded before the
-// strategy table replaced the per-strategy switches).
+// strategy table replaced the per-strategy switches). The plans pass
+// -k 1024, the fixed budget the documents were recorded at: they pin the
+// paper's arithmetic at that k, on every machine.
 func TestGoldenJSONPlans(t *testing.T) {
 	for _, sample := range []string{"triangle", "square", "lollipop"} {
 		for _, mode := range []struct {
@@ -23,7 +25,7 @@ func TestGoldenJSONPlans(t *testing.T) {
 			{"adaptive", []string{"-adaptive"}},
 		} {
 			args := append([]string{"-sample", sample, "-gen", "powerlaw", "-n", "300", "-seed", "1",
-				"-strategy", "auto", "-json", "-explain"}, mode.args...)
+				"-strategy", "auto", "-k", "1024", "-json", "-explain"}, mode.args...)
 			got := runSGMR(t, args...)
 			path := filepath.Join("testdata", "plan_"+sample+"_"+mode.name+".json")
 			if *updateGolden {

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	sgmr -sample triangle -gen gnm -n 1000 -m 5000 [-strategy auto] [-k 1024]
+//	sgmr -sample triangle -gen gnm -n 1000 -m 5000 [-strategy auto] [-k 64]
 //	sgmr -sample lollipop -data graph.txt -strategy variable -k 500 -print
 //	sgmr -sample triangle -gen powerlaw -n 100000 -strategy cascade -mem-budget 268435456
 //	sgmr -sample c5 -explain            # print the plan without running it
@@ -126,7 +126,7 @@ func run(args []string, out io.Writer) error {
 		cols       = fs.Int("cols", 20, "cols for grid generator")
 		genSeed    = fs.Int64("seed", 1, "generator seed")
 		strategy   = fs.String("strategy", "bucket", "strategy: "+strategyNames)
-		k          = fs.Int("k", 1024, "target reducers (share-based strategies) / bucket budget")
+		k          = fs.Int("k", 0, "target reducers (share-based strategies) / bucket budget (0 = the planner chooses: 32 × reduce workers)")
 		buckets    = fs.Int("b", 0, "bucket count override for the bucket strategies")
 		cyclesCQ   = fs.Bool("cyclecqs", false, "use the Section 5 cycle CQ generator (cycle samples only)")
 		countOnly  = fs.Bool("count", false, "count instances without materializing them")

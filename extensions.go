@@ -81,6 +81,7 @@ func EnumerateDirectedContext(ctx context.Context, g *DiGraph, pt *DiPattern, si
 	if len(unsupported) > 0 {
 		return nil, fmt.Errorf("subgraphmr: the directed path cannot honour %s", strings.Join(unsupported, ", "))
 	}
+	o.resolveReducers()
 	return directed.EnumerateContext(ctx, g, pt, o.core, sink)
 }
 

@@ -12,8 +12,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 // TestGoldenExplain pins the planner's full output — candidate order, cost
 // ties, probe ladders, every rendered digit — for three samples, static and
 // adaptive, on one seeded skewed graph. The files were recorded before the
-// strategy table replaced the per-strategy switches; any byte of drift
-// means the table order or a tie-break moved.
+// strategy table replaced the per-strategy switches, and again once when
+// the planner began to choose k; any byte of drift means the table order, a
+// tie-break or the reducer rule moved. The plans pin W = 2 reduce workers
+// (WithPartitions), so the planner-chosen k = 64 is the same on every
+// machine.
 func TestGoldenExplain(t *testing.T) {
 	g := PowerLaw(300, 8, 2.3, 1)
 	for _, sample := range []string{"triangle", "square", "lollipop"} {
@@ -24,7 +27,7 @@ func TestGoldenExplain(t *testing.T) {
 			{"static", nil},
 			{"adaptive", []Option{WithAdaptive()}},
 		} {
-			plan, err := Plan(g, NamedSample(sample), append([]Option{WithSeed(7)}, mode.opts...)...)
+			plan, err := Plan(g, NamedSample(sample), append([]Option{WithSeed(7), WithPartitions(2)}, mode.opts...)...)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", sample, mode.name, err)
 			}

@@ -65,9 +65,13 @@ func (s Strategy) String() string {
 // package's options, the distributed job request and the directed path all
 // carry this one value.
 type Options struct {
-	// TargetReducers is the reducer budget k for the share-based strategies
-	// (default 1024). For BucketOriented it picks the largest b with
-	// C(b+p-1, p) ≤ TargetReducers unless Buckets is set.
+	// TargetReducers is the reducer budget k the share-based strategies
+	// optimize their shares for. For BucketOriented it picks the largest b
+	// with C(b+p-1, p) ≤ TargetReducers unless Buckets is set. There is no
+	// default here: the root package's Plan resolves k once (from the
+	// engine's reduce workers unless a caller set it) and every job, local
+	// or on a distributed worker, reads that value; a job that needs k and
+	// finds it unset fails.
 	TargetReducers int
 	// Buckets overrides the bucket count b for BucketOriented.
 	Buckets int
@@ -96,21 +100,27 @@ type Options struct {
 	Engine mapreduce.Config
 }
 
-func (o Options) reducers() int {
-	if o.TargetReducers > 0 {
-		return o.TargetReducers
+// reducers returns the reducer budget k, or an error when none is set.
+func (o Options) reducers() (int, error) {
+	if o.TargetReducers <= 0 {
+		return 0, fmt.Errorf("core: no reducer budget: set TargetReducers (or Buckets, for a bucket-style job)")
 	}
-	return 1024
+	return o.TargetReducers, nil
 }
 
 // BucketsFor resolves the bucket count b of a bucket-style job over p
 // variables: Buckets when set, otherwise the largest b whose C(b+p-1, p)
-// useful reducers fit the reducer budget (Theorem 4.2).
-func (o Options) BucketsFor(p int) int {
+// useful reducers fit the reducer budget (Theorem 4.2). With neither set it
+// is an error.
+func (o Options) BucketsFor(p int) (int, error) {
 	if o.Buckets > 0 {
-		return o.Buckets
+		return o.Buckets, nil
 	}
-	return shares.BucketsForReducers(o.reducers(), p)
+	k, err := o.reducers()
+	if err != nil {
+		return 0, err
+	}
+	return shares.BucketsForReducers(k, p), nil
 }
 
 // DefaultSkewThreshold is the observed max/mean reducer-load ratio above
@@ -343,7 +353,10 @@ func bucketOriented(ctx context.Context, g *graph.Graph, s *sample.Sample, qs *C
 // match sink, runs the job and reports the one JobStats entry.
 func runBucketJob(ctx context.Context, g *graph.Graph, p int, opt Options, name, label string,
 	sink func([]graph.Node) bool, side func(bucketScheme, *matchSink, enumJob) enumJob) (*Result, error) {
-	b := opt.BucketsFor(p)
+	b, err := opt.BucketsFor(p)
+	if err != nil {
+		return nil, err
+	}
 	scheme, err := newBucketScheme(opt.Seed, p, b)
 	if err != nil {
 		return nil, err
@@ -440,7 +453,10 @@ func cqOriented(ctx context.Context, g *graph.Graph, qs *CQSet, opt Options, sin
 			return true
 		}
 	}
-	k := opt.reducers()
+	k, err := opt.reducers()
+	if err != nil {
+		return nil, err
+	}
 	replanned := false
 	for i, q := range qs.CQs {
 		if stopped || ctx.Err() != nil {
@@ -613,11 +629,15 @@ func (s *shareScheme) job(name string) enumJob {
 // instance is emitted only at the reducer matching the hashes of all its
 // nodes.
 func runShareJob(ctx context.Context, g *graph.Graph, evals *cq.EvaluatorSet, cqs []string, model shares.Model, binds []edgeBinding, opt Options, label string, sink func([]graph.Node) bool) (*Result, error) {
-	sol, err := model.Solve(float64(opt.reducers()))
+	k, err := opt.reducers()
 	if err != nil {
 		return nil, err
 	}
-	intShares := model.RoundShares(sol.Shares, float64(opt.reducers()))
+	sol, err := model.Solve(float64(k))
+	if err != nil {
+		return nil, err
+	}
+	intShares := model.RoundShares(sol.Shares, float64(k))
 	scheme, err := newShareScheme(opt.Seed, binds, intShares)
 	if err != nil {
 		return nil, err
@@ -640,7 +660,7 @@ func runShareJob(ctx context.Context, g *graph.Graph, evals *cq.EvaluatorSet, cq
 		OptimalCommPerEdge:   sol.CostPerEdge,
 		Metrics:              metrics,
 		ObservedSkew:         metrics.Skew(),
-		TargetReducers:       opt.reducers(),
+		TargetReducers:       k,
 	}
 	return &Result{Count: count, Jobs: []JobStats{stats}}, nil
 }

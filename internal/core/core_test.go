@@ -375,3 +375,27 @@ func TestUnknownStrategyRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestNoReducerBudgetIsAnError pins that core has no default k: the planner
+// resolves it, and a job that needs it and finds neither k nor (for the
+// bucket-style jobs) b set fails instead of guessing one.
+func TestNoReducerBudgetIsAnError(t *testing.T) {
+	g := graph.Gnm(30, 80, 1)
+	s := sample.Triangle()
+	for _, st := range []Strategy{BucketOriented, VariableOriented, CQOriented} {
+		if _, err := collect(t, g, s, st, Options{}); err == nil {
+			t.Errorf("%v with neither k nor b: no error", st)
+		}
+	}
+	if _, err := EnumerateDecomposed(t.Context(), g, sample.Square(), Options{}, nil); err == nil {
+		t.Error("decomposed with neither k nor b: no error")
+	}
+	// b alone serves a bucket-style job; a share job needs k.
+	want := len(serial.BruteForce(g, s))
+	if res, err := collect(t, g, s, BucketOriented, Options{Buckets: 3}); err != nil || len(res.Instances) != want {
+		t.Errorf("bucket-oriented at b=3 without k: %v instances, err %v; oracle %d", res, err, want)
+	}
+	if _, err := collect(t, g, s, VariableOriented, Options{Buckets: 3}); err == nil {
+		t.Error("variable-oriented with b but no k: no error")
+	}
+}

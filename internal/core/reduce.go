@@ -54,24 +54,24 @@ func newShareReducer(evals *cq.EvaluatorSet, s *shareScheme, g *graph.Graph, ms 
 // laneSlack pads a lane table for ownMask's word reads past its last node.
 const laneSlack = graph.MaxKeyVars
 
-// side returns job with its Prepare and Reduce set to this reducer's.
+// side returns job with its Prepare, Reduce and Release set to this
+// reducer's.
 func (r *enumReducer) side(job enumJob) enumJob {
-	job.Prepare, job.Reduce = r.prepare, r.reduce
+	job.Prepare, job.Reduce, job.Release = r.prepare, r.reduce, release
 	return job
 }
 
 // reduceWorker is what one reduce worker keeps, in its Context's Local slot,
-// across all the reducer calls it makes: the fragment (which also holds the
-// blocks this worker prepared), the share mask and the evaluator scratch,
-// sized by the largest group seen and reused, and the slab its instances
-// are carved from, so a call allocates nothing but a slab chunk per 256
-// instances it emits.
+// across all the reducer calls it makes: the workspace — the fragment
+// (which also holds the blocks this worker prepared), the evaluator scratch
+// and the share mask, sized by the largest group seen and reused, taken from
+// the free list and returned to it after the job — and the slab its
+// instances are carved from, so a call allocates nothing but a slab chunk
+// per 256 instances it emits.
 type reduceWorker struct {
-	job     *enumReducer
-	frag    graph.Fragment
-	mask    []uint16 // share jobs: one ownership word per rank
-	scratch cq.Scratch
-	slab    graph.Slab
+	job *enumReducer
+	cq.Workspace
+	slab graph.Slab
 
 	// The call in progress.
 	key  graph.BucketKey
@@ -82,19 +82,27 @@ type reduceWorker struct {
 func (r *enumReducer) worker(ctx *mapreduce.Context) *reduceWorker {
 	w, _ := ctx.Local.(*reduceWorker)
 	if w == nil {
-		w = &reduceWorker{job: r}
+		w = &reduceWorker{job: r, Workspace: cq.TakeWorkspace()}
 		// A reducer in the middle of a hub's group gives up once nobody
 		// wants its output.
-		w.scratch.Stop = ctx.Stopped
-		w.scratch.Own.Multiset = r.lanes == nil
+		w.Scratch.Stop = ctx.Stopped
+		w.Scratch.Own.Multiset = r.lanes == nil
 		ctx.Local = w
 	}
 	return w
 }
 
+// release returns a worker's workspace to the free list once the job's
+// workers are joined. The slab stays: the sink may keep its instances.
+func release(ctx *mapreduce.Context) {
+	if w, _ := ctx.Local.(*reduceWorker); w != nil {
+		cq.PutWorkspace(&w.Workspace)
+	}
+}
+
 // prepare lays one block out in the job's node order, once per job.
 func (r *enumReducer) prepare(ctx *mapreduce.Context, block int, edges []graph.Edge) {
-	r.worker(ctx).frag.Prepare(&r.runs, block, edges)
+	r.worker(ctx).Frag.Prepare(&r.runs, block, edges)
 }
 
 // reduce evaluates the job's CQs over one key's edges: the fragment is
@@ -103,16 +111,16 @@ func (r *enumReducer) prepare(ctx *mapreduce.Context, block int, edges []graph.E
 func (r *enumReducer) reduce(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([]graph.Node)) {
 	w := r.worker(ctx)
 	w.key, w.emit = key, emit
-	w.frag.Merge(edges, &r.runs, ctx.Blocks)
+	w.Frag.Merge(edges, &r.runs, ctx.Blocks)
 	if r.lanes != nil {
-		if n := w.frag.NumNodes(); cap(w.mask) < n {
-			w.mask = make([]uint16, 2*n) // headroom, as the fragment keeps
+		if n := w.Frag.NumNodes(); cap(w.Mask) < n {
+			w.Mask = make([]uint16, 2*n) // headroom, as the fragment keeps
 		}
-		w.scratch.Own.Mask = w.ownMask()
+		w.Scratch.Own.Mask = w.ownMask()
 	} else {
-		w.scratch.Own.Key = key
+		w.Scratch.Own.Key = key
 	}
-	ctx.AddWork(r.evals.Eval(&w.frag, &w.scratch, w.owns))
+	ctx.AddWork(r.evals.Eval(&w.Frag, &w.Scratch, w.owns))
 }
 
 // ownMask is a share job's ownership rule for the call in progress: bit v
@@ -125,9 +133,9 @@ func (w *reduceWorker) ownMask() []uint16 {
 	p, lanes := w.job.p, w.job.lanes
 	lo, hi := binary.LittleEndian.Uint64(w.key[:8]), binary.LittleEndian.Uint64(w.key[8:])
 	valid := uint16(1<<p - 1)
-	mask := w.mask[:w.frag.NumNodes()]
+	mask := w.Mask[:w.Frag.NumNodes()]
 	for r := range mask {
-		i := int(w.frag.ID(int32(r))) * p
+		i := int(w.Frag.ID(int32(r))) * p
 		m := zeroBytes(binary.LittleEndian.Uint64(lanes[i:]) ^ lo)
 		if p > 8 {
 			m |= zeroBytes(binary.LittleEndian.Uint64(lanes[i+8:])^hi) << 8
@@ -166,7 +174,7 @@ func (w *reduceWorker) owns(ranks []int32) {
 	// leaves the reducer becomes an instance.
 	phi := w.slab.Take(len(ranks))
 	for v, r := range ranks {
-		phi[v] = w.frag.ID(r)
+		phi[v] = w.Frag.ID(r)
 	}
 	w.emit(phi)
 }
@@ -177,7 +185,7 @@ func (w *reduceWorker) owns(ranks []int32) {
 func (w *reduceWorker) owned(ranks []int32) bool {
 	if lanes := w.job.lanes; lanes != nil {
 		for v, r := range ranks {
-			if lanes[int(w.frag.ID(r))*w.job.p+v] != w.key[v] {
+			if lanes[int(w.Frag.ID(r))*w.job.p+v] != w.key[v] {
 				return false
 			}
 		}
@@ -185,7 +193,7 @@ func (w *reduceWorker) owned(ranks []int32) bool {
 	}
 	var buckets [graph.MaxKeyVars]int
 	for v, r := range ranks {
-		buckets[v] = w.frag.Major(r)
+		buckets[v] = w.Frag.Major(r)
 	}
 	return graph.MultisetKey(buckets[:len(ranks)]...) == w.key
 }

@@ -194,14 +194,17 @@ type Ownership struct {
 	Key      graph.BucketKey
 }
 
-// prepare sizes the buffers for CQs of p variables over n nodes.
+// prepare sizes the buffers for CQs of p variables over n nodes. Buffers
+// sized for a larger arity are resliced, not replaced: a workspace passes
+// between jobs of different samples.
 func (sc *Scratch) prepare(p, n int) {
-	if len(sc.phi) != p {
+	if cap(sc.phi) < p {
 		sc.phi = make([]int32, p)
 		sc.lists = make([][]int32, p*p)
 		sc.order = make([]int, p)
 		sc.orderKey = make([]byte, p)
 	}
+	sc.phi, sc.lists = sc.phi[:p], sc.lists[:p*p]
 	for len(sc.all) < n {
 		sc.all = append(sc.all, int32(len(sc.all)))
 	}

@@ -50,9 +50,10 @@ type DistributedConfig struct {
 // (e.g. that a tiny memory budget really spilled on the workers).
 func CheckDistributedParity(ctx context.Context, g *graph.Graph, s *sample.Sample, st subgraphmr.PlanStrategy, seed uint64, cfg DistributedConfig) (mapreduce.Metrics, error) {
 	label := fmt.Sprintf("distparity/%v/%v", st, s)
-	// TargetReducers 64 matches the rest of the harness (the default 1024
-	// pushes share-based strategies past the engine's share limit on
-	// 3-variable samples).
+	// TargetReducers 64 matches the rest of the harness. Left to the
+	// planner, k would be 32 reducers per reduce worker of the whole
+	// cluster — a different k for the local and the distributed plan, so
+	// different shares and communication on the two sides.
 	base := []subgraphmr.Option{
 		subgraphmr.WithStrategy(st),
 		subgraphmr.WithSeed(seed),

@@ -37,7 +37,10 @@ func EnumerateContext(ctx context.Context, g *DiGraph, pt *DiPattern, opt core.O
 		return nil, fmt.Errorf("directed: pattern must be weakly connected")
 	}
 	p := pt.P()
-	b := opt.BucketsFor(p)
+	b, err := opt.BucketsFor(p)
+	if err != nil {
+		return nil, fmt.Errorf("directed: %w", err)
+	}
 	if err := graph.CheckKey(p, b); err != nil {
 		return nil, fmt.Errorf("directed: %w", err)
 	}

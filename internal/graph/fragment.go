@@ -43,6 +43,19 @@ type Fragment struct {
 	stored []Run
 }
 
+// Reset empties f and keeps its storage, so a fragment can outlive its job
+// (package cq keeps reduce workers' fragments on a free list). The runs f
+// prepared belonged to a job that is over: their chunks are written again
+// from the start, and the run lists are cleared so that a parked fragment
+// pins none of its older chunks.
+func (f *Fragment) Reset() {
+	clear(f.runs[:cap(f.runs)])
+	clear(f.stored[:cap(f.stored)])
+	f.Keys, f.Off, f.Nbr = f.Keys[:0], f.Off[:0], f.Nbr[:0]
+	f.cur, f.tmp, f.runs = f.cur[:0], f.tmp[:0], f.runs[:0]
+	f.ids, f.stored = f.ids[:0], f.stored[:0]
+}
+
 // NaturalKey is the Build key of the identifier order (NaturalLess) over
 // non-negative node ids.
 func NaturalKey(u Node) uint64 { return uint64(uint32(u)) }

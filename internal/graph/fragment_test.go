@@ -215,6 +215,70 @@ func TestFragmentMergeMatchesBuild(t *testing.T) {
 	}
 }
 
+// TestFragmentResetAcrossJobs: fragments reset between jobs, as reduce
+// workers' fragments are when they outlive their job, lay every later job
+// out exactly as fresh ones would — whatever sizes and orders came before —
+// and a reset keeps the storage: once warmed, a whole job of Prepare and
+// Merge calls on the same data allocates nothing.
+func TestFragmentResetAcrossJobs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var f Fragment
+	var workers [2]Fragment
+	// job lays out one task, the blocks task lists, gathered into group.
+	job := func(blocks [][]Edge, task []int32, group []Edge, br *BlockRuns) {
+		f.Reset()
+		for i := range workers {
+			workers[i].Reset()
+		}
+		for b, edges := range blocks {
+			workers[b%2].Prepare(br, b, edges)
+		}
+		f.Merge(group, br, task)
+	}
+	for round := 0; round < 100; round++ {
+		edges := randomMultiset(rng, 3+rng.Intn(60), rng.Intn(400))
+		blocks := make([][]Edge, 1+rng.Intn(6))
+		for _, e := range edges {
+			b := rng.Intn(len(blocks))
+			blocks[b] = append(blocks[b], e)
+		}
+		task := []int32{}
+		for b := range blocks {
+			if rng.Intn(3) > 0 {
+				task = append(task, int32(b))
+			}
+		}
+		key := NaturalKey
+		if round%2 > 0 {
+			key = NodeHash{Seed: uint64(round), B: 1 + rng.Intn(6)}.Key
+		}
+		var group []Edge
+		for _, b := range task {
+			group = append(group, blocks[b]...)
+		}
+		br := NewBlockRuns(len(blocks), key)
+		job(blocks, task, group, &br)
+		var want Fragment
+		want.Build(group, key)
+		if !slices.Equal(f.Keys, want.Keys) || !slices.Equal(f.Off, want.Off) || !slices.Equal(f.Nbr, want.Nbr) {
+			t.Fatalf("round %d: a reset fragment's layout differs from Build", round)
+		}
+		checkFragment(t, &f, group, key)
+	}
+
+	big := randomMultiset(rng, 80, 600)
+	blocks := [][]Edge{big[:200], big[200:350], big[350:]}
+	br := NewBlockRuns(len(blocks), NaturalKey)
+	task := []int32{0, 1, 2}
+	job(blocks, task, big, &br)
+	if allocs := testing.AllocsPerRun(20, func() {
+		clear(br.runs)
+		job(blocks, task, big, &br)
+	}); allocs != 0 {
+		t.Fatalf("a job on reset, warmed fragments allocates %v times", allocs)
+	}
+}
+
 // FuzzFragmentBuild decodes bytes into an edge multiset (three bytes per
 // edge: two endpoints from a 64-node pool with sparse ids, one byte picking
 // the order) and checks the layout invariants, building twice into one

@@ -39,6 +39,11 @@ import (
 // stores for a block is therefore visible to every later reducer call, which
 // finds its task's blocks in Context.Blocks. It never runs for Loads or for
 // an empty block, and a panic in it fails the job like a panic in Reduce.
+//
+// Release, when set, receives each reduce worker's Context once RunStream
+// has joined every worker, on every path that started them: where a reducer
+// hands back the storage it kept in Local. Not earlier, because what one
+// worker's Prepare stored there other workers read until the job ends.
 type BlockJob[I any, K comparable, V any, O any] struct {
 	Name    string
 	Blocks  int
@@ -46,6 +51,7 @@ type BlockJob[I any, K comparable, V any, O any] struct {
 	Keys    func(yield func(key K, blocks []int32))
 	Prepare func(ctx *Context, block int, vals []V)
 	Reduce  Reducer[K, V, O]
+	Release func(ctx *Context)
 	Codec   KeyCodec[K]
 }
 
@@ -215,18 +221,28 @@ func (j BlockJob[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs 
 	if j.Prepare != nil {
 		p.once = make([]sync.Once, j.Blocks)
 	}
-	np := max(cfg.partitions(), 1)
-	deliver, outs := run.deliver, listFor[O]()
+	np := max(cfg.ReduceWorkers(), 1)
+	deliver, outs, gathers := run.deliver, listFor[O](), gatherListFor[V]()
 	var (
 		wg   sync.WaitGroup
 		next atomic.Int64 // the next task nobody has taken
 		work atomic.Int64
 		errs = make([]error, np)
+		ctxs = make([]*Context, np)
 	)
 	for w := 0; w < np; w++ {
+		rctx := &Context{stop: &run.stop}
+		ctxs[w] = rctx
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// The gather buffer holds the largest task; a recycled one
+			// that is too small is left to the collector.
+			group := gathers.get(0)
+			if cap(group) < int(p.loads.MaxLoad) {
+				group = make([]V, 0, p.loads.MaxLoad)
+			}
+			defer func() { gathers.put(group) }()
 			out := &outbox[O]{to: deliver, list: outs}
 			fail := func(cause error) {
 				if err := out.drain(); err != nil {
@@ -244,9 +260,7 @@ func (j BlockJob[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs 
 				fail(err)
 				return
 			}
-			rctx := &Context{stop: &run.stop}
 			emit := out.emit
-			group := make([]V, 0, p.loads.MaxLoad) // holds the largest task
 			for !run.stop.Load() {
 				i := next.Add(1) - 1
 				if i >= int64(len(p.tasks)) {
@@ -275,6 +289,11 @@ func (j BlockJob[I, K, V, O]) RunStream(ctx context.Context, cfg Config, inputs 
 		}(w)
 	}
 	wg.Wait()
+	if j.Release != nil {
+		for _, rctx := range ctxs {
+			j.Release(rctx)
+		}
+	}
 	metrics.ReducerWork, metrics.Outputs = work.Load(), run.yielded
 	return metrics, firstError(ctx, errs...)
 }

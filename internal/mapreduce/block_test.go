@@ -508,3 +508,84 @@ func TestBlockLoopsDoNotAllocate(t *testing.T) {
 		t.Errorf("gathering %d tasks allocates %v objects (last group %d values), want 0 (64)", len(p.tasks), allocs, len(group))
 	}
 }
+
+// TestBlockReleaseAfterJoin: Release receives every reduce worker's Context
+// exactly once, and only when no worker is reducing any more — after a run
+// that finishes, one the consumer stops, one whose reducer panics and one
+// whose reduce-worker failpoint fires; a job that fails before its workers
+// start releases nothing. Each worker's gather buffer goes back to the free
+// list for the next job.
+func TestBlockReleaseAfterJoin(t *testing.T) {
+	const np = 3
+	cases := []struct {
+		name     string
+		site     string
+		panicAt  int // the reducer call that panics, 0 for none
+		stopAt   int // the output at which the consumer stops, 0 for none
+		mapPanic bool
+		released int
+	}{
+		{name: "finish", released: np},
+		{name: "consumer stops", stopAt: 3, released: np},
+		{name: "reduce panic", panicAt: 5, released: np},
+		{name: "mr.reduce", site: failpoint.ReduceWorker, released: np},
+		{name: "map panic", mapPanic: true, released: 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Cleanup(failpoint.Reset)
+			if tc.site != "" {
+				if err := failpoint.Enable(tc.site, "error"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			job := slowBed(40, 20*time.Microsecond)
+			spin := job.Reduce
+			var inFlight, calls atomic.Int64
+			job.Reduce = func(ctx *Context, key int, vs []int, emit func(string)) {
+				inFlight.Add(1)
+				defer inFlight.Add(-1)
+				ctx.Local = ctx
+				if calls.Add(1) == int64(tc.panicAt) {
+					panic("boom")
+				}
+				spin(ctx, key, vs, emit)
+			}
+			if tc.mapPanic {
+				job.Map = func(int, func(int, int)) { panic("boom") }
+			}
+			var released atomic.Int64
+			seen := map[*Context]bool{}
+			job.Release = func(ctx *Context) {
+				if n := inFlight.Load(); n != 0 {
+					t.Errorf("Release ran while %d reducer calls were in flight", n)
+				}
+				if seen[ctx] {
+					t.Error("Release got one worker's Context twice")
+				}
+				if ctx.Local != nil && ctx.Local != ctx {
+					t.Error("Release got a Context another worker filled")
+				}
+				seen[ctx] = true
+				released.Add(1)
+			}
+			taken := 0
+			job.RunStream(context.Background(), Config{Partitions: np}, bed64, func(string) bool {
+				taken++
+				return tc.stopAt == 0 || taken < tc.stopAt
+			})
+			if got := released.Load(); got != int64(tc.released) {
+				t.Errorf("Release ran %d times, want %d", got, tc.released)
+			}
+			if tc.released == 0 {
+				return
+			}
+			gathers := gatherListFor[int]()
+			gathers.mu.Lock()
+			defer gathers.mu.Unlock()
+			if n := len(gathers.free); n == 0 || cap(gathers.free[n-1]) < 64 {
+				t.Errorf("no gather buffer of the job's largest task (64 values) came back: %d on the list", n)
+			}
+		})
+	}
+}

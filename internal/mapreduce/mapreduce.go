@@ -100,9 +100,9 @@ type Context struct {
 	// Local is the reducer's own slot: whatever a reducer call stores here,
 	// the same worker's later calls find again (a reusable fragment, scratch
 	// buffers). The engine never reads it. It is reachable only through the
-	// job's Contexts and so dies with the job — unlike a sync.Pool or a
-	// package variable it cannot ratchet a long-lived process's memory up
-	// across queries.
+	// job's Contexts, and a BlockJob hands each one to its Release once the
+	// job's workers are joined: storage that should outlive the job goes
+	// back to a bounded free list there, the rest dies with the job.
 	Local any
 	// Blocks is, during a block job's reducer call, the blocks its task
 	// reads that hold values — the ones the values were gathered from, each
@@ -194,7 +194,10 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (c Config) partitions() int {
+// ReduceWorkers returns the number of shuffle partitions, each owned by one
+// reduce worker: Partitions, else Parallelism, else GOMAXPROCS. The planner
+// sizes its default reducer budget from it.
+func (c Config) ReduceWorkers() int {
 	if c.Partitions > 0 {
 		return c.Partitions
 	}
@@ -303,7 +306,7 @@ func newRound[I any, K comparable, V any, O any](j Job[I, K, V, O], cfg Config, 
 	if err != nil {
 		return nil, err
 	}
-	np := max(cfg.partitions(), 1)
+	np := max(cfg.ReduceWorkers(), 1)
 	r := &round[I, K, V, O]{
 		j: j, cfg: cfg, codec: codec, seed: maphash.MakeSeed(), stop: stop,
 		chans:   make([]chan []pair[K, V], np),

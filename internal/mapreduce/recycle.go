@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"hash/maphash"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -31,27 +32,43 @@ import (
 // never pins more than a few MiB after a burst.
 const maxFreeBatches = 128
 
+// maxFreeGathers bounds the gather buffers kept per value type. A gather
+// buffer is sized for the largest task its worker ran, so the list keeps
+// about what the reduce workers of four jobs at the default partitioning
+// hold at once — the bound package cq puts on its kernel workspaces.
+var maxFreeGathers = 4 * runtime.GOMAXPROCS(0)
+
 // freeList is the free list for one element type. A plain mutex-guarded
 // stack: ships happen once per batchSize pairs, so contention is
-// negligible, and unlike sync.Pool it never allocates to box a slice.
+// negligible, and unlike sync.Pool it never allocates to box a slice, nor
+// loses what it holds to a collection.
 type freeList[T any] struct {
-	mu   sync.Mutex
-	free [][]T
+	mu    sync.Mutex
+	free  [][]T
+	limit int // the most buffers kept
 }
 
 // batchFreeList is the free list of a job's shuffle batches.
 type batchFreeList[K comparable, V any] = freeList[pair[K, V]]
 
-// freeLists maps reflect.Type(T) → *freeList[T].
-var freeLists sync.Map
+// freeLists maps reflect.Type(T) → *freeList[T] of shuffle batches and
+// outbox buffers; gatherLists does the same for block jobs' gather buffers,
+// which hold a whole task and so are kept apart, and fewer of them.
+var freeLists, gatherLists sync.Map
 
 // listFor returns the process-wide free list for element type T.
-func listFor[T any]() *freeList[T] {
+func listFor[T any]() *freeList[T] { return listIn[T](&freeLists, maxFreeBatches) }
+
+// gatherListFor returns the process-wide free list of gather buffers of
+// value type V.
+func gatherListFor[V any]() *freeList[V] { return listIn[V](&gatherLists, maxFreeGathers) }
+
+func listIn[T any](lists *sync.Map, limit int) *freeList[T] {
 	rt := reflect.TypeFor[T]()
-	if l, ok := freeLists.Load(rt); ok {
+	if l, ok := lists.Load(rt); ok {
 		return l.(*freeList[T])
 	}
-	l, _ := freeLists.LoadOrStore(rt, &freeList[T]{})
+	l, _ := lists.LoadOrStore(rt, &freeList[T]{limit: limit})
 	return l.(*freeList[T])
 }
 
@@ -84,7 +101,7 @@ func (l *freeList[T]) put(b []T) {
 	b = b[:0]
 	clear(b[:cap(b)])
 	l.mu.Lock()
-	if len(l.free) < maxFreeBatches {
+	if len(l.free) < l.limit {
 		l.free = append(l.free, b)
 	}
 	l.mu.Unlock()

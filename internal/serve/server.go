@@ -210,10 +210,15 @@ func parseQueryOptions(r *http.Request) ([]subgraphmr.Option, error) {
 
 // handleQuery answers one enumeration query:
 //
-//	GET /query?graph=g&sample=triangle[&strategy=auto&k=1024&b=0&seed=7]
+//	GET /query?graph=g&sample=triangle[&strategy=auto&k=64&b=0&seed=7]
 //	    [&mem-budget=N&adaptive=1&skew-threshold=4&cyclecqs=1]
 //	    [&instances=1&limit=100]   — include up to limit instances in the body
 //	    [&stream=1]                — NDJSON: one instance per line, then the summary
+//
+// Without k the planner chooses it: 32 per reduce worker of the service's
+// engine (1024 beside b or under mem-budget). k is part of the plan-cache
+// key in its resolved form, so k=64 and an absent k that resolves to 64
+// share one cached plan.
 //
 // Planning goes through the plan cache (X-Sgmr-Cache: hit|miss), execution
 // through admission control (429 when the pool and queue are full) and the

@@ -155,6 +155,7 @@ func partitionJob(h graph.NodeHash) edgeJob {
 		Keys:    func(yield func(graph.BucketKey, []int32)) { partitionKeys(b, yield) },
 		Prepare: r.prepare,
 		Reduce:  r.reduce,
+		Release: releaseTriWorker,
 		Codec:   graph.EdgeKeyCodec{P: 3},
 	}
 }
@@ -319,31 +320,39 @@ func newTriReducer(h graph.NodeHash) *triReducer {
 }
 
 // triWorker is what one reduce worker keeps in its Context's Local slot
-// across its reducer calls: the fragment (which also holds the blocks this
-// worker prepared) and the kernel's scratch, sized by the largest group
-// seen, so a warmed call allocates nothing.
+// across its reducer calls: the workspace — the fragment (which also holds
+// the blocks this worker prepared) and the kernel's scratch, sized by the
+// largest group seen, taken from the free list and returned to it after
+// the job — so a warmed call allocates nothing.
 type triWorker struct {
-	r       *triReducer
-	frag    graph.Fragment
-	scratch cq.Scratch
-	key     graph.BucketKey // the call in progress
-	emit    func([3]graph.Node)
+	r *triReducer
+	cq.Workspace
+	key  graph.BucketKey // the call in progress
+	emit func([3]graph.Node)
 }
 
 // worker returns the worker slot of ctx, setting it up on first use.
 func (r *triReducer) worker(ctx *mapreduce.Context) *triWorker {
 	w, _ := ctx.Local.(*triWorker)
 	if w == nil {
-		w = &triWorker{r: r}
-		w.scratch.Stop = ctx.Stopped
+		w = &triWorker{r: r, Workspace: cq.TakeWorkspace()}
+		w.Scratch.Stop = ctx.Stopped
 		ctx.Local = w
 	}
 	return w
 }
 
+// releaseTriWorker returns a worker's workspace to the free list once the
+// job's workers are joined.
+func releaseTriWorker(ctx *mapreduce.Context) {
+	if w, _ := ctx.Local.(*triWorker); w != nil {
+		cq.PutWorkspace(&w.Workspace)
+	}
+}
+
 // prepare lays one pair block out in id order, once per job.
 func (r *triReducer) prepare(ctx *mapreduce.Context, block int, edges []graph.Edge) {
-	r.worker(ctx).frag.Prepare(&r.runs, block, edges)
+	r.worker(ctx).Frag.Prepare(&r.runs, block, edges)
 }
 
 func (r *triReducer) reduce(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) {
@@ -356,8 +365,8 @@ func (r *triReducer) reduce(ctx *mapreduce.Context, key graph.BucketKey, edges [
 //lint:hotpath
 func (w *triWorker) run(key graph.BucketKey, edges []graph.Edge, blocks []int32, emit func([3]graph.Node)) int64 {
 	w.key, w.emit = key, emit
-	w.frag.Merge(edges, &w.r.runs, blocks)
-	return w.r.evals.Eval(&w.frag, &w.scratch, w.match)
+	w.Frag.Merge(edges, &w.r.runs, blocks)
+	return w.r.evals.Eval(&w.Frag, &w.Scratch, w.match)
 }
 
 // match receives a triangle the kernel bound, as ranks X < Y < Z, and emits
@@ -365,7 +374,7 @@ func (w *triWorker) run(key graph.BucketKey, edges []graph.Edge, blocks []int32,
 //
 //lint:hotpath
 func (w *triWorker) match(ranks []int32) {
-	a, b, c := w.frag.ID(ranks[0]), w.frag.ID(ranks[1]), w.frag.ID(ranks[2])
+	a, b, c := w.Frag.ID(ranks[0]), w.Frag.ID(ranks[1]), w.Frag.ID(ranks[2])
 	if canonicalGroupTriple(w.r.h, w.r.h.B, a, b, c) != w.key {
 		return
 	}

@@ -118,6 +118,8 @@ type QueryPlan struct {
 	// core.Engine.Dist) are replaced wholesale by the paths that touch
 	// them, never appended to.
 	opts planOpts
+	// kFrom is the reducer budget k and where it came from, for Explain.
+	kFrom reducerSource
 	// enc memoizes the distributed wire encoding of the data graph. It is
 	// a pointer so plan copies (lp := *p) share the one payload and so the
 	// sync.Once inside is never copied after use.
@@ -151,9 +153,7 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	if o.core.TargetReducers <= 0 {
-		o.core.TargetReducers = defaultTargetReducers
-	}
+	kFrom := o.resolveReducers()
 	if s.P() > graph.MaxKeyVars {
 		return nil, fmt.Errorf("subgraphmr: sample has %d nodes; reducer keys hold at most %d", s.P(), graph.MaxKeyVars)
 	}
@@ -220,6 +220,7 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 		sample:     s,
 		qs:         qs,
 		opts:       o,
+		kFrom:      kFrom,
 		enc:        &encodedGraph{},
 	}
 	if o.core.AdaptiveReplan {
@@ -258,6 +259,7 @@ func (p *QueryPlan) Explain() string {
 		}
 	}
 	sb.WriteByte('\n')
+	fmt.Fprintf(&sb, "  reducer budget: %s\n", p.kFrom)
 	c := p.Chosen
 	if c.Buckets > 0 {
 		fmt.Fprintf(&sb, "  buckets: b=%d\n", c.Buckets)

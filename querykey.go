@@ -29,11 +29,10 @@ func QueryKey(graphID string, s *Sample, opts ...Option) string {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	// Mirror Plan's normalization so k<=0 and k=default share an entry.
+	// The key holds the k Plan resolves, so k<=0 shares an entry with the
+	// same k given explicitly, and plans whose chosen k differs do not.
+	o.resolveReducers()
 	c := o.core
-	if c.TargetReducers <= 0 {
-		c.TargetReducers = defaultTargetReducers
-	}
 	var sb strings.Builder
 	sb.Grow(160)
 	fmt.Fprintf(&sb, "g=%s|s=%s|", graphID, sampleKeyString(s))

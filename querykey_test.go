@@ -1,7 +1,10 @@
 package subgraphmr
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -106,17 +109,23 @@ func TestQueryKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestQueryKeyNormalizesDefaultReducers mirrors Plan's k<=0 fallback: an
-// explicit default budget and an unset one must share a cache entry.
+// TestQueryKeyNormalizesDefaultReducers keys the k Plan resolves: an unset
+// budget shares a cache entry with k≤0 and with the same k given
+// explicitly, and a plan whose chosen k differs — here because the machine's
+// GOMAXPROCS sets W — gets its own.
 func TestQueryKeyNormalizesDefaultReducers(t *testing.T) {
 	s := Triangle()
 	if QueryKey("g", s) != QueryKey("g", s, WithTargetReducers(0)) {
 		t.Error("k=0 and unset diverge")
 	}
-	if QueryKey("g", s) != QueryKey("g", s, WithTargetReducers(defaultTargetReducers)) {
-		t.Error("k=default and unset diverge")
+	pinned := []Option{WithPartitions(2)}
+	if QueryKey("g", s, pinned...) != QueryKey("g", s, append(pinned, WithTargetReducers(64))...) {
+		t.Error("the resolved k (32 × 2 reduce workers) and the same k given explicitly diverge")
 	}
-	if QueryKey("g", s) == QueryKey("g", s, WithTargetReducers(defaultTargetReducers+1)) {
-		t.Error("non-default k did not change the key")
+	if QueryKey("g", s, pinned...) == QueryKey("g", s, append(pinned, WithTargetReducers(65))...) {
+		t.Error("another k did not change the key")
+	}
+	if want := fmt.Sprintf("|k=%d|", 32*runtime.GOMAXPROCS(0)); !strings.Contains(QueryKey("g", s), want) {
+		t.Errorf("key %q does not hold the k GOMAXPROCS resolves (%s)", QueryKey("g", s), want)
 	}
 }

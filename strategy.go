@@ -169,7 +169,10 @@ func bucketCandidate(q *planQuery, b int, reducers int64, commPerEdge float64) C
 func priceCoreBuckets(q *planQuery) Candidate {
 	// The explicit override, or the shared Theorem 4.2 derivation — the
 	// same resolution execution uses, so plan and job cannot diverge.
-	b := q.o.core.BucketsFor(q.p)
+	b, err := q.o.core.BucketsFor(q.p)
+	if err != nil {
+		return Candidate{Reason: err.Error()}
+	}
 	return bucketCandidate(q, b, int64(shares.UsefulReducers(b, q.p)), shares.BucketEdgeReplication(b, q.p))
 }
 
@@ -435,7 +438,11 @@ func runTwoRound(ctx context.Context, p *QueryPlan, sink func([]Node) bool) (*Re
 // its Metrics are zero, since nothing was shipped.
 func replanTwoRound(ctx context.Context, p *QueryPlan, r1 mapreduce.LoadStats, sink func([]Node) bool) (*Result, error) {
 	opt := p.opts.core
-	opt.Buckets = p.fallbackBuckets()
+	b, err := p.fallbackBuckets()
+	if err != nil {
+		return nil, err
+	}
+	opt.Buckets = b
 	fb, err := core.Enumerate(ctx, p.graph, p.sample, core.BucketOriented, p.qs, opt, sink)
 	if err != nil {
 		return nil, err
@@ -455,11 +462,11 @@ func replanTwoRound(ctx context.Context, p *QueryPlan, r1 mapreduce.LoadStats, s
 // fallbackBuckets picks the bucket count the cascade's mid-query re-plan
 // switches to: the plan's bucket-oriented candidate's (probe-informed under
 // WithAdaptive), or the Theorem 4.2 derivation if the candidate is somehow
-// absent.
-func (p *QueryPlan) fallbackBuckets() int {
+// absent. Its error is a plan with no reducer budget.
+func (p *QueryPlan) fallbackBuckets() (int, error) {
 	for _, c := range p.Candidates {
 		if c.Strategy == StrategyBucketOriented && c.Viable && c.Buckets > 0 {
-			return c.Buckets
+			return c.Buckets, nil
 		}
 	}
 	return p.opts.core.BucketsFor(3)
