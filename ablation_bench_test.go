@@ -1,7 +1,7 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// one-round multiway join versus the conventional two-round cascade, the
-// Section 5 cycle CQs versus the general Section 3 pipeline, approximate
-// counting versus exact enumeration, and the directed/labeled extension.
+// one-round multiway join versus the conventional two-round cascade,
+// approximate counting versus exact enumeration, and the directed/labeled
+// extension.
 package subgraphmr
 
 import (
@@ -48,35 +48,6 @@ func BenchmarkAblationCascadeVsOneRound(b *testing.B) {
 		}
 		b.ReportMetric(float64(total)/float64(g.NumEdges()), "comm/edge")
 	})
-}
-
-// BenchmarkAblationCycleCQs compares the Section 5 run-sequence CQs with
-// the general Section 3 pipeline for cycle samples: identical instances
-// and communication, fewer CQs and less reducer work.
-func BenchmarkAblationCycleCQs(b *testing.B) {
-	g := Gnm(300, 900, 9)
-	for _, p := range []int{5, 6} {
-		for _, useCycle := range []bool{false, true} {
-			name := fmt.Sprintf("C%d/general", p)
-			if useCycle {
-				name = fmt.Sprintf("C%d/run-sequence", p)
-			}
-			b.Run(name, func(b *testing.B) {
-				opts := []Option{WithStrategy(StrategyBucketOriented), WithBuckets(4), WithSeed(2)}
-				if useCycle {
-					opts = append(opts, WithCycleCQs())
-				}
-				plan := mustPlan(b, g, CycleSample(p), opts...)
-				var res *Result
-				for i := 0; i < b.N; i++ {
-					res = mustRun(b, plan)
-				}
-				b.ReportMetric(float64(res.NumCQs), "CQs")
-				b.ReportMetric(float64(res.TotalReducerWork()), "reducer_work")
-				b.ReportMetric(float64(len(res.Instances)), "instances")
-			})
-		}
-	}
 }
 
 // BenchmarkAblationApproxVsExact positions the related-work baselines:

@@ -159,10 +159,6 @@ func WithTargetReducers(k int) Option { return func(o *planOpts) { o.core.Target
 // bypassing the TargetReducers derivation.
 func WithBuckets(b int) Option { return func(o *planOpts) { o.core.Buckets = b } }
 
-// WithCycleCQs selects the Section 5 run-sequence CQ generator (cycle
-// samples only; fewer CQs than the general method).
-func WithCycleCQs() Option { return func(o *planOpts) { o.core.UseCycleCQs = true } }
-
 // WithCountOnly makes Run count instances without materializing them
 // (Result.Instances stays nil; Result.Count is exact): Run executes the
 // plan with no sink, so the CQ strategies' reducers count matches without

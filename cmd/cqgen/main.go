@@ -1,10 +1,13 @@
 // Command cqgen prints the conjunctive-query sets the paper's Section 3
 // and Section 5 pipelines generate for a sample graph — the machinery
-// behind Figures 5, 6 and 7.
+// behind Figures 5, 6 and 7 — and the set every strategy runs: one CQ per
+// automorphism orbit of the sample's acyclic orientations, from which the
+// edge orientations and shares are derived.
 //
 // Usage:
 //
-//	cqgen -sample lollipop          # Section 3: orderings → quotient → merge
+//	cqgen -sample lollipop          # Section 3: orderings → quotient → merge,
+//	                                # then the production set
 //	cqgen -cycle 6                  # Section 5: run-sequence CQs for C_6
 //	cqgen -sample square -shares 4096
 package main
@@ -104,8 +107,18 @@ func printSampleCQs(out io.Writer, s *subgraphmr.Sample, k float64) error {
 	}
 	fmt.Fprintln(out)
 
-	uses := cq.EdgeUses(merged)
-	fmt.Fprintf(out, "== edge orientations across the merged set (Section 4.3) ==\n")
+	prod, err := cq.OrbitCQs(s)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "== %d production CQs (one per Aut-orbit of acyclic orientations) ==\n", len(prod))
+	for i, q := range prod {
+		fmt.Fprintf(out, "%3d. %s\n", i+1, q)
+	}
+	fmt.Fprintln(out)
+
+	uses := cq.EdgeUses(prod)
+	fmt.Fprintf(out, "== edge orientations across the production set (Section 4.3) ==\n")
 	for _, u := range uses {
 		kind := "unidirectional (relation size e)"
 		if u.Bidirectional() {

@@ -1,13 +1,15 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// TestTriangleGolden pins the full Section 3 pipeline report for the
-// triangle sample — orderings, quotient, merge and the Section 4.3 share
-// optimization — the smallest sample with a complete report.
+// TestTriangleGolden pins the full report for the triangle sample — the
+// Section 3 orderings, quotient and merge, the production set and the
+// Section 4.3 share optimization over it — the smallest sample with a
+// complete report.
 func TestTriangleGolden(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-sample", "triangle", "-shares", "64"}, &out); err != nil {
@@ -25,7 +27,10 @@ group 1: CQs [1]
 == 1 merged CQs with OR-ed conditions (Section 3.3, Fig. 7 style) ==
   1. E(X,Y) & E(X,Z) & E(Y,Z) & X<Y & Y<Z
 
-== edge orientations across the merged set (Section 4.3) ==
+== 1 production CQs (one per Aut-orbit of acyclic orientations) ==
+  1. E(X,Y) & E(X,Z) & E(Y,Z) & X<Y & Y<Z
+
+== edge orientations across the production set (Section 4.3) ==
   X-Y: unidirectional (relation size e)
   X-Z: unidirectional (relation size e)
   Y-Z: unidirectional (relation size e)
@@ -68,6 +73,29 @@ func TestSquareCQCount(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "== 3 CQs, one per coset") {
 		t.Fatalf("square report lacks the 3-coset header:\n%s", out.String())
+	}
+}
+
+// TestProductionCQCounts pins the production section beside Section 3's
+// merge: C_5 drops from 6 merged CQs to Section 5's 3, and the lollipop,
+// where the merge is already one CQ per orbit, keeps its 6.
+func TestProductionCQCounts(t *testing.T) {
+	for _, tc := range []struct {
+		sample         string
+		merged, orbits int
+	}{{"c5", 6, 3}, {"lollipop", 6, 6}} {
+		var out strings.Builder
+		if err := run([]string{"-sample", tc.sample}, &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf("== %d merged CQs with OR-ed conditions", tc.merged),
+			fmt.Sprintf("== %d production CQs (one per Aut-orbit of acyclic orientations) ==", tc.orbits),
+		} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("%s report lacks %q:\n%s", tc.sample, want, out.String())
+			}
+		}
 	}
 }
 

@@ -373,8 +373,8 @@ func sec45() {
 
 func sec5() {
 	header("Section 5 — minimum cycle CQ counts")
-	fmt.Println("p   classes  conditional bound (2^p-2)/(2p)   notes")
-	for p := 3; p <= 10; p++ {
+	fmt.Println("p   classes  production  conditional bound (2^p-2)/(2p)   notes")
+	for p := 3; p <= 12; p++ {
 		note := ""
 		switch p {
 		case 5:
@@ -384,8 +384,20 @@ func sec5() {
 		case 7:
 			note = "paper Example 5.5: 9 ✓ (its list names 1123≡1132 twice and omits 1231)"
 		}
-		fmt.Printf("%-3d %-8d %-32.2f %s\n", p, len(cycles.Generate(p)), cycles.ConditionalUpperBound(p), note)
+		classes, production := sec5Counts(p)
+		fmt.Printf("%-3d %-8d %-11d %-32.2f %s\n", p, classes, production, cycles.ConditionalUpperBound(p), note)
 	}
+}
+
+// sec5Counts returns C_p's Section 5 run-sequence class count and the
+// number of CQs every strategy runs for C_p: one per automorphism orbit of
+// its acyclic orientations.
+func sec5Counts(p int) (classes, production int) {
+	qs, err := cq.OrbitCQs(sample.Cycle(p))
+	if err != nil {
+		panic(err)
+	}
+	return len(cycles.Generate(p)), len(qs)
 }
 
 func thm61() {

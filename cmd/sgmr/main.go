@@ -128,7 +128,6 @@ func run(args []string, out io.Writer) error {
 		strategy   = fs.String("strategy", "bucket", "strategy: "+strategyNames)
 		k          = fs.Int("k", 0, "target reducers (share-based strategies) / bucket budget (0 = the planner chooses: 32 × reduce workers)")
 		buckets    = fs.Int("b", 0, "bucket count override for the bucket strategies")
-		cyclesCQ   = fs.Bool("cyclecqs", false, "use the Section 5 cycle CQ generator (cycle samples only)")
 		countOnly  = fs.Bool("count", false, "count instances without materializing them")
 		hashSeed   = fs.Uint64("hashseed", 7, "bucket hash seed")
 		doulionQ   = fs.Float64("q", 0.25, "edge keep probability for the doulion strategy")
@@ -193,7 +192,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if planStrategy, err := subgraphmr.ParseStrategy(*strategy); err == nil {
 		return runPlanned(out, g, s, planStrategy, plannedOptions{
-			k: *k, buckets: *buckets, cycleCQs: *cyclesCQ, countOnly: *countOnly,
+			k: *k, buckets: *buckets, countOnly: *countOnly,
 			seed: *hashSeed, workers: *workers, partitions: *partitions,
 			memBudget: *memBudget, spillDir: *spillDir,
 			adaptive: *adaptive, skewThreshold: *skewThresh,
@@ -289,7 +288,7 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 // plannedOptions carries the flag values for the Plan/Run path.
 type plannedOptions struct {
 	k, buckets          int
-	cycleCQs, countOnly bool
+	countOnly           bool
 	seed                uint64
 	workers, partitions int
 	memBudget           int64
@@ -368,9 +367,6 @@ func runPlanned(out io.Writer, g *subgraphmr.Graph, s *subgraphmr.Sample, st sub
 	}
 	if o.buckets > 0 {
 		opts = append(opts, subgraphmr.WithBuckets(o.buckets))
-	}
-	if o.cycleCQs {
-		opts = append(opts, subgraphmr.WithCycleCQs())
 	}
 	if o.countOnly {
 		opts = append(opts, subgraphmr.WithCountOnly())

@@ -141,9 +141,9 @@ func executeWorkerJob(ctx context.Context, g *graph.Graph, req *distrib.JobReque
 	o := planOpts{strategy: st, core: req.Options}
 	o.core.AdaptiveReplan = false
 	o.core.Engine.Dist = mapreduce.NewDistFilter(req.DistTotal, req.Owned)
-	qs, err := core.CompileCQs(s, o.core)
+	qs, err := core.CompileCQs(s)
 	if err != nil {
-		return nil, fmt.Errorf("subgraphmr: WithCycleCQs: %w", err)
+		return nil, fmt.Errorf("subgraphmr: %w", err)
 	}
 	p := &QueryPlan{
 		Strategy: st,

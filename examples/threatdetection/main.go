@@ -5,10 +5,11 @@
 // each of whom ..."). This example plants rings of length 5 and 6 — the
 // classic shape of circular-trading / money-cycling schemes — in a sparse
 // random transaction graph and recovers every planted ring (plus any that
-// arise by chance) with the Section 5 cycle CQs, which need only 3 CQs for
-// C5 instead of the general method's larger set. Rings stream out of the
-// Instances iterator as the engine finds them — an alerting pipeline would
-// page on the first hit rather than wait for the full census.
+// arise by chance). The planner compiles one CQ per automorphism orbit of
+// a ring's acyclic orientations — Section 5's count: 3 CQs for C5 and 8 for
+// C6, where the Section 3 pipeline merges to 6 and 14. Rings stream out of
+// the Instances iterator as the engine finds them — an alerting pipeline
+// would page on the first hit rather than wait for the full census.
 package main
 
 import (
@@ -69,13 +70,10 @@ func main() {
 		p       int
 		planted [][]subgraphmr.Node
 	}{{5, planted5}, {6, planted6}} {
-		// Section 5 cycle CQs: 3 CQs for C5, 8 for C6 — versus the general
-		// Section 3 pipeline's larger merged sets.
 		cs := subgraphmr.CycleSample(tc.p)
 		plan, err := subgraphmr.Plan(g, cs,
 			subgraphmr.WithStrategy(subgraphmr.StrategyBucketOriented),
 			subgraphmr.WithBuckets(5),
-			subgraphmr.WithCycleCQs(),
 			subgraphmr.WithSeed(3))
 		if err != nil {
 			log.Fatal(err)
@@ -91,7 +89,7 @@ func main() {
 			found[cs.Key(phi)] = true
 			total++
 		}
-		fmt.Printf("== rings of length %d: found %d using %d cycle CQs ==\n",
+		fmt.Printf("== rings of length %d: found %d using %d CQs ==\n",
 			tc.p, total, plan.NumCQs)
 
 		// Verify every planted ring was recovered.

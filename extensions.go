@@ -59,8 +59,8 @@ func ThreatRingPattern(k int) *DiPattern { return directed.ThreatRing(k) }
 // WithPartitions). WithMemoryBudget and WithSpillDir are accepted and
 // bound nothing: the one job holds each arc once and never spills. Any
 // other option is an error naming it: the directed path has one strategy,
-// no CQs to generate, no adaptive re-planning and no distributed runner. A
-// nil graph or pattern is an error naming it.
+// no adaptive re-planning and no distributed runner. A nil graph or
+// pattern is an error naming it.
 func EnumerateDirectedContext(ctx context.Context, g *DiGraph, pt *DiPattern, sink func([]Node) bool, opts ...Option) (*Result, error) {
 	o := defaultPlanOpts()
 	for _, fn := range opts {
@@ -73,7 +73,6 @@ func EnumerateDirectedContext(ctx context.Context, g *DiGraph, pt *DiPattern, si
 		}
 	}
 	reject(o.strategy != StrategyAuto, "WithStrategy")
-	reject(o.core.UseCycleCQs, "WithCycleCQs")
 	reject(o.countOnly, "WithCountOnly")
 	reject(o.core.AdaptiveReplan, "WithAdaptive")
 	reject(o.isDistributed() || o.workerTimeout != 0 || o.fault != (FaultSpec{}),

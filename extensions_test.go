@@ -44,7 +44,6 @@ func TestFacadeDirectedRejectsUnsupportedOptions(t *testing.T) {
 	pt := directed.DirectedCycle(3, 0)
 	for name, opt := range map[string]Option{
 		"WithStrategy":       WithStrategy(StrategyBucketOriented),
-		"WithCycleCQs":       WithCycleCQs(),
 		"WithCountOnly":      WithCountOnly(),
 		"WithAdaptive":       WithAdaptive(),
 		"WithWorkers":        WithWorkers([]string{"127.0.0.1:1"}),

@@ -5,14 +5,15 @@ import (
 	"sort"
 	"testing"
 
+	"subgraphmr/internal/cycles"
 	"subgraphmr/internal/serial"
 )
 
 // TestIntegrationAllPathsAgree cross-validates every enumeration path in
-// the library — three map-reduce strategies, the Section 5 cycle CQs,
-// the two serial algorithms of Section 7, and the brute-force oracle — on
-// the same graphs and samples. Every path must produce the identical
-// instance set, each instance exactly once.
+// the library — three map-reduce strategies, the two serial algorithms of
+// Section 7, and the brute-force oracle — on the same graphs and samples.
+// Every path must produce the identical instance set, each instance
+// exactly once.
 func TestIntegrationAllPathsAgree(t *testing.T) {
 	type path struct {
 		name string
@@ -80,25 +81,18 @@ func TestIntegrationAllPathsAgree(t *testing.T) {
 	}
 }
 
-// TestIntegrationCycleCQsAgree: for cycles, the Section 5 CQ route agrees
-// with the Section 3 route across strategies.
-func TestIntegrationCycleCQsAgree(t *testing.T) {
+// TestIntegrationCyclesSectionFiveCQs: a cycle plans Section 5's CQ count
+// with no option, and its instances agree with the oracle.
+func TestIntegrationCyclesSectionFiveCQs(t *testing.T) {
 	g := Gnm(20, 55, 8)
 	for _, p := range []int{4, 5, 6, 7} {
 		s := CycleSample(p)
-		var counts []int
-		for _, useCycle := range []bool{false, true} {
-			opts := []Option{WithStrategy(StrategyBucketOriented), WithBuckets(3), WithSeed(2)}
-			if useCycle {
-				opts = append(opts, WithCycleCQs())
-			}
-			counts = append(counts, len(planRun(t, g, s, opts...).Instances))
+		res := planRun(t, g, s, WithStrategy(StrategyBucketOriented), WithBuckets(3), WithSeed(2))
+		if want := len(cycles.Generate(p)); res.NumCQs != want {
+			t.Errorf("p=%d: %d CQs, Section 5 has %d", p, res.NumCQs, want)
 		}
-		if counts[0] != counts[1] {
-			t.Errorf("p=%d: general %d vs cycle CQs %d", p, counts[0], counts[1])
-		}
-		if int64(counts[0]) != int64(len(BruteForce(g, s))) {
-			t.Errorf("p=%d: %d cycles, oracle %d", p, counts[0], len(BruteForce(g, s)))
+		if got, want := len(res.Instances), len(BruteForce(g, s)); got != want {
+			t.Errorf("p=%d: %d cycles, oracle %d", p, got, want)
 		}
 	}
 }

@@ -3,12 +3,12 @@
 // single round of map-reduce, with each instance produced exactly once.
 //
 // A sample graph is compiled to a union of conjunctive queries (package
-// cq, Section 3; package cycles for the specialized Section 5 generator),
-// shares are optimized per Section 4 (package shares), and the job runs on
-// the in-process map-reduce engine (package mapreduce) under one of three
+// cq: one per automorphism orbit of its acyclic orientations), shares are
+// optimized per Section 4 (package shares), and the job runs on the
+// in-process map-reduce engine (package mapreduce) under one of three
 // processing strategies:
 //
-//   - CQOriented (Section 4.1): a separate job per merged CQ, each with its
+//   - CQOriented (Section 4.1): a separate job per CQ, each with its
 //     own optimal share assignment.
 //   - VariableOriented (Section 4.3): one job for all CQs; edges used in
 //     both orientations ship a doubled relation; shares are optimized for
@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 
 	"subgraphmr/internal/cq"
-	"subgraphmr/internal/cycles"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
 	"subgraphmr/internal/sample"
@@ -75,9 +74,6 @@ type Options struct {
 	TargetReducers int
 	// Buckets overrides the bucket count b for BucketOriented.
 	Buckets int
-	// UseCycleCQs selects the Section 5 run-sequence CQ generator when the
-	// sample graph is a cycle (fewer CQs than the general method).
-	UseCycleCQs bool
 	// Seed seeds the bucket hashes (jobs are deterministic given a seed).
 	Seed uint64
 	// AdaptiveReplan enables mid-query re-planning for multi-job
@@ -212,7 +208,7 @@ func (r *Result) TotalReducerWork() int64 {
 }
 
 // Enumerate finds every instance of s in g exactly once under strategy st,
-// evaluating qs, s's CQ set as CompileCQs builds it for opt (a plan compiles
+// evaluating qs, s's CQ set as CompileCQs builds it (a plan compiles
 // it once and hands it to every run), in a single map-reduce round per job
 // and delivering each instance to sink:
 // calls are serialized and block the engine (backpressure); returning false
@@ -268,23 +264,16 @@ func (ms *matchSink) run(ctx context.Context, job enumJob, cfg mapreduce.Config,
 	return metrics.Outputs + ms.counted.Load(), metrics, err
 }
 
-// CompileCQs compiles the sample to its CQ set: the Section 5 generator for
-// cycles when opt.UseCycleCQs is set, otherwise the Section 3 pipeline
-// (orderings → Aut quotient → orientation merge). The planner costs the
-// same set the strategies run. Its one error is UseCycleCQs on a sample
-// that is not a cycle.
-func CompileCQs(s *sample.Sample, opt Options) (*CQSet, error) {
-	if opt.UseCycleCQs {
-		if d, reg := s.IsRegular(); !reg || d != 2 {
-			return nil, fmt.Errorf("the Section 5 generator requires a cycle sample, got %v", s)
-		}
-		var qs []*cq.CQ
-		for _, c := range cycles.Generate(s.P()) {
-			qs = append(qs, c.CQ)
-		}
-		return &CQSet{CQs: qs}, nil
+// CompileCQs compiles the sample to its CQ set, one CQ per automorphism
+// orbit of its acyclic orientations (cq.OrbitCQs). The planner costs the
+// same set the strategies run. Its one error is a sample too large to
+// orient (more than 16 nodes or 64 edges).
+func CompileCQs(s *sample.Sample) (*CQSet, error) {
+	qs, err := cq.OrbitCQs(s)
+	if err != nil {
+		return nil, err
 	}
-	return &CQSet{CQs: cq.MergeByOrientation(cq.GenerateForSample(s))}, nil
+	return &CQSet{CQs: qs}, nil
 }
 
 // CQSet is a sample's compiled CQ set with what the jobs evaluating it

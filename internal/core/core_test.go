@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"testing/quick"
 
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/sample"
@@ -9,10 +10,10 @@ import (
 	"subgraphmr/internal/shares"
 )
 
-// enumerate compiles s's CQ set for opt and runs Enumerate over it.
+// enumerate compiles s's CQ set and runs Enumerate over it under opt.
 func enumerate(t *testing.T, g *graph.Graph, s *sample.Sample, st Strategy, opt Options, sink func([]graph.Node) bool) (*Result, error) {
 	t.Helper()
-	qs, err := CompileCQs(s, opt)
+	qs, err := CompileCQs(s)
 	if err != nil {
 		return nil, err
 	}
@@ -96,28 +97,75 @@ func TestAllStrategiesMatchOracle(t *testing.T) {
 	}
 }
 
-func TestCycleCQStrategy(t *testing.T) {
-	g := graph.Gnm(16, 40, 3)
-	for _, p := range []int{5, 6} {
-		s := sample.Cycle(p)
-		general, err := collect(t, g, s, BucketOriented, Options{Buckets: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		specialized, err := collect(t, g, s, BucketOriented, Options{Buckets: 4, UseCycleCQs: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkExactlyOnce(t, g, s, general)
-		checkExactlyOnce(t, g, s, specialized)
-		if specialized.NumCQs > general.NumCQs {
-			t.Errorf("p=%d: cycle CQs %d should not exceed general %d",
-				p, specialized.NumCQs, general.NumCQs)
+// randomConnectedSample builds a connected sample on 2..7 nodes from raw
+// bits: node i > 0 hangs off one earlier node, so the sample is connected,
+// and extra selects further edges among the remaining pairs.
+func randomConnectedSample(pRaw uint8, parents, extra uint32) *sample.Sample {
+	p := int(pRaw)%6 + 2
+	var edges [][2]int
+	tree := map[[2]int]bool{}
+	for i := 1; i < p; i++ {
+		e := [2]int{int(parents>>(3*i)) % i, i}
+		tree[e] = true
+		edges = append(edges, e)
+	}
+	bit := 0
+	for u := 0; u < p; u++ {
+		for v := u + 1; v < p; v++ {
+			if !tree[[2]int{u, v}] && extra>>bit&1 != 0 {
+				edges = append(edges, [2]int{u, v})
+			}
+			bit++
 		}
 	}
-	// UseCycleCQs on a non-cycle fails.
-	if _, err := collect(t, g, sample.Lollipop(), BucketOriented, Options{UseCycleCQs: true}); err == nil {
-		t.Error("UseCycleCQs on the lollipop should fail")
+	return sample.MustNew(p, edges)
+}
+
+// TestQuickOrbitCQsExactlyOnce: on random connected samples of at most 7
+// nodes, the compiled CQ set — one CQ per orbit of acyclic orientations —
+// finds every instance exactly once through each strategy's kernel.
+func TestQuickOrbitCQsExactlyOnce(t *testing.T) {
+	err := quick.Check(func(pRaw uint8, parents, extra uint32, seed uint16) bool {
+		s := randomConnectedSample(pRaw, parents, extra)
+		g := graph.Gnm(12, 30, int64(seed))
+		want := oracleKeys(g, s)
+		for _, st := range []Strategy{BucketOriented, VariableOriented, CQOriented} {
+			got := map[string]bool{}
+			dup := false
+			_, err := enumerate(t, g, s, st, Options{TargetReducers: 64, Seed: uint64(seed)}, func(phi []graph.Node) bool {
+				k := s.Key(phi)
+				dup = dup || got[k] || !s.IsInstance(g, phi)
+				got[k] = true
+				return true
+			})
+			if err != nil || dup || len(got) != len(want) {
+				t.Errorf("%v on %v (graph seed %d): %d instances, oracle %d, duplicate or non-instance %v, err %v",
+					st, s, seed, len(got), len(want), dup, err)
+				return false
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 25})
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCompileCQsAllocations pins the compile cost Plan pays on every
+// query, which the benchmark's allocs_per_query counts.
+func TestCompileCQsAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		s   *sample.Sample
+		max float64
+	}{{sample.Triangle(), 20}, {sample.Square(), 50}, {sample.Lollipop(), 80}} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := CompileCQs(tc.s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("CompileCQs(%v): %.0f allocations, want at most %.0f", tc.s, allocs, tc.max)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func ProbeBucketLoads(g *graph.Graph, p, b int, seed uint64, cfg mapreduce.Confi
 }
 
 // ProbeVariableLoads measures the reducer loads of the Section 4.3
-// variable-oriented job over the merged CQ set qs at the given integer
+// variable-oriented job over the CQ set qs at the given integer
 // shares.
 func ProbeVariableLoads(g *graph.Graph, qs []*cq.CQ, intShares []int, seed uint64, cfg mapreduce.Config) (mapreduce.LoadStats, error) {
 	return probeShareLoads(g, bindingsFromUses(cq.EdgeUses(qs)), intShares, seed, cfg)

@@ -1,20 +1,29 @@
 // Package cq implements the conjunctive-query machinery of Section 3 of the
 // paper: sample graphs are compiled into a union of conjunctive queries (CQs)
 // with arithmetic comparisons that together produce every instance of the
-// sample graph exactly once.
+// sample graph exactly once, and the kernel that evaluates them.
 //
-// The pipeline is:
+// OrbitCQs is the generator every strategy runs: one CQ per orbit of the
+// sample's acyclic orientations under its automorphism group Aut(S), with
+// symmetry-breaking order constraints for the orientation's stabiliser.
+// It walks orientations, never the p! node orders, and on cycles its
+// counts are Section 5's.
 //
-//  1. Enumerate the p! orderings of the sample nodes and quotient them by
-//     the automorphism group Aut(S) (Theorem 3.1), keeping one CQ per coset
+// The paper's Section 3 pipeline stays as the exhibit of Figs. 5–7 and as
+// a test oracle:
+//
+//  1. GenerateForSample enumerates the p! orderings of the sample nodes and
+//     quotients them by Aut(S) (Theorem 3.1), keeping one CQ per coset
 //     (the lexicographically least ordering is the representative).
-//  2. Merge CQs whose relational subgoals have identical edge orientations,
-//     OR-ing their arithmetic conditions (Section 3.3).
+//  2. MergeByOrientation merges CQs whose relational subgoals have
+//     identical edge orientations, OR-ing their arithmetic conditions
+//     (Section 3.3).
 //
-// A CQ's condition is represented exactly — as the set of node orderings it
-// accepts — plus a simplified display form (a partial order and a set of
-// disequalities), which per the paper's footnote 5 may or may not capture
-// the OR exactly; the ExactSimplified flag records whether it does.
+// A merged CQ's condition is represented exactly — as the set of node
+// orderings it accepts — plus a simplified display form (a partial order
+// and a set of disequalities), which per the paper's footnote 5 may or may
+// not capture the OR exactly; the ExactSimplified flag records whether it
+// does.
 package cq
 
 import (
@@ -46,8 +55,8 @@ type Pair struct {
 //     variables appear in one of these total orders". This is the exact OR
 //     of conditions from Section 3.3.
 //   - Constraint mode (Orderings nil): the condition is exactly the
-//     conjunction of LessCons (and injectivity); Section 5's cycle CQs use
-//     this mode.
+//     conjunction of the subgoal orientations and LessCons (and
+//     injectivity); OrbitCQs and Section 5's cycle CQs use this mode.
 //
 // In both modes LessCons is sound (implied by the condition) and is used
 // for search-space pruning; NeqCons lists displayed disequalities.

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"subgraphmr/internal/core"
-	"subgraphmr/internal/cq"
 	"subgraphmr/internal/directed"
 	"subgraphmr/internal/graph"
 	"subgraphmr/internal/mapreduce"
@@ -85,22 +84,6 @@ func TestEnumerateAllStrategies(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestEnumerateCycleCQs(t *testing.T) {
-	g := Graphs(3)["gnm"]
-	for _, mode := range blockModes {
-		engine := blockEngine(t, mode.budget)
-		m, err := CheckEnumerate(t.Context(), g, sample.Named("c5"), core.BucketOriented, core.Options{
-			UseCycleCQs:    true,
-			TargetReducers: 64,
-			Engine:         engine,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
-		}
-		wantNoSpill(t, engine, m)
 	}
 }
 
@@ -243,9 +226,13 @@ func TestProbeMatchesRun(t *testing.T) {
 		for _, s := range []*sample.Sample{sample.Triangle(), sample.Square(), sample.Lollipop()} {
 			p := s.P()
 			opt := core.Options{Buckets: b, TargetReducers: k, Seed: seed, Engine: mapreduce.Config{Parallelism: 2, Partitions: 2}}
-			qs := cq.MergeByOrientation(cq.GenerateForSample(s))
+			set, err := core.CompileCQs(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs := set.CQs
 			run := func(t *testing.T, st core.Strategy) *core.Result {
-				res, err := core.Enumerate(t.Context(), g, s, st, &core.CQSet{CQs: qs}, opt, nil)
+				res, err := core.Enumerate(t.Context(), g, s, st, set, opt, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -295,7 +282,7 @@ func TestProbeMatchesRun(t *testing.T) {
 		// bucket-oriented job at p = 3, b pairs per edge.
 		t.Run(gname+"/tri-bucket", func(t *testing.T) {
 			opt := core.Options{Buckets: b, Seed: seed, Engine: cfg}
-			qs, err := core.CompileCQs(sample.Triangle(), opt)
+			qs, err := core.CompileCQs(sample.Triangle())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -192,9 +192,6 @@ func parseQueryOptions(r *http.Request) ([]subgraphmr.Option, error) {
 		}
 		opts = append(opts, subgraphmr.WithMemoryBudget(b))
 	}
-	if q.Get("cyclecqs") == "1" {
-		opts = append(opts, subgraphmr.WithCycleCQs())
-	}
 	if q.Get("adaptive") == "1" {
 		opts = append(opts, subgraphmr.WithAdaptive())
 	}
@@ -211,7 +208,7 @@ func parseQueryOptions(r *http.Request) ([]subgraphmr.Option, error) {
 // handleQuery answers one enumeration query:
 //
 //	GET /query?graph=g&sample=triangle[&strategy=auto&k=64&b=0&seed=7]
-//	    [&mem-budget=N&adaptive=1&skew-threshold=4&cyclecqs=1]
+//	    [&mem-budget=N&adaptive=1&skew-threshold=4]
 //	    [&instances=1&limit=100]   — include up to limit instances in the body
 //	    [&stream=1]                — NDJSON: one instance per line, then the summary
 //

@@ -26,7 +26,7 @@ func ModelFromEdgeUses(p int, uses []cq.EdgeUse) Model {
 }
 
 // VariableOrientedModel is a convenience: the Section 4.3 model for a CQ
-// set (typically the merged CQs of a sample graph).
+// set (typically the compiled CQ set of a sample graph).
 func VariableOrientedModel(p int, cqs []*cq.CQ) Model {
 	return ModelFromEdgeUses(p, cq.EdgeUses(cqs))
 }

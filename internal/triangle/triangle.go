@@ -147,7 +147,7 @@ func (m pairMapper) Map(e graph.Edge, emit func(int, graph.Edge)) {
 // the paper describes is compensated exactly.
 func partitionJob(h graph.NodeHash) edgeJob {
 	b := h.B
-	r := newTriReducer(h)
+	r := newTriReducer(h, graph.PairBlocks(b), false)
 	return edgeJob{
 		Name:    fmt.Sprintf("partition b=%d", b),
 		Blocks:  graph.PairBlocks(b),
@@ -220,43 +220,20 @@ func canonicalGroupTriple(h graph.NodeHash, b int, a, bb, c graph.Node) graph.Bu
 // (h(u), h(v)); reducer (x, y, z) reads the blocks (x,y), (y,z) and (x,z) —
 // the distinct ones, so an edge playing two roles at a reducer arrives once
 // and each edge reaches exactly 3b−2 reducers: the paper's footnote-1 dedup
-// is structural. The reducer reads an edge's roles off its two buckets.
+// is structural. The reducer runs Partition's kernel, restricted to the
+// triangles whose buckets, in id order, are its key.
 func multiwayJob(h graph.NodeHash) edgeJob {
 	b := h.B
+	r := newTriReducer(h, b*b, true)
 	return edgeJob{
-		Name:   fmt.Sprintf("multiway shares=(%d,%d,%d)", b, b, b),
-		Blocks: b * b,
-		Map:    multiwayMapper{h}.Map,
-		Keys:   func(yield func(graph.BucketKey, []int32)) { multiwayKeys(b, yield) },
-		Reduce: func(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) {
-			// Role-structured join: X=u, Y=v, Z=w with E(u,v) as XY, E(v,w) as
-			// YZ, E(u,w) as XZ (each pair id-ordered).
-			x, y, z := int(key[0]), int(key[1]), int(key[2])
-			var xy []graph.Edge
-			yzByFirst := make(map[graph.Node][]graph.Node)
-			xz := make(map[uint64]bool)
-			for _, e := range edges {
-				hu, hv := h.Bucket(e.U), h.Bucket(e.V)
-				if hu == x && hv == y {
-					xy = append(xy, e)
-				}
-				if hu == y && hv == z {
-					yzByFirst[e.U] = append(yzByFirst[e.U], e.V)
-				}
-				if hu == x && hv == z {
-					xz[e.Key()] = true
-				}
-			}
-			for _, e := range xy {
-				for _, w := range yzByFirst[e.V] {
-					ctx.AddWork(1)
-					if xz[(graph.Edge{U: e.U, V: w}).Key()] {
-						emit([3]graph.Node{e.U, e.V, w})
-					}
-				}
-			}
-		},
-		Codec: graph.EdgeKeyCodec{P: 3},
+		Name:    fmt.Sprintf("multiway shares=(%d,%d,%d)", b, b, b),
+		Blocks:  b * b,
+		Map:     multiwayMapper{h}.Map,
+		Keys:    func(yield func(graph.BucketKey, []int32)) { multiwayKeys(b, yield) },
+		Prepare: r.prepare,
+		Reduce:  r.reduce,
+		Release: releaseTriWorker,
+		Codec:   graph.EdgeKeyCodec{P: 3},
 	}
 }
 
@@ -297,26 +274,34 @@ func tupleKey(x, y, z int) (k graph.BucketKey) {
 	return k
 }
 
-// triReducer is Partition's reduce side: the triangle's one CQ,
+// triReducer is the reduce side of both algorithms: the triangle's one CQ,
 // E(X,Y) & E(X,Z) & E(Y,Z) & X<Y & Y<Z, run by the rank kernel over each
-// group merged as a graph.Fragment from its pair blocks, each laid out once
-// in id order — the layout and the kernel the core strategies use. The
-// kernel binds every triangle of the group; the one whose canonical group
-// triple is the key is kept.
+// reducer's edges merged as a graph.Fragment from its blocks, each laid out
+// once in id order — the layout and the kernel the core strategies use.
 type triReducer struct {
 	evals *cq.EvaluatorSet
 	h     graph.NodeHash
+	// lanes marks Multiway: the triangle a < b < c belongs to reducer
+	// (h(a), h(b), h(c)), where its edges play the roles XY, YZ and XZ, so
+	// the kernel binds X, Y and Z only to nodes of the key's lanes
+	// (laneMask). Partition's kernel binds every triangle of the group, and
+	// the one whose canonical group triple is the key is kept.
+	lanes bool
 	runs  graph.BlockRuns
 }
 
 // triangleEvals is the triangle's compiled CQ, built once per process: the
-// set is immutable, so every Partition job shares it.
+// set is immutable, so every job shares it.
 var triangleEvals = sync.OnceValue(func() *cq.EvaluatorSet {
-	return cq.NewEvaluatorSet(cq.GenerateForSample(sample.Triangle()))
+	qs, err := cq.OrbitCQs(sample.Triangle())
+	if err != nil {
+		panic(err) // the triangle has 3 nodes and 3 edges
+	}
+	return cq.NewEvaluatorSet(qs)
 })
 
-func newTriReducer(h graph.NodeHash) *triReducer {
-	return &triReducer{triangleEvals(), h, graph.NewBlockRuns(graph.PairBlocks(h.B), graph.NaturalKey)}
+func newTriReducer(h graph.NodeHash, blocks int, lanes bool) *triReducer {
+	return &triReducer{triangleEvals(), h, lanes, graph.NewBlockRuns(blocks, graph.NaturalKey)}
 }
 
 // triWorker is what one reduce worker keeps in its Context's Local slot
@@ -350,23 +335,44 @@ func releaseTriWorker(ctx *mapreduce.Context) {
 	}
 }
 
-// prepare lays one pair block out in id order, once per job.
+// prepare lays one block out in id order, once per job.
 func (r *triReducer) prepare(ctx *mapreduce.Context, block int, edges []graph.Edge) {
 	r.worker(ctx).Frag.Prepare(&r.runs, block, edges)
 }
 
+// reduce merges one reducer's fragment from its blocks and evaluates the
+// triangle CQ over it.
 func (r *triReducer) reduce(ctx *mapreduce.Context, key graph.BucketKey, edges []graph.Edge, emit func([3]graph.Node)) {
-	ctx.AddWork(r.worker(ctx).run(key, edges, ctx.Blocks, emit))
+	w := r.worker(ctx)
+	w.key, w.emit = key, emit
+	w.Frag.Merge(edges, &r.runs, ctx.Blocks)
+	if r.lanes {
+		if n := w.Frag.NumNodes(); cap(w.Mask) < n {
+			w.Mask = make([]uint16, 2*n) // headroom, as the fragment keeps
+		}
+		w.Scratch.Own.Mask = w.laneMask()
+	}
+	ctx.AddWork(r.evals.Eval(&w.Frag, &w.Scratch, w.match))
 }
 
-// run merges one group's fragment from its blocks and evaluates the
-// triangle CQ over it, returning the kernel's work.
+// laneMask is Multiway's ownership rule for the call in progress: bit v of
+// rank r's word is set iff r's node hashes to the key's lane v, the bucket
+// of variable v.
 //
 //lint:hotpath
-func (w *triWorker) run(key graph.BucketKey, edges []graph.Edge, blocks []int32, emit func([3]graph.Node)) int64 {
-	w.key, w.emit = key, emit
-	w.Frag.Merge(edges, &w.r.runs, blocks)
-	return w.r.evals.Eval(&w.Frag, &w.Scratch, w.match)
+func (w *triWorker) laneMask() []uint16 {
+	mask := w.Mask[:w.Frag.NumNodes()]
+	for r := range mask {
+		h := byte(w.r.h.Bucket(w.Frag.ID(int32(r))))
+		var m uint16
+		for v := range 3 {
+			if w.key[v] == h {
+				m |= 1 << v
+			}
+		}
+		mask[r] = m
+	}
+	return mask
 }
 
 // match receives a triangle the kernel bound, as ranks X < Y < Z, and emits
@@ -375,9 +381,6 @@ func (w *triWorker) run(key graph.BucketKey, edges []graph.Edge, blocks []int32,
 //lint:hotpath
 func (w *triWorker) match(ranks []int32) {
 	a, b, c := w.Frag.ID(ranks[0]), w.Frag.ID(ranks[1]), w.Frag.ID(ranks[2])
-	if canonicalGroupTriple(w.r.h, w.r.h.B, a, b, c) != w.key {
-		return
-	}
 	if a > b {
 		a, b = b, a
 	}
@@ -387,7 +390,9 @@ func (w *triWorker) match(ranks []int32) {
 	if a > b {
 		a, b = b, a
 	}
-	w.emit([3]graph.Node{a, b, c})
+	if w.r.lanes || canonicalGroupTriple(w.r.h, w.r.h.B, a, b, c) == w.key {
+		w.emit([3]graph.Node{a, b, c})
+	}
 }
 
 // partitionCommPerEdge is the exact expected per-edge communication of

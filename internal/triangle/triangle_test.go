@@ -44,7 +44,7 @@ func count(t *testing.T, a Algo, g *graph.Graph, b int) mapreduce.Metrics {
 func bucketRun(t *testing.T, g *graph.Graph, b int, sink func([]graph.Node) bool) *core.Result {
 	t.Helper()
 	opt := core.Options{Buckets: b, Seed: 7}
-	qs, err := core.CompileCQs(sample.Triangle(), opt)
+	qs, err := core.CompileCQs(sample.Triangle())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestCascadeLosesOnSkew(t *testing.T) {
 	two := cascade(t, g)
 	// The one-round job is Section 2.3's: core's bucket-oriented at p = 3.
 	opt := core.Options{Buckets: 10, Seed: 7}
-	qs, err := core.CompileCQs(sample.Triangle(), opt)
+	qs, err := core.CompileCQs(sample.Triangle())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,9 +160,9 @@ func Plan(g *Graph, s *Sample, opts ...Option) (*QueryPlan, error) {
 	if o.core.Buckets > shares.MaxIntShare {
 		return nil, fmt.Errorf("subgraphmr: bucket count %d exceeds %d", o.core.Buckets, shares.MaxIntShare)
 	}
-	qs, err := core.CompileCQs(s, o.core)
+	qs, err := core.CompileCQs(s)
 	if err != nil {
-		return nil, fmt.Errorf("subgraphmr: WithCycleCQs: %w", err)
+		return nil, fmt.Errorf("subgraphmr: %w", err)
 	}
 	q := &planQuery{g: g, s: s, p: s.P(), m: int64(g.NumEdges()), qs: qs.CQs, o: o}
 

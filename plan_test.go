@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"subgraphmr/internal/directed"
+	"subgraphmr/internal/sample"
 	"subgraphmr/internal/tworound"
 )
 
@@ -215,8 +216,8 @@ func TestPlanErrors(t *testing.T) {
 	if _, err := Plan(g, Square(), WithStrategy(StrategyTwoRound)); err == nil {
 		t.Error("two-round cascade accepted a square sample")
 	}
-	if _, err := Plan(g, Lollipop(), WithCycleCQs()); err == nil {
-		t.Error("WithCycleCQs accepted a non-cycle sample")
+	if _, err := Plan(g, sample.Complete(12)); err == nil || !strings.Contains(err.Error(), "64") {
+		t.Errorf("Plan on K12 (66 edges): %v, want an error naming the 64-edge limit", err)
 	}
 	if _, err := Plan(nil, Triangle()); err == nil {
 		t.Error("nil graph accepted")
@@ -444,8 +445,10 @@ func TestPatternSizeLimit(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "16-node limit") {
 		t.Errorf("EnumerateDirectedContext on a 17-node path: %v, want an error naming the 16-node limit", err)
 	}
-	if _, err := Plan(Gnm(30, 60, 1), NamedSample("c12"), WithCycleCQs()); err != nil {
-		t.Errorf("Plan on c12 with cycle CQs: %v", err)
+	if plan, err := Plan(Gnm(30, 60, 1), NamedSample("c12")); err != nil {
+		t.Errorf("Plan on c12: %v", err)
+	} else if plan.NumCQs != 191 {
+		t.Errorf("Plan on c12: %d CQs, want 191 (one per orbit of its acyclic orientations)", plan.NumCQs)
 	}
 }
 

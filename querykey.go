@@ -38,8 +38,8 @@ func QueryKey(graphID string, s *Sample, opts ...Option) string {
 	fmt.Fprintf(&sb, "g=%s|s=%s|", graphID, sampleKeyString(s))
 	// Each planOpts leaf field below is one key segment; the reflection
 	// test holds this list and the exempt list to the full field set.
-	fmt.Fprintf(&sb, "strategy=%d|k=%d|b=%d|cyclecqs=%t|countonly=%t|seed=%d",
-		int(o.strategy), c.TargetReducers, c.Buckets, c.UseCycleCQs, o.countOnly, c.Seed)
+	fmt.Fprintf(&sb, "strategy=%d|k=%d|b=%d|countonly=%t|seed=%d",
+		int(o.strategy), c.TargetReducers, c.Buckets, o.countOnly, c.Seed)
 	fmt.Fprintf(&sb, "|par=%d|parts=%d|mem=%d|spill=%s",
 		c.Engine.Parallelism, c.Engine.Partitions, c.Engine.MemoryBudget, c.Engine.SpillDir)
 	fmt.Fprintf(&sb, "|adaptive=%t|skew=%g", c.AdaptiveReplan, c.SkewThreshold)
@@ -62,7 +62,7 @@ var queryKeyExemptFields = map[string]string{
 // in key order. Kept next to QueryKey so the two are updated together;
 // the reflection test cross-checks it against the struct.
 var queryKeyIncludedFields = []string{
-	"strategy", "core.TargetReducers", "core.Buckets", "core.UseCycleCQs", "countOnly", "core.Seed",
+	"strategy", "core.TargetReducers", "core.Buckets", "countOnly", "core.Seed",
 	"core.Engine.Parallelism", "core.Engine.Partitions", "core.Engine.MemoryBudget", "core.Engine.SpillDir",
 	"core.AdaptiveReplan", "core.SkewThreshold",
 	"workers", "spawnWorkers", "workerTimeout", "fault.Mode", "fault.Worker", "fault.AfterInstances",

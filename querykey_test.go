@@ -65,7 +65,6 @@ func TestQueryKeySensitivity(t *testing.T) {
 		"strategy":                 {WithStrategy(StrategyTriangleMultiway)},
 		"core.TargetReducers":      {WithTargetReducers(7)},
 		"core.Buckets":             {WithBuckets(5)},
-		"core.UseCycleCQs":         {WithCycleCQs()},
 		"countOnly":                {WithCountOnly()},
 		"core.Seed":                {WithSeed(99)},
 		"core.Engine.Parallelism":  {WithParallelism(2)},

@@ -136,7 +136,7 @@ type planQuery struct {
 	s  *Sample
 	p  int      // s.P()
 	m  int64    // g.NumEdges()
-	qs []*cq.CQ // the merged CQ set the share-based strategies evaluate
+	qs []*cq.CQ // the CQ set the share-based strategies evaluate
 	o  planOpts
 }
 
@@ -257,7 +257,7 @@ func probeVariable(pr *prober, c *Candidate) {
 	pr.applyOnly(c, pr.row(c.Strategy, 0, c.Shares, ls))
 }
 
-// priceCQ costs one job per merged CQ, each with its own optimized shares;
+// priceCQ costs one job per CQ, each with its own optimized shares;
 // the total is the sum over jobs, and any job's shares over the engine
 // limit rule the candidate out.
 func priceCQ(q *planQuery) Candidate {
